@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <exception>
 #include <limits>
 #include <map>
 #include <memory>
@@ -14,9 +13,7 @@
 #include "core/engine.h"
 #include "storage/replica_router.h"
 #include "util/contracts.h"
-#include "util/mutex.h"
 #include "util/stats.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace jaws::core {
@@ -118,50 +115,9 @@ std::vector<workload::Workload> TurbulenceCluster::partition(
 
 namespace {
 
-/// One node engine's result: its report plus, if it died mid-run, the share
-/// it left unfinished.
-struct NodeRun {
-    RunReport report;
-    workload::Workload leftover;
-};
-
-/// Mutex-guarded sink the parallel node engines write into. Results land in
-/// per-node slots so the aggregation below reads them in node order
-/// regardless of completion order; the first worker exception is rethrown
-/// on take() (matching the old future-based transport).
-class NodeRunCollector {
-  public:
-    explicit NodeRunCollector(std::size_t nodes) : runs_(nodes) {}
-
-    void set(std::size_t node, NodeRun run) {
-        util::MutexLock lock(mu_);
-        runs_[node] = std::move(run);
-    }
-
-    void record_error(std::exception_ptr error) noexcept {
-        util::MutexLock lock(mu_);
-        if (error_ == nullptr) error_ = std::move(error);
-    }
-
-    /// Call once, after every worker has finished.
-    std::vector<NodeRun> take() {
-        util::MutexLock lock(mu_);
-        if (error_ != nullptr) std::rethrow_exception(error_);
-        return std::move(runs_);
-    }
-
-  private:
-    util::Mutex mu_;
-    std::vector<NodeRun> runs_ GUARDED_BY(mu_);
-    std::exception_ptr error_ GUARDED_BY(mu_);
-};
-
 /// The portion of `jobs` that `outcomes` did not complete (a dead node's
-/// unfinished share), with jobs re-sequenced for a replica re-run. Works
-/// over any forward range of workload::Job (the legacy path passes a
-/// vector, the unified kernel its stable per-node deque).
-template <class JobRange>
-workload::Workload unfinished_part(const JobRange& jobs,
+/// unfinished share), with jobs re-sequenced for re-injection.
+workload::Workload unfinished_part(const std::deque<workload::Job>& jobs,
                                    const std::vector<QueryOutcome>& outcomes) {
     std::unordered_set<workload::QueryId> done;
     done.reserve(outcomes.size());
@@ -184,91 +140,6 @@ workload::Workload unfinished_part(const JobRange& jobs,
     return left;
 }
 
-/// Streaming aggregation of per-run reports into a ClusterReport, shared by
-/// the legacy and unified paths (weighted means, pooled tail percentiles and
-/// straight fault/hedge sums).
-class Aggregator {
-  public:
-    explicit Aggregator(ClusterReport& report) : report_(report) {}
-
-    void accumulate(const RunReport& r) {
-        total_parts_ += r.queries;
-        weighted_rt_ += r.mean_response_ms * static_cast<double>(r.queries);
-        hits_ += r.cache.hits;
-        misses_ += r.cache.misses;
-        run_seconds_ += r.makespan.seconds();
-        weighted_disk_util_ += r.disk_utilization * r.makespan.seconds();
-        weighted_cpu_util_ += r.cpu_utilization * r.makespan.seconds();
-        report_.degraded_queries += r.degraded_queries;
-        report_.read_retries += r.read_retries;
-        report_.read_failures += r.read_failures;
-        report_.hedges_issued += r.hedges_issued;
-        report_.hedges_won += r.hedges_won;
-        report_.hedges_lost += r.hedges_lost;
-        report_.cancellations += r.cancellations;
-        report_.wasted_service += r.wasted_service;
-        report_.deadline_misses += r.deadline_misses;
-        report_.retries_suppressed += r.retries_suppressed;
-        pooled_response_ms_.insert(pooled_response_ms_.end(), r.response_ms.begin(),
-                                   r.response_ms.end());
-    }
-
-    /// Derive the cluster-level ratios. report_.makespan must be final.
-    void finalize() {
-        const double seconds = std::max(1e-9, report_.makespan.seconds());
-        report_.total_throughput_qps = static_cast<double>(total_parts_) / seconds;
-        report_.mean_response_ms =
-            total_parts_ ? weighted_rt_ / static_cast<double>(total_parts_) : 0.0;
-        report_.cache_hit_rate =
-            (hits_ + misses_) ? static_cast<double>(hits_) /
-                                    static_cast<double>(hits_ + misses_)
-                              : 0.0;
-        if (run_seconds_ > 0.0) {
-            report_.mean_disk_utilization = weighted_disk_util_ / run_seconds_;
-            report_.mean_cpu_utilization = weighted_cpu_util_ / run_seconds_;
-        }
-        // Exact cluster-wide tail over the pooled samples (percentile() moves
-        // the vector; NaN — "n/a" — when nothing completed anywhere).
-        report_.p999_response_ms = util::percentile(pooled_response_ms_, 99.9);
-        report_.p99_response_ms =
-            util::percentile(std::move(pooled_response_ms_), 99.0);
-    }
-
-  private:
-    ClusterReport& report_;
-    std::size_t total_parts_ = 0;
-    double weighted_rt_ = 0.0;
-    std::uint64_t hits_ = 0, misses_ = 0;
-    double run_seconds_ = 0.0;
-    double weighted_disk_util_ = 0.0, weighted_cpu_util_ = 0.0;
-    std::vector<double> pooled_response_ms_;
-};
-
-/// Earliest death per node (cluster-level faults ride in the node template's
-/// FaultSpec; SimTime::max() = the node survives the run).
-std::vector<util::SimTime> death_schedule(const ClusterConfig& config) {
-    std::vector<util::SimTime> death(config.nodes, util::SimTime::max());
-    for (const storage::NodeDownEvent& ev : config.node.faults.node_down)
-        if (ev.at < death[ev.node.value()]) death[ev.node.value()] = ev.at;
-    return death;
-}
-
-/// One evaluation pool shared across every node engine (and, on the legacy
-/// path, recovery run): real interpolation from all nodes multiplexes onto a
-/// single set of worker threads instead of each engine spawning
-/// nodes × workers of its own. Returns null (and leaves the template
-/// untouched) on descriptor-only runs or when the caller supplied a pool.
-std::unique_ptr<util::ThreadPool> make_shared_eval(EngineConfig& node_template) {
-    if (node_template.eval.pool != nullptr || !node_template.eval.parallel ||
-        !node_template.materialize_data)
-        return nullptr;
-    auto pool = std::make_unique<util::ThreadPool>(
-        node_template.eval.threads != 0 ? node_template.eval.threads
-                                        : node_template.compute_workers);
-    node_template.eval.pool = pool.get();
-    return pool;
-}
-
 /// The unified cluster kernel: N node engines sharing one EventQueue, with
 /// arrivals routed to owning nodes at event time, replica-aware demand/hedge
 /// read routing (this class is the engines' storage::ReplicaRouter) and
@@ -277,14 +148,28 @@ std::unique_ptr<util::ThreadPool> make_shared_eval(EngineConfig& node_template) 
 /// it contends for the survivor's modeled disk and CPU.
 class UnifiedKernel final : public storage::ReplicaRouter {
   public:
-    UnifiedKernel(const TurbulenceCluster& cluster, const ClusterConfig& config,
-                  const EngineConfig& node_template, std::vector<util::SimTime> death)
+    UnifiedKernel(const TurbulenceCluster& cluster, const ClusterConfig& config)
         : cluster_(cluster),
           config_(config),
-          node_template_(node_template),
-          death_(std::move(death)),
+          node_template_(config.node),
+          death_(config.nodes, util::SimTime::max()),
           aps_(config.node.grid.atoms_per_step()),
-          cluster_src_(static_cast<std::uint32_t>(config.nodes)) {}
+          cluster_src_(static_cast<std::uint32_t>(config.nodes)) {
+        // Cluster-level faults ride in the node template's FaultSpec;
+        // validate() allows at most one node-down event per node.
+        for (const storage::NodeDownEvent& ev : config.node.faults.node_down)
+            death_[ev.node.value()] = ev.at;
+        // One evaluation pool shared by every node engine: real
+        // interpolation from all nodes multiplexes onto a single set of
+        // worker threads instead of each engine spawning its own.
+        // Descriptor-only runs and callers that supply a pool get none.
+        EvalSpec& eval = node_template_.eval;
+        if (eval.pool == nullptr && eval.parallel && node_template_.materialize_data) {
+            shared_eval_ = std::make_unique<util::ThreadPool>(
+                eval.threads != 0 ? eval.threads : node_template_.compute_workers);
+            eval.pool = shared_eval_.get();
+        }
+    }
 
     ClusterReport run(const workload::Workload& workload) {
         origin_ = workload.jobs.empty() ? util::SimTime::zero()
@@ -523,18 +408,14 @@ class UnifiedKernel final : public storage::ReplicaRouter {
             if (death_[d] != util::SimTime::max()) ++report_.dead_nodes;
             if (failed_over_[d]) ++report_.failovers;
         }
-        Aggregator agg(report_);
         for (std::size_t n = 0; n < config_.nodes; ++n) {
-            RunReport r = engines_[n]->finish();
-            report_.makespan = std::max(report_.makespan, r.makespan);
-            report_.replica_reads += r.replica_reads;
-            agg.accumulate(r);
-            report_.per_node.push_back(std::move(r));
+            report_.per_node.push_back(engines_[n]->finish());
+            report_.makespan = std::max(report_.makespan, report_.per_node[n].makespan);
         }
         // Re-routed work extends the cluster span measured from the global
         // origin (a survivor that started late can end past every per-node
         // makespan); without failover the slowest node's own makespan is the
-        // cluster's, exactly as on the legacy path.
+        // cluster's.
         if (report_.failovers > 0 || report_.rerouted_arrivals > 0)
             for (std::size_t n = 0; n < config_.nodes; ++n)
                 if (first_injection_[n] != util::SimTime::max())
@@ -542,9 +423,56 @@ class UnifiedKernel final : public storage::ReplicaRouter {
                         std::max(report_.makespan, first_injection_[n] +
                                                        report_.per_node[n].makespan -
                                                        origin_);
+        aggregate();
         merge_timeline();
-        agg.finalize();
         return std::move(report_);
+    }
+
+    /// Fold the per-node reports into the cluster-level figures: straight
+    /// fault/hedge sums, query-part weighted response, makespan-weighted
+    /// utilisation and exact tail percentiles over the pooled samples.
+    /// report_.makespan must be final.
+    void aggregate() {
+        std::size_t parts = 0;
+        double weighted_rt = 0.0;
+        std::uint64_t hits = 0, misses = 0;
+        double run_seconds = 0.0, weighted_disk = 0.0, weighted_cpu = 0.0;
+        std::vector<double> pooled_response_ms;
+        for (const RunReport& r : report_.per_node) {
+            parts += r.queries;
+            weighted_rt += r.mean_response_ms * static_cast<double>(r.queries);
+            hits += r.cache.hits;
+            misses += r.cache.misses;
+            run_seconds += r.makespan.seconds();
+            weighted_disk += r.disk_utilization * r.makespan.seconds();
+            weighted_cpu += r.cpu_utilization * r.makespan.seconds();
+            report_.replica_reads += r.replica_reads;
+            report_.degraded_queries += r.degraded_queries;
+            report_.read_retries += r.read_retries;
+            report_.read_failures += r.read_failures;
+            report_.hedges_issued += r.hedges_issued;
+            report_.hedges_won += r.hedges_won;
+            report_.hedges_lost += r.hedges_lost;
+            report_.cancellations += r.cancellations;
+            report_.wasted_service += r.wasted_service;
+            report_.deadline_misses += r.deadline_misses;
+            report_.retries_suppressed += r.retries_suppressed;
+            pooled_response_ms.insert(pooled_response_ms.end(), r.response_ms.begin(),
+                                      r.response_ms.end());
+        }
+        const double seconds = std::max(1e-9, report_.makespan.seconds());
+        report_.total_throughput_qps = static_cast<double>(parts) / seconds;
+        report_.mean_response_ms = parts ? weighted_rt / static_cast<double>(parts) : 0.0;
+        report_.cache_hit_rate =
+            (hits + misses) ? static_cast<double>(hits) / static_cast<double>(hits + misses)
+                            : 0.0;
+        if (run_seconds > 0.0) {
+            report_.mean_disk_utilization = weighted_disk / run_seconds;
+            report_.mean_cpu_utilization = weighted_cpu / run_seconds;
+        }
+        // percentile() moves the vector; NaN ("n/a") when nothing completed.
+        report_.p999_response_ms = util::percentile(pooled_response_ms, 99.9);
+        report_.p99_response_ms = util::percentile(std::move(pooled_response_ms), 99.0);
     }
 
     /// Merge the per-node timelines (their windows are aligned: begin_shared
@@ -589,9 +517,13 @@ class UnifiedKernel final : public storage::ReplicaRouter {
     const TurbulenceCluster& cluster_;
     const ClusterConfig& config_;
     EngineConfig node_template_;
+    /// Death instant per node (SimTime::max() = the node survives the run).
     std::vector<util::SimTime> death_;
     const std::uint64_t aps_;
     const std::uint32_t cluster_src_;  ///< Event source id of routing events.
+    /// Owned shared evaluation pool (null when none is needed); declared
+    /// before engines_ so it outlives every engine that submits to it.
+    std::unique_ptr<util::ThreadPool> shared_eval_;
 
     util::SimTime origin_;
     util::EventQueue events_;
@@ -610,114 +542,7 @@ class UnifiedKernel final : public storage::ReplicaRouter {
 }  // namespace
 
 ClusterReport TurbulenceCluster::run(const workload::Workload& workload) const {
-    return config_.mode == ClusterMode::kLegacy ? run_legacy(workload)
-                                                : run_unified(workload);
-}
-
-ClusterReport TurbulenceCluster::run_unified(const workload::Workload& workload) const {
-    EngineConfig node_template = config_.node;
-    const std::unique_ptr<util::ThreadPool> shared_eval =
-        make_shared_eval(node_template);
-    UnifiedKernel kernel(*this, config_, node_template, death_schedule(config_));
-    return kernel.run(workload);
-}
-
-ClusterReport TurbulenceCluster::run_legacy(const workload::Workload& workload) const {
-    const std::vector<workload::Workload> parts = partition(workload);
-    const std::vector<util::SimTime> death = death_schedule(config_);
-
-    EngineConfig node_template = config_.node;
-    const std::unique_ptr<util::ThreadPool> shared_eval =
-        make_shared_eval(node_template);
-
-    util::ThreadPool pool(std::min<std::size_t>(config_.nodes, 8));
-    NodeRunCollector collector(parts.size());
-    for (std::size_t n = 0; n < parts.size(); ++n) {
-        pool.submit([&parts, &death, &collector, &node_template, n] {
-            try {
-                NodeRun out;
-                const workload::Workload& part = parts[n];
-                if (!part.jobs.empty()) {
-                    EngineConfig cfg = node_template;
-                    cfg.halt_at = death[n];
-                    Engine engine(cfg);
-                    out.report = engine.run(part);
-                    if (out.report.halted)
-                        out.leftover = unfinished_part(part.jobs, engine.outcomes());
-                }
-                collector.set(n, std::move(out));
-            } catch (...) {
-                collector.record_error(std::current_exception());
-            }
-        });
-    }
-    pool.wait_idle();
-    std::vector<NodeRun> node_runs = collector.take();
-
-    ClusterReport report;
-    Aggregator agg(report);
-
-    // When a node dies its share finishes on a replica; the replica can only
-    // start the re-run once it has drained its own share, so track each
-    // node's busy-until time (in the shared virtual timeline).
-    std::vector<util::SimTime> busy_until(config_.nodes, util::SimTime::zero());
-    std::vector<workload::Workload> leftovers(config_.nodes);
-    for (std::size_t n = 0; n < node_runs.size(); ++n) {
-        NodeRun run = std::move(node_runs[n]);
-        report.makespan = std::max(report.makespan, run.report.makespan);
-        agg.accumulate(run.report);
-        if (!parts[n].jobs.empty())
-            busy_until[n] = parts[n].jobs.front().arrival + run.report.makespan;
-        report.per_node.push_back(std::move(run.report));
-        leftovers[n] = std::move(run.leftover);
-    }
-
-    const util::SimTime global_start =
-        workload.jobs.empty() ? util::SimTime::zero() : workload.jobs.front().arrival;
-    for (std::size_t d = 0; d < config_.nodes; ++d) {
-        if (death[d] == util::SimTime::max()) continue;
-        ++report.dead_nodes;
-        const workload::Workload& left = leftovers[d];
-        if (left.jobs.empty()) continue;  // died with nothing outstanding
-
-        // First surviving holder of d's Morton range under chained
-        // declustering: nodes d+1 .. d+replication-1 (mod N).
-        std::size_t replica = config_.nodes;
-        for (std::size_t r = 1; r < config_.replication; ++r) {
-            const std::size_t cand = (d + r) % config_.nodes;
-            if (death[cand] == util::SimTime::max()) {
-                replica = cand;
-                break;
-            }
-        }
-        if (replica == config_.nodes) {
-            // No surviving copy of the range: the work is lost, reported.
-            report.lost_queries += left.total_queries();
-            continue;
-        }
-
-        // The replica picks up the dead node's share once it has both seen
-        // the death and finished its own (and any earlier recovery) work.
-        const util::SimTime recovery_start = std::max(death[d], busy_until[replica]);
-        workload::Workload rerun = left;
-        for (workload::Job& job : rerun.jobs)
-            job.arrival = std::max(job.arrival, recovery_start);
-        report.requeued_queries += rerun.total_queries();
-
-        Engine engine(node_template);
-        RunReport rec = engine.run(rerun);
-        ++report.failovers;
-        agg.accumulate(rec);
-        const util::SimTime rec_end = rerun.jobs.front().arrival + rec.makespan;
-        busy_until[replica] = rec_end;
-        // Degraded makespan: the recovery tail extends the cluster span,
-        // measured from the workload's first arrival.
-        report.makespan = std::max(report.makespan, rec_end - global_start);
-        report.recovery.push_back(std::move(rec));
-    }
-
-    agg.finalize();
-    return report;
+    return UnifiedKernel(*this, config_).run(workload);
 }
 
 }  // namespace jaws::core

@@ -2,30 +2,22 @@
 //
 // In production, data are partitioned spatially across nodes, each running
 // its own JAWS instance; incoming queries are routed to the nodes owning
-// their atoms and replicas absorb both load and failures. Two execution
-// modes reproduce that architecture:
-//
-//   * Unified kernel (the default, ClusterMode::kUnified): every node's
-//     engine shares ONE util::EventQueue. Each node is a set of SimResource
-//     disk/CPU channels plus its own scheduler state; query arrivals are
-//     routed to owning nodes at event time (node_of at route time, not
-//     partition time); replicated atom reads may be served by any surviving
-//     replica in the chain n .. n+k-1 — the kernel diverts a read to the
-//     chain member with the shallowest modeled disk queue once the owner's
-//     backlog exceeds it by a locality margin (a diversion forfeits the
-//     owner's sequential head position), so replication doubles as load
-//     balancing. Node deaths fire inside the kernel: the dead node finishes
-//     its in-flight batch, then its unfinished work is re-routed in-line to
-//     surviving replicas, contending for their modeled disks and CPUs (and
-//     interacting with hedging, retries and deadline budgets) instead of
-//     being summed after the fact.
-//   * Legacy per-node path (ClusterMode::kLegacy): the workload is
-//     partitioned up front, N isolated engines run in parallel on a thread
-//     pool, and failover is a post-hoc re-run on the first surviving
-//     replica. Kept as the golden-pinned equivalence baseline: at
-//     replication = 1 with no node deaths the unified kernel produces
-//     bit-identical per-query outcomes and digests
-//     (tests/cluster_equivalence_test.cpp).
+// their atoms and replicas absorb both load and failures. One event kernel
+// reproduces that architecture: every node's engine shares ONE
+// util::EventQueue. Each node is a set of SimResource disk/CPU channels plus
+// its own scheduler state; query arrivals are routed to owning nodes at
+// event time (node_of at route time, not partition time); replicated atom
+// reads may be served by any surviving replica in the chain n .. n+k-1 —
+// the kernel diverts a read to the chain member with the shallowest modeled
+// disk queue once the owner's backlog exceeds it by a locality margin (a
+// diversion forfeits the owner's sequential head position), so replication
+// doubles as load balancing. Node deaths fire inside the kernel: the dead
+// node finishes its in-flight batch, then its unfinished work is re-routed
+// in-line to surviving replicas, contending for their modeled disks and
+// CPUs (and interacting with hedging, retries and deadline budgets) instead
+// of being summed after the fact. At replication = 1 with no node deaths
+// each node's report is bit-identical to a standalone Engine run over its
+// partition() share (tests/cluster_equivalence_test.cpp).
 //
 // Atoms are assigned to nodes by contiguous Morton ranges (preserving
 // spatial locality within a node); ranges may be replicated k ways (range
@@ -47,12 +39,6 @@
 
 namespace jaws::core {
 
-/// How TurbulenceCluster::run executes the node engines.
-enum class ClusterMode {
-    kUnified,  ///< One shared event kernel, route-time arrivals, replica reads.
-    kLegacy,   ///< N isolated engines + post-hoc failover (equivalence baseline).
-};
-
 /// Cluster-wide configuration: one node template replicated `nodes` times.
 struct ClusterConfig {
     EngineConfig node;       ///< Per-node stack configuration.
@@ -60,7 +46,6 @@ struct ClusterConfig {
     /// Copies of each Morton range (1 = no redundancy). Range owned by node
     /// n is also readable on nodes n+1 .. n+replication-1 (mod nodes).
     std::size_t replication = 1;
-    ClusterMode mode = ClusterMode::kUnified;
 
     /// Reject nonsensical cluster configurations (zero nodes, node counts
     /// beyond util::NodeIndex's 32-bit range, replication
@@ -73,27 +58,24 @@ struct ClusterConfig {
 
 /// Aggregated cluster results.
 struct ClusterReport {
-    std::vector<RunReport> per_node;      ///< One report per node (may be empty runs).
-    /// Recovery runs executed on replicas after node deaths (one per
-    /// failover, in node-death order). Legacy mode only: the unified kernel
-    /// absorbs failover work into the survivors' per_node reports instead.
-    std::vector<RunReport> recovery;
+    std::vector<RunReport> per_node;      ///< One report per node (failover work
+                                          ///< lands in the survivors' reports).
     util::SimTime makespan;               ///< Slowest node's virtual makespan
                                           ///< (including failover work).
     double total_throughput_qps = 0.0;    ///< Total query parts / makespan.
     double mean_response_ms = 0.0;        ///< Query-part weighted mean response.
     double cache_hit_rate = 0.0;          ///< Aggregate over all nodes.
-    double mean_disk_utilization = 0.0;   ///< Makespan-weighted mean over runs.
-    double mean_cpu_utilization = 0.0;    ///< Makespan-weighted mean over runs.
+    double mean_disk_utilization = 0.0;   ///< Makespan-weighted mean over nodes.
+    double mean_cpu_utilization = 0.0;    ///< Makespan-weighted mean over nodes.
 
     /// Cluster-wide response-time tail, computed over the *pooled* per-query
-    /// samples of every node and recovery run — exact percentiles, not an
+    /// samples of every node — exact percentiles, not an
     /// average of per-node percentiles (which would understate the tail).
     /// NaN when no query part completed anywhere (rendered "n/a").
     double p99_response_ms = 0.0;
     double p999_response_ms = 0.0;
 
-    // --- routing accounting (unified kernel; zero on the legacy path) ---
+    // --- routing accounting ---
     std::uint64_t routed_queries = 0;     ///< Query parts routed to a node at
                                           ///< their arrival event.
     std::uint64_t rerouted_arrivals = 0;  ///< Parts whose owner was already
@@ -101,7 +83,7 @@ struct ClusterReport {
                                           ///< surviving replica instead.
     std::uint64_t replica_reads = 0;      ///< Atom reads served by a replica
                                           ///< other than the reader's node.
-    /// Merged cluster timeline (unified mode with timeline_window_s > 0):
+    /// Merged cluster timeline (with timeline_window_s > 0):
     /// per-window completions summed over nodes, response completion-
     /// weighted, utilisations averaged over the nodes reporting the window.
     std::vector<TimelinePoint> timeline;
@@ -112,11 +94,11 @@ struct ClusterReport {
     std::size_t requeued_queries = 0; ///< Query parts re-routed off a dead node.
     std::size_t lost_queries = 0;     ///< Parts lost for lack of a surviving replica.
     std::uint64_t degraded_queries = 0;  ///< Sum of per-node degraded completions.
-    std::uint64_t read_retries = 0;      ///< Sum over nodes and recovery runs.
-    std::uint64_t read_failures = 0;     ///< Sum over nodes and recovery runs.
+    std::uint64_t read_retries = 0;      ///< Sum over nodes.
+    std::uint64_t read_failures = 0;     ///< Sum over nodes.
 
-    // --- hedging & deadline accounting (sums over nodes and recovery runs;
-    // all zero when HedgeSpec/deadline budgets are off) ---
+    // --- hedging & deadline accounting (sums over nodes; all zero when
+    // HedgeSpec/deadline budgets are off) ---
     std::uint64_t hedges_issued = 0;
     std::uint64_t hedges_won = 0;
     std::uint64_t hedges_lost = 0;
@@ -144,8 +126,8 @@ class TurbulenceCluster {
     /// Project one job onto every node it touches: element n of the result
     /// holds the queries whose footprint atoms node n owns (queries keep
     /// their IDs, footprints filtered, jobs re-sequenced; element n is empty
-    /// when the job does not touch node n). Shared by partition-time
-    /// splitting (legacy) and route-time splitting (unified kernel).
+    /// when the job does not touch node n). The kernel splits each job this
+    /// way at route time; partition() applies it to a whole workload.
     std::vector<workload::Job> project(const workload::Job& job) const;
 
     /// Project `workload` onto each node (queries keep their IDs; footprints
@@ -153,13 +135,10 @@ class TurbulenceCluster {
     /// node are dropped and the job re-sequenced). Exposed for tests.
     std::vector<workload::Workload> partition(const workload::Workload& workload) const;
 
-    /// Execute `workload` on the configured mode's kernel and aggregate.
+    /// Execute `workload` on the shared event kernel and aggregate.
     ClusterReport run(const workload::Workload& workload) const;
 
   private:
-    ClusterReport run_legacy(const workload::Workload& workload) const;
-    ClusterReport run_unified(const workload::Workload& workload) const;
-
     ClusterConfig config_;
 };
 

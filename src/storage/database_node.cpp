@@ -20,18 +20,12 @@ ExecOutcome DatabaseNode::execute(const SubQueryExec& work,
 
     const util::Coord3 atom_coord = util::morton_decode(work.atom.morton);
     out.samples.resize(work.positions.size());
-    if (batched_) {
-        // One scratch arena per thread: execute() runs concurrently on the
-        // evaluation pool, and the interpolator's weight planes amortise
-        // across every sub-query a worker evaluates.
-        thread_local field::BatchInterpolator interp;
-        interp.evaluate(grid_, *data, atom_coord, work.positions.data(),
-                        work.positions.size(), work.order, out.samples.data());
-    } else {
-        for (std::size_t i = 0; i < work.positions.size(); ++i)
-            out.samples[i] =
-                field::interpolate(grid_, *data, atom_coord, work.positions[i], work.order);
-    }
+    // One scratch arena per thread: execute() runs concurrently on the
+    // evaluation pool, and the interpolator's weight planes amortise across
+    // every sub-query a worker evaluates.
+    thread_local field::BatchInterpolator interp;
+    interp.evaluate(grid_, *data, atom_coord, work.positions.data(), work.positions.size(),
+                    work.order, out.samples.data());
     if (work.kind == ComputeKind::kFlowStats) {
         // Collapse to magnitude in the velocity.x slot; aggregation over
         // positions happens in the caller, which sees all samples.

@@ -54,15 +54,13 @@ struct ExecOutcome {
 
 /// Stateless executor bound to a grid geometry and cost model.
 ///
-/// `batched` selects the evaluation kernel for materialised sub-queries:
-/// the batched SIMD-friendly field::BatchInterpolator (default) or the
-/// historical per-position scalar loop. The two are bit-identical — the
-/// knob exists for A/B benchmarking and the equivalence suites, not because
-/// results differ (core::EvalSpec::batch plumbs it through the engine).
+/// Materialised sub-queries evaluate through the batched SIMD-friendly
+/// field::BatchInterpolator. It is bit-identical to the scalar
+/// field::interpolate, which stays as the oracle for tests and fuzzing.
 class DatabaseNode {
   public:
-    DatabaseNode(const field::GridSpec& grid, const CostModel& cost, bool batched = true)
-        : grid_(grid), cost_(cost), batched_(batched) {}
+    DatabaseNode(const field::GridSpec& grid, const CostModel& cost)
+        : grid_(grid), cost_(cost) {}
 
     /// Execute `work` against `data` (the atom's voxel payload, or null for
     /// descriptor-only execution). Cost is charged either way; samples are
@@ -79,13 +77,9 @@ class DatabaseNode {
     /// The cost model in effect.
     const CostModel& cost_model() const noexcept { return cost_; }
 
-    /// Whether materialised sub-queries run through the batched kernel.
-    bool batched() const noexcept { return batched_; }
-
   private:
     field::GridSpec grid_;
     CostModel cost_;
-    bool batched_;
 };
 
 }  // namespace jaws::storage

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <numeric>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "field/grid.h"
 #include "field/interpolation.h"
 #include "field/synthetic_field.h"
+#include "util/morton.h"
 #include "util/rng.h"
 
 namespace jaws::field {
@@ -176,32 +178,47 @@ TEST(BatchInterpolationGolden, DigestsPinned) {
     }
 }
 
-// The EvalSpec::batch knob is a pure throughput A/B: both settings must
-// produce bit-identical samples and identical modeled costs end to end.
-TEST(DirectExecutorBatchKnob, OnOffBitIdentical) {
+// DirectExecutor evaluates through the batched kernel: every sample must be
+// bit-for-bit the scalar oracle's against the same atom payload, end to end
+// through the atom store and the cache.
+TEST(DirectExecutorKernel, MatchesScalarReferenceBitForBit) {
     core::EngineConfig config;
     config.grid = test_grid();
     config.field = test_field();
     config.grid.timesteps = 4;
-    config.cache.capacity_atoms = 16;
-    core::EngineConfig scalar_config = config;
-    scalar_config.eval.batch = false;
+    config.cache.capacity_atoms = 64;  // the whole step: later orders hit
+    constexpr std::uint32_t kStep = 2;
 
-    core::DirectExecutor batched(config);
-    core::DirectExecutor scalar(scalar_config);
+    core::DirectExecutor executor(config);
     util::Rng rng(41);
     std::vector<Vec3> positions;
     for (int i = 0; i < 300; ++i)
         positions.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
+    std::vector<core::DirectResult> got;
     for (const InterpOrder order : kOrders) {
-        const core::DirectResult a = batched.evaluate(2, positions, order);
-        const core::DirectResult b = scalar.evaluate(2, positions, order);
-        ASSERT_EQ(a.samples.size(), b.samples.size());
-        ASSERT_EQ(std::memcmp(a.samples.data(), b.samples.data(),
-                              a.samples.size() * sizeof(FlowSample)),
-                  0)
-            << "order " << static_cast<int>(order);
-        EXPECT_EQ(a.virtual_cost, b.virtual_cost);
+        got.push_back(executor.evaluate(kStep, positions, order));
+        ASSERT_EQ(got.back().samples.size(), positions.size());
+    }
+
+    std::map<std::uint64_t, std::vector<std::size_t>> by_atom;
+    for (std::size_t i = 0; i < positions.size(); ++i)
+        by_atom[config.grid.atom_morton_of(positions[i])].push_back(i);
+    const SyntheticField synth(config.field);
+    for (const auto& [morton, indices] : by_atom) {
+        const util::Coord3 atom = util::morton_decode(morton);
+        const VoxelBlock block(config.grid, synth, atom, kStep);
+        std::vector<Vec3> atom_positions;
+        for (const std::size_t i : indices) atom_positions.push_back(positions[i]);
+        for (std::size_t k = 0; k < got.size(); ++k) {
+            const std::vector<FlowSample> want =
+                scalar_reference(config.grid, block, atom, atom_positions, kOrders[k]);
+            for (std::size_t j = 0; j < indices.size(); ++j)
+                ASSERT_EQ(std::memcmp(&got[k].samples[indices[j]], &want[j],
+                                      sizeof(FlowSample)),
+                          0)
+                    << "order " << static_cast<int>(kOrders[k]) << " position "
+                    << indices[j];
+        }
     }
 }
 

@@ -1,20 +1,22 @@
-// Unified-kernel vs legacy cluster equivalence harness (core/cluster.h).
+// Cluster kernel equivalence harness (core/cluster.h).
 //
 // The contract under test: at replication = 1 with no node deaths, the
-// unified kernel (one shared EventQueue, route-time arrivals, replica-aware
-// reads) produces per-query outcomes and sample digests bit-identical to the
-// legacy per-node path (N isolated engines over a partition-time split) —
-// the cross-node tie-break (time, priority, node, insertion) degenerates to
-// each node's private order, and self-routing is the identity. The golden
-// row pins the shared trace so a silent divergence in either path fails
-// loudly. Beyond the pinned regime, the suite covers what only the unified
-// kernel can do: replica-served reads, in-kernel failover into survivors'
-// resources, and the merged cluster timeline.
+// cluster kernel (one shared EventQueue, route-time arrivals, replica-aware
+// reads) produces per-node reports and sample digests bit-identical to N
+// standalone engines, each running its partition() share — the cross-node
+// tie-break (time, priority, node, insertion) degenerates to each node's
+// private order, and self-routing is the identity. The golden row pins the
+// shared trace so a silent divergence fails loudly. Beyond the pinned
+// regime, the suite covers what only the shared kernel can do:
+// replica-served reads, in-kernel failover into survivors' resources, and
+// the merged cluster timeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/cluster.h"
 #include "core/engine.h"
@@ -26,10 +28,9 @@ namespace {
 
 // --- materialised fixture: real payloads, real digests --------------------
 
-ClusterConfig fixture_cluster(std::size_t nodes, ClusterMode mode) {
+ClusterConfig fixture_cluster(std::size_t nodes) {
     ClusterConfig c;
     c.nodes = nodes;
-    c.mode = mode;
     c.node.grid.voxels_per_side = 128;
     c.node.grid.atom_side = 32;
     c.node.grid.ghost = 4;
@@ -55,70 +56,65 @@ workload::Workload fixture_workload(const ClusterConfig& c, std::size_t jobs = 8
     return w;
 }
 
-void expect_node_reports_identical(const RunReport& u, const RunReport& l) {
-    EXPECT_EQ(u.queries, l.queries);
-    EXPECT_EQ(u.jobs, l.jobs);
-    EXPECT_EQ(u.makespan.micros, l.makespan.micros);
-    EXPECT_EQ(u.idle_time.micros, l.idle_time.micros);
-    EXPECT_EQ(u.sample_digest, l.sample_digest);
-    EXPECT_EQ(u.samples_evaluated, l.samples_evaluated);
-    EXPECT_EQ(u.cache.hits, l.cache.hits);
-    EXPECT_EQ(u.cache.misses, l.cache.misses);
-    EXPECT_EQ(u.atom_reads, l.atom_reads);
-    EXPECT_EQ(u.replica_reads, l.replica_reads);
-    EXPECT_EQ(u.support_reads, l.support_reads);
-    EXPECT_EQ(u.subqueries, l.subqueries);
-    EXPECT_EQ(u.positions, l.positions);
-    EXPECT_EQ(u.mean_response_ms, l.mean_response_ms);
-    EXPECT_EQ(u.peak_cpu_busy, l.peak_cpu_busy);
-    EXPECT_EQ(u.peak_disk_busy, l.peak_disk_busy);
-    ASSERT_EQ(u.response_ms.size(), l.response_ms.size());
-    for (std::size_t i = 0; i < u.response_ms.size(); ++i)
-        EXPECT_EQ(u.response_ms[i], l.response_ms[i]);
+void expect_node_reports_identical(const RunReport& got, const RunReport& want) {
+    EXPECT_EQ(got.queries, want.queries);
+    EXPECT_EQ(got.jobs, want.jobs);
+    EXPECT_EQ(got.makespan.micros, want.makespan.micros);
+    EXPECT_EQ(got.idle_time.micros, want.idle_time.micros);
+    EXPECT_EQ(got.sample_digest, want.sample_digest);
+    EXPECT_EQ(got.samples_evaluated, want.samples_evaluated);
+    EXPECT_EQ(got.cache.hits, want.cache.hits);
+    EXPECT_EQ(got.cache.misses, want.cache.misses);
+    EXPECT_EQ(got.atom_reads, want.atom_reads);
+    EXPECT_EQ(got.replica_reads, want.replica_reads);
+    EXPECT_EQ(got.support_reads, want.support_reads);
+    EXPECT_EQ(got.subqueries, want.subqueries);
+    EXPECT_EQ(got.positions, want.positions);
+    EXPECT_EQ(got.mean_response_ms, want.mean_response_ms);
+    EXPECT_EQ(got.peak_cpu_busy, want.peak_cpu_busy);
+    EXPECT_EQ(got.peak_disk_busy, want.peak_disk_busy);
+    ASSERT_EQ(got.response_ms.size(), want.response_ms.size());
+    for (std::size_t i = 0; i < got.response_ms.size(); ++i)
+        EXPECT_EQ(got.response_ms[i], want.response_ms[i]);
 }
 
-TEST(ClusterEquivalence, UnifiedMatchesLegacyBitExactlyAtReplicationOne) {
+TEST(ClusterEquivalence, MatchesStandaloneEnginesAtReplicationOne) {
     for (const std::size_t nodes : {std::size_t{1}, std::size_t{3}}) {
         SCOPED_TRACE("nodes=" + std::to_string(nodes));
-        const ClusterConfig unified = fixture_cluster(nodes, ClusterMode::kUnified);
-        const ClusterConfig legacy = fixture_cluster(nodes, ClusterMode::kLegacy);
-        const workload::Workload w = fixture_workload(unified);
+        const ClusterConfig cfg = fixture_cluster(nodes);
+        const workload::Workload w = fixture_workload(cfg);
+        const TurbulenceCluster cluster(cfg);
+        const ClusterReport r = cluster.run(w);
+        const std::vector<workload::Workload> parts = cluster.partition(w);
 
-        const ClusterReport ru = TurbulenceCluster(unified).run(w);
-        const ClusterReport rl = TurbulenceCluster(legacy).run(w);
-
-        ASSERT_EQ(ru.per_node.size(), nodes);
-        ASSERT_EQ(rl.per_node.size(), nodes);
+        ASSERT_EQ(r.per_node.size(), nodes);
+        std::size_t projected = 0;
+        util::SimTime slowest;
         for (std::size_t n = 0; n < nodes; ++n) {
             SCOPED_TRACE("node=" + std::to_string(n));
-            expect_node_reports_identical(ru.per_node[n], rl.per_node[n]);
+            const RunReport reference = Engine(cfg.node).run(parts[n]);
+            expect_node_reports_identical(r.per_node[n], reference);
+            projected += parts[n].total_queries();
+            slowest = std::max(slowest, reference.makespan);
         }
-        EXPECT_EQ(ru.makespan.micros, rl.makespan.micros);
-        EXPECT_EQ(ru.total_throughput_qps, rl.total_throughput_qps);
-        EXPECT_EQ(ru.mean_response_ms, rl.mean_response_ms);
-        EXPECT_EQ(ru.cache_hit_rate, rl.cache_hit_rate);
-        EXPECT_EQ(ru.p99_response_ms, rl.p99_response_ms);
-        EXPECT_EQ(ru.p999_response_ms, rl.p999_response_ms);
+        EXPECT_EQ(r.makespan.micros, slowest.micros);
 
         // Routing accounting: everything routed to its owner, nothing moved
         // or lost, no cross-node reads at replication 1.
-        std::size_t projected = 0;
-        for (const auto& part : TurbulenceCluster(unified).partition(w))
-            projected += part.total_queries();
-        EXPECT_EQ(ru.routed_queries, projected);
-        EXPECT_EQ(ru.rerouted_arrivals, 0u);
-        EXPECT_EQ(ru.replica_reads, 0u);
-        EXPECT_EQ(ru.lost_queries, 0u);
-        EXPECT_EQ(rl.routed_queries, 0u);  // legacy path does not route
+        EXPECT_EQ(r.routed_queries, projected);
+        EXPECT_EQ(r.rerouted_arrivals, 0u);
+        EXPECT_EQ(r.replica_reads, 0u);
+        EXPECT_EQ(r.lost_queries, 0u);
     }
 }
 
-// Golden-pinned trace of the 3-node fixture, captured when the unified
-// kernel was introduced (unified and legacy agreed bit-for-bit at capture
-// time, and the test above keeps proving they agree). If this row breaks,
-// the virtual schedule, the partition split or the reduction order changed.
+// Golden-pinned trace of the 3-node fixture, captured when the shared
+// kernel was introduced (it agreed bit-for-bit with per-node engines at
+// capture time, and the test above keeps proving it does). If this row
+// breaks, the virtual schedule, the partition split or the reduction order
+// changed.
 TEST(ClusterEquivalence, GoldenPinnedThreeNodeTrace) {
-    const ClusterConfig config = fixture_cluster(3, ClusterMode::kUnified);
+    const ClusterConfig config = fixture_cluster(3);
     const workload::Workload w = fixture_workload(config);
     const ClusterReport r = TurbulenceCluster(config).run(w);
 
@@ -166,7 +162,6 @@ workload::Job single_query_job(workload::QueryId qid, std::uint64_t morton,
 std::size_t completed_parts(const ClusterReport& r) {
     std::size_t total = 0;
     for (const auto& n : r.per_node) total += n.queries;
-    for (const auto& n : r.recovery) total += n.queries;
     return total;
 }
 
@@ -174,8 +169,8 @@ TEST(ClusterReplicaReads, ReplicatedReadsSpreadOntoTheChain) {
     // Two nodes, replication 2: every atom is readable on both. Jobs hammer
     // node 0's range (morton 0..3) in quick succession, so node 0's modeled
     // disk queue is deeper than node 1's when reads are routed — the kernel
-    // serves part of them from the replica. Nothing of this exists on the
-    // legacy path. io_depth 4 keeps several reads in flight per node — with
+    // serves part of them from the replica. io_depth 4 keeps several reads
+    // in flight per node — with
     // a pipeline window of 1 the owner's disk is idle at every route instant
     // and the chain never diverts; the 1 ms arrival spacing builds the
     // owner-side backlog the divert margin requires.
@@ -217,8 +212,8 @@ TEST(ClusterReplicaReads, UnifiedRunsAreBitIdenticalAcrossRepeats) {
 
 TEST(ClusterFailover, InKernelFailoverAbsorbsTheDeadNodesWork) {
     // Node 0 dies a third of the way through the arrival schedule. Its
-    // unfinished share is re-injected into node 1 *inside the kernel* (no
-    // recovery re-run), where it contends with node 1's own queue.
+    // unfinished share is re-injected into node 1 *inside the kernel*,
+    // where it contends with node 1's own queue.
     ClusterConfig config = tiny_cluster(2, 2);
     config.node.faults.node_down.push_back(
         storage::NodeDownEvent{util::NodeIndex{0}, util::SimTime::from_millis(300.0)});
@@ -233,7 +228,6 @@ TEST(ClusterFailover, InKernelFailoverAbsorbsTheDeadNodesWork) {
     EXPECT_GE(r.failovers, 1u);
     EXPECT_EQ(r.lost_queries, 0u);
     EXPECT_GT(r.requeued_queries, 0u);
-    EXPECT_TRUE(r.recovery.empty());  // absorbed in-kernel, not re-run after
     EXPECT_EQ(completed_parts(r), 24u);
 
     // The survivor completed strictly more than its own partition share.
@@ -312,43 +306,19 @@ TEST(ClusterTimeline, MergedClusterTimelineCoversEveryNodeCompletion) {
         EXPECT_LT(r.timeline[i - 1].window_end.micros, r.timeline[i].window_end.micros);
 }
 
-TEST(ClusterLegacyMode, PostHocRecoveryPathStillWorks) {
-    // The golden baseline stays exercisable: legacy mode re-runs a dead
-    // node's share on a fresh replica engine after the fact.
-    ClusterConfig config = tiny_cluster(2, 2);
-    config.mode = ClusterMode::kLegacy;
-    config.node.faults.node_down.push_back(
-        storage::NodeDownEvent{util::NodeIndex{0}, util::SimTime::from_millis(300.0)});
-    workload::Workload w;
-    for (workload::QueryId i = 1; i <= 24; ++i)
-        w.jobs.push_back(single_query_job(
-            i, i % 8, util::SimTime::from_millis(static_cast<double>(i) * 40.0)));
-    const ClusterReport r = TurbulenceCluster(config).run(w);
-    EXPECT_EQ(r.dead_nodes, 1u);
-    EXPECT_GE(r.failovers, 1u);
-    EXPECT_EQ(r.lost_queries, 0u);
-    ASSERT_FALSE(r.recovery.empty());
-    EXPECT_EQ(completed_parts(r), 24u);
-    EXPECT_EQ(r.routed_queries, 0u);
-    EXPECT_EQ(r.replica_reads, 0u);
-}
-
 TEST(ClusterEquivalence, MaterializedRunRejectsKernelsWiderThanGhost) {
     // With real data an interpolation kernel must fit inside the atom's
     // ghost region (descriptor-only runs model the spill as support reads;
     // the data path cannot). An order-8 kernel against ghost=2 must throw
-    // from workload intake — in both modes — instead of reading out of
-    // bounds inside field::interpolate.
-    for (const ClusterMode mode : {ClusterMode::kUnified, ClusterMode::kLegacy}) {
-        ClusterConfig config = tiny_cluster(2, 1);
-        config.mode = mode;
-        config.node.materialize_data = true;
-        workload::Workload w;
-        w.jobs.push_back(single_query_job(1, 0, util::SimTime::zero()));
-        w.jobs.back().queries.front().order = field::InterpOrder::kLag8;
-        workload::materialize_positions(w, config.node.grid, /*seed=*/23);
-        EXPECT_THROW(TurbulenceCluster(config).run(w), std::invalid_argument);
-    }
+    // from workload intake instead of reading out of bounds inside the
+    // interpolation kernel.
+    ClusterConfig config = tiny_cluster(2, 1);
+    config.node.materialize_data = true;
+    workload::Workload bad;
+    bad.jobs.push_back(single_query_job(1, 0, util::SimTime::zero()));
+    bad.jobs.back().queries.front().order = field::InterpOrder::kLag8;
+    workload::materialize_positions(bad, config.node.grid, /*seed=*/23);
+    EXPECT_THROW(TurbulenceCluster(config).run(bad), std::invalid_argument);
     // The same workload passes once the grid carries enough ghost voxels.
     ClusterConfig ok = tiny_cluster(2, 1);
     ok.node.grid.ghost = 4;

@@ -517,7 +517,6 @@ workload::Workload cluster_workload(std::size_t queries) {
 std::size_t completed_parts(const core::ClusterReport& report) {
     std::size_t total = 0;
     for (const auto& r : report.per_node) total += r.queries;
-    for (const auto& r : report.recovery) total += r.queries;
     return total;
 }
 }  // namespace

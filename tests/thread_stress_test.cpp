@@ -3,7 +3,7 @@
 // These tests exist primarily as ThreadSanitizer targets (the `tsan` preset
 // runs the full suite): they force real contention on every mutex-protected
 // structure this repository owns — the thread pool's queue, the logger's
-// sink, and the cluster facade's node fan-out — so data races surface as
+// sink, and the cluster's shared evaluation pool — so data races surface as
 // TSan reports instead of flaky goldens. They also pin the determinism
 // contract that motivates the whole layer: concurrent runs of the same
 // configuration must produce bit-identical reports.
@@ -121,10 +121,6 @@ TEST(ThreadStress, ConcurrentLoggingThroughGuardedSink) {
 
 core::ClusterConfig stress_cluster_config() {
     core::ClusterConfig config;
-    // Pinned to the legacy per-node path: this test exists to race N node
-    // engines on a thread pool (nested parallelism); the unified kernel is
-    // single-threaded per run and is covered by cluster_equivalence_test.
-    config.mode = core::ClusterMode::kLegacy;
     config.nodes = 4;
     config.replication = 2;
     config.node.grid.voxels_per_side = 128;
@@ -133,8 +129,13 @@ core::ClusterConfig stress_cluster_config() {
     config.node.field.modes = 4;
     config.node.cache.capacity_atoms = 16;
     config.node.run_length = 25;
-    // Kill a node mid-run so the failover/recovery path runs concurrently
-    // with the surviving nodes' engines.
+    config.node.compute_workers = 2;
+    // Real payloads: every node engine dispatches interpolation onto the
+    // cluster's one shared evaluation pool, whose workers each keep
+    // thread_local BatchInterpolator scratch.
+    config.node.materialize_data = true;
+    // Kill a node mid-run so in-kernel failover re-injects its work into a
+    // survivor while evaluations are in flight.
     config.node.faults.node_down.push_back(
         storage::NodeDownEvent{util::NodeIndex{1}, util::SimTime::from_seconds(30.0)});
     return config;
@@ -144,15 +145,18 @@ workload::Workload stress_cluster_workload(const core::ClusterConfig& config) {
     workload::WorkloadSpec spec;
     spec.jobs = 16;
     spec.seed = 21;
+    spec.max_positions = 600;  // bound the real interpolation work per query
     const field::SyntheticField field(config.node.field);
-    return workload::generate_workload(spec, config.node.grid, field);
+    workload::Workload w = workload::generate_workload(spec, config.node.grid, field);
+    workload::materialize_positions(w, config.node.grid, /*seed=*/23);
+    return w;
 }
 
 TEST(ThreadStress, ParallelClusterRunsAreRaceFreeAndIdentical) {
-    // Two whole cluster runs execute concurrently, each fanning its node
-    // engines out on its own thread pool (nested parallelism), while this
-    // thread runs a third. Determinism contract: all three reports are
-    // bit-identical even though their interleavings differ completely.
+    // Two whole cluster runs execute concurrently, each evaluating on its
+    // own shared pool, while this thread runs a third. Determinism
+    // contract: all three reports are bit-identical even though their
+    // real-thread interleavings differ completely.
     const core::ClusterConfig config = stress_cluster_config();
     const workload::Workload workload = stress_cluster_workload(config);
 
@@ -171,6 +175,10 @@ TEST(ThreadStress, ParallelClusterRunsAreRaceFreeAndIdentical) {
     tb.join();
 
     ASSERT_GT(c.makespan.micros, 0);
+    ASSERT_GT(c.failovers, 0u);
+    std::uint64_t eval_tasks = 0;
+    for (const core::RunReport& n : c.per_node) eval_tasks += n.eval_tasks;
+    ASSERT_GT(eval_tasks, 0u) << "the shared evaluation pool never ran";
     EXPECT_EQ(a.makespan.micros, c.makespan.micros);
     EXPECT_EQ(b.makespan.micros, c.makespan.micros);
     EXPECT_EQ(a.dead_nodes, c.dead_nodes);
@@ -182,6 +190,8 @@ TEST(ThreadStress, ParallelClusterRunsAreRaceFreeAndIdentical) {
     for (std::size_t n = 0; n < c.per_node.size(); ++n) {
         EXPECT_EQ(a.per_node[n].makespan.micros, c.per_node[n].makespan.micros);
         EXPECT_EQ(b.per_node[n].cache.hits, c.per_node[n].cache.hits);
+        EXPECT_EQ(a.per_node[n].sample_digest, c.per_node[n].sample_digest);
+        EXPECT_EQ(b.per_node[n].sample_digest, c.per_node[n].sample_digest);
         EXPECT_EQ(a.per_node[n].cache.policy_overhead_ns,
                   c.per_node[n].cache.policy_overhead_ns)
             << "virtual-tick overhead accounting must be reproducible";
