@@ -1,7 +1,7 @@
 #include "cache/lru_k.h"
 
+#include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "util/contracts.h"
 
@@ -10,67 +10,57 @@ namespace jaws::cache {
 LruKPolicy::LruKPolicy(unsigned k, std::size_t retained_history)
     : k_(k == 0 ? 1 : k), retained_cap_(retained_history) {}
 
-void LruKPolicy::touch(const storage::AtomId& atom) {
-    History& h = history_[atom];
+void LruKPolicy::touch(History& h) {
     h.refs.push_front(++tick_);
     while (h.refs.size() > k_) h.refs.pop_back();
 }
 
-std::uint64_t LruKPolicy::kth_ref(const History& h) const noexcept {
-    return h.refs.size() < k_ ? 0 : h.refs.back();
+LruKPolicy::Rank LruKPolicy::rank_of(const storage::AtomId& atom,
+                                     const History& h) const noexcept {
+    return Rank{h.refs.size() < k_ ? 0 : h.refs.back(), h.refs.front(), atom};
 }
 
 void LruKPolicy::on_insert(const storage::AtomId& atom) {
-    assert(!resident_.contains(atom));
-    resident_.insert(atom);
-    touch(atom);
+    History& h = history_[atom];
+    assert(!h.resident);
+    touch(h);
+    h.resident = true;
+    h.rank = index_.insert(rank_of(atom, h)).first;
 }
 
 void LruKPolicy::on_access(const storage::AtomId& atom) {
-    assert(resident_.contains(atom));
-    touch(atom);
+    const auto it = history_.find(atom);
+    assert(it != history_.end() && it->second.resident);
+    History& h = it->second;
+    // Re-rank in place: the extracted node is reused, so a hit allocates
+    // nothing.
+    Index::node_type node = index_.extract(h.rank);
+    touch(h);
+    node.value() = rank_of(atom, h);
+    h.rank = index_.insert(std::move(node)).position;
 }
 
 storage::AtomId LruKPolicy::pick_victim() {
-    assert(!resident_.empty());
-    // Evict the resident atom with the oldest (smallest) K-th reference;
-    // atoms with fewer than K references (kth_ref == 0) are preferred, with
-    // the least recent first reference breaking ties.
-    const storage::AtomId* victim = nullptr;
-    std::uint64_t best_k = std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t best_recent = std::numeric_limits<std::uint64_t>::max();
-    // jaws-lint: allow(unordered-iteration) -- the minimised key
-    // (kth_ref, recent, atom id) is a strict total order over residents
-    // (recency ticks are unique), so the scan's result is independent of
-    // the hash table's iteration order.
-    for (const auto& atom : resident_) {
-        const History& h = history_.at(atom);
-        const std::uint64_t kd = kth_ref(h);
-        const std::uint64_t recent = h.refs.front();
-        const bool better =
-            victim == nullptr || kd < best_k ||
-            (kd == best_k &&
-             (recent < best_recent || (recent == best_recent && atom < *victim)));
-        if (better) {
-            best_k = kd;
-            best_recent = recent;
-            victim = &atom;
-        }
-    }
-    return *victim;
+    assert(!index_.empty());
+    // The oldest K-th reference evicts first; atoms with fewer than K
+    // references (kth_ref == 0) are preferred, with the least recent first
+    // reference breaking ties.
+    return index_.begin()->atom;
 }
 
 void LruKPolicy::on_evict(const storage::AtomId& atom) {
-    const auto erased = resident_.erase(atom);
-    assert(erased == 1);
-    (void)erased;
+    const auto it = history_.find(atom);
+    assert(it != history_.end() && it->second.resident);
+    index_.erase(it->second.rank);
+    it->second.resident = false;
     // Retain the history per LRU-K so a quick re-admission keeps its rank,
     // but bound the table.
     retained_fifo_.push_back(atom);
     while (retained_fifo_.size() > retained_cap_) {
         const storage::AtomId old = retained_fifo_.front();
         retained_fifo_.pop_front();
-        if (!resident_.contains(old)) history_.erase(old);
+        const auto h = history_.find(old);
+        if (h != history_.end() && !h->second.resident) history_.erase(h);
     }
 }
 
@@ -83,26 +73,43 @@ bool LruKPolicy::audit(const std::vector<storage::AtomId>& resident) const {
         }
         return cond;
     };
-    check(resident_.size() == resident.size(),
-          "LRU-K tracks exactly the resident set",
-          "LruKPolicy: tracked size diverged from the cache's resident set");
+    const auto is_resident = [&](const storage::AtomId& atom) {
+        return std::binary_search(resident.begin(), resident.end(), atom);
+    };
+    check(index_.size() == resident.size(), "one index entry per resident",
+          "LruKPolicy: index size diverged from the cache's resident set");
     for (const storage::AtomId& atom : resident) {
-        check(resident_.contains(atom), "resident atom tracked",
-              "LruKPolicy: resident atom missing from the tracked set");
         const auto h = history_.find(atom);
         if (!check(h != history_.end(), "resident atom has history",
                    "LruKPolicy: resident atom without a reference history"))
             continue;
         const auto& refs = h->second.refs;
-        check(!refs.empty() && refs.size() <= k_, "1 <= |refs| <= k",
-              "LruKPolicy: reference history out of bounds");
+        if (!check(!refs.empty() && refs.size() <= k_, "1 <= |refs| <= k",
+                   "LruKPolicy: reference history out of bounds"))
+            continue;
         bool decreasing = true;
         for (std::size_t i = 1; i < refs.size(); ++i)
             decreasing = decreasing && refs[i - 1] > refs[i];
         check(decreasing && refs.front() <= tick_,
               "refs strictly decreasing and <= tick",
               "LruKPolicy: reference history out of order");
+        check(h->second.resident && *h->second.rank == rank_of(atom, h->second),
+              "index entry at the current rank",
+              "LruKPolicy: resident atom missing from the index or ranked stale");
     }
+    for (const Rank& r : index_)
+        check(is_resident(r.atom), "index entry is resident",
+              "LruKPolicy: index holds a non-resident atom");
+    // Every retained (non-resident) history is reachable from the FIFO.
+    for (const storage::AtomId& atom : retained_fifo_) {
+        if (is_resident(atom)) continue;
+        const auto h = history_.find(atom);
+        check(h == history_.end() || !h->second.resident, "retained history not resident",
+              "LruKPolicy: evicted atom still marked resident");
+    }
+    check(history_.size() <= resident.size() + retained_fifo_.size(),
+          "history bounded by residents + retained",
+          "LruKPolicy: history table holds unreachable entries");
     check(retained_fifo_.size() <= retained_cap_ + resident.size(),
           "retained history bounded",
           "LruKPolicy: retained-history FIFO exceeds its bound");

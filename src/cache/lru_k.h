@@ -6,12 +6,17 @@
 // one-shot scans cannot flush frequently reused atoms. We keep a bounded
 // retained-history table for recently evicted atoms, as the original paper
 // prescribes, so re-admitted atoms do not lose their reference history.
+//
+// Residents are kept in an ordered index on (kth_ref, recent, atom), updated
+// on every insert, access and evict, so the victim is the index's first
+// entry. Recency ticks are unique, so that key is a strict total order and
+// the victim is exactly the argmin a full scan over the residents would find.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "cache/replacement_policy.h"
 
@@ -32,21 +37,33 @@ class LruKPolicy final : public ReplacementPolicy {
     bool audit(const std::vector<storage::AtomId>& resident) const override;
 
   private:
+    /// Eviction rank of a resident: smallest evicts first.
+    struct Rank {
+        /// Backward K-distance: the time of the K-th most recent reference,
+        /// or 0 ("infinitely old") if the atom has fewer than K references.
+        std::uint64_t kth_ref = 0;
+        std::uint64_t recent = 0;  ///< Time of the most recent reference.
+        storage::AtomId atom;
+
+        friend auto operator<=>(const Rank&, const Rank&) = default;
+    };
+    using Index = std::set<Rank>;
+
     struct History {
         // Most recent reference first; at most k_ entries.
         std::deque<std::uint64_t> refs;
+        bool resident = false;
+        Index::iterator rank;  ///< This atom's index entry while resident.
     };
 
-    void touch(const storage::AtomId& atom);
-    /// Backward K-distance: the time of the K-th most recent reference, or 0
-    /// ("infinitely old") if the atom has fewer than K references.
-    std::uint64_t kth_ref(const History& h) const noexcept;
+    void touch(History& h);
+    Rank rank_of(const storage::AtomId& atom, const History& h) const noexcept;
 
     unsigned k_;
     std::size_t retained_cap_;
     std::uint64_t tick_ = 0;
     std::unordered_map<storage::AtomId, History, storage::AtomIdHash> history_;
-    std::unordered_set<storage::AtomId, storage::AtomIdHash> resident_;
+    Index index_;  ///< One entry per resident, at its current rank.
     // FIFO of evicted atoms whose history is retained, for bounded cleanup.
     std::deque<storage::AtomId> retained_fifo_;
 };

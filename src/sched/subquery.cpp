@@ -1,6 +1,8 @@
 #include "sched/subquery.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <optional>
 
 #include "util/morton.h"
 
@@ -22,34 +24,27 @@ std::vector<SubQuery> preprocess(const workload::Query& query, util::SimTime now
     // are themselves part of the footprint (the position cloud is contiguous,
     // so boundary positions sample from exactly these). Footprints are
     // Morton-sorted, so membership is a binary search.
-    const auto member = [&](std::uint64_t code) {
-        const auto it = std::lower_bound(
-            query.footprint.begin(), query.footprint.end(), code,
-            [](const workload::AtomRequest& r, std::uint64_t c) { return r.atom.morton < c; });
-        return it != query.footprint.end() && it->atom.morton == code;
-    };
     if (query.footprint.size() < 2) return out;
-    for (SubQuery& sub : out) {
-        const util::Coord3 c = util::morton_decode(sub.atom.morton);
-        const auto push_if = [&](std::int64_t x, std::int64_t y, std::int64_t z) {
-            if (x < 0 || y < 0 || z < 0) return;
-            const std::uint64_t code =
-                util::morton_encode(static_cast<std::uint32_t>(x),
-                                    static_cast<std::uint32_t>(y),
-                                    static_cast<std::uint32_t>(z));
-            if (member(code)) sub.supports.push_back(code);
-        };
+    const auto by_morton = [](const workload::AtomRequest& r, std::uint64_t c) {
+        return r.atom.morton < c;
+    };
+    const auto first = query.footprint.begin();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        SubQuery& sub = out[i];
         // Each shared face is owned by the higher-coordinate atom: its kernel
         // spills into the lower (Morton-earlier) neighbour, so every
         // adjacency is charged exactly once across the footprint, and a
         // Morton-ordered evaluation pass has always *just read* the atom the
         // spill needs — the locality the two-level framework exploits.
-        const auto x = static_cast<std::int64_t>(c.x);
-        const auto y = static_cast<std::int64_t>(c.y);
-        const auto z = static_cast<std::int64_t>(c.z);
-        push_if(x - 1, y, z);
-        push_if(x, y - 1, z);
-        push_if(x, y, z - 1);
+        // Morton-earlier neighbours can only sit before this atom.
+        const auto last = first + static_cast<std::ptrdiff_t>(i);
+        for (unsigned axis = 0; axis < 3; ++axis) {  // x-1, y-1, z-1
+            const std::optional<std::uint64_t> below =
+                util::morton_lower_neighbor(sub.atom.morton, axis);
+            if (!below) continue;
+            const auto it = std::lower_bound(first, last, *below, by_morton);
+            if (it != last && it->atom.morton == *below) sub.supports.push_back(*below);
+        }
     }
     return out;
 }

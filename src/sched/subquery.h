@@ -8,6 +8,9 @@
 // sub-query record and the pre-processing step.
 #pragma once
 
+#include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -16,6 +19,31 @@
 #include "workload/query.h"
 
 namespace jaws::sched {
+
+/// Morton codes of a sub-query's kernel-support atoms, stored inline. Each
+/// shared face is charged to the higher-coordinate atom (see preprocess), so
+/// the supports are the x-1, y-1 and z-1 face neighbours: at most three.
+class Supports {
+  public:
+    static constexpr std::size_t kMax = 3;
+
+    void push_back(std::uint64_t code) noexcept {
+        assert(size_ < kMax);
+        codes_[size_++] = code;
+    }
+    std::size_t size() const noexcept { return size_; }
+    bool empty() const noexcept { return size_ == 0; }
+    std::uint64_t operator[](std::size_t i) const noexcept {
+        assert(i < size_);
+        return codes_[i];
+    }
+    const std::uint64_t* begin() const noexcept { return codes_.data(); }
+    const std::uint64_t* end() const noexcept { return codes_.data() + size_; }
+
+  private:
+    std::array<std::uint64_t, kMax> codes_{};
+    std::uint8_t size_ = 0;
+};
 
 /// One query's positions inside one atom, together with the *support atoms*
 /// its kernel of computation needs: positions near an atom boundary draw
@@ -35,7 +63,7 @@ struct SubQuery {
     /// Completion-time guarantee of the owning query (QoS mode, paper
     /// Sec. VII); INT64_MAX when no guarantee was requested.
     util::SimTime deadline{INT64_MAX};
-    std::vector<std::uint64_t> supports;  ///< Morton codes of kernel-support atoms.
+    Supports supports;  ///< Morton codes of kernel-support atoms.
 };
 
 /// Split `query` into per-atom sub-queries stamped with `now`. The query's

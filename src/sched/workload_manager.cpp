@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 
 #include "util/contracts.h"
 
@@ -28,32 +29,86 @@ double WorkloadManager::compute_key(const AtomQueue& q) const {
     return q.utility * (1.0 - alpha_) - q.oldest.millis() * alpha_;
 }
 
+namespace {
+/// Ranking-heap order: `a` sits below `b` when it ranks after it, so the top
+/// is the smallest (-key, atom key).
+constexpr auto ranks_after = [](const auto& a, const auto& b) {
+    return std::pair(b.neg_key, b.atom) < std::pair(a.neg_key, a.atom);
+};
+}  // namespace
+
 void WorkloadManager::index_insert(const storage::AtomId& atom, AtomQueue& q) {
-    q.utility = compute_utility(atom, q);
-    q.key = compute_key(q);
-    order_.emplace(-q.key, atom.key());
     StepAgg& agg = steps_[atom.timestep];
-    agg.utility_sum += q.utility;
-    agg.key_sum += q.key;
-    ++agg.atoms;
-    agg.by_utility.emplace(-q.utility, atom.key());
+    q.slot = agg.members.size();
+    agg.members.push_back(Member{atom.key(), &q});
+    index_add(atom, q, agg);
 }
 
-void WorkloadManager::index_erase(const storage::AtomId& atom, const AtomQueue& q) {
-    order_.erase({-q.key, atom.key()});
+void WorkloadManager::index_rerank(const storage::AtomId& atom, AtomQueue& q) {
     const auto it = steps_.find(atom.timestep);
     assert(it != steps_.end());
-    it->second.utility_sum -= q.utility;
-    it->second.key_sum -= q.key;
-    --it->second.atoms;
-    it->second.by_utility.erase({-q.utility, atom.key()});
-    if (it->second.atoms == 0) steps_.erase(it);
+    StepAgg& agg = it->second;
+    if (agg.members.size() == 1) {
+        // The step's only atom: restart the sums from exactly 0.0, as if the
+        // aggregate were dropped and re-created, rather than carrying the
+        // rounding residue of (sum - old) into the new sum.
+        agg.utility_sum = 0.0;
+        agg.key_sum = 0.0;
+    } else {
+        agg.utility_sum -= q.utility;
+        agg.key_sum -= q.key;
+    }
+    index_add(atom, q, agg);
+}
+
+void WorkloadManager::index_add(const storage::AtomId& atom, AtomQueue& q, StepAgg& agg) {
+    q.utility = compute_utility(atom, q);
+    q.key = compute_key(q);
+    agg.utility_sum += q.utility;
+    agg.key_sum += q.key;
+    // Push the new rank; the queue's previous entry goes stale.
+    const bool top_stale = !ranking_.empty() && ranking_.front().stamp == q.stamp;
+    q.stamp = ++stamps_;
+    ranking_.push_back(RankEntry{-q.key, atom.key(), q.stamp});
+    std::push_heap(ranking_.begin(), ranking_.end(), ranks_after);
+    trim_ranking(top_stale);
+}
+
+void WorkloadManager::index_erase(const storage::AtomId& atom, AtomQueue& q) {
+    const auto it = steps_.find(atom.timestep);
+    assert(it != steps_.end());
+    StepAgg& agg = it->second;
+    agg.utility_sum -= q.utility;
+    agg.key_sum -= q.key;
+    Member& hole = agg.members[q.slot];
+    hole = agg.members.back();
+    hole.queue->slot = q.slot;
+    agg.members.pop_back();
+    if (agg.members.empty()) steps_.erase(it);
+}
+
+bool WorkloadManager::live(const RankEntry& e) const {
+    const auto it = queues_.find(storage::AtomId::from_key(e.atom));
+    return it != queues_.end() && it->second.stamp == e.stamp;
+}
+
+void WorkloadManager::trim_ranking(bool top_stale) {
+    if (ranking_.size() > 2 * queues_.size()) {
+        std::erase_if(ranking_, [this](const RankEntry& e) { return !live(e); });
+        std::make_heap(ranking_.begin(), ranking_.end(), ranks_after);
+        return;
+    }
+    if (!top_stale) return;
+    while (!ranking_.empty() && !live(ranking_.front())) {
+        std::pop_heap(ranking_.begin(), ranking_.end(), ranks_after);
+        ranking_.pop_back();
+    }
 }
 
 void WorkloadManager::enqueue(const SubQuery& sub) {
-    AtomQueue& q = queues_[sub.atom];
-    if (!q.items.empty()) index_erase(sub.atom, q);
-    if (q.items.empty()) q.oldest = sub.enqueue_time;
+    const auto [it, fresh] = queues_.try_emplace(sub.atom);
+    AtomQueue& q = it->second;
+    if (fresh) q.oldest = sub.enqueue_time;
     if (sub.deadline < q.min_deadline) {
         if (q.min_deadline != util::SimTime::max())
             deadlines_.erase({q.min_deadline, sub.atom.key()});
@@ -64,7 +119,10 @@ void WorkloadManager::enqueue(const SubQuery& sub) {
     q.positions += sub.positions;
     total_positions_ += sub.positions;
     ++total_subqueries_;
-    index_insert(sub.atom, q);
+    if (fresh)
+        index_insert(sub.atom, q);
+    else
+        index_rerank(sub.atom, q);
     JAWS_AUDIT((++audit_tick_ & 63) == 0 && audit());
 }
 
@@ -77,7 +135,9 @@ std::vector<SubQuery> WorkloadManager::drain_atom(const storage::AtomId& atom) {
     std::vector<SubQuery> items = std::move(it->second.items);
     total_positions_ -= it->second.positions;
     total_subqueries_ -= items.size();
+    const bool top_stale = ranking_.front().stamp == it->second.stamp;
     queues_.erase(it);
+    trim_ranking(top_stale);
     JAWS_AUDIT((++audit_tick_ & 63) == 0 && audit());
     return items;
 }
@@ -85,13 +145,12 @@ std::vector<SubQuery> WorkloadManager::drain_atom(const storage::AtomId& atom) {
 void WorkloadManager::on_residency_changed(const storage::AtomId& atom) {
     const auto it = queues_.find(atom);
     if (it == queues_.end()) return;
-    index_erase(atom, it->second);
-    index_insert(atom, it->second);
+    index_rerank(atom, it->second);
 }
 
 std::optional<storage::AtomId> WorkloadManager::pick_best_atom() const {
-    if (order_.empty()) return std::nullopt;
-    return storage::AtomId::from_key(order_.begin()->second);
+    if (ranking_.empty()) return std::nullopt;
+    return storage::AtomId::from_key(ranking_.front().atom);
 }
 
 std::vector<storage::AtomId> WorkloadManager::pick_two_level_batch(std::size_t k,
@@ -106,7 +165,7 @@ std::vector<storage::AtomId> WorkloadManager::pick_two_level_batch(std::size_t k
     double best_sum = 0.0;
     const double now_term = now.millis() * alpha_;
     for (const auto& [t, agg] : steps_) {
-        const double sum = agg.key_sum + static_cast<double>(agg.atoms) * now_term;
+        const double sum = agg.key_sum + static_cast<double>(agg.members.size()) * now_term;
         if (best == nullptr || sum > best_sum) {
             best_sum = sum;
             best = &agg;
@@ -115,13 +174,17 @@ std::vector<storage::AtomId> WorkloadManager::pick_two_level_batch(std::size_t k
     // Fine level: up to k atoms of that step with U_t above the step's mean
     // U_t over all atoms — a deliberately low bar (paper Sec. V: "the impact
     // beyond 50 is marginal because only atoms with workload throughput
-    // greater than the mean value are considered") — in Morton order.
+    // greater than the mean value are considered") — in Morton order. Atoms
+    // rank by (-U_t, atom key); only the first k can be taken, so only they
+    // are selected and sorted.
     const double mean_ut = best->utility_sum / static_cast<double>(cost_.atoms_per_step);
+    std::vector<Member> top(std::min(k, best->members.size()));
+    const auto rank = [](const Member& m) { return std::pair(-m.queue->utility, m.atom); };
+    std::ranges::partial_sort_copy(best->members, top, std::less{}, rank, rank);
     std::vector<storage::AtomId> batch;
-    for (const auto& [neg_ut, atom_key] : best->by_utility) {
-        if (batch.size() >= k) break;
-        if (-neg_ut < mean_ut && !batch.empty()) break;  // below mean: stop
-        batch.push_back(storage::AtomId::from_key(atom_key));
+    for (const Member& m : top) {
+        if (m.queue->utility < mean_ut && !batch.empty()) break;  // below mean: stop
+        batch.push_back(storage::AtomId::from_key(m.atom));
     }
     std::sort(batch.begin(), batch.end(), [](const storage::AtomId& a,
                                              const storage::AtomId& b) {
@@ -145,7 +208,7 @@ double WorkloadManager::atom_utility(const storage::AtomId& atom) const {
 double WorkloadManager::timestep_mean_utility(std::uint32_t t) const {
     const auto it = steps_.find(t);
     if (it == steps_.end()) return 0.0;
-    return it->second.utility_sum / static_cast<double>(it->second.atoms);
+    return it->second.utility_sum / static_cast<double>(it->second.members.size());
 }
 
 void WorkloadManager::set_alpha(double alpha) {
@@ -158,7 +221,7 @@ void WorkloadManager::set_alpha(double alpha) {
 }
 
 void WorkloadManager::rebuild_index() {
-    order_.clear();
+    ranking_.clear();
     steps_.clear();
     // Rebuild in atom-key order: StepAgg sums doubles, and floating-point
     // accumulation order must not depend on the hash table's layout for the
@@ -192,9 +255,12 @@ bool WorkloadManager::audit() const {
     std::map<std::uint32_t, std::pair<double, std::size_t>> step_sums;  // (U_t sum, atoms)
     std::map<std::uint32_t, double> step_key_sums;
     std::size_t deadlined = 0;
+    // Brute-force best of the ranking: the smallest (-key, atom key).
+    std::optional<std::pair<double, storage::AtomKey>> best;
     // jaws-lint: allow(unordered-iteration) -- read-only validation; every
-    // per-queue check is independent and the re-derived sums are compared
-    // with a tolerance, so hash order cannot change the audit verdict.
+    // per-queue check is independent, the re-derived sums are compared
+    // with a tolerance, and the brute-force best is the minimum of a strict
+    // total order, so hash order cannot change the audit verdict.
     for (const auto& [atom, q] : queues_) {
         check(!q.items.empty(), "no empty atom queue is retained",
               "WorkloadManager: empty workload queue left in the map");
@@ -215,13 +281,15 @@ bool WorkloadManager::audit() const {
               "WorkloadManager: per-atom deadline cache out of sync");
         check(close(q.utility, compute_utility(atom, q)), "cached U_t re-derives",
               "WorkloadManager: cached utility out of sync with Eq. 1");
-        check(order_.count({-q.key, atom.key()}) == 1, "ranking entry present",
-              "WorkloadManager: atom missing from the ordered ranking");
+        check(close(q.key, compute_key(q)), "cached key re-derives",
+              "WorkloadManager: cached ranking key out of sync with Eq. 2");
+        const std::pair rank(-q.key, atom.key());
+        if (!best || rank < *best) best = rank;
         const auto step = steps_.find(atom.timestep);
-        check(step != steps_.end() &&
-                  step->second.by_utility.count({-q.utility, atom.key()}) == 1,
-              "per-step index entry present",
-              "WorkloadManager: atom missing from its step's utility index");
+        check(step != steps_.end() && q.slot < step->second.members.size() &&
+                  step->second.members[q.slot].queue == &q,
+              "member slot points back at the queue",
+              "WorkloadManager: atom missing from its step's member list");
         positions += queue_positions;
         subqueries += q.items.size();
         auto& sums = step_sums[atom.timestep];
@@ -239,8 +307,28 @@ bool WorkloadManager::audit() const {
           "WorkloadManager: global position total out of sync");
     check(subqueries == total_subqueries_, "total sub-queries re-derive",
           "WorkloadManager: global sub-query total out of sync");
-    check(order_.size() == queues_.size(), "one ranking entry per atom",
-          "WorkloadManager: ordered ranking size out of sync");
+    // Ranking heap: a valid heap, bounded by compaction, with exactly one
+    // live entry per pending atom at its current key, and a live top that
+    // is the brute-force best.
+    check(std::is_heap(ranking_.begin(), ranking_.end(), ranks_after), "ranking is a heap",
+          "WorkloadManager: ranking heap order violated");
+    check(ranking_.size() <= 2 * queues_.size(), "|ranking| <= 2 * pending atoms",
+          "WorkloadManager: stale ranking entries not compacted");
+    std::size_t live_entries = 0;
+    for (const RankEntry& e : ranking_) {
+        const auto q = queues_.find(storage::AtomId::from_key(e.atom));
+        if (q == queues_.end() || q->second.stamp != e.stamp) continue;
+        ++live_entries;
+        check(close(e.neg_key, -q->second.key), "live entry at the current key",
+              "WorkloadManager: live ranking entry carries a stale key");
+    }
+    check(live_entries == queues_.size(), "one live ranking entry per atom",
+          "WorkloadManager: live ranking entries out of sync with the queues");
+    check(ranking_.empty() == queues_.empty() &&
+              (ranking_.empty() || (live(ranking_.front()) &&
+                                    ranking_.front().atom == best->second)),
+          "live top is the brute-force best",
+          "WorkloadManager: ranking top is stale or not the best atom");
     check(deadlines_.size() == deadlined, "one deadline entry per deadlined atom",
           "WorkloadManager: deadline index size out of sync");
     check(steps_.size() == step_sums.size(), "one aggregate per pending step",
@@ -248,10 +336,15 @@ bool WorkloadManager::audit() const {
     for (const auto& [t, agg] : steps_) {
         const auto sums = step_sums.find(t);
         if (sums == step_sums.end()) continue;  // size mismatch reported above
-        check(agg.atoms == sums->second.second &&
-                  agg.by_utility.size() == sums->second.second,
-              "step atom count re-derives",
+        check(agg.members.size() == sums->second.second, "step atom count re-derives",
               "WorkloadManager: per-step atom count out of sync");
+        for (std::size_t i = 0; i < agg.members.size(); ++i) {
+            const auto q = queues_.find(storage::AtomId::from_key(agg.members[i].atom));
+            check(q != queues_.end() && &q->second == agg.members[i].queue &&
+                      q->second.slot == i,
+                  "member names its own queue",
+                  "WorkloadManager: step member list out of sync with the queues");
+        }
         check(close(agg.utility_sum, sums->second.first),
               "step utility sum re-derives",
               "WorkloadManager: per-step utility aggregate out of sync");

@@ -9,12 +9,20 @@
 //   * the aged metric (Eq. 2)  U_e(i) = U_t(i)*(1-alpha) + E(i)*alpha, with
 //     E(i) the age of the oldest sub-query. Because E(i) = now - oldest_i,
 //     atoms can be ranked by the *static* key U_t*(1-alpha) - oldest_i*alpha
-//     (the common now*alpha term cancels), so the ordered index only changes
-//     when a queue mutates, the cache residency flips, or alpha changes;
+//     (the common now*alpha term cancels), so an atom's rank only changes
+//     when its queue mutates, its cache residency flips, or alpha changes;
 //   * the two-level selection (Sec. V, Fig. 6): pick the time step with the
 //     highest mean U_t, then up to k atoms of that step with U_t above the
 //     mean, returned in Morton order;
 //   * the UtilityOracle interface URC reads for cache coordination.
+//
+// The global ranking is a lazily invalidated binary heap: every re-rank
+// pushes a fresh entry stamped with a unique number the queue remembers, and
+// an entry whose stamp no longer matches its queue's is stale. Stale entries
+// are popped when they surface at the top and compacted away once the heap
+// holds more than twice the pending atoms, so the top is always live. Each
+// step keeps an unordered member list (swap-remove) that the two-level pick
+// ranks on demand; only its first k atoms are ever sorted.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +30,7 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/replacement_policy.h"
@@ -100,7 +109,7 @@ class WorkloadManager final : public cache::UtilityOracle {
 
     /// Current age bias.
     double alpha() const noexcept { return alpha_; }
-    /// Change the age bias (rebuilds the ordered index).
+    /// Change the age bias (rebuilds the ranking).
     void set_alpha(double alpha);
 
     // --- introspection ---
@@ -110,8 +119,9 @@ class WorkloadManager final : public cache::UtilityOracle {
     /// Exhaustive consistency check between the atom queues and the derived
     /// indexes (automatic at transitions in audit builds; callable from
     /// tests): per-queue position/deadline caches, global totals, the
-    /// ordered ranking, per-step aggregates, and the deadline index must all
-    /// re-derive from the queues exactly. Reports through
+    /// ranking heap (one live entry per atom, a live top equal to the
+    /// brute-force best), the per-step member lists and aggregates, and the
+    /// deadline index must all re-derive from the queues. Reports through
     /// util::contract_violation; returns true when clean.
     bool audit() const;
     /// The cost constants in effect (schedulers derive service estimates).
@@ -129,28 +139,46 @@ class WorkloadManager final : public cache::UtilityOracle {
         util::SimTime min_deadline = util::SimTime::max();
         double utility = 0.0;  ///< Cached U_t.
         double key = 0.0;      ///< Cached static ranking key.
+        std::uint64_t stamp = 0;  ///< Stamp of this queue's live ranking entry.
+        std::size_t slot = 0;     ///< Index in its step's member list.
+    };
+    /// Ranking-heap entry; the heap's top is the smallest (-key, atom key).
+    struct RankEntry {
+        double neg_key = 0.0;
+        storage::AtomKey atom;
+        std::uint64_t stamp = 0;
+    };
+    struct Member {
+        storage::AtomKey atom;
+        AtomQueue* queue = nullptr;  ///< Map nodes are stable; erased on drain.
+    };
+    struct StepAgg {
+        double utility_sum = 0.0;  ///< Sum of U_t (mean gates in-step selection).
+        double key_sum = 0.0;      ///< Sum of static aged keys (mean picks the step).
+        std::vector<Member> members;  ///< Pending atoms of the step, unordered.
     };
 
     double compute_utility(const storage::AtomId& atom, const AtomQueue& q) const;
     double compute_key(const AtomQueue& q) const;
     void index_insert(const storage::AtomId& atom, AtomQueue& q);
-    void index_erase(const storage::AtomId& atom, const AtomQueue& q);
+    void index_rerank(const storage::AtomId& atom, AtomQueue& q);
+    /// Recompute U_t and the key, add them to the step sums, and push the
+    /// new rank (retiring the queue's previous heap entry).
+    void index_add(const storage::AtomId& atom, AtomQueue& q, StepAgg& agg);
+    void index_erase(const storage::AtomId& atom, AtomQueue& q);
     void rebuild_index();
+    bool live(const RankEntry& e) const;
+    /// Restore the live-top invariant after `top_stale` retired the top, and
+    /// compact once stale entries outnumber the live ones.
+    void trim_ranking(bool top_stale);
 
     CostConstants cost_;
     const ResidencyProbe* probe_;
     double alpha_;
 
     std::unordered_map<storage::AtomId, AtomQueue, storage::AtomIdHash> queues_;
-    // Ordered by descending static key; (-key, atom key) ascending.
-    std::set<std::pair<double, storage::AtomKey>> order_;
-    struct StepAgg {
-        double utility_sum = 0.0;  ///< Sum of U_t (mean gates in-step selection).
-        double key_sum = 0.0;      ///< Sum of static aged keys (mean picks the step).
-        std::size_t atoms = 0;
-        // Ordered by descending U_t; (-U_t, atom key) ascending.
-        std::set<std::pair<double, storage::AtomKey>> by_utility;
-    };
+    std::vector<RankEntry> ranking_;  ///< Lazily invalidated heap.
+    std::uint64_t stamps_ = 0;        ///< Last stamp handed out.
     std::map<std::uint32_t, StepAgg> steps_;
     // Atoms with deadlined work, ordered by (deadline, atom key).
     std::set<std::pair<util::SimTime, storage::AtomKey>> deadlines_;

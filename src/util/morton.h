@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace jaws::util {
@@ -48,6 +49,18 @@ Coord3 morton_decode(std::uint64_t code) noexcept;
 /// both ends, per axis), returned in ascending Morton order. Used to enumerate
 /// the atoms touched by a spatial range query.
 std::vector<std::uint64_t> morton_box_cover(const Coord3& lo, const Coord3& hi);
+
+/// Morton code of the face neighbour one step down `axis` (0 = x, 1 = y,
+/// 2 = z), or nullopt when the coordinate on that axis is 0. Equal to
+/// morton_encode of the decoded coordinate less one on that axis, without
+/// decoding: the axis lane is decremented in place, and the borrow that runs
+/// through the other lanes' bits is masked off.
+constexpr std::optional<std::uint64_t> morton_lower_neighbor(std::uint64_t code,
+                                                             unsigned axis) noexcept {
+    const std::uint64_t lane = 0x1249249249249249ULL << axis;
+    if ((code & lane) == 0) return std::nullopt;
+    return (((code & lane) - 1) & lane) | (code & ~lane);
+}
 
 /// The 6-connected (face-adjacent) neighbours of the atom at `code` within the
 /// cube [0, side)^3. Neighbours outside the cube are omitted. Used by the

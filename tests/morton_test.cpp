@@ -116,6 +116,34 @@ TEST(MortonFaceNeighbors, UpperCornerClamped) {
     EXPECT_EQ(n.size(), 3u);
 }
 
+TEST(MortonLowerNeighbor, MatchesDecodeAndReencode) {
+    Rng rng(11);
+    const std::uint32_t maxc = (1u << kMortonBitsPerAxis) - 1;
+    for (int i = 0; i < 2000; ++i) {
+        // Mix the lattice extremes (0 and max per axis) with random interiors.
+        const auto draw = [&] {
+            const std::uint64_t pick = rng.uniform_u64(4);
+            return pick == 0 ? 0u
+                   : pick == 1 ? maxc
+                               : static_cast<std::uint32_t>(rng.uniform_u64(1u << 21));
+        };
+        const Coord3 c{draw(), draw(), draw()};
+        const std::uint64_t code = morton_encode(c);
+        const std::uint32_t at[3] = {c.x, c.y, c.z};
+        for (unsigned axis = 0; axis < 3; ++axis) {
+            const std::optional<std::uint64_t> below = morton_lower_neighbor(code, axis);
+            if (at[axis] == 0) {
+                ASSERT_FALSE(below.has_value());
+                continue;
+            }
+            Coord3 expect = c;
+            (axis == 0 ? expect.x : axis == 1 ? expect.y : expect.z) -= 1;
+            ASSERT_TRUE(below.has_value());
+            ASSERT_EQ(*below, morton_encode(expect));
+        }
+    }
+}
+
 TEST(MortonFaceNeighbors, NeighborsAreAtManhattanDistanceOne) {
     Rng rng(7);
     for (int i = 0; i < 200; ++i) {
