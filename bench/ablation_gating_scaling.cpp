@@ -36,7 +36,7 @@ workload::Workload tracking_campaign(std::size_t n, std::size_t m,
 }  // namespace
 
 int main(int argc, char** argv) {
-    const std::size_t max_jobs = bench::jobs_from_args(argc, argv, 32);
+    const std::size_t max_jobs = bench::jobs_from_args(argc, argv, 256);
     core::EngineConfig base = bench::base_config();
     const field::SyntheticField field(base.field);
 

@@ -39,9 +39,4 @@ struct Alignment {
 /// aligned data-sharing query pairs. O(|a|*|b|) time and space.
 Alignment align_jobs(const workload::Job& a, const workload::Job& b);
 
-/// Exhaustive (exponential) reference implementation for small inputs; used
-/// by tests to certify optimality of align_jobs.
-std::uint32_t max_sharing_alignment_bruteforce(const workload::Job& a,
-                                               const workload::Job& b);
-
 }  // namespace jaws::sched

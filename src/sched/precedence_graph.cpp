@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
-#include <unordered_set>
+#include <numeric>
 
 #include "sched/alignment.h"
 #include "util/contracts.h"
@@ -12,334 +11,409 @@ namespace jaws::sched {
 
 namespace {
 
-/// Small disjoint-set over query ids, used to contract gating components for
-/// the deadlock (cycle) check.
-class Dsu {
-  public:
-    workload::QueryId find(workload::QueryId x) {
-        auto it = parent_.find(x);
-        if (it == parent_.end()) {
-            parent_[x] = x;
-            return x;
-        }
-        workload::QueryId root = x;
-        while (parent_[root] != root) root = parent_[root];
-        while (parent_[x] != root) {
-            const workload::QueryId next = parent_[x];
-            parent_[x] = root;
-            x = next;
-        }
-        return root;
+/// Whether two sorted step sets share a step.
+bool share_a_step(const std::vector<std::uint32_t>& a, const std::vector<std::uint32_t>& b) {
+    std::size_t i = 0, j = 0;
+    while (i < a.size() && j < b.size()) {
+        if (a[i] == b[j]) return true;
+        if (a[i] < b[j])
+            ++i;
+        else
+            ++j;
     }
-
-    void unite(workload::QueryId a, workload::QueryId b) { parent_[find(a)] = find(b); }
-
-  private:
-    std::unordered_map<workload::QueryId, workload::QueryId> parent_;
-};
+    return false;
+}
 
 }  // namespace
 
-PrecedenceGraph::Node* PrecedenceGraph::find(workload::QueryId id) {
-    const auto it = nodes_.find(id);
-    return it == nodes_.end() ? nullptr : &it->second;
+// --- Contracted --------------------------------------------------------------
+
+void PrecedenceGraph::Contracted::reset(std::size_t slots) {
+    parent_.resize(slots);
+    std::iota(parent_.begin(), parent_.end(), Slot{0});
+    size_.assign(slots, 1);
+    head_.assign(slots, kNoEdge);
+    tail_.resize(slots);
+    target_.clear();
+    next_.clear();
+    mark_.resize(slots, 0);  // stale stamps are all below the next search's
 }
 
-const PrecedenceGraph::Node* PrecedenceGraph::find(workload::QueryId id) const {
-    const auto it = nodes_.find(id);
-    return it == nodes_.end() ? nullptr : &it->second;
-}
-
-QueryState PrecedenceGraph::state(workload::QueryId id) const {
-    const Node* node = find(id);
-    return node == nullptr ? QueryState::kDone : node->state;
-}
-
-int PrecedenceGraph::gating_number(workload::QueryId id) const {
-    const Node* node = find(id);
-    return node == nullptr ? 0 : node->gating_number;
-}
-
-std::size_t PrecedenceGraph::partner_count(workload::QueryId id) const {
-    const Node* node = find(id);
-    return node == nullptr ? 0 : node->partners.size();
-}
-
-void PrecedenceGraph::add_job(const workload::Job& job) {
-    JobEntry entry;
-    entry.job = &job;
-    entry.remaining = job.queries.size();
-    jobs_[job.id] = entry;
-    for (const auto& q : job.queries) {
-        Node node;
-        node.id = q.id;
-        node.job = job.id;
-        node.seq = q.seq_in_job;
-        node.state = QueryState::kWait;
-        node.query = &q;
-        nodes_.emplace(q.id, std::move(node));
+PrecedenceGraph::Slot PrecedenceGraph::Contracted::find(Slot s) {
+    while (parent_[s] != s) {
+        parent_[s] = parent_[parent_[s]];
+        s = parent_[s];
     }
-    if (!gating_enabled_ || job.type != workload::JobType::kOrdered ||
-        job.queries.size() < 2)
-        return;
+    return s;
+}
 
-    // Pairwise dynamic programs against every active ordered job, processed
-    // in descending alignment-score order (the paper's greedy merge).
-    struct Candidate {
-        std::uint32_t score;
-        workload::JobId other;
-        Alignment alignment;
+PrecedenceGraph::Slot PrecedenceGraph::Contracted::unite(Slot a, Slot b) {
+    a = find(a);
+    b = find(b);
+    if (a == b) return a;
+    if (size_[a] < size_[b]) std::swap(a, b);
+    parent_[b] = a;
+    size_[a] += size_[b];
+    if (head_[b] != kNoEdge) {
+        if (head_[a] == kNoEdge)
+            head_[a] = head_[b];
+        else
+            next_[tail_[a]] = head_[b];
+        tail_[a] = tail_[b];
+    }
+    return a;
+}
+
+void PrecedenceGraph::Contracted::add_edge(Slot from, Slot to) {
+    const auto e = static_cast<std::uint32_t>(target_.size());
+    target_.push_back(to);
+    next_.push_back(kNoEdge);
+    if (head_[from] == kNoEdge)
+        head_[from] = e;
+    else
+        next_[tail_[from]] = e;
+    tail_[from] = e;
+}
+
+bool PrecedenceGraph::Contracted::acyclic(const std::vector<Node>& slots) {
+    indegree_.assign(parent_.size(), 0);
+    stack_.clear();
+    std::size_t components = 0;
+    for (Slot s = 0; s < slots.size(); ++s) {
+        if (slots[s].state == QueryState::kDone || find(s) != s) continue;
+        ++components;
+        for (std::uint32_t e = head_[s]; e != kNoEdge; e = next_[e])
+            if (const Slot t = find(target_[e]); t != s) ++indegree_[t];
+    }
+    for (Slot s = 0; s < slots.size(); ++s)
+        if (slots[s].state != QueryState::kDone && find(s) == s && indegree_[s] == 0)
+            stack_.push_back(s);
+    std::size_t sorted = 0;
+    while (!stack_.empty()) {
+        const Slot c = stack_.back();
+        stack_.pop_back();
+        ++sorted;
+        for (std::uint32_t e = head_[c]; e != kNoEdge; e = next_[e])
+            if (const Slot t = find(target_[e]); t != c && --indegree_[t] == 0)
+                stack_.push_back(t);
+    }
+    return sorted == components;
+}
+
+bool PrecedenceGraph::Contracted::closes_cycle(Slot nl, std::span<const Slot> admit) {
+    stamp_ += 2;
+    const std::uint64_t in_set = stamp_;
+    const std::uint64_t seen = stamp_ + 1;
+    roots_.clear();
+    const auto enter = [&](Slot s) {
+        const Slot r = find(s);
+        if (mark_[r] == in_set) return;
+        mark_[r] = in_set;
+        roots_.push_back(r);
     };
-    std::vector<Candidate> candidates;
-    for (const auto& [other_id, other_entry] : jobs_) {
-        if (other_id == job.id || other_entry.remaining == 0) continue;
-        if (other_entry.job->type != workload::JobType::kOrdered) continue;
-        if (other_entry.job->queries.size() < 2) continue;
-        Alignment alignment = align_jobs(job, *other_entry.job);
-        ++stats_.alignments_run;
-        if (alignment.score == 0) continue;
-        candidates.push_back(Candidate{alignment.score, other_id, std::move(alignment)});
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) { return a.score > b.score; });
+    enter(nl);
+    for (const Slot c : admit) enter(c);
 
-    for (const auto& c : candidates) {
-        const JobEntry& other = jobs_.at(c.other);
-        bool admitted_any = false;
-        for (const AlignedPair& pair : c.alignment.pairs) {
-            Node* nl = find(job.queries[pair.a_seq].id);
-            Node* nk = find(other.job->queries[pair.b_seq].id);
-            if (nl == nullptr || nk == nullptr) continue;
-            // Too late to gate a query that is already runnable or running.
-            if (nk->state == QueryState::kQueue || nk->state == QueryState::kDone) continue;
-            if (try_admit_edge(*nl, *nk)) admitted_any = true;
-        }
-        if (admitted_any) recompute_gating_numbers(c.other);
-    }
-    recompute_gating_numbers(job.id);
-    JAWS_AUDIT(audit());
-}
-
-bool PrecedenceGraph::edge_allowed_between(const Node& a, const Node& b,
-                                           std::size_t* crossing,
-                                           std::size_t* duplicate) const {
-    // Existing edges between job(a) and job(b) must not be crossed or
-    // duplicated by the proposed (a, b) edge.
-    const JobEntry& ja = jobs_.at(a.job);
-    for (const auto& q : ja.job->queries) {
-        const Node* n = find(q.id);
-        if (n == nullptr) continue;
-        for (const workload::QueryId pid : n->partners) {
-            const Node* p = find(pid);
-            if (p == nullptr || p->job != b.job) continue;
-            if (n->seq == a.seq || p->seq == b.seq) {
-                ++*duplicate;  // one gating edge per query per job pair
-                return false;
-            }
-            const bool crosses = (n->seq < a.seq && p->seq > b.seq) ||
-                                 (n->seq > a.seq && p->seq < b.seq);
-            if (crosses) {
-                ++*crossing;
-                return false;
-            }
+    // The merged set's out-neighbours outside it seed the search; an edge
+    // between two of its members is a self-loop of the merge.
+    stack_.clear();
+    for (const Slot r : roots_) {
+        for (std::uint32_t e = head_[r]; e != kNoEdge; e = next_[e]) {
+            const Slot t = find(target_[e]);
+            if (mark_[t] == in_set || mark_[t] == seen) continue;
+            mark_[t] = seen;
+            stack_.push_back(t);
         }
     }
-    return true;
-}
-
-bool PrecedenceGraph::would_deadlock(const Node& a, const Node& b,
-                                     const std::vector<workload::QueryId>& extra) const {
-    // Contract gating components (existing edges + the proposed ones) and
-    // look for a cycle in the condensed precedence graph.
-    Dsu dsu;
-    // jaws-lint: allow(unordered-iteration) -- union-find component
-    // membership (and hence the cycle-existence answer below) is invariant
-    // to the order edges are united in; only representative *naming* varies.
-    for (const auto& [id, node] : nodes_) {
-        for (const workload::QueryId pid : node.partners)
-            if (nodes_.contains(pid)) dsu.unite(id, pid);
-    }
-    dsu.unite(a.id, b.id);
-    for (const workload::QueryId pid : extra)
-        if (nodes_.contains(pid)) dsu.unite(a.id, pid);
-
-    // Build condensed adjacency from per-job precedence chains.
-    std::unordered_map<workload::QueryId, std::vector<workload::QueryId>> adjacency;
-    for (const auto& [job_id, entry] : jobs_) {
-        if (entry.job->type != workload::JobType::kOrdered) continue;
-        const Node* prev = nullptr;
-        for (const auto& q : entry.job->queries) {
-            const Node* cur = find(q.id);
-            if (cur == nullptr) continue;  // completed prefix
-            if (prev != nullptr) {
-                const workload::QueryId u = dsu.find(prev->id);
-                const workload::QueryId v = dsu.find(cur->id);
-                if (u != v) adjacency[u].push_back(v);
-            }
-            prev = cur;
-        }
-    }
-
-    // Iterative DFS cycle detection (colors: 0 white, 1 gray, 2 black).
-    std::unordered_map<workload::QueryId, int> color;
-    // jaws-lint: allow(unordered-iteration) -- pure existence query: whether
-    // a back edge exists does not depend on which component the DFS visits
-    // first, and no state escapes this function besides the bool.
-    for (const auto& [start, ignored] : adjacency) {
-        if (color[start] != 0) continue;
-        std::vector<std::pair<workload::QueryId, std::size_t>> stack{{start, 0}};
-        color[start] = 1;
-        while (!stack.empty()) {
-            auto& [u, next] = stack.back();
-            const auto it = adjacency.find(u);
-            const std::size_t degree = it == adjacency.end() ? 0 : it->second.size();
-            if (next >= degree) {
-                color[u] = 2;
-                stack.pop_back();
-                continue;
-            }
-            const workload::QueryId v = it->second[next++];
-            if (color[v] == 1) return true;  // back edge: cycle
-            if (color[v] == 0) {
-                color[v] = 1;
-                stack.emplace_back(v, 0);
-            }
+    while (!stack_.empty()) {
+        const Slot c = stack_.back();
+        stack_.pop_back();
+        for (std::uint32_t e = head_[c]; e != kNoEdge; e = next_[e]) {
+            const Slot t = find(target_[e]);
+            if (mark_[t] == in_set) return true;  // back into the merged set
+            if (mark_[t] == seen) continue;       // includes c's own self-loops
+            mark_[t] = seen;
+            stack_.push_back(t);
         }
     }
     return false;
 }
 
-bool PrecedenceGraph::try_admit_edge(Node& nl, Node& nk) {
-    if (nl.job == nk.job) return false;
-    if (std::find(nl.partners.begin(), nl.partners.end(), nk.id) != nl.partners.end())
+void PrecedenceGraph::Contracted::merge(Slot nl, std::span<const Slot> admit) {
+    for (const Slot c : admit) nl = unite(nl, c);
+}
+
+// --- PrecedenceGraph ---------------------------------------------------------
+
+PrecedenceGraph::Slot PrecedenceGraph::slot_of(workload::QueryId id) const {
+    const auto it = index_.find(id);
+    return it == index_.end() ? kNoSlot : it->second;
+}
+
+QueryState PrecedenceGraph::state(workload::QueryId id) const {
+    const Slot s = slot_of(id);
+    return s == kNoSlot ? QueryState::kDone : slots_[s].state;
+}
+
+int PrecedenceGraph::gating_number(workload::QueryId id) const {
+    const Slot s = slot_of(id);
+    return s == kNoSlot ? 0 : slots_[s].gating_number;
+}
+
+std::size_t PrecedenceGraph::partner_count(workload::QueryId id) const {
+    const Slot s = slot_of(id);
+    return s == kNoSlot ? 0 : slots_[s].partners.size();
+}
+
+PrecedenceGraph::Slot PrecedenceGraph::allocate(const workload::Query& query,
+                                                workload::JobId job) {
+    Slot s;
+    if (free_.empty()) {
+        s = static_cast<Slot>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        s = free_.back();
+        free_.pop_back();
+    }
+    Node& node = slots_[s];
+    node.id = query.id;
+    node.job = job;
+    node.seq = query.seq_in_job;
+    node.state = QueryState::kWait;
+    node.gating_number = 0;
+    node.visible_tick = 0;
+    index_.emplace(query.id, s);
+    return s;
+}
+
+void PrecedenceGraph::add_job(const workload::Job& job) {
+    JobEntry& entry = jobs_[job.id];
+    entry = JobEntry{};
+    entry.job = &job;
+    entry.remaining = job.queries.size();
+    for (const auto& q : job.queries) {
+        assert(q.seq_in_job == entry.chain.size());
+        entry.chain.push_back(allocate(q, job.id));
+    }
+    if (!gating_enabled_ || job.type != workload::JobType::kOrdered ||
+        job.queries.size() < 2)
+        return;
+    for (const auto& q : job.queries) entry.steps.push_back(q.timestep);
+    std::sort(entry.steps.begin(), entry.steps.end());
+    entry.steps.erase(std::unique(entry.steps.begin(), entry.steps.end()), entry.steps.end());
+
+    // Pairwise dynamic programs against every active ordered job, processed
+    // in descending alignment-score order (the paper's greedy merge).
+    struct Candidate {
+        std::uint32_t score;
+        const JobEntry* other;
+        Alignment alignment;
+    };
+    std::vector<Candidate> candidates;
+    for (const auto& [other_id, other] : jobs_) {
+        if (other_id == job.id || other.remaining == 0) continue;
+        if (other.job->type != workload::JobType::kOrdered) continue;
+        if (other.job->queries.size() < 2) continue;
+        ++stats_.alignments_run;
+        // Queries on different steps never share data: disjoint step sets
+        // score 0 without the dynamic program.
+        if (!share_a_step(entry.steps, other.steps)) continue;
+        Alignment alignment = align_jobs(job, *other.job);
+        if (alignment.score == 0) continue;
+        candidates.push_back(Candidate{alignment.score, &other, std::move(alignment)});
+    }
+    std::sort(candidates.begin(), candidates.end(),
+              [](const Candidate& a, const Candidate& b) { return a.score > b.score; });
+
+    for (const auto& c : candidates) {
+        bool admitted_any = false;
+        for (const AlignedPair& pair : c.alignment.pairs) {
+            const Slot nl = entry.chain[pair.a_seq];
+            const Slot nk = c.other->chain[pair.b_seq];
+            if (nl == kNoSlot || nk == kNoSlot) continue;
+            // Too late to gate a query that is already runnable or running.
+            if (slots_[nk].state == QueryState::kQueue) continue;
+            if (try_admit_edge(entry, nl, nk)) admitted_any = true;
+        }
+        if (admitted_any) recompute_gating_numbers(*c.other);
+    }
+    recompute_gating_numbers(entry);
+    contracted_built_ = false;
+    JAWS_AUDIT(audit());
+}
+
+bool PrecedenceGraph::edge_allowed_between(const JobEntry& mine, const Node& a,
+                                           const Node& b) const {
+    // Existing edges between job(a) and job(b) must not be crossed or
+    // duplicated (one gating edge per query per job pair) by (a, b).
+    for (const Slot s : mine.chain) {
+        if (s == kNoSlot) continue;
+        const Node& n = slots_[s];
+        for (const Slot p : n.partners) {
+            const Node& pn = slots_[p];
+            if (pn.job != b.job) continue;
+            if (n.seq == a.seq || pn.seq == b.seq) return false;
+            const bool crosses =
+                (n.seq < a.seq && pn.seq > b.seq) || (n.seq > a.seq && pn.seq < b.seq);
+            if (crosses) return false;
+        }
+    }
+    return true;
+}
+
+void PrecedenceGraph::contract(Contracted& graph) const {
+    graph.reset(slots_.size());
+    for (Slot s = 0; s < slots_.size(); ++s)
+        for (const Slot p : slots_[s].partners)
+            if (p > s) graph.unite(s, p);
+    // Consecutive live queries of each ordered chain; self-loops drop.
+    for (const auto& [id, entry] : jobs_) {
+        if (entry.job->type != workload::JobType::kOrdered) continue;
+        Slot prev = kNoSlot;
+        for (const Slot cur : entry.chain) {
+            if (cur == kNoSlot) continue;
+            if (prev != kNoSlot) {
+                const Slot u = graph.find(prev);
+                if (u != graph.find(cur)) graph.add_edge(u, cur);
+            }
+            prev = cur;
+        }
+    }
+}
+
+bool PrecedenceGraph::would_close_cycle(Slot nl) {
+    if (!contracted_built_) {
+        contract(contracted_);
+        contracted_built_ = true;
+        if (may_cycle_) may_cycle_ = !contracted_.acyclic(slots_);
+    }
+    // A cycle left by a prune runs through two or more old components. The
+    // new job's queries have no partners (nothing is admitted while the cycle
+    // stands), so a merge takes in one of those components at most and the
+    // cycle survives it: refuse, as the whole-graph check would.
+    if (may_cycle_) return true;
+    return contracted_.closes_cycle(nl, admit_);
+}
+
+bool PrecedenceGraph::try_admit_edge(const JobEntry& mine, Slot nl, Slot nk) {
+    Node& l = slots_[nl];
+    const Node& k = slots_[nk];
+    if (l.job == k.job) return false;
+    if (std::find(l.partners.begin(), l.partners.end(), nk) != l.partners.end())
         return false;  // already gated together
 
     // Transitive inheritance (Fig. 4 line 2): the new query inherits all
     // gating edges incident to its partner.
-    std::vector<workload::QueryId> admit{nk.id};
-    for (const workload::QueryId pid : nk.partners) {
-        const Node* p = find(pid);
-        if (p == nullptr || p->job == nl.job) continue;
-        if (p->state == QueryState::kQueue || p->state == QueryState::kDone) continue;
-        admit.push_back(pid);
+    admit_.assign(1, nk);
+    for (const Slot p : k.partners) {
+        const Node& pn = slots_[p];
+        if (pn.job == l.job || pn.state == QueryState::kQueue) continue;
+        admit_.push_back(p);
     }
 
     // Fig. 4 lines 3-7: the gating number nl would carry — edged queries in
     // its own prefix plus one past the deepest gated partner of the prefix.
     int max_gat_num = 0;
-    {
-        const JobEntry& jl = jobs_.at(nl.job);
-        int prefix_edges = 0;
-        for (const auto& q : jl.job->queries) {
-            if (q.seq_in_job >= nl.seq) break;
-            const Node* n = find(q.id);
-            if (n == nullptr || n->partners.empty()) continue;
-            ++prefix_edges;
-            for (const workload::QueryId pid : n->partners) {
-                const Node* p = find(pid);
-                if (p != nullptr)
-                    max_gat_num = std::max(max_gat_num, p->gating_number + 1);
-            }
-        }
-        max_gat_num = std::max(max_gat_num, prefix_edges);
+    int prefix_edges = 0;
+    for (std::uint32_t seq = 0; seq < l.seq; ++seq) {
+        const Slot s = mine.chain[seq];
+        if (s == kNoSlot || slots_[s].partners.empty()) continue;
+        ++prefix_edges;
+        for (const Slot p : slots_[s].partners)
+            max_gat_num = std::max(max_gat_num, slots_[p].gating_number + 1);
     }
+    max_gat_num = std::max(max_gat_num, prefix_edges);
 
     // Fig. 4 lines 8-13: validate every inherited edge. The paper uses the
     // gating-number comparison as a cheap deadlock proxy; we track it as a
     // statistic but rely on the exact cycle check below, which admits every
     // feasible edge the proxy would conservatively reject.
-    for (const workload::QueryId cid : admit) {
-        const Node* c = find(cid);
-        assert(c != nullptr);
-        if (c->gating_number < max_gat_num) ++stats_.edges_rejected_gating_number;
-        std::size_t crossing = 0, duplicate = 0;
-        if (!edge_allowed_between(nl, *c, &crossing, &duplicate)) {
-            stats_.edges_rejected_crossing += crossing + duplicate;
+    for (const Slot c : admit_) {
+        if (slots_[c].gating_number < max_gat_num) ++stats_.edges_rejected_gating_number;
+        if (!edge_allowed_between(mine, l, slots_[c])) {
+            ++stats_.edges_rejected_crossing;
             return false;
         }
     }
 
     // Exact deadlock check over the contracted constraint graph.
-    if (would_deadlock(nl, nk, admit)) {
+    if (would_close_cycle(nl)) {
         ++stats_.edges_rejected_deadlock;
         return false;
     }
 
-    for (const workload::QueryId cid : admit) {
-        Node* c = find(cid);
-        nl.partners.push_back(cid);
-        c->partners.push_back(nl.id);
+    for (const Slot c : admit_) {
+        l.partners.push_back(c);
+        slots_[c].partners.push_back(nl);
         ++stats_.edges_admitted;
     }
+    contracted_.merge(nl, admit_);
     return true;
 }
 
-void PrecedenceGraph::recompute_gating_numbers(workload::JobId job_id) {
-    const auto it = jobs_.find(job_id);
-    if (it == jobs_.end()) return;
+void PrecedenceGraph::recompute_gating_numbers(const JobEntry& entry) {
     int count = 0;
-    for (const auto& q : it->second.job->queries) {
-        Node* node = find(q.id);
-        if (node == nullptr) continue;
-        if (!node->partners.empty()) ++count;
-        node->gating_number = count;
+    for (const Slot s : entry.chain) {
+        if (s == kNoSlot) continue;
+        Node& node = slots_[s];
+        if (!node.partners.empty()) ++count;
+        node.gating_number = count;
     }
 }
 
 bool PrecedenceGraph::gating_satisfied(const Node& node) const {
-    for (const workload::QueryId pid : node.partners) {
-        const Node* p = find(pid);
-        if (p == nullptr) continue;  // DONE partners satisfy the gate
-        if (p->state == QueryState::kWait) return false;
-    }
+    // DONE partners are detached, so every partner listed is live.
+    for (const Slot p : node.partners)
+        if (slots_[p].state == QueryState::kWait) return false;
     return true;
 }
 
-std::vector<workload::QueryId> PrecedenceGraph::promote_from(
-    const std::vector<workload::QueryId>& seeds) {
+std::vector<workload::QueryId> PrecedenceGraph::promote_from(std::span<const Slot> seeds) {
     std::vector<workload::QueryId> promoted;
-    for (const workload::QueryId id : seeds) {
-        Node* node = find(id);
-        if (node == nullptr || node->state != QueryState::kReady) continue;
-        if (!gating_satisfied(*node)) continue;
-        node->state = QueryState::kQueue;
+    for (const Slot s : seeds) {
+        Node& node = slots_[s];
+        if (node.state != QueryState::kReady || !gating_satisfied(node)) continue;
+        node.state = QueryState::kQueue;
         --ready_count_;
-        promoted.push_back(id);
+        promoted.push_back(node.id);
     }
     return promoted;
 }
 
 std::vector<workload::QueryId> PrecedenceGraph::on_query_visible(workload::QueryId id) {
-    Node* node = find(id);
-    assert(node != nullptr && node->state == QueryState::kWait);
-    node->state = QueryState::kReady;
-    node->visible_tick = ++tick_;
+    const Slot s = slot_of(id);
+    assert(s != kNoSlot && slots_[s].state == QueryState::kWait);
+    Node& node = slots_[s];
+    node.state = QueryState::kReady;
+    node.visible_tick = ++tick_;
     ++ready_count_;
 
     // This transition can complete the gate of the node itself and of each of
     // its partners (promoting one node cannot un-block a third, so one pass
     // over this neighbourhood reaches the fixpoint).
-    std::vector<workload::QueryId> seeds{id};
-    seeds.insert(seeds.end(), node->partners.begin(), node->partners.end());
+    std::vector<Slot> seeds{s};
+    seeds.insert(seeds.end(), node.partners.begin(), node.partners.end());
     return promote_from(seeds);
 }
 
 std::vector<workload::QueryId> PrecedenceGraph::on_query_done(workload::QueryId id) {
-    Node* node = find(id);
-    if (node == nullptr) return {};
-    assert(node->state == QueryState::kQueue);
+    const Slot s = slot_of(id);
+    if (s == kNoSlot) return {};
+    Node& node = slots_[s];
+    assert(node.state == QueryState::kQueue);
     // Detach from partners (a DONE partner satisfies their gates anyway) and
     // prune the vertex, as the paper prunes completed queries.
-    std::vector<workload::QueryId> partners = std::move(node->partners);
-    for (const workload::QueryId pid : partners) {
-        Node* p = find(pid);
-        if (p == nullptr) continue;
-        std::erase(p->partners, id);
+    for (const Slot p : node.partners) std::erase(slots_[p].partners, s);
+    if (node.partners.size() >= 2) may_cycle_ = true;  // its component may split
+    node.partners.clear();
+    node.state = QueryState::kDone;
+    free_.push_back(s);
+    index_.erase(id);
+    auto it = jobs_.find(node.job);
+    if (it != jobs_.end()) {
+        it->second.chain[node.seq] = kNoSlot;
+        if (--it->second.remaining == 0) jobs_.erase(it);
     }
-    const workload::JobId job_id = node->job;
-    nodes_.erase(id);
-    auto it = jobs_.find(job_id);
-    if (it != jobs_.end() && --it->second.remaining == 0) jobs_.erase(it);
     // Pruning cannot newly satisfy a gate (DONE already satisfied it), so no
     // promotions result; kept as a hook point for symmetry.
     JAWS_AUDIT(audit());
@@ -348,14 +422,10 @@ std::vector<workload::QueryId> PrecedenceGraph::on_query_done(workload::QueryId 
 
 std::vector<workload::QueryId> PrecedenceGraph::force_promote_oldest_ready() {
     Node* oldest = nullptr;
-    // jaws-lint: allow(unordered-iteration) -- minimised key
-    // (visible_tick, id) is a strict total order (ticks are unique), so the
-    // promoted query is independent of hash iteration order.
-    for (auto& [id, node] : nodes_) {
+    for (Node& node : slots_) {
         if (node.state != QueryState::kReady) continue;
-        const bool older = oldest == nullptr ||
-                           node.visible_tick < oldest->visible_tick ||
-                           (node.visible_tick == oldest->visible_tick && id < oldest->id);
+        const bool older = oldest == nullptr || node.visible_tick < oldest->visible_tick ||
+                           (node.visible_tick == oldest->visible_tick && node.id < oldest->id);
         if (older) oldest = &node;
     }
     if (oldest == nullptr) return {};
@@ -367,35 +437,52 @@ std::vector<workload::QueryId> PrecedenceGraph::force_promote_oldest_ready() {
 
 bool PrecedenceGraph::check_invariants() const {
     std::size_t ready = 0;
-    // jaws-lint: allow(unordered-iteration) -- read-only validation; the
-    // conjunction of per-node checks is order-independent.
-    for (const auto& [id, node] : nodes_) {
+    std::size_t live = 0;
+    for (Slot s = 0; s < slots_.size(); ++s) {
+        const Node& node = slots_[s];
+        if (node.state == QueryState::kDone) {
+            if (!node.partners.empty()) return false;  // a free slot keeps no edges
+            continue;
+        }
+        ++live;
         if (node.state == QueryState::kReady) ++ready;
-        for (const workload::QueryId pid : node.partners) {
-            const Node* p = find(pid);
-            if (p == nullptr) return false;  // dangling edge
-            if (p->job == node.job) return false;  // intra-job gating edge
-            if (std::find(p->partners.begin(), p->partners.end(), id) ==
-                p->partners.end())
+        if (slot_of(node.id) != s) return false;  // index disagrees
+        const auto job = jobs_.find(node.job);
+        if (job == jobs_.end() || node.seq >= job->second.chain.size() ||
+            job->second.chain[node.seq] != s)
+            return false;  // chain disagrees
+        for (const Slot p : node.partners) {
+            if (p >= slots_.size() || slots_[p].state == QueryState::kDone)
+                return false;  // dangling edge
+            const Node& pn = slots_[p];
+            if (pn.job == node.job) return false;  // intra-job gating edge
+            if (std::find(pn.partners.begin(), pn.partners.end(), s) == pn.partners.end())
                 return false;  // asymmetric edge
             // One edge per query per job pair.
-            std::size_t to_that_job = 0;
-            for (const workload::QueryId other : node.partners) {
-                const Node* o = find(other);
-                if (o != nullptr && o->job == p->job) ++to_that_job;
-            }
+            const auto to_that_job =
+                std::count_if(node.partners.begin(), node.partners.end(),
+                              [&](Slot o) { return slots_[o].job == pn.job; });
             if (to_that_job > 1) return false;
         }
     }
     if (ready != ready_count_) return false;
-
-    // Deadlock freedom of the current graph: reuse the checker with a
-    // degenerate proposal (an existing node united with itself).
-    if (!nodes_.empty()) {
-        const Node& any = nodes_.begin()->second;
-        if (would_deadlock(any, any, {})) return false;
+    if (live != index_.size() || live + free_.size() != slots_.size()) return false;
+    for (const auto& [id, entry] : jobs_) {
+        std::size_t alive = 0;
+        for (std::size_t seq = 0; seq < entry.chain.size(); ++seq) {
+            const Slot s = entry.chain[seq];
+            if (s == kNoSlot) continue;
+            if (s >= slots_.size() || slots_[s].state == QueryState::kDone ||
+                slots_[s].id != entry.job->queries[seq].id)
+                return false;
+            ++alive;
+        }
+        if (alive != entry.remaining) return false;
     }
-    return true;
+    // Deadlock freedom of the current graph, contracted anew.
+    Contracted graph;
+    contract(graph);
+    return graph.acyclic(slots_);
 }
 
 bool PrecedenceGraph::audit() const {
@@ -403,7 +490,7 @@ bool PrecedenceGraph::audit() const {
     if (!ok)
         util::contract_violation(__FILE__, __LINE__, "check_invariants()",
                                  "PrecedenceGraph: gating/precedence invariants "
-                                 "violated (state counts, edge symmetry, "
+                                 "violated (state counts, slot index, edge symmetry, "
                                  "one-edge-per-job-pair, or acyclicity)");
     return ok;
 }

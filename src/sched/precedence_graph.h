@@ -18,10 +18,17 @@
 // edges between a job pair — plus an exact deadlock check (cycle detection
 // over the constraint graph with gating components contracted), which makes
 // the "does not cause a deadlock in scheduling" condition precise.
+//
+// Nodes live in a dense slot vector with a free list; partner lists and each
+// job's chain hold slot indices, and one QueryId -> slot index serves the
+// public API. The contracted graph is built at most once per add_job call
+// (at its first deadlock check) and answers each candidate edge with a local
+// cycle search; see DESIGN.md, "Exact deadlock check".
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -34,7 +41,7 @@ enum class QueryState : std::uint8_t { kWait, kReady, kQueue, kDone };
 
 /// Counters exposed for tests, benches and reports.
 struct GatingStats {
-    std::size_t alignments_run = 0;        ///< Pairwise dynamic programs computed.
+    std::size_t alignments_run = 0;        ///< Job pairs aligned (disjoint-step pairs included).
     std::size_t edges_admitted = 0;
     /// Edges the paper's gating-number proxy would have rejected; we admit
     /// them when the exact cycle check passes (tracked for comparison).
@@ -52,9 +59,10 @@ class PrecedenceGraph {
         : gating_enabled_(gating_enabled) {}
 
     /// Register a job's declared workflow. The Job must outlive the graph (the
-    /// engine owns jobs in stable storage). Ordered jobs are aligned against
-    /// every active ordered job, in descending alignment-score order, and
-    /// feasible gating edges are admitted.
+    /// engine owns jobs in stable storage); query ids are unique and each
+    /// query's seq_in_job is its position in the job. Ordered jobs are
+    /// aligned against every active ordered job, in descending
+    /// alignment-score order, and feasible gating edges are admitted.
     void add_job(const workload::Job& job);
     /// Temporaries would dangle — the graph keeps a pointer to the job.
     void add_job(workload::Job&&) = delete;
@@ -87,9 +95,10 @@ class PrecedenceGraph {
     /// Counters.
     const GatingStats& stats() const noexcept { return stats_; }
 
-    /// Exhaustive invariant check for tests: state machine consistency,
-    /// symmetric partner lists, one-edge-per-job-pair, no crossing edges, and
-    /// deadlock freedom of the active graph.
+    /// Exhaustive invariant check for tests: state machine consistency, slot
+    /// index and chain bookkeeping, symmetric partner lists,
+    /// one-edge-per-job-pair, and acyclicity of the contracted constraint
+    /// graph (contracted anew).
     bool check_invariants() const;
 
     /// check_invariants() reported through util::contract_violation (audit
@@ -98,39 +107,99 @@ class PrecedenceGraph {
     bool audit() const;
 
   private:
+    /// Index of a node in `slots_`.
+    using Slot = std::uint32_t;
+    static constexpr Slot kNoSlot = ~Slot{0};
+
+    /// One query. A kDone node is a free slot, listed in `free_`.
     struct Node {
         workload::QueryId id = 0;
         workload::JobId job = 0;
         std::uint32_t seq = 0;
-        QueryState state = QueryState::kWait;
-        std::uint64_t visible_tick = 0;  ///< Order in which queries became READY.
-        std::vector<workload::QueryId> partners;
+        QueryState state = QueryState::kDone;
         int gating_number = 0;
-        const workload::Query* query = nullptr;
+        std::uint64_t visible_tick = 0;  ///< Order in which queries became READY.
+        std::vector<Slot> partners;
     };
 
     struct JobEntry {
         const workload::Job* job = nullptr;
-        std::size_t remaining = 0;  ///< Queries not yet DONE.
+        std::size_t remaining = 0;         ///< Queries not yet DONE.
+        std::vector<Slot> chain;           ///< Slot per seq; kNoSlot once DONE.
+        std::vector<std::uint32_t> steps;  ///< Sorted distinct steps (gated jobs).
     };
 
-    Node* find(workload::QueryId id);
-    const Node* find(workload::QueryId id) const;
+    /// Gating components over a flat union-find, each with a linked list of
+    /// the out-edges that ordered chains run to other components. The
+    /// buffers are reused from one build to the next.
+    class Contracted {
+      public:
+        /// Every slot a singleton component with no out-edges.
+        void reset(std::size_t slots);
+        Slot find(Slot s);
+        /// Union the components of `a` and `b`, concatenating their out-edge
+        /// lists; returns the merged root.
+        Slot unite(Slot a, Slot b);
+        /// Out-edge from root `from` to the component of `to`.
+        void add_edge(Slot from, Slot to);
+        /// Kahn's algorithm over the components of the live `slots`.
+        bool acyclic(const std::vector<Node>& slots);
+        /// Whether merging the components of `nl` and `admit` closes a
+        /// cycle: a forward search from the merged set's out-neighbours,
+        /// through other components only, reaches the set again. Requires an
+        /// acyclic graph. Edges inside the set become self-loops and drop.
+        bool closes_cycle(Slot nl, std::span<const Slot> admit);
+        /// Merge the components of `nl` and `admit` into one.
+        void merge(Slot nl, std::span<const Slot> admit);
+
+      private:
+        static constexpr std::uint32_t kNoEdge = ~std::uint32_t{0};
+
+        std::vector<Slot> parent_;
+        std::vector<std::uint32_t> size_;
+        std::vector<std::uint32_t> head_, tail_;  ///< Per root: out-edge list.
+        std::vector<Slot> target_;                ///< Per edge: any slot of the target.
+        std::vector<std::uint32_t> next_;         ///< Per edge: next in its list.
+        /// Generation stamps: `stamp_` marks the merged set of the current
+        /// search and `stamp_ + 1` a visited component, so no mark is ever
+        /// cleared between searches.
+        std::vector<std::uint64_t> mark_;
+        std::uint64_t stamp_ = 0;
+        std::vector<std::uint32_t> indegree_;
+        std::vector<Slot> stack_, roots_;
+    };
+
+    Slot slot_of(workload::QueryId id) const;
+    Slot allocate(const workload::Query& query, workload::JobId job);
     bool gating_satisfied(const Node& node) const;
-    std::vector<workload::QueryId> promote_from(const std::vector<workload::QueryId>& seeds);
-    bool try_admit_edge(Node& nl, Node& nk);
-    bool would_deadlock(const Node& a, const Node& b,
-                        const std::vector<workload::QueryId>& extra) const;
-    void recompute_gating_numbers(workload::JobId job_id);
-    bool edge_allowed_between(const Node& a, const Node& b, std::size_t* crossing,
-                              std::size_t* duplicate) const;
+    std::vector<workload::QueryId> promote_from(std::span<const Slot> seeds);
+    bool try_admit_edge(const JobEntry& mine, Slot nl, Slot nk);
+    bool edge_allowed_between(const JobEntry& mine, const Node& a, const Node& b) const;
+    /// Whether gating `nl` with every slot of `admit_` deadlocks the schedule.
+    bool would_close_cycle(Slot nl);
+    /// Contract the current gating components and chains into `graph`.
+    void contract(Contracted& graph) const;
+    void recompute_gating_numbers(const JobEntry& entry);
 
     bool gating_enabled_;
-    std::unordered_map<workload::QueryId, Node> nodes_;
+    std::vector<Node> slots_;
+    std::vector<Slot> free_;
+    std::unordered_map<workload::QueryId, Slot> index_;
     std::map<workload::JobId, JobEntry> jobs_;
     GatingStats stats_;
     std::size_t ready_count_ = 0;
     std::uint64_t tick_ = 0;
+
+    /// This add_job call's contracted graph; discarded when the call returns,
+    /// because pruning a query between calls can split a component.
+    Contracted contracted_;
+    bool contracted_built_ = false;
+    /// The contracted graph may hold a cycle. Admissions keep it acyclic;
+    /// only a prune of a query with two or more partners can split a
+    /// component into pieces whose chains form one. Exact once this call's
+    /// graph is built; while set, every candidate is refused.
+    bool may_cycle_ = false;
+    std::vector<Slot> admit_;  ///< Reused buffer: the partner and what it passes on.
 };
 
 }  // namespace jaws::sched

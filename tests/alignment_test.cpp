@@ -1,6 +1,8 @@
 // Tests for the Needleman-Wunsch data-sharing alignment (sched/alignment.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sched/alignment.h"
 #include "util/morton.h"
 #include "util/rng.h"
@@ -18,6 +20,21 @@ workload::Query query_on(std::uint32_t step, std::initializer_list<std::uint64_t
                   return a.atom.morton < b.atom.morton;
               });
     return q;
+}
+
+/// Exhaustive (exponential) maximum number of aligned sharing pairs, for
+/// certifying align_jobs on small inputs.
+std::uint32_t brute(const workload::Job& a, const workload::Job& b, std::size_t i,
+                    std::size_t j) {
+    if (i == a.queries.size() || j == b.queries.size()) return 0;
+    std::uint32_t best = std::max(brute(a, b, i + 1, j), brute(a, b, i, j + 1));
+    const std::uint32_t s = queries_share_data(a.queries[i], b.queries[j]) ? 1 : 0;
+    return std::max(best, s + brute(a, b, i + 1, j + 1));
+}
+
+std::uint32_t max_sharing_alignment_bruteforce(const workload::Job& a,
+                                               const workload::Job& b) {
+    return brute(a, b, 0, 0);
 }
 
 workload::Job job_of(workload::JobId id, std::vector<workload::Query> queries) {

@@ -11,16 +11,23 @@
 //     set beside U_t / key sums that are dropped when the step empties;
 //   * decode_encode_supports — pre-processing's support search by decoding
 //     each atom's coordinate and re-encoding its x-1, y-1 and z-1
-//     neighbours, searched over the whole footprint.
+//     neighbours, searched over the whole footprint;
+//   * ReferenceGraph — the precedence graph's admission path before node
+//     slots and the per-call contracted graph: hash-mapped nodes, a
+//     hash-map union-find and a DFS over the whole contracted graph for
+//     every candidate edge, and a nested-vector alignment table.
 //
 // Random streams drive each oracle and the production class side by side:
-// every victim, every pick, every drained queue and every per-step mean must
-// match exactly, and the production class must audit clean at every step.
+// every victim, every pick, every drained queue, every per-step mean and
+// every query's gating state must match exactly, and the production class
+// must audit clean at every step (the precedence graph: whenever the
+// reference's graph is acyclic, see compare_gating).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <deque>
 #include <limits>
 #include <map>
@@ -28,6 +35,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -35,6 +43,8 @@
 #include "cache/buffer_cache.h"
 #include "cache/lru_k.h"
 #include "proptest.h"
+#include "sched/alignment.h"
+#include "sched/precedence_graph.h"
 #include "sched/subquery.h"
 #include "sched/workload_manager.h"
 #include "util/contracts.h"
@@ -472,6 +482,579 @@ std::string preprocess_supports(Gen& g) {
 TEST(Differential, PreprocessSupportsMatchDecodeEncode) {
     const Outcome o = proptest::check(Config{}, preprocess_supports);
     EXPECT_TRUE(o.ok) << o.message;
+}
+
+// --- PrecedenceGraph: per-call contracted graph vs whole-graph rebuilds ----
+
+/// Union-find over query ids in a hash map, rebuilt for every deadlock check.
+class Dsu {
+  public:
+    workload::QueryId find(workload::QueryId x) {
+        auto it = parent_.find(x);
+        if (it == parent_.end()) {
+            parent_[x] = x;
+            return x;
+        }
+        workload::QueryId root = x;
+        while (parent_[root] != root) root = parent_[root];
+        while (parent_[x] != root) {
+            const workload::QueryId next = parent_[x];
+            parent_[x] = root;
+            x = next;
+        }
+        return root;
+    }
+
+    void unite(workload::QueryId a, workload::QueryId b) { parent_[find(a)] = find(b); }
+
+  private:
+    std::unordered_map<workload::QueryId, workload::QueryId> parent_;
+};
+
+/// align_jobs with one heap-allocated row per table row.
+sched::Alignment nested_align_jobs(const workload::Job& a, const workload::Job& b) {
+    const std::size_t n = a.queries.size();
+    const std::size_t m = b.queries.size();
+    sched::Alignment out;
+    if (n == 0 || m == 0) return out;
+    std::vector<std::vector<std::uint32_t>> score(n + 1, std::vector<std::uint32_t>(m + 1, 0));
+    for (std::size_t i = 1; i <= n; ++i) {
+        for (std::size_t j = 1; j <= m; ++j) {
+            const std::uint32_t s =
+                sched::queries_share_data(a.queries[i - 1], b.queries[j - 1]) ? 1 : 0;
+            score[i][j] = std::max({score[i - 1][j - 1] + s, score[i][j - 1], score[i - 1][j]});
+        }
+    }
+    out.score = score[n][m];
+    std::size_t i = n, j = m;
+    while (i > 0 && j > 0) {
+        const std::uint32_t s =
+            sched::queries_share_data(a.queries[i - 1], b.queries[j - 1]) ? 1 : 0;
+        if (s == 1 && score[i][j] == score[i - 1][j - 1] + 1) {
+            out.pairs.push_back(sched::AlignedPair{static_cast<std::uint32_t>(i - 1),
+                                                   static_cast<std::uint32_t>(j - 1)});
+            --i;
+            --j;
+        } else if (score[i][j] == score[i - 1][j]) {
+            --i;
+        } else if (score[i][j] == score[i][j - 1]) {
+            --j;
+        } else {
+            --i;
+            --j;
+        }
+    }
+    std::reverse(out.pairs.begin(), out.pairs.end());
+    return out;
+}
+
+/// The precedence graph with every deadlock check answered by contracting
+/// the whole graph again (hash-map union-find) and searching it for a cycle.
+class ReferenceGraph {
+  public:
+    explicit ReferenceGraph(bool gating_enabled) : gating_enabled_(gating_enabled) {}
+
+    void add_job(const workload::Job& job) {
+        jobs_[job.id] = JobEntry{&job, job.queries.size()};
+        for (const auto& q : job.queries)
+            nodes_.emplace(q.id,
+                           Node{q.id, job.id, q.seq_in_job, sched::QueryState::kWait, 0, {}, 0});
+        if (!gating_enabled_ || job.type != workload::JobType::kOrdered || job.queries.size() < 2)
+            return;
+        struct Candidate {
+            std::uint32_t score;
+            workload::JobId other;
+            sched::Alignment alignment;
+        };
+        std::vector<Candidate> candidates;
+        for (const auto& [other_id, other_entry] : jobs_) {
+            if (other_id == job.id || other_entry.remaining == 0) continue;
+            if (other_entry.job->type != workload::JobType::kOrdered) continue;
+            if (other_entry.job->queries.size() < 2) continue;
+            sched::Alignment alignment = nested_align_jobs(job, *other_entry.job);
+            ++stats_.alignments_run;
+            if (alignment.score == 0) continue;
+            candidates.push_back(Candidate{alignment.score, other_id, std::move(alignment)});
+        }
+        std::sort(candidates.begin(), candidates.end(),
+                  [](const Candidate& a, const Candidate& b) { return a.score > b.score; });
+        for (const auto& c : candidates) {
+            const JobEntry& other = jobs_.at(c.other);
+            bool admitted_any = false;
+            for (const sched::AlignedPair& pair : c.alignment.pairs) {
+                Node* nl = find(job.queries[pair.a_seq].id);
+                Node* nk = find(other.job->queries[pair.b_seq].id);
+                if (nl == nullptr || nk == nullptr) continue;
+                if (nk->state == sched::QueryState::kQueue || nk->state == sched::QueryState::kDone)
+                    continue;
+                if (try_admit_edge(*nl, *nk)) admitted_any = true;
+            }
+            if (admitted_any) recompute_gating_numbers(c.other);
+        }
+        recompute_gating_numbers(job.id);
+    }
+
+    std::vector<workload::QueryId> on_query_visible(workload::QueryId id) {
+        Node* node = find(id);
+        node->state = sched::QueryState::kReady;
+        node->visible_tick = ++tick_;
+        ++ready_count_;
+        std::vector<workload::QueryId> seeds{id};
+        seeds.insert(seeds.end(), node->partners.begin(), node->partners.end());
+        std::vector<workload::QueryId> promoted;
+        for (const workload::QueryId s : seeds) {
+            Node* n = find(s);
+            if (n == nullptr || n->state != sched::QueryState::kReady) continue;
+            const bool gated = std::any_of(n->partners.begin(), n->partners.end(), [&](auto p) {
+                const Node* pn = find(p);
+                return pn != nullptr && pn->state == sched::QueryState::kWait;
+            });
+            if (gated) continue;
+            n->state = sched::QueryState::kQueue;
+            --ready_count_;
+            promoted.push_back(s);
+        }
+        return promoted;
+    }
+
+    void on_query_done(workload::QueryId id) {
+        Node* node = find(id);
+        for (const workload::QueryId pid : node->partners) std::erase(find(pid)->partners, id);
+        const workload::JobId job_id = node->job;
+        nodes_.erase(id);
+        auto it = jobs_.find(job_id);
+        if (it != jobs_.end() && --it->second.remaining == 0) jobs_.erase(it);
+    }
+
+    std::vector<workload::QueryId> force_promote_oldest_ready() {
+        Node* oldest = nullptr;
+        for (auto& [id, node] : nodes_) {
+            if (node.state != sched::QueryState::kReady) continue;
+            if (oldest == nullptr || node.visible_tick < oldest->visible_tick ||
+                (node.visible_tick == oldest->visible_tick && id < oldest->id))
+                oldest = &node;
+        }
+        if (oldest == nullptr) return {};
+        oldest->state = sched::QueryState::kQueue;
+        --ready_count_;
+        ++stats_.forced_promotions;
+        return {oldest->id};
+    }
+
+    sched::QueryState state(workload::QueryId id) const {
+        const Node* n = find(id);
+        return n == nullptr ? sched::QueryState::kDone : n->state;
+    }
+    int gating_number(workload::QueryId id) const {
+        const Node* n = find(id);
+        return n == nullptr ? 0 : n->gating_number;
+    }
+    std::size_t partner_count(workload::QueryId id) const {
+        const Node* n = find(id);
+        return n == nullptr ? 0 : n->partners.size();
+    }
+    bool has_ready() const { return ready_count_ > 0; }
+    const sched::GatingStats& stats() const { return stats_; }
+
+    /// Whether the contracted constraint graph is acyclic.
+    bool acyclic() const {
+        if (nodes_.empty()) return true;
+        const Node& any = nodes_.begin()->second;
+        return !would_deadlock(any, any, {});
+    }
+
+    /// Whether pruning `id` splits its gating component into pieces.
+    bool prune_splits(workload::QueryId id) const {
+        const Node* node = find(id);
+        if (node->partners.size() < 2) return false;
+        std::unordered_set<workload::QueryId> seen{id, node->partners.front()};
+        std::vector<workload::QueryId> stack{node->partners.front()};
+        while (!stack.empty()) {
+            const workload::QueryId u = stack.back();
+            stack.pop_back();
+            for (const workload::QueryId v : find(u)->partners)
+                if (seen.insert(v).second) stack.push_back(v);
+        }
+        return !std::all_of(node->partners.begin(), node->partners.end(),
+                            [&](auto p) { return seen.contains(p); });
+    }
+
+  private:
+    struct Node {
+        workload::QueryId id = 0;
+        workload::JobId job = 0;
+        std::uint32_t seq = 0;
+        sched::QueryState state = sched::QueryState::kWait;
+        std::uint64_t visible_tick = 0;
+        std::vector<workload::QueryId> partners;
+        int gating_number = 0;
+    };
+    struct JobEntry {
+        const workload::Job* job = nullptr;
+        std::size_t remaining = 0;
+    };
+
+    Node* find(workload::QueryId id) {
+        const auto it = nodes_.find(id);
+        return it == nodes_.end() ? nullptr : &it->second;
+    }
+    const Node* find(workload::QueryId id) const {
+        const auto it = nodes_.find(id);
+        return it == nodes_.end() ? nullptr : &it->second;
+    }
+
+    bool edge_allowed_between(const Node& a, const Node& b, std::size_t* crossing,
+                              std::size_t* duplicate) const {
+        const JobEntry& ja = jobs_.at(a.job);
+        for (const auto& q : ja.job->queries) {
+            const Node* n = find(q.id);
+            if (n == nullptr) continue;
+            for (const workload::QueryId pid : n->partners) {
+                const Node* p = find(pid);
+                if (p == nullptr || p->job != b.job) continue;
+                if (n->seq == a.seq || p->seq == b.seq) {
+                    ++*duplicate;
+                    return false;
+                }
+                if ((n->seq < a.seq && p->seq > b.seq) || (n->seq > a.seq && p->seq < b.seq)) {
+                    ++*crossing;
+                    return false;
+                }
+            }
+        }
+        return true;
+    }
+
+    bool would_deadlock(const Node& a, const Node& b,
+                        const std::vector<workload::QueryId>& extra) const {
+        Dsu dsu;
+        for (const auto& [id, node] : nodes_)
+            for (const workload::QueryId pid : node.partners)
+                if (nodes_.contains(pid)) dsu.unite(id, pid);
+        dsu.unite(a.id, b.id);
+        for (const workload::QueryId pid : extra)
+            if (nodes_.contains(pid)) dsu.unite(a.id, pid);
+        std::unordered_map<workload::QueryId, std::vector<workload::QueryId>> adjacency;
+        for (const auto& [job_id, entry] : jobs_) {
+            if (entry.job->type != workload::JobType::kOrdered) continue;
+            const Node* prev = nullptr;
+            for (const auto& q : entry.job->queries) {
+                const Node* cur = find(q.id);
+                if (cur == nullptr) continue;
+                if (prev != nullptr) {
+                    const workload::QueryId u = dsu.find(prev->id);
+                    const workload::QueryId v = dsu.find(cur->id);
+                    if (u != v) adjacency[u].push_back(v);
+                }
+                prev = cur;
+            }
+        }
+        std::unordered_map<workload::QueryId, int> color;
+        for (const auto& [start, ignored] : adjacency) {
+            if (color[start] != 0) continue;
+            std::vector<std::pair<workload::QueryId, std::size_t>> stack{{start, 0}};
+            color[start] = 1;
+            while (!stack.empty()) {
+                auto& [u, next] = stack.back();
+                const auto it = adjacency.find(u);
+                const std::size_t degree = it == adjacency.end() ? 0 : it->second.size();
+                if (next >= degree) {
+                    color[u] = 2;
+                    stack.pop_back();
+                    continue;
+                }
+                const workload::QueryId v = it->second[next++];
+                if (color[v] == 1) return true;
+                if (color[v] == 0) {
+                    color[v] = 1;
+                    stack.emplace_back(v, 0);
+                }
+            }
+        }
+        return false;
+    }
+
+    bool try_admit_edge(Node& nl, Node& nk) {
+        if (nl.job == nk.job) return false;
+        if (std::find(nl.partners.begin(), nl.partners.end(), nk.id) != nl.partners.end())
+            return false;
+        std::vector<workload::QueryId> admit{nk.id};
+        for (const workload::QueryId pid : nk.partners) {
+            const Node* p = find(pid);
+            if (p == nullptr || p->job == nl.job) continue;
+            if (p->state == sched::QueryState::kQueue || p->state == sched::QueryState::kDone)
+                continue;
+            admit.push_back(pid);
+        }
+        int max_gat_num = 0;
+        {
+            const JobEntry& jl = jobs_.at(nl.job);
+            int prefix_edges = 0;
+            for (const auto& q : jl.job->queries) {
+                if (q.seq_in_job >= nl.seq) break;
+                const Node* n = find(q.id);
+                if (n == nullptr || n->partners.empty()) continue;
+                ++prefix_edges;
+                for (const workload::QueryId pid : n->partners) {
+                    const Node* p = find(pid);
+                    if (p != nullptr) max_gat_num = std::max(max_gat_num, p->gating_number + 1);
+                }
+            }
+            max_gat_num = std::max(max_gat_num, prefix_edges);
+        }
+        for (const workload::QueryId cid : admit) {
+            const Node* c = find(cid);
+            if (c->gating_number < max_gat_num) ++stats_.edges_rejected_gating_number;
+            std::size_t crossing = 0, duplicate = 0;
+            if (!edge_allowed_between(nl, *c, &crossing, &duplicate)) {
+                stats_.edges_rejected_crossing += crossing + duplicate;
+                return false;
+            }
+        }
+        if (would_deadlock(nl, nk, admit)) {
+            ++stats_.edges_rejected_deadlock;
+            return false;
+        }
+        for (const workload::QueryId cid : admit) {
+            nl.partners.push_back(cid);
+            find(cid)->partners.push_back(nl.id);
+            ++stats_.edges_admitted;
+        }
+        return true;
+    }
+
+    void recompute_gating_numbers(workload::JobId job_id) {
+        const auto it = jobs_.find(job_id);
+        if (it == jobs_.end()) return;
+        int count = 0;
+        for (const auto& q : it->second.job->queries) {
+            Node* node = find(q.id);
+            if (node == nullptr) continue;
+            if (!node->partners.empty()) ++count;
+            node->gating_number = count;
+        }
+    }
+
+    bool gating_enabled_;
+    std::unordered_map<workload::QueryId, Node> nodes_;
+    std::map<workload::JobId, JobEntry> jobs_;
+    sched::GatingStats stats_;
+    std::size_t ready_count_ = 0;
+    std::uint64_t tick_ = 0;
+};
+
+/// What the gating campaigns exercised, summed over every case.
+struct GatingCoverage {
+    std::size_t admitted = 0;
+    std::size_t deadlock_rejections = 0;
+    std::size_t splitting_prunes = 0;
+    std::size_t cyclic_states = 0;
+    std::size_t cyclic_arrivals = 0;  ///< Arrivals refused edges for a cycle left by a prune.
+    std::size_t forced = 0;
+};
+
+std::string compare_gating(const sched::PrecedenceGraph& graph, const ReferenceGraph& ref,
+                           const std::vector<workload::Job>& jobs, std::size_t added) {
+    for (std::size_t j = 0; j < added; ++j) {
+        for (const workload::Query& q : jobs[j].queries) {
+            const std::string at = "query " + std::to_string(q.id) + ": ";
+            if (graph.state(q.id) != ref.state(q.id)) return at + "state diverged";
+            if (graph.partner_count(q.id) != ref.partner_count(q.id))
+                return at + "partner count " + std::to_string(graph.partner_count(q.id)) +
+                       " vs reference " + std::to_string(ref.partner_count(q.id));
+            if (graph.gating_number(q.id) != ref.gating_number(q.id))
+                return at + "gating number diverged";
+        }
+    }
+    const sched::GatingStats& a = graph.stats();
+    const sched::GatingStats& b = ref.stats();
+    const std::pair<std::size_t, std::size_t> counters[] = {
+        {a.alignments_run, b.alignments_run},
+        {a.edges_admitted, b.edges_admitted},
+        {a.edges_rejected_gating_number, b.edges_rejected_gating_number},
+        {a.edges_rejected_crossing, b.edges_rejected_crossing},
+        {a.edges_rejected_deadlock, b.edges_rejected_deadlock},
+        {a.forced_promotions, b.forced_promotions}};
+    const char* names[] = {"alignments_run", "edges_admitted", "edges_rejected_gating_number",
+                           "edges_rejected_crossing", "edges_rejected_deadlock",
+                           "forced_promotions"};
+    for (std::size_t i = 0; i < std::size(counters); ++i)
+        if (counters[i].first != counters[i].second)
+            return std::string(names[i]) + " " + std::to_string(counters[i].first) +
+                   " vs reference " + std::to_string(counters[i].second);
+    if (graph.has_ready() != ref.has_ready()) return "has_ready diverged";
+    // A prune that splits a component can leave a cycle through queries that
+    // are already running (DESIGN.md, "Exact deadlock check"): the reference
+    // reports it too, so the audit must be clean exactly when the
+    // reference's graph is acyclic.
+    if (graph.audit() != ref.acyclic()) return "audit disagrees with the reference's acyclicity";
+    return "";
+}
+
+/// Jobs 1-5, two queries each on step 0: once the head of job 4 is pruned,
+/// the pieces it bridged hold the chains of jobs 1 and 2 running both ways,
+/// a cycle (the pinned case in precedence_graph_test). Footprints are
+/// Morton-sorted, as queries_share_data expects; the tails of jobs 3-5 use
+/// atoms no random job touches.
+void add_cycle_jobs(std::vector<workload::Job>& jobs) {
+    const std::vector<std::vector<std::uint64_t>> heads = {{1, 5}, {3, 6}, {1, 4}, {3, 5}, {2, 6}};
+    const std::uint64_t tails[] = {2, 4, 50, 51, 52};
+    for (std::size_t j = 0; j < heads.size(); ++j) {
+        workload::Job job;
+        job.id = j + 1;
+        job.type = workload::JobType::kOrdered;
+        for (std::uint32_t seq = 0; seq < 2; ++seq) {
+            workload::Query q;
+            q.id = job.id * 100 + seq;
+            q.job = job.id;
+            q.seq_in_job = seq;
+            for (const std::uint64_t m : seq == 0 ? heads[j] : std::vector{tails[j]})
+                q.footprint.push_back(workload::AtomRequest{{0, m}, 1});
+            job.queries.push_back(std::move(q));
+        }
+        jobs.push_back(std::move(job));
+    }
+}
+
+/// Ordered and batched jobs over a few shared steps and atoms, added while
+/// earlier queries become visible, run and get pruned, with an occasional
+/// forced promotion. One gated campaign in four opens with add_cycle_jobs.
+std::string gating_campaign(Gen& g, GatingCoverage& coverage) {
+    const CountViolations quiet;
+    const bool gating = g.below(8) != 0;
+    const bool cycle_first = gating && g.below(4) == 0;
+    const std::uint64_t steps = g.below(2) + 1;
+    const std::uint64_t atoms = g.below(9) + 2;
+    std::vector<workload::Job> jobs;
+    if (cycle_first) add_cycle_jobs(jobs);
+    for (std::uint64_t n = g.below(29) + 2; n > 0; --n) {
+        workload::Job& job = jobs.emplace_back();
+        job.id = jobs.size();
+        job.type = g.below(5) == 0 ? workload::JobType::kBatched : workload::JobType::kOrdered;
+        auto step = static_cast<std::uint32_t>(g.below(steps));
+        const std::uint64_t length = g.below(7) + 1;
+        for (std::uint32_t seq = 0; seq < length; ++seq) {
+            if (g.below(3) == 0) step = static_cast<std::uint32_t>(g.below(steps));
+            workload::Query q;
+            q.id = job.id * 100 + seq;
+            q.job = job.id;
+            q.seq_in_job = seq;
+            q.timestep = step;
+            std::set<std::uint64_t> mortons{g.below(atoms)};
+            if (g.boolean()) mortons.insert(g.below(atoms));
+            for (const std::uint64_t m : mortons)
+                q.footprint.push_back(workload::AtomRequest{{step, m}, 1});
+            job.queries.push_back(std::move(q));
+        }
+    }
+
+    sched::PrecedenceGraph graph(gating);
+    ReferenceGraph ref(gating);
+    std::size_t added = 0;
+    std::vector<workload::QueryId> visible_next;  // WAIT queries whose inputs exist
+    std::vector<workload::QueryId> running;       // QUEUE queries
+    // The three steps of a query's life; each returns a divergence, or "".
+    const auto arrive = [&] {
+        const workload::Job& job = jobs[added++];
+        graph.add_job(job);
+        ref.add_job(job);
+        for (const workload::Query& q : job.queries) {
+            visible_next.push_back(q.id);
+            if (job.type == workload::JobType::kOrdered) break;
+        }
+    };
+    const auto show = [&](workload::QueryId id) -> std::string {
+        std::erase(visible_next, id);
+        const auto promoted = graph.on_query_visible(id);
+        if (promoted != ref.on_query_visible(id))
+            return "promotions of query " + std::to_string(id) + " diverged";
+        running.insert(running.end(), promoted.begin(), promoted.end());
+        return "";
+    };
+    const auto finish = [&](workload::QueryId id) -> std::string {
+        std::erase(running, id);
+        if (ref.prune_splits(id)) ++coverage.splitting_prunes;
+        if (!graph.on_query_done(id).empty()) return "pruning promoted a query";
+        ref.on_query_done(id);
+        const workload::Job& job = jobs[id / 100 - 1];
+        if (job.type == workload::JobType::kOrdered && id % 100 + 1 < job.queries.size())
+            visible_next.push_back(id + 1);
+        return "";
+    };
+
+    if (cycle_first) {
+        for (int j = 0; j < 5; ++j) arrive();
+        for (const workload::QueryId id : {100, 200, 300, 400, 500})
+            if (const std::string diff = show(id); !diff.empty()) return "opening: " + diff;
+        if (const std::string diff = finish(400); !diff.empty()) return "opening: " + diff;
+        if (ref.acyclic()) return "opening: the prune left no cycle";
+        if (const std::string diff = compare_gating(graph, ref, jobs, added); !diff.empty())
+            return "opening: " + diff;
+    }
+    // Arrivals keep coming while earlier jobs drain, one per `pace` steps on
+    // average, so jobs are merged into graphs that prunes have reshaped; while
+    // a cycle left by a prune stands, every other step, so candidates meet it.
+    const std::uint64_t pace = g.below(8) + 2;
+    for (int op = 0; op < 600; ++op) {
+        const std::string at = "op " + std::to_string(op) + ": ";
+        const bool can_add = added < jobs.size();
+        if (!can_add && visible_next.empty() && running.empty() && !ref.has_ready()) break;
+        const bool cyclic = !ref.acyclic();
+        if (cyclic) ++coverage.cyclic_states;
+        std::string diff;
+        if (can_add && g.below(cyclic ? 2 : pace) == 0) {
+            const std::size_t refused = ref.stats().edges_rejected_deadlock;
+            arrive();
+            if (cyclic && ref.stats().edges_rejected_deadlock > refused) ++coverage.cyclic_arrivals;
+        } else switch (g.below(6)) {
+            case 0:
+            case 1:
+                if (visible_next.empty()) continue;
+                diff = show(visible_next[g.below(visible_next.size())]);
+                break;
+            case 2:
+            case 3:
+            case 4:
+                if (running.empty()) continue;
+                diff = finish(running[g.below(running.size())]);
+                break;
+            default: {
+                // Mostly as the engine does, when nothing else can run.
+                const bool stalled = running.empty() && visible_next.empty();
+                if (!ref.has_ready() || (!stalled && g.below(3) != 0)) continue;
+                const auto promoted = graph.force_promote_oldest_ready();
+                if (promoted != ref.force_promote_oldest_ready())
+                    return at + "forced promotion diverged";
+                running.insert(running.end(), promoted.begin(), promoted.end());
+            }
+        }
+        if (diff.empty()) diff = compare_gating(graph, ref, jobs, added);
+        if (!diff.empty()) return at + diff;
+    }
+    coverage.admitted += ref.stats().edges_admitted;
+    coverage.deadlock_rejections += ref.stats().edges_rejected_deadlock;
+    coverage.forced += ref.stats().forced_promotions;
+    return "";
+}
+
+TEST(Differential, GatingAdmissionMatchesWholeGraphRebuild) {
+    GatingCoverage coverage;
+    Config config;
+    config.cases = 400;
+    const Outcome o =
+        proptest::check(config, [&](Gen& g) { return gating_campaign(g, coverage); });
+    EXPECT_TRUE(o.ok) << o.message;
+    // Not vacuous: edges were admitted and refused as deadlocks, prunes split
+    // gating components between merges, and jobs arrived into cycles those
+    // prunes left.
+    EXPECT_GT(coverage.admitted, 0u);
+    EXPECT_GT(coverage.deadlock_rejections, 0u);
+    EXPECT_GT(coverage.splitting_prunes, 0u);
+    EXPECT_GT(coverage.cyclic_arrivals, 0u);
+    std::printf("gating campaigns: %zu admitted, %zu deadlock rejections, %zu splitting prunes, "
+                "%zu cyclic states, %zu arrivals refused by a cycle, %zu forced promotions\n",
+                coverage.admitted, coverage.deadlock_rejections, coverage.splitting_prunes,
+                coverage.cyclic_states, coverage.cyclic_arrivals, coverage.forced);
 }
 
 }  // namespace

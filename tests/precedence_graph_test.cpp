@@ -4,6 +4,7 @@
 #include <algorithm>
 
 #include "sched/precedence_graph.h"
+#include "util/contracts.h"
 #include "util/rng.h"
 
 namespace jaws::sched {
@@ -33,6 +34,17 @@ workload::Job chain(workload::JobId id, std::initializer_list<std::uint64_t> reg
     j.type = workload::JobType::kOrdered;
     std::uint32_t seq = 0;
     for (const std::uint64_t r : regions) j.queries.push_back(query_on(id, seq++, step, {r}));
+    return j;
+}
+
+/// Ordered job on step 0 whose i-th query touches the i-th atom list.
+workload::Job footprints(workload::JobId id,
+                         std::initializer_list<std::initializer_list<std::uint64_t>> atoms) {
+    workload::Job j;
+    j.id = id;
+    j.type = workload::JobType::kOrdered;
+    std::uint32_t seq = 0;
+    for (const auto& a : atoms) j.queries.push_back(query_on(id, seq++, 0, a));
     return j;
 }
 
@@ -305,6 +317,102 @@ TEST(PrecedenceGraph, RandomCampaignDrainsWithoutForcedPromotions) {
         ASSERT_EQ(executed, total);
         ASSERT_EQ(g.stats().forced_promotions, 0u);
     }
+}
+
+TEST(PrecedenceGraph, PruneSplitLetsALaterJobGateAcrossThePieces) {
+    // Query x (job 7) joins two groups that share no edge: {r2, c} with c
+    // gated to b3, and {r1, d} with d gated to w1. Inheritance is one level
+    // deep, so x never partners b3 or w1 and can run while they wait.
+    PrecedenceGraph g(true);
+    const workload::Job b = footprints(1, {{90}, {1}, {91}, {2}});  // b0 b1 b2 b3
+    const workload::Job r2 = footprints(2, {{3, 7}, {92}});
+    const workload::Job c = footprints(3, {{2, 3}, {93}});          // c ~ b3, c ~ r2
+    const workload::Job r1 = footprints(4, {{4, 8}, {94}});
+    const workload::Job w = footprints(5, {{95}, {5}});             // w0 w1
+    const workload::Job d = footprints(6, {{4, 5, 6}, {96}});       // d ~ r1, d ~ w1
+    const workload::Job x = footprints(7, {{7, 8}, {97}});          // x ~ r2, x ~ r1
+    for (const workload::Job* job : {&b, &r2, &c, &r1, &w, &d, &x}) g.add_job(*job);
+    ASSERT_EQ(g.partner_count(7000), 4u);  // r2, c, r1, d
+    for (const workload::QueryId id : {1000, 2000, 3000, 4000, 5000, 6000, 7000})
+        g.on_query_visible(id);
+    ASSERT_EQ(g.state(7000), QueryState::kQueue);
+    ASSERT_EQ(g.state(3000), QueryState::kReady);  // c waits for b3
+    ASSERT_EQ(g.state(6000), QueryState::kReady);  // d waits for w1
+
+    // Pruning x splits its component into {r2, c, b3} and {r1, d, w1}.
+    g.on_query_done(7000);
+    EXPECT_TRUE(g.check_invariants());
+
+    // n1 gates with b1, then with d (inheriting w1): the merged set reaches
+    // b3 through b2, but b3's piece does not lead back, so the edge is
+    // admitted. A union-find kept from before the prune still holds both
+    // pieces in one component and would see b1 -> b2 -> b3 close a cycle.
+    const workload::Job n = footprints(8, {{1, 6}, {98}});
+    g.add_job(n);
+    EXPECT_EQ(g.partner_count(8000), 3u);  // b1, d, w1
+    EXPECT_EQ(g.stats().edges_admitted, 11u);
+    EXPECT_EQ(g.stats().edges_rejected_deadlock, 0u);
+    EXPECT_TRUE(g.check_invariants());
+}
+
+namespace {
+std::size_t g_violations = 0;
+
+/// Counts contract violations instead of aborting while it lives, and
+/// restores the previous handler on every exit path.
+class CountViolations {
+  public:
+    CountViolations()
+        : previous_(util::set_contract_handler(
+              [](const char*, int, const char*, const char*) { ++g_violations; })) {
+        g_violations = 0;
+    }
+    ~CountViolations() { util::set_contract_handler(previous_); }
+
+  private:
+    util::ContractHandler previous_;
+};
+}  // namespace
+
+TEST(PrecedenceGraph, PruneCanLeaveACycleThatRefusesEveryEdgeUntilItDissolves) {
+    // x (job 4) bridges {a1, c1, b2} and {d1, a2, b1}; once x is pruned, the
+    // chains a1 -> a2 and b1 -> b2 run both ways between the pieces. Both
+    // sources a1 and b1 are already running, so nothing can stall, but the
+    // contracted graph has a cycle: the audit reports it and the exact check
+    // refuses every candidate edge, even between unrelated jobs.
+    const CountViolations counting;
+    PrecedenceGraph g(true);
+    const workload::Job a = footprints(1, {{1, 5}, {2}});
+    const workload::Job b = footprints(2, {{3, 6}, {4}});
+    const workload::Job c = footprints(3, {{1, 4}, {100}});  // c1 ~ a1, c1 ~ b2
+    const workload::Job x = footprints(4, {{5, 3}, {101}});  // x ~ a1 (+ c1), x ~ b1
+    const workload::Job d = footprints(5, {{2, 6}, {102}});  // d1 ~ a2, d1 ~ b1 (+ x)
+    for (const workload::Job* job : {&a, &b, &c, &x, &d}) g.add_job(*job);
+    EXPECT_EQ(g.stats().edges_admitted, 8u);
+    for (const workload::QueryId id : {1000, 2000, 3000, 4000, 5000}) g.on_query_visible(id);
+    ASSERT_EQ(g.state(4000), QueryState::kQueue);
+    ASSERT_EQ(g.state(1000), QueryState::kQueue);
+    ASSERT_EQ(g.state(2000), QueryState::kQueue);
+    g.on_query_done(4000);
+    EXPECT_FALSE(g.audit());
+
+    const workload::Job e = footprints(6, {{200}, {201}});
+    const workload::Job f = footprints(7, {{200}, {201}});
+    g.add_job(e);
+    g.add_job(f);
+    EXPECT_EQ(g.stats().edges_admitted, 8u);
+    EXPECT_EQ(g.stats().edges_rejected_deadlock, 2u);
+    EXPECT_EQ(g.partner_count(7000), 0u);
+
+    // a1 finishes: the chain edge a1 -> a2 goes, and so does the cycle.
+    g.on_query_done(1000);
+    EXPECT_TRUE(g.check_invariants());
+    const workload::Job h = footprints(8, {{200}, {201}});
+    g.add_job(h);
+    EXPECT_EQ(g.partner_count(8000), 2u);  // e's and f's heads
+    EXPECT_EQ(g.stats().edges_rejected_deadlock, 2u);
+    EXPECT_TRUE(g.check_invariants());
+    EXPECT_GT(g_violations, 0u);  // the audit reported the cycle
 }
 
 }  // namespace
