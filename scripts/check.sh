@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build + full test suite, optionally under sanitizers,
-# plus a deterministic fault-sweep smoke run and the static gates.
+# Tier-1 verification: the static analyzer, build + full test suite,
+# optionally under sanitizers, plus a deterministic fault-sweep smoke run.
 #
 #   scripts/check.sh            # plain RelWithDebInfo build + ctest + smoke
 #   scripts/check.sh --asan     # same, built with address+UB sanitizers
@@ -8,9 +8,10 @@
 #   scripts/check.sh --audit    # same, with JAWS_AUDIT_BUILD contract audits
 #   scripts/check.sh --intsan   # same, with -fsanitize=signed-integer-overflow
 #                               # (proves SimTime saturation leaves no UB)
-#   scripts/check.sh --tidy     # static gates only: determinism lint +
-#                               # semantic analyzer + layering lint +
-#                               # clang-tidy over compile_commands.json
+#   scripts/check.sh --tidy     # static gates only: jaws_analyzer.py
+#                               # (determinism, semantic and layering
+#                               # rules) + clang-tidy over
+#                               # compile_commands.json
 #   scripts/check.sh --fast     # skip the sanitizer-unfriendly smoke run
 #   scripts/check.sh --fuzz[=N] # build the libFuzzer harnesses (Clang only)
 #                               # and run each over its seed corpus for N
@@ -39,27 +40,19 @@ for arg in "$@"; do
     esac
 done
 
-echo "== determinism lint =="
-python3 scripts/lint_determinism.py --self-test
-python3 scripts/lint_determinism.py
-
-echo "== module layering lint =="
-python3 scripts/lint_layering.py --self-test
-python3 scripts/lint_layering.py
-
-echo "== semantic analyzer =="
+echo "== static analyzer =="
 # Content-stamped like clang-tidy below: the analyzer's input is the source
 # tree plus the analyzer itself.
 mkdir -p build
 analyzer_stamp_file=build/analyzer.stamp
-analyzer_stamp="$( (cat scripts/jaws_analyzer.py scripts/lint_determinism.py;
+analyzer_stamp="$( (cat scripts/jaws_analyzer.py;
                     find src -type f \( -name '*.h' -o -name '*.cpp' \) -print0 |
                         sort -z | xargs -0 cat) | sha256sum | cut -d' ' -f1)"
 if [[ -f "$analyzer_stamp_file" && "$(cat "$analyzer_stamp_file")" == "$analyzer_stamp" ]]; then
     echo "jaws_analyzer: cached clean run ($analyzer_stamp)"
 else
     python3 scripts/jaws_analyzer.py --self-test
-    python3 scripts/jaws_analyzer.py --compdb build
+    python3 scripts/jaws_analyzer.py
     echo "$analyzer_stamp" > "$analyzer_stamp_file"
 fi
 

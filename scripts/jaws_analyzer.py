@@ -1,10 +1,35 @@
 #!/usr/bin/env python3
-"""Semantic static analyzer for the JAWS kernel discipline.
+"""Static gate for the JAWS source tree: determinism, semantics and layering.
 
-scripts/lint_determinism.py bans textual *patterns* (wall-clock reads, ambient
-randomness, hash-order iteration over locally declared containers). This
-analyzer checks the *semantic* contracts that plain patterns cannot see,
-across src/{core,sched,storage,cache,field,workload,util}:
+Every scheduling and accounting result in this repository must be
+bit-reproducible: the golden digests, the Eq. 1 cost-model shapes and the
+seeded fault schedules all assume that no decision reads a wall clock,
+unseeded randomness or hash order, and that the modules stay layered so
+those contracts compose bottom-up. This script walks the seven modules
+src/{util,field,storage,cache,workload,sched,core} once and checks thirteen
+rules on that walk.
+
+Determinism. wall-clock and ambient-random run only in the six decision
+modules src/{core,sched,storage,cache,field,workload}; util/ is exempt
+because util/wallclock.cpp is the sanctioned clock reader.
+
+  wall-clock           std::chrono::{system,steady,high_resolution,...}_clock,
+                       time()/clock()/gettimeofday()/clock_gettime() -- time
+                       must come only from the virtual clock (util::SimTime)
+                       or the util::wall_clock_ns tick source benches inject.
+  ambient-random       rand()/srand(), std::random_device, and
+                       default-constructed (unseeded) standard engines --
+                       randomness must flow from an explicit seed
+                       (util/rng.h).
+  unordered-iteration  range-for over std::unordered_{map,set,...}, whether
+                       the container is declared directly, hides behind a
+                       `using` alias or a typedef, or is bound through
+                       `auto`, in the file or in its paired header
+                       (foo.cpp <- foo.h). Lookups are fine; only iteration
+                       is flagged, because hash order is a function of the
+                       standard library's bucket layout.
+
+Semantics:
 
   kernel-blocking      no blocking or wall-clock call may be reachable from a
                        discrete-event handler (a lambda passed to
@@ -14,15 +39,12 @@ across src/{core,sched,storage,cache,field,workload,util}:
                        virtual timeline, so a sleep, condition-variable wait,
                        join, or steady_clock::now() inside one either stalls
                        the simulation or leaks wall time into it. Calls are
-                       followed through same-TU helper functions.
-  unordered-iteration  range-for over std::unordered_{map,set,...} even when
-                       the container hides behind a `using` alias, a typedef,
-                       or an `auto` binding (the determinism lint only sees
-                       direct declarations).
-  float-equality       `==`/`!=` with a floating operand inside
-                       src/{core,sched,storage,cache}: scheduling decisions
-                       must not hinge on exact double identity unless the
-                       site proves both sides are computed identically.
+                       followed through helper functions defined in the same
+                       file.
+  float-equality       `==`/`!=` with a floating operand in the six decision
+                       modules: scheduling decisions must not hinge on exact
+                       double identity unless the site proves both sides are
+                       computed identically.
   narrowing-cast       static_cast to an integer narrower than 64 bits whose
                        operand involves SimTime/.micros tick arithmetic --
                        microsecond counters overflow int32 after ~36 minutes
@@ -33,10 +55,10 @@ across src/{core,sched,storage,cache,field,workload,util}:
   raw-micros           access to SimTime's raw `.micros` tick field outside
                        its owning file (src/util/sim_time.h): saturation
                        safety lives in SimTime's operators, so call sites
-                       that reach around them re-open the signed-overflow UB
-                       ISSUE 9 closed. Use the typed helpers (scaled_by,
-                       minus_clamped, checked_sum) or raw_micros() at a
-                       serialization/scoring boundary with a written waiver.
+                       that reach around them re-open signed-overflow UB.
+                       Use the typed helpers (scaled_by, minus_clamped,
+                       checked_sum) or raw_micros() at a serialization/scoring
+                       boundary with a written waiver.
   raw-id-api           raw integer parameters named like identities (atom,
                        node, channel, self, primary, owner, replica, and
                        their _id/_idx/_index forms) in the public headers of
@@ -50,53 +72,73 @@ across src/{core,sched,storage,cache,field,workload,util}:
                        two different id spaces into one expression is the
                        exact mixing bug the types exist to prevent.
 
-Escape hatch (shared with the determinism lint): a line, or the line directly
-above it, carrying
-    // jaws-lint: allow(<rule>)
-suppresses that rule there; each allow is expected to carry a written
-justification proving the site safe.
+Layering, over every quoted #include:
 
-Engines:
-  libclang   AST-based, driven by `clang.cindex` over the build directory's
-             compile_commands.json. Authoritative: resolves types through
-             aliases and `auto`, receiver types, and cross-header call
-             targets.
-  internal   dependency-free tokenizer fallback so every rule stays
-             enforceable (and self-testable) on machines without the libclang
-             Python bindings. Same rules, same waivers; call reachability is
-             limited to the translation unit's own file.
+    util  <  field  <  storage  <  cache  |  workload  <  sched  <  core
+
+(util has no dependencies; cache and workload are siblings above storage;
+sched sits above both because scheduling ranks workload::Job queries and
+coordinates with the cache's utility oracle; core composes everything.)
+
+  upward-include       a module including a header from a module outside its
+                       allowed dependency set (e.g. storage including sched).
+  unknown-module       a quoted include whose first path component is not a
+                       known module (typos, accidental new top-level dirs).
+  include-cycle        any cycle in the actual module include graph,
+                       reported at its first edge. Waived includes still
+                       count as edges, so this guards the day the allowed
+                       sets themselves are loosened; the report itself
+                       cannot be waived.
+
+The rules read text, not types: comments and literals are blanked, then each
+rule matches names, declarations and bracket structure in the file and its
+paired header. DESIGN.md ("Static analyzer, module layering & contract
+audits") records what that gives up.
+
+Escape hatch: a line carrying
+    // jaws-lint: allow(<rule>[, <rule>...])
+suppresses those rules on its own line and through the comment lines below
+it down to the first code line, so a multi-line justification stays
+attached to the statement it covers. Every allow is expected to carry a
+written justification proving the site safe.
 
 Usage:
-    scripts/jaws_analyzer.py [--root R] [--compdb BUILDDIR]   # analyze tree
-    scripts/jaws_analyzer.py --self-test                      # fixture suite
-    scripts/jaws_analyzer.py --engine libclang ...            # force engine
-    scripts/jaws_analyzer.py --require-libclang ...           # CI: no fallback
+    scripts/jaws_analyzer.py [--root R]    # analyze the tree under R
+    scripts/jaws_analyzer.py --self-test   # run the fixture suite
 
-Exit codes: 0 clean, 1 violations found, 2 usage/internal error (including
---require-libclang when the libclang bindings are unavailable).
+Exit codes: 0 clean, 1 violations found, 2 no src/ under the root.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import os
 import re
 import sys
 import tempfile
+from typing import NamedTuple
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import lint_determinism as ld  # shared comment stripping, waivers, helpers
-
-ANALYZED_DIRS = [
-    os.path.join("src", d)
-    for d in ("core", "sched", "storage", "cache", "field", "workload", "util")
-]
-FLOAT_EQ_MODULES = ("core", "sched", "storage", "cache", "field", "workload")
-CLOCK_OWNER_FILES = {os.path.join("src", "util", "sim_time.h")}
+# module -> modules it may include (its own module is always allowed). The
+# keys are also the walk: every rule runs over src/<module>/ for each key.
+ALLOWED_DEPS: dict[str, set[str]] = {
+    "util": set(),
+    "field": {"util"},
+    "storage": {"field", "util"},
+    "cache": {"storage", "field", "util"},
+    "workload": {"storage", "field", "util"},
+    "sched": {"workload", "cache", "storage", "field", "util"},
+    "core": {"sched", "workload", "cache", "storage", "field", "util"},
+}
+# wall-clock, ambient-random and float-equality run only here.
+DECISION_MODULES = ("core", "sched", "storage", "cache", "field", "workload")
+# raw-id-api runs only on these modules' headers.
+ID_API_MODULES = ("core", "sched", "storage", "workload")
+# The one file that may mutate a VirtualClock or touch SimTime::micros.
+SIM_TIME_OWNER = "src/util/sim_time.h"
 SOURCE_EXTENSIONS = (".h", ".hpp", ".cpp", ".cc")
 
-Violation = ld.Violation
+ALLOW_RE = re.compile(r"//\s*jaws-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 KEYWORDS = {
     "if", "for", "while", "switch", "catch", "return", "sizeof", "new",
@@ -104,22 +146,29 @@ KEYWORDS = {
     "case", "throw", "co_await", "co_return",
 }
 
-BLOCKING_RE = re.compile(
-    r"std::this_thread::sleep_(?:for|until)"
-    r"|\busleep\s*\(|\bnanosleep\s*\(|\bsleep\s*\("
-    r"|\.(?:wait|wait_for|wait_until|join)\s*\("
-    r"|std::chrono::(?:system_clock|steady_clock|high_resolution_clock)::now"
-    r"|\bwall_clock_ns\s*\("
+# wall-clock / ambient-random
+WALL_CLOCK_RE = re.compile(
+    r"std::chrono::(?:system_clock|steady_clock|high_resolution_clock"
+    r"|file_clock|utc_clock|tai_clock|gps_clock)"
+    r"|\bgettimeofday\s*\("
+    r"|\bclock_gettime\s*\("
+    r"|\btime\s*\(\s*(?:NULL|nullptr|0|&|\))"
+    r"|\bclock\s*\(\s*\)"
+    r"|\b(?:localtime|gmtime|mktime)\s*\("
 )
-BLOCKING_NAMES = {
-    "sleep_for", "sleep_until", "usleep", "nanosleep", "sleep", "wait",
-    "wait_for", "wait_until", "join", "now", "wall_clock_ns",
-}
-HANDLER_CALL_RE = re.compile(
-    r"\b(?:schedule|submit|set_idle_hook|set_observer)\s*\(")
-HANDLER_ASSIGN_RE = re.compile(r"\.(?:on_start|on_complete|on_abort)\s*=")
-CALLED_NAME_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+AMBIENT_RANDOM_RE = re.compile(
+    r"std::random_device"
+    r"|\bsrand\s*\("
+    r"|\brand\s*\(\s*\)"
+    # Default-constructed (unseeded) standard engines: `std::mt19937 gen;`
+    # or `std::mt19937 gen{};`. Seeded forms `gen(seed)` / `gen{seed}` pass.
+    r"|\b(?:std::)?(?:mt19937(?:_64)?|minstd_rand0?|default_random_engine"
+    r"|ranlux24|ranlux48|ranlux24_base|ranlux48_base|knuth_b)\s+\w+\s*(?:;|\{\s*\})"
+)
 
+# unordered-iteration
+UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\s*<")
+RANGE_FOR_RE = re.compile(r"\bfor\s*\(")
 ALIAS_RE = re.compile(
     r"\busing\s+([A-Za-z_]\w*)\s*=[^;=]*\bunordered_(?:map|set|multimap|multiset)\s*<")
 TYPEDEF_RE = re.compile(
@@ -127,26 +176,44 @@ TYPEDEF_RE = re.compile(
     r"\b([A-Za-z_]\w*)\s*;")
 AUTO_BIND_RE = re.compile(r"\bauto\s*&?\s*([A-Za-z_]\w*)\s*=\s*([A-Za-z_]\w*)\s*;")
 
+# kernel-blocking
+BLOCKING_RE = re.compile(
+    r"std::this_thread::sleep_(?:for|until)"
+    r"|\busleep\s*\(|\bnanosleep\s*\(|\bsleep\s*\("
+    r"|\.(?:wait|wait_for|wait_until|join)\s*\("
+    r"|std::chrono::(?:system_clock|steady_clock|high_resolution_clock)::now"
+    r"|\bwall_clock_ns\s*\("
+)
+HANDLER_CALL_RE = re.compile(
+    r"\b(?:schedule|submit|set_idle_hook|set_observer)\s*\(")
+HANDLER_ASSIGN_RE = re.compile(r"\.(?:on_start|on_complete|on_abort)\s*=")
+CALLED_NAME_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+FUNC_HEAD_RE = re.compile(
+    r"\b([A-Za-z_~]\w*)\s*\(((?:[^()]|\([^()]*\))*)\)\s*"
+    r"(?:const\s*)?(?:noexcept(?:\s*\([^)]*\))?\s*)?(?:override\s*)?(?:final\s*)?"
+    r"(?:->\s*[\w:<>&*,\s]+?)?(?:\s*:\s*[^{};]*)?\s*\{")
+
+# float-equality
 FLOAT_DECL_RE = re.compile(r"\b(?:double|float)\s+([A-Za-z_]\w*)")
 FLOAT_LITERAL_RE = re.compile(
     r"\b(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)\b|(?<![\w.])\.\d+\b")
 EQ_RE = re.compile(r"(?<![=!<>+\-*/%&|^])(==|!=)(?!=)")
 OPERAND_BOUNDARY_RE = re.compile(r"[(){};,?]|&&|\|\||\breturn\b|(?<![=!<>])=(?![=])")
 
+# narrowing-cast
 NARROW_CAST_RE = re.compile(
     r"static_cast\s*<\s*((?:std::)?(?:u?int(?:8|16|32)_t|int|unsigned(?:\s+int)?"
     r"|short|unsigned\s+short|signed\s+char|unsigned\s+char|char))\s*>\s*\(")
 TIME_OPERAND_RE = re.compile(r"\bmicros\b|\bSimTime\b")
 
+# clock-mutation
 VCLOCK_DECL_RE = re.compile(r"\b(?:util::)?VirtualClock\s*&?\s+([A-Za-z_]\w*)")
 CLOCK_MUTATORS = ("advance_to", "advance", "reset")
 
-# raw-micros: the tick field is the owner file's private business.
-TIME_OWNER_FILES = {os.path.join("src", "util", "sim_time.h")}
+# raw-micros
 RAW_MICROS_RE = re.compile(r"(?:\.|->)\s*micros\b")
 
-# raw-id-api: identity-named raw-integer parameters in public headers.
-ID_API_MODULES = ("core", "sched", "storage", "workload")
+# raw-id-api
 ID_PARAM_NAME_RE = re.compile(
     r"^(?:atom|node|channel|self|primary|owner|replica)"
     r"(?:_(?:id|idx|index))?$")
@@ -156,16 +223,9 @@ RAW_INT_PARAM_RE = re.compile(
     r"|unsigned(?:\s+(?:long\s+long|long|int|short|char))?"
     r"|long\s+long|long|int|short)"
     r"\s+([A-Za-z_]\w*)\b")
-# Canonical spellings libclang reports for the same raw integer types.
-RAW_INT_CANONICAL = {
-    "int", "unsigned int", "long", "unsigned long", "long long",
-    "unsigned long long", "short", "unsigned short", "char", "signed char",
-    "unsigned char",
-}
 
 # id-mixing: `.value()` escapes of distinct strong id types in one
-# arithmetic expression. Restricted to the canonical TypedId aliases so the
-# internal and libclang engines agree on exactly which types participate.
+# arithmetic expression, restricted to the canonical TypedId aliases.
 ID_TYPE_NAMES = ("AtomKey", "NodeIndex", "ChannelIndex")
 ID_DECL_RE = re.compile(
     r"\b(?:\w+::)*(" + "|".join(ID_TYPE_NAMES) + r")\b"
@@ -178,14 +238,94 @@ ARITH_OP_RE = re.compile(r"(?<![+\-*/%<>=!&|^])([+\-*/%])(?![+\-*/%=>])")
 ID_MIX_BOUNDARY_RE = re.compile(
     r"[;{},?]|&&|\|\||\breturn\b|(?<![=!<>+\-*/%&|^])=(?![=])")
 
-FUNC_HEAD_RE = re.compile(
-    r"\b([A-Za-z_~]\w*)\s*\(((?:[^()]|\([^()]*\))*)\)\s*"
-    r"(?:const\s*)?(?:noexcept(?:\s*\([^)]*\))?\s*)?(?:override\s*)?(?:final\s*)?"
-    r"(?:->\s*[\w:<>&*,\s]+?)?(?:\s*:\s*[^{};]*)?\s*\{")
+# upward-include / unknown-module / include-cycle
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 
 
-class AnalyzerError(RuntimeError):
-    pass
+class Violation(NamedTuple):
+    path: str
+    line: int
+    rule: str
+    message: str
+
+    def __str__(self) -> str:
+        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
+
+
+class IncludeEdge(NamedTuple):
+    path: str
+    line: int
+    from_module: str
+    include: str
+    to_module: str | None  # None: the include names no known module
+
+
+# ---------------------------------------------------------------------------
+# Text helpers
+# ---------------------------------------------------------------------------
+
+def strip_comments_and_strings(text: str) -> str:
+    """Blank out comments and string/char literals, preserving offsets and
+    newlines so line numbers survive. Keeps `// jaws-lint:` directives out of
+    pattern matching (they are read from the raw text separately)."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if c == "/" and nxt == "/":
+            while i < n and text[i] != "\n":
+                out.append(" ")
+                i += 1
+        elif c == "/" and nxt == "*":
+            out.append("  ")
+            i += 2
+            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
+                out.append("\n" if text[i] == "\n" else " ")
+                i += 1
+            if i < n:
+                out.append("  ")
+                i += 2
+        elif c in "\"'":
+            quote = c
+            out.append(" ")
+            i += 1
+            while i < n and text[i] != quote:
+                if text[i] == "\\" and i + 1 < n:
+                    out.append("  ")
+                    i += 2
+                else:
+                    out.append("\n" if text[i] == "\n" else " ")
+                    i += 1
+            if i < n:
+                out.append(" ")
+                i += 1
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
+
+
+def allowed_rules_by_line(raw_lines: list[str]) -> dict[int, set[str]]:
+    """Rules allowed per 1-based line. A directive covers its own line and
+    extends through any directly following comment-only/blank lines (the
+    justification text) to the first code line after it, so multi-line
+    justifications remain attached to the statement they cover."""
+    allowed: dict[int, set[str]] = {}
+    for lineno, line in enumerate(raw_lines, start=1):
+        m = ALLOW_RE.search(line)
+        if not m:
+            continue
+        rules = {r.strip() for r in m.group(1).split(",")}
+        allowed.setdefault(lineno, set()).update(rules)
+        cursor = lineno + 1
+        while cursor <= len(raw_lines):
+            allowed.setdefault(cursor, set()).update(rules)
+            stripped = raw_lines[cursor - 1].strip()
+            if stripped != "" and not stripped.startswith("//"):
+                break  # first code line reached: coverage ends here
+            cursor += 1
+    return allowed
 
 
 def match_bracket(code: str, start: int, open_ch: str, close_ch: str) -> int | None:
@@ -204,12 +344,102 @@ def match_bracket(code: str, start: int, open_ch: str, close_ch: str) -> int | N
 
 
 def module_of(display_path: str) -> str:
-    parts = display_path.replace(os.sep, "/").split("/")
+    parts = display_path.split("/")
     return parts[1] if len(parts) > 2 and parts[0] == "src" else ""
 
 
+def operand_windows(code: str, start: int, end: int,
+                    boundary_re: re.Pattern) -> tuple[str, str]:
+    """Text of the (approximate) left and right operands of the binary
+    operator spanning [start, end), each cut at the nearest boundary."""
+    left_src = code[max(0, start - 200):start]
+    boundaries = [m.end() for m in boundary_re.finditer(left_src)]
+    left = left_src[boundaries[-1]:] if boundaries else left_src
+    right_src = code[end:end + 200]
+    m = boundary_re.search(right_src)
+    right = right_src[:m.start()] if m else right_src
+    return left, right
+
+
 # ---------------------------------------------------------------------------
-# Internal engine
+# unordered-iteration
+# ---------------------------------------------------------------------------
+
+def unordered_container_names(code: str) -> set[str]:
+    """Names of variables/members declared with an unordered container type
+    in this text. Handles multi-line declarations by tracking template
+    angle-bracket depth from the `unordered_xxx<` occurrence."""
+    names: set[str] = set()
+    for m in UNORDERED_DECL_RE.finditer(code):
+        i = m.end()  # just past '<'
+        depth = 1
+        n = len(code)
+        while i < n and depth > 0:
+            if code[i] == "<":
+                depth += 1
+            elif code[i] == ">":
+                depth -= 1
+            i += 1
+        # Next identifier after the closing '>' is the declared name, unless
+        # this is a nested type (e.g. a template argument) or a return type;
+        # those are filtered by requiring a declarator-ish terminator.
+        tail = code[i:i + 400]
+        dm = re.match(r"\s*&?\s*([A-Za-z_][A-Za-z0-9_]*)\s*(;|=|\{|\[)", tail)
+        if dm:
+            names.add(dm.group(1))
+    return names
+
+
+def unordered_names_through_aliases(code: str) -> set[str]:
+    """Variables whose type is an unordered container, including through
+    `using`/`typedef` aliases and single-step `auto` bindings."""
+    alias_types = {m.group(1) for m in ALIAS_RE.finditer(code)}
+    alias_types |= {m.group(1) for m in TYPEDEF_RE.finditer(code)}
+    names = unordered_container_names(code)
+    for alias in alias_types:
+        decl = re.compile(r"\b" + re.escape(alias) + r"\s*&?\s+([A-Za-z_]\w*)\s*(?:;|=|\{|\[)")
+        names |= {m.group(1) for m in decl.finditer(code)}
+    for m in AUTO_BIND_RE.finditer(code):
+        if m.group(2) in names:
+            names.add(m.group(1))
+    return names
+
+
+def find_range_for_container(code: str, start: int) -> str | None:
+    """Given the offset of `for`, if it is a range-for, return the container
+    expression text."""
+    i = code.find("(", start)
+    if i < 0:
+        return None
+    depth = 1
+    j = i + 1
+    colon = -1
+    n = len(code)
+    while j < n and depth > 0:
+        c = code[j]
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+        elif c == ";" and depth == 1:
+            return None  # classic three-clause for
+        elif c == ":" and depth == 1 and colon < 0:
+            # Skip '::' scope operators.
+            if j + 1 < n and code[j + 1] == ":":
+                j += 2
+                continue
+            if j > 0 and code[j - 1] == ":":
+                j += 1
+                continue
+            colon = j
+        j += 1
+    if colon < 0 or depth != 0:
+        return None
+    return code[colon + 1:j - 1]
+
+
+# ---------------------------------------------------------------------------
+# kernel-blocking
 # ---------------------------------------------------------------------------
 
 def function_bodies(code: str) -> dict[str, list[tuple[int, int]]]:
@@ -312,41 +542,18 @@ def reachable_ranges(code: str) -> list[tuple[int, int]]:
     return ranges
 
 
-def unordered_names_through_aliases(code: str) -> set[str]:
-    """Variables whose type is an unordered container, including through
-    `using`/`typedef` aliases and single-step `auto` bindings."""
-    alias_types = {m.group(1) for m in ALIAS_RE.finditer(code)}
-    alias_types |= {m.group(1) for m in TYPEDEF_RE.finditer(code)}
-    names = ld.unordered_container_names(code)
-    for alias in alias_types:
-        decl = re.compile(r"\b" + re.escape(alias) + r"\s*&?\s+([A-Za-z_]\w*)\s*(?:;|=|\{|\[)")
-        names |= {m.group(1) for m in decl.finditer(code)}
-    for m in AUTO_BIND_RE.finditer(code):
-        if m.group(2) in names:
-            names.add(m.group(1))
-    return names
-
+# ---------------------------------------------------------------------------
+# float-equality / raw-id-api / id-mixing
+# ---------------------------------------------------------------------------
 
 def float_names(code: str) -> set[str]:
     return {m.group(1) for m in FLOAT_DECL_RE.finditer(code)}
 
 
-def operand_windows(code: str, start: int, end: int) -> tuple[str, str]:
-    """Text of the (approximate) left and right operands of the binary
-    operator spanning [start, end)."""
-    left_src = code[max(0, start - 200):start]
-    boundaries = [m.end() for m in OPERAND_BOUNDARY_RE.finditer(left_src)]
-    left = left_src[boundaries[-1]:] if boundaries else left_src
-    right_src = code[end:end + 200]
-    m = OPERAND_BOUNDARY_RE.search(right_src)
-    right = right_src[:m.start()] if m else right_src
-    return left, right
-
-
 def is_float_operand(text: str, floats: set[str]) -> bool:
     if FLOAT_LITERAL_RE.search(text):
         return True
-    return any(ident in floats for ident in ld.IDENT_RE.findall(text))
+    return any(ident in floats for ident in IDENT_RE.findall(text))
 
 
 def in_parameter_list(code: str, pos: int) -> bool:
@@ -389,31 +596,57 @@ def id_types_in(text: str, decls: dict[str, str]) -> set[str]:
             if m.group(1) in decls}
 
 
-def id_mix_windows(code: str, start: int, end: int) -> tuple[str, str]:
-    """Left/right operand windows for id-mixing, cut at statement-level
-    boundaries (see ID_MIX_BOUNDARY_RE)."""
-    left_src = code[max(0, start - 200):start]
-    boundaries = [m.end() for m in ID_MIX_BOUNDARY_RE.finditer(left_src)]
-    left = left_src[boundaries[-1]:] if boundaries else left_src
-    right_src = code[end:end + 200]
-    m = ID_MIX_BOUNDARY_RE.search(right_src)
-    right = right_src[:m.start()] if m else right_src
-    return left, right
+# ---------------------------------------------------------------------------
+# Per-file rules
+# ---------------------------------------------------------------------------
 
-
-def analyze_file_internal(path: str, display_path: str,
-                          header_code: str | None) -> list[Violation]:
-    with open(path, "r", encoding="utf-8", errors="replace") as f:
-        raw = f.read()
-    code = ld.strip_comments_and_strings(raw)
-    merged = code if header_code is None else code  # header merged per-rule below
-
-    def line_of(offset: int) -> int:
-        return code.count("\n", 0, offset) + 1
-
+def analyze_file(code: str, display_path: str, header: str) -> list[Violation]:
+    """Findings of every rule but the layering ones in one source file.
+    `code` is the file's comment-stripped text and `header` its paired
+    header's ("" when it has none). Waivers are applied later."""
+    module = module_of(display_path)
     violations: list[Violation] = []
 
-    # kernel-blocking: blocking primitives inside handler-reachable code.
+    def flag(offset: int, rule: str, message: str) -> None:
+        line = code.count("\n", 0, offset) + 1
+        violations.append(Violation(display_path, line, rule, message))
+
+    if module in DECISION_MODULES:
+        for m in WALL_CLOCK_RE.finditer(code):
+            flag(m.start(), "wall-clock",
+                 f"wall-clock read `{m.group(0).strip()}` in deterministic core "
+                 "(use util::SimTime / an injected tick source)")
+
+        for m in AMBIENT_RANDOM_RE.finditer(code):
+            flag(m.start(), "ambient-random",
+                 f"ambient randomness `{m.group(0).strip()}` in deterministic "
+                 "core (seed explicitly via util/rng.h)")
+
+        floats = float_names(code) | float_names(header)
+        for m in EQ_RE.finditer(code):
+            left, right = operand_windows(code, m.start(), m.end(),
+                                          OPERAND_BOUNDARY_RE)
+            if is_float_operand(left, floats) or is_float_operand(right, floats):
+                flag(m.start(), "float-equality",
+                     f"floating-point `{m.group(1)}` in a scheduling/decision "
+                     "module; exact double identity is rarely meaningful -- "
+                     "compare with a tolerance or prove the operands are "
+                     "computed identically in an allow justification")
+
+    names = (unordered_names_through_aliases(code)
+             | unordered_names_through_aliases(header))
+    if names:
+        for m in RANGE_FOR_RE.finditer(code):
+            expr = find_range_for_container(code, m.start())
+            if expr is None:
+                continue
+            idents = IDENT_RE.findall(expr)
+            if idents and idents[-1] in names:
+                flag(m.start(), "unordered-iteration",
+                     f"iteration over unordered container `{idents[-1]}` "
+                     "(resolved through its declaration/alias); hash order is "
+                     "not deterministic -- sort first or justify with an allow")
+
     ranges = reachable_ranges(code)
     if ranges:
         flagged: set[int] = set()
@@ -422,480 +655,219 @@ def analyze_file_internal(path: str, display_path: str,
                 continue
             if any(lo <= m.start() < hi for lo, hi in ranges):
                 flagged.add(m.start())
-                violations.append(Violation(
-                    display_path, line_of(m.start()), "kernel-blocking",
-                    f"blocking/wall-clock call `{m.group(0).strip()}` is "
-                    "reachable from a discrete-event handler (handlers run on "
-                    "the virtual timeline; model delays with "
-                    "EventQueue::schedule instead)"))
+                flag(m.start(), "kernel-blocking",
+                     f"blocking/wall-clock call `{m.group(0).strip()}` is "
+                     "reachable from a discrete-event handler (handlers run on "
+                     "the virtual timeline; model delays with "
+                     "EventQueue::schedule instead)")
 
-    # unordered-iteration through aliases/typedefs/auto (plus direct decls,
-    # so the same rule name covers both linters' findings).
-    names = unordered_names_through_aliases(merged)
-    if header_code is not None:
-        names |= unordered_names_through_aliases(header_code)
-    if names:
-        for m in ld.RANGE_FOR_RE.finditer(code):
-            hit = ld.find_range_for_container(code, m.start())
-            if hit is None:
-                continue
-            expr, _colon = hit
-            idents = ld.IDENT_RE.findall(expr)
-            if idents and idents[-1] in names:
-                violations.append(Violation(
-                    display_path, line_of(m.start()), "unordered-iteration",
-                    f"iteration over unordered container `{idents[-1]}` "
-                    "(resolved through its declaration/alias); hash order is "
-                    "not deterministic -- sort first or justify with an allow"))
-
-    # float-equality in the decision modules.
-    if module_of(display_path) in FLOAT_EQ_MODULES:
-        floats = float_names(code)
-        if header_code is not None:
-            floats |= float_names(header_code)
-        for m in EQ_RE.finditer(code):
-            left, right = operand_windows(code, m.start(), m.end())
-            if is_float_operand(left, floats) or is_float_operand(right, floats):
-                violations.append(Violation(
-                    display_path, line_of(m.start()), "float-equality",
-                    f"floating-point `{m.group(1)}` in a scheduling/decision "
-                    "module; exact double identity is rarely meaningful -- "
-                    "compare with a tolerance or prove the operands are "
-                    "computed identically in an allow justification"))
-
-    # narrowing-cast on SimTime/tick arithmetic.
     for m in NARROW_CAST_RE.finditer(code):
         paren = code.rfind("(", 0, m.end())
         close = match_bracket(code, paren, "(", ")")
         arg = code[paren + 1:close] if close is not None else code[paren + 1:paren + 200]
         if TIME_OPERAND_RE.search(arg):
-            violations.append(Violation(
-                display_path, line_of(m.start()), "narrowing-cast",
-                f"static_cast<{m.group(1)}> narrows SimTime/tick arithmetic "
-                "(microsecond counts overflow 32 bits in ~36 virtual minutes; "
-                "keep tick math in std::int64_t)"))
+            flag(m.start(), "narrowing-cast",
+                 f"static_cast<{m.group(1)}> narrows SimTime/tick arithmetic "
+                 "(microsecond counts overflow 32 bits in ~36 virtual minutes; "
+                 "keep tick math in std::int64_t)")
 
-    # raw-micros: the tick field may only be touched by its owner file.
-    rel = display_path.replace("/", os.sep)
-    if rel not in TIME_OWNER_FILES:
+    if display_path != SIM_TIME_OWNER:
         for m in RAW_MICROS_RE.finditer(code):
-            violations.append(Violation(
-                display_path, line_of(m.start()), "raw-micros",
-                "raw `.micros` access outside src/util/sim_time.h bypasses "
-                "SimTime's saturating operators; use the typed helpers "
-                "(scaled_by, minus_clamped, checked_sum) or raw_micros() at "
-                "a serialization boundary with an allow justification"))
+            flag(m.start(), "raw-micros",
+                 "raw `.micros` access outside src/util/sim_time.h bypasses "
+                 "SimTime's saturating operators; use the typed helpers "
+                 "(scaled_by, minus_clamped, checked_sum) or raw_micros() at "
+                 "a serialization boundary with an allow justification")
 
-    # raw-id-api: identity-named raw-integer parameters in public headers.
-    if (display_path.endswith((".h", ".hpp"))
-            and module_of(display_path) in ID_API_MODULES):
-        for m in RAW_INT_PARAM_RE.finditer(code):
-            name = m.group(1)
-            if not ID_PARAM_NAME_RE.match(name):
-                continue
-            if not in_parameter_list(code, m.start()):
-                continue
-            violations.append(Violation(
-                display_path, line_of(m.start(1)), "raw-id-api",
-                f"parameter `{name}` carries an identity as a raw integer in "
-                "a public header; take util::AtomKey / util::NodeIndex / "
-                "util::ChannelIndex so id spaces cannot be swapped silently"))
-
-    # id-mixing: arithmetic over `.value()` escapes of distinct id types.
-    id_decls = id_decl_types(code)
-    if header_code is not None:
-        id_decls.update(id_decl_types(header_code))
-    if id_decls:
-        for m in ARITH_OP_RE.finditer(code):
-            left, right = id_mix_windows(code, m.start(), m.end())
-            lt = id_types_in(left, id_decls)
-            rt = id_types_in(right, id_decls)
-            if lt and rt and lt.isdisjoint(rt):
-                violations.append(Violation(
-                    display_path, line_of(m.start()), "id-mixing",
-                    f"arithmetic mixes distinct id spaces "
-                    f"({', '.join(sorted(lt))} vs {', '.join(sorted(rt))}); "
-                    "unwrapping two different strong id types into one "
-                    "expression defeats the typing"))
-
-    # clock-mutation outside the owning file.
-    if rel not in CLOCK_OWNER_FILES:
-        clock_names = {m.group(1) for m in VCLOCK_DECL_RE.finditer(code)}
-        if header_code is not None:
-            clock_names |= {m.group(1) for m in VCLOCK_DECL_RE.finditer(header_code)}
+        clock_names = {m.group(1) for text in (code, header)
+                       for m in VCLOCK_DECL_RE.finditer(text)}
         for name in sorted(clock_names):
             mut = re.compile(r"\b" + re.escape(name) + r"\.(" +
                              "|".join(CLOCK_MUTATORS) + r")\s*\(")
             for m in mut.finditer(code):
-                violations.append(Violation(
-                    display_path, line_of(m.start()), "clock-mutation",
-                    f"`{name}.{m.group(1)}()` mutates a VirtualClock outside "
-                    "the event loop; only the kernel may move a clock"))
+                flag(m.start(), "clock-mutation",
+                     f"`{name}.{m.group(1)}()` mutates a VirtualClock outside "
+                     "the event loop; only the kernel may move a clock")
+
+    if display_path.endswith((".h", ".hpp")) and module in ID_API_MODULES:
+        for m in RAW_INT_PARAM_RE.finditer(code):
+            name = m.group(1)
+            if ID_PARAM_NAME_RE.match(name) and in_parameter_list(code, m.start()):
+                flag(m.start(1), "raw-id-api",
+                     f"parameter `{name}` carries an identity as a raw integer "
+                     "in a public header; take util::AtomKey / util::NodeIndex "
+                     "/ util::ChannelIndex so id spaces cannot be swapped "
+                     "silently")
+
+    id_decls = id_decl_types(code) | id_decl_types(header)
+    if id_decls:
+        for m in ARITH_OP_RE.finditer(code):
+            left, right = operand_windows(code, m.start(), m.end(),
+                                          ID_MIX_BOUNDARY_RE)
+            lt = id_types_in(left, id_decls)
+            rt = id_types_in(right, id_decls)
+            if lt and rt and lt.isdisjoint(rt):
+                flag(m.start(), "id-mixing",
+                     f"arithmetic mixes distinct id spaces "
+                     f"({', '.join(sorted(lt))} vs {', '.join(sorted(rt))}); "
+                     "unwrapping two different strong id types into one "
+                     "expression defeats the typing")
 
     return violations
 
 
 # ---------------------------------------------------------------------------
-# libclang engine
+# Layering rules
 # ---------------------------------------------------------------------------
 
-def load_cindex():
-    """Import clang.cindex and make sure the shared library loads. Raises
-    AnalyzerError with an actionable message otherwise."""
-    try:
-        from clang import cindex  # type: ignore
-    except ImportError as e:
-        raise AnalyzerError(
-            "libclang python bindings unavailable (pip/apt install "
-            "python3-clang + libclang): " + str(e))
-    try:
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        pass
-    candidates = sorted(
-        glob.glob("/usr/lib/llvm-*/lib/libclang-*.so*")
-        + glob.glob("/usr/lib/llvm-*/lib/libclang.so*")
-        + glob.glob("/usr/lib/*/libclang-*.so*")
-        + glob.glob("/usr/lib/*/libclang.so*"),
-        reverse=True)
-    for lib in candidates:
-        try:
-            cindex.Config.loaded = False
-            cindex.Config.set_library_file(lib)
-            cindex.Index.create()
-            return cindex
-        except Exception:
-            continue
-    raise AnalyzerError(
-        "clang.cindex imports but no libclang shared library loads "
-        "(apt install libclang1 or set CLANG_LIBRARY_FILE)")
+def include_edges(raw: str, display_path: str) -> list[IncludeEdge]:
+    """Every quoted #include in one file's raw text. A same-directory include
+    ("foo.h") stays in the file's own module."""
+    from_module = module_of(display_path)
+    edges = []
+    for m in INCLUDE_RE.finditer(raw):
+        include = m.group(1)
+        if "/" not in include:
+            to_module = from_module
+        else:
+            first = include.split("/")[0]
+            to_module = first if first in ALLOWED_DEPS else None
+        edges.append(IncludeEdge(display_path, raw.count("\n", 0, m.start()) + 1,
+                                 from_module, include, to_module))
+    return edges
 
 
-def analyze_files_libclang(files: list[tuple[str, str]], compdb_dir: str | None,
-                           default_args: list[str]) -> list[Violation]:
-    """AST analysis of (path, display_path) pairs. Violations are reported
-    only for locations inside the analyzed files themselves."""
-    cindex = load_cindex()
-    CK = cindex.CursorKind
-    index = cindex.Index.create()
-    compdb = None
-    if compdb_dir and os.path.isfile(os.path.join(compdb_dir, "compile_commands.json")):
-        try:
-            compdb = cindex.CompilationDatabase.fromDirectory(compdb_dir)
-        except cindex.CompilationDatabaseError:
-            compdb = None
+def module_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """The first cycle a depth-first search in sorted order meets, as a
+    closed module path (first == last), or None."""
+    state: dict[str, int] = {}
+    stack: list[str] = []
 
-    violations: list[Violation] = []
-
-    def args_for(path: str) -> list[str]:
-        if compdb is not None:
-            cmds = compdb.getCompileCommands(os.path.abspath(path))
-            if cmds:
-                args = list(cmds[0].arguments)[1:]  # drop the compiler itself
-                # Drop the output/input file operands; keep flags.
-                cleaned, skip = [], False
-                for a in args:
-                    if skip:
-                        skip = False
-                        continue
-                    if a in ("-o", "-c"):
-                        skip = a == "-o"
-                        continue
-                    if a == path or a == os.path.abspath(path):
-                        continue
-                    cleaned.append(a)
-                return cleaned
-        return default_args
-
-    def canonical(type_obj) -> str:
-        try:
-            return type_obj.get_canonical().spelling
-        except Exception:
-            return ""
-
-    def in_this_file(cursor, path: str) -> bool:
-        loc = cursor.location
-        return loc.file is not None and os.path.abspath(loc.file.name) == os.path.abspath(path)
-
-    def walk(cursor):
-        for child in cursor.get_children():
-            yield child
-            yield from walk(child)
-
-    def qualified(cursor) -> str:
-        parts = []
-        c = cursor
-        while c is not None and c.kind != CK.TRANSLATION_UNIT:
-            if c.spelling:
-                parts.append(c.spelling)
-            c = c.semantic_parent
-        return "::".join(reversed(parts))
-
-    FLOATS = {"float", "double", "long double"}
-    NARROW_INTS = {"int", "unsigned int", "short", "unsigned short",
-                   "char", "signed char", "unsigned char"}
-    WIDE_SOURCES = ("long", "long long", "unsigned long", "unsigned long long")
-
-    for path, display_path in files:
-        try:
-            tu = index.parse(path, args=args_for(path))
-        except Exception as e:  # parse failure: surface, don't silently skip
-            raise AnalyzerError(f"libclang failed to parse {display_path}: {e}")
-
-        def flag(cursor, rule: str, message: str):
-            if not in_this_file(cursor, path):
-                return
-            violations.append(Violation(display_path, cursor.location.line,
-                                        rule, message))
-
-        # ---- kernel-blocking: handler lambdas and their call graph ----
-        defs: dict[str, object] = {}
-        for c in walk(tu.cursor):
-            if c.kind in (CK.FUNCTION_DECL, CK.CXX_METHOD, CK.CONSTRUCTOR,
-                          CK.FUNCTION_TEMPLATE) and c.is_definition():
-                usr = c.get_usr()
-                if usr:
-                    defs[usr] = c
-
-        handler_lambdas = []
-        for c in walk(tu.cursor):
-            if c.kind == CK.CALL_EXPR and c.spelling in (
-                    "schedule", "submit", "set_idle_hook", "set_observer"):
-                for sub in walk(c):
-                    if sub.kind == CK.LAMBDA_EXPR:
-                        handler_lambdas.append(sub)
-            elif c.kind == CK.BINARY_OPERATOR:
-                kids = list(c.get_children())
-                if len(kids) == 2:
-                    lhs_names = {k.spelling for k in walk(kids[0])} | {kids[0].spelling}
-                    if lhs_names & {"on_start", "on_complete", "on_abort"}:
-                        for sub in walk(kids[1]):
-                            if sub.kind == CK.LAMBDA_EXPR:
-                                handler_lambdas.append(sub)
-
-        def scan_blocking(cursor, visited: set[str]):
-            for c in walk(cursor):
-                if c.kind != CK.CALL_EXPR:
-                    continue
-                name = c.spelling
-                ref = c.referenced
-                if name in BLOCKING_NAMES:
-                    qual = qualified(ref) if ref is not None else name
-                    blocking = (
-                        "sleep" in name or name in ("usleep", "nanosleep",
-                                                    "wall_clock_ns")
-                        or (name in ("wait", "wait_for", "wait_until", "join")
-                            and ("condition_variable" in qual or "thread" in qual
-                                 or "future" in qual))
-                        or (name == "now" and "clock" in qual
-                            and "VirtualClock" not in qual))
-                    if blocking:
-                        flag(c, "kernel-blocking",
-                             f"blocking/wall-clock call `{qual or name}` is "
-                             "reachable from a discrete-event handler")
-                if ref is not None:
-                    usr = ref.get_usr()
-                    if usr and usr not in visited and usr in defs:
-                        visited.add(usr)
-                        scan_blocking(defs[usr], visited)
-
-        visited: set[str] = set()
-        for lam in handler_lambdas:
-            scan_blocking(lam, visited)
-
-        def id_keys_of(node) -> set[str]:
-            """Strong-id spaces unwrapped via `.value()` inside `node`.
-            Keyed by TypedId tag (real tree) or plain type name (fixtures)."""
-            keys: set[str] = set()
-            for s in [node] + list(walk(node)):
-                if s.kind != CK.CALL_EXPR or s.spelling != "value":
-                    continue
-                kids = list(s.get_children())
-                if not kids:
-                    continue
-                base_kids = list(kids[0].get_children())
-                base = base_kids[0] if base_kids else kids[0]
-                t = canonical(base.type)
-                tag = re.search(r"TypedId<\s*([^,>]+)", t)
-                if tag:
-                    keys.add(tag.group(1).strip().split("::")[-1])
-                else:
-                    short = t.replace("const ", "").strip().split("::")[-1]
-                    if short in ID_TYPE_NAMES:
-                        keys.add(short)
-            return keys
-
-        for c in walk(tu.cursor):
-            if not in_this_file(c, path):
-                continue
-            # ---- unordered-iteration (canonical type sees through aliases) --
-            if c.kind == CK.CXX_FOR_RANGE_STMT:
-                kids = list(c.get_children())
-                if len(kids) >= 2:
-                    range_expr = kids[-2]
-                    if "unordered_" in canonical(range_expr.type):
-                        flag(c, "unordered-iteration",
-                             "iteration over an unordered container (canonical "
-                             f"type `{canonical(range_expr.type)[:80]}`); hash "
-                             "order is not deterministic")
-            # ---- float-equality / id-mixing (both live on binary ops) ----
-            elif c.kind == CK.BINARY_OPERATOR:
-                kids = list(c.get_children())
-                if len(kids) == 2:
-                    # The operator token is the one between the operands (the
-                    # cursor's token set also contains operand tokens).
-                    lhs_end = kids[0].extent.end.offset
-                    rhs_start = kids[1].extent.start.offset
-                    mid = [t.spelling for t in c.get_tokens()
-                           if lhs_end <= t.extent.start.offset < rhs_start]
-                    if (module_of(display_path) in FLOAT_EQ_MODULES
-                            and ("==" in mid or "!=" in mid)
-                            and any(canonical(k.type) in FLOATS for k in kids)):
-                        flag(c, "float-equality",
-                             "floating-point ==/!= in a scheduling/decision "
-                             "module; compare with a tolerance or prove the "
-                             "operands identical in an allow justification")
-                    if {"+", "-", "*", "/", "%"} & set(mid):
-                        lt, rt = id_keys_of(kids[0]), id_keys_of(kids[1])
-                        if lt and rt and lt.isdisjoint(rt):
-                            flag(c, "id-mixing",
-                                 "arithmetic mixes distinct id spaces "
-                                 f"({', '.join(sorted(lt))} vs "
-                                 f"{', '.join(sorted(rt))}); unwrapping two "
-                                 "different strong id types into one "
-                                 "expression defeats the typing")
-            # ---- narrowing-cast ----
-            elif c.kind in (CK.CXX_STATIC_CAST_EXPR, CK.CSTYLE_CAST_EXPR):
-                target = canonical(c.type)
-                if target in NARROW_INTS:
-                    kids = list(c.get_children())
-                    src = kids[-1] if kids else None
-                    if src is not None:
-                        src_type = canonical(src.type)
-                        mentions_time = any(
-                            s.spelling == "micros" or "SimTime" in canonical(s.type)
-                            for s in walk(src)) or "SimTime" in src_type
-                        if mentions_time and (src_type in WIDE_SOURCES
-                                              or "SimTime" in src_type
-                                              or src_type in FLOATS):
-                            flag(c, "narrowing-cast",
-                                 f"cast to `{target}` narrows SimTime/tick "
-                                 "arithmetic; keep tick math in std::int64_t")
-            # ---- raw-micros ----
-            elif c.kind == CK.MEMBER_REF_EXPR and c.spelling == "micros":
-                ref = c.referenced
-                parent = ref.semantic_parent if ref is not None else None
-                if (parent is not None and parent.spelling == "SimTime"
-                        and display_path.replace("/", os.sep)
-                        not in TIME_OWNER_FILES):
-                    flag(c, "raw-micros",
-                         "raw `.micros` access outside src/util/sim_time.h "
-                         "bypasses SimTime's saturating operators; use the "
-                         "typed helpers or raw_micros() at a serialization "
-                         "boundary with an allow justification")
-            # ---- raw-id-api ----
-            elif (c.kind == CK.PARM_DECL
-                  and display_path.endswith((".h", ".hpp"))
-                  and module_of(display_path) in ID_API_MODULES
-                  and ID_PARAM_NAME_RE.match(c.spelling or "")):
-                if (canonical(c.type).replace("const ", "").strip()
-                        in RAW_INT_CANONICAL):
-                    flag(c, "raw-id-api",
-                         f"parameter `{c.spelling}` carries an identity as a "
-                         "raw integer in a public header; take util::AtomKey "
-                         "/ util::NodeIndex / util::ChannelIndex so id "
-                         "spaces cannot be swapped silently")
-            # ---- clock-mutation ----
-            elif c.kind == CK.CALL_EXPR and c.spelling in CLOCK_MUTATORS:
-                ref = c.referenced
-                parent = ref.semantic_parent if ref is not None else None
-                if (parent is not None and parent.spelling == "VirtualClock"
-                        and display_path.replace("/", os.sep) not in CLOCK_OWNER_FILES):
-                    flag(c, "clock-mutation",
-                         f"`{c.spelling}()` mutates a VirtualClock outside the "
-                         "event loop; only the kernel may move a clock")
-
-    return violations
-
-
-# ---------------------------------------------------------------------------
-# Tree walking, waiver filtering, drivers
-# ---------------------------------------------------------------------------
-
-def tree_files(root: str) -> list[tuple[str, str]]:
-    files: list[tuple[str, str]] = []
-    for rel_dir in ANALYZED_DIRS:
-        base = os.path.join(root, rel_dir)
-        if not os.path.isdir(base):
-            continue
-        for dirpath, _dirnames, filenames in os.walk(base):
-            for name in sorted(filenames):
-                if name.endswith(SOURCE_EXTENSIONS):
-                    path = os.path.join(dirpath, name)
-                    files.append((path, os.path.relpath(path, root)))
-    return files
-
-
-def paired_header_code(path: str) -> str | None:
-    if not path.endswith((".cpp", ".cc")):
+    def dfs(node: str) -> list[str] | None:
+        state[node] = 1
+        stack.append(node)
+        for nxt in sorted(graph[node]):
+            if state.get(nxt, 0) == 1:
+                return stack[stack.index(nxt):] + [nxt]
+            if state.get(nxt, 0) == 0:
+                cycle = dfs(nxt)
+                if cycle is not None:
+                    return cycle
+        state[node] = 2
+        stack.pop()
         return None
-    stem = os.path.splitext(path)[0]
-    for ext in (".h", ".hpp"):
-        header = stem + ext
-        if os.path.isfile(header):
-            with open(header, "r", encoding="utf-8", errors="replace") as f:
-                return ld.strip_comments_and_strings(f.read())
+
+    for module in sorted(graph):
+        if state.get(module, 0) == 0:
+            cycle = dfs(module)
+            if cycle is not None:
+                return cycle
     return None
 
 
-def filter_waived(violations: list[Violation], root: str) -> list[Violation]:
-    """Drop violations covered by `// jaws-lint: allow(<rule>)` directives."""
-    allowed_cache: dict[str, dict[int, set[str]]] = {}
-    kept: list[Violation] = []
-    for v in violations:
-        if v.path not in allowed_cache:
-            full = v.path if os.path.isabs(v.path) else os.path.join(root, v.path)
-            try:
-                with open(full, "r", encoding="utf-8", errors="replace") as f:
-                    allowed_cache[v.path] = ld.allowed_rules_by_line(
-                        f.read().splitlines())
-            except OSError:
-                allowed_cache[v.path] = {}
-        if v.rule not in allowed_cache[v.path].get(v.line, set()):
-            kept.append(v)
+def layering_violations(edges: list[IncludeEdge]) -> list[Violation]:
+    """upward-include and unknown-module findings, one per offending edge."""
+    violations: list[Violation] = []
+    for e in edges:
+        if e.to_module is None:
+            violations.append(Violation(
+                e.path, e.line, "unknown-module",
+                f'#include "{e.include}" does not start with a known module '
+                f"({', '.join(sorted(ALLOWED_DEPS))})"))
+            continue
+        if e.to_module == e.from_module:
+            continue
+        if e.to_module not in ALLOWED_DEPS[e.from_module]:
+            below = ", ".join(sorted(ALLOWED_DEPS[e.from_module])) or "(nothing)"
+            violations.append(Violation(
+                e.path, e.line, "upward-include",
+                f"module `{e.from_module}` must not include `{e.include}`: "
+                f"`{e.from_module}` may depend only on {below}"))
+    return violations
+
+
+def include_cycle(edges: list[IncludeEdge]) -> list[Violation]:
+    """The first cycle in the actual module graph, reported at its first
+    edge. Waived edges count, so the check is independent of the allowed
+    sets; the caller adds this finding after the waiver filter."""
+    first_site: dict[tuple[str, str], tuple[str, int]] = {}
+    for e in edges:
+        if e.to_module is not None and e.to_module != e.from_module:
+            first_site.setdefault((e.from_module, e.to_module), (e.path, e.line))
+    graph: dict[str, set[str]] = {m: set() for m in ALLOWED_DEPS}
+    for a, b in first_site:
+        graph[a].add(b)
+    cycle = module_cycle(graph)
+    if cycle is None:
+        return []
+    path, line = first_site[(cycle[0], cycle[1])]
+    return [Violation(path, line, "include-cycle",
+                      "module include cycle: " + " -> ".join(cycle))]
+
+
+# ---------------------------------------------------------------------------
+# The walk
+# ---------------------------------------------------------------------------
+
+def tree_files(root: str) -> list[tuple[str, str]]:
+    """(path, display path) of every source file under src/<module>/; the
+    display path is relative to `root`, with '/' separators."""
+    files: list[tuple[str, str]] = []
+    for module in ALLOWED_DEPS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, "src", module)):
+            dirnames.sort()
+            for name in sorted(filenames):
+                if name.endswith(SOURCE_EXTENSIONS):
+                    path = os.path.join(dirpath, name)
+                    files.append((path, os.path.relpath(path, root).replace(os.sep, "/")))
+    return files
+
+
+def paired_header(display_path: str, code: dict[str, str]) -> str:
+    """Stripped text of foo.h/foo.hpp for foo.cpp/foo.cc; "" when none."""
+    if display_path.endswith((".cpp", ".cc")):
+        stem = os.path.splitext(display_path)[0]
+        for ext in (".h", ".hpp"):
+            if stem + ext in code:
+                return code[stem + ext]
+    return ""
+
+
+def filter_waived(violations: list[Violation],
+                  waivers: dict[str, dict[int, set[str]]]) -> list[Violation]:
+    """Drop findings covered by a `// jaws-lint: allow(<rule>)` directive;
+    `waivers` maps display path -> line -> waived rules."""
+    return [v for v in violations if v.rule not in waivers[v.path].get(v.line, ())]
+
+
+def analyze_tree(root: str) -> list[Violation]:
+    """Every unwaived finding of every rule under `root`, sorted by
+    (path, line, rule); equal keys keep their match order."""
+    raw: dict[str, str] = {}
+    for path, display_path in tree_files(root):
+        with open(path, "r", encoding="utf-8", errors="replace") as f:
+            raw[display_path] = f.read()
+    code = {p: strip_comments_and_strings(text) for p, text in raw.items()}
+    found: list[Violation] = []
+    edges: list[IncludeEdge] = []
+    for p, text in raw.items():
+        found.extend(analyze_file(code[p], p, paired_header(p, code)))
+        edges.extend(include_edges(text, p))
+    found.extend(layering_violations(edges))
+    waivers = {p: allowed_rules_by_line(text.splitlines()) for p, text in raw.items()}
+    kept = filter_waived(found, waivers) + include_cycle(edges)
     kept.sort(key=lambda v: (v.path, v.line, v.rule))
     return kept
 
 
-def dedupe(violations: list[Violation]) -> list[Violation]:
-    seen: set[tuple[str, int, str]] = set()
-    out = []
-    for v in violations:
-        key = (v.path, v.line, v.rule)
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    return out
-
-
-def run_engine(engine: str, files: list[tuple[str, str]], root: str,
-               compdb: str | None) -> list[Violation]:
-    if engine == "libclang":
-        raw = analyze_files_libclang(files, compdb, ["-std=c++20", "-xc++",
-                                                     "-I", os.path.join(root, "src")])
-    else:
-        raw = []
-        for path, display_path in files:
-            raw.extend(analyze_file_internal(path, display_path,
-                                             paired_header_code(path)))
-    return dedupe(filter_waived(raw, root))
-
-
 # ---------------------------------------------------------------------------
-# Self-test fixtures: every rule, both ways, plus waivers.
+# Self-test: every rule, seeded and clean, plus waivers and rule scopes.
 # ---------------------------------------------------------------------------
 
+# Declarations the semantic fixtures lean on, so each fixture reads as a
+# self-contained translation unit (and the rules see the look-alike members
+# -- VirtualClock::now, steady_clock::now, EventQueue::schedule -- next to
+# the code under test).
 FIXTURE_PRELUDE = """
 namespace std {
 struct mutex { void lock(); void unlock(); };
@@ -926,13 +898,189 @@ struct EventQueue {
 };
 """
 
-SELFTEST_CASES = [
-    ("bad_blocking_direct.cpp", FIXTURE_PRELUDE + """
+# (path under the fixture root, source, expected rules in file order). All
+# share one tree: no fixture trips a rule meant for another.
+FIXTURES = [
+    # -- wall-clock, ambient-random, unordered-iteration, waiver syntax --
+    ("src/core/bad_clock.cpp",
+     """#include <chrono>
+void f() {
+    auto t0 = std::chrono::steady_clock::now();
+    auto t1 = std::chrono::system_clock::now();
+    (void)t0; (void)t1;
+}
+""",
+     ["wall-clock", "wall-clock"]),
+    ("src/core/bad_ctime.cpp",
+     """#include <ctime>
+long f() { return time(nullptr) + clock(); }
+""",
+     ["wall-clock", "wall-clock"]),
+    ("src/core/ok_simtime.cpp",
+     """// sim_time/next_time must not trip the `time(` pattern.
+struct G { double sim_time(unsigned t) const { return t * 0.1; } };
+double f(const G& g) { return g.sim_time(3); }
+""",
+     []),
+    ("src/core/bad_random.cpp",
+     """#include <random>
+#include <cstdlib>
+int f() {
+    std::random_device rd;
+    std::mt19937 gen;
+    srand(42);
+    return rand() + static_cast<int>(gen()) + static_cast<int>(rd());
+}
+""",
+     ["ambient-random", "ambient-random", "ambient-random", "ambient-random"]),
+    ("src/core/ok_seeded.cpp",
+     """#include <random>
+unsigned f(unsigned seed) {
+    std::mt19937 gen(seed);       // seeded: fine
+    std::mt19937_64 g2{seed};     // seeded: fine
+    return static_cast<unsigned>(gen() + g2());
+}
+""",
+     []),
+    ("src/core/ok_multi_rule_allow.cpp",
+     """// One directive may list several hyphenated rules (the analyzer's
+// raw-micros / raw-id-api / id-mixing waivers share this parser).
+#include <chrono>
+long f() {
+    // jaws-lint: allow(wall-clock, raw-micros) -- fixture: list syntax.
+    return std::chrono::steady_clock::now().time_since_epoch().count();
+}
+""",
+     []),
+    ("src/core/bad_unordered.cpp",
+     """#include <unordered_map>
+int f() {
+    std::unordered_map<int, int> counts;
+    int total = 0;
+    for (const auto& [k, v] : counts) total += v;
+    return total;
+}
+""",
+     ["unordered-iteration"]),
+    ("src/core/ok_unordered_lookup.cpp",
+     """#include <unordered_map>
+#include <vector>
+int f(int key) {
+    std::unordered_map<int, int> counts;
+    std::vector<int> order;
+    for (int v : order) key += v;          // vector iteration: fine
+    auto it = counts.find(key);            // lookup: fine
+    return it == counts.end() ? 0 : it->second;
+}
+""",
+     []),
+    ("src/core/ok_allowlisted.cpp",
+     """#include <chrono>
+#include <unordered_map>
+int f() {
+    // jaws-lint: allow(wall-clock) -- measurement sink, never fed back.
+    auto t = std::chrono::steady_clock::now();
+    (void)t;
+    std::unordered_map<int, int> counts;
+    int total = 0;
+    // jaws-lint: allow(unordered-iteration) -- order-insensitive sum... almost.
+    for (const auto& [k, v] : counts) total += v;
+    return total;
+}
+""",
+     []),
+    ("src/core/bad_multiline_decl.cpp",
+     """#include <unordered_map>
+#include <cstdint>
+struct Hash { unsigned long operator()(int) const { return 0; } };
+struct S {
+    std::unordered_map<int,
+                       long,
+                       Hash>
+        resident_;
+    long sum() const {
+        long s = 0;
+        for (const auto& [k, v] : resident_) s += v;
+        return s;
+    }
+};
+""",
+     ["unordered-iteration"]),
+    ("src/core/ok_strings_comments.cpp",
+     """// std::chrono::steady_clock in a comment is fine.
+const char* f() { return "std::random_device rand( time( "; }
+""",
+     []),
+    ("src/core/ok_multiline_justification.cpp",
+     """#include <unordered_map>
+int f() {
+    std::unordered_map<int, int> counts;
+    int total = 0;
+    // jaws-lint: allow(unordered-iteration) -- a justification that
+    // spans several comment lines must keep the directive attached
+    // to the statement below it.
+    for (const auto& [k, v] : counts) total += v;
+    return total;
+}
+""",
+     []),
+    ("src/core/paired.h",
+     """#pragma once
+#include <unordered_map>
+struct Paired {
+    long sum() const;
+    std::unordered_map<int, long> residents_;
+};
+""",
+     []),
+    ("src/core/paired.cpp",
+     """#include "paired.h"
+long Paired::sum() const {
+    long s = 0;
+    for (const auto& [k, v] : residents_) s += v;  // member from the header
+    return s;
+}
+""",
+     ["unordered-iteration"]),
+    # Pin the walk itself: a regression that drops a module from it makes
+    # these fixtures silently pass and fails the self-test.
+    ("src/workload/bad_workload_wall_clock.cpp",
+     """#include <ctime>
+long stamp() { return static_cast<long>(time(nullptr)); }
+""",
+     ["wall-clock"]),
+    ("src/workload/bad_workload_unordered.cpp",
+     """#include <unordered_set>
+int f() {
+    std::unordered_set<int> users;
+    int total = 0;
+    for (int u : users) total += u;
+    return total;
+}
+""",
+     ["unordered-iteration"]),
+    # Pin the scope of wall-clock and ambient-random: they follow the six
+    # decision modules, not the walk, so util/ may read a clock (wallclock.cpp
+    # is the sanctioned reader) and construct a random_device.
+    ("src/util/ok_util_clock.cpp",
+     """#include <chrono>
+#include <random>
+long stamp() {
+    std::random_device rd;
+    return std::chrono::steady_clock::now().time_since_epoch().count()
+           + static_cast<long>(rd());
+}
+""",
+     []),
+
+    # -- kernel-blocking, aliased unordered-iteration, float-equality,
+    #    narrowing-cast, raw-micros, raw-id-api, id-mixing, clock-mutation --
+    ("src/core/bad_blocking_direct.cpp", FIXTURE_PRELUDE + """
 void f(EventQueue& q, SimTime t) {
     q.schedule(t, 0, [] { std::this_thread::sleep_for(5); });
 }
 """, ["kernel-blocking"]),
-    ("bad_blocking_transitive.cpp", FIXTURE_PRELUDE + """
+    ("src/core/bad_blocking_transitive.cpp", FIXTURE_PRELUDE + """
 std::mutex m;
 std::condition_variable cv;
 void helper() { cv.wait(m); }
@@ -940,14 +1088,14 @@ void f(EventQueue& q, SimTime t) {
     q.schedule(t, 0, [] { helper(); });
 }
 """, ["kernel-blocking"]),
-    ("ok_blocking_unreachable.cpp", FIXTURE_PRELUDE + """
+    ("src/core/ok_blocking_unreachable.cpp", FIXTURE_PRELUDE + """
 // Blocking outside any handler is the thread pool's business, not ours.
 void shutdown_path() { std::this_thread::sleep_for(5); }
 void f(EventQueue& q, SimTime t) {
     q.schedule(t, 0, [] { int x = 1; (void)x; });
 }
 """, []),
-    ("ok_blocking_waived.cpp", FIXTURE_PRELUDE + """
+    ("src/core/ok_blocking_waived.cpp", FIXTURE_PRELUDE + """
 void f(EventQueue& q, SimTime t) {
     q.schedule(t, 0, [] {
         // jaws-lint: allow(kernel-blocking) -- fixture: proven-safe site.
@@ -955,7 +1103,7 @@ void f(EventQueue& q, SimTime t) {
     });
 }
 """, []),
-    ("bad_unordered_alias.cpp", FIXTURE_PRELUDE + """
+    ("src/core/bad_unordered_alias.cpp", FIXTURE_PRELUDE + """
 using AtomMap = std::unordered_map<int, int>;
 int f(const AtomMap& unused) {
     AtomMap counts_;
@@ -964,7 +1112,7 @@ int f(const AtomMap& unused) {
     return total + (unused.begin() == unused.end() ? 0 : 1);
 }
 """, ["unordered-iteration"]),
-    ("bad_unordered_auto.cpp", FIXTURE_PRELUDE + """
+    ("src/core/bad_unordered_auto.cpp", FIXTURE_PRELUDE + """
 int f() {
     std::unordered_map<int, int> counts;
     auto& view = counts;
@@ -973,7 +1121,7 @@ int f() {
     return total;
 }
 """, ["unordered-iteration"]),
-    ("ok_unordered_vector_alias.cpp", FIXTURE_PRELUDE + """
+    ("src/core/ok_unordered_vector_alias.cpp", FIXTURE_PRELUDE + """
 using Order = std::vector<int>;
 int f() {
     Order order;
@@ -982,233 +1130,200 @@ int f() {
     return total;
 }
 """, []),
-    ("bad_float_eq.cpp", FIXTURE_PRELUDE + """
+    ("src/core/bad_float_eq.cpp", FIXTURE_PRELUDE + """
 bool f(double utility, double best) { return utility == best; }
 """, ["float-equality"]),
-    ("bad_float_literal.cpp", FIXTURE_PRELUDE + """
+    ("src/core/bad_float_literal.cpp", FIXTURE_PRELUDE + """
 int f(double alpha) {
     if (alpha != 1.0) return 2;
     return 3;
 }
 """, ["float-equality"]),
-    ("ok_int_eq.cpp", FIXTURE_PRELUDE + """
+    ("src/core/ok_int_eq.cpp", FIXTURE_PRELUDE + """
 bool f(int a, long long b, const std::vector<int>& v) {
     bool edge = v.begin() == v.end();
     return a == 3 && b != 7 && edge;
 }
 """, []),
-    ("ok_float_eq_waived.cpp", FIXTURE_PRELUDE + """
+    ("src/core/ok_float_eq_waived.cpp", FIXTURE_PRELUDE + """
 bool f(double cached, double derived) {
     // jaws-lint: allow(float-equality) -- fixture: operands computed
     // identically, exact identity is the contract under test.
     return cached == derived;
 }
 """, []),
-    ("bad_narrow_cast.cpp", FIXTURE_PRELUDE + """
+    ("src/core/bad_narrow_cast.cpp", FIXTURE_PRELUDE + """
 // jaws-lint: allow(raw-micros) -- fixture: exercising the cast rule alone.
 int f(SimTime t) { return static_cast<int>(t.micros); }
 // jaws-lint: allow(raw-micros) -- fixture: exercising the cast rule alone.
 unsigned g(SimTime t) { return static_cast<unsigned int>(t.micros / 1000); }
 """, ["narrowing-cast", "narrowing-cast"]),
-    ("ok_wide_cast.cpp", FIXTURE_PRELUDE + """
+    ("src/core/ok_wide_cast.cpp", FIXTURE_PRELUDE + """
 // jaws-lint: allow(raw-micros) -- fixture: exercising the cast rule alone.
 long long f(SimTime t) { return static_cast<long long>(t.micros); }
 // jaws-lint: allow(raw-micros) -- fixture: exercising the cast rule alone.
 double g(SimTime t) { return static_cast<double>(t.micros); }
 int h(int count) { return static_cast<int>(count + 1); }
 """, []),
-    ("bad_raw_micros.cpp", FIXTURE_PRELUDE + """
+    ("src/core/bad_raw_micros.cpp", FIXTURE_PRELUDE + """
 long long half_ticks(SimTime t) { return t.micros / 2; }
 """, ["raw-micros"]),
-    ("ok_raw_micros_waived.cpp", FIXTURE_PRELUDE + """
+    ("src/core/ok_raw_micros_waived.cpp", FIXTURE_PRELUDE + """
 long long serialize(SimTime t) {
     // jaws-lint: allow(raw-micros) -- fixture: serialization boundary.
     return t.micros;
 }
 """, []),
-    ("bad_raw_id_api.h", FIXTURE_PRELUDE + """
+    ("src/core/bad_raw_id_api.h", FIXTURE_PRELUDE + """
 struct Router {
     void route(unsigned node,
                int channel);
     unsigned long owner_of(unsigned long long atom) const;
 };
 """, ["raw-id-api", "raw-id-api", "raw-id-api"]),
-    ("ok_typed_id_api.h", FIXTURE_PRELUDE + """
+    ("src/core/ok_typed_id_api.h", FIXTURE_PRELUDE + """
 struct Router {
     void route(NodeIndex node, AtomKey atom);
     NodeIndex owner_of(unsigned long long morton, unsigned long nodes) const;
 };
 """, []),
-    ("bad_id_mixing.cpp", FIXTURE_PRELUDE + """
+    ("src/core/bad_id_mixing.cpp", FIXTURE_PRELUDE + """
 unsigned long long fold(AtomKey atom, NodeIndex node) {
     return atom.value() + node.value();
 }
 """, ["id-mixing"]),
-    ("ok_id_same_space.cpp", FIXTURE_PRELUDE + """
+    ("src/core/ok_id_same_space.cpp", FIXTURE_PRELUDE + """
 unsigned ring_distance(NodeIndex a, NodeIndex b, AtomKey atom) {
     unsigned long long morton = atom.value() * 2;
     return a.value() - b.value() + static_cast<unsigned>(morton);
 }
 """, []),
-    ("bad_clock_mutation.cpp", FIXTURE_PRELUDE + """
+    ("src/core/bad_clock_mutation.cpp", FIXTURE_PRELUDE + """
 void f(VirtualClock& clock, SimTime t) { clock.advance(t); }
 """, ["clock-mutation"]),
-    ("ok_clock_reader.cpp", FIXTURE_PRELUDE + """
+    ("src/core/ok_clock_reader.cpp", FIXTURE_PRELUDE + """
 struct Cursor { void advance(SimTime); };
 SimTime f(const VirtualClock& clock, Cursor& cur, SimTime t) {
     cur.advance(t);  // not a VirtualClock: free to move
     return clock.now();
 }
 """, []),
-]
-
-# Mutating a VirtualClock — and touching the raw `.micros` tick field —
-# inside the owning file are the sanctioned sites.
-OWNER_FIXTURE = ("sim_time.h", FIXTURE_PRELUDE + """
+    # Mutating a VirtualClock -- and touching the raw `.micros` tick field --
+    # inside the owning file are the sanctioned sites.
+    ("src/util/sim_time.h", FIXTURE_PRELUDE + """
 inline void tick(VirtualClock& clock, SimTime t) { clock.advance(t); }
 inline long long ticks_of(SimTime t) { return t.micros; }
-""", [])
-
-# Fixtures written into other analyzed modules, pinning FLOAT_EQ_MODULES
-# coverage: float identity must be flagged in field/ and workload/ too.
-MODULE_FIXTURES = [
-    (os.path.join("src", "field"), "bad_float_eq_field.cpp",
-     FIXTURE_PRELUDE + """
+""", []),
+    # float-equality covers every decision module, field/ and workload/ too.
+    ("src/field/bad_float_eq_field.cpp", FIXTURE_PRELUDE + """
 bool f(double amplitude, double phase) { return amplitude == phase; }
 """, ["float-equality"]),
-    (os.path.join("src", "workload"), "bad_float_eq_workload.cpp",
-     FIXTURE_PRELUDE + """
+    ("src/workload/bad_float_eq_workload.cpp", FIXTURE_PRELUDE + """
 int f(double think_s) {
     if (think_s != 0.0) return 1;
     return 0;
 }
 """, ["float-equality"]),
+
+    # -- upward-include, unknown-module --
+    ("src/util/ok_leaf.h", '#include "util/other.h"\n#include <vector>\n', []),
+    ("src/storage/ok_down.h",
+     '#include "field/grid.h"\n#include "util/morton.h"\n#include "local.h"\n', []),
+    ("src/storage/bad_up.h", '#include "sched/scheduler.h"\n', ["upward-include"]),
+    ("src/cache/bad_sibling.h", '#include "workload/job.h"\n', ["upward-include"]),
+    ("src/field/bad_unknown.h", '#include "vendor/blas.h"\n', ["unknown-module"]),
+    ("src/field/ok_waived.h",
+     '// jaws-lint: allow(upward-include) -- fixture: sanctioned exception.\n'
+     '#include "cache/buffer_cache.h"\n', []),
+    ("src/core/ok_top.cpp",
+     '#include "sched/scheduler.h"\n#include "workload/job.h"\n'
+     '#include "util/sim_time.h"\n', []),
 ]
 
+# A tree whose *edges* form a cycle strictly inside the allowed sets is
+# impossible (the sets are a partial order), so a cycle needs a waived
+# upward edge; each cycle tree must report exactly one include-cycle. They
+# get their own trees because the cycle report names no single fixture file.
+CYCLE_TREES = {
+    "cycle tree": [
+        ("src/util/a.h", '// jaws-lint: allow(upward-include) -- fixture.\n'
+                         '#include "field/b.h"\n', []),
+        ("src/field/b.h", '#include "util/a.h"\n', []),
+    ],
+    # The cycle is reported at b.h:1; a waiver there does not hide it.
+    "waived cycle tree": [
+        ("src/util/a.h", '// jaws-lint: allow(upward-include) -- fixture.\n'
+                         '#include "field/b.h"\n', []),
+        ("src/field/b.h",
+         '#include "util/a.h"  // jaws-lint: allow(include-cycle) -- fixture.\n', []),
+    ],
+}
+CYCLE_EXPECTED = ["include-cycle"]
 
-def self_test(engines: list[str], root_hint: str) -> int:
+
+def write_fixture_tree(root: str, fixtures) -> None:
+    for rel, source, _expected in fixtures:
+        path = os.path.join(root, *rel.split("/"))
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(source)
+
+
+def self_test() -> int:
     failures = 0
-    ran: list[str] = []
-    for engine in engines:
-        with tempfile.TemporaryDirectory(prefix="jaws_analyzer_selftest_") as tmp:
-            core_dir = os.path.join(tmp, "src", "core")
-            util_dir = os.path.join(tmp, "src", "util")
-            os.makedirs(core_dir)
-            os.makedirs(util_dir)
-            files: list[tuple[str, str]] = []
-            for name, source, _expected in SELFTEST_CASES:
-                path = os.path.join(core_dir, name)
-                with open(path, "w", encoding="utf-8") as f:
-                    f.write(source)
-            owner_path = os.path.join(util_dir, OWNER_FIXTURE[0])
-            with open(owner_path, "w", encoding="utf-8") as f:
-                f.write(OWNER_FIXTURE[1])
-            for rel_dir, name, source, _expected in MODULE_FIXTURES:
-                os.makedirs(os.path.join(tmp, rel_dir), exist_ok=True)
-                with open(os.path.join(tmp, rel_dir, name), "w",
-                          encoding="utf-8") as f:
-                    f.write(source)
-            files = tree_files(tmp)
-            try:
-                found = run_engine(engine, files, tmp, None)
-            except AnalyzerError as e:
-                print(f"SELF-TEST FAIL ({engine}): {e}", file=sys.stderr)
-                return 1
-            by_file: dict[str, list[Violation]] = {}
+
+    def check(what: str, expected: list[str], found: list[Violation]) -> None:
+        nonlocal failures
+        if [v.rule for v in found] != expected:
+            failures += 1
+            print(f"SELF-TEST FAIL {what}: expected {expected}, "
+                  f"got {[v.rule for v in found]}", file=sys.stderr)
             for v in found:
-                by_file.setdefault(os.path.basename(v.path), []).append(v)
-            module_cases = [(name, source, expected)
-                            for _rel, name, source, expected in MODULE_FIXTURES]
-            for name, _source, expected in (SELFTEST_CASES + [OWNER_FIXTURE]
-                                            + module_cases):
-                got = [v.rule for v in by_file.get(name, [])]
-                if got != expected:
-                    failures += 1
-                    print(f"SELF-TEST FAIL ({engine}) {name}: expected "
-                          f"{expected}, got {got}", file=sys.stderr)
-                    for v in by_file.get(name, []):
-                        print(f"    {v}", file=sys.stderr)
-            ran.append(engine)
-    if failures == 0:
-        total = len(SELFTEST_CASES) + 1 + len(MODULE_FIXTURES)
-        print(f"jaws_analyzer self-test: {total} fixtures ok "
-              f"(engines: {', '.join(ran)})")
-        return 0
-    return 1
+                print(f"    {v}", file=sys.stderr)
+
+    with tempfile.TemporaryDirectory(prefix="jaws_analyzer_selftest_") as tmp:
+        write_fixture_tree(tmp, FIXTURES)
+        by_file: dict[str, list[Violation]] = {}
+        for v in analyze_tree(tmp):
+            by_file.setdefault(v.path, []).append(v)
+        for rel, _source, expected in FIXTURES:
+            check(rel, expected, by_file.get(rel, []))
+    for name, fixtures in CYCLE_TREES.items():
+        with tempfile.TemporaryDirectory(prefix="jaws_analyzer_cycle_") as tmp:
+            write_fixture_tree(tmp, fixtures)
+            check(name, CYCLE_EXPECTED, analyze_tree(tmp))
+    if failures:
+        return 1
+    print(f"jaws_analyzer self-test: {len(FIXTURES) + len(CYCLE_TREES)} fixtures ok")
+    return 0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=None,
                         help="repository root (default: the script's parent repo)")
-    parser.add_argument("--compdb", default=None,
-                        help="build dir holding compile_commands.json "
-                             "(libclang engine; default: <root>/build)")
-    parser.add_argument("--engine", choices=("auto", "libclang", "internal"),
-                        default="auto",
-                        help="auto = libclang when available, else internal")
-    parser.add_argument("--require-libclang", action="store_true",
-                        help="hard-fail (exit 2) instead of falling back to "
-                             "the internal engine (CI)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the analyzer's own fixture suite and exit")
     args = parser.parse_args()
 
-    root = args.root or os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-    libclang_available = True
-    libclang_error = ""
-    try:
-        load_cindex()
-    except AnalyzerError as e:
-        libclang_available = False
-        libclang_error = str(e)
-
-    if args.engine == "libclang" or args.require_libclang:
-        if not libclang_available:
-            print(f"jaws_analyzer: libclang required but unavailable: "
-                  f"{libclang_error}", file=sys.stderr)
-            return 2
-        engines = ["libclang"]
-    elif args.engine == "internal":
-        engines = ["internal"]
-    else:  # auto
-        engines = ["libclang"] if libclang_available else ["internal"]
-        if not libclang_available:
-            print("jaws_analyzer: note: libclang bindings unavailable "
-                  f"({libclang_error}); using the internal engine. The AST "
-                  "engine runs in CI.", file=sys.stderr)
-
     if args.self_test:
-        # Always exercise the internal engine (it is the tested fallback);
-        # add libclang when it can load.
-        selftest_engines = ["internal"]
-        if libclang_available and args.engine != "internal":
-            selftest_engines.append("libclang")
-        elif args.require_libclang:
-            selftest_engines = ["internal", "libclang"]
-        return self_test(selftest_engines, root)
+        return self_test()
 
+    root = args.root or os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     if not os.path.isdir(os.path.join(root, "src")):
         print(f"jaws_analyzer: no src/ under {root}", file=sys.stderr)
         return 2
 
-    compdb = args.compdb or os.path.join(root, "build")
-    try:
-        violations = run_engine(engines[0], tree_files(root), root, compdb)
-    except AnalyzerError as e:
-        print(f"jaws_analyzer: {e}", file=sys.stderr)
-        return 2
-
+    violations = analyze_tree(root)
     for v in violations:
         print(v)
     if violations:
-        print(f"\njaws_analyzer: {len(violations)} violation(s) "
-              f"({engines[0]} engine). Fix them or annotate with "
+        print(f"\njaws_analyzer: {len(violations)} violation(s). Fix "
+              "them, or waive a proven-safe site with "
               "`// jaws-lint: allow(<rule>)` plus a justification.",
               file=sys.stderr)
         return 1
-    print(f"jaws_analyzer: clean ({engines[0]} engine)")
+    print("jaws_analyzer: clean")
     return 0
 
 

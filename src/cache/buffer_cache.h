@@ -7,8 +7,8 @@
 // source: by default a deterministic virtual counter (one tick per timed
 // section), so cache accounting is bit-reproducible; benches that want
 // Table I's real "Overhead/Qry" column inject util::wall_clock_ns via
-// set_tick_source (the only sanctioned wall-clock path, see
-// scripts/lint_determinism.py).
+// set_tick_source (the only sanctioned wall-clock path, see the wall-clock
+// rule in scripts/jaws_analyzer.py).
 #pragma once
 
 #include <cstdint>

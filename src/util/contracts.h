@@ -1,9 +1,9 @@
 // Debug contracts: machine-checked invariants behind a build flag.
 //
-// The determinism lint and the semantic analyzer (scripts/jaws_analyzer.py)
-// guard the *code shape* of the kernel contract; this header guards the
-// *runtime state*. Core containers (EventQueue, SimResource, BufferCache,
-// PrecedenceGraph, WorkloadManager) expose an `audit()` method that
+// The static analyzer (scripts/jaws_analyzer.py) guards the *code shape* of
+// the kernel contract; this header guards the *runtime state*. Core
+// containers (EventQueue, SimResource, BufferCache, PrecedenceGraph,
+// WorkloadManager) expose an `audit()` method that
 // exhaustively re-derives their redundant state — heap order, channel
 // accounting, byte conservation, graph acyclicity — and reports the first
 // inconsistency through the contract handler. Audits are ordinary methods

@@ -1,11 +1,12 @@
 // The one sanctioned wall-clock read.
 //
 // Simulation, scheduling and accounting code must be bit-reproducible, so
-// scripts/lint_determinism.py bans wall-clock reads inside
-// src/{core,sched,storage,cache,field}. Real elapsed-time measurement is
-// still needed by the benches (Table I's overhead column measures actual
-// nanoseconds spent inside cache policies); this utility is the explicitly
-// allowlisted source they inject (e.g. via BufferCache::set_tick_source).
+// scripts/jaws_analyzer.py bans wall-clock reads inside
+// src/{core,sched,storage,cache,field,workload}. Real elapsed-time
+// measurement is still needed by the benches (Table I's overhead column
+// measures actual nanoseconds spent inside cache policies); this utility is
+// the explicitly allowlisted source they inject (e.g. via
+// BufferCache::set_tick_source).
 #pragma once
 
 #include <cstdint>

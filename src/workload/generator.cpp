@@ -327,31 +327,6 @@ void materialize_positions(Workload& workload, const field::GridSpec& grid,
     }
 }
 
-void morton_block_positions(Workload& workload, const field::GridSpec& grid) {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> keyed;  // (atom, voxel) Morton
-    std::vector<std::uint32_t> order;
-    std::vector<Vec3> blocked;
-    for (Job& job : workload.jobs) {
-        for (Query& q : job.queries) {
-            const std::size_t n = q.positions.size();
-            keyed.resize(n);
-            order.resize(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                keyed[i] = {grid.atom_morton_of(q.positions[i]),
-                            util::morton_encode(grid.voxel_of(q.positions[i]))};
-                order[i] = static_cast<std::uint32_t>(i);
-            }
-            std::sort(order.begin(), order.end(),
-                      [&keyed](std::uint32_t a, std::uint32_t b) {
-                          return keyed[a] != keyed[b] ? keyed[a] < keyed[b] : a < b;
-                      });
-            blocked.resize(n);
-            for (std::size_t i = 0; i < n; ++i) blocked[i] = q.positions[order[i]];
-            q.positions.swap(blocked);
-        }
-    }
-}
-
 void apply_speedup(Workload& workload, double speedup) {
     if (!(speedup > 0.0))
         throw std::invalid_argument("apply_speedup: speedup must be positive, got " +

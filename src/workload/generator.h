@@ -84,18 +84,6 @@ Workload generate_workload(const WorkloadSpec& spec, const field::GridSpec& grid
 void materialize_positions(Workload& workload, const field::GridSpec& grid,
                            std::uint64_t seed = 7);
 
-/// Reorder every query's materialised positions into Morton-blocked order:
-/// primary key the Morton code of the owning atom, secondary key the Morton
-/// code of the global voxel containing the position (stable for ties). This
-/// is the traversal order the batched interpolation kernel uses internally
-/// (field::BatchInterpolator), so pre-blocked queries hand the evaluation
-/// path cache-friendly runs even before the kernel's own sort. Footprints
-/// and the virtual trace are untouched (the positions are a permutation and
-/// atom grouping is order-insensitive), but the engine folds samples in
-/// position order, so sample digests differ from arrival-order runs: benches
-/// and interactive exploration opt in; the golden fixtures do not.
-void morton_block_positions(Workload& workload, const field::GridSpec& grid);
-
 /// Rescale inter-job arrival gaps by 1/speedup (Fig. 11's saturation knob):
 /// speedup 2 makes a job submitted 2 virtual minutes after its predecessor
 /// arrive after 1. Think times inside jobs are unchanged.

@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "util/morton.h"
@@ -226,68 +224,6 @@ TEST(QueriesPerTimestep, SumsToTotal) {
     const auto counts = queries_per_timestep(fixture().workload, fixture().grid.timesteps);
     const std::uint64_t total = std::accumulate(counts.begin(), counts.end(), 0ULL);
     EXPECT_EQ(total, fixture().workload.total_queries());
-}
-
-TEST(MortonBlockPositions, PermutesIntoBlockedOrderWithFootprintUnchanged) {
-    using field::Vec3;
-    WorkloadSpec spec;
-    spec.jobs = 12;
-    spec.seed = 31;
-    spec.max_positions = 300;
-    Workload w = generate_workload(spec, fixture().grid, fixture().field);
-    materialize_positions(w, fixture().grid, /*seed=*/17);
-    Workload blocked = w;
-    morton_block_positions(blocked, fixture().grid);
-
-    ASSERT_EQ(blocked.jobs.size(), w.jobs.size());
-    for (std::size_t j = 0; j < w.jobs.size(); ++j) {
-        ASSERT_EQ(blocked.jobs[j].queries.size(), w.jobs[j].queries.size());
-        for (std::size_t k = 0; k < w.jobs[j].queries.size(); ++k) {
-            const Query& before = w.jobs[j].queries[k];
-            const Query& after = blocked.jobs[j].queries[k];
-
-            // Footprint (hence the virtual trace) untouched.
-            ASSERT_EQ(after.footprint.size(), before.footprint.size());
-            for (std::size_t f = 0; f < before.footprint.size(); ++f) {
-                EXPECT_EQ(after.footprint[f].atom.morton, before.footprint[f].atom.morton);
-                EXPECT_EQ(after.footprint[f].positions, before.footprint[f].positions);
-            }
-
-            // The positions are a permutation of the originals...
-            const auto key = [](const Vec3& p) { return std::tie(p.x, p.y, p.z); };
-            std::vector<Vec3> a = before.positions, b = after.positions;
-            std::sort(a.begin(), a.end(),
-                      [&](const Vec3& l, const Vec3& r) { return key(l) < key(r); });
-            std::sort(b.begin(), b.end(),
-                      [&](const Vec3& l, const Vec3& r) { return key(l) < key(r); });
-            ASSERT_EQ(a.size(), b.size());
-            for (std::size_t i = 0; i < a.size(); ++i) {
-                EXPECT_EQ(a[i].x, b[i].x);
-                EXPECT_EQ(a[i].y, b[i].y);
-                EXPECT_EQ(a[i].z, b[i].z);
-            }
-
-            // ...sorted by (atom Morton, voxel Morton).
-            for (std::size_t i = 1; i < after.positions.size(); ++i) {
-                const auto morton_key = [&](const Vec3& p) {
-                    return std::make_pair(
-                        fixture().grid.atom_morton_of(p),
-                        util::morton_encode(fixture().grid.voxel_of(p)));
-                };
-                EXPECT_LE(morton_key(after.positions[i - 1]),
-                          morton_key(after.positions[i]));
-            }
-        }
-    }
-
-    // Idempotent and deterministic: blocking a blocked workload is a no-op.
-    Workload again = blocked;
-    morton_block_positions(again, fixture().grid);
-    for (std::size_t j = 0; j < blocked.jobs.size(); ++j)
-        for (std::size_t k = 0; k < blocked.jobs[j].queries.size(); ++k)
-            for (std::size_t i = 0; i < blocked.jobs[j].queries[k].positions.size(); ++i)
-                EXPECT_EQ(again.jobs[j].queries[k].positions[i].x,
-                          blocked.jobs[j].queries[k].positions[i].x);
 }
 
 TEST(Job, TimestepSpan) {
