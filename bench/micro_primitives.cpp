@@ -1,10 +1,10 @@
 // Micro-benchmarks of the core primitives (google-benchmark).
 //
 // Not a paper figure: these pin the per-operation costs behind the
-// experiment harnesses — Morton coding, the Needleman-Wunsch alignment, the
-// B+ tree access path, replacement-policy operations, workload-queue
-// maintenance and the interpolation kernels — so performance regressions in
-// the substrate are visible. Running the binary also performs a
+// experiment harnesses — Morton coding, the Needleman-Wunsch alignment,
+// replacement-policy operations, workload-queue maintenance and the
+// interpolation kernels — so performance regressions in the substrate are
+// visible. Running the binary also performs a
 // deterministic scalar-vs-batched interpolation sweep and writes
 // BENCH_interp_kernel.json (samples/sec per order plus a digests_agree
 // flag); CI gates on batched >= scalar for orders >= 4.
@@ -21,7 +21,6 @@
 #include "field/interpolation.h"
 #include "sched/alignment.h"
 #include "sched/workload_manager.h"
-#include "storage/bptree.h"
 #include "util/morton.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -60,55 +59,6 @@ void BM_MortonBoxCover(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * side * side * side);
 }
 BENCHMARK(BM_MortonBoxCover)->Arg(4)->Arg(8)->Arg(16);
-
-void BM_BptreeInsert(benchmark::State& state) {
-    for (auto _ : state) {
-        state.PauseTiming();
-        storage::BPlusTree tree;
-        util::Rng rng(3);
-        state.ResumeTiming();
-        for (int i = 0; i < state.range(0); ++i)
-            tree.insert(util::AtomKey{rng()}, storage::DiskExtent{0, 1});
-        benchmark::DoNotOptimize(tree.size());
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BptreeInsert)->Arg(1000)->Arg(10000);
-
-void BM_BptreeFind(benchmark::State& state) {
-    storage::BPlusTree tree;
-    util::Rng rng(4);
-    std::vector<std::uint64_t> keys;
-    for (int i = 0; i < 100000; ++i) {
-        keys.push_back(rng());
-        tree.insert(util::AtomKey{keys.back()}, storage::DiskExtent{0, 1});
-    }
-    std::size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(tree.find(util::AtomKey{keys[i++ % keys.size()]}));
-    }
-}
-BENCHMARK(BM_BptreeFind);
-
-void BM_BptreeScan(benchmark::State& state) {
-    storage::BPlusTree tree;
-    std::vector<std::pair<util::AtomKey, storage::DiskExtent>> records;
-    for (std::uint64_t i = 0; i < 100000; ++i)
-        records.emplace_back(util::AtomKey{i}, storage::DiskExtent{i, 1});
-    tree.bulk_load(records);
-    for (auto _ : state) {
-        std::uint64_t sum = 0;
-        tree.scan(util::AtomKey{1000},
-                  util::AtomKey{1000 + static_cast<std::uint64_t>(state.range(0))},
-                  [&](util::AtomKey k, const storage::DiskExtent&) {
-                      sum += k.value();
-                      return true;
-                  });
-        benchmark::DoNotOptimize(sum);
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BptreeScan)->Arg(100)->Arg(10000);
 
 workload::Job chain_job(std::size_t m, std::uint64_t seed) {
     field::GridSpec grid;

@@ -65,7 +65,6 @@ void decode_engine(FuzzInput& in, EngineConfig& cfg) {
     cfg.io_depth = in.below(64);
     cfg.compute_workers = in.below(64);
     cfg.eval.parallel = in.boolean();
-    cfg.eval.threads = in.below(64);
 
     cfg.compute.t_m_us = fuzz_double(in, 0.0, 1000.0);
     cfg.estimates.t_b_ms = fuzz_double(in, 0.0, 1000.0);

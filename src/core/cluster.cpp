@@ -165,8 +165,7 @@ class UnifiedKernel final : public storage::ReplicaRouter {
         // Descriptor-only runs and callers that supply a pool get none.
         EvalSpec& eval = node_template_.eval;
         if (eval.pool == nullptr && eval.parallel && node_template_.materialize_data) {
-            shared_eval_ = std::make_unique<util::ThreadPool>(
-                eval.threads != 0 ? eval.threads : node_template_.compute_workers);
+            shared_eval_ = std::make_unique<util::ThreadPool>(node_template_.compute_workers);
             eval.pool = shared_eval_.get();
         }
     }

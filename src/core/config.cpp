@@ -52,8 +52,6 @@ void EngineConfig::validate() const {
         fail("compute_workers must be at least 1 (one evaluation server)");
     if (io_depth > 1024 || compute_workers > 1024)
         fail("io_depth/compute_workers above 1024 is outside the model's regime");
-    if (eval.threads > 1024)
-        fail("eval.threads above 1024 is outside the model's regime");
 
     require_non_negative(disk.settle_ms, "disk.settle_ms");
     require_non_negative(disk.seek_full_stroke_ms, "disk.seek_full_stroke_ms");

@@ -66,16 +66,13 @@ struct SchedulerSpec {
 struct EvalSpec {
     /// Evaluate on a thread pool instead of inline in the event handler.
     /// Only takes effect when the run materialises data; descriptor-only
-    /// runs never spawn threads.
+    /// runs never spawn threads. A pool the engine owns has
+    /// `compute_workers` threads, matching real threads to modeled channels.
     bool parallel = true;
 
-    /// Worker threads for an engine-owned pool; 0 means `compute_workers`
-    /// (matching real threads to modeled channels).
-    std::size_t threads = 0;
-
     /// Externally owned pool to share across engines (the cluster facade
-    /// points every node engine here). Non-null wins over `threads`; the
-    /// caller keeps it alive for the engine's lifetime.
+    /// points every node engine here). Non-null wins over an owned pool;
+    /// the caller keeps it alive for the engine's lifetime.
     util::ThreadPool* pool = nullptr;
 
     /// Measure real evaluation wall time (util::wall_clock_ns) into

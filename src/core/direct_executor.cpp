@@ -16,12 +16,10 @@ DirectExecutor::DirectExecutor(const EngineConfig& config)
       cache_(config.cache.capacity_atoms, std::make_unique<cache::LruPolicy>()),
       db_(config.grid, config.compute) {
     if (config.cache.wall_clock_overhead) cache_.set_tick_source(util::wall_clock_ns);
-    const std::size_t eval_threads =
-        config.eval.threads != 0 ? config.eval.threads : config.compute_workers;
     if (config.eval.pool != nullptr) {
         eval_pool_ = config.eval.pool;
-    } else if (config.eval.parallel && eval_threads > 1) {
-        owned_pool_ = std::make_unique<util::ThreadPool>(eval_threads);
+    } else if (config.eval.parallel && config.compute_workers > 1) {
+        owned_pool_ = std::make_unique<util::ThreadPool>(config.compute_workers);
         eval_pool_ = owned_pool_.get();
     }
 }

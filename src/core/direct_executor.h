@@ -56,8 +56,8 @@ class DirectExecutor {
   public:
     /// Builds its own store with materialisation forced on; `config.cache`
     /// sizes the private cache and `config.eval` selects the evaluation pool
-    /// (an external pool wins; otherwise one is owned when the resolved
-    /// thread count exceeds 1).
+    /// (an external pool wins; otherwise one of `config.compute_workers`
+    /// threads is owned when that count exceeds 1).
     explicit DirectExecutor(const EngineConfig& config);
 
     /// Evaluate velocity+pressure at `positions` within time step `timestep`

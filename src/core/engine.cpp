@@ -81,9 +81,7 @@ Engine::Engine(const EngineConfig& config, util::EventQueue* shared_events,
     if (config_.eval.pool != nullptr) {
         eval_pool_ = config_.eval.pool;
     } else if (config_.eval.parallel && config_.materialize_data) {
-        owned_eval_pool_ = std::make_unique<util::ThreadPool>(
-            config_.eval.threads != 0 ? config_.eval.threads
-                                      : config_.compute_workers);
+        owned_eval_pool_ = std::make_unique<util::ThreadPool>(config_.compute_workers);
         eval_pool_ = owned_eval_pool_.get();
     }
     if (config_.eval.wall_clock_timing) eval_tick_ = util::wall_clock_ns;

@@ -28,42 +28,6 @@ std::uint64_t GridSpec::atom_morton_of(const Vec3& p) const noexcept {
     return util::morton_encode(atom_of_voxel(voxel_of(p)));
 }
 
-std::vector<std::uint64_t> GridSpec::kernel_atoms(const Vec3& p,
-                                                  std::uint32_t half_width) const {
-    const util::Coord3 v = voxel_of(p);
-    const util::Coord3 a = atom_of_voxel(v);
-    std::vector<std::uint64_t> out;
-    out.push_back(util::morton_encode(a));
-    if (half_width <= ghost) return out;  // kernel fits inside the ghost region
-
-    // Kernel spills past the ghosts: include each face-neighbour atom whose
-    // voxels the kernel reaches. `reach` is how many voxels past the ghost
-    // region the kernel extends.
-    const std::uint32_t reach = half_width - ghost;
-    const std::uint32_t aps = atoms_per_side();
-    const auto local = [&](std::uint32_t voxel) { return voxel % atom_side; };
-    const auto add = [&](std::int64_t ax, std::int64_t ay, std::int64_t az) {
-        // Periodic wrap of atom coordinates (the domain is a torus).
-        const auto wrap = [&](std::int64_t c) {
-            const auto m = static_cast<std::int64_t>(aps);
-            return static_cast<std::uint32_t>(((c % m) + m) % m);
-        };
-        const std::uint64_t code = util::morton_encode(wrap(ax), wrap(ay), wrap(az));
-        if (std::find(out.begin(), out.end(), code) == out.end()) out.push_back(code);
-    };
-    const bool lo_x = local(v.x) < reach, hi_x = local(v.x) + reach >= atom_side;
-    const bool lo_y = local(v.y) < reach, hi_y = local(v.y) + reach >= atom_side;
-    const bool lo_z = local(v.z) < reach, hi_z = local(v.z) + reach >= atom_side;
-    for (int dx = lo_x ? -1 : 0; dx <= (hi_x ? 1 : 0); ++dx)
-        for (int dy = lo_y ? -1 : 0; dy <= (hi_y ? 1 : 0); ++dy)
-            for (int dz = lo_z ? -1 : 0; dz <= (hi_z ? 1 : 0); ++dz) {
-                if (dx == 0 && dy == 0 && dz == 0) continue;
-                add(static_cast<std::int64_t>(a.x) + dx, static_cast<std::int64_t>(a.y) + dy,
-                    static_cast<std::int64_t>(a.z) + dz);
-            }
-    return out;
-}
-
 VoxelBlock::VoxelBlock(const GridSpec& grid, const SyntheticField& field,
                        const util::Coord3& atom, std::uint32_t t)
     : extent_(grid.atom_side + 2 * grid.ghost) {

@@ -50,13 +50,6 @@ struct GridSpec {
     util::Coord3 atom_of_voxel(const util::Coord3& v) const noexcept;
     /// Morton code of the atom containing position `p`.
     std::uint64_t atom_morton_of(const Vec3& p) const noexcept;
-
-    /// Morton codes of every atom whose voxels an interpolation kernel of
-    /// half-width `half_width` voxels around `p` touches *beyond the ghost
-    /// region* of p's own atom. The primary atom is always first. With the
-    /// production ghost width of 4 a kernel of order <= 8 fits inside one
-    /// atom, mirroring the paper's layout choice.
-    std::vector<std::uint64_t> kernel_atoms(const Vec3& p, std::uint32_t half_width) const;
 };
 
 /// Materialised voxel payload of one atom: velocity + pressure for

@@ -1,14 +1,27 @@
 #include "storage/atom_store.h"
 
+#include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 #include "util/morton.h"
 
 namespace jaws::storage {
 
+namespace {
+/// Morton codes of one time step's atoms in ascending order. Each step's
+/// atoms sit contiguously on disk in this order, mirroring the production
+/// layout that makes Morton-ordered batches near-sequential.
+std::vector<std::uint64_t> step_cover(const field::GridSpec& grid) {
+    const std::uint32_t last = grid.atoms_per_side() - 1;
+    return util::morton_box_cover(util::Coord3{0, 0, 0}, util::Coord3{last, last, last});
+}
+}  // namespace
+
 AtomStore::AtomStore(const AtomStoreSpec& spec)
-    : spec_(spec), field_(spec.field), disk_(
+    : spec_(spec),
+      field_(spec.field),
+      cover_(step_cover(spec.grid)),
+      disk_(
           [&spec] {
               // Scale seek strokes to the actual layout size so cross-time-step
               // distances cost what they should.
@@ -18,37 +31,23 @@ AtomStore::AtomStore(const AtomStoreSpec& spec)
               return d;
           }(),
           spec.io_channels),
-      faults_(spec.faults) {
-    // Lay atoms out in clustered key order: each time step's atoms are
-    // contiguous and Morton-sorted, mirroring the production layout that
-    // makes Morton-ordered batches near-sequential on disk.
-    const std::uint64_t bytes = spec_.grid.atom_bytes();
-    const std::uint32_t aps = spec_.grid.atoms_per_side();
-    std::vector<std::uint64_t> codes;
-    codes.reserve(spec_.grid.atoms_per_step());
-    codes = util::morton_box_cover(util::Coord3{0, 0, 0},
-                                   util::Coord3{aps - 1, aps - 1, aps - 1});
-    std::vector<std::pair<AtomKey, DiskExtent>> records;
-    records.reserve(spec_.grid.total_atoms());
-    std::uint64_t offset = 0;
-    for (std::uint32_t t = 0; t < spec_.grid.timesteps; ++t) {
-        for (const std::uint64_t code : codes) {
-            records.emplace_back(AtomId{t, code}.key(), DiskExtent{offset, bytes});
-            offset += bytes;
-        }
-    }
-    index_.bulk_load(records);
+      faults_(spec.faults) {}
+
+std::optional<std::uint64_t> AtomStore::offset_of(const AtomId& id) const noexcept {
+    if (id.timestep >= spec_.grid.timesteps) return std::nullopt;
+    const auto it = std::lower_bound(cover_.begin(), cover_.end(), id.morton);
+    if (it == cover_.end() || *it != id.morton) return std::nullopt;
+    const auto rank = static_cast<std::uint64_t>(it - cover_.begin());
+    return (std::uint64_t{id.timestep} * cover_.size() + rank) * spec_.grid.atom_bytes();
 }
 
-bool AtomStore::contains(const AtomId& id) const {
-    return index_.find(id.key()).has_value();
-}
+bool AtomStore::contains(const AtomId& id) const { return offset_of(id).has_value(); }
 
 ReadResult AtomStore::read(const AtomId& id, util::ChannelIndex channel) {
-    const auto extent = index_.find(id.key());
-    if (!extent) throw std::out_of_range("AtomStore::read: atom outside dataset");
+    const std::optional<std::uint64_t> offset = offset_of(id);
+    if (!offset) throw std::out_of_range("AtomStore::read: atom outside dataset");
     ReadResult result;
-    result.io_cost = disk_.read(extent->offset, extent->length, channel);
+    result.io_cost = disk_.read(*offset, spec_.grid.atom_bytes(), channel);
     if (faults_.enabled()) {
         const FaultOutcome fault = faults_.on_read(id);
         // Injected stalls (stuck commands; spikes on successful reads) are

@@ -1,21 +1,22 @@
 // Atom store: the simulated persistent layer of one database node.
 //
 // Lays atoms out on the simulated disk in clustered (time step, Morton) key
-// order, indexes them with the B+ tree, and serves reads by charging the disk
-// model and — when data materialisation is enabled — synthesising the atom's
-// voxel payload from the synthetic turbulence field. Scheduling-scale
-// experiments run with materialisation off (the voxel values cannot change
-// which atoms a query touches, only the examples need real data), which keeps
-// a 127k-atom dataset addressable on a laptop.
+// order, computes each atom's extent from that layout, and serves reads by
+// charging the disk model and — when data materialisation is enabled —
+// synthesising the atom's voxel payload from the synthetic turbulence field.
+// Scheduling-scale experiments run with materialisation off (the voxel values
+// cannot change which atoms a query touches, only the examples need real
+// data), which keeps a 127k-atom dataset addressable on a laptop.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "field/grid.h"
 #include "field/synthetic_field.h"
 #include "storage/atom.h"
-#include "storage/bptree.h"
 #include "storage/disk_model.h"
 #include "storage/fault_injector.h"
 
@@ -44,13 +45,13 @@ struct AtomStoreSpec {
     FaultSpec faults;            ///< Deterministic fault injection (default: none).
 };
 
-/// One node's atom storage: clustered B+ tree over a simulated disk, with
-/// lazy synthetic materialisation.
+/// One node's atom storage: the clustered atom layout over a simulated disk,
+/// with lazy synthetic materialisation.
 class AtomStore {
   public:
     explicit AtomStore(const AtomStoreSpec& spec);
 
-    /// Read one atom: looks up the extent in the B+ tree, charges the disk's
+    /// Read one atom: computes its extent in the layout, charges the disk's
     /// `channel`, and synthesises the payload if materialisation is enabled.
     /// Throws std::out_of_range for an atom outside the dataset. When fault
     /// injection is configured the attempt may come back `failed` (the disk
@@ -69,19 +70,20 @@ class AtomStore {
     const DiskStats& disk_stats() const noexcept { return disk_.stats(); }
     /// The disk model itself (the engine's abort accounting needs it).
     DiskModel& disk() noexcept { return disk_; }
-    /// Reset disk statistics between experiment repetitions.
-    void reset_stats() noexcept { disk_.reset_stats(); }
-    /// The underlying index (exposed for tests and micro-benches).
-    const BPlusTree& index() const noexcept { return index_; }
     /// Injected-fault accounting (all zero when no faults are configured).
     const FaultStats& fault_stats() const noexcept { return faults_.stats(); }
     /// The fault source (tests and the engine's permanent-failure handling).
     const FaultInjector& faults() const noexcept { return faults_; }
 
   private:
+    /// Byte offset of `id` in the clustered layout — time steps back to back,
+    /// each step's atoms in ascending Morton order — or nullopt when `id`
+    /// lies outside the dataset.
+    std::optional<std::uint64_t> offset_of(const AtomId& id) const noexcept;
+
     AtomStoreSpec spec_;
     field::SyntheticField field_;
-    BPlusTree index_;
+    std::vector<std::uint64_t> cover_;  ///< One step's Morton codes, ascending.
     DiskModel disk_;
     FaultInjector faults_;
 };

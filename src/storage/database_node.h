@@ -74,9 +74,6 @@ class DatabaseNode {
     /// the virtual trace is identical whether evaluation is inline or pooled.
     util::SimTime modeled_cost(const SubQueryExec& work) const noexcept;
 
-    /// The cost model in effect.
-    const CostModel& cost_model() const noexcept { return cost_; }
-
   private:
     field::GridSpec grid_;
     CostModel cost_;

@@ -22,8 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "storage/atom_store.h"
 #include "util/event_queue.h"
@@ -71,22 +69,5 @@ class ReplicaRouter {
         return 1;
     }
 };
-
-/// The chained-declustering replica chain for a range owned by `owner`:
-/// {owner, owner+1, ..., owner+replication-1} mod nodes, in preference
-/// order. `replication` is clamped to `nodes` (a chain never wraps onto
-/// itself twice).
-inline std::vector<util::NodeIndex> replica_chain(util::NodeIndex owner,
-                                                  std::size_t replication,
-                                                  std::size_t nodes) {
-    std::vector<util::NodeIndex> chain;
-    if (nodes == 0) return chain;
-    if (replication > nodes) replication = nodes;
-    chain.reserve(replication);
-    for (std::size_t i = 0; i < replication; ++i)
-        chain.push_back(util::NodeIndex{
-            static_cast<std::uint32_t>((owner.value() + i) % nodes)});
-    return chain;
-}
 
 }  // namespace jaws::storage

@@ -49,24 +49,4 @@ std::vector<std::uint64_t> morton_box_cover(const Coord3& lo, const Coord3& hi) 
     return out;
 }
 
-std::vector<std::uint64_t> morton_face_neighbors(std::uint64_t code, std::uint32_t side) {
-    const Coord3 c = morton_decode(code);
-    std::vector<std::uint64_t> out;
-    out.reserve(6);
-    const auto push = [&](std::int64_t x, std::int64_t y, std::int64_t z) {
-        if (x < 0 || y < 0 || z < 0) return;
-        if (x >= side || y >= side || z >= side) return;
-        out.push_back(morton_encode(static_cast<std::uint32_t>(x),
-                                    static_cast<std::uint32_t>(y),
-                                    static_cast<std::uint32_t>(z)));
-    };
-    push(static_cast<std::int64_t>(c.x) - 1, c.y, c.z);
-    push(static_cast<std::int64_t>(c.x) + 1, c.y, c.z);
-    push(c.x, static_cast<std::int64_t>(c.y) - 1, c.z);
-    push(c.x, static_cast<std::int64_t>(c.y) + 1, c.z);
-    push(c.x, c.y, static_cast<std::int64_t>(c.z) - 1);
-    push(c.x, c.y, static_cast<std::int64_t>(c.z) + 1);
-    return out;
-}
-
 }  // namespace jaws::util

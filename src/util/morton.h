@@ -62,9 +62,4 @@ constexpr std::optional<std::uint64_t> morton_lower_neighbor(std::uint64_t code,
     return (((code & lane) - 1) & lane) | (code & ~lane);
 }
 
-/// The 6-connected (face-adjacent) neighbours of the atom at `code` within the
-/// cube [0, side)^3. Neighbours outside the cube are omitted. Used by the
-/// storage layer to model interpolation-kernel spill into adjacent atoms.
-std::vector<std::uint64_t> morton_face_neighbors(std::uint64_t code, std::uint32_t side);
-
 }  // namespace jaws::util

@@ -8,7 +8,6 @@
 
 #include "core/cluster.h"
 #include "core/engine.h"
-#include "storage/replica_router.h"
 #include "workload/generator.h"
 
 namespace jaws::core {
@@ -109,42 +108,6 @@ TEST(ClusterValidate, RejectsNodeCountsBeyondNodeIndex) {
     } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find("NodeIndex"), std::string::npos);
     }
-}
-
-TEST(ReplicaChain, WrapsAtTheNodeIndexCeiling) {
-    // The chain arithmetic runs in size_t and re-wraps into NodeIndex: the
-    // last representable node's replica is node 0, not a truncated value.
-    const std::size_t nodes = std::numeric_limits<std::uint32_t>::max();
-    const auto chain = storage::replica_chain(
-        util::NodeIndex{std::numeric_limits<std::uint32_t>::max() - 1}, 2,
-        nodes);
-    ASSERT_EQ(chain.size(), 2u);
-    EXPECT_EQ(chain[0].value(), std::numeric_limits<std::uint32_t>::max() - 1);
-    EXPECT_EQ(chain[1].value(), 0u);
-}
-
-std::vector<util::NodeIndex> ring(std::initializer_list<std::uint32_t> raw) {
-    std::vector<util::NodeIndex> out;
-    for (const std::uint32_t n : raw) out.push_back(util::NodeIndex{n});
-    return out;
-}
-
-TEST(ReplicaChain, FollowsChainedDeclusteringOrder) {
-    const auto chain = storage::replica_chain(util::NodeIndex{1}, 3, 5);
-    EXPECT_EQ(chain, ring({1, 2, 3}));
-}
-
-TEST(ReplicaChain, WrapsAroundTheLastNode) {
-    // The ranges owned by the tail nodes replicate onto the head of the ring.
-    EXPECT_EQ(storage::replica_chain(util::NodeIndex{3}, 3, 4), ring({3, 0, 1}));
-    EXPECT_EQ(storage::replica_chain(util::NodeIndex{4}, 2, 5), ring({4, 0}));
-}
-
-TEST(ReplicaChain, ClampsReplicationToClusterSize) {
-    // replication > nodes cannot place two copies on one node: the chain
-    // covers each node exactly once.
-    EXPECT_EQ(storage::replica_chain(util::NodeIndex{2}, 9, 3), ring({2, 0, 1}));
-    EXPECT_TRUE(storage::replica_chain(util::NodeIndex{0}, 2, 0).empty());
 }
 
 TEST(ClusterValidate, RejectsDuplicateNodeDownEvents) {

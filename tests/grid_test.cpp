@@ -1,8 +1,6 @@
 // Tests for grid/atom geometry and voxel materialisation (field/grid.h).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "field/grid.h"
 #include "util/rng.h"
 
@@ -71,35 +69,6 @@ TEST(GridSpec, SimTimeScalesWithStep) {
     const GridSpec g = small_grid();
     EXPECT_DOUBLE_EQ(g.sim_time(0), 0.0);
     EXPECT_DOUBLE_EQ(g.sim_time(3), 3 * g.dt);
-}
-
-TEST(GridSpec, KernelAtomsInteriorFitsGhost) {
-    const GridSpec g = small_grid();
-    // Kernel half-width 2 == ghost: single atom regardless of position.
-    const Vec3 p{0.01, 0.01, 0.01};
-    const auto atoms = g.kernel_atoms(p, 2);
-    EXPECT_EQ(atoms.size(), 1u);
-}
-
-TEST(GridSpec, KernelAtomsSpillsPastGhost) {
-    const GridSpec g = small_grid();
-    // Half-width 4 > ghost 2, position at a low atom corner: spills into
-    // lower neighbours (wrapping).
-    const Vec3 p{0.001, 0.001, 0.001};
-    const auto atoms = g.kernel_atoms(p, 4);
-    EXPECT_GT(atoms.size(), 1u);
-    // The primary atom always comes first.
-    EXPECT_EQ(atoms.front(), g.atom_morton_of(p));
-    // No duplicates.
-    auto copy = atoms;
-    std::sort(copy.begin(), copy.end());
-    EXPECT_EQ(std::adjacent_find(copy.begin(), copy.end()), copy.end());
-}
-
-TEST(GridSpec, KernelAtomsCenterOfAtomNoSpill) {
-    const GridSpec g = small_grid();
-    const Vec3 p{(0.5) / 4.0, (0.5) / 4.0, (0.5) / 4.0};  // centre of atom 0
-    EXPECT_EQ(g.kernel_atoms(p, 4).size(), 1u);
 }
 
 TEST(VoxelBlock, ExtentIncludesGhosts) {

@@ -98,24 +98,6 @@ TEST(MortonBoxCover, ContainsExactlyBoxCells) {
     }
 }
 
-TEST(MortonFaceNeighbors, InteriorHasSix) {
-    const auto n = morton_face_neighbors(morton_encode(4, 4, 4), 16);
-    EXPECT_EQ(n.size(), 6u);
-}
-
-TEST(MortonFaceNeighbors, CornerHasThree) {
-    const auto n = morton_face_neighbors(morton_encode(0, 0, 0), 16);
-    ASSERT_EQ(n.size(), 3u);
-    EXPECT_NE(std::find(n.begin(), n.end(), morton_encode(1, 0, 0)), n.end());
-    EXPECT_NE(std::find(n.begin(), n.end(), morton_encode(0, 1, 0)), n.end());
-    EXPECT_NE(std::find(n.begin(), n.end(), morton_encode(0, 0, 1)), n.end());
-}
-
-TEST(MortonFaceNeighbors, UpperCornerClamped) {
-    const auto n = morton_face_neighbors(morton_encode(15, 15, 15), 16);
-    EXPECT_EQ(n.size(), 3u);
-}
-
 TEST(MortonLowerNeighbor, MatchesDecodeAndReencode) {
     Rng rng(11);
     const std::uint32_t maxc = (1u << kMortonBitsPerAxis) - 1;
@@ -140,22 +122,6 @@ TEST(MortonLowerNeighbor, MatchesDecodeAndReencode) {
             (axis == 0 ? expect.x : axis == 1 ? expect.y : expect.z) -= 1;
             ASSERT_TRUE(below.has_value());
             ASSERT_EQ(*below, morton_encode(expect));
-        }
-    }
-}
-
-TEST(MortonFaceNeighbors, NeighborsAreAtManhattanDistanceOne) {
-    Rng rng(7);
-    for (int i = 0; i < 200; ++i) {
-        const auto x = static_cast<std::uint32_t>(rng.uniform_u64(16));
-        const auto y = static_cast<std::uint32_t>(rng.uniform_u64(16));
-        const auto z = static_cast<std::uint32_t>(rng.uniform_u64(16));
-        for (const std::uint64_t code : morton_face_neighbors(morton_encode(x, y, z), 16)) {
-            const Coord3 c = morton_decode(code);
-            const int dist = std::abs(static_cast<int>(c.x) - static_cast<int>(x)) +
-                             std::abs(static_cast<int>(c.y) - static_cast<int>(y)) +
-                             std::abs(static_cast<int>(c.z) - static_cast<int>(z));
-            ASSERT_EQ(dist, 1);
         }
     }
 }
