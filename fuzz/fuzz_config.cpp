@@ -73,14 +73,11 @@ void decode_engine(FuzzInput& in, EngineConfig& cfg) {
 
     cfg.cache.policy = static_cast<CachePolicy>(in.below(8));
     cfg.cache.capacity_atoms = in.below(1 << 20);
-    cfg.cache.slru_protected_fraction = fuzz_double(in, 0.0, 1.0);
     cfg.cache.lru_k = static_cast<unsigned>(in.below(16));
-    cfg.cache.twoq_in_fraction = fuzz_double(in, 0.0, 1.0);
 
     cfg.scheduler.kind = static_cast<SchedulerKind>(in.below(5));
     cfg.scheduler.liferaft_alpha = fuzz_double(in, 0.0, 1.0);
     cfg.scheduler.jaws.batch_size_k = in.below(256);
-    cfg.scheduler.jaws.two_level = in.boolean();
     cfg.scheduler.jaws.job_aware = in.boolean();
     cfg.scheduler.jaws.adaptive_alpha = in.boolean();
     cfg.scheduler.jaws.alpha.initial_alpha = fuzz_double(in, 0.0, 1.0);
@@ -99,8 +96,6 @@ void decode_engine(FuzzInput& in, EngineConfig& cfg) {
     cfg.prefetch.min_history = in.below(16);
     cfg.prefetch.max_centroid_jump = fuzz_double(in, 0.0, 2.0);
     cfg.timeline_window_s = fuzz_double(in, 0.0, 100.0);
-    cfg.support_read_fraction = fuzz_double(in, 0.0, 1.0);
-    cfg.dispatch_overhead_ms = fuzz_double(in, 0.0, 100.0);
 
     cfg.faults.seed = in.u64();
     cfg.faults.transient_error_rate = fuzz_double(in, 0.0, 1.0);
@@ -118,19 +113,16 @@ void decode_engine(FuzzInput& in, EngineConfig& cfg) {
 
     cfg.retry.max_attempts = in.below(32);
     cfg.retry.backoff_base_ms = fuzz_double(in, 0.0, 1000.0);
-    cfg.retry.backoff_multiplier = fuzz_double(in, 0.0, 8.0);
     cfg.retry.backoff_cap_ms = fuzz_double(in, 0.0, 10000.0);
     cfg.retry.total_retry_budget = in.below(1 << 16);
 
     cfg.hedge.enabled = in.boolean();
     cfg.hedge.trigger_ms = fuzz_double(in, 0.0, 1000.0);
     cfg.hedge.trigger_ewma_multiplier = fuzz_double(in, 0.0, 16.0);
-    cfg.hedge.ewma_alpha = fuzz_double(in, 0.0, 1.0);
     cfg.hedge.max_outstanding = in.below(64);
     cfg.hedge.budget_per_query = in.below(64);
 
     cfg.deadline_budget_ms = fuzz_double(in, 0.0, 60000.0);
-    cfg.halt_at = jaws::util::SimTime{in.boolean() ? INT64_MAX : in.range(-10, 1 << 20)};
 }
 
 }  // namespace

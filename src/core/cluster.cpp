@@ -182,14 +182,12 @@ class UnifiedKernel final : public storage::ReplicaRouter {
         failed_over_.assign(config_.nodes, false);
         engines_.reserve(config_.nodes);
         for (std::size_t n = 0; n < config_.nodes; ++n) {
-            EngineConfig cfg = node_template_;
-            cfg.halt_at = death_[n];
             engines_.push_back(std::make_unique<Engine>(
-                cfg, events_, util::NodeIndex{static_cast<std::uint32_t>(n)}));
+                node_template_, events_, util::NodeIndex{static_cast<std::uint32_t>(n)}));
             engines_.back()->set_replica_router(this);
         }
         for (std::size_t n = 0; n < config_.nodes; ++n) {
-            engines_[n]->begin_shared(origin_);
+            engines_[n]->begin(origin_, death_[n]);
             engines_[n]->set_halt_drained([this, n] { fail_over(n); });
         }
 
@@ -474,7 +472,7 @@ class UnifiedKernel final : public storage::ReplicaRouter {
         report_.p99_response_ms = util::percentile(std::move(pooled_response_ms), 99.0);
     }
 
-    /// Merge the per-node timelines (their windows are aligned: begin_shared
+    /// Merge the per-node timelines (their windows are aligned: begin()
     /// pinned every node's window origin to the cluster origin): completions
     /// and backlog sum, response is completion-weighted, the remaining
     /// signals average over the nodes that reported the window.

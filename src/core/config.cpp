@@ -61,8 +61,6 @@ void EngineConfig::validate() const {
     require_non_negative(compute.t_m_us, "compute.t_m_us");
     require_non_negative(estimates.t_b_ms, "estimates.t_b_ms");
     require_non_negative(estimates.t_m_ms, "estimates.t_m_ms");
-    require_non_negative(dispatch_overhead_ms, "dispatch_overhead_ms");
-    require_non_negative(support_read_fraction, "support_read_fraction");
     require_non_negative(timeline_window_s, "timeline_window_s");
 
     if (scheduler.kind == SchedulerKind::kLifeRaft)
@@ -92,9 +90,6 @@ void EngineConfig::validate() const {
         fail("retry.max_attempts must be at least 1 (the initial attempt)");
     require_non_negative(retry.backoff_base_ms, "retry.backoff_base_ms");
     require_non_negative(retry.backoff_cap_ms, "retry.backoff_cap_ms");
-    if (!(retry.backoff_multiplier >= 1.0) || !std::isfinite(retry.backoff_multiplier))
-        fail("retry.backoff_multiplier must be finite and >= 1, got " +
-             std::to_string(retry.backoff_multiplier));
     if (retry.backoff_cap_ms < retry.backoff_base_ms)
         fail("retry.backoff_cap_ms " + std::to_string(retry.backoff_cap_ms) +
              " is below retry.backoff_base_ms " +
@@ -123,9 +118,6 @@ void EngineConfig::validate() const {
             !std::isfinite(hedge.trigger_ewma_multiplier))
             fail("hedge.trigger_ewma_multiplier must be finite and positive, got " +
                  std::to_string(hedge.trigger_ewma_multiplier));
-        if (!(hedge.ewma_alpha > 0.0 && hedge.ewma_alpha <= 1.0))
-            fail("hedge.ewma_alpha must lie in (0, 1], got " +
-                 std::to_string(hedge.ewma_alpha));
         if (hedge.max_outstanding == 0)
             fail("hedge.max_outstanding must be at least 1 when hedging is enabled");
         if (hedge.budget_per_query == 0)

@@ -36,9 +36,7 @@ enum class SchedulerKind : std::uint8_t { kNoShare, kLifeRaft, kJaws };
 struct CacheSpec {
     CachePolicy policy = CachePolicy::kLruK;
     std::size_t capacity_atoms = 256;  ///< 2 GB of 8 MB atoms.
-    double slru_protected_fraction = 0.05;
     unsigned lru_k = 2;
-    double twoq_in_fraction = 0.25;  ///< A1in share for the 2Q policy.
 
     /// Measure policy overhead in real wall-clock nanoseconds
     /// (util::wall_clock_ns) instead of deterministic virtual ticks.
@@ -89,8 +87,8 @@ struct EvalSpec {
 /// crashing the run.
 struct RetrySpec {
     std::size_t max_attempts = 4;     ///< Total read attempts per demand miss.
-    double backoff_base_ms = 5.0;     ///< Virtual delay before the first retry.
-    double backoff_multiplier = 2.0;  ///< Growth factor per further retry.
+    double backoff_base_ms = 5.0;     ///< Virtual delay before the first retry
+                                      ///< (doubling per further retry).
     double backoff_cap_ms = 1000.0;   ///< Upper bound on any single delay.
 
     /// Circuit breaker: total retries the whole run may spend (0 = unlimited).
@@ -118,7 +116,6 @@ struct HedgeSpec {
     /// T_b estimate until the EWMA is primed).
     double trigger_ms = 0.0;
     double trigger_ewma_multiplier = 3.0;  ///< Trigger = mult * EWMA(read ms).
-    double ewma_alpha = 0.2;               ///< Weight on the newest observation.
 
     /// Engine-wide cap on simultaneously outstanding hedge reads (a hedge
     /// storm must never displace primary demand traffic).
@@ -160,19 +157,6 @@ struct EngineConfig {
     /// time-series collection.
     double timeline_window_s = 0.0;
 
-    /// Cost of fetching one kernel-support ghost region from disk, as a
-    /// fraction of T_b. Charged whenever a sub-query's interpolation kernel
-    /// spills into a neighbour atom that is neither cache-resident nor
-    /// co-scheduled in the same batch (see Engine::execute_one_batch).
-    double support_read_fraction = 0.10;
-
-    /// Virtual cost of one scheduler->database dispatch round trip (batch
-    /// submission, plan setup, clustered-index descent). Charged once per
-    /// non-empty batch: single-atom scheduling pays it per atom, the
-    /// two-level framework amortises it over k atoms, NoShare over a whole
-    /// query.
-    double dispatch_overhead_ms = 5.0;
-
     /// Deterministic fault injection (default: fault-free; zero-cost when
     /// disabled). Node-down events inside are consumed by TurbulenceCluster.
     storage::FaultSpec faults;
@@ -198,11 +182,6 @@ struct EngineConfig {
     /// queue in standalone runs and to the cluster's shared queue in unified
     /// runs.
     util::TiePerturbation tie_perturbation;
-
-    /// Virtual time at which this node dies mid-run (SimTime::max() = never).
-    /// Set by TurbulenceCluster from FaultSpec::node_down; a halted run
-    /// reports partial completion instead of throwing.
-    util::SimTime halt_at = util::SimTime::max();
 
     /// Reject nonsensical configurations (zero-sized grid or cache,
     /// atom_side not dividing voxels_per_side, negative costs, out-of-range

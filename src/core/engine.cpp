@@ -14,12 +14,29 @@
 #include "sched/jaws.h"
 #include "sched/liferaft.h"
 #include "sched/noshare.h"
-#include "util/logging.h"
 #include "util/wallclock.h"
 
 namespace jaws::core {
 
 namespace {
+/// Cost of fetching one kernel-support ghost region from disk, as a fraction
+/// of T_b. Charged whenever a sub-query's interpolation kernel spills into a
+/// neighbour atom that is not cache-resident (see proceed_supports).
+constexpr double kSupportReadFraction = 0.10;
+
+/// Virtual cost of one scheduler->database dispatch round trip (batch
+/// submission, plan setup, clustered-index descent). Charged once per
+/// non-empty batch: single-atom scheduling pays it per atom, the two-level
+/// framework amortises it over k atoms, NoShare over a whole query.
+constexpr double kDispatchOverheadMs = 5.0;
+
+/// Growth factor of the retry backoff per further attempt.
+constexpr double kBackoffMultiplier = 2.0;
+
+/// Weight on the newest demand-read service time in the EWMA behind the
+/// adaptive hedge trigger.
+constexpr double kHedgeEwmaAlpha = 0.2;
+
 /// Reject invalid configs before any member (notably the AtomStore, whose
 /// layout math assumes a well-formed grid) is constructed from them.
 const EngineConfig& validated(const EngineConfig& config) {
@@ -61,7 +78,7 @@ Engine::Engine(const EngineConfig& config, util::EventQueue* shared_events,
       db_(config.grid, config.compute),
       disk_res_(events_, config.io_depth, kPriService, node_id.value()),
       cpu_res_(events_, config.compute_workers, kPriService, node_id.value()),
-      read_ewma_(config.hedge.ewma_alpha) {
+      read_ewma_(kHedgeEwmaAlpha) {
     // A privately owned queue takes the configured tie-break perturbation
     // (a shared queue is perturbed once by its owner, the cluster kernel).
     if (owned_events_ != nullptr)
@@ -99,13 +116,11 @@ std::unique_ptr<cache::ReplacementPolicy> Engine::make_policy() {
         case CachePolicy::kLruK:
             return std::make_unique<cache::LruKPolicy>(config_.cache.lru_k);
         case CachePolicy::kSlru:
-            return std::make_unique<cache::SlruPolicy>(
-                config_.cache.capacity_atoms, config_.cache.slru_protected_fraction);
+            return std::make_unique<cache::SlruPolicy>(config_.cache.capacity_atoms);
         case CachePolicy::kUrc:
             return std::make_unique<cache::UrcPolicy>(oracle_);
         case CachePolicy::kTwoQ:
-            return std::make_unique<cache::TwoQPolicy>(config_.cache.capacity_atoms,
-                                                       config_.cache.twoq_in_fraction);
+            return std::make_unique<cache::TwoQPolicy>(config_.cache.capacity_atoms);
     }
     throw std::invalid_argument("unknown cache policy");
 }
@@ -244,7 +259,7 @@ void Engine::start_batch(std::vector<sched::BatchItem> items) {
     // One scheduler->database dispatch round trip per batch, then the
     // pipeline starts issuing items.
     events_.schedule(
-        events_.now() + util::SimTime::from_millis(config_.dispatch_overhead_ms),
+        events_.now() + util::SimTime::from_millis(kDispatchOverheadMs),
         kPriService, node_id_.value(), [this] { issue_more(); });
 }
 
@@ -348,7 +363,7 @@ void Engine::demand_read_done(std::size_t idx) {
         // QoS deadline checks see the true degraded timeline.
         const auto backoff = util::SimTime::from_millis(
             std::min(it.backoff_ms, config_.retry.backoff_cap_ms));
-        it.backoff_ms *= config_.retry.backoff_multiplier;
+        it.backoff_ms *= kBackoffMultiplier;
         retry_backoff_time_ += backoff;
         ++read_retries_;
         ++it.attempt;
@@ -558,8 +573,8 @@ void Engine::proceed_supports(std::size_t idx) {
     }
     // Per-read cost converted to micros *before* multiplying, so the total
     // matches the pre-kernel engine's per-support clock advances exactly.
-    const auto per_read = util::SimTime::from_millis(config_.support_read_fraction *
-                                                     config_.estimates.t_b_ms);
+    const auto per_read =
+        util::SimTime::from_millis(kSupportReadFraction * config_.estimates.t_b_ms);
     const util::SimTime duration = per_read.scaled_by(cold);
     util::SimResource::Job job;
     job.priority = 0;
@@ -712,7 +727,7 @@ void Engine::fail_subqueries(const std::vector<sched::SubQuery>& subs) {
 
 void Engine::complete_query(QueryRuntime& rt) {
     const util::SimTime now = events_.now();
-    end_time_ = now;  // the shared kernel has no per-node loop to observe this
+    end_time_ = now;  // makespan end (a halt drain may move it later)
     timeline_tick(now, (now - rt.visible_at).millis());
     QueryOutcome outcome;
     outcome.query = rt.query->id;
@@ -885,33 +900,17 @@ void Engine::timeline_tick(util::SimTime now, double response_ms) {
 }
 
 // --------------------------------------------------------------------------
-// Drive loop & shared-kernel lifecycle
+// Lifecycle: begin / inject_job / finish, and run() on top of it
 // --------------------------------------------------------------------------
 
 void Engine::start_clock(util::SimTime t) {
     clock_started_ = true;
     start_ = t;
     end_time_ = t;
-    if (shared_mode_) {
-        // Accounting was anchored at the cluster origin by begin_shared();
-        // never rewind it (this node's disk may already have served replica
-        // reads for other nodes before its own first arrival).
-        if (t > last_account_) last_account_ = t;
-    } else {
-        last_account_ = t;
-        if (config_.timeline_window_s > 0.0)
-            timeline_next_ = t + util::SimTime::from_seconds(config_.timeline_window_s);
-    }
-}
-
-void Engine::arm_halt() {
-    // Node death (cluster failover): an active batch is allowed to complete,
-    // but nothing further is admitted or dispatched.
-    if (config_.halt_at != util::SimTime::max())
-        events_.schedule(config_.halt_at, kPriHalt, node_id_.value(), [this] {
-            halted_ = true;
-            maybe_halt_drained();
-        });
+    // Accounting was anchored at the origin by begin(); never rewind it (on a
+    // shared kernel this node's disk may already have served replica reads
+    // for other nodes before its own first arrival).
+    if (t > last_account_) last_account_ = t;
 }
 
 void Engine::maybe_halt_drained() {
@@ -929,19 +928,22 @@ bool Engine::try_unstick() {
     return true;
 }
 
-void Engine::begin_shared(util::SimTime origin) {
-    if (ran_)
-        throw std::logic_error("Engine::begin_shared: engine instances are single-shot");
-    if (owned_events_ != nullptr)
-        throw std::logic_error("Engine::begin_shared: engine owns its event queue");
+void Engine::begin(util::SimTime origin, util::SimTime halt_at) {
+    if (ran_) throw std::logic_error("Engine::begin: engine instances are single-shot");
     ran_ = true;
-    shared_mode_ = true;
     last_account_ = origin;
-    // Timeline windows are pinned to the cluster origin (not this node's
-    // first arrival) so every node's windows align for cluster-level merging.
+    // Timeline windows are pinned to the origin (on a shared kernel: the
+    // cluster's, not this node's first arrival) so every node's windows
+    // align for cluster-level merging.
     if (config_.timeline_window_s > 0.0)
         timeline_next_ = origin + util::SimTime::from_seconds(config_.timeline_window_s);
-    arm_halt();
+    // Node death (cluster failover): an active batch is allowed to complete,
+    // but nothing further is admitted or dispatched.
+    if (halt_at != util::SimTime::max())
+        events_.schedule(halt_at, kPriHalt, node_id_.value(), [this] {
+            halted_ = true;
+            maybe_halt_drained();
+        });
 }
 
 void Engine::inject_job(const workload::Job& job) {
@@ -954,35 +956,26 @@ void Engine::inject_job(const workload::Job& job) {
 }
 
 RunReport Engine::run(const workload::Workload& workload) {
-    if (ran_) throw std::logic_error("Engine::run: engine instances are single-shot");
-    ran_ = true;
-
-    for (const workload::Job& job : workload.jobs) require_kernel_fit(job);
-    expected_ = workload.total_queries();
-    jobs_seen_ = workload.jobs.size();
-    outcomes_.reserve(expected_);
     const util::SimTime start =
         workload.jobs.empty() ? util::SimTime::zero() : workload.jobs.front().arrival;
+    begin(start, util::SimTime::max());
     events_.reset_to(start);
-    start_clock(start);
+    start_clock(start);  // an empty workload still reports from `start`
 
+    const std::size_t total = workload.total_queries();
+    outcomes_.reserve(total);
     for (const workload::Job& job : workload.jobs)
-        events_.schedule(job.arrival, kPriArrival, node_id_.value(), [this, &job] {
-            due_jobs_.push_back(&job);
-            if (!halted_ && batch_ == nullptr) ensure_dispatch();
-        });
-    arm_halt();
+        events_.schedule(job.arrival, kPriArrival, node_id_.value(),
+                         [this, &job] { inject_job(job); });
 
-    while (completed_ < expected_) {
-        if (halted_ && batch_ == nullptr) break;
+    while (completed_ < total) {
         if (events_.run_one()) continue;
         // Queue drained with queries incomplete: only gated queries remain.
         if (try_unstick()) continue;
-        JAWS_LOG_ERROR("engine", "stalled with %zu/%zu queries complete", completed_,
-                       expected_);
-        throw std::runtime_error("Engine::run: scheduler stalled");
+        throw std::runtime_error("Engine::run: scheduler stalled with " +
+                                 std::to_string(completed_) + "/" +
+                                 std::to_string(total) + " queries complete");
     }
-    end_time_ = events_.now();
     return finish();
 }
 
@@ -1057,7 +1050,8 @@ RunReport Engine::finish() {
     report.deadline_misses = deadline_misses_;
     report.retries_suppressed = retries_suppressed_;
     // Halted means the run stopped short; a final batch that happened to
-    // cross halt_at while finishing the workload is a completed run.
+    // cross the death instant while finishing the workload is a completed
+    // run.
     report.halted = halted_ && completed_ < expected_;
     report.final_alpha = scheduler_->current_alpha();
     if (const sched::GatingStats* gs = scheduler_->gating_stats()) report.gating = *gs;

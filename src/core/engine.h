@@ -32,14 +32,16 @@
 // user's think time has elapsed, exactly the dynamics of a live
 // particle-tracking experiment.
 //
-// Shared-kernel mode (the unified cluster): an engine can alternatively be
-// constructed over an *external* EventQueue with a node id. All of its
-// events and resource completions are then tagged with that id (the queue's
-// cross-node tie-break), jobs are injected by the cluster kernel at arrival
-// events instead of being scheduled up front, and demand/hedge reads may be
-// routed to another node's store and disk through a storage::ReplicaRouter.
-// The begin_shared()/inject_job()/finish() lifecycle replaces run(); with no
-// router and a private queue the two modes are bit-identical.
+// One lifecycle drives every engine: begin(origin, halt_at) arms the node,
+// inject_job() delivers each job at its arrival instant, and finish() builds
+// the report. run() is that lifecycle on the engine's own queue: one arrival
+// event per job, no halt, and a loop until every query has completed. The
+// unified cluster kernel instead constructs its engines over one *shared*
+// EventQueue with a node id: every event and resource completion is then
+// tagged with that id (the queue's cross-node tie-break), the kernel injects
+// jobs at its routing events, hands each node its death time through
+// begin(), and demand/hedge reads may be routed to another node's store and
+// disk through a storage::ReplicaRouter.
 //
 // An Engine instance executes one workload once; construct a fresh engine
 // per experimental configuration (they are cheap — the dataset is lazy).
@@ -87,31 +89,32 @@ class Engine {
     explicit Engine(const EngineConfig& config);
 
     /// Shared-kernel construction: the engine schedules everything on
-    /// `events` (which it does not own) tagged with source `node_id`, and
-    /// runs through the begin_shared()/inject_job()/finish() lifecycle
-    /// driven by the cluster kernel instead of run().
+    /// `events` (which it does not own) tagged with source `node_id`; the
+    /// cluster kernel drives the lifecycle below instead of run().
     Engine(const EngineConfig& config, util::EventQueue& events,
            util::NodeIndex node_id);
 
-    /// Execute `workload` to completion and report. The workload must have
-    /// jobs sorted by arrival time (the generator guarantees it). May be
-    /// called once per engine.
+    /// Execute `workload` to completion on the engine's own queue and
+    /// report: begin() at the first arrival with no halt, one arrival event
+    /// per job calling inject_job(), then finish() once every query has
+    /// completed. The workload must have jobs sorted by arrival time (the
+    /// generator guarantees it). May be called once per engine.
     RunReport run(const workload::Workload& workload);
 
-    // --- shared-kernel lifecycle (unified cluster) -----------------------
-    /// Arm this node on the shared queue: schedules the halt (node-death)
-    /// event from EngineConfig::halt_at and pins the timeline-window origin
-    /// to `origin` so every node's windows align for cluster merging. The
-    /// node's own clock (makespan origin) starts at its first injected job,
-    /// exactly like a standalone run over its partition.
-    void begin_shared(util::SimTime origin);
+    // --- lifecycle (run() and the unified cluster kernel) -----------------
+    /// Arm this node: pins accounting and the timeline-window origin to
+    /// `origin` (on a shared kernel every node gets the cluster's, so their
+    /// windows align for merging) and schedules the node-death halt at
+    /// `halt_at` (SimTime::max() = the node never dies). The node's own
+    /// clock (makespan origin) starts at its first injected job.
+    void begin(util::SimTime origin, util::SimTime halt_at);
     /// Deliver a job arriving at the current virtual instant. `job` must
-    /// outlive the run. Grows the expected-query count; admission and
-    /// dispatch follow the same event sequence as a scheduled arrival.
+    /// outlive the run. Grows the expected-query count, then buffers the job
+    /// for admission by the next dispatch pass.
     void inject_job(const workload::Job& job);
-    /// Settle accounting and build this node's report. Call once, after the
-    /// shared queue has drained. A node that never received a job reports
-    /// an empty (default) RunReport.
+    /// Settle accounting and build this node's report. Call once, at the
+    /// end of the run. A node that never received a job (and was not
+    /// started by run()) reports an empty (default) RunReport.
     RunReport finish();
 
     /// Whether every query injected so far has completed.
@@ -334,11 +337,9 @@ class Engine {
     void account_to(util::SimTime now);
     void account_tick();
 
-    /// Start the node's clock at `t` (makespan origin, accounting origin and
-    /// — unless begin_shared pinned it globally — the timeline origin).
+    /// Start the node's clock at `t` (the makespan origin; accounting never
+    /// rewinds past begin()'s origin).
     void start_clock(util::SimTime t);
-    /// Arm the node-death halt event from EngineConfig::halt_at.
-    void arm_halt();
     /// Fire the halt-drained hook once the halt took effect with no batch in
     /// flight (checked at the halt event and again at end_batch()).
     void maybe_halt_drained();
@@ -395,7 +396,7 @@ class Engine {
     util::SimTime tl_overlap_time_;
 
     std::size_t completed_ = 0;
-    std::size_t expected_ = 0;  ///< Queries scheduled or injected so far.
+    std::size_t expected_ = 0;  ///< Queries injected so far.
     std::uint64_t atoms_processed_ = 0;
     std::uint64_t replica_reads_ = 0;  ///< Reads routed to another node.
     std::uint64_t atom_reads_ = 0;
@@ -429,7 +430,7 @@ class Engine {
     double job_span_ms_sum_ = 0.0;
     std::vector<double> job_spans_;
     std::size_t jobs_done_ = 0;
-    std::size_t jobs_seen_ = 0;  ///< Jobs scheduled or injected so far.
+    std::size_t jobs_seen_ = 0;  ///< Jobs injected so far.
 
     // Continuous resource accounting (integrated by account_tick).
     util::SimTime last_account_;
@@ -439,8 +440,7 @@ class Engine {
     util::SimTime idle_time_;          ///< Both idle and no batch active.
     bool ran_ = false;
 
-    // Shared-kernel lifecycle state.
-    bool shared_mode_ = false;
+    // Lifecycle state.
     bool clock_started_ = false;
     util::SimTime start_;      ///< Makespan origin (first arrival).
     util::SimTime end_time_;   ///< Last completion / halt-drain instant.

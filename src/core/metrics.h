@@ -161,8 +161,9 @@ struct RunReport {
     std::uint64_t degraded_queries = 0;  ///< Queries completed with partial results.
     util::SimTime retry_backoff_time;    ///< Virtual time spent backing off.
     storage::FaultStats faults;          ///< What the injector actually fired.
-    /// True when the run was cut short by a node-death event (halt_at):
-    /// the report covers only the work finished before the halt.
+    /// True when the run was cut short by the node's death (the halt time
+    /// the cluster kernel passes to Engine::begin): the report covers only
+    /// the work finished before the halt.
     bool halted = false;
 
     // --- hedged reads & deadline budgets (all zero when disabled) --------

@@ -25,7 +25,9 @@ namespace jaws::sched {
 /// Controller configuration.
 struct AdaptiveAlphaConfig {
     double initial_alpha = 0.5;
-    std::size_t run_length = 200;     ///< Queries per run (r).
+    /// Queries per run (r). core::Engine overwrites it with
+    /// EngineConfig::run_length.
+    std::size_t run_length = 200;
     double smoothing = 0.2;           ///< EWMA weight on the newest run.
     double stall_epsilon = 0.02;      ///< Ratios within 1 +/- eps count as "no change".
     double explore_step = 0.08;       ///< Exploration perturbation of alpha.

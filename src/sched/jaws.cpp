@@ -95,14 +95,9 @@ std::vector<BatchItem> JawsScheduler::next_batch(util::SimTime now) {
             return batch;
         }
     }
-    if (config_.two_level) {
-        for (const storage::AtomId& atom :
-             manager_.pick_two_level_batch(config_.batch_size_k, now)) {
-            batch.push_back(BatchItem{atom, manager_.drain_atom(atom)});
-        }
-    } else if (const auto best = manager_.pick_best_atom()) {
-        batch.push_back(BatchItem{*best, manager_.drain_atom(*best)});
-    }
+    for (const storage::AtomId& atom :
+         manager_.pick_two_level_batch(config_.batch_size_k, now))
+        batch.push_back(BatchItem{atom, manager_.drain_atom(atom)});
     return batch;
 }
 

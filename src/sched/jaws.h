@@ -1,15 +1,16 @@
 // The JAWS scheduler (paper Secs. IV-V).
 //
-// Extends LifeRaft with, independently switchable:
-//   * two-level scheduling — pick the time step with the highest mean
-//     workload throughput, then a batch of up to k above-mean atoms of that
-//     step, Morton-ordered (Sec. V, Fig. 6);
+// Extends LifeRaft with two-level scheduling — pick the time step with the
+// highest mean workload throughput, then a batch of up to k above-mean atoms
+// of that step, Morton-ordered (Sec. V, Fig. 6) — plus, independently
+// switchable:
 //   * adaptive starvation resistance — the run-based alpha controller
 //     (Sec. V-A);
 //   * job-awareness — the precedence/gating graph that delays queries so
 //     that cross-job queries touching the same atoms enter the workload
 //     queues together (Sec. IV).
-// The paper's JAWS_1 is {two-level, adaptive} and JAWS_2 adds job-awareness.
+// The paper's JAWS_1 is two-level plus adaptive; JAWS_2 adds job-awareness.
+// Single-atom scheduling is LifeRaftScheduler (sched/liferaft.h).
 #pragma once
 
 #include <unordered_map>
@@ -24,7 +25,6 @@ namespace jaws::sched {
 /// Feature switches and parameters of a JAWS instance.
 struct JawsConfig {
     std::size_t batch_size_k = 15;    ///< Atoms per two-level batch.
-    bool two_level = true;            ///< Use the two-level framework.
     bool job_aware = true;            ///< Build gating edges (JAWS_2).
     bool adaptive_alpha = true;       ///< Run the alpha controller.
     AdaptiveAlphaConfig alpha;        ///< Controller settings (initial alpha etc.).

@@ -45,7 +45,9 @@ namespace jaws::sched {
 struct CostConstants {
     double t_b_ms = 25.0;  ///< Estimated cost of reading one atom from disk.
     double t_m_ms = 0.005; ///< Estimated compute cost per position (5 us).
-    std::uint64_t atoms_per_step = 4096;  ///< Denominator of per-step means.
+    /// Denominator of per-step means. core::Engine overwrites it with
+    /// EngineConfig::grid's atoms per step.
+    std::uint64_t atoms_per_step = 4096;
 };
 
 /// Residency probe for phi(i); decouples the manager from the cache class.

@@ -5,8 +5,9 @@
 // reads) produces per-node reports and sample digests bit-identical to N
 // standalone engines, each running its partition() share — the cross-node
 // tie-break (time, priority, node, insertion) degenerates to each node's
-// private order, and self-routing is the identity. The golden row pins the
-// shared trace so a silent divergence fails loudly. Beyond the pinned
+// private order, and self-routing is the identity — with and without
+// hedging, heavy-tailed disks and injected read faults. The golden row pins
+// the shared trace so a silent divergence fails loudly. Beyond the pinned
 // regime, the suite covers what only the shared kernel can do:
 // replica-served reads, in-kernel failover into survivors' resources, and
 // the merged cluster timeline.
@@ -45,6 +46,18 @@ ClusterConfig fixture_cluster(std::size_t nodes) {
     return c;
 }
 
+/// The same fixture with the tail machinery in play: heavy-tailed disks,
+/// transient read errors and stuck reads, with hedging on — so the hedge,
+/// retry and stall paths are driven through the shared kernel too.
+ClusterConfig faulty_fixture_cluster(std::size_t nodes) {
+    ClusterConfig c = fixture_cluster(nodes);
+    c.node.hedge.enabled = true;
+    c.node.disk.heavy_tail.rate = 0.2;
+    c.node.faults.transient_error_rate = 0.05;
+    c.node.faults.stuck_read_rate = 0.02;
+    return c;
+}
+
 workload::Workload fixture_workload(const ClusterConfig& c, std::size_t jobs = 8) {
     workload::WorkloadSpec spec;
     spec.jobs = jobs;
@@ -73,15 +86,25 @@ void expect_node_reports_identical(const RunReport& got, const RunReport& want) 
     EXPECT_EQ(got.mean_response_ms, want.mean_response_ms);
     EXPECT_EQ(got.peak_cpu_busy, want.peak_cpu_busy);
     EXPECT_EQ(got.peak_disk_busy, want.peak_disk_busy);
+    EXPECT_EQ(got.read_retries, want.read_retries);
+    EXPECT_EQ(got.read_failures, want.read_failures);
+    EXPECT_EQ(got.faults.stuck_reads, want.faults.stuck_reads);
+    EXPECT_EQ(got.hedges_issued, want.hedges_issued);
+    EXPECT_EQ(got.hedges_won, want.hedges_won);
+    EXPECT_EQ(got.cancellations, want.cancellations);
+    EXPECT_EQ(got.wasted_service.micros, want.wasted_service.micros);
     ASSERT_EQ(got.response_ms.size(), want.response_ms.size());
     for (std::size_t i = 0; i < got.response_ms.size(); ++i)
         EXPECT_EQ(got.response_ms[i], want.response_ms[i]);
 }
 
 TEST(ClusterEquivalence, MatchesStandaloneEnginesAtReplicationOne) {
+    for (const bool faulty : {false, true})
     for (const std::size_t nodes : {std::size_t{1}, std::size_t{3}}) {
-        SCOPED_TRACE("nodes=" + std::to_string(nodes));
-        const ClusterConfig cfg = fixture_cluster(nodes);
+        SCOPED_TRACE(std::string(faulty ? "faulty " : "") + "nodes=" +
+                     std::to_string(nodes));
+        const ClusterConfig cfg =
+            faulty ? faulty_fixture_cluster(nodes) : fixture_cluster(nodes);
         const workload::Workload w = fixture_workload(cfg);
         const TurbulenceCluster cluster(cfg);
         const ClusterReport r = cluster.run(w);
@@ -90,14 +113,25 @@ TEST(ClusterEquivalence, MatchesStandaloneEnginesAtReplicationOne) {
         ASSERT_EQ(r.per_node.size(), nodes);
         std::size_t projected = 0;
         util::SimTime slowest;
+        std::uint64_t hedges = 0, retries = 0, stuck = 0;
         for (std::size_t n = 0; n < nodes; ++n) {
             SCOPED_TRACE("node=" + std::to_string(n));
             const RunReport reference = Engine(cfg.node).run(parts[n]);
             expect_node_reports_identical(r.per_node[n], reference);
             projected += parts[n].total_queries();
             slowest = std::max(slowest, reference.makespan);
+            hedges += reference.hedges_issued;
+            retries += reference.read_retries;
+            stuck += reference.faults.stuck_reads;
         }
         EXPECT_EQ(r.makespan.micros, slowest.micros);
+        if (faulty) {
+            // Not vacuous: the reference runs really hedged, retried and
+            // stalled.
+            EXPECT_GT(hedges, 0u);
+            EXPECT_GT(retries, 0u);
+            EXPECT_GT(stuck, 0u);
+        }
 
         // Routing accounting: everything routed to its owner, nothing moved
         // or lost, no cross-node reads at replication 1.

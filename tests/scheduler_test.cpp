@@ -171,26 +171,5 @@ TEST(Jaws, CompletionReleasesSuccessorThroughGraph) {
     EXPECT_TRUE(s.has_pending());
 }
 
-TEST(Jaws, SingleLevelModeUsesBestAtom) {
-    JawsConfig c = jaws_config(false);
-    c.two_level = false;
-    JawsScheduler s(CostConstants{}, nullptr, c);
-    workload::Job j;
-    j.id = 1;
-    j.type = workload::JobType::kBatched;
-    auto q1 = query_on(1, 0, {5}, 100);
-    auto q2 = query_on(2, 1, {9}, 9000);
-    q1.job = q2.job = 1;
-    q1.seq_in_job = 0;
-    q2.seq_in_job = 1;
-    j.queries = {q1, q2};
-    s.on_job_submitted(j);
-    s.on_query_visible(j.queries[0], util::SimTime::zero());
-    s.on_query_visible(j.queries[1], util::SimTime::zero());
-    const auto batch = s.next_batch(util::SimTime::zero());
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0].atom.morton, 9u);
-}
-
 }  // namespace
 }  // namespace jaws::sched

@@ -2,8 +2,8 @@
 //
 // These tests exist primarily as ThreadSanitizer targets (the `tsan` preset
 // runs the full suite): they force real contention on every mutex-protected
-// structure this repository owns — the thread pool's queue, the logger's
-// sink, and the cluster's shared evaluation pool — so data races surface as
+// structure this repository owns — the thread pool's queue and the
+// cluster's shared evaluation pool — so data races surface as
 // TSan reports instead of flaky goldens. They also pin the determinism
 // contract that motivates the whole layer: concurrent runs of the same
 // configuration must produce bit-identical reports.
@@ -12,13 +12,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/cluster.h"
 #include "core/engine.h"
-#include "util/logging.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -91,32 +89,6 @@ TEST(ThreadStress, WaitIdleRacesActiveWorkers) {
         pool.wait_idle();
         EXPECT_EQ(done.load(), (round + 1) * 64);
     }
-}
-
-std::atomic<std::uint64_t> g_sink_records{0};
-
-void counting_sink(util::LogLevel, std::string_view, std::string_view) {
-    g_sink_records.fetch_add(1, std::memory_order_relaxed);
-}
-
-TEST(ThreadStress, ConcurrentLoggingThroughGuardedSink) {
-    g_sink_records.store(0);
-    util::set_log_sink(&counting_sink);
-    util::set_log_level(util::LogLevel::kWarn);
-    constexpr int kThreads = 8;
-    constexpr int kLines = 250;
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([t] {
-            for (int i = 0; i < kLines; ++i)
-                JAWS_LOG_WARN("stress", "thread %d line %d", t, i);
-        });
-    }
-    for (auto& t : threads) t.join();
-    util::set_log_sink(nullptr);
-    util::set_log_level(util::LogLevel::kWarn);
-    EXPECT_EQ(g_sink_records.load(), static_cast<std::uint64_t>(kThreads * kLines));
 }
 
 core::ClusterConfig stress_cluster_config() {
