@@ -11,7 +11,8 @@
 //     reorder two model events because the comparator is a fixed total
 //     order;
 //   * cancel() returns exactly the model's liveness (false for executed,
-//     cancelled or never-issued ids);
+//     cancelled or never-issued ids, also after the slot an id named has been
+//     reused);
 //   * every submitted resource job obeys the Job lifecycle (on_start at most
 //     once, then exactly one of on_complete at started + duration or
 //     on_abort with a sane unrendered remainder), SimResource::cancel()
@@ -120,8 +121,9 @@ struct Harness {
 
     void cancel_event(FuzzInput& in) {
         if (events.empty() || in.boolean()) {
-            // An id the queue never issued to us: ids at or above 1 << 60
-            // can never collide with real ones (sequential from 0).
+            // An id the queue never issued to us: an id encodes (generation
+            // << 32 | slot), and no slot of a 512-op program reaches
+            // generation 1 << 28.
             JAWS_FUZZ_REQUIRE(!queue.cancel((1ULL << 60) + in.below(1024)),
                               "cancel of a never-issued id returned true");
             return;

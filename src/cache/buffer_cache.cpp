@@ -55,18 +55,25 @@ std::optional<storage::AtomId> BufferCache::insert(
         return std::nullopt;
     }
     std::optional<storage::AtomId> evicted;
+    decltype(resident_)::node_type node;
     if (resident_.size() >= capacity_) {
         OverheadTimer timer(stats_.policy_overhead_ns, ticks_);
         const storage::AtomId victim = policy_->pick_victim();
         policy_->on_evict(victim);
-        const auto erased = resident_.erase(victim);
-        assert(erased == 1);
-        (void)erased;
+        node = resident_.extract(victim);
+        assert(!node.empty());
         ++stats_.evictions;
         ++evicted_;
         evicted = victim;
     }
-    resident_.emplace(atom, std::move(payload));
+    if (node.empty()) {
+        resident_.emplace(atom, std::move(payload));
+    } else {
+        // The new resident takes over the victim's map node.
+        node.key() = atom;
+        node.mapped() = std::move(payload);
+        resident_.insert(std::move(node));
+    }
     ++admitted_;
     {
         OverheadTimer timer(stats_.policy_overhead_ns, ticks_);

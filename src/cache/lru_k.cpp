@@ -11,21 +11,41 @@ LruKPolicy::LruKPolicy(unsigned k, std::size_t retained_history)
     : k_(k == 0 ? 1 : k), retained_cap_(retained_history) {}
 
 void LruKPolicy::touch(History& h) {
-    h.refs.push_front(++tick_);
-    while (h.refs.size() > k_) h.refs.pop_back();
+    if (h.refs.size() < k_) {
+        h.refs.push_back(++tick_);
+        h.newest = h.refs.size() - 1;
+    } else {
+        h.newest = (h.newest + 1) % k_;  // overwrite the oldest
+        h.refs[h.newest] = ++tick_;
+    }
 }
 
 LruKPolicy::Rank LruKPolicy::rank_of(const storage::AtomId& atom,
                                      const History& h) const noexcept {
-    return Rank{h.refs.size() < k_ ? 0 : h.refs.back(), h.refs.front(), atom};
+    return Rank{h.refs.size() < k_ ? 0 : h.ref(k_ - 1), h.ref(0), atom};
 }
 
 void LruKPolicy::on_insert(const storage::AtomId& atom) {
-    History& h = history_[atom];
+    auto it = history_.find(atom);
+    if (it == history_.end()) {
+        if (spare_history_.empty()) {
+            it = history_.try_emplace(atom).first;
+        } else {
+            spare_history_.key() = atom;
+            it = history_.insert(std::move(spare_history_)).position;
+            it->second.refs.clear();
+        }
+    }
+    History& h = it->second;
     assert(!h.resident);
     touch(h);
     h.resident = true;
-    h.rank = index_.insert(rank_of(atom, h)).first;
+    if (spare_rank_.empty()) {
+        h.rank = index_.insert(rank_of(atom, h)).first;
+    } else {
+        spare_rank_.value() = rank_of(atom, h);
+        h.rank = index_.insert(std::move(spare_rank_)).position;
+    }
 }
 
 void LruKPolicy::on_access(const storage::AtomId& atom) {
@@ -51,7 +71,7 @@ storage::AtomId LruKPolicy::pick_victim() {
 void LruKPolicy::on_evict(const storage::AtomId& atom) {
     const auto it = history_.find(atom);
     assert(it != history_.end() && it->second.resident);
-    index_.erase(it->second.rank);
+    spare_rank_ = index_.extract(it->second.rank);
     it->second.resident = false;
     // Retain the history per LRU-K so a quick re-admission keeps its rank,
     // but bound the table.
@@ -60,7 +80,8 @@ void LruKPolicy::on_evict(const storage::AtomId& atom) {
         const storage::AtomId old = retained_fifo_.front();
         retained_fifo_.pop_front();
         const auto h = history_.find(old);
-        if (h != history_.end() && !h->second.resident) history_.erase(h);
+        if (h != history_.end() && !h->second.resident)
+            spare_history_ = history_.extract(h);
     }
 }
 
@@ -83,14 +104,16 @@ bool LruKPolicy::audit(const std::vector<storage::AtomId>& resident) const {
         if (!check(h != history_.end(), "resident atom has history",
                    "LruKPolicy: resident atom without a reference history"))
             continue;
-        const auto& refs = h->second.refs;
-        if (!check(!refs.empty() && refs.size() <= k_, "1 <= |refs| <= k",
+        const History& hist = h->second;
+        if (!check(!hist.refs.empty() && hist.refs.size() <= k_ &&
+                       hist.newest < hist.refs.size(),
+                   "1 <= |refs| <= k",
                    "LruKPolicy: reference history out of bounds"))
             continue;
         bool decreasing = true;
-        for (std::size_t i = 1; i < refs.size(); ++i)
-            decreasing = decreasing && refs[i - 1] > refs[i];
-        check(decreasing && refs.front() <= tick_,
+        for (std::size_t i = 1; i < hist.refs.size(); ++i)
+            decreasing = decreasing && hist.ref(i - 1) > hist.ref(i);
+        check(decreasing && hist.ref(0) <= tick_,
               "refs strictly decreasing and <= tick",
               "LruKPolicy: reference history out of order");
         check(h->second.resident && *h->second.rank == rank_of(atom, h->second),

@@ -11,12 +11,19 @@
 // on every insert, access and evict, so the victim is the index's first
 // entry. Recency ticks are unique, so that key is a strict total order and
 // the victim is exactly the argmin a full scan over the residents would find.
+//
+// In steady state the policy allocates nothing: an evicted atom's index node
+// is reused by the next insert (BufferCache evicts just before it inserts),
+// a history dropped by the retained-history bound is kept for the next atom
+// that needs one, and each history's references live in a k-entry ring that
+// stays with its node.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <set>
 #include <unordered_map>
+#include <vector>
 
 #include "cache/replacement_policy.h"
 
@@ -50,11 +57,20 @@ class LruKPolicy final : public ReplacementPolicy {
     using Index = std::set<Rank>;
 
     struct History {
-        // Most recent reference first; at most k_ entries.
-        std::deque<std::uint64_t> refs;
+        /// The last (at most k) reference ticks: appended until k are held,
+        /// then a ring whose newest entry is at `newest`. Its storage stays
+        /// with the node when the node is reused.
+        std::vector<std::uint64_t> refs;
+        std::size_t newest = 0;
         bool resident = false;
         Index::iterator rank;  ///< This atom's index entry while resident.
+
+        /// The i-th most recent reference (0 = the latest); i < refs.size().
+        std::uint64_t ref(std::size_t i) const noexcept {
+            return refs[(newest + refs.size() - i) % refs.size()];
+        }
     };
+    using HistoryMap = std::unordered_map<storage::AtomId, History, storage::AtomIdHash>;
 
     void touch(History& h);
     Rank rank_of(const storage::AtomId& atom, const History& h) const noexcept;
@@ -62,10 +78,12 @@ class LruKPolicy final : public ReplacementPolicy {
     unsigned k_;
     std::size_t retained_cap_;
     std::uint64_t tick_ = 0;
-    std::unordered_map<storage::AtomId, History, storage::AtomIdHash> history_;
+    HistoryMap history_;
     Index index_;  ///< One entry per resident, at its current rank.
     // FIFO of evicted atoms whose history is retained, for bounded cleanup.
     std::deque<storage::AtomId> retained_fifo_;
+    Index::node_type spare_rank_;         ///< Last evicted atom's index node.
+    HistoryMap::node_type spare_history_;  ///< Last history the bound dropped.
 };
 
 }  // namespace jaws::cache

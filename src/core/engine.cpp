@@ -158,7 +158,7 @@ void Engine::push_visibility(util::SimTime at, workload::QueryId id) {
     // this instant.
     if (at > events_.now())
         events_.schedule(at, kPriVisibility, node_id_.value(), [this] {
-            if (!halted_ && batch_ == nullptr) ensure_dispatch();
+            if (!halted_ && !batch_.active) ensure_dispatch();
         });
 }
 
@@ -229,12 +229,12 @@ void Engine::ensure_dispatch() {
 }
 
 void Engine::on_dispatch() {
-    if (halted_ || batch_ != nullptr) return;
+    if (halted_ || batch_.active) return;
     admit_due();
     if (scheduler_->has_pending()) {
-        std::vector<sched::BatchItem> items = scheduler_->next_batch(events_.now());
-        if (!items.empty()) {
-            start_batch(std::move(items));
+        scheduler_->next_batch(events_.now(), batch_.work);
+        if (!batch_.work.empty()) {
+            start_batch();
             return;
         }
     }
@@ -247,15 +247,15 @@ void Engine::on_dispatch() {
 // Batch pipeline
 // --------------------------------------------------------------------------
 
-void Engine::start_batch(std::vector<sched::BatchItem> items) {
+void Engine::start_batch() {
     account_tick();
-    batch_ = std::make_unique<ActiveBatch>();
-    batch_->items.reserve(items.size());
-    for (sched::BatchItem& item : items) {
-        ItemRun run;
-        run.item = std::move(item);
-        batch_->items.push_back(std::move(run));
-    }
+    const std::vector<sched::BatchItem>& work = batch_.work.items;
+    batch_.items.resize(work.size());  // fresh ItemRuns: end_batch cleared them
+    for (std::size_t i = 0; i < work.size(); ++i) batch_.items[i].item = work[i];
+    batch_.next_issue = 0;
+    batch_.finished = 0;
+    batch_.in_flight = 0;
+    batch_.active = true;
     // One scheduler->database dispatch round trip per batch, then the
     // pipeline starts issuing items.
     events_.schedule(
@@ -271,16 +271,16 @@ void Engine::issue_more() {
     const std::size_t window =
         config_.io_depth *
         (router_ != nullptr ? router_->read_concurrency(node_id_) : 1);
-    while (batch_ != nullptr && batch_->next_issue < batch_->items.size() &&
-           batch_->in_flight < window) {
-        const std::size_t idx = batch_->next_issue++;
-        ++batch_->in_flight;
+    while (batch_.active && batch_.next_issue < batch_.items.size() &&
+           batch_.in_flight < window) {
+        const std::size_t idx = batch_.next_issue++;
+        ++batch_.in_flight;
         issue_item(idx);
     }
 }
 
 void Engine::issue_item(std::size_t idx) {
-    ItemRun& it = batch_->items[idx];
+    ItemRun& it = batch_.items[idx];
     ++atoms_processed_;
     if (prefetcher_ != nullptr) prefetcher_->on_demand_access(it.item.atom);
     if (cache_->lookup(it.item.atom)) {
@@ -294,7 +294,7 @@ void Engine::issue_item(std::size_t idx) {
 }
 
 void Engine::submit_demand_read(std::size_t idx) {
-    ItemRun& it = batch_->items[idx];
+    ItemRun& it = batch_.items[idx];
     // Replica-aware routing (unified cluster): any surviving member of the
     // atom's replica chain may serve the read; the router picks the one with
     // the shallowest modeled disk queue. Standalone engines serve locally —
@@ -307,7 +307,7 @@ void Engine::submit_demand_read(std::size_t idx) {
     job.priority = 0;
     job.preemptible = false;
     job.on_start = [this, idx](std::size_t channel) {
-        ItemRun& run = batch_->items[idx];
+        ItemRun& run = batch_.items[idx];
         run.read = run.read_route.store->read(run.item.atom, util::ChannelIndex{channel});
         return run.read.io_cost;
     };
@@ -315,7 +315,7 @@ void Engine::submit_demand_read(std::size_t idx) {
     job.on_abort = [this, idx](std::size_t, util::SimTime remaining) {
         // Cancelled because the hedge won: refund the unrendered tail and
         // count the rendered part as the price of hedging.
-        ItemRun& run = batch_->items[idx];
+        ItemRun& run = batch_.items[idx];
         refund_read_tail(run.read_route, run.read, remaining);
         wasted_service_ += run.read.io_cost - remaining;
     };
@@ -323,7 +323,7 @@ void Engine::submit_demand_read(std::size_t idx) {
 }
 
 void Engine::demand_read_done(std::size_t idx) {
-    ItemRun& it = batch_->items[idx];
+    ItemRun& it = batch_.items[idx];
     it.read_job = 0;
     if (!it.read.failed) {
         if (config_.hedge.enabled) read_ewma_.update(it.read.io_cost.millis());
@@ -351,9 +351,9 @@ void Engine::demand_read_done(std::size_t idx) {
             ++retries_suppressed_;
             ++read_failures_;
             cancel_hedge_machinery(idx);
-            fail_subqueries(it.item.subqueries);
+            fail_subqueries(subqueries_of(it));
             if (it.read_route.store->faults().permanently_bad(it.item.atom))
-                fail_subqueries(scheduler_->purge_atom(it.item.atom));
+                purge_dead_atom(it.item.atom);
             item_finished(idx);
             return;
         }
@@ -369,7 +369,7 @@ void Engine::demand_read_done(std::size_t idx) {
         ++it.attempt;
         it.retry_event = events_.schedule(
             events_.now() + backoff, kPriService, node_id_.value(), [this, idx] {
-                batch_->items[idx].retry_event = 0;
+                batch_.items[idx].retry_event = 0;
                 submit_demand_read(idx);
             });
         return;
@@ -380,9 +380,9 @@ void Engine::demand_read_done(std::size_t idx) {
     // never chases a dead atom forever.
     ++read_failures_;
     cancel_hedge_machinery(idx);
-    fail_subqueries(it.item.subqueries);
+    fail_subqueries(subqueries_of(it));
     if (it.read_route.store->faults().permanently_bad(it.item.atom))
-        fail_subqueries(scheduler_->purge_atom(it.item.atom));
+        purge_dead_atom(it.item.atom);
     item_finished(idx);
 }
 
@@ -402,30 +402,30 @@ void Engine::arm_hedge_trigger(std::size_t idx) {
     // With hedging off nothing is scheduled here, so the kernel's event and
     // id sequence — and therefore every golden report — is untouched.
     if (!config_.hedge.enabled) return;
-    batch_->items[idx].hedge_trigger = events_.schedule(
+    batch_.items[idx].hedge_trigger = events_.schedule(
         events_.now() + hedge_trigger_delay(), kPriService, node_id_.value(), [this, idx] {
-            batch_->items[idx].hedge_trigger = 0;
+            batch_.items[idx].hedge_trigger = 0;
             maybe_issue_hedge(idx);
         });
 }
 
 void Engine::maybe_issue_hedge(std::size_t idx) {
-    ItemRun& it = batch_->items[idx];
+    ItemRun& it = batch_.items[idx];
     // Only while the demand phase is still unresolved (primary read in
     // flight or a backoff retry pending).
     if (it.read_job == 0 && it.retry_event == 0) return;
     if (outstanding_hedges_ >= config_.hedge.max_outstanding) return;
     // The hedge is charged to every distinct owning query that still has
     // budget; at least one must be able to pay.
-    std::vector<QueryRuntime*> payers;
-    for (const sched::SubQuery& sub : it.item.subqueries) {
+    payers_.clear();
+    for (const sched::SubQuery& sub : subqueries_of(it)) {
         QueryRuntime& rt = runtime_.at(sub.query);
         if (rt.hedges >= config_.hedge.budget_per_query) continue;
-        if (std::find(payers.begin(), payers.end(), &rt) == payers.end())
-            payers.push_back(&rt);
+        if (std::find(payers_.begin(), payers_.end(), &rt) == payers_.end())
+            payers_.push_back(&rt);
     }
-    if (payers.empty()) return;
-    for (QueryRuntime* rt : payers) ++rt->hedges;
+    if (payers_.empty()) return;
+    for (QueryRuntime* rt : payers_) ++rt->hedges;
     ++hedges_issued_;
     ++outstanding_hedges_;
     peak_hedges_ = std::max(peak_hedges_, outstanding_hedges_);
@@ -442,7 +442,7 @@ void Engine::maybe_issue_hedge(std::size_t idx) {
     job.priority = 0;
     job.preemptible = false;
     job.on_start = [this, idx](std::size_t channel) {
-        ItemRun& run = batch_->items[idx];
+        ItemRun& run = batch_.items[idx];
         run.hedge_read = run.hedge_route.store->read(run.item.atom, util::ChannelIndex{channel});
         return run.hedge_read.io_cost;
     };
@@ -450,7 +450,7 @@ void Engine::maybe_issue_hedge(std::size_t idx) {
     job.on_abort = [this, idx](std::size_t, util::SimTime remaining) {
         // Cancelled because the primary won: refund the unrendered tail and
         // count the rendered part as the price of hedging.
-        ItemRun& run = batch_->items[idx];
+        ItemRun& run = batch_.items[idx];
         refund_read_tail(run.hedge_route, run.hedge_read, remaining);
         wasted_service_ += run.hedge_read.io_cost - remaining;
     };
@@ -458,7 +458,7 @@ void Engine::maybe_issue_hedge(std::size_t idx) {
 }
 
 void Engine::hedge_done(std::size_t idx) {
-    ItemRun& it = batch_->items[idx];
+    ItemRun& it = batch_.items[idx];
     it.hedge_job = 0;
     --outstanding_hedges_;
     if (it.hedge_read.failed) {
@@ -488,7 +488,7 @@ void Engine::hedge_done(std::size_t idx) {
 }
 
 void Engine::cancel_hedge_machinery(std::size_t idx) {
-    ItemRun& it = batch_->items[idx];
+    ItemRun& it = batch_.items[idx];
     if (it.hedge_trigger != 0) {
         events_.cancel(it.hedge_trigger);
         it.hedge_trigger = 0;
@@ -522,23 +522,26 @@ void Engine::refund_read_tail(const storage::ReadRoute& route,
 
 bool Engine::drop_expired_subqueries(ItemRun& it) {
     const util::SimTime now = events_.now();
-    std::vector<sched::SubQuery> expired;
-    auto& subs = it.item.subqueries;
-    for (auto s = subs.begin(); s != subs.end();) {
-        QueryRuntime& rt = runtime_.at(s->query);
+    // Move the expired sub-queries out and close the gaps in the item's range
+    // (both in order), then fail them.
+    failing_.clear();
+    const std::span<sched::SubQuery> subs = subqueries_of(it);
+    std::size_t kept = 0;
+    for (const sched::SubQuery& sub : subs) {
+        QueryRuntime& rt = runtime_.at(sub.query);
         if ((now - rt.visible_at).millis() > config_.deadline_budget_ms) {
             if (!rt.deadline_missed) {
                 rt.deadline_missed = true;
                 ++deadline_misses_;
             }
-            expired.push_back(*s);
-            s = subs.erase(s);
+            failing_.push_back(sub);
         } else {
-            ++s;
+            subs[kept++] = sub;
         }
     }
-    if (!expired.empty()) fail_subqueries(expired);
-    return !subs.empty();
+    it.item.count = kept;
+    if (!failing_.empty()) fail_subqueries(failing_);
+    return kept > 0;
 }
 
 void Engine::proceed_supports(std::size_t idx) {
@@ -550,9 +553,9 @@ void Engine::proceed_supports(std::size_t idx) {
     // is *not* cached, so single-atom contention chasing pays it again on
     // later passes ("may access the same atom multiple times on different
     // passes"). The cold reads of one item are charged as a single disk job.
-    ItemRun& it = batch_->items[idx];
+    ItemRun& it = batch_.items[idx];
     support_scratch_.clear();
-    for (const sched::SubQuery& sub : it.item.subqueries)
+    for (const sched::SubQuery& sub : subqueries_of(it))
         for (const std::uint64_t code : sub.supports)
             if (code != it.item.atom.morton) support_scratch_.push_back(code);
     std::sort(support_scratch_.begin(), support_scratch_.end());
@@ -585,10 +588,10 @@ void Engine::proceed_supports(std::size_t idx) {
 }
 
 void Engine::begin_compute(std::size_t idx) {
-    ItemRun& it = batch_->items[idx];
+    ItemRun& it = batch_.items[idx];
     it.payload = cache_->payload(it.item.atom);
     it.next_sub = 0;
-    if (it.item.subqueries.empty()) {
+    if (it.item.count == 0) {
         item_finished(idx);
         return;
     }
@@ -600,8 +603,8 @@ void Engine::submit_compute(std::size_t idx) {
     job.priority = 0;
     job.preemptible = false;
     job.on_start = [this, idx](std::size_t) {
-        ItemRun& it = batch_->items[idx];
-        const sched::SubQuery& sub = it.item.subqueries[it.next_sub];
+        ItemRun& it = batch_.items[idx];
+        const sched::SubQuery& sub = subqueries_of(it)[it.next_sub];
         const QueryRuntime& rt = runtime_.at(sub.query);
         storage::SubQueryExec exec;
         exec.atom = it.item.atom;
@@ -648,8 +651,8 @@ void Engine::submit_compute(std::size_t idx) {
 }
 
 void Engine::compute_done(std::size_t idx) {
-    ItemRun& it = batch_->items[idx];
-    const sched::SubQuery& sub = it.item.subqueries[it.next_sub];
+    ItemRun& it = batch_.items[idx];
+    const sched::SubQuery& sub = subqueries_of(it)[it.next_sub];
     ++subqueries_done_;
     positions_done_ += sub.positions;
     QueryRuntime& rt = runtime_.at(sub.query);
@@ -672,7 +675,7 @@ void Engine::compute_done(std::size_t idx) {
     }
     assert(rt.outstanding > 0);
     if (--rt.outstanding == 0) complete_query(rt);
-    if (++it.next_sub < it.item.subqueries.size())
+    if (++it.next_sub < it.item.count)
         submit_compute(idx);
     else
         item_finished(idx);
@@ -680,9 +683,9 @@ void Engine::compute_done(std::size_t idx) {
 
 void Engine::item_finished(std::size_t idx) {
     (void)idx;
-    --batch_->in_flight;
-    ++batch_->finished;
-    if (batch_->finished == batch_->items.size()) {
+    --batch_.in_flight;
+    ++batch_.finished;
+    if (batch_.finished == batch_.items.size()) {
         end_batch();
         return;
     }
@@ -691,7 +694,8 @@ void Engine::item_finished(std::size_t idx) {
 
 void Engine::end_batch() {
     account_tick();
-    batch_.reset();
+    batch_.active = false;
+    batch_.items.clear();  // drops the items' payload references
     // Re-admit and re-dispatch at this instant — unless the node died
     // mid-batch, in which case the batch was allowed to finish but nothing
     // new starts (and the cluster kernel may now fail the leftovers over).
@@ -715,7 +719,13 @@ void Engine::insert_into_cache(const storage::AtomId& atom,
     }
 }
 
-void Engine::fail_subqueries(const std::vector<sched::SubQuery>& subs) {
+void Engine::purge_dead_atom(const storage::AtomId& atom) {
+    failing_.clear();
+    scheduler_->purge_atom(atom, failing_);
+    fail_subqueries(failing_);
+}
+
+void Engine::fail_subqueries(std::span<const sched::SubQuery> subs) {
     for (const sched::SubQuery& sub : subs) {
         QueryRuntime& rt = runtime_.at(sub.query);
         ++rt.failed;
@@ -849,7 +859,7 @@ void Engine::account_to(util::SimTime now) {
     // "Idle" reproduces the pre-kernel engine's jumped-gap accounting: time
     // with no batch active and both resources quiet (dispatch overhead and
     // retry backoff inside a batch are busy time, not idle).
-    if (!disk_busy && !cpu_busy && batch_ == nullptr) idle_time_ += dt;
+    if (!disk_busy && !cpu_busy && !batch_.active) idle_time_ += dt;
 }
 
 void Engine::flush_timeline_window(util::SimTime window_end, double window_seconds) {
@@ -914,7 +924,7 @@ void Engine::start_clock(util::SimTime t) {
 }
 
 void Engine::maybe_halt_drained() {
-    if (!halted_ || batch_ != nullptr || halt_drain_fired_) return;
+    if (!halted_ || batch_.active || halt_drain_fired_) return;
     halt_drain_fired_ = true;
     // A node that finished everything before dying keeps its completion-time
     // makespan; only an interrupted node ends at the drain instant.
@@ -952,7 +962,7 @@ void Engine::inject_job(const workload::Job& job) {
     ++jobs_seen_;
     expected_ += job.queries.size();
     due_jobs_.push_back(&job);
-    if (!halted_ && batch_ == nullptr) ensure_dispatch();
+    if (!halted_ && !batch_.active) ensure_dispatch();
 }
 
 RunReport Engine::run(const workload::Workload& workload) {

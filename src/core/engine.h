@@ -51,6 +51,7 @@
 #include <future>
 #include <memory>
 #include <queue>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -127,7 +128,7 @@ class Engine {
     /// the only state where a drained event queue implies a scheduler gate
     /// (vs. waiting on another node's resource completions).
     bool idle_stuck() const noexcept {
-        return clock_started_ && !halted_ && completed_ < expected_ && batch_ == nullptr;
+        return clock_started_ && !halted_ && completed_ < expected_ && !batch_.active;
     }
     /// Ask the scheduler to force-release gated queries and redispatch.
     /// Returns whether anything was released.
@@ -205,7 +206,7 @@ class Engine {
     /// demand read (with retries) -> kernel-support read -> per-sub-query
     /// evaluation on the CPU pool.
     struct ItemRun {
-        sched::BatchItem item;
+        sched::BatchItem item;  ///< Its sub-queries live in ActiveBatch::work.
         std::size_t attempt = 1;       ///< Demand-read attempts so far.
         double backoff_ms = 0.0;       ///< Next retry delay (pre-cap).
         storage::ReadResult read;      ///< Stashed by the disk job's on_start.
@@ -230,15 +231,19 @@ class Engine {
         storage::ExecOutcome staged_eval;  ///< Inline-evaluated result.
     };
 
-    /// One scheduler batch in flight. Items are issued into the pipeline in
-    /// batch order; at most io_depth items are in flight (issued but not yet
-    /// compute-complete) at once, so io_depth = 1 degenerates to the strict
-    /// serial order of the pre-kernel engine.
+    /// The scheduler batch in flight (when `active`). Items are issued into
+    /// the pipeline in batch order; at most io_depth items are in flight
+    /// (issued but not yet compute-complete) at once, so io_depth = 1
+    /// degenerates to the strict serial order of the pre-kernel engine. The
+    /// engine keeps one for the whole run: the scheduler refills `work` and
+    /// `items` is reset per batch, so their storage is reused.
     struct ActiveBatch {
-        std::vector<ItemRun> items;
+        sched::Batch work;  ///< What the scheduler dispatched.
+        std::vector<ItemRun> items;  ///< One per work item.
         std::size_t next_issue = 0;
         std::size_t finished = 0;
         std::size_t in_flight = 0;
+        bool active = false;
     };
 
     std::unique_ptr<cache::ReplacementPolicy> make_policy();
@@ -265,7 +270,12 @@ class Engine {
     void on_dispatch();
 
     // --- batch pipeline --------------------------------------------------
-    void start_batch(std::vector<sched::BatchItem> items);
+    /// Start the batch the scheduler just wrote into batch_.work.
+    void start_batch();
+    /// The sub-queries of batch item `it`.
+    std::span<sched::SubQuery> subqueries_of(const ItemRun& it) noexcept {
+        return batch_.work.subqueries_of(it.item);
+    }
     /// Issue batch items into the pipeline while the in-flight window
     /// (io_depth) has room.
     void issue_more();
@@ -323,7 +333,10 @@ class Engine {
     /// Abandon sub-queries whose atom is unreadable: their owning queries
     /// lose those positions and complete *degraded* when nothing else is
     /// outstanding.
-    void fail_subqueries(const std::vector<sched::SubQuery>& subs);
+    void fail_subqueries(std::span<const sched::SubQuery> subs);
+    /// Fail whatever the scheduler still queues against the permanently bad
+    /// `atom`.
+    void purge_dead_atom(const storage::AtomId& atom);
     void complete_query(QueryRuntime& runtime);
 
     /// Issue speculative trajectory reads onto idle disk channels (true
@@ -379,8 +392,11 @@ class Engine {
     std::vector<const workload::Job*> due_jobs_;  ///< Arrived, not yet admitted.
     std::unordered_map<workload::JobId, std::size_t> job_remaining_;
     std::vector<QueryOutcome> outcomes_;
-    std::unique_ptr<ActiveBatch> batch_;
+    ActiveBatch batch_;
     bool dispatch_pending_ = false;
+    // Scratch buffers reused across batches.
+    std::vector<QueryRuntime*> payers_;        ///< maybe_issue_hedge's payers.
+    std::vector<sched::SubQuery> failing_;     ///< Expired or purged sub-queries.
 
     /// Roll the timeline forward to cover `now`, then account one completion
     /// with the given response time (response < 0 means "no completion, just

@@ -41,7 +41,9 @@ void JawsScheduler::enqueue_query(workload::QueryId id, util::SimTime now) {
         deadlines_[id] = deadline;
         ++qos_stats_.guaranteed;
     }
-    for (SubQuery& sub : preprocess(*it->second, now)) {
+    split_.clear();
+    preprocess(*it->second, now, split_);
+    for (SubQuery& sub : split_) {
         sub.deadline = deadline;
         manager_.enqueue(sub);
     }
@@ -76,29 +78,27 @@ void JawsScheduler::on_residency_changed(const storage::AtomId& atom) {
     manager_.on_residency_changed(atom);
 }
 
-std::vector<BatchItem> JawsScheduler::next_batch(util::SimTime now) {
-    std::vector<BatchItem> batch;
+void JawsScheduler::next_batch(util::SimTime now, Batch& out) {
+    out.clear();
     if (config_.qos.enabled) {
         // Deadline rescue: depart from contention order only when the
         // earliest guarantee is at risk ("there is still elasticity in the
         // workload that permits the reordering of queries" — Sec. VII).
         const auto margin = util::SimTime::from_millis(config_.qos.margin_ms);
         bool rescued = false;
-        while (batch.size() < config_.batch_size_k) {
+        while (out.items.size() < config_.batch_size_k) {
             const auto urgent = manager_.earliest_deadline_atom();
             if (!urgent || urgent->second - now > margin) break;
-            batch.push_back(BatchItem{urgent->first, manager_.drain_atom(urgent->first)});
+            out.add_drained(manager_, urgent->first);
             rescued = true;
         }
         if (rescued) {
             ++qos_stats_.edf_dispatches;
-            return batch;
+            return;
         }
     }
-    for (const storage::AtomId& atom :
-         manager_.pick_two_level_batch(config_.batch_size_k, now))
-        batch.push_back(BatchItem{atom, manager_.drain_atom(atom)});
-    return batch;
+    manager_.pick_two_level_batch(config_.batch_size_k, now, picks_);
+    for (const storage::AtomId& atom : picks_) out.add_drained(manager_, atom);
 }
 
 bool JawsScheduler::unstick(util::SimTime now) {

@@ -43,10 +43,10 @@ class JawsScheduler final : public Scheduler {
     void on_query_completed(workload::QueryId query, util::SimTime response,
                             util::SimTime now) override;
     void on_residency_changed(const storage::AtomId& atom) override;
-    std::vector<SubQuery> purge_atom(const storage::AtomId& atom) override {
-        return manager_.drain_atom(atom);
+    void purge_atom(const storage::AtomId& atom, std::vector<SubQuery>& out) override {
+        manager_.drain_atom(atom, out);
     }
-    std::vector<BatchItem> next_batch(util::SimTime now) override;
+    void next_batch(util::SimTime now, Batch& out) override;
     bool has_pending() const override { return !manager_.empty(); }
     std::size_t pending_count() const override { return manager_.pending_subqueries(); }
     bool unstick(util::SimTime now) override;
@@ -74,6 +74,8 @@ class JawsScheduler final : public Scheduler {
     std::unordered_map<workload::QueryId, const workload::Query*> queries_;
     std::unordered_map<workload::QueryId, util::SimTime> deadlines_;
     QosStats qos_stats_;
+    std::vector<SubQuery> split_;          ///< preprocess buffer, reused per query.
+    std::vector<storage::AtomId> picks_;   ///< Two-level pick buffer, reused per batch.
 };
 
 }  // namespace jaws::sched

@@ -16,20 +16,20 @@ std::string LifeRaftScheduler::name() const {
 }
 
 void LifeRaftScheduler::on_query_visible(const workload::Query& query, util::SimTime now) {
-    for (const SubQuery& sub : preprocess(query, now)) manager_.enqueue(sub);
+    split_.clear();
+    preprocess(query, now, split_);
+    for (const SubQuery& sub : split_) manager_.enqueue(sub);
 }
 
 void LifeRaftScheduler::on_residency_changed(const storage::AtomId& atom) {
     manager_.on_residency_changed(atom);
 }
 
-std::vector<BatchItem> LifeRaftScheduler::next_batch(util::SimTime now) {
+void LifeRaftScheduler::next_batch(util::SimTime now, Batch& out) {
     (void)now;
-    std::vector<BatchItem> batch;
+    out.clear();
     const auto best = manager_.pick_best_atom();
-    if (!best) return batch;
-    batch.push_back(BatchItem{*best, manager_.drain_atom(*best)});
-    return batch;
+    if (best) out.add_drained(manager_, *best);
 }
 
 }  // namespace jaws::sched

@@ -23,10 +23,10 @@ class LifeRaftScheduler final : public Scheduler {
     std::string name() const override;
     void on_query_visible(const workload::Query& query, util::SimTime now) override;
     void on_residency_changed(const storage::AtomId& atom) override;
-    std::vector<SubQuery> purge_atom(const storage::AtomId& atom) override {
-        return manager_.drain_atom(atom);
+    void purge_atom(const storage::AtomId& atom, std::vector<SubQuery>& out) override {
+        manager_.drain_atom(atom, out);
     }
-    std::vector<BatchItem> next_batch(util::SimTime now) override;
+    void next_batch(util::SimTime now, Batch& out) override;
     bool has_pending() const override { return !manager_.empty(); }
     std::size_t pending_count() const override { return manager_.pending_subqueries(); }
     double current_alpha() const override { return manager_.alpha(); }
@@ -37,6 +37,7 @@ class LifeRaftScheduler final : public Scheduler {
   private:
     std::unique_ptr<CacheResidencyProbe> probe_;
     WorkloadManager manager_;
+    std::vector<SubQuery> split_;  ///< preprocess buffer, reused per query.
 };
 
 }  // namespace jaws::sched

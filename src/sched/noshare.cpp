@@ -3,18 +3,20 @@
 namespace jaws::sched {
 
 void NoShareScheduler::on_query_visible(const workload::Query& query, util::SimTime now) {
-    fifo_.push_back(preprocess(query, now));
+    fifo_.emplace_back(&query, now);
+    pending_subqueries_ += query.footprint.size();
 }
 
-std::vector<BatchItem> NoShareScheduler::next_batch(util::SimTime now) {
+void NoShareScheduler::next_batch(util::SimTime now, Batch& out) {
     (void)now;
-    std::vector<BatchItem> batch;
-    if (fifo_.empty()) return batch;
-    const std::vector<SubQuery> next = std::move(fifo_.front());
+    out.clear();
+    if (fifo_.empty()) return;
+    const auto [query, visible] = fifo_.front();
     fifo_.pop_front();
-    batch.reserve(next.size());
-    for (const SubQuery& sub : next) batch.push_back(BatchItem{sub.atom, {sub}});
-    return batch;
+    pending_subqueries_ -= query->footprint.size();
+    preprocess(*query, visible, out.subqueries);
+    for (std::size_t i = 0; i < out.subqueries.size(); ++i)
+        out.items.push_back(BatchItem{out.subqueries[i].atom, i, 1});
 }
 
 }  // namespace jaws::sched

@@ -2,12 +2,15 @@
 //
 // The engine (core module) drives a scheduler through notifications — job
 // submitted, query visible (its inputs exist), query completed — and asks it
-// for the next batch of atoms to process. Each returned batch item is one
-// atom together with the *entire* workload queue drained from it, which the
-// engine evaluates in a single pass over the atom's data. The four paper
-// systems (NoShare, LifeRaft, JAWS_1, JAWS_2) implement this interface.
+// for the next batch of atoms to process. Each batch item is one atom
+// together with the *entire* workload queue drained from it, which the
+// engine evaluates in a single pass over the atom's data. The batch is
+// written into a buffer the engine owns and reuses from batch to batch. The
+// four paper systems (NoShare, LifeRaft, JAWS_1, JAWS_2) implement this
+// interface.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,10 +23,41 @@
 
 namespace jaws::sched {
 
-/// One atom scheduled for processing with its drained sub-queries.
+/// One atom scheduled for processing; its drained sub-queries are
+/// Batch::subqueries[first, first + count).
 struct BatchItem {
     storage::AtomId atom;
+    std::size_t first = 0;
+    std::size_t count = 0;
+};
+
+/// A batch of atoms in execution order, with every item's sub-queries stored
+/// back to back in one array. The caller owns it and hands it to every
+/// next_batch() call, so its storage is reused.
+struct Batch {
+    std::vector<BatchItem> items;
     std::vector<SubQuery> subqueries;
+
+    void clear() noexcept {
+        items.clear();
+        subqueries.clear();
+    }
+    bool empty() const noexcept { return items.empty(); }
+
+    /// The sub-queries of `item` (one of `items`, or a copy of one).
+    std::span<const SubQuery> subqueries_of(const BatchItem& item) const noexcept {
+        return {subqueries.data() + item.first, item.count};
+    }
+    std::span<SubQuery> subqueries_of(const BatchItem& item) noexcept {
+        return {subqueries.data() + item.first, item.count};
+    }
+
+    /// Drain `atom`'s workload queue from `manager` as the next item.
+    void add_drained(WorkloadManager& manager, const storage::AtomId& atom) {
+        const std::size_t first = subqueries.size();
+        manager.drain_atom(atom, subqueries);
+        items.push_back(BatchItem{atom, first, subqueries.size() - first});
+    }
 };
 
 /// Scheduling policy driven by the engine.
@@ -55,17 +89,17 @@ class Scheduler {
     virtual void on_residency_changed(const storage::AtomId& atom) { (void)atom; }
 
     /// `atom` became permanently unreadable (bad range / retries exhausted):
-    /// remove and return any sub-queries still queued against it so the
-    /// engine can fail them instead of re-dispatching a dead atom forever.
-    /// Default: nothing queued per atom, nothing to purge.
-    virtual std::vector<SubQuery> purge_atom(const storage::AtomId& atom) {
+    /// remove any sub-queries still queued against it and append them to
+    /// `out` so the engine can fail them instead of re-dispatching a dead
+    /// atom forever. Default: nothing queued per atom, nothing to purge.
+    virtual void purge_atom(const storage::AtomId& atom, std::vector<SubQuery>& out) {
         (void)atom;
-        return {};
+        (void)out;
     }
 
-    /// Next batch of atoms to evaluate, in execution order; empty when no
-    /// work is currently schedulable.
-    virtual std::vector<BatchItem> next_batch(util::SimTime now) = 0;
+    /// Replace `out`'s contents with the next batch of atoms to evaluate, in
+    /// execution order; left empty when no work is currently schedulable.
+    virtual void next_batch(util::SimTime now, Batch& out) = 0;
 
     /// Whether any sub-query is currently schedulable.
     virtual bool has_pending() const = 0;

@@ -8,29 +8,27 @@
 
 namespace jaws::sched {
 
-std::vector<SubQuery> preprocess(const workload::Query& query, util::SimTime now) {
-    std::vector<SubQuery> out;
-    out.reserve(query.footprint.size());
+void preprocess(const workload::Query& query, util::SimTime now, std::vector<SubQuery>& out) {
+    const std::size_t base = out.size();
     for (const auto& req : query.footprint) {
-        SubQuery sub;
+        SubQuery& sub = out.emplace_back();
         sub.query = query.id;
         sub.atom = req.atom;
         sub.positions = req.positions;
         sub.enqueue_time = now;
-        out.push_back(std::move(sub));
     }
 
     // Kernel supports: for each footprint atom, the face-neighbour atoms that
     // are themselves part of the footprint (the position cloud is contiguous,
     // so boundary positions sample from exactly these). Footprints are
     // Morton-sorted, so membership is a binary search.
-    if (query.footprint.size() < 2) return out;
+    if (query.footprint.size() < 2) return;
     const auto by_morton = [](const workload::AtomRequest& r, std::uint64_t c) {
         return r.atom.morton < c;
     };
     const auto first = query.footprint.begin();
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        SubQuery& sub = out[i];
+    for (std::size_t i = 0; i < query.footprint.size(); ++i) {
+        SubQuery& sub = out[base + i];
         // Each shared face is owned by the higher-coordinate atom: its kernel
         // spills into the lower (Morton-earlier) neighbour, so every
         // adjacency is charged exactly once across the footprint, and a
@@ -46,7 +44,6 @@ std::vector<SubQuery> preprocess(const workload::Query& query, util::SimTime now
             if (it != last && it->atom.morton == *below) sub.supports.push_back(*below);
         }
     }
-    return out;
 }
 
 }  // namespace jaws::sched

@@ -66,12 +66,21 @@ struct SubQuery {
     Supports supports;  ///< Morton codes of kernel-support atoms.
 };
 
-/// Split `query` into per-atom sub-queries stamped with `now`. The query's
-/// footprint is already Morton-sorted per time step, so the resulting list is
-/// too — preserving the paper's Morton-order evaluation property. Each
-/// sub-query's supports are the face-neighbour atoms of its atom that also
-/// carry positions of this query: the kernel window of a contiguous position
-/// cloud spills exactly into the adjacent occupied atoms.
-std::vector<SubQuery> preprocess(const workload::Query& query, util::SimTime now);
+/// Split `query` into per-atom sub-queries stamped with `now`, appended to
+/// `out` (a buffer the caller reuses, so splitting allocates nothing once it
+/// has grown). The query's footprint is already Morton-sorted per time step,
+/// so the appended list is too — preserving the paper's Morton-order
+/// evaluation property. Each sub-query's supports are the face-neighbour
+/// atoms of its atom that also carry positions of this query: the kernel
+/// window of a contiguous position cloud spills exactly into the adjacent
+/// occupied atoms.
+void preprocess(const workload::Query& query, util::SimTime now, std::vector<SubQuery>& out);
+
+/// Value-returning form of preprocess (tests and benchmarks).
+inline std::vector<SubQuery> preprocess(const workload::Query& query, util::SimTime now) {
+    std::vector<SubQuery> out;
+    preprocess(query, now, out);
+    return out;
+}
 
 }  // namespace jaws::sched

@@ -15,6 +15,38 @@ WorkloadManager::WorkloadManager(const CostConstants& cost, const ResidencyProbe
     if (cost_.atoms_per_step == 0) cost_.atoms_per_step = 1;
 }
 
+std::uint32_t WorkloadManager::Slab::acquire() {
+    std::uint32_t i = free_;
+    if (i != kNil) {
+        free_ = (*this)[i].next;
+    } else {
+        if ((size_ & kChunkMask) == 0)
+            chunks_.push_back(std::make_unique<Block[]>(kChunkMask + 1));
+        i = size_++;
+    }
+    (*this)[i].next = kNil;
+    ++in_use_;
+    return i;
+}
+
+void WorkloadManager::Slab::release(std::uint32_t first, std::uint32_t last,
+                                    std::size_t blocks) noexcept {
+    (*this)[last].next = free_;
+    free_ = first;
+    in_use_ -= blocks;
+}
+
+bool WorkloadManager::Slab::free_list_intact() const {
+    std::vector<bool> seen(size_, false);
+    std::size_t free = 0;
+    for (std::uint32_t i = free_; i != kNil; i = (*this)[i].next) {
+        if (i >= size_ || seen[i]) return false;
+        seen[i] = true;
+        ++free;
+    }
+    return free + in_use_ == size_;
+}
+
 double WorkloadManager::compute_utility(const storage::AtomId& atom,
                                         const AtomQueue& q) const {
     if (q.positions == 0) return 0.0;
@@ -35,10 +67,33 @@ namespace {
 constexpr auto ranks_after = [](const auto& a, const auto& b) {
     return std::pair(b.neg_key, b.atom) < std::pair(a.neg_key, a.atom);
 };
+
+/// Insert `key` into `map`, reusing a spare node (its value already reset)
+/// when there is one.
+template <typename Map>
+typename Map::iterator open_node(Map& map, std::vector<typename Map::node_type>& spares,
+                                 const typename Map::key_type& key) {
+    if (spares.empty()) return map.try_emplace(key).first;
+    typename Map::node_type node = std::move(spares.back());
+    spares.pop_back();
+    node.key() = key;
+    return map.insert(std::move(node)).position;
+}
 }  // namespace
 
+void WorkloadManager::retire_step(StepMap::iterator it) {
+    StepMap::node_type node = steps_.extract(it);
+    StepAgg& agg = node.mapped();
+    agg.members.clear();  // keeps its storage for the next step that opens
+    agg.utility_sum = 0.0;
+    agg.key_sum = 0.0;
+    spare_steps_.push_back(std::move(node));
+}
+
 void WorkloadManager::index_insert(const storage::AtomId& atom, AtomQueue& q) {
-    StepAgg& agg = steps_[atom.timestep];
+    auto step = steps_.find(atom.timestep);
+    if (step == steps_.end()) step = open_node(steps_, spare_steps_, atom.timestep);
+    StepAgg& agg = step->second;
     q.slot = agg.members.size();
     agg.members.push_back(Member{atom.key(), &q});
     index_add(atom, q, agg);
@@ -84,7 +139,7 @@ void WorkloadManager::index_erase(const storage::AtomId& atom, AtomQueue& q) {
     hole = agg.members.back();
     hole.queue->slot = q.slot;
     agg.members.pop_back();
-    if (agg.members.empty()) steps_.erase(it);
+    if (agg.members.empty()) retire_step(it);
 }
 
 bool WorkloadManager::live(const RankEntry& e) const {
@@ -106,7 +161,9 @@ void WorkloadManager::trim_ranking(bool top_stale) {
 }
 
 void WorkloadManager::enqueue(const SubQuery& sub) {
-    const auto [it, fresh] = queues_.try_emplace(sub.atom);
+    auto it = queues_.find(sub.atom);
+    const bool fresh = it == queues_.end();
+    if (fresh) it = open_node(queues_, spare_queues_, sub.atom);
     AtomQueue& q = it->second;
     if (fresh) q.oldest = sub.enqueue_time;
     if (sub.deadline < q.min_deadline) {
@@ -115,7 +172,17 @@ void WorkloadManager::enqueue(const SubQuery& sub) {
         q.min_deadline = sub.deadline;
         deadlines_.emplace(q.min_deadline, sub.atom.key());
     }
-    q.items.push_back(sub);
+    const std::size_t fill = q.count % kBlockSubqueries;
+    if (fill == 0) {  // the tail block is full (or there is none yet)
+        const std::uint32_t block = slab_.acquire();
+        if (q.tail == kNil)
+            q.head = block;
+        else
+            slab_[q.tail].next = block;
+        q.tail = block;
+    }
+    slab_[q.tail].subs[fill] = sub;
+    ++q.count;
     q.positions += sub.positions;
     total_positions_ += sub.positions;
     ++total_subqueries_;
@@ -126,20 +193,29 @@ void WorkloadManager::enqueue(const SubQuery& sub) {
     JAWS_AUDIT((++audit_tick_ & 63) == 0 && audit());
 }
 
-std::vector<SubQuery> WorkloadManager::drain_atom(const storage::AtomId& atom) {
+void WorkloadManager::drain_atom(const storage::AtomId& atom, std::vector<SubQuery>& out) {
     const auto it = queues_.find(atom);
-    if (it == queues_.end()) return {};
-    index_erase(atom, it->second);
-    if (it->second.min_deadline != util::SimTime::max())
-        deadlines_.erase({it->second.min_deadline, atom.key()});
-    std::vector<SubQuery> items = std::move(it->second.items);
-    total_positions_ -= it->second.positions;
-    total_subqueries_ -= items.size();
-    const bool top_stale = ranking_.front().stamp == it->second.stamp;
-    queues_.erase(it);
+    if (it == queues_.end()) return;
+    AtomQueue& q = it->second;
+    index_erase(atom, q);
+    if (q.min_deadline != util::SimTime::max())
+        deadlines_.erase({q.min_deadline, atom.key()});
+    std::size_t left = q.count;
+    for (std::uint32_t block = q.head; block != kNil; block = slab_[block].next) {
+        const std::size_t n = std::min(left, kBlockSubqueries);
+        const auto& subs = slab_[block].subs;
+        out.insert(out.end(), subs.begin(), subs.begin() + static_cast<std::ptrdiff_t>(n));
+        left -= n;
+    }
+    slab_.release(q.head, q.tail, (q.count + kBlockSubqueries - 1) / kBlockSubqueries);
+    total_positions_ -= q.positions;
+    total_subqueries_ -= q.count;
+    const bool top_stale = ranking_.front().stamp == q.stamp;
+    QueueMap::node_type node = queues_.extract(it);
+    node.mapped() = AtomQueue{};
+    spare_queues_.push_back(std::move(node));  // for the next queue that opens
     trim_ranking(top_stale);
     JAWS_AUDIT((++audit_tick_ & 63) == 0 && audit());
-    return items;
 }
 
 void WorkloadManager::on_residency_changed(const storage::AtomId& atom) {
@@ -153,9 +229,10 @@ std::optional<storage::AtomId> WorkloadManager::pick_best_atom() const {
     return storage::AtomId::from_key(ranking_.front().atom);
 }
 
-std::vector<storage::AtomId> WorkloadManager::pick_two_level_batch(std::size_t k,
-                                                                   util::SimTime now) const {
-    if (steps_.empty()) return {};
+void WorkloadManager::pick_two_level_batch(std::size_t k, util::SimTime now,
+                                           std::vector<storage::AtomId>& out) const {
+    out.clear();
+    if (steps_.empty()) return;
     // Coarse level: the time step with the highest mean aged throughput,
     // where the mean is over *all* atoms of the step (atoms without pending
     // work contribute zero), i.e. total contention mass / atoms_per_step.
@@ -178,19 +255,18 @@ std::vector<storage::AtomId> WorkloadManager::pick_two_level_batch(std::size_t k
     // rank by (-U_t, atom key); only the first k can be taken, so only they
     // are selected and sorted.
     const double mean_ut = best->utility_sum / static_cast<double>(cost_.atoms_per_step);
-    std::vector<Member> top(std::min(k, best->members.size()));
+    std::vector<Member>& top = pick_scratch_;
+    top.resize(std::min(k, best->members.size()));
     const auto rank = [](const Member& m) { return std::pair(-m.queue->utility, m.atom); };
     std::ranges::partial_sort_copy(best->members, top, std::less{}, rank, rank);
-    std::vector<storage::AtomId> batch;
     for (const Member& m : top) {
-        if (m.queue->utility < mean_ut && !batch.empty()) break;  // below mean: stop
-        batch.push_back(storage::AtomId::from_key(m.atom));
+        if (m.queue->utility < mean_ut && !out.empty()) break;  // below mean: stop
+        out.push_back(storage::AtomId::from_key(m.atom));
     }
-    std::sort(batch.begin(), batch.end(), [](const storage::AtomId& a,
-                                             const storage::AtomId& b) {
+    std::sort(out.begin(), out.end(), [](const storage::AtomId& a,
+                                         const storage::AtomId& b) {
         return a.morton < b.morton;
     });
-    return batch;
 }
 
 std::optional<std::pair<storage::AtomId, util::SimTime>>
@@ -222,7 +298,7 @@ void WorkloadManager::set_alpha(double alpha) {
 
 void WorkloadManager::rebuild_index() {
     ranking_.clear();
-    steps_.clear();
+    while (!steps_.empty()) retire_step(steps_.begin());
     // Rebuild in atom-key order: StepAgg sums doubles, and floating-point
     // accumulation order must not depend on the hash table's layout for the
     // aggregates to be bit-reproducible across platforms.
@@ -257,22 +333,40 @@ bool WorkloadManager::audit() const {
     std::size_t deadlined = 0;
     // Brute-force best of the ranking: the smallest (-key, atom key).
     std::optional<std::pair<double, storage::AtomKey>> best;
+    std::size_t blocks = 0;
     // jaws-lint: allow(unordered-iteration) -- read-only validation; every
     // per-queue check is independent, the re-derived sums are compared
     // with a tolerance, and the brute-force best is the minimum of a strict
     // total order, so hash order cannot change the audit verdict.
     for (const auto& [atom, q] : queues_) {
-        check(!q.items.empty(), "no empty atom queue is retained",
+        check(q.count > 0 && q.head != kNil, "no empty atom queue is retained",
               "WorkloadManager: empty workload queue left in the map");
         std::uint64_t queue_positions = 0;
-        util::SimTime oldest = q.items.empty() ? util::SimTime::zero()
-                                               : q.items.front().enqueue_time;
+        util::SimTime oldest = q.head == kNil ? util::SimTime::zero()
+                                              : slab_[q.head].subs[0].enqueue_time;
         util::SimTime min_deadline = util::SimTime::max();
-        for (const SubQuery& sub : q.items) {
-            queue_positions += sub.positions;
-            oldest = std::min(oldest, sub.enqueue_time);
-            min_deadline = std::min(min_deadline, sub.deadline);
+        std::size_t length = 0;
+        std::size_t chain = 0;
+        std::uint32_t last = kNil;
+        for (std::uint32_t block = q.head; block != kNil && length < q.count;
+             block = slab_[block].next) {
+            for (std::size_t i = 0; i < kBlockSubqueries && length < q.count; ++i, ++length) {
+                const SubQuery& sub = slab_[block].subs[i];
+                check(sub.atom == atom, "queued sub-query targets its queue's atom",
+                      "WorkloadManager: sub-query threaded into another atom's queue");
+                queue_positions += sub.positions;
+                oldest = std::min(oldest, sub.enqueue_time);
+                min_deadline = std::min(min_deadline, sub.deadline);
+            }
+            last = block;
+            ++chain;
         }
+        check(length == q.count && last == q.tail &&
+                  chain == (q.count + kBlockSubqueries - 1) / kBlockSubqueries &&
+                  (last == kNil || slab_[last].next == kNil),
+              "queue list matches count and tail",
+              "WorkloadManager: atom queue list broken or miscounted");
+        blocks += chain;
         check(q.positions == queue_positions, "cached positions re-derive",
               "WorkloadManager: per-atom position count out of sync");
         check(q.oldest == oldest, "cached oldest re-derives",
@@ -291,7 +385,7 @@ bool WorkloadManager::audit() const {
               "member slot points back at the queue",
               "WorkloadManager: atom missing from its step's member list");
         positions += queue_positions;
-        subqueries += q.items.size();
+        subqueries += q.count;
         auto& sums = step_sums[atom.timestep];
         sums.first += q.utility;
         ++sums.second;
@@ -307,6 +401,12 @@ bool WorkloadManager::audit() const {
           "WorkloadManager: global position total out of sync");
     check(subqueries == total_subqueries_, "total sub-queries re-derive",
           "WorkloadManager: global sub-query total out of sync");
+    // Slab: every block in use sits on exactly one queue list, and every
+    // other block on the free list.
+    check(blocks == slab_.in_use(), "blocks in use == blocks on queue lists",
+          "WorkloadManager: slab block leaked or shared between queues");
+    check(slab_.free_list_intact(), "slab free list intact",
+          "WorkloadManager: slab free list corrupt");
     // Ranking heap: a valid heap, bounded by compaction, with exactly one
     // live entry per pending atom at its current key, and a live top that
     // is the brute-force best.

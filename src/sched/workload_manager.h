@@ -16,6 +16,14 @@
 //     mean, returned in Morton order;
 //   * the UtilityOracle interface URC reads for cache coordination.
 //
+// Pending sub-queries live in one slab of small fixed-size blocks recycled
+// through a free list. Each atom's workload queue is a FIFO list of blocks
+// threaded through the slab (head, tail, next), and the map nodes of drained
+// queues and emptied steps are kept for reuse, so in steady state neither
+// enqueue nor drain allocates. The slab is shared by all atoms, so the memory
+// held follows the peak of the total pending work (plus at most one partly
+// filled block per pending atom), not the sum of per-atom peaks.
+//
 // The global ranking is a lazily invalidated binary heap: every re-rank
 // pushes a fresh entry stamped with a unique number the queue remembers, and
 // an entry whose stamp no longer matches its queue's is stale. Stale entries
@@ -25,8 +33,10 @@
 // ranks on demand; only its first k atoms are ever sorted.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -75,9 +85,17 @@ class WorkloadManager final : public cache::UtilityOracle {
     /// Append a sub-query to its atom's workload queue.
     void enqueue(const SubQuery& sub);
 
-    /// Remove and return the whole workload queue of `atom` (the single pass
-    /// over the atom's data evaluates all of it). Empty result if none.
-    std::vector<SubQuery> drain_atom(const storage::AtomId& atom);
+    /// Remove the whole workload queue of `atom` (the single pass over the
+    /// atom's data evaluates all of it) and append it to `out` in enqueue
+    /// order. Appends nothing if no work is pending against `atom`.
+    void drain_atom(const storage::AtomId& atom, std::vector<SubQuery>& out);
+
+    /// Value-returning form of drain_atom (tests and benchmarks).
+    std::vector<SubQuery> drain_atom(const storage::AtomId& atom) {
+        std::vector<SubQuery> out;
+        drain_atom(atom, out);
+        return out;
+    }
 
     /// Notify that `atom`'s cache residency changed (phi flips, U_t changes).
     void on_residency_changed(const storage::AtomId& atom);
@@ -92,8 +110,16 @@ class WorkloadManager final : public cache::UtilityOracle {
     /// mean *aged* workload throughput over all of the step's atoms
     /// (Sec. V-C), then up to `k` atoms of that step with U_t at or above the
     /// step's mean U_t, in Morton order. `now` enters through the age term
-    /// E(i) = now - oldest_i of the aged metric.
-    std::vector<storage::AtomId> pick_two_level_batch(std::size_t k, util::SimTime now) const;
+    /// E(i) = now - oldest_i of the aged metric. Replaces `out`'s contents.
+    void pick_two_level_batch(std::size_t k, util::SimTime now,
+                              std::vector<storage::AtomId>& out) const;
+
+    /// Value-returning form of pick_two_level_batch (tests and benchmarks).
+    std::vector<storage::AtomId> pick_two_level_batch(std::size_t k, util::SimTime now) const {
+        std::vector<storage::AtomId> out;
+        pick_two_level_batch(k, now, out);
+        return out;
+    }
 
     /// QoS support (paper Sec. VII): the atom whose pending work carries the
     /// earliest completion deadline, with that deadline. nullopt when no
@@ -133,8 +159,54 @@ class WorkloadManager final : public cache::UtilityOracle {
     std::size_t pending_subqueries() const noexcept { return total_subqueries_; }
 
   private:
+    /// End of a slab list (an atom queue's or the free list).
+    static constexpr std::uint32_t kNil = UINT32_MAX;
+    /// Sub-queries per slab block: a queue's sub-queries sit contiguously in
+    /// runs of this length, and at most one partly filled block per pending
+    /// atom is slack.
+    static constexpr std::size_t kBlockSubqueries = 4;
+
+    /// A run of one atom queue's pending sub-queries and the queue's next
+    /// block.
+    struct Block {
+        std::array<SubQuery, kBlockSubqueries> subs;
+        std::uint32_t next = kNil;
+    };
+
+    /// The blocks of every atom queue, in chunks that never move (growth
+    /// allocates one more chunk and copies nothing), recycled through a free
+    /// list.
+    class Slab {
+      public:
+        Block& operator[](std::uint32_t i) noexcept {
+            return chunks_[i >> kChunkBits][i & kChunkMask];
+        }
+        const Block& operator[](std::uint32_t i) const noexcept {
+            return chunks_[i >> kChunkBits][i & kChunkMask];
+        }
+        /// A block at the end of no list.
+        std::uint32_t acquire();
+        /// Return the chain of blocks `first` .. `last` (linked by `next`).
+        void release(std::uint32_t first, std::uint32_t last, std::size_t blocks) noexcept;
+        /// Blocks handed out and not released.
+        std::size_t in_use() const noexcept { return in_use_; }
+        /// Free-list self-check: every free block listed exactly once.
+        bool free_list_intact() const;
+
+      private:
+        static constexpr std::uint32_t kChunkBits = 8;
+        static constexpr std::uint32_t kChunkMask = (1U << kChunkBits) - 1;
+
+        std::vector<std::unique_ptr<Block[]>> chunks_;
+        std::uint32_t size_ = 0;  ///< Blocks ever constructed.
+        std::uint32_t free_ = kNil;
+        std::size_t in_use_ = 0;
+    };
+
     struct AtomQueue {
-        std::vector<SubQuery> items;
+        std::uint32_t head = kNil;  ///< Block of the oldest pending sub-query.
+        std::uint32_t tail = kNil;  ///< Block of the newest pending sub-query.
+        std::size_t count = 0;      ///< Pending sub-queries.
         std::uint64_t positions = 0;
         util::SimTime oldest;
         /// Earliest QoS deadline queued (SimTime::max() = none).
@@ -152,13 +224,15 @@ class WorkloadManager final : public cache::UtilityOracle {
     };
     struct Member {
         storage::AtomKey atom;
-        AtomQueue* queue = nullptr;  ///< Map nodes are stable; erased on drain.
+        AtomQueue* queue = nullptr;  ///< Map nodes are stable; extracted on drain.
     };
     struct StepAgg {
         double utility_sum = 0.0;  ///< Sum of U_t (mean gates in-step selection).
         double key_sum = 0.0;      ///< Sum of static aged keys (mean picks the step).
         std::vector<Member> members;  ///< Pending atoms of the step, unordered.
     };
+    using QueueMap = std::unordered_map<storage::AtomId, AtomQueue, storage::AtomIdHash>;
+    using StepMap = std::map<std::uint32_t, StepAgg>;
 
     double compute_utility(const storage::AtomId& atom, const AtomQueue& q) const;
     double compute_key(const AtomQueue& q) const;
@@ -168,6 +242,8 @@ class WorkloadManager final : public cache::UtilityOracle {
     /// new rank (retiring the queue's previous heap entry).
     void index_add(const storage::AtomId& atom, AtomQueue& q, StepAgg& agg);
     void index_erase(const storage::AtomId& atom, AtomQueue& q);
+    /// Remove an emptied step, keeping its node for the next step that opens.
+    void retire_step(StepMap::iterator it);
     void rebuild_index();
     bool live(const RankEntry& e) const;
     /// Restore the live-top invariant after `top_stale` retired the top, and
@@ -178,10 +254,15 @@ class WorkloadManager final : public cache::UtilityOracle {
     const ResidencyProbe* probe_;
     double alpha_;
 
-    std::unordered_map<storage::AtomId, AtomQueue, storage::AtomIdHash> queues_;
+    Slab slab_;
+    QueueMap queues_;
+    std::vector<QueueMap::node_type> spare_queues_;  ///< Drained queues' map nodes.
     std::vector<RankEntry> ranking_;  ///< Lazily invalidated heap.
     std::uint64_t stamps_ = 0;        ///< Last stamp handed out.
-    std::map<std::uint32_t, StepAgg> steps_;
+    StepMap steps_;
+    /// Emptied steps' map nodes, member lists cleared but not shrunk.
+    std::vector<StepMap::node_type> spare_steps_;
+    mutable std::vector<Member> pick_scratch_;  ///< pick_two_level_batch's top k.
     // Atoms with deadlined work, ordered by (deadline, atom key).
     std::set<std::pair<util::SimTime, storage::AtomKey>> deadlines_;
     std::uint64_t total_positions_ = 0;

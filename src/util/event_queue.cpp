@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
 
 #include "util/contracts.h"
@@ -15,63 +14,100 @@ namespace jaws::util {
 // --------------------------------------------------------------------------
 
 void EventQueue::reset_to(SimTime t) {
-    if (!handlers_.empty())
+    if (live_ != 0)
         throw std::logic_error("EventQueue::reset_to: events still pending");
     heap_.clear();  // drop cancelled tombstones
     now_ = t;
 }
 
 void EventQueue::set_perturbation(const TiePerturbation& p) {
-    if (!handlers_.empty() || next_id_ != 0 || schedule_count_ != 0)
+    if (live_ != 0 || next_seq_ != 0 || schedule_count_ != 0)
         throw std::logic_error(
             "EventQueue::set_perturbation: queue already issued events");
     perturb_ = p;
-    next_id_ = p.id_offset;
+}
+
+std::uint32_t EventQueue::live_slot(EventId id) const noexcept {
+    const std::uint64_t raw = id - perturb_.id_offset;
+    const auto slot = static_cast<std::uint32_t>(raw);
+    if (slot >= slots_.size()) return kNoSlot;
+    const Slot& s = slots_[slot];
+    return s.live && s.generation == static_cast<std::uint32_t>(raw >> 32) ? slot
+                                                                           : kNoSlot;
+}
+
+std::uint32_t EventQueue::acquire_slot() {
+    std::uint32_t slot = free_head_;
+    if (slot != kNoSlot) {
+        free_head_ = slots_[slot].next_free;
+    } else {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    }
+    Slot& s = slots_[slot];
+    // Skip the one generation whose offset id would read as "no event".
+    if (id_of(slot, s.generation) == 0) ++s.generation;
+    return slot;
+}
+
+void EventQueue::release_slot(std::uint32_t slot) {
+    Slot& s = slots_[slot];
+    assert(s.live && !s.fn);
+    assert(s.source < pending_by_source_.size() && pending_by_source_[s.source] > 0);
+    --pending_by_source_[s.source];
+    --live_;
+    s.live = false;
+    ++s.generation;  // every id issued for this slot so far is now dead
+    s.next_free = free_head_;
+    free_head_ = slot;
+}
+
+void EventQueue::push_entry(const Entry& e) {
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
 }
 
 EventQueue::EventId EventQueue::schedule(SimTime at, int priority,
                                          std::uint32_t source, Handler fn) {
-    const EventId id = next_id_++;
     if (at < now_) at = now_;  // the past is immutable; fire as soon as possible
-    heap_.push_back(Entry{at, priority, source, id, tie_rank(id, priority)});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
-    handlers_.emplace(id, Record{std::move(fn), source});
+    const std::uint32_t slot = acquire_slot();
+    Slot& s = slots_[slot];
+    s.fn = std::move(fn);
+    s.source = source;
+    s.live = true;
+    ++live_;
     if (source >= pending_by_source_.size()) pending_by_source_.resize(source + 1, 0);
     ++pending_by_source_[source];
+    push_entry(Entry{at, priority, source, tie_rank(next_seq_++, priority), slot,
+                     s.generation});
     if (perturb_.tombstone_stride != 0 &&
         ++schedule_count_ % perturb_.tombstone_stride == 0) {
-        // A handler-less entry: dropped silently when it surfaces, but it
+        // A slot-less entry: dropped silently when it surfaces, but it
         // disturbs the heap's internal layout until then — flushing out any
         // client observably coupled to that layout.
-        const EventId ghost = next_id_++;
-        heap_.push_back(Entry{at, priority, source, ghost, tie_rank(ghost, priority)});
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
+        push_entry(Entry{at, priority, source, tie_rank(next_seq_++, priority), kNoSlot, 0});
     }
     JAWS_AUDIT((++audit_tick_ & 63) == 0 && audit());
-    return id;
+    return id_of(slot, slots_[slot].generation);
 }
 
-std::uint64_t EventQueue::tie_rank(EventId id, int priority) const noexcept {
+std::uint64_t EventQueue::tie_rank(std::uint64_t seq, int priority) const noexcept {
+    const std::uint64_t rank = seq + perturb_.id_offset;
     const bool permuted = priority >= 0 && priority < 64 &&
                           ((perturb_.permute_priorities >> priority) & 1) != 0;
-    return permuted ? id ^ perturb_.salt : id;
-}
-
-void EventQueue::note_source_gone(std::uint32_t source) {
-    assert(source < pending_by_source_.size() && pending_by_source_[source] > 0);
-    --pending_by_source_[source];
+    return permuted ? rank ^ perturb_.salt : rank;
 }
 
 bool EventQueue::cancel(EventId id) {
-    auto it = handlers_.find(id);
-    if (it == handlers_.end()) return false;
-    note_source_gone(it->second.source);
-    handlers_.erase(it);
+    const std::uint32_t slot = live_slot(id);
+    if (slot == kNoSlot) return false;
+    slots_[slot].fn = nullptr;
+    release_slot(slot);
     return true;
 }
 
 void EventQueue::drop_cancelled() {
-    while (!heap_.empty() && handlers_.find(heap_.front().seq) == handlers_.end()) {
+    while (!heap_.empty() && stale(heap_.front())) {
         std::pop_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
         heap_.pop_back();
     }
@@ -89,11 +125,10 @@ bool EventQueue::run_one() {
     const Entry top = heap_.front();
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
     heap_.pop_back();
-    auto it = handlers_.find(top.seq);
-    assert(it != handlers_.end());
-    Handler fn = std::move(it->second.fn);
-    note_source_gone(it->second.source);
-    handlers_.erase(it);
+    // Move the handler out before releasing: it may schedule into this slot.
+    Handler fn = std::move(slots_[top.slot].fn);
+    slots_[top.slot].fn = nullptr;
+    release_slot(top.slot);
     last_source_ = top.source;
     now_ = top.at;  // monotone: entries are never scheduled before now_
     JAWS_AUDIT((++audit_tick_ & 63) == 0 && audit());
@@ -108,31 +143,51 @@ bool EventQueue::audit() const {
             ok = false;
             contract_violation(__FILE__, __LINE__, expr, msg);
         }
+        return cond;
     };
     check(std::is_heap(heap_.begin(), heap_.end(), std::greater<Entry>{}),
           "is_heap(heap_)", "EventQueue: heap order violated");
-    std::unordered_set<EventId> seen;
-    std::size_t live = 0;
+    std::vector<std::uint8_t> entries(slots_.size(), 0);  // live entries per slot
     for (const Entry& e : heap_) {
-        check(seen.insert(e.seq).second, "unique(entry.seq)",
-              "EventQueue: duplicate event id in heap");
-        check(e.seq < next_id_, "entry.seq < next_id_",
-              "EventQueue: entry id ahead of the id counter");
-        const auto rec = handlers_.find(e.seq);
-        if (rec == handlers_.end()) continue;  // tombstone
-        ++live;
+        if (e.slot == kNoSlot) continue;  // tombstone
+        if (!check(e.slot < slots_.size(), "entry.slot < slots",
+                   "EventQueue: heap entry names a slot past the table"))
+            continue;
+        const Slot& s = slots_[e.slot];
+        if (!s.live || s.generation != e.generation) continue;  // cancelled
+        check(++entries[e.slot] == 1, "one live entry per slot",
+              "EventQueue: two live heap entries for one event");
         check(e.at >= now_, "entry.at >= now()",
               "EventQueue: pending event scheduled behind the clock");
-        check(rec->second.source == e.source, "entry.source == record.source",
-              "EventQueue: heap entry and handler disagree on source");
+        check(s.source == e.source, "entry.source == slot.source",
+              "EventQueue: heap entry and slot disagree on source");
     }
-    // Every live handler id must have exactly one heap entry, or it can
-    // never fire (ids are unique, so equality of counts proves the map).
-    check(live == handlers_.size(), "live heap entries == handlers",
-          "EventQueue: dangling handler with no heap entry");
+    // Every live slot needs exactly one live heap entry, or it can never fire.
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        if (!slots_[i].live) continue;
+        ++live;
+        check(entries[i] == 1, "live slot has a heap entry",
+              "EventQueue: dangling handler with no heap entry");
+    }
+    check(live == live_, "live slots == pending()",
+          "EventQueue: live-event count out of sync with the slots");
+    // The free list holds every free slot exactly once (and no live one).
+    std::vector<std::uint8_t> on_free_list(slots_.size(), 0);
+    std::size_t free = 0;
+    for (std::uint32_t i = free_head_; i != kNoSlot; i = slots_[i].next_free) {
+        if (!check(i < slots_.size() && on_free_list[i] == 0 && !slots_[i].live,
+                   "free list links distinct free slots",
+                   "EventQueue: free list corrupt (cycle, live or out-of-range slot)"))
+            break;
+        on_free_list[i] = 1;
+        ++free;
+    }
+    check(free + live_ == slots_.size(), "free + live == slots",
+          "EventQueue: a free slot is missing from the free list");
     std::size_t by_source = 0;
     for (const std::size_t n : pending_by_source_) by_source += n;
-    check(by_source == handlers_.size(), "sum(pending_by_source) == handlers",
+    check(by_source == live_, "sum(pending_by_source) == pending()",
           "EventQueue: per-source pending counts out of sync");
     return ok;
 }
@@ -150,10 +205,18 @@ SimResource::SimResource(EventQueue& events, std::size_t channels,
     last_change_ = events_.now();
 }
 
-std::size_t SimResource::queued() const noexcept {
-    std::size_t n = 0;
-    for (const auto& [pri, q] : waiting_) n += q.size();
-    return n;
+SimResource::Waiting SimResource::WaitClass::pop() {
+    assert(head < jobs.size());
+    Waiting next = std::move(jobs[head++]);
+    if (head == jobs.size()) {
+        jobs.clear();
+        head = 0;
+    } else if (head >= jobs.size() - head) {
+        // Served jobs outnumber the waiting ones: compact (amortised O(1)).
+        jobs.erase(jobs.begin(), jobs.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+    }
+    return next;
 }
 
 SimTime SimResource::busy_channel_time() const {
@@ -206,7 +269,15 @@ SimResource::JobId SimResource::submit(Job job) {
             return id;
         }
     }
-    waiting_[job.priority].push_back(Waiting{id, std::move(job)});
+    auto cls = std::find_if(waiting_.begin(), waiting_.end(), [&](const WaitClass& c) {
+        return c.priority >= job.priority;
+    });
+    if (cls == waiting_.end() || cls->priority != job.priority) {
+        cls = waiting_.insert(cls, WaitClass{});
+        cls->priority = job.priority;
+    }
+    cls->jobs.push_back(Waiting{id, std::move(job)});
+    ++queued_;
     JAWS_AUDIT(audit());
     return id;
 }
@@ -225,19 +296,23 @@ bool SimResource::cancel(JobId id) {
         backfill(c);
         JAWS_AUDIT(audit());
         if (aborted.on_abort) aborted.on_abort(c, remaining);
-        if (has_free_channel() && waiting_.empty() && idle_hook_) idle_hook_();
+        if (has_free_channel() && queued_ == 0 && idle_hook_) idle_hook_();
         return true;
     }
     // Still waiting: remove silently (service never started).
-    for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
-        auto& q = it->second;
-        for (auto w = q.begin(); w != q.end(); ++w) {
-            if (w->id != id) continue;
-            q.erase(w);
-            if (q.empty()) waiting_.erase(it);
-            JAWS_AUDIT(audit());
-            return true;
+    for (WaitClass& cls : waiting_) {
+        const auto first = cls.jobs.begin() + static_cast<std::ptrdiff_t>(cls.head);
+        const auto w = std::find_if(first, cls.jobs.end(),
+                                    [id](const Waiting& x) { return x.id == id; });
+        if (w == cls.jobs.end()) continue;
+        cls.jobs.erase(w);
+        if (cls.size() == 0) {
+            cls.jobs.clear();
+            cls.head = 0;
         }
+        --queued_;
+        JAWS_AUDIT(audit());
+        return true;
     }
     return false;  // already completed, aborted or cancelled
 }
@@ -259,11 +334,11 @@ void SimResource::start_on(std::size_t channel, JobId id, Job&& job) {
 void SimResource::backfill(std::size_t channel) {
     // Serve the waiting queue before running the finished job's handler so a
     // job submitted *from* the handler cannot jump ahead of queued work.
-    for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
-        if (it->second.empty()) continue;
-        Waiting next = std::move(it->second.front());
-        it->second.pop_front();
-        if (it->second.empty()) waiting_.erase(it);
+    if (queued_ == 0) return;
+    for (WaitClass& cls : waiting_) {
+        if (cls.size() == 0) continue;
+        Waiting next = cls.pop();
+        --queued_;
         start_on(channel, next.id, std::move(next.job));
         break;
     }
@@ -278,7 +353,7 @@ void SimResource::finish(std::size_t channel) {
     backfill(channel);
     JAWS_AUDIT(audit());
     if (done.on_complete) done.on_complete(channel);
-    if (has_free_channel() && waiting_.empty() && idle_hook_) idle_hook_();
+    if (has_free_channel() && queued_ == 0 && idle_hook_) idle_hook_();
 }
 
 bool SimResource::audit() const {
@@ -306,9 +381,19 @@ bool SimResource::audit() const {
     check(peak_busy_ >= busy_ && peak_busy_ <= channels_.size(),
           "busy_ <= peak_busy_ <= channels()",
           "SimResource: peak busy-channel watermark out of range");
-    for (const auto& [pri, q] : waiting_)
-        check(!q.empty(), "!waiting_[pri].empty()",
-              "SimResource: empty priority class retained in waiting map");
+    std::size_t waiting = 0;
+    for (std::size_t i = 0; i < waiting_.size(); ++i) {
+        const WaitClass& cls = waiting_[i];
+        check(i == 0 || waiting_[i - 1].priority < cls.priority,
+              "waiting classes strictly ascending",
+              "SimResource: waiting classes out of priority order");
+        check(cls.head < cls.jobs.size() || (cls.head == 0 && cls.jobs.empty()),
+              "head < |jobs| or the class is reset",
+              "SimResource: drained waiting class not reset");
+        waiting += cls.size();
+    }
+    check(waiting == queued_, "sum of class sizes == queued()",
+          "SimResource: waiting count out of sync with the classes");
     // Work only queues while every channel is busy (submit() drains free
     // channels first; finish() backfills from the queue).
     if (queued() > 0)

@@ -25,10 +25,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "util/sim_time.h"
@@ -64,6 +61,16 @@ struct TiePerturbation {
 };
 
 /// Deterministic time-ordered event queue with stable FIFO tie-breaking.
+///
+/// Pending handlers live in a slot table recycled through a free list, so
+/// once the table has grown to a run's peak pending count, scheduling an
+/// event allocates nothing (the handler is a std::function; the kernel's own
+/// lambdas fit its small buffer). An EventId encodes the event's (slot,
+/// generation) pair, shifted by TiePerturbation::id_offset. Releasing a slot
+/// (the event fired or was cancelled) bumps its generation, so the old id
+/// stays dead however often the slot is reused, and cancel()/pending() index
+/// the table without hashing. No issued id is ever 0, which clients use to
+/// mean "no event".
 class EventQueue {
   public:
     using EventId = std::uint64_t;
@@ -87,7 +94,7 @@ class EventQueue {
     /// order. `source` identifies the scheduling domain — the cluster node id
     /// when several nodes share one queue — so same-tick ties across nodes
     /// break deterministically by node rather than by construction order.
-    /// Returns an id usable with cancel().
+    /// Returns a nonzero id usable with cancel().
     EventId schedule(SimTime at, int priority, std::uint32_t source, Handler fn);
 
     /// Single-domain convenience: schedule with source 0.
@@ -101,13 +108,13 @@ class EventQueue {
 
     /// Whether `id` names a pending (scheduled, not yet run or cancelled)
     /// event. Audits use this to prove completion events are still live.
-    bool pending(EventId id) const { return handlers_.find(id) != handlers_.end(); }
+    bool pending(EventId id) const noexcept { return live_slot(id) != kNoSlot; }
 
     /// Whether any non-cancelled event is pending.
-    bool empty() const noexcept { return handlers_.empty(); }
+    bool empty() const noexcept { return live_ == 0; }
 
     /// Number of pending (non-cancelled) events.
-    std::size_t pending() const noexcept { return handlers_.size(); }
+    std::size_t pending() const noexcept { return live_; }
 
     /// Number of pending events scheduled with `source`. The cluster kernel
     /// uses this to decide when a node is genuinely idle (nothing of its own
@@ -129,20 +136,28 @@ class EventQueue {
 
     /// Exhaustive self-check (audit builds call this automatically at
     /// transitions; tests call it directly): heap order, monotone timestamps
-    /// (no live entry behind the clock), exactly one heap entry per live
-    /// handler id, no duplicate ids, id counter ahead of every entry.
-    /// Reports through util::contract_violation; returns true when clean.
+    /// (no live entry behind the clock), exactly one live heap entry per
+    /// live slot and none for a free one, and a free list that holds every
+    /// free slot exactly once. Reports through util::contract_violation;
+    /// returns true when clean.
     bool audit() const;
 
   private:
+    /// Free-list terminator, and the slot of a tombstone entry.
+    static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
     struct Entry {
         SimTime at;
         int priority;
         std::uint32_t source;
-        EventId seq;
-        /// Insertion-order tie-break rank: seq, XOR-salted for priority
+        /// Insertion-order tie-break rank: the insertion sequence number
+        /// (offset by TiePerturbation::id_offset), XOR-salted for priority
         /// classes permuted by the installed TiePerturbation.
         std::uint64_t tie;
+        /// The event's slot and that slot's generation when it was
+        /// scheduled; the entry is stale once the generation moved on.
+        std::uint32_t slot;
+        std::uint32_t generation;
 
         bool operator>(const Entry& o) const noexcept {
             if (at != o.at) return at > o.at;
@@ -152,24 +167,43 @@ class EventQueue {
         }
     };
 
-    struct Record {
+    struct Slot {
         Handler fn;
-        std::uint32_t source;
+        std::uint32_t generation = 1;
+        std::uint32_t source = 0;
+        std::uint32_t next_free = kNoSlot;  ///< Free-list link while free.
+        bool live = false;
     };
 
+    /// Slot of the pending event `id` names, or kNoSlot.
+    std::uint32_t live_slot(EventId id) const noexcept;
+    bool stale(const Entry& e) const noexcept {
+        return e.slot == kNoSlot || slots_[e.slot].generation != e.generation;
+    }
+    /// Take a slot off the free list (growing the table when it is empty),
+    /// with a generation whose id is nonzero.
+    std::uint32_t acquire_slot();
+    /// Return a slot to the free list: its handler must already be gone.
+    void release_slot(std::uint32_t slot);
+    EventId id_of(std::uint32_t slot, std::uint32_t generation) const noexcept {
+        return ((std::uint64_t{generation} << 32) | slot) + perturb_.id_offset;
+    }
     void drop_cancelled();
-    void note_source_gone(std::uint32_t source);
-    std::uint64_t tie_rank(EventId id, int priority) const noexcept;
+    void push_entry(const Entry& e);
+    std::uint64_t tie_rank(std::uint64_t seq, int priority) const noexcept;
 
     // A min-heap kept by std::push_heap/pop_heap over a plain vector (rather
     // than std::priority_queue) so audit() can scan the pending entries.
     std::vector<Entry> heap_;
-    std::unordered_map<EventId, Record> handlers_;
+    std::vector<Slot> slots_;
+    std::uint32_t free_head_ = kNoSlot;
+    std::size_t live_ = 0;
     // Live event count per source, indexed by source id (sources are small
     // dense node ids); grown on demand.
     std::vector<std::size_t> pending_by_source_;
     std::uint32_t last_source_ = 0;
-    EventId next_id_ = 0;
+    /// Next insertion sequence number (tombstones take one too).
+    std::uint64_t next_seq_ = 0;
     SimTime now_ = SimTime::zero();
     TiePerturbation perturb_;
     std::uint64_t schedule_count_ = 0;  ///< Drives the tombstone stride.
@@ -235,7 +269,7 @@ class SimResource {
     /// concurrency a run actually achieved — the ceiling on any real-thread
     /// speedup the engine's evaluation pool can extract from it.
     std::size_t peak_busy_channels() const noexcept { return peak_busy_; }
-    std::size_t queued() const noexcept;
+    std::size_t queued() const noexcept { return queued_; }
     bool has_free_channel() const noexcept { return busy_ < channels_.size(); }
     bool idle() const noexcept { return busy_ == 0 && queued() == 0; }
 
@@ -254,8 +288,9 @@ class SimResource {
 
     /// Exhaustive channel-accounting self-check: busy_ matches the per-channel
     /// flags, every busy channel's completion event is still pending and ends
-    /// at or after now, the waiting map holds no empty class queues, and the
-    /// busy-time integral never runs ahead of wall (virtual) time. Reports
+    /// at or after now, the waiting classes are in ascending priority order
+    /// and their sizes sum to queued(), and the busy-time integral never
+    /// runs ahead of wall (virtual) time. Reports
     /// through util::contract_violation; returns true when clean.
     bool audit() const;
 
@@ -275,6 +310,19 @@ class SimResource {
         Job job;
     };
 
+    /// The waiting jobs of one priority class, in FIFO order: a vector
+    /// consumed from `head`. Served jobs are compacted away once they
+    /// outnumber the waiting ones, and an emptied class is cleared but kept,
+    /// so the storage is reused instead of freed and reallocated.
+    struct WaitClass {
+        int priority = 0;
+        std::vector<Waiting> jobs;
+        std::size_t head = 0;
+
+        std::size_t size() const noexcept { return jobs.size() - head; }
+        Waiting pop();
+    };
+
     void start_on(std::size_t channel, JobId id, Job&& job);
     void finish(std::size_t channel);
     /// Pull the next waiting job (if any) onto the now-free `channel`.
@@ -285,7 +333,8 @@ class SimResource {
     int completion_priority_;
     std::uint32_t source_;
     std::vector<Channel> channels_;
-    std::map<int, std::deque<Waiting>> waiting_;
+    std::vector<WaitClass> waiting_;  ///< Ascending priority; emptied classes kept.
+    std::size_t queued_ = 0;          ///< Jobs waiting across all classes.
     JobId next_job_id_ = 1;
     std::size_t busy_ = 0;
     std::size_t peak_busy_ = 0;

@@ -3,6 +3,7 @@
 // multi-channel resource (service, queuing, preemption, busy-time integral).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -278,6 +279,73 @@ TEST(EventQueue, HandlersMayScheduleFurtherEvents) {
     while (q.run_one()) {
     }
     EXPECT_EQ(times, (std::vector<std::int64_t>{10, 25}));
+}
+
+// --- event ids: (slot, generation), never 0, dead once fired or cancelled ---
+
+TEST(EventQueue, NeverIssuesIdZero) {
+    // Clients (the engine's retry and hedge-trigger fields) use 0 for "no
+    // event", so no schedule may return it — including the very first one,
+    // and under an id offset chosen so that a plain encoding of the first
+    // slot would wrap to exactly 0.
+    for (const std::uint64_t offset : {std::uint64_t{0}, 0 - (std::uint64_t{1} << 32),
+                                       0 - (std::uint64_t{2} << 32), std::uint64_t{1}}) {
+        EventQueue q;
+        TiePerturbation p;
+        p.id_offset = offset;
+        q.set_perturbation(p);
+        int fired = 0;
+        for (int round = 0; round < 100; ++round) {
+            const EventQueue::EventId id = q.schedule(us(round), 0, [&] { ++fired; });
+            EXPECT_NE(id, 0u) << "offset " << offset << ", round " << round;
+            EXPECT_TRUE(q.pending(id));
+            ASSERT_TRUE(q.run_one());
+        }
+        EXPECT_EQ(fired, 100);
+        EXPECT_FALSE(q.pending(0));
+        EXPECT_FALSE(q.cancel(0));
+        EXPECT_TRUE(q.audit());
+    }
+}
+
+TEST(EventQueue, DeadIdsStayDeadAfterTheirSlotIsReused) {
+    for (const std::uint64_t offset : {std::uint64_t{0}, std::uint64_t{12345},
+                                       std::uint64_t{1} << 40}) {
+        EventQueue q;
+        TiePerturbation p;
+        p.id_offset = offset;
+        q.set_perturbation(p);
+        const EventQueue::EventId fired = q.schedule(us(1), 0, [] {});
+        ASSERT_TRUE(q.run_one());
+        const EventQueue::EventId cancelled = q.schedule(us(2), 0, [] {});
+        ASSERT_TRUE(q.cancel(cancelled));
+        // One pending event at a time: every schedule below reuses the slot
+        // the two dead ids named.
+        std::vector<EventQueue::EventId> issued{fired, cancelled};
+        for (int round = 0; round < 1000; ++round) {
+            const EventQueue::EventId id = q.schedule(q.now() + us(1), 0, [] {});
+            EXPECT_TRUE(q.pending(id));
+            for (const EventQueue::EventId dead : {fired, cancelled}) {
+                ASSERT_NE(id, dead) << "a reused slot reissued a dead id";
+                EXPECT_FALSE(q.pending(dead));
+                EXPECT_FALSE(q.cancel(dead));
+            }
+            issued.push_back(id);
+            if (round % 2 == 0)
+                ASSERT_TRUE(q.run_one());
+            else
+                ASSERT_TRUE(q.cancel(id));
+            EXPECT_FALSE(q.pending(id));
+            EXPECT_FALSE(q.cancel(id));
+        }
+        // Every id issued along the way is distinct and dead.
+        std::vector<EventQueue::EventId> sorted = issued;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+        for (const EventQueue::EventId id : issued) EXPECT_FALSE(q.pending(id));
+        EXPECT_TRUE(q.empty());
+        EXPECT_TRUE(q.audit());
+    }
 }
 
 // --------------------------------------------------------------------------

@@ -58,9 +58,10 @@ TEST(QosScheduler, RescueOverridesContentionOrder) {
     s.on_job_submitted(heavy);
     s.on_query_visible(urgent.queries[0], util::SimTime::zero());
     s.on_query_visible(heavy.queries[0], util::SimTime::zero());
-    const auto batch = s.next_batch(util::SimTime::zero());
+    Batch batch;
+    s.next_batch(util::SimTime::zero(), batch);
     ASSERT_FALSE(batch.empty());
-    EXPECT_EQ(batch[0].atom.morton, 5u);  // EDF rescue, not contention
+    EXPECT_EQ(batch.items[0].atom.morton, 5u);  // EDF rescue, not contention
     EXPECT_GE(s.qos_stats()->edf_dispatches, 1u);
 }
 
@@ -72,7 +73,8 @@ TEST(QosScheduler, NoRescueWhenDeadlinesSafe) {
     s.on_job_submitted(b);
     s.on_query_visible(a.queries[0], util::SimTime::zero());
     s.on_query_visible(b.queries[0], util::SimTime::zero());
-    s.next_batch(util::SimTime::zero());
+    Batch batch;
+    s.next_batch(util::SimTime::zero(), batch);
     EXPECT_EQ(s.qos_stats()->edf_dispatches, 0u);
 }
 
@@ -81,7 +83,8 @@ TEST(QosScheduler, MissAccounting) {
     const auto a = one_query_job(1, 5, 1000);
     s.on_job_submitted(a);
     s.on_query_visible(a.queries[0], util::SimTime::zero());
-    s.next_batch(util::SimTime::zero());
+    Batch batch;
+    s.next_batch(util::SimTime::zero(), batch);
     s.on_query_completed(a.queries[0].id, util::SimTime::from_seconds(100),
                          util::SimTime::from_seconds(100));
     EXPECT_EQ(s.qos_stats()->misses, 1u);

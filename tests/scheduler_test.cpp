@@ -32,26 +32,40 @@ TEST(NoShare, FifoOneQueryPerBatch) {
     s.on_query_visible(q2, util::SimTime::from_millis(1));
     ASSERT_TRUE(s.has_pending());
 
-    auto batch = s.next_batch(util::SimTime::from_millis(2));
-    ASSERT_EQ(batch.size(), 2u);  // q1's two atoms
-    for (const auto& item : batch) {
-        ASSERT_EQ(item.subqueries.size(), 1u);
-        EXPECT_EQ(item.subqueries[0].query, 1u);
+    EXPECT_EQ(s.pending_count(), 3u);
+
+    Batch batch;
+    s.next_batch(util::SimTime::from_millis(2), batch);
+    ASSERT_EQ(batch.items.size(), 2u);  // q1's two atoms
+    for (const BatchItem& item : batch.items) {
+        ASSERT_EQ(batch.subqueries_of(item).size(), 1u);
+        EXPECT_EQ(batch.subqueries_of(item)[0].query, 1u);
+        EXPECT_EQ(batch.subqueries_of(item)[0].enqueue_time, util::SimTime::zero());
     }
-    batch = s.next_batch(util::SimTime::from_millis(3));
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0].subqueries[0].query, 2u);
+    EXPECT_EQ(s.pending_count(), 1u);
+    s.next_batch(util::SimTime::from_millis(3), batch);
+    ASSERT_EQ(batch.items.size(), 1u);
+    EXPECT_EQ(batch.subqueries_of(batch.items[0])[0].query, 2u);
+    // Split at dispatch, but stamped with the instant the query became visible.
+    EXPECT_EQ(batch.subqueries_of(batch.items[0])[0].enqueue_time, util::SimTime::from_millis(1));
     EXPECT_FALSE(s.has_pending());
-    EXPECT_TRUE(s.next_batch(util::SimTime::zero()).empty());
+    EXPECT_EQ(s.pending_count(), 0u);
+    s.next_batch(util::SimTime::zero(), batch);
+    EXPECT_TRUE(batch.empty());
 }
 
 TEST(NoShare, NeverMergesQueries) {
+    // NoShare keeps references to the visible queries until it dispatches
+    // them, so the queries must outlive the scheduler's use of them.
     NoShareScheduler s;
-    s.on_query_visible(query_on(1, 0, {5}), util::SimTime::zero());
-    s.on_query_visible(query_on(2, 0, {5}), util::SimTime::zero());
-    const auto b1 = s.next_batch(util::SimTime::zero());
-    ASSERT_EQ(b1.size(), 1u);
-    EXPECT_EQ(b1[0].subqueries.size(), 1u);  // only query 1's sub-query
+    const auto q1 = query_on(1, 0, {5});
+    const auto q2 = query_on(2, 0, {5});
+    s.on_query_visible(q1, util::SimTime::zero());
+    s.on_query_visible(q2, util::SimTime::zero());
+    Batch b1;
+    s.next_batch(util::SimTime::zero(), b1);
+    ASSERT_EQ(b1.items.size(), 1u);
+    EXPECT_EQ(b1.subqueries_of(b1.items[0]).size(), 1u);  // only query 1's sub-query
 }
 
 TEST(LifeRaft, DrainsMostContendedAtom) {
@@ -59,10 +73,11 @@ TEST(LifeRaft, DrainsMostContendedAtom) {
     s.on_query_visible(query_on(1, 0, {5}, 100), util::SimTime::zero());
     s.on_query_visible(query_on(2, 0, {9}, 5000), util::SimTime::zero());
     s.on_query_visible(query_on(3, 0, {9}, 5000), util::SimTime::zero());
-    const auto batch = s.next_batch(util::SimTime::zero());
-    ASSERT_EQ(batch.size(), 1u);  // single-atom scheduling
-    EXPECT_EQ(batch[0].atom.morton, 9u);
-    EXPECT_EQ(batch[0].subqueries.size(), 2u);  // both queries co-scheduled
+    Batch batch;
+    s.next_batch(util::SimTime::zero(), batch);
+    ASSERT_EQ(batch.items.size(), 1u);  // single-atom scheduling
+    EXPECT_EQ(batch.items[0].atom.morton, 9u);
+    EXPECT_EQ(batch.subqueries_of(batch.items[0]).size(), 2u);  // both queries co-scheduled
     EXPECT_TRUE(s.has_pending());  // atom 5 still queued
 }
 
@@ -70,9 +85,10 @@ TEST(LifeRaft, AlphaOneFollowsArrivalOrder) {
     LifeRaftScheduler s(CostConstants{}, nullptr, 1.0);
     s.on_query_visible(query_on(1, 0, {5}, 10), util::SimTime::from_millis(1));
     s.on_query_visible(query_on(2, 0, {9}, 9000), util::SimTime::from_millis(2));
-    const auto batch = s.next_batch(util::SimTime::from_millis(3));
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0].atom.morton, 5u);
+    Batch batch;
+    s.next_batch(util::SimTime::from_millis(3), batch);
+    ASSERT_EQ(batch.items.size(), 1u);
+    EXPECT_EQ(batch.items[0].atom.morton, 5u);
     EXPECT_DOUBLE_EQ(s.current_alpha(), 1.0);
 }
 
@@ -117,8 +133,9 @@ TEST(Jaws, TwoLevelBatchesUpToK) {
     }
     s.on_job_submitted(j);
     for (const auto& q : j.queries) s.on_query_visible(q, util::SimTime::zero());
-    const auto batch = s.next_batch(util::SimTime::zero());
-    EXPECT_EQ(batch.size(), 2u);  // capped at k
+    Batch batch;
+    s.next_batch(util::SimTime::zero(), batch);
+    EXPECT_EQ(batch.items.size(), 2u);  // capped at k
 }
 
 TEST(Jaws, GatingWithholdsUntilPartnersReady) {
@@ -133,9 +150,10 @@ TEST(Jaws, GatingWithholdsUntilPartnersReady) {
     EXPECT_FALSE(s.has_pending());  // gated: partner not yet visible
     s.on_query_visible(b.queries[0], util::SimTime::zero());
     EXPECT_TRUE(s.has_pending());   // both released together
-    const auto batch = s.next_batch(util::SimTime::zero());
+    Batch batch;
+    s.next_batch(util::SimTime::zero(), batch);
     ASSERT_FALSE(batch.empty());
-    EXPECT_EQ(batch[0].subqueries.size(), 2u);  // shared atom, both queries
+    EXPECT_EQ(batch.subqueries_of(batch.items[0]).size(), 2u);  // shared atom, both queries
 }
 
 TEST(Jaws, UnstickReleasesGatedWork) {
@@ -161,7 +179,8 @@ TEST(Jaws, CompletionReleasesSuccessorThroughGraph) {
     const auto a = two_query_job(1, 10);
     s.on_job_submitted(a);
     s.on_query_visible(a.queries[0], util::SimTime::zero());
-    auto batch = s.next_batch(util::SimTime::zero());
+    Batch batch;
+    s.next_batch(util::SimTime::zero(), batch);
     ASSERT_FALSE(batch.empty());
     s.on_query_completed(a.queries[0].id, util::SimTime::from_millis(5),
                          util::SimTime::from_millis(5));
