@@ -8,6 +8,8 @@
 #   scripts/check.sh --audit    # same, with JAWS_AUDIT_BUILD contract audits
 #   scripts/check.sh --intsan   # same, with -fsanitize=signed-integer-overflow
 #                               # (proves SimTime saturation leaves no UB)
+#   scripts/check.sh --werror   # same, with every warning an error
+#                               # (JAWS_WERROR, tests included)
 #   scripts/check.sh --tidy     # static gates only: jaws_analyzer.py
 #                               # (determinism, semantic and layering
 #                               # rules) + clang-tidy over
@@ -31,11 +33,12 @@ for arg in "$@"; do
         --tsan) preset=tsan ;;
         --audit) preset=audit ;;
         --intsan) preset=intsan ;;
+        --werror) preset=werror ;;
         --tidy) tidy=1 ;;
         --fast) smoke=0 ;;
         --fuzz) fuzz=1 ;;
         --fuzz=*) fuzz=1; fuzz_seconds="${arg#--fuzz=}" ;;
-        *) echo "usage: $0 [--asan|--tsan|--audit|--intsan|--tidy|--fuzz[=N]] [--fast]" >&2
+        *) echo "usage: $0 [--asan|--tsan|--audit|--intsan|--werror|--tidy|--fuzz[=N]] [--fast]" >&2
            exit 2 ;;
     esac
 done
@@ -143,6 +146,7 @@ if [[ "$smoke" == 1 ]]; then
         tsan) build_dir=build-tsan ;;
         audit) build_dir=build-audit ;;
         intsan) build_dir=build-intsan ;;
+        werror) build_dir=build-werror ;;
     esac
     echo "== fault sweep smoke (determinism) =="
     "$build_dir/bench/fault_sweep" 10 > /tmp/jaws_fault_sweep_a.txt

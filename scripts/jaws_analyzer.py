@@ -44,7 +44,14 @@ Semantics:
   float-equality       `==`/`!=` with a floating operand in the six decision
                        modules: scheduling decisions must not hinge on exact
                        double identity unless the site proves both sides are
-                       computed identically.
+                       computed identically. An operand is floating when it
+                       holds a floating literal or a name whose nearest
+                       declaration before the comparison is `double`/`float`
+                       (the paired header's declarations count as earlier
+                       than the file's; a name first declared after the
+                       comparison, such as a class member, takes that
+                       declaration), so a `double b` in one scope does not
+                       make an integer `b` in a later scope floating.
   narrowing-cast       static_cast to an integer narrower than 64 bits whose
                        operand involves SimTime/.micros tick arithmetic --
                        microsecond counters overflow int32 after ~36 minutes
@@ -112,6 +119,7 @@ Exit codes: 0 clean, 1 violations found, 2 no src/ under the root.
 from __future__ import annotations
 
 import argparse
+import bisect
 import os
 import re
 import sys
@@ -195,6 +203,18 @@ FUNC_HEAD_RE = re.compile(
 
 # float-equality
 FLOAT_DECL_RE = re.compile(r"\b(?:double|float)\s+([A-Za-z_]\w*)")
+# A declaration of any type: a type name with optional template arguments,
+# then `&`/`*` attached to it or whitespace, then the declared name.
+DECL_RE = re.compile(
+    r"\b([A-Za-z_]\w*)(?:\s*<[^;{}()]*?>)?(?:[&*]+\s*|\s+)([A-Za-z_]\w*)"
+    r"\s*(?=[=;,)\[{(:])")
+# Words DECL_RE may take for a type or a name that declare nothing
+# (`return x;`, `else if (`); double/float declarations come from
+# FLOAT_DECL_RE.
+NOT_A_DECL = KEYWORDS | {
+    "const", "constexpr", "static", "struct", "class", "enum", "typename",
+    "using", "namespace", "goto", "operator", "template", "double", "float",
+}
 FLOAT_LITERAL_RE = re.compile(
     r"\b(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)\b|(?<![\w.])\.\d+\b")
 EQ_RE = re.compile(r"(?<![=!<>+\-*/%&|^])(==|!=)(?!=)")
@@ -546,14 +566,43 @@ def reachable_ranges(code: str) -> list[tuple[int, int]]:
 # float-equality / raw-id-api / id-mixing
 # ---------------------------------------------------------------------------
 
-def float_names(code: str) -> set[str]:
-    return {m.group(1) for m in FLOAT_DECL_RE.finditer(code)}
+class FloatDecls:
+    """Which names are floating where: every declaration of a name in a file
+    (and in its paired header), floating or not, so a comparison reads the
+    declaration nearest before it."""
+
+    def __init__(self, code: str, header: str) -> None:
+        def declarations(text: str) -> list[tuple[int, str, bool]]:
+            found = [(m.start(1), m.group(1), True)
+                     for m in FLOAT_DECL_RE.finditer(text)]
+            found += [(m.start(2), m.group(2), False)
+                      for m in DECL_RE.finditer(text)
+                      if m.group(1) not in NOT_A_DECL
+                      and m.group(2) not in NOT_A_DECL]
+            return sorted(found)
+
+        self.code: dict[str, tuple[list[int], list[bool]]] = {}
+        for pos, name, floating in declarations(code):
+            at, floats = self.code.setdefault(name, ([], []))
+            at.append(pos)
+            floats.append(floating)
+        # The header's last declaration of each name.
+        self.header = {name: floating for _pos, name, floating in declarations(header)}
+
+    def floating(self, name: str, pos: int) -> bool:
+        at, floats = self.code.get(name, ((), ()))
+        before = bisect.bisect_left(at, pos)
+        if before > 0:
+            return floats[before - 1]
+        if name in self.header:
+            return self.header[name]
+        return bool(floats) and floats[0]
 
 
-def is_float_operand(text: str, floats: set[str]) -> bool:
+def is_float_operand(text: str, pos: int, decls: FloatDecls) -> bool:
     if FLOAT_LITERAL_RE.search(text):
         return True
-    return any(ident in floats for ident in IDENT_RE.findall(text))
+    return any(decls.floating(ident, pos) for ident in IDENT_RE.findall(text))
 
 
 def in_parameter_list(code: str, pos: int) -> bool:
@@ -622,11 +671,12 @@ def analyze_file(code: str, display_path: str, header: str) -> list[Violation]:
                  f"ambient randomness `{m.group(0).strip()}` in deterministic "
                  "core (seed explicitly via util/rng.h)")
 
-        floats = float_names(code) | float_names(header)
+        decls = FloatDecls(code, header)
         for m in EQ_RE.finditer(code):
             left, right = operand_windows(code, m.start(), m.end(),
                                           OPERAND_BOUNDARY_RE)
-            if is_float_operand(left, floats) or is_float_operand(right, floats):
+            if (is_float_operand(left, m.start(), decls)
+                    or is_float_operand(right, m.start(), decls)):
                 flag(m.start(), "float-equality",
                      f"floating-point `{m.group(1)}` in a scheduling/decision "
                      "module; exact double identity is rarely meaningful -- "
@@ -1152,6 +1202,29 @@ bool f(double cached, double derived) {
     return cached == derived;
 }
 """, []),
+    # float-equality reads the nearest declaration before the comparison:
+    # the shape of an audit whose tolerance lambda takes `double b` and whose
+    # later block walk compares an integer `b` with a sentinel...
+    ("src/sched/ok_float_eq_later_integer.cpp", FIXTURE_PRELUDE + """
+constexpr unsigned kNil = ~0U;
+struct Block { unsigned next; };
+bool audit(const Block* slab, unsigned head, double sum, double derived) {
+    const auto close = [](double a, double b) { return a - b < 1e-9 && b - a < 1e-9; };
+    bool ok = close(sum, derived);
+    for (unsigned b = head; b != kNil; b = slab[b].next) ok = ok && b < 64;
+    return ok;
+}
+""", []),
+    # ...while a `double` that shadows an integer of the same name is
+    # floating from its declaration on, and only from there.
+    ("src/sched/bad_float_eq_shadowing_double.cpp", FIXTURE_PRELUDE + """
+int f(int count, int limit) {
+    if (count == 3) return 1;
+    for (double count = 0; count < limit; count += 1)
+        if (count != limit) return 2;
+    return 0;
+}
+""", ["float-equality"]),
     ("src/core/bad_narrow_cast.cpp", FIXTURE_PRELUDE + """
 // jaws-lint: allow(raw-micros) -- fixture: exercising the cast rule alone.
 int f(SimTime t) { return static_cast<int>(t.micros); }

@@ -36,8 +36,7 @@ BufferCache::BufferCache(std::size_t capacity_atoms,
 }
 
 bool BufferCache::lookup(const storage::AtomId& atom) {
-    const auto it = resident_.find(atom);
-    if (it == resident_.end()) {
+    if (slot_of(atom) == util::SlotIndex::kNone) {
         ++stats_.misses;
         return false;
     }
@@ -49,30 +48,29 @@ bool BufferCache::lookup(const storage::AtomId& atom) {
 
 std::optional<storage::AtomId> BufferCache::insert(
     const storage::AtomId& atom, std::shared_ptr<const field::VoxelBlock> payload) {
-    const auto it = resident_.find(atom);
-    if (it != resident_.end()) {
-        if (payload != nullptr) it->second = std::move(payload);
+    if (const util::SlotIndex::Slot s = slot_of(atom); s != util::SlotIndex::kNone) {
+        if (payload != nullptr) residents_[s].payload = std::move(payload);
         return std::nullopt;
     }
     std::optional<storage::AtomId> evicted;
-    decltype(resident_)::node_type node;
-    if (resident_.size() >= capacity_) {
-        OverheadTimer timer(stats_.policy_overhead_ns, ticks_);
-        const storage::AtomId victim = policy_->pick_victim();
-        policy_->on_evict(victim);
-        node = resident_.extract(victim);
-        assert(!node.empty());
-        ++stats_.evictions;
-        ++evicted_;
-        evicted = victim;
-    }
-    if (node.empty()) {
-        resident_.emplace(atom, std::move(payload));
+    if (residents_.size() >= capacity_) {
+        util::SlotIndex::Slot slot = util::SlotIndex::kNone;
+        {
+            OverheadTimer timer(stats_.policy_overhead_ns, ticks_);
+            const storage::AtomId victim = policy_->pick_victim();
+            policy_->on_evict(victim);
+            slot = index_.erase(victim.key().value());
+            assert(slot != util::SlotIndex::kNone);
+            ++stats_.evictions;
+            ++evicted_;
+            evicted = victim;
+        }
+        // The new resident takes over the victim's slot.
+        residents_[slot] = Resident{atom, std::move(payload)};
+        index_.insert(atom.key().value(), slot);
     } else {
-        // The new resident takes over the victim's map node.
-        node.key() = atom;
-        node.mapped() = std::move(payload);
-        resident_.insert(std::move(node));
+        index_.insert(atom.key().value(), static_cast<util::SlotIndex::Slot>(residents_.size()));
+        residents_.push_back(Resident{atom, std::move(payload)});
     }
     ++admitted_;
     {
@@ -84,13 +82,13 @@ std::optional<storage::AtomId> BufferCache::insert(
 }
 
 bool BufferCache::contains(const storage::AtomId& atom) const {
-    return resident_.contains(atom);
+    return slot_of(atom) != util::SlotIndex::kNone;
 }
 
 std::shared_ptr<const field::VoxelBlock> BufferCache::payload(
     const storage::AtomId& atom) const {
-    const auto it = resident_.find(atom);
-    return it == resident_.end() ? nullptr : it->second;
+    const util::SlotIndex::Slot s = slot_of(atom);
+    return s == util::SlotIndex::kNone ? nullptr : residents_[s].payload;
 }
 
 void BufferCache::run_boundary() {
@@ -100,20 +98,20 @@ void BufferCache::run_boundary() {
 
 std::vector<storage::AtomId> BufferCache::sorted_residents() const {
     std::vector<storage::AtomId> atoms;
-    atoms.reserve(resident_.size());
-    // jaws-lint: allow(unordered-iteration) -- order normalised by the sort below.
-    for (const auto& [atom, payload] : resident_) atoms.push_back(atom);
+    atoms.reserve(residents_.size());
+    for (const Resident& r : residents_) atoms.push_back(r.atom);
     std::sort(atoms.begin(), atoms.end());
     return atoms;
 }
 
 void BufferCache::clear() {
-    // Notify the policy in key order, not hash order: eviction callbacks
-    // mutate policy state (e.g. LRU-K's retained-history FIFO), so the
-    // notification order must not depend on the hash table's layout.
+    // Notify the policy in key order, not slot order: eviction callbacks
+    // mutate policy state (e.g. LRU-K's retained-history FIFO), and slots
+    // follow the eviction history.
     for (const storage::AtomId& atom : sorted_residents()) policy_->on_evict(atom);
-    cleared_ += resident_.size();
-    resident_.clear();
+    cleared_ += residents_.size();
+    residents_.clear();
+    index_.clear();
     JAWS_AUDIT(audit());
 }
 
@@ -125,11 +123,11 @@ bool BufferCache::audit() const {
             util::contract_violation(__FILE__, __LINE__, expr, msg);
         }
     };
-    check(resident_.size() <= capacity_, "size() <= capacity()",
+    check(residents_.size() <= capacity_, "size() <= capacity()",
           "BufferCache: resident set exceeds capacity");
     // Atom conservation: everything ever admitted is evicted, cleared, or
     // still resident — nothing is lost and nothing double-counted.
-    check(admitted_ == evicted_ + cleared_ + resident_.size(),
+    check(admitted_ == evicted_ + cleared_ + residents_.size(),
           "admitted == evicted + cleared + resident",
           "BufferCache: atom conservation violated");
     // An eviction happens only on the miss path, after a failed lookup or a
@@ -137,6 +135,13 @@ bool BufferCache::audit() const {
     // inserts, and evictions can never outnumber admissions.
     check(evicted_ <= admitted_, "evicted <= admitted",
           "BufferCache: more evictions than admissions");
+    // The index and the slot table agree: one entry per resident, at its
+    // own slot.
+    bool indexed = index_.audit() && index_.size() == residents_.size();
+    for (std::size_t s = 0; s < residents_.size(); ++s)
+        indexed = indexed && slot_of(residents_[s].atom) == s;
+    check(indexed, "index maps each resident to its slot",
+          "BufferCache: atom index out of sync with the resident slots");
     const std::vector<storage::AtomId> atoms = sorted_residents();
     check(policy_->audit(atoms), "policy_->audit(resident)",
           "BufferCache: replacement-policy state diverged from residency");

@@ -9,16 +9,22 @@
 // Table I's real "Overhead/Qry" column inject util::wall_clock_ns via
 // set_tick_source (the only sanctioned wall-clock path, see the wall-clock
 // rule in scripts/jaws_analyzer.py).
+//
+// Residents live in a dense slot vector found through a util::SlotIndex
+// keyed by the atom's clustered-index key; a new resident takes over the
+// slot of the victim it displaces, so a full cache never grows or shrinks
+// the vector.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "cache/replacement_policy.h"
 #include "field/grid.h"
 #include "storage/atom.h"
+#include "util/slot_index.h"
 
 namespace jaws::cache {
 
@@ -79,7 +85,7 @@ class BufferCache {
     void clear();
 
     /// Number of resident atoms.
-    std::size_t size() const noexcept { return resident_.size(); }
+    std::size_t size() const noexcept { return residents_.size(); }
     /// Capacity in atoms.
     std::size_t capacity() const noexcept { return capacity_; }
     /// Accounting so far.
@@ -92,22 +98,31 @@ class BufferCache {
     /// Exhaustive accounting self-check (automatic at transitions in audit
     /// builds; callable from tests in any build): capacity respected, atom
     /// conservation (every atom ever admitted was either evicted, cleared,
-    /// or is still resident), stats coherence, and the policy's own
-    /// bookkeeping matched against the cache's resident set. Reports through
-    /// util::contract_violation; returns true when clean.
+    /// or is still resident), stats coherence, the index and the resident
+    /// slots in agreement, and the policy's own bookkeeping matched against
+    /// the cache's resident set. Reports through util::contract_violation;
+    /// returns true when clean.
     bool audit() const;
 
   private:
-    /// Resident atom ids in sorted order (hash-order-independent snapshots
+    struct Resident {
+        storage::AtomId atom;
+        std::shared_ptr<const field::VoxelBlock> payload;
+    };
+
+    /// Slot of `atom` in residents_, or SlotIndex::kNone.
+    util::SlotIndex::Slot slot_of(const storage::AtomId& atom) const noexcept {
+        return index_.find(atom.key().value());
+    }
+    /// Resident atom ids in sorted order (slot-order-independent snapshots
     /// for clear()'s policy notifications and audit()'s policy check).
     std::vector<storage::AtomId> sorted_residents() const;
 
     std::size_t capacity_;
     TickSource ticks_ = nullptr;  ///< nullptr = deterministic virtual ticks.
     std::unique_ptr<ReplacementPolicy> policy_;
-    std::unordered_map<storage::AtomId, std::shared_ptr<const field::VoxelBlock>,
-                       storage::AtomIdHash>
-        resident_;
+    std::vector<Resident> residents_;  ///< Dense: every slot holds a resident.
+    util::SlotIndex index_;            ///< Atom key -> slot in residents_.
     CacheStats stats_;
     // Conservation ledger for audit(): new residencies ever admitted, atoms
     // evicted, atoms dropped by clear(). Kept apart from stats_ (which

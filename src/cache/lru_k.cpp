@@ -20,43 +20,45 @@ void LruKPolicy::touch(History& h) {
     }
 }
 
-LruKPolicy::Rank LruKPolicy::rank_of(const storage::AtomId& atom,
-                                     const History& h) const noexcept {
-    return Rank{h.refs.size() < k_ ? 0 : h.ref(k_ - 1), h.ref(0), atom};
+LruKPolicy::Rank LruKPolicy::rank_of(const History& h) const noexcept {
+    return Rank{h.refs.size() < k_ ? 0 : h.ref(k_ - 1), h.ref(0),
+                storage::AtomId::from_key(h.atom)};
 }
 
 void LruKPolicy::on_insert(const storage::AtomId& atom) {
-    auto it = history_.find(atom);
-    if (it == history_.end()) {
-        if (spare_history_.empty()) {
-            it = history_.try_emplace(atom).first;
+    Slot s = slot_of(atom);
+    if (s == util::SlotIndex::kNone) {
+        if (free_histories_.empty()) {
+            s = histories_.emplace_back();
         } else {
-            spare_history_.key() = atom;
-            it = history_.insert(std::move(spare_history_)).position;
-            it->second.refs.clear();
+            s = free_histories_.back();
+            free_histories_.pop_back();
+            histories_[s].refs.clear();
         }
+        histories_[s].atom = atom.key();
+        history_index_.insert(atom.key().value(), s);
     }
-    History& h = it->second;
+    History& h = histories_[s];
     assert(!h.resident);
     touch(h);
     h.resident = true;
     if (spare_rank_.empty()) {
-        h.rank = index_.insert(rank_of(atom, h)).first;
+        h.rank = index_.insert(rank_of(h)).first;
     } else {
-        spare_rank_.value() = rank_of(atom, h);
+        spare_rank_.value() = rank_of(h);
         h.rank = index_.insert(std::move(spare_rank_)).position;
     }
 }
 
 void LruKPolicy::on_access(const storage::AtomId& atom) {
-    const auto it = history_.find(atom);
-    assert(it != history_.end() && it->second.resident);
-    History& h = it->second;
+    const Slot s = slot_of(atom);
+    assert(s != util::SlotIndex::kNone && histories_[s].resident);
+    History& h = histories_[s];
     // Re-rank in place: the extracted node is reused, so a hit allocates
     // nothing.
     Index::node_type node = index_.extract(h.rank);
     touch(h);
-    node.value() = rank_of(atom, h);
+    node.value() = rank_of(h);
     h.rank = index_.insert(std::move(node)).position;
 }
 
@@ -69,19 +71,21 @@ storage::AtomId LruKPolicy::pick_victim() {
 }
 
 void LruKPolicy::on_evict(const storage::AtomId& atom) {
-    const auto it = history_.find(atom);
-    assert(it != history_.end() && it->second.resident);
-    spare_rank_ = index_.extract(it->second.rank);
-    it->second.resident = false;
+    const Slot s = slot_of(atom);
+    assert(s != util::SlotIndex::kNone && histories_[s].resident);
+    spare_rank_ = index_.extract(histories_[s].rank);
+    histories_[s].resident = false;
     // Retain the history per LRU-K so a quick re-admission keeps its rank,
     // but bound the table.
     retained_fifo_.push_back(atom);
     while (retained_fifo_.size() > retained_cap_) {
         const storage::AtomId old = retained_fifo_.front();
         retained_fifo_.pop_front();
-        const auto h = history_.find(old);
-        if (h != history_.end() && !h->second.resident)
-            spare_history_ = history_.extract(h);
+        const Slot h = slot_of(old);
+        if (h != util::SlotIndex::kNone && !histories_[h].resident) {
+            history_index_.erase(old.key().value());
+            free_histories_.push_back(h);
+        }
     }
 }
 
@@ -99,12 +103,24 @@ bool LruKPolicy::audit(const std::vector<storage::AtomId>& resident) const {
     };
     check(index_.size() == resident.size(), "one index entry per resident",
           "LruKPolicy: index size diverged from the cache's resident set");
+    // The history index and the slot table agree: every live slot is
+    // indexed under its own atom, and no free slot is resident.
+    std::vector<bool> free(histories_.size(), false);
+    for (const Slot s : free_histories_)
+        if (s < free.size()) free[s] = true;
+    bool indexed = history_index_.audit() &&
+                   history_index_.size() + free_histories_.size() == histories_.size();
+    for (Slot s = 0; s < histories_.size(); ++s)
+        indexed = indexed && (free[s] ? !histories_[s].resident
+                                      : history_index_.find(histories_[s].atom.value()) == s);
+    check(indexed, "history index maps each live history to its slot",
+          "LruKPolicy: history index out of sync with the history slots");
     for (const storage::AtomId& atom : resident) {
-        const auto h = history_.find(atom);
-        if (!check(h != history_.end(), "resident atom has history",
+        const Slot s = slot_of(atom);
+        if (!check(s != util::SlotIndex::kNone, "resident atom has history",
                    "LruKPolicy: resident atom without a reference history"))
             continue;
-        const History& hist = h->second;
+        const History& hist = histories_[s];
         if (!check(!hist.refs.empty() && hist.refs.size() <= k_ &&
                        hist.newest < hist.refs.size(),
                    "1 <= |refs| <= k",
@@ -116,7 +132,7 @@ bool LruKPolicy::audit(const std::vector<storage::AtomId>& resident) const {
         check(decreasing && hist.ref(0) <= tick_,
               "refs strictly decreasing and <= tick",
               "LruKPolicy: reference history out of order");
-        check(h->second.resident && *h->second.rank == rank_of(atom, h->second),
+        check(hist.resident && *hist.rank == rank_of(hist),
               "index entry at the current rank",
               "LruKPolicy: resident atom missing from the index or ranked stale");
     }
@@ -126,11 +142,12 @@ bool LruKPolicy::audit(const std::vector<storage::AtomId>& resident) const {
     // Every retained (non-resident) history is reachable from the FIFO.
     for (const storage::AtomId& atom : retained_fifo_) {
         if (is_resident(atom)) continue;
-        const auto h = history_.find(atom);
-        check(h == history_.end() || !h->second.resident, "retained history not resident",
+        const Slot s = slot_of(atom);
+        check(s == util::SlotIndex::kNone || !histories_[s].resident,
+              "retained history not resident",
               "LruKPolicy: evicted atom still marked resident");
     }
-    check(history_.size() <= resident.size() + retained_fifo_.size(),
+    check(history_index_.size() <= resident.size() + retained_fifo_.size(),
           "history bounded by residents + retained",
           "LruKPolicy: history table holds unreachable entries");
     check(retained_fifo_.size() <= retained_cap_ + resident.size(),

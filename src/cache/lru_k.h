@@ -12,20 +12,22 @@
 // entry. Recency ticks are unique, so that key is a strict total order and
 // the victim is exactly the argmin a full scan over the residents would find.
 //
+// Histories live in a util::SlotTable found through a util::SlotIndex
+// keyed by the atom's clustered-index key; a history dropped by the
+// retained-history bound frees its slot for the next atom that needs one.
 // In steady state the policy allocates nothing: an evicted atom's index node
 // is reused by the next insert (BufferCache evicts just before it inserts),
-// a history dropped by the retained-history bound is kept for the next atom
-// that needs one, and each history's references live in a k-entry ring that
-// stays with its node.
+// and each history's references live in a k-entry ring that stays with its
+// slot.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/replacement_policy.h"
+#include "util/slot_index.h"
 
 namespace jaws::cache {
 
@@ -56,10 +58,13 @@ class LruKPolicy final : public ReplacementPolicy {
     };
     using Index = std::set<Rank>;
 
+    using Slot = util::SlotIndex::Slot;
+
     struct History {
+        storage::AtomKey atom;
         /// The last (at most k) reference ticks: appended until k are held,
         /// then a ring whose newest entry is at `newest`. Its storage stays
-        /// with the node when the node is reused.
+        /// with the slot when the slot is reused.
         std::vector<std::uint64_t> refs;
         std::size_t newest = 0;
         bool resident = false;
@@ -70,20 +75,24 @@ class LruKPolicy final : public ReplacementPolicy {
             return refs[(newest + refs.size() - i) % refs.size()];
         }
     };
-    using HistoryMap = std::unordered_map<storage::AtomId, History, storage::AtomIdHash>;
 
+    /// Slot of `atom`'s history, or SlotIndex::kNone.
+    Slot slot_of(const storage::AtomId& atom) const noexcept {
+        return history_index_.find(atom.key().value());
+    }
     void touch(History& h);
-    Rank rank_of(const storage::AtomId& atom, const History& h) const noexcept;
+    Rank rank_of(const History& h) const noexcept;
 
     unsigned k_;
     std::size_t retained_cap_;
     std::uint64_t tick_ = 0;
-    HistoryMap history_;
+    util::SlotTable<History> histories_;  ///< Free slots are listed below.
+    std::vector<Slot> free_histories_;  ///< Slots of histories the bound dropped.
+    util::SlotIndex history_index_;     ///< Atom key -> slot in histories_.
     Index index_;  ///< One entry per resident, at its current rank.
     // FIFO of evicted atoms whose history is retained, for bounded cleanup.
     std::deque<storage::AtomId> retained_fifo_;
-    Index::node_type spare_rank_;         ///< Last evicted atom's index node.
-    HistoryMap::node_type spare_history_;  ///< Last history the bound dropped.
+    Index::node_type spare_rank_;  ///< Last evicted atom's index node.
 };
 
 }  // namespace jaws::cache

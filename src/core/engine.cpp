@@ -179,11 +179,13 @@ void Engine::submit_job(const workload::Job& job) {
     scheduler_->on_job_submitted(job);
     job_remaining_[job.id] = job.queries.size();
     for (const auto& q : job.queries) {
-        QueryRuntime rt;
+        if (runtime_index_.contains(q.id)) continue;  // an id is admitted once
+        const util::SlotIndex::Slot slot = runtime_.emplace_back();
+        QueryRuntime& rt = runtime_[slot];
         rt.query = &q;
         rt.job = &job;
         rt.outstanding = q.footprint.size();
-        runtime_.emplace(q.id, rt);
+        runtime_index_.insert(q.id, slot);
     }
     if (job.queries.empty()) {
         job_remaining_.erase(job.id);
@@ -199,7 +201,7 @@ void Engine::submit_job(const workload::Job& job) {
 }
 
 void Engine::make_visible(workload::QueryId id) {
-    QueryRuntime& rt = runtime_.at(id);
+    QueryRuntime& rt = runtime_of(id);
     assert(!rt.visible);
     rt.visible = true;
     rt.visible_at = events_.now();
@@ -419,7 +421,7 @@ void Engine::maybe_issue_hedge(std::size_t idx) {
     // budget; at least one must be able to pay.
     payers_.clear();
     for (const sched::SubQuery& sub : subqueries_of(it)) {
-        QueryRuntime& rt = runtime_.at(sub.query);
+        QueryRuntime& rt = runtime_of(sub.query);
         if (rt.hedges >= config_.hedge.budget_per_query) continue;
         if (std::find(payers_.begin(), payers_.end(), &rt) == payers_.end())
             payers_.push_back(&rt);
@@ -528,7 +530,7 @@ bool Engine::drop_expired_subqueries(ItemRun& it) {
     const std::span<sched::SubQuery> subs = subqueries_of(it);
     std::size_t kept = 0;
     for (const sched::SubQuery& sub : subs) {
-        QueryRuntime& rt = runtime_.at(sub.query);
+        QueryRuntime& rt = runtime_of(sub.query);
         if ((now - rt.visible_at).millis() > config_.deadline_budget_ms) {
             if (!rt.deadline_missed) {
                 rt.deadline_missed = true;
@@ -605,7 +607,8 @@ void Engine::submit_compute(std::size_t idx) {
     job.on_start = [this, idx](std::size_t) {
         ItemRun& it = batch_.items[idx];
         const sched::SubQuery& sub = subqueries_of(it)[it.next_sub];
-        const QueryRuntime& rt = runtime_.at(sub.query);
+        it.runtime_slot = runtime_slot_of(sub.query);
+        const QueryRuntime& rt = runtime_[it.runtime_slot];
         storage::SubQueryExec exec;
         exec.atom = it.item.atom;
         exec.position_count = sub.positions;
@@ -655,7 +658,7 @@ void Engine::compute_done(std::size_t idx) {
     const sched::SubQuery& sub = subqueries_of(it)[it.next_sub];
     ++subqueries_done_;
     positions_done_ += sub.positions;
-    QueryRuntime& rt = runtime_.at(sub.query);
+    QueryRuntime& rt = runtime_[it.runtime_slot];
     // Deterministic reduction: the real result (pooled or inline) is folded
     // here, at the modeled completion event — so sample order and digests
     // depend only on the virtual trace, never on real-thread interleaving.
@@ -727,7 +730,7 @@ void Engine::purge_dead_atom(const storage::AtomId& atom) {
 
 void Engine::fail_subqueries(std::span<const sched::SubQuery> subs) {
     for (const sched::SubQuery& sub : subs) {
-        QueryRuntime& rt = runtime_.at(sub.query);
+        QueryRuntime& rt = runtime_of(sub.query);
         ++rt.failed;
         ++failed_subqueries_;
         assert(rt.outstanding > 0);
@@ -974,6 +977,7 @@ RunReport Engine::run(const workload::Workload& workload) {
 
     const std::size_t total = workload.total_queries();
     outcomes_.reserve(total);
+    runtime_index_.reserve(total);
     for (const workload::Job& job : workload.jobs)
         events_.schedule(job.arrival, kPriArrival, node_id_.value(),
                          [this, &job] { inject_job(job); });

@@ -48,6 +48,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <future>
 #include <memory>
 #include <queue>
@@ -64,6 +65,7 @@
 #include "storage/replica_router.h"
 #include "util/event_queue.h"
 #include "util/sim_time.h"
+#include "util/slot_index.h"
 #include "util/typed_id.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -185,11 +187,11 @@ class Engine {
         const workload::Job* job = nullptr;
         std::size_t outstanding = 0;  ///< Sub-queries not yet executed.
         std::uint64_t failed = 0;     ///< Sub-queries abandoned on dead atoms.
-        bool visible = false;
         util::SimTime visible_at;
         std::uint64_t samples_evaluated = 0;  ///< Interpolated samples so far.
         std::uint64_t sample_digest = kFnvOffset;  ///< FNV-1a over their bytes.
         std::uint64_t hedges = 0;     ///< Hedge reads charged to this query.
+        bool visible = false;
         bool deadline_missed = false; ///< Exhausted its deadline budget.
     };
 
@@ -214,6 +216,9 @@ class Engine {
         storage::ReadRoute hedge_route;  ///< Where the hedge read is served.
         std::shared_ptr<const field::VoxelBlock> payload;
         std::size_t next_sub = 0;      ///< Next sub-query to evaluate.
+        /// Runtime slot of the next_sub's query, found when its CPU service
+        /// starts and read back by compute_done().
+        util::SlotIndex::Slot runtime_slot = util::SlotIndex::kNone;
         // Hedging state (all zero/idle unless HedgeSpec::enabled). The demand
         // phase is active while read_job or retry_event is live; the trigger
         // and hedge are settled — cancelled or resolved — on every exit from
@@ -385,7 +390,19 @@ class Engine {
     std::vector<storage::AtomId> prefetch_queue_;
     std::vector<storage::ReadResult> prefetch_read_;  ///< Per-channel stash.
 
-    std::unordered_map<workload::QueryId, QueryRuntime> runtime_;
+    /// Runtime state of every injected query, in injection order (a run
+    /// never drops one), found through runtime_index_.
+    util::SlotTable<QueryRuntime> runtime_;
+    util::SlotIndex runtime_index_;  ///< QueryId -> slot in runtime_.
+    /// The runtime slot of an injected query.
+    util::SlotIndex::Slot runtime_slot_of(workload::QueryId id) const noexcept {
+        const util::SlotIndex::Slot slot = runtime_index_.find(id);
+        assert(slot != util::SlotIndex::kNone);
+        return slot;
+    }
+    QueryRuntime& runtime_of(workload::QueryId id) noexcept {
+        return runtime_[runtime_slot_of(id)];
+    }
     std::priority_queue<VisibilityEvent, std::vector<VisibilityEvent>,
                         std::greater<VisibilityEvent>>
         visibility_;

@@ -146,8 +146,7 @@ void PrecedenceGraph::Contracted::merge(Slot nl, std::span<const Slot> admit) {
 // --- PrecedenceGraph ---------------------------------------------------------
 
 PrecedenceGraph::Slot PrecedenceGraph::slot_of(workload::QueryId id) const {
-    const auto it = index_.find(id);
-    return it == index_.end() ? kNoSlot : it->second;
+    return index_.find(id);
 }
 
 QueryState PrecedenceGraph::state(workload::QueryId id) const {
@@ -182,7 +181,7 @@ PrecedenceGraph::Slot PrecedenceGraph::allocate(const workload::Query& query,
     node.state = QueryState::kWait;
     node.gating_number = 0;
     node.visible_tick = 0;
-    index_.emplace(query.id, s);
+    index_.insert(query.id, s);
     return s;
 }
 
@@ -466,7 +465,8 @@ bool PrecedenceGraph::check_invariants() const {
         }
     }
     if (ready != ready_count_) return false;
-    if (live != index_.size() || live + free_.size() != slots_.size()) return false;
+    if (!index_.audit() || live != index_.size() || live + free_.size() != slots_.size())
+        return false;
     for (const auto& [id, entry] : jobs_) {
         std::size_t alive = 0;
         for (std::size_t seq = 0; seq < entry.chain.size(); ++seq) {

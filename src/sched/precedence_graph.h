@@ -20,8 +20,8 @@
 // the "does not cause a deadlock in scheduling" condition precise.
 //
 // Nodes live in a dense slot vector with a free list; partner lists and each
-// job's chain hold slot indices, and one QueryId -> slot index serves the
-// public API. The contracted graph is built at most once per add_job call
+// job's chain hold slot indices, and one QueryId -> slot util::SlotIndex
+// serves the public API. The contracted graph is built at most once per add_job call
 // (at its first deadlock check) and answers each candidate edge with a local
 // cycle search; see DESIGN.md, "Exact deadlock check".
 #pragma once
@@ -29,9 +29,9 @@
 #include <cstdint>
 #include <map>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "util/slot_index.h"
 #include "workload/job.h"
 
 namespace jaws::sched {
@@ -108,8 +108,8 @@ class PrecedenceGraph {
 
   private:
     /// Index of a node in `slots_`.
-    using Slot = std::uint32_t;
-    static constexpr Slot kNoSlot = ~Slot{0};
+    using Slot = util::SlotIndex::Slot;
+    static constexpr Slot kNoSlot = util::SlotIndex::kNone;
 
     /// One query. A kDone node is a free slot, listed in `free_`.
     struct Node {
@@ -184,7 +184,7 @@ class PrecedenceGraph {
     bool gating_enabled_;
     std::vector<Node> slots_;
     std::vector<Slot> free_;
-    std::unordered_map<workload::QueryId, Slot> index_;
+    util::SlotIndex index_;  ///< QueryId -> slot of its node.
     std::map<workload::JobId, JobEntry> jobs_;
     GatingStats stats_;
     std::size_t ready_count_ = 0;

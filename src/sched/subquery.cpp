@@ -1,12 +1,28 @@
 #include "sched/subquery.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <optional>
 
 #include "util/morton.h"
 
 namespace jaws::sched {
+
+namespace {
+/// Index of the first of the `n` >= 1 requests at `first` whose Morton code
+/// is not below `code` (std::lower_bound's answer). Branch-free: the trip
+/// count depends on `n` alone and each step is a conditional move, so a
+/// search costs no mispredicted branches however the codes fall.
+std::size_t lower_bound_morton(const workload::AtomRequest* first, std::size_t n,
+                               std::uint64_t code) noexcept {
+    const workload::AtomRequest* base = first;
+    while (n > 1) {
+        const std::size_t half = n / 2;
+        base = base[half].atom.morton < code ? base + half : base;
+        n -= half;
+    }
+    return static_cast<std::size_t>(base - first) + (base->atom.morton < code ? 1 : 0);
+}
+}  // namespace
 
 void preprocess(const workload::Query& query, util::SimTime now, std::vector<SubQuery>& out) {
     const std::size_t base = out.size();
@@ -22,26 +38,22 @@ void preprocess(const workload::Query& query, util::SimTime now, std::vector<Sub
     // are themselves part of the footprint (the position cloud is contiguous,
     // so boundary positions sample from exactly these). Footprints are
     // Morton-sorted, so membership is a binary search.
-    if (query.footprint.size() < 2) return;
-    const auto by_morton = [](const workload::AtomRequest& r, std::uint64_t c) {
-        return r.atom.morton < c;
-    };
-    const auto first = query.footprint.begin();
-    for (std::size_t i = 0; i < query.footprint.size(); ++i) {
+    const workload::AtomRequest* first = query.footprint.data();
+    for (std::size_t i = 1; i < query.footprint.size(); ++i) {
         SubQuery& sub = out[base + i];
         // Each shared face is owned by the higher-coordinate atom: its kernel
         // spills into the lower (Morton-earlier) neighbour, so every
         // adjacency is charged exactly once across the footprint, and a
         // Morton-ordered evaluation pass has always *just read* the atom the
         // spill needs — the locality the two-level framework exploits.
-        // Morton-earlier neighbours can only sit before this atom.
-        const auto last = first + static_cast<std::ptrdiff_t>(i);
+        // Morton-earlier neighbours can only sit before this atom, in the
+        // first i requests (so the first request has no supports).
         for (unsigned axis = 0; axis < 3; ++axis) {  // x-1, y-1, z-1
             const std::optional<std::uint64_t> below =
                 util::morton_lower_neighbor(sub.atom.morton, axis);
             if (!below) continue;
-            const auto it = std::lower_bound(first, last, *below, by_morton);
-            if (it != last && it->atom.morton == *below) sub.supports.push_back(*below);
+            const std::size_t at = lower_bound_morton(first, i, *below);
+            if (at < i && first[at].atom.morton == *below) sub.supports.push_back(*below);
         }
     }
 }

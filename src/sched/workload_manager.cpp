@@ -20,9 +20,7 @@ std::uint32_t WorkloadManager::Slab::acquire() {
     if (i != kNil) {
         free_ = (*this)[i].next;
     } else {
-        if ((size_ & kChunkMask) == 0)
-            chunks_.push_back(std::make_unique<Block[]>(kChunkMask + 1));
-        i = size_++;
+        i = blocks_.emplace_back();
     }
     (*this)[i].next = kNil;
     ++in_use_;
@@ -37,22 +35,40 @@ void WorkloadManager::Slab::release(std::uint32_t first, std::uint32_t last,
 }
 
 bool WorkloadManager::Slab::free_list_intact() const {
-    std::vector<bool> seen(size_, false);
+    std::vector<bool> seen(blocks_.size(), false);
     std::size_t free = 0;
     for (std::uint32_t i = free_; i != kNil; i = (*this)[i].next) {
-        if (i >= size_ || seen[i]) return false;
+        if (i >= blocks_.size() || seen[i]) return false;
         seen[i] = true;
         ++free;
     }
-    return free + in_use_ == size_;
+    return free + in_use_ == blocks_.size();
 }
 
-double WorkloadManager::compute_utility(const storage::AtomId& atom,
-                                        const AtomQueue& q) const {
+double WorkloadManager::probe_phi(const storage::AtomId& atom) const {
+    return (probe_ != nullptr && probe_->resident(atom)) ? 0.0 : 1.0;
+}
+
+WorkloadManager::Slot WorkloadManager::open_queue(const storage::AtomId& atom) {
+    Slot slot;
+    if (free_queues_.empty()) {
+        slot = queues_.emplace_back();
+    } else {
+        slot = free_queues_.back();
+        free_queues_.pop_back();
+    }
+    AtomQueue& q = queues_[slot];
+    q.atom = atom.key();
+    q.phi = probe_phi(atom);
+    queue_index_.insert(atom.key().value(), slot);
+    ++pending_atoms_;
+    return slot;
+}
+
+double WorkloadManager::compute_utility(const AtomQueue& q) const {
     if (q.positions == 0) return 0.0;
     const double w = static_cast<double>(q.positions);
-    const double phi = (probe_ != nullptr && probe_->resident(atom)) ? 0.0 : 1.0;
-    return w / (cost_.t_b_ms * phi + cost_.t_m_ms * w);
+    return w / (cost_.t_b_ms * q.phi + cost_.t_m_ms * w);
 }
 
 double WorkloadManager::compute_key(const AtomQueue& q) const {
@@ -67,18 +83,6 @@ namespace {
 constexpr auto ranks_after = [](const auto& a, const auto& b) {
     return std::pair(b.neg_key, b.atom) < std::pair(a.neg_key, a.atom);
 };
-
-/// Insert `key` into `map`, reusing a spare node (its value already reset)
-/// when there is one.
-template <typename Map>
-typename Map::iterator open_node(Map& map, std::vector<typename Map::node_type>& spares,
-                                 const typename Map::key_type& key) {
-    if (spares.empty()) return map.try_emplace(key).first;
-    typename Map::node_type node = std::move(spares.back());
-    spares.pop_back();
-    node.key() = key;
-    return map.insert(std::move(node)).position;
-}
 }  // namespace
 
 void WorkloadManager::retire_step(StepMap::iterator it) {
@@ -90,17 +94,30 @@ void WorkloadManager::retire_step(StepMap::iterator it) {
     spare_steps_.push_back(std::move(node));
 }
 
-void WorkloadManager::index_insert(const storage::AtomId& atom, AtomQueue& q) {
-    auto step = steps_.find(atom.timestep);
-    if (step == steps_.end()) step = open_node(steps_, spare_steps_, atom.timestep);
+void WorkloadManager::index_insert(Slot slot) {
+    AtomQueue& q = queues_[slot];
+    const std::uint32_t t = step_of(q);
+    auto step = steps_.find(t);
+    if (step == steps_.end()) {
+        if (spare_steps_.empty()) {
+            step = steps_.try_emplace(t).first;
+        } else {
+            // Reuse an emptied step's node, member list storage and all.
+            StepMap::node_type node = std::move(spare_steps_.back());
+            spare_steps_.pop_back();
+            node.key() = t;
+            step = steps_.insert(std::move(node)).position;
+        }
+    }
     StepAgg& agg = step->second;
-    q.slot = agg.members.size();
-    agg.members.push_back(Member{atom.key(), &q});
-    index_add(atom, q, agg);
+    q.member = static_cast<std::uint32_t>(agg.members.size());
+    agg.members.push_back(Member{q.atom, slot});
+    index_add(slot, agg);
 }
 
-void WorkloadManager::index_rerank(const storage::AtomId& atom, AtomQueue& q) {
-    const auto it = steps_.find(atom.timestep);
+void WorkloadManager::index_rerank(Slot slot) {
+    AtomQueue& q = queues_[slot];
+    const auto it = steps_.find(step_of(q));
     assert(it != steps_.end());
     StepAgg& agg = it->second;
     if (agg.members.size() == 1) {
@@ -113,42 +130,38 @@ void WorkloadManager::index_rerank(const storage::AtomId& atom, AtomQueue& q) {
         agg.utility_sum -= q.utility;
         agg.key_sum -= q.key;
     }
-    index_add(atom, q, agg);
+    index_add(slot, agg);
 }
 
-void WorkloadManager::index_add(const storage::AtomId& atom, AtomQueue& q, StepAgg& agg) {
-    q.utility = compute_utility(atom, q);
+void WorkloadManager::index_add(Slot slot, StepAgg& agg) {
+    AtomQueue& q = queues_[slot];
+    q.utility = compute_utility(q);
     q.key = compute_key(q);
     agg.utility_sum += q.utility;
     agg.key_sum += q.key;
     // Push the new rank; the queue's previous entry goes stale.
     const bool top_stale = !ranking_.empty() && ranking_.front().stamp == q.stamp;
     q.stamp = ++stamps_;
-    ranking_.push_back(RankEntry{-q.key, atom.key(), q.stamp});
+    ranking_.push_back(RankEntry{-q.key, q.atom, q.stamp, slot});
     std::push_heap(ranking_.begin(), ranking_.end(), ranks_after);
     trim_ranking(top_stale);
 }
 
-void WorkloadManager::index_erase(const storage::AtomId& atom, AtomQueue& q) {
-    const auto it = steps_.find(atom.timestep);
+void WorkloadManager::index_erase(const AtomQueue& q) {
+    const auto it = steps_.find(step_of(q));
     assert(it != steps_.end());
     StepAgg& agg = it->second;
     agg.utility_sum -= q.utility;
     agg.key_sum -= q.key;
-    Member& hole = agg.members[q.slot];
+    Member& hole = agg.members[q.member];
     hole = agg.members.back();
-    hole.queue->slot = q.slot;
+    queues_[hole.slot].member = q.member;
     agg.members.pop_back();
     if (agg.members.empty()) retire_step(it);
 }
 
-bool WorkloadManager::live(const RankEntry& e) const {
-    const auto it = queues_.find(storage::AtomId::from_key(e.atom));
-    return it != queues_.end() && it->second.stamp == e.stamp;
-}
-
 void WorkloadManager::trim_ranking(bool top_stale) {
-    if (ranking_.size() > 2 * queues_.size()) {
+    if (ranking_.size() > 2 * pending_atoms_) {
         std::erase_if(ranking_, [this](const RankEntry& e) { return !live(e); });
         std::make_heap(ranking_.begin(), ranking_.end(), ranks_after);
         return;
@@ -161,10 +174,10 @@ void WorkloadManager::trim_ranking(bool top_stale) {
 }
 
 void WorkloadManager::enqueue(const SubQuery& sub) {
-    auto it = queues_.find(sub.atom);
-    const bool fresh = it == queues_.end();
-    if (fresh) it = open_node(queues_, spare_queues_, sub.atom);
-    AtomQueue& q = it->second;
+    Slot slot = slot_of(sub.atom);
+    const bool fresh = slot == util::SlotIndex::kNone;
+    if (fresh) slot = open_queue(sub.atom);
+    AtomQueue& q = queues_[slot];
     if (fresh) q.oldest = sub.enqueue_time;
     if (sub.deadline < q.min_deadline) {
         if (q.min_deadline != util::SimTime::max())
@@ -187,17 +200,17 @@ void WorkloadManager::enqueue(const SubQuery& sub) {
     total_positions_ += sub.positions;
     ++total_subqueries_;
     if (fresh)
-        index_insert(sub.atom, q);
+        index_insert(slot);
     else
-        index_rerank(sub.atom, q);
+        index_rerank(slot);
     JAWS_AUDIT((++audit_tick_ & 63) == 0 && audit());
 }
 
 void WorkloadManager::drain_atom(const storage::AtomId& atom, std::vector<SubQuery>& out) {
-    const auto it = queues_.find(atom);
-    if (it == queues_.end()) return;
-    AtomQueue& q = it->second;
-    index_erase(atom, q);
+    const Slot slot = slot_of(atom);
+    if (slot == util::SlotIndex::kNone) return;
+    AtomQueue& q = queues_[slot];
+    index_erase(q);
     if (q.min_deadline != util::SimTime::max())
         deadlines_.erase({q.min_deadline, atom.key()});
     std::size_t left = q.count;
@@ -211,17 +224,21 @@ void WorkloadManager::drain_atom(const storage::AtomId& atom, std::vector<SubQue
     total_positions_ -= q.positions;
     total_subqueries_ -= q.count;
     const bool top_stale = ranking_.front().stamp == q.stamp;
-    QueueMap::node_type node = queues_.extract(it);
-    node.mapped() = AtomQueue{};
-    spare_queues_.push_back(std::move(node));  // for the next queue that opens
+    // Free the slot (stamp 0 retires its ranking entries) for the next
+    // queue that opens.
+    q = AtomQueue{};
+    queue_index_.erase(atom.key().value());
+    free_queues_.push_back(slot);
+    --pending_atoms_;
     trim_ranking(top_stale);
     JAWS_AUDIT((++audit_tick_ & 63) == 0 && audit());
 }
 
 void WorkloadManager::on_residency_changed(const storage::AtomId& atom) {
-    const auto it = queues_.find(atom);
-    if (it == queues_.end()) return;
-    index_rerank(atom, it->second);
+    const Slot slot = slot_of(atom);
+    if (slot == util::SlotIndex::kNone) return;
+    queues_[slot].phi = probe_phi(atom);
+    index_rerank(slot);
 }
 
 std::optional<storage::AtomId> WorkloadManager::pick_best_atom() const {
@@ -257,10 +274,12 @@ void WorkloadManager::pick_two_level_batch(std::size_t k, util::SimTime now,
     const double mean_ut = best->utility_sum / static_cast<double>(cost_.atoms_per_step);
     std::vector<Member>& top = pick_scratch_;
     top.resize(std::min(k, best->members.size()));
-    const auto rank = [](const Member& m) { return std::pair(-m.queue->utility, m.atom); };
+    const auto rank = [this](const Member& m) {
+        return std::pair(-queues_[m.slot].utility, m.atom);
+    };
     std::ranges::partial_sort_copy(best->members, top, std::less{}, rank, rank);
     for (const Member& m : top) {
-        if (m.queue->utility < mean_ut && !out.empty()) break;  // below mean: stop
+        if (queues_[m.slot].utility < mean_ut && !out.empty()) break;  // below mean: stop
         out.push_back(storage::AtomId::from_key(m.atom));
     }
     std::sort(out.begin(), out.end(), [](const storage::AtomId& a,
@@ -277,8 +296,8 @@ WorkloadManager::earliest_deadline_atom() const {
 }
 
 double WorkloadManager::atom_utility(const storage::AtomId& atom) const {
-    const auto it = queues_.find(atom);
-    return it == queues_.end() ? 0.0 : it->second.utility;
+    const Slot slot = slot_of(atom);
+    return slot == util::SlotIndex::kNone ? 0.0 : queues_[slot].utility;
 }
 
 double WorkloadManager::timestep_mean_utility(std::uint32_t t) const {
@@ -300,14 +319,14 @@ void WorkloadManager::rebuild_index() {
     ranking_.clear();
     while (!steps_.empty()) retire_step(steps_.begin());
     // Rebuild in atom-key order: StepAgg sums doubles, and floating-point
-    // accumulation order must not depend on the hash table's layout for the
-    // aggregates to be bit-reproducible across platforms.
-    std::vector<storage::AtomId> atoms;
-    atoms.reserve(queues_.size());
-    // jaws-lint: allow(unordered-iteration) -- order normalised by the sort below.
-    for (auto& [atom, q] : queues_) atoms.push_back(atom);
-    std::sort(atoms.begin(), atoms.end());
-    for (const storage::AtomId& atom : atoms) index_insert(atom, queues_.at(atom));
+    // accumulation order must not depend on the slot layout (which follows
+    // the drain history) for the aggregates to be reproducible.
+    std::vector<std::pair<storage::AtomKey, Slot>> open;
+    open.reserve(pending_atoms_);
+    for (Slot s = 0; s < queues_.size(); ++s)
+        if (queues_[s].count > 0) open.emplace_back(queues_[s].atom, s);
+    std::sort(open.begin(), open.end());
+    for (const auto& [atom, slot] : open) index_insert(slot);
     JAWS_AUDIT(audit());
 }
 
@@ -326,6 +345,21 @@ bool WorkloadManager::audit() const {
         return std::abs(a - b) <= 1e-9 * (1.0 + std::abs(a) + std::abs(b));
     };
 
+    // Queue slots: the free list names every free slot once, the index maps
+    // each open queue's atom to its slot and nothing else.
+    std::vector<bool> free(queues_.size(), false);
+    for (const Slot b : free_queues_) {
+        check(b < queues_.size() && !free[b] && queues_[b].count == 0 &&
+                  queues_[b].stamp == 0,
+              "free slot listed once and empty",
+              "WorkloadManager: queue free list corrupt");
+        if (b < queues_.size()) free[b] = true;
+    }
+    check(queue_index_.audit() && queue_index_.size() == pending_atoms_ &&
+              pending_atoms_ + free_queues_.size() == queues_.size(),
+          "one index entry per open queue",
+          "WorkloadManager: atom index size out of sync with the queue slots");
+
     std::uint64_t positions = 0;
     std::size_t subqueries = 0;
     std::map<std::uint32_t, std::pair<double, std::size_t>> step_sums;  // (U_t sum, atoms)
@@ -334,13 +368,14 @@ bool WorkloadManager::audit() const {
     // Brute-force best of the ranking: the smallest (-key, atom key).
     std::optional<std::pair<double, storage::AtomKey>> best;
     std::size_t blocks = 0;
-    // jaws-lint: allow(unordered-iteration) -- read-only validation; every
-    // per-queue check is independent, the re-derived sums are compared
-    // with a tolerance, and the brute-force best is the minimum of a strict
-    // total order, so hash order cannot change the audit verdict.
-    for (const auto& [atom, q] : queues_) {
+    for (Slot slot = 0; slot < queues_.size(); ++slot) {
+        if (free[slot]) continue;
+        const AtomQueue& q = queues_[slot];
+        const storage::AtomId atom = storage::AtomId::from_key(q.atom);
         check(q.count > 0 && q.head != kNil, "no empty atom queue is retained",
-              "WorkloadManager: empty workload queue left in the map");
+              "WorkloadManager: empty workload queue left open");
+        check(slot_of(atom) == slot, "index maps the queue's atom to its slot",
+              "WorkloadManager: atom index out of sync with the queue slots");
         std::uint64_t queue_positions = 0;
         util::SimTime oldest = q.head == kNil ? util::SimTime::zero()
                                               : slab_[q.head].subs[0].enqueue_time;
@@ -348,17 +383,16 @@ bool WorkloadManager::audit() const {
         std::size_t length = 0;
         std::size_t chain = 0;
         std::uint32_t last = kNil;
-        for (std::uint32_t block = q.head; block != kNil && length < q.count;
-             block = slab_[block].next) {
+        for (std::uint32_t b = q.head; b != kNil && length < q.count; b = slab_[b].next) {
             for (std::size_t i = 0; i < kBlockSubqueries && length < q.count; ++i, ++length) {
-                const SubQuery& sub = slab_[block].subs[i];
+                const SubQuery& sub = slab_[b].subs[i];
                 check(sub.atom == atom, "queued sub-query targets its queue's atom",
                       "WorkloadManager: sub-query threaded into another atom's queue");
                 queue_positions += sub.positions;
                 oldest = std::min(oldest, sub.enqueue_time);
                 min_deadline = std::min(min_deadline, sub.deadline);
             }
-            last = block;
+            last = b;
             ++chain;
         }
         check(length == q.count && last == q.tail &&
@@ -373,16 +407,21 @@ bool WorkloadManager::audit() const {
               "WorkloadManager: per-atom oldest enqueue time out of sync");
         check(q.min_deadline == min_deadline, "cached min deadline re-derives",
               "WorkloadManager: per-atom deadline cache out of sync");
-        check(close(q.utility, compute_utility(atom, q)), "cached U_t re-derives",
+        // jaws-lint: allow(float-equality) -- phi is exactly 0.0 or 1.0 on
+        // both sides; a mismatch is a residency flip that never reached
+        // on_residency_changed().
+        check(q.phi == probe_phi(atom), "cached phi equals the probe",
+              "WorkloadManager: residency flip not reported (stale phi)");
+        check(close(q.utility, compute_utility(q)), "cached U_t re-derives",
               "WorkloadManager: cached utility out of sync with Eq. 1");
         check(close(q.key, compute_key(q)), "cached key re-derives",
               "WorkloadManager: cached ranking key out of sync with Eq. 2");
         const std::pair rank(-q.key, atom.key());
         if (!best || rank < *best) best = rank;
         const auto step = steps_.find(atom.timestep);
-        check(step != steps_.end() && q.slot < step->second.members.size() &&
-                  step->second.members[q.slot].queue == &q,
-              "member slot points back at the queue",
+        check(step != steps_.end() && q.member < step->second.members.size() &&
+                  step->second.members[q.member].slot == slot,
+              "member entry points back at the queue",
               "WorkloadManager: atom missing from its step's member list");
         positions += queue_positions;
         subqueries += q.count;
@@ -412,19 +451,25 @@ bool WorkloadManager::audit() const {
     // is the brute-force best.
     check(std::is_heap(ranking_.begin(), ranking_.end(), ranks_after), "ranking is a heap",
           "WorkloadManager: ranking heap order violated");
-    check(ranking_.size() <= 2 * queues_.size(), "|ranking| <= 2 * pending atoms",
+    check(ranking_.size() <= 2 * pending_atoms_, "|ranking| <= 2 * pending atoms",
           "WorkloadManager: stale ranking entries not compacted");
     std::size_t live_entries = 0;
     for (const RankEntry& e : ranking_) {
-        const auto q = queues_.find(storage::AtomId::from_key(e.atom));
-        if (q == queues_.end() || q->second.stamp != e.stamp) continue;
+        if (e.slot >= queues_.size()) {
+            check(false, "ranking entry names a queue slot",
+                  "WorkloadManager: ranking entry past the queue slots");
+            continue;
+        }
+        if (!live(e)) continue;
         ++live_entries;
-        check(close(e.neg_key, -q->second.key), "live entry at the current key",
+        const AtomQueue& q = queues_[e.slot];
+        check(q.atom == e.atom && close(e.neg_key, -q.key),
+              "live entry names its queue at the current key",
               "WorkloadManager: live ranking entry carries a stale key");
     }
-    check(live_entries == queues_.size(), "one live ranking entry per atom",
+    check(live_entries == pending_atoms_, "one live ranking entry per atom",
           "WorkloadManager: live ranking entries out of sync with the queues");
-    check(ranking_.empty() == queues_.empty() &&
+    check(ranking_.empty() == (pending_atoms_ == 0) &&
               (ranking_.empty() || (live(ranking_.front()) &&
                                     ranking_.front().atom == best->second)),
           "live top is the brute-force best",
@@ -439,9 +484,9 @@ bool WorkloadManager::audit() const {
         check(agg.members.size() == sums->second.second, "step atom count re-derives",
               "WorkloadManager: per-step atom count out of sync");
         for (std::size_t i = 0; i < agg.members.size(); ++i) {
-            const auto q = queues_.find(storage::AtomId::from_key(agg.members[i].atom));
-            check(q != queues_.end() && &q->second == agg.members[i].queue &&
-                      q->second.slot == i,
+            const Member& m = agg.members[i];
+            check(m.slot < queues_.size() && !free[m.slot] &&
+                      queues_[m.slot].atom == m.atom && queues_[m.slot].member == i,
                   "member names its own queue",
                   "WorkloadManager: step member list out of sync with the queues");
         }

@@ -18,28 +18,35 @@
 //
 // Pending sub-queries live in one slab of small fixed-size blocks recycled
 // through a free list. Each atom's workload queue is a FIFO list of blocks
-// threaded through the slab (head, tail, next), and the map nodes of drained
-// queues and emptied steps are kept for reuse, so in steady state neither
-// enqueue nor drain allocates. The slab is shared by all atoms, so the memory
-// held follows the peak of the total pending work (plus at most one partly
-// filled block per pending atom), not the sum of per-atom peaks.
+// threaded through the slab (head, tail, next). The queues themselves live
+// in a util::SlotTable found through a util::SlotIndex keyed by the atom's
+// clustered-index key; a drained queue's slot goes on a free list for the
+// next queue that opens, and the map nodes of emptied steps are kept for
+// reuse, so in steady state neither enqueue nor drain allocates. The slab is
+// shared by all atoms, so the memory held follows the peak of the total
+// pending work (plus at most one partly filled block per pending atom), not
+// the sum of per-atom peaks.
+//
+// Each queue caches phi(i), probed when the queue opens and again on every
+// on_residency_changed(), so a re-rank never probes the cache. That relies
+// on the caller's contract: every residency flip of an atom reaches
+// on_residency_changed() before the manager is next used.
 //
 // The global ranking is a lazily invalidated binary heap: every re-rank
 // pushes a fresh entry stamped with a unique number the queue remembers, and
-// an entry whose stamp no longer matches its queue's is stale. Stale entries
-// are popped when they surface at the top and compacted away once the heap
-// holds more than twice the pending atoms, so the top is always live. Each
-// step keeps an unordered member list (swap-remove) that the two-level pick
-// ranks on demand; only its first k atoms are ever sorted.
+// an entry whose stamp no longer matches its queue slot's is stale (a free
+// slot's stamp is 0, which no entry carries). Stale entries are popped when
+// they surface at the top and compacted away once the heap holds more than
+// twice the pending atoms, so the top is always live. Each step keeps an
+// unordered member list (swap-remove) that the two-level pick ranks on
+// demand; only its first k atoms are ever sorted.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -47,6 +54,7 @@
 #include "sched/subquery.h"
 #include "storage/atom.h"
 #include "util/sim_time.h"
+#include "util/slot_index.h"
 
 namespace jaws::sched {
 
@@ -98,6 +106,8 @@ class WorkloadManager final : public cache::UtilityOracle {
     }
 
     /// Notify that `atom`'s cache residency changed (phi flips, U_t changes).
+    /// Every flip must be reported: an open queue keeps the phi it last
+    /// probed.
     void on_residency_changed(const storage::AtomId& atom);
 
     // --- selection ---
@@ -142,19 +152,20 @@ class WorkloadManager final : public cache::UtilityOracle {
 
     // --- introspection ---
 
-    bool empty() const noexcept { return queues_.empty(); }
+    bool empty() const noexcept { return pending_atoms_ == 0; }
 
     /// Exhaustive consistency check between the atom queues and the derived
     /// indexes (automatic at transitions in audit builds; callable from
-    /// tests): per-queue position/deadline caches, global totals, the
-    /// ranking heap (one live entry per atom, a live top equal to the
-    /// brute-force best), the per-step member lists and aggregates, and the
-    /// deadline index must all re-derive from the queues. Reports through
-    /// util::contract_violation; returns true when clean.
+    /// tests): the atom index against the queue slots, per-queue
+    /// position/deadline caches, the cached phi against the probe, global
+    /// totals, the ranking heap (one live entry per atom, a live top equal
+    /// to the brute-force best), the per-step member lists and aggregates,
+    /// and the deadline index must all re-derive from the queues. Reports
+    /// through util::contract_violation; returns true when clean.
     bool audit() const;
     /// The cost constants in effect (schedulers derive service estimates).
     const CostConstants& cost() const noexcept { return cost_; }
-    std::size_t pending_atoms() const noexcept { return queues_.size(); }
+    std::size_t pending_atoms() const noexcept { return pending_atoms_; }
     std::uint64_t pending_positions() const noexcept { return total_positions_; }
     std::size_t pending_subqueries() const noexcept { return total_subqueries_; }
 
@@ -173,17 +184,12 @@ class WorkloadManager final : public cache::UtilityOracle {
         std::uint32_t next = kNil;
     };
 
-    /// The blocks of every atom queue, in chunks that never move (growth
-    /// allocates one more chunk and copies nothing), recycled through a free
-    /// list.
+    /// The blocks of every atom queue, in a slot table whose chunks never
+    /// move, recycled through a free list.
     class Slab {
       public:
-        Block& operator[](std::uint32_t i) noexcept {
-            return chunks_[i >> kChunkBits][i & kChunkMask];
-        }
-        const Block& operator[](std::uint32_t i) const noexcept {
-            return chunks_[i >> kChunkBits][i & kChunkMask];
-        }
+        Block& operator[](std::uint32_t i) noexcept { return blocks_[i]; }
+        const Block& operator[](std::uint32_t i) const noexcept { return blocks_[i]; }
         /// A block at the end of no list.
         std::uint32_t acquire();
         /// Return the chain of blocks `first` .. `last` (linked by `next`).
@@ -194,58 +200,70 @@ class WorkloadManager final : public cache::UtilityOracle {
         bool free_list_intact() const;
 
       private:
-        static constexpr std::uint32_t kChunkBits = 8;
-        static constexpr std::uint32_t kChunkMask = (1U << kChunkBits) - 1;
-
-        std::vector<std::unique_ptr<Block[]>> chunks_;
-        std::uint32_t size_ = 0;  ///< Blocks ever constructed.
+        util::SlotTable<Block, 8> blocks_;  ///< Every block ever constructed.
         std::uint32_t free_ = kNil;
         std::size_t in_use_ = 0;
     };
 
+    using Slot = util::SlotIndex::Slot;
+
+    /// One atom's workload queue; a slot with `count == 0` is free.
     struct AtomQueue {
+        storage::AtomKey atom;
         std::uint32_t head = kNil;  ///< Block of the oldest pending sub-query.
         std::uint32_t tail = kNil;  ///< Block of the newest pending sub-query.
-        std::size_t count = 0;      ///< Pending sub-queries.
+        std::uint32_t count = 0;    ///< Pending sub-queries.
+        std::uint32_t member = 0;   ///< Index in its step's member list.
         std::uint64_t positions = 0;
         util::SimTime oldest;
         /// Earliest QoS deadline queued (SimTime::max() = none).
         util::SimTime min_deadline = util::SimTime::max();
+        double phi = 1.0;      ///< Cached phi(i): 0 while the atom is resident.
         double utility = 0.0;  ///< Cached U_t.
         double key = 0.0;      ///< Cached static ranking key.
         std::uint64_t stamp = 0;  ///< Stamp of this queue's live ranking entry.
-        std::size_t slot = 0;     ///< Index in its step's member list.
     };
     /// Ranking-heap entry; the heap's top is the smallest (-key, atom key).
     struct RankEntry {
         double neg_key = 0.0;
         storage::AtomKey atom;
         std::uint64_t stamp = 0;
+        Slot slot = 0;  ///< The queue it ranks (live while stamps match).
     };
     struct Member {
         storage::AtomKey atom;
-        AtomQueue* queue = nullptr;  ///< Map nodes are stable; extracted on drain.
+        Slot slot = 0;  ///< The member's queue.
     };
     struct StepAgg {
         double utility_sum = 0.0;  ///< Sum of U_t (mean gates in-step selection).
         double key_sum = 0.0;      ///< Sum of static aged keys (mean picks the step).
         std::vector<Member> members;  ///< Pending atoms of the step, unordered.
     };
-    using QueueMap = std::unordered_map<storage::AtomId, AtomQueue, storage::AtomIdHash>;
     using StepMap = std::map<std::uint32_t, StepAgg>;
 
-    double compute_utility(const storage::AtomId& atom, const AtomQueue& q) const;
+    static std::uint32_t step_of(const AtomQueue& q) noexcept {
+        return storage::AtomId::from_key(q.atom).timestep;
+    }
+    /// Slot of `atom`'s queue, or SlotIndex::kNone.
+    Slot slot_of(const storage::AtomId& atom) const noexcept {
+        return queue_index_.find(atom.key().value());
+    }
+    /// phi(i) as the probe reports it now.
+    double probe_phi(const storage::AtomId& atom) const;
+    /// Give `atom` an empty queue in a free slot, with phi probed.
+    Slot open_queue(const storage::AtomId& atom);
+    double compute_utility(const AtomQueue& q) const;
     double compute_key(const AtomQueue& q) const;
-    void index_insert(const storage::AtomId& atom, AtomQueue& q);
-    void index_rerank(const storage::AtomId& atom, AtomQueue& q);
+    void index_insert(Slot slot);
+    void index_rerank(Slot slot);
     /// Recompute U_t and the key, add them to the step sums, and push the
     /// new rank (retiring the queue's previous heap entry).
-    void index_add(const storage::AtomId& atom, AtomQueue& q, StepAgg& agg);
-    void index_erase(const storage::AtomId& atom, AtomQueue& q);
+    void index_add(Slot slot, StepAgg& agg);
+    void index_erase(const AtomQueue& q);
     /// Remove an emptied step, keeping its node for the next step that opens.
     void retire_step(StepMap::iterator it);
     void rebuild_index();
-    bool live(const RankEntry& e) const;
+    bool live(const RankEntry& e) const noexcept { return queues_[e.slot].stamp == e.stamp; }
     /// Restore the live-top invariant after `top_stale` retired the top, and
     /// compact once stale entries outnumber the live ones.
     void trim_ranking(bool top_stale);
@@ -255,8 +273,10 @@ class WorkloadManager final : public cache::UtilityOracle {
     double alpha_;
 
     Slab slab_;
-    QueueMap queues_;
-    std::vector<QueueMap::node_type> spare_queues_;  ///< Drained queues' map nodes.
+    util::SlotTable<AtomQueue> queues_;  ///< The atom queues.
+    std::vector<Slot> free_queues_;  ///< Free slots of queues_.
+    util::SlotIndex queue_index_;    ///< Atom key -> slot in queues_.
+    std::size_t pending_atoms_ = 0;  ///< Open queues.
     std::vector<RankEntry> ranking_;  ///< Lazily invalidated heap.
     std::uint64_t stamps_ = 0;        ///< Last stamp handed out.
     StepMap steps_;

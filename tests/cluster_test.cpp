@@ -67,8 +67,9 @@ TEST(ClusterNodeOf, RangeBoundariesWithIndivisibleAtomCount) {
         EXPECT_EQ(TurbulenceCluster::node_of(first, aps, nodes).value(), n);
         EXPECT_EQ(TurbulenceCluster::node_of(last, aps, nodes).value(), n);
         // One before the range belongs to the previous node.
-        if (n > 0)
+        if (n > 0) {
             EXPECT_EQ(TurbulenceCluster::node_of(first - 1, aps, nodes).value(), n - 1);
+        }
     }
     // Morton codes past atoms_per_step clamp to the last node rather than
     // running off the end of the node array.

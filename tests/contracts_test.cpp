@@ -94,7 +94,9 @@ TEST(Contracts, EventQueueAuditsCleanThroughScheduleCancelAndRun) {
     EXPECT_TRUE(q.audit());
     int steps = 0;
     while (q.run_one()) {
-        if (++steps % 10 == 0) EXPECT_TRUE(q.audit());
+        if (++steps % 10 == 0) {
+            EXPECT_TRUE(q.audit());
+        }
     }
     EXPECT_TRUE(q.audit());
     EXPECT_EQ(g_captured, 0u);

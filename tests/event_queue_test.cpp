@@ -227,12 +227,16 @@ TEST(EventQueue, InterleavedScheduleAndCancelPreservesDeterministicOrder) {
                 q.schedule(us(10 + (i * 7) % 40), i % 3, [&, i] { order.push_back(i); });
             if (i % 2 == 1) {
                 doomed.push_back(id);
-                if (!cancel_late) EXPECT_TRUE(q.cancel(id));
+                if (!cancel_late) {
+                    EXPECT_TRUE(q.cancel(id));
+                }
             }
         }
-        if (cancel_late)
-            for (auto it = doomed.rbegin(); it != doomed.rend(); ++it)
+        if (cancel_late) {
+            for (auto it = doomed.rbegin(); it != doomed.rend(); ++it) {
                 EXPECT_TRUE(q.cancel(*it));
+            }
+        }
         EXPECT_EQ(q.pending(), 25u);
         EXPECT_TRUE(q.audit());
         while (q.run_one()) {
