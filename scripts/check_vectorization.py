@@ -22,7 +22,11 @@ Compiler specifics:
              the CI toolchain.
 
 The compile command comes from the build tree's compile_commands.json, so
-the check sees exactly the production flags (-O2, -ffp-contract=off, ...).
+the check sees exactly the production flags (-O2, -ffp-contract=off, ...),
+minus any sanitizer flags: -fsanitize=... instrumentation stops GCC from
+vectorizing the stencil, and the property guarded here is the production
+build's, so the asan-ubsan and tsan trees check the same code the default
+tree ships.
 
 Usage:
     scripts/check_vectorization.py --compdb BUILD_DIR [--tu src/field/batch_interpolator.cpp]
@@ -77,9 +81,15 @@ def load_command(compdb_dir: str, tu_suffix: str) -> tuple[list[str], str] | Non
     return None
 
 
+def production_flags(argv: list[str]) -> list[str]:
+    """The compile command without its sanitizer flags (-fsanitize...,
+    -fno-sanitize...)."""
+    return [a for a in argv if not a.startswith(("-fsanitize", "-fno-sanitize"))]
+
+
 def report_lines(argv: list[str], directory: str, family: str) -> str:
     """Recompile with the family's vectorization report; return its text."""
-    cmd = list(argv)
+    cmd = production_flags(argv)
     # Drop the object output: the recompile is report-only.
     while "-o" in cmd:
         i = cmd.index("-o")
@@ -127,6 +137,13 @@ def self_test() -> int:
     assert len(find_evidence(clang_sample, "clang", "batch_interpolator.cpp")) == 2
 
     assert GCC_VEC_RE.search("foo.cpp:1:1: optimized: loop vectorized using 32 byte vectors")
+
+    asan = ["g++", "-O2", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+            "-fno-omit-frame-pointer", "-ffp-contract=off", "-c", "k.cpp"]
+    assert production_flags(asan) == ["g++", "-O2", "-fno-omit-frame-pointer",
+                                      "-ffp-contract=off", "-c", "k.cpp"], production_flags(asan)
+    tsan = ["c++", "-fsanitize=thread", "-fno-tree-slp-vectorize", "-c", "k.cpp"]
+    assert production_flags(tsan) == ["c++", "-fno-tree-slp-vectorize", "-c", "k.cpp"]
     print("check_vectorization self-test: OK")
     return 0
 

@@ -6,7 +6,7 @@ bit-reproducible: the golden digests, the Eq. 1 cost-model shapes and the
 seeded fault schedules all assume that no decision reads a wall clock,
 unseeded randomness or hash order, and that the modules stay layered so
 those contracts compose bottom-up. This script walks the seven modules
-src/{util,field,storage,cache,workload,sched,core} once and checks thirteen
+src/{util,field,storage,cache,workload,sched,core} once and checks twelve
 rules on that walk.
 
 Determinism. wall-clock and ambient-random run only in the six decision
@@ -56,9 +56,6 @@ Semantics:
                        operand involves SimTime/.micros tick arithmetic --
                        microsecond counters overflow int32 after ~36 minutes
                        of virtual time.
-  clock-mutation       mutation of a util::VirtualClock (advance/advance_to/
-                       reset) outside its owning file (src/util/sim_time.h):
-                       only the event loop may move a clock.
   raw-micros           access to SimTime's raw `.micros` tick field outside
                        its owning file (src/util/sim_time.h): saturation
                        safety lives in SimTime's operators, so call sites
@@ -141,7 +138,7 @@ ALLOWED_DEPS: dict[str, set[str]] = {
 DECISION_MODULES = ("core", "sched", "storage", "cache", "field", "workload")
 # raw-id-api runs only on these modules' headers.
 ID_API_MODULES = ("core", "sched", "storage", "workload")
-# The one file that may mutate a VirtualClock or touch SimTime::micros.
+# The one file that may touch SimTime::micros.
 SIM_TIME_OWNER = "src/util/sim_time.h"
 SOURCE_EXTENSIONS = (".h", ".hpp", ".cpp", ".cc")
 
@@ -225,10 +222,6 @@ NARROW_CAST_RE = re.compile(
     r"static_cast\s*<\s*((?:std::)?(?:u?int(?:8|16|32)_t|int|unsigned(?:\s+int)?"
     r"|short|unsigned\s+short|signed\s+char|unsigned\s+char|char))\s*>\s*\(")
 TIME_OPERAND_RE = re.compile(r"\bmicros\b|\bSimTime\b")
-
-# clock-mutation
-VCLOCK_DECL_RE = re.compile(r"\b(?:util::)?VirtualClock\s*&?\s+([A-Za-z_]\w*)")
-CLOCK_MUTATORS = ("advance_to", "advance", "reset")
 
 # raw-micros
 RAW_MICROS_RE = re.compile(r"(?:\.|->)\s*micros\b")
@@ -729,16 +722,6 @@ def analyze_file(code: str, display_path: str, header: str) -> list[Violation]:
                  "(scaled_by, minus_clamped, checked_sum) or raw_micros() at "
                  "a serialization boundary with an allow justification")
 
-        clock_names = {m.group(1) for text in (code, header)
-                       for m in VCLOCK_DECL_RE.finditer(text)}
-        for name in sorted(clock_names):
-            mut = re.compile(r"\b" + re.escape(name) + r"\.(" +
-                             "|".join(CLOCK_MUTATORS) + r")\s*\(")
-            for m in mut.finditer(code):
-                flag(m.start(), "clock-mutation",
-                     f"`{name}.{m.group(1)}()` mutates a VirtualClock outside "
-                     "the event loop; only the kernel may move a clock")
-
     if display_path.endswith((".h", ".hpp")) and module in ID_API_MODULES:
         for m in RAW_INT_PARAM_RE.finditer(code):
             name = m.group(1)
@@ -916,8 +899,8 @@ def analyze_tree(root: str) -> list[Violation]:
 
 # Declarations the semantic fixtures lean on, so each fixture reads as a
 # self-contained translation unit (and the rules see the look-alike members
-# -- VirtualClock::now, steady_clock::now, EventQueue::schedule -- next to
-# the code under test).
+# -- steady_clock::now, EventQueue::schedule -- next to the code under
+# test).
 FIXTURE_PRELUDE = """
 namespace std {
 struct mutex { void lock(); void unlock(); };
@@ -937,12 +920,6 @@ struct SimTime { long long micros; };
 struct AtomKey { unsigned long long v; unsigned long long value() const; };
 struct NodeIndex { unsigned v; unsigned value() const; };
 struct ChannelIndex { unsigned long v; unsigned long value() const; };
-struct VirtualClock {
-    void advance(SimTime);
-    void advance_to(SimTime);
-    void reset();
-    SimTime now() const;
-};
 struct EventQueue {
     template <class F> unsigned long schedule(SimTime, int, F);
 };
@@ -1124,7 +1101,7 @@ long stamp() {
      []),
 
     # -- kernel-blocking, aliased unordered-iteration, float-equality,
-    #    narrowing-cast, raw-micros, raw-id-api, id-mixing, clock-mutation --
+    #    narrowing-cast, raw-micros, raw-id-api, id-mixing --
     ("src/core/bad_blocking_direct.cpp", FIXTURE_PRELUDE + """
 void f(EventQueue& q, SimTime t) {
     q.schedule(t, 0, [] { std::this_thread::sleep_for(5); });
@@ -1271,20 +1248,9 @@ unsigned ring_distance(NodeIndex a, NodeIndex b, AtomKey atom) {
     return a.value() - b.value() + static_cast<unsigned>(morton);
 }
 """, []),
-    ("src/core/bad_clock_mutation.cpp", FIXTURE_PRELUDE + """
-void f(VirtualClock& clock, SimTime t) { clock.advance(t); }
-""", ["clock-mutation"]),
-    ("src/core/ok_clock_reader.cpp", FIXTURE_PRELUDE + """
-struct Cursor { void advance(SimTime); };
-SimTime f(const VirtualClock& clock, Cursor& cur, SimTime t) {
-    cur.advance(t);  // not a VirtualClock: free to move
-    return clock.now();
-}
-""", []),
-    # Mutating a VirtualClock -- and touching the raw `.micros` tick field --
-    # inside the owning file are the sanctioned sites.
+    # Touching the raw `.micros` tick field inside the owning file is the
+    # sanctioned site.
     ("src/util/sim_time.h", FIXTURE_PRELUDE + """
-inline void tick(VirtualClock& clock, SimTime t) { clock.advance(t); }
 inline long long ticks_of(SimTime t) { return t.micros; }
 """, []),
     # float-equality covers every decision module, field/ and workload/ too.

@@ -48,30 +48,23 @@ bool BufferCache::lookup(const storage::AtomId& atom) {
 
 std::optional<storage::AtomId> BufferCache::insert(
     const storage::AtomId& atom, std::shared_ptr<const field::VoxelBlock> payload) {
-    if (const util::SlotIndex::Slot s = slot_of(atom); s != util::SlotIndex::kNone) {
-        if (payload != nullptr) residents_[s].payload = std::move(payload);
+    if (const Slot s = slot_of(atom); s != util::SlotIndex::kNone) {
+        if (payload != nullptr) residents_[s] = std::move(payload);
         return std::nullopt;
     }
     std::optional<storage::AtomId> evicted;
     if (residents_.size() >= capacity_) {
-        util::SlotIndex::Slot slot = util::SlotIndex::kNone;
-        {
-            OverheadTimer timer(stats_.policy_overhead_ns, ticks_);
-            const storage::AtomId victim = policy_->pick_victim();
-            policy_->on_evict(victim);
-            slot = index_.erase(victim.key().value());
-            assert(slot != util::SlotIndex::kNone);
-            ++stats_.evictions;
-            ++evicted_;
-            evicted = victim;
-        }
-        // The new resident takes over the victim's slot.
-        residents_[slot] = Resident{atom, std::move(payload)};
-        index_.insert(atom.key().value(), slot);
-    } else {
-        index_.insert(atom.key().value(), static_cast<util::SlotIndex::Slot>(residents_.size()));
-        residents_.push_back(Resident{atom, std::move(payload)});
+        OverheadTimer timer(stats_.policy_overhead_ns, ticks_);
+        const storage::AtomId victim = policy_->pick_victim();
+        policy_->on_evict(victim);
+        [[maybe_unused]] const Slot freed = residents_.erase(victim.key().value());
+        assert(freed != util::SlotIndex::kNone);
+        ++stats_.evictions;
+        ++evicted_;
+        evicted = victim;
     }
+    // The new resident takes the slot the victim freed, if there was one.
+    residents_[residents_.insert(atom.key().value())] = std::move(payload);
     ++admitted_;
     {
         OverheadTimer timer(stats_.policy_overhead_ns, ticks_);
@@ -87,8 +80,8 @@ bool BufferCache::contains(const storage::AtomId& atom) const {
 
 std::shared_ptr<const field::VoxelBlock> BufferCache::payload(
     const storage::AtomId& atom) const {
-    const util::SlotIndex::Slot s = slot_of(atom);
-    return s == util::SlotIndex::kNone ? nullptr : residents_[s].payload;
+    const Slot s = slot_of(atom);
+    return s == util::SlotIndex::kNone ? nullptr : residents_[s];
 }
 
 void BufferCache::run_boundary() {
@@ -99,7 +92,9 @@ void BufferCache::run_boundary() {
 std::vector<storage::AtomId> BufferCache::sorted_residents() const {
     std::vector<storage::AtomId> atoms;
     atoms.reserve(residents_.size());
-    for (const Resident& r : residents_) atoms.push_back(r.atom);
+    for (Slot s = 0; s < residents_.slots(); ++s)
+        if (residents_.live(s))
+            atoms.push_back(storage::AtomId::from_key(storage::AtomKey{residents_.key(s)}));
     std::sort(atoms.begin(), atoms.end());
     return atoms;
 }
@@ -110,41 +105,26 @@ void BufferCache::clear() {
     // follow the eviction history.
     for (const storage::AtomId& atom : sorted_residents()) policy_->on_evict(atom);
     cleared_ += residents_.size();
+    // The map keeps its elements: drop the payloads so their blocks are freed.
+    for (Slot s = 0; s < residents_.slots(); ++s) residents_[s].reset();
     residents_.clear();
-    index_.clear();
     JAWS_AUDIT(audit());
 }
 
 bool BufferCache::audit() const {
-    bool ok = true;
-    const auto check = [&](bool cond, const char* expr, const char* msg) {
-        if (!cond) {
-            ok = false;
-            util::contract_violation(__FILE__, __LINE__, expr, msg);
-        }
-    };
-    check(residents_.size() <= capacity_, "size() <= capacity()",
-          "BufferCache: resident set exceeds capacity");
+    bool ok = residents_.audit();
+    ok &= JAWS_AUDIT_CHECK(residents_.size() <= capacity_,
+                           "BufferCache: resident set exceeds capacity");
     // Atom conservation: everything ever admitted is evicted, cleared, or
     // still resident — nothing is lost and nothing double-counted.
-    check(admitted_ == evicted_ + cleared_ + residents_.size(),
-          "admitted == evicted + cleared + resident",
-          "BufferCache: atom conservation violated");
+    ok &= JAWS_AUDIT_CHECK(admitted_ == evicted_ + cleared_ + residents_.size(),
+                           "BufferCache: atom conservation violated");
     // An eviction happens only on the miss path, after a failed lookup or a
     // direct insert; admissions can never outnumber misses plus direct
     // inserts, and evictions can never outnumber admissions.
-    check(evicted_ <= admitted_, "evicted <= admitted",
-          "BufferCache: more evictions than admissions");
-    // The index and the slot table agree: one entry per resident, at its
-    // own slot.
-    bool indexed = index_.audit() && index_.size() == residents_.size();
-    for (std::size_t s = 0; s < residents_.size(); ++s)
-        indexed = indexed && slot_of(residents_[s].atom) == s;
-    check(indexed, "index maps each resident to its slot",
-          "BufferCache: atom index out of sync with the resident slots");
-    const std::vector<storage::AtomId> atoms = sorted_residents();
-    check(policy_->audit(atoms), "policy_->audit(resident)",
-          "BufferCache: replacement-policy state diverged from residency");
+    ok &= JAWS_AUDIT_CHECK(evicted_ <= admitted_, "BufferCache: more evictions than admissions");
+    ok &= JAWS_AUDIT_CHECK(policy_->audit(sorted_residents()),
+                           "BufferCache: replacement-policy state diverged from residency");
     return ok;
 }
 

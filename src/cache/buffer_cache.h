@@ -10,10 +10,9 @@
 // set_tick_source (the only sanctioned wall-clock path, see the wall-clock
 // rule in scripts/jaws_analyzer.py).
 //
-// Residents live in a dense slot vector found through a util::SlotIndex
-// keyed by the atom's clustered-index key; a new resident takes over the
-// slot of the victim it displaces, so a full cache never grows or shrinks
-// the vector.
+// Residents live in a util::SlotMap keyed by the atom's clustered-index
+// key; a new resident takes the slot of the victim it displaces, so a full
+// cache never grows or shrinks the map.
 #pragma once
 
 #include <cstdint>
@@ -98,21 +97,18 @@ class BufferCache {
     /// Exhaustive accounting self-check (automatic at transitions in audit
     /// builds; callable from tests in any build): capacity respected, atom
     /// conservation (every atom ever admitted was either evicted, cleared,
-    /// or is still resident), stats coherence, the index and the resident
-    /// slots in agreement, and the policy's own bookkeeping matched against
+    /// or is still resident), stats coherence, the resident map's own audit,
+    /// and the policy's own bookkeeping matched against
     /// the cache's resident set. Reports through util::contract_violation;
     /// returns true when clean.
     bool audit() const;
 
   private:
-    struct Resident {
-        storage::AtomId atom;
-        std::shared_ptr<const field::VoxelBlock> payload;
-    };
+    using Slot = util::SlotIndex::Slot;
 
     /// Slot of `atom` in residents_, or SlotIndex::kNone.
-    util::SlotIndex::Slot slot_of(const storage::AtomId& atom) const noexcept {
-        return index_.find(atom.key().value());
+    Slot slot_of(const storage::AtomId& atom) const noexcept {
+        return residents_.find(atom.key().value());
     }
     /// Resident atom ids in sorted order (slot-order-independent snapshots
     /// for clear()'s policy notifications and audit()'s policy check).
@@ -121,8 +117,8 @@ class BufferCache {
     std::size_t capacity_;
     TickSource ticks_ = nullptr;  ///< nullptr = deterministic virtual ticks.
     std::unique_ptr<ReplacementPolicy> policy_;
-    std::vector<Resident> residents_;  ///< Dense: every slot holds a resident.
-    util::SlotIndex index_;            ///< Atom key -> slot in residents_.
+    /// Atom key -> the resident's payload (null when payload-less).
+    util::SlotMap<std::shared_ptr<const field::VoxelBlock>> residents_;
     CacheStats stats_;
     // Conservation ledger for audit(): new residencies ever admitted, atoms
     // evicted, atoms dropped by clear(). Kept apart from stats_ (which

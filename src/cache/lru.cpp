@@ -32,25 +32,15 @@ void LruPolicy::on_evict(const storage::AtomId& atom) {
 }
 
 bool LruPolicy::audit(const std::vector<storage::AtomId>& resident) const {
-    bool ok = true;
-    const auto check = [&](bool cond, const char* expr, const char* msg) {
-        if (!cond) {
-            ok = false;
-            util::contract_violation(__FILE__, __LINE__, expr, msg);
-        }
-        return cond;
-    };
-    check(where_.size() == resident.size() && order_.size() == resident.size(),
-          "LRU tracks exactly the resident set",
-          "LruPolicy: tracked size diverged from the cache's resident set");
+    bool ok = JAWS_AUDIT_CHECK(
+        where_.size() == resident.size() && order_.size() == resident.size(),
+        "LruPolicy: tracked size diverged from the cache's resident set");
     for (auto it = order_.begin(); it != order_.end(); ++it) {
         const auto slot = where_.find(*it);
-        check(slot != where_.end() && slot->second == it,
-              "where_[atom] points at its order_ node",
-              "LruPolicy: recency-list node unlinked from the index");
-        check(std::binary_search(resident.begin(), resident.end(), *it),
-              "order_ member is resident",
-              "LruPolicy: tracking an atom the cache does not hold");
+        ok &= JAWS_AUDIT_CHECK(slot != where_.end() && slot->second == it,
+                               "LruPolicy: recency-list node unlinked from the index");
+        ok &= JAWS_AUDIT_CHECK(std::binary_search(resident.begin(), resident.end(), *it),
+                               "LruPolicy: tracking an atom the cache does not hold");
     }
     return ok;
 }

@@ -20,32 +20,26 @@ void LruKPolicy::touch(History& h) {
     }
 }
 
-LruKPolicy::Rank LruKPolicy::rank_of(const History& h) const noexcept {
+LruKPolicy::Rank LruKPolicy::rank_of(Slot s) const noexcept {
+    const History& h = histories_[s];
     return Rank{h.refs.size() < k_ ? 0 : h.ref(k_ - 1), h.ref(0),
-                storage::AtomId::from_key(h.atom)};
+                storage::AtomId::from_key(storage::AtomKey{histories_.key(s)})};
 }
 
 void LruKPolicy::on_insert(const storage::AtomId& atom) {
     Slot s = slot_of(atom);
     if (s == util::SlotIndex::kNone) {
-        if (free_histories_.empty()) {
-            s = histories_.emplace_back();
-        } else {
-            s = free_histories_.back();
-            free_histories_.pop_back();
-            histories_[s].refs.clear();
-        }
-        histories_[s].atom = atom.key();
-        history_index_.insert(atom.key().value(), s);
+        s = histories_.insert(atom.key().value());
+        histories_[s].refs.clear();  // a reused slot keeps its ring's storage
     }
     History& h = histories_[s];
     assert(!h.resident);
     touch(h);
     h.resident = true;
     if (spare_rank_.empty()) {
-        h.rank = index_.insert(rank_of(h)).first;
+        h.rank = index_.insert(rank_of(s)).first;
     } else {
-        spare_rank_.value() = rank_of(h);
+        spare_rank_.value() = rank_of(s);
         h.rank = index_.insert(std::move(spare_rank_)).position;
     }
 }
@@ -58,7 +52,7 @@ void LruKPolicy::on_access(const storage::AtomId& atom) {
     // nothing.
     Index::node_type node = index_.extract(h.rank);
     touch(h);
-    node.value() = rank_of(h);
+    node.value() = rank_of(s);
     h.rank = index_.insert(std::move(node)).position;
 }
 
@@ -82,77 +76,51 @@ void LruKPolicy::on_evict(const storage::AtomId& atom) {
         const storage::AtomId old = retained_fifo_.front();
         retained_fifo_.pop_front();
         const Slot h = slot_of(old);
-        if (h != util::SlotIndex::kNone && !histories_[h].resident) {
-            history_index_.erase(old.key().value());
-            free_histories_.push_back(h);
-        }
+        if (h != util::SlotIndex::kNone && !histories_[h].resident)
+            histories_.erase(old.key().value());
     }
 }
 
 bool LruKPolicy::audit(const std::vector<storage::AtomId>& resident) const {
-    bool ok = true;
-    const auto check = [&](bool cond, const char* expr, const char* msg) {
-        if (!cond) {
-            ok = false;
-            util::contract_violation(__FILE__, __LINE__, expr, msg);
-        }
-        return cond;
-    };
     const auto is_resident = [&](const storage::AtomId& atom) {
         return std::binary_search(resident.begin(), resident.end(), atom);
     };
-    check(index_.size() == resident.size(), "one index entry per resident",
-          "LruKPolicy: index size diverged from the cache's resident set");
-    // The history index and the slot table agree: every live slot is
-    // indexed under its own atom, and no free slot is resident.
-    std::vector<bool> free(histories_.size(), false);
-    for (const Slot s : free_histories_)
-        if (s < free.size()) free[s] = true;
-    bool indexed = history_index_.audit() &&
-                   history_index_.size() + free_histories_.size() == histories_.size();
-    for (Slot s = 0; s < histories_.size(); ++s)
-        indexed = indexed && (free[s] ? !histories_[s].resident
-                                      : history_index_.find(histories_[s].atom.value()) == s);
-    check(indexed, "history index maps each live history to its slot",
-          "LruKPolicy: history index out of sync with the history slots");
+    bool ok = histories_.audit();
+    ok &= JAWS_AUDIT_CHECK(index_.size() == resident.size(),
+                           "LruKPolicy: index size diverged from the cache's resident set");
     for (const storage::AtomId& atom : resident) {
         const Slot s = slot_of(atom);
-        if (!check(s != util::SlotIndex::kNone, "resident atom has history",
-                   "LruKPolicy: resident atom without a reference history"))
-            continue;
+        const bool tracked = JAWS_AUDIT_CHECK(
+            s != util::SlotIndex::kNone, "LruKPolicy: resident atom without a reference history");
+        ok &= tracked;
+        if (!tracked) continue;
         const History& hist = histories_[s];
-        if (!check(!hist.refs.empty() && hist.refs.size() <= k_ &&
-                       hist.newest < hist.refs.size(),
-                   "1 <= |refs| <= k",
-                   "LruKPolicy: reference history out of bounds"))
-            continue;
+        const bool bounded = JAWS_AUDIT_CHECK(
+            !hist.refs.empty() && hist.refs.size() <= k_ && hist.newest < hist.refs.size(),
+            "LruKPolicy: reference history out of bounds");
+        ok &= bounded;
+        if (!bounded) continue;
         bool decreasing = true;
         for (std::size_t i = 1; i < hist.refs.size(); ++i)
             decreasing = decreasing && hist.ref(i - 1) > hist.ref(i);
-        check(decreasing && hist.ref(0) <= tick_,
-              "refs strictly decreasing and <= tick",
-              "LruKPolicy: reference history out of order");
-        check(hist.resident && *hist.rank == rank_of(hist),
-              "index entry at the current rank",
-              "LruKPolicy: resident atom missing from the index or ranked stale");
+        ok &= JAWS_AUDIT_CHECK(decreasing && hist.ref(0) <= tick_,
+                               "LruKPolicy: reference history out of order");
+        ok &= JAWS_AUDIT_CHECK(hist.resident && *hist.rank == rank_of(s),
+                               "LruKPolicy: resident atom missing from the index or ranked stale");
     }
     for (const Rank& r : index_)
-        check(is_resident(r.atom), "index entry is resident",
-              "LruKPolicy: index holds a non-resident atom");
+        ok &= JAWS_AUDIT_CHECK(is_resident(r.atom), "LruKPolicy: index holds a non-resident atom");
     // Every retained (non-resident) history is reachable from the FIFO.
     for (const storage::AtomId& atom : retained_fifo_) {
         if (is_resident(atom)) continue;
         const Slot s = slot_of(atom);
-        check(s == util::SlotIndex::kNone || !histories_[s].resident,
-              "retained history not resident",
-              "LruKPolicy: evicted atom still marked resident");
+        ok &= JAWS_AUDIT_CHECK(s == util::SlotIndex::kNone || !histories_[s].resident,
+                               "LruKPolicy: evicted atom still marked resident");
     }
-    check(history_index_.size() <= resident.size() + retained_fifo_.size(),
-          "history bounded by residents + retained",
-          "LruKPolicy: history table holds unreachable entries");
-    check(retained_fifo_.size() <= retained_cap_ + resident.size(),
-          "retained history bounded",
-          "LruKPolicy: retained-history FIFO exceeds its bound");
+    ok &= JAWS_AUDIT_CHECK(histories_.size() <= resident.size() + retained_fifo_.size(),
+                           "LruKPolicy: history table holds unreachable entries");
+    ok &= JAWS_AUDIT_CHECK(retained_fifo_.size() <= retained_cap_ + resident.size(),
+                           "LruKPolicy: retained-history FIFO exceeds its bound");
     return ok;
 }
 

@@ -12,9 +12,9 @@
 // entry. Recency ticks are unique, so that key is a strict total order and
 // the victim is exactly the argmin a full scan over the residents would find.
 //
-// Histories live in a util::SlotTable found through a util::SlotIndex
-// keyed by the atom's clustered-index key; a history dropped by the
-// retained-history bound frees its slot for the next atom that needs one.
+// Histories live in a util::SlotMap keyed by the atom's clustered-index
+// key; a history dropped by the retained-history bound frees its slot for
+// the next atom that needs one.
 // In steady state the policy allocates nothing: an evicted atom's index node
 // is reused by the next insert (BufferCache evicts just before it inserts),
 // and each history's references live in a k-entry ring that stays with its
@@ -60,8 +60,8 @@ class LruKPolicy final : public ReplacementPolicy {
 
     using Slot = util::SlotIndex::Slot;
 
+    /// One atom's reference history, keyed by the atom's key.
     struct History {
-        storage::AtomKey atom;
         /// The last (at most k) reference ticks: appended until k are held,
         /// then a ring whose newest entry is at `newest`. Its storage stays
         /// with the slot when the slot is reused.
@@ -78,17 +78,16 @@ class LruKPolicy final : public ReplacementPolicy {
 
     /// Slot of `atom`'s history, or SlotIndex::kNone.
     Slot slot_of(const storage::AtomId& atom) const noexcept {
-        return history_index_.find(atom.key().value());
+        return histories_.find(atom.key().value());
     }
     void touch(History& h);
-    Rank rank_of(const History& h) const noexcept;
+    /// Current rank of the history in `s`.
+    Rank rank_of(Slot s) const noexcept;
 
     unsigned k_;
     std::size_t retained_cap_;
     std::uint64_t tick_ = 0;
-    util::SlotTable<History> histories_;  ///< Free slots are listed below.
-    std::vector<Slot> free_histories_;  ///< Slots of histories the bound dropped.
-    util::SlotIndex history_index_;     ///< Atom key -> slot in histories_.
+    util::SlotMap<History> histories_;  ///< Atom key -> its reference history.
     Index index_;  ///< One entry per resident, at its current rank.
     // FIFO of evicted atoms whose history is retained, for bounded cleanup.
     std::deque<storage::AtomId> retained_fifo_;

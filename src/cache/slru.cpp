@@ -99,31 +99,21 @@ void SlruPolicy::on_run_boundary() {
 }
 
 bool SlruPolicy::audit(const std::vector<storage::AtomId>& resident) const {
-    bool ok = true;
-    const auto check = [&](bool cond, const char* expr, const char* msg) {
-        if (!cond) {
-            ok = false;
-            util::contract_violation(__FILE__, __LINE__, expr, msg);
-        }
-        return cond;
-    };
-    check(slots_.size() == resident.size() &&
-              probationary_.size() + protected_.size() == resident.size(),
-          "segments partition the resident set",
-          "SlruPolicy: segment sizes diverged from the cache's resident set");
-    check(protected_.size() <= protected_cap_, "|protected| <= protected_cap",
-          "SlruPolicy: protected segment over capacity");
+    bool ok = JAWS_AUDIT_CHECK(
+        slots_.size() == resident.size() &&
+            probationary_.size() + protected_.size() == resident.size(),
+        "SlruPolicy: segment sizes diverged from the cache's resident set");
+    ok &= JAWS_AUDIT_CHECK(protected_.size() <= protected_cap_,
+                           "SlruPolicy: protected segment over capacity");
     const auto walk = [&](const std::list<storage::AtomId>& segment, bool is_protected) {
         for (auto it = segment.begin(); it != segment.end(); ++it) {
             const auto slot = slots_.find(*it);
             const bool linked = slot != slots_.end() &&
                                 slot->second.is_protected == is_protected &&
                                 slot->second.where == it;
-            check(linked, "slot matches its segment node",
-                  "SlruPolicy: segment node unlinked from the slot index");
-            check(std::binary_search(resident.begin(), resident.end(), *it),
-                  "segment member is resident",
-                  "SlruPolicy: tracking an atom the cache does not hold");
+            ok &= JAWS_AUDIT_CHECK(linked, "SlruPolicy: segment node unlinked from the slot index");
+            ok &= JAWS_AUDIT_CHECK(std::binary_search(resident.begin(), resident.end(), *it),
+                                   "SlruPolicy: tracking an atom the cache does not hold");
         }
     };
     walk(probationary_, false);

@@ -67,38 +67,26 @@ void TwoQPolicy::on_evict(const storage::AtomId& atom) {
 }
 
 bool TwoQPolicy::audit(const std::vector<storage::AtomId>& resident) const {
-    bool ok = true;
-    const auto check = [&](bool cond, const char* expr, const char* msg) {
-        if (!cond) {
-            ok = false;
-            util::contract_violation(__FILE__, __LINE__, expr, msg);
-        }
-        return cond;
-    };
-    check(slots_.size() == resident.size() &&
-              a1in_.size() + am_.size() == resident.size(),
-          "A1in and Am partition the resident set",
-          "TwoQPolicy: queue sizes diverged from the cache's resident set");
+    bool ok = JAWS_AUDIT_CHECK(
+        slots_.size() == resident.size() && a1in_.size() + am_.size() == resident.size(),
+        "TwoQPolicy: queue sizes diverged from the cache's resident set");
     const auto walk = [&](const std::list<storage::AtomId>& queue, bool in_am) {
         for (auto it = queue.begin(); it != queue.end(); ++it) {
             const auto slot = slots_.find(*it);
             const bool linked = slot != slots_.end() && slot->second.in_am == in_am &&
                                 slot->second.where == it;
-            check(linked, "slot matches its queue node",
-                  "TwoQPolicy: queue node unlinked from the slot index");
-            check(std::binary_search(resident.begin(), resident.end(), *it),
-                  "queue member is resident",
-                  "TwoQPolicy: tracking an atom the cache does not hold");
+            ok &= JAWS_AUDIT_CHECK(linked, "TwoQPolicy: queue node unlinked from the slot index");
+            ok &= JAWS_AUDIT_CHECK(std::binary_search(resident.begin(), resident.end(), *it),
+                                   "TwoQPolicy: tracking an atom the cache does not hold");
         }
     };
     walk(a1in_, false);
     walk(am_, true);
-    check(a1out_.size() == a1out_fifo_.size() && a1out_.size() <= ghost_cap_,
-          "ghost set matches its FIFO and is bounded",
-          "TwoQPolicy: ghost bookkeeping inconsistent");
+    ok &= JAWS_AUDIT_CHECK(a1out_.size() == a1out_fifo_.size() && a1out_.size() <= ghost_cap_,
+                           "TwoQPolicy: ghost bookkeeping inconsistent");
     for (const storage::AtomId& ghost : a1out_fifo_)
-        check(a1out_.contains(ghost), "ghost FIFO member is in the ghost set",
-              "TwoQPolicy: ghost FIFO entry missing from the ghost set");
+        ok &= JAWS_AUDIT_CHECK(a1out_.contains(ghost),
+                               "TwoQPolicy: ghost FIFO entry missing from the ghost set");
     return ok;
 }
 

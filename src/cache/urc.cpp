@@ -69,25 +69,15 @@ void UrcPolicy::on_evict(const storage::AtomId& atom) {
 }
 
 bool UrcPolicy::audit(const std::vector<storage::AtomId>& resident) const {
-    bool ok = true;
-    const auto check = [&](bool cond, const char* expr, const char* msg) {
-        if (!cond) {
-            ok = false;
-            util::contract_violation(__FILE__, __LINE__, expr, msg);
-        }
-        return cond;
-    };
-    check(resident_.size() == resident.size() &&
-              last_touch_.size() == resident.size(),
-          "URC tracks exactly the resident set",
-          "UrcPolicy: tracked size diverged from the cache's resident set");
+    bool ok = JAWS_AUDIT_CHECK(
+        resident_.size() == resident.size() && last_touch_.size() == resident.size(),
+        "UrcPolicy: tracked size diverged from the cache's resident set");
     for (const storage::AtomId& atom : resident) {
-        check(resident_.contains(atom), "resident atom tracked",
-              "UrcPolicy: resident atom missing from the tracked set");
+        ok &= JAWS_AUDIT_CHECK(resident_.contains(atom),
+                               "UrcPolicy: resident atom missing from the tracked set");
         const auto touch = last_touch_.find(atom);
-        check(touch != last_touch_.end() && touch->second <= tick_,
-              "resident atom has a valid touch tick",
-              "UrcPolicy: recency tick missing or ahead of the counter");
+        ok &= JAWS_AUDIT_CHECK(touch != last_touch_.end() && touch->second <= tick_,
+                               "UrcPolicy: recency tick missing or ahead of the counter");
     }
     return ok;
 }

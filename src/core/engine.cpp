@@ -177,19 +177,16 @@ void Engine::require_kernel_fit(const workload::Job& job) const {
 
 void Engine::submit_job(const workload::Job& job) {
     scheduler_->on_job_submitted(job);
-    job_remaining_[job.id] = job.queries.size();
+    if (job.queries.empty()) return;
+    util::SlotIndex::Slot remaining = job_remaining_.find(job.id);
+    if (remaining == util::SlotIndex::kNone) remaining = job_remaining_.insert(job.id);
+    job_remaining_[remaining] = job.queries.size();
     for (const auto& q : job.queries) {
-        if (runtime_index_.contains(q.id)) continue;  // an id is admitted once
-        const util::SlotIndex::Slot slot = runtime_.emplace_back();
-        QueryRuntime& rt = runtime_[slot];
+        if (runtime_.contains(q.id)) continue;  // an id is admitted once
+        QueryRuntime& rt = runtime_[runtime_.insert(q.id)];
         rt.query = &q;
         rt.job = &job;
         rt.outstanding = q.footprint.size();
-        runtime_index_.insert(q.id, slot);
-    }
-    if (job.queries.empty()) {
-        job_remaining_.erase(job.id);
-        return;
     }
     if (job.type == workload::JobType::kOrdered) {
         // Only the head is visible; successors appear as predecessors finish.
@@ -790,14 +787,14 @@ void Engine::complete_query(QueryRuntime& rt) {
         prefetcher_->forget(job.id);
     }
 
-    auto it = job_remaining_.find(job.id);
-    assert(it != job_remaining_.end());
-    if (--it->second == 0) {
+    const util::SlotIndex::Slot remaining = job_remaining_.find(job.id);
+    assert(remaining != util::SlotIndex::kNone);
+    if (--job_remaining_[remaining] == 0) {
         const double span_ms = (now - job.arrival).millis();
         job_span_ms_sum_ += span_ms;
         job_spans_.push_back(span_ms);
         ++jobs_done_;
-        job_remaining_.erase(it);
+        job_remaining_.erase(job.id);
     }
 }
 
@@ -977,7 +974,7 @@ RunReport Engine::run(const workload::Workload& workload) {
 
     const std::size_t total = workload.total_queries();
     outcomes_.reserve(total);
-    runtime_index_.reserve(total);
+    runtime_.reserve(total);
     for (const workload::Job& job : workload.jobs)
         events_.schedule(job.arrival, kPriArrival, node_id_.value(),
                          [this, &job] { inject_job(job); });

@@ -53,7 +53,6 @@
 #include <memory>
 #include <queue>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/buffer_cache.h"
@@ -390,13 +389,12 @@ class Engine {
     std::vector<storage::AtomId> prefetch_queue_;
     std::vector<storage::ReadResult> prefetch_read_;  ///< Per-channel stash.
 
-    /// Runtime state of every injected query, in injection order (a run
-    /// never drops one), found through runtime_index_.
-    util::SlotTable<QueryRuntime> runtime_;
-    util::SlotIndex runtime_index_;  ///< QueryId -> slot in runtime_.
+    /// QueryId -> runtime state of every injected query, in injection order
+    /// (a run never drops one).
+    util::SlotMap<QueryRuntime> runtime_;
     /// The runtime slot of an injected query.
     util::SlotIndex::Slot runtime_slot_of(workload::QueryId id) const noexcept {
-        const util::SlotIndex::Slot slot = runtime_index_.find(id);
+        const util::SlotIndex::Slot slot = runtime_.find(id);
         assert(slot != util::SlotIndex::kNone);
         return slot;
     }
@@ -407,7 +405,8 @@ class Engine {
                         std::greater<VisibilityEvent>>
         visibility_;
     std::vector<const workload::Job*> due_jobs_;  ///< Arrived, not yet admitted.
-    std::unordered_map<workload::JobId, std::size_t> job_remaining_;
+    /// JobId -> queries of the job not yet complete.
+    util::SlotMap<std::size_t> job_remaining_;
     std::vector<QueryOutcome> outcomes_;
     ActiveBatch batch_;
     bool dispatch_pending_ = false;

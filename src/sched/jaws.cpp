@@ -1,6 +1,5 @@
 #include "sched/jaws.h"
 
-#include <cassert>
 #include <cstdio>
 
 namespace jaws::sched {
@@ -22,18 +21,15 @@ std::string JawsScheduler::name() const {
 
 void JawsScheduler::on_job_submitted(const workload::Job& job) {
     graph_.add_job(job);
-    for (const auto& q : job.queries) queries_[q.id] = &q;
 }
 
 void JawsScheduler::enqueue_query(workload::QueryId id, util::SimTime now) {
-    const auto it = queries_.find(id);
-    assert(it != queries_.end());
+    const workload::Query& q = graph_.query(id);
     util::SimTime deadline{INT64_MAX};
     if (config_.qos.enabled) {
         // Size-proportional completion guarantee (paper Sec. VII): a query's
         // deadline scales with its own estimated service time, so short
         // queries are promised short waits and long queries long ones.
-        const workload::Query& q = *it->second;
         const double est_ms =
             manager_.cost().t_b_ms * static_cast<double>(q.footprint.size()) +
             manager_.cost().t_m_ms * static_cast<double>(q.total_positions());
@@ -42,7 +38,7 @@ void JawsScheduler::enqueue_query(workload::QueryId id, util::SimTime now) {
         ++qos_stats_.guaranteed;
     }
     split_.clear();
-    preprocess(*it->second, now, split_);
+    preprocess(q, now, split_);
     for (SubQuery& sub : split_) {
         sub.deadline = deadline;
         manager_.enqueue(sub);
@@ -59,7 +55,6 @@ void JawsScheduler::on_query_visible(const workload::Query& query, util::SimTime
 void JawsScheduler::on_query_completed(workload::QueryId query, util::SimTime response,
                                        util::SimTime now) {
     for (const workload::QueryId id : graph_.on_query_done(query)) enqueue_query(id, now);
-    queries_.erase(query);
     if (config_.qos.enabled) {
         const auto it = deadlines_.find(query);
         if (it != deadlines_.end()) {

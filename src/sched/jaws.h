@@ -71,7 +71,6 @@ class JawsScheduler final : public Scheduler {
     WorkloadManager manager_;
     PrecedenceGraph graph_;
     AdaptiveAlphaController controller_;
-    std::unordered_map<workload::QueryId, const workload::Query*> queries_;
     std::unordered_map<workload::QueryId, util::SimTime> deadlines_;
     QosStats qos_stats_;
     std::vector<SubQuery> split_;          ///< preprocess buffer, reused per query.

@@ -75,17 +75,17 @@ void PrecedenceGraph::Contracted::add_edge(Slot from, Slot to) {
     tail_[from] = e;
 }
 
-bool PrecedenceGraph::Contracted::acyclic(const std::vector<Node>& slots) {
+bool PrecedenceGraph::Contracted::acyclic(const util::SlotMap<Node>& slots) {
     indegree_.assign(parent_.size(), 0);
     stack_.clear();
     std::size_t components = 0;
-    for (Slot s = 0; s < slots.size(); ++s) {
+    for (Slot s = 0; s < slots.slots(); ++s) {
         if (slots[s].state == QueryState::kDone || find(s) != s) continue;
         ++components;
         for (std::uint32_t e = head_[s]; e != kNoEdge; e = next_[e])
             if (const Slot t = find(target_[e]); t != s) ++indegree_[t];
     }
-    for (Slot s = 0; s < slots.size(); ++s)
+    for (Slot s = 0; s < slots.slots(); ++s)
         if (slots[s].state != QueryState::kDone && find(s) == s && indegree_[s] == 0)
             stack_.push_back(s);
     std::size_t sorted = 0;
@@ -146,12 +146,18 @@ void PrecedenceGraph::Contracted::merge(Slot nl, std::span<const Slot> admit) {
 // --- PrecedenceGraph ---------------------------------------------------------
 
 PrecedenceGraph::Slot PrecedenceGraph::slot_of(workload::QueryId id) const {
-    return index_.find(id);
+    return slots_.find(id);
 }
 
 QueryState PrecedenceGraph::state(workload::QueryId id) const {
     const Slot s = slot_of(id);
     return s == kNoSlot ? QueryState::kDone : slots_[s].state;
+}
+
+const workload::Query& PrecedenceGraph::query(workload::QueryId id) const {
+    const Slot s = slot_of(id);
+    assert(s != kNoSlot);
+    return *slots_[s].query;
 }
 
 int PrecedenceGraph::gating_number(workload::QueryId id) const {
@@ -166,22 +172,14 @@ std::size_t PrecedenceGraph::partner_count(workload::QueryId id) const {
 
 PrecedenceGraph::Slot PrecedenceGraph::allocate(const workload::Query& query,
                                                 workload::JobId job) {
-    Slot s;
-    if (free_.empty()) {
-        s = static_cast<Slot>(slots_.size());
-        slots_.emplace_back();
-    } else {
-        s = free_.back();
-        free_.pop_back();
-    }
+    const Slot s = slots_.insert(query.id);
     Node& node = slots_[s];
-    node.id = query.id;
+    node.query = &query;
     node.job = job;
     node.seq = query.seq_in_job;
     node.state = QueryState::kWait;
     node.gating_number = 0;
     node.visible_tick = 0;
-    index_.insert(query.id, s);
     return s;
 }
 
@@ -261,8 +259,8 @@ bool PrecedenceGraph::edge_allowed_between(const JobEntry& mine, const Node& a,
 }
 
 void PrecedenceGraph::contract(Contracted& graph) const {
-    graph.reset(slots_.size());
-    for (Slot s = 0; s < slots_.size(); ++s)
+    graph.reset(slots_.slots());
+    for (Slot s = 0; s < slots_.slots(); ++s)
         for (const Slot p : slots_[s].partners)
             if (p > s) graph.unite(s, p);
     // Consecutive live queries of each ordered chain; self-loops drop.
@@ -374,7 +372,7 @@ std::vector<workload::QueryId> PrecedenceGraph::promote_from(std::span<const Slo
         if (node.state != QueryState::kReady || !gating_satisfied(node)) continue;
         node.state = QueryState::kQueue;
         --ready_count_;
-        promoted.push_back(node.id);
+        promoted.push_back(node.query->id);
     }
     return promoted;
 }
@@ -406,13 +404,12 @@ std::vector<workload::QueryId> PrecedenceGraph::on_query_done(workload::QueryId 
     if (node.partners.size() >= 2) may_cycle_ = true;  // its component may split
     node.partners.clear();
     node.state = QueryState::kDone;
-    free_.push_back(s);
-    index_.erase(id);
     auto it = jobs_.find(node.job);
     if (it != jobs_.end()) {
         it->second.chain[node.seq] = kNoSlot;
         if (--it->second.remaining == 0) jobs_.erase(it);
     }
+    slots_.erase(id);
     // Pruning cannot newly satisfy a gate (DONE already satisfied it), so no
     // promotions result; kept as a hook point for symmetry.
     JAWS_AUDIT(audit());
@@ -421,37 +418,39 @@ std::vector<workload::QueryId> PrecedenceGraph::on_query_done(workload::QueryId 
 
 std::vector<workload::QueryId> PrecedenceGraph::force_promote_oldest_ready() {
     Node* oldest = nullptr;
-    for (Node& node : slots_) {
+    for (Slot s = 0; s < slots_.slots(); ++s) {
+        Node& node = slots_[s];
         if (node.state != QueryState::kReady) continue;
         const bool older = oldest == nullptr || node.visible_tick < oldest->visible_tick ||
-                           (node.visible_tick == oldest->visible_tick && node.id < oldest->id);
+                           (node.visible_tick == oldest->visible_tick &&
+                            node.query->id < oldest->query->id);
         if (older) oldest = &node;
     }
     if (oldest == nullptr) return {};
     oldest->state = QueryState::kQueue;
     --ready_count_;
     ++stats_.forced_promotions;
-    return {oldest->id};
+    return {oldest->query->id};
 }
 
 bool PrecedenceGraph::check_invariants() const {
+    if (!slots_.audit()) return false;
     std::size_t ready = 0;
-    std::size_t live = 0;
-    for (Slot s = 0; s < slots_.size(); ++s) {
+    for (Slot s = 0; s < slots_.slots(); ++s) {
         const Node& node = slots_[s];
-        if (node.state == QueryState::kDone) {
-            if (!node.partners.empty()) return false;  // a free slot keeps no edges
+        if (!slots_.live(s)) {
+            if (node.state != QueryState::kDone || !node.partners.empty())
+                return false;  // a free slot is DONE and keeps no edges
             continue;
         }
-        ++live;
+        if (node.state == QueryState::kDone) return false;  // a live query is not DONE
         if (node.state == QueryState::kReady) ++ready;
-        if (slot_of(node.id) != s) return false;  // index disagrees
         const auto job = jobs_.find(node.job);
         if (job == jobs_.end() || node.seq >= job->second.chain.size() ||
             job->second.chain[node.seq] != s)
             return false;  // chain disagrees
         for (const Slot p : node.partners) {
-            if (p >= slots_.size() || slots_[p].state == QueryState::kDone)
+            if (p >= slots_.slots() || slots_[p].state == QueryState::kDone)
                 return false;  // dangling edge
             const Node& pn = slots_[p];
             if (pn.job == node.job) return false;  // intra-job gating edge
@@ -465,15 +464,13 @@ bool PrecedenceGraph::check_invariants() const {
         }
     }
     if (ready != ready_count_) return false;
-    if (!index_.audit() || live != index_.size() || live + free_.size() != slots_.size())
-        return false;
     for (const auto& [id, entry] : jobs_) {
         std::size_t alive = 0;
         for (std::size_t seq = 0; seq < entry.chain.size(); ++seq) {
             const Slot s = entry.chain[seq];
             if (s == kNoSlot) continue;
-            if (s >= slots_.size() || slots_[s].state == QueryState::kDone ||
-                slots_[s].id != entry.job->queries[seq].id)
+            if (s >= slots_.slots() || slots_[s].state == QueryState::kDone ||
+                slots_[s].query != &entry.job->queries[seq])
                 return false;
             ++alive;
         }

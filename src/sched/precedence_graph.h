@@ -19,9 +19,9 @@
 // over the constraint graph with gating components contracted), which makes
 // the "does not cause a deadlock in scheduling" condition precise.
 //
-// Nodes live in a dense slot vector with a free list; partner lists and each
-// job's chain hold slot indices, and one QueryId -> slot util::SlotIndex
-// serves the public API. The contracted graph is built at most once per add_job call
+// Nodes live in a util::SlotMap keyed by query id; partner lists and each
+// job's chain hold slot indices. The contracted graph is built at most once
+// per add_job call
 // (at its first deadlock check) and answers each candidate edge with a local
 // cycle search; see DESIGN.md, "Exact deadlock check".
 #pragma once
@@ -85,6 +85,9 @@ class PrecedenceGraph {
 
     /// Current state of a query (kDone for unknown/pruned ids).
     QueryState state(workload::QueryId id) const;
+    /// The query `id` names, as registered by add_job; requires a query
+    /// that is not yet DONE.
+    const workload::Query& query(workload::QueryId id) const;
     /// Gating number G(q): gating-edged queries in the job prefix up to and
     /// including q (paper Fig. 3's annotation). 0 for unknown ids.
     int gating_number(workload::QueryId id) const;
@@ -111,9 +114,10 @@ class PrecedenceGraph {
     using Slot = util::SlotIndex::Slot;
     static constexpr Slot kNoSlot = util::SlotIndex::kNone;
 
-    /// One query. A kDone node is a free slot, listed in `free_`.
+    /// One query, keyed by its id. A pruned query's slot is free, its node
+    /// reset to kDone with no partners.
     struct Node {
-        workload::QueryId id = 0;
+        const workload::Query* query = nullptr;  ///< Owned by the job (see add_job).
         workload::JobId job = 0;
         std::uint32_t seq = 0;
         QueryState state = QueryState::kDone;
@@ -143,7 +147,7 @@ class PrecedenceGraph {
         /// Out-edge from root `from` to the component of `to`.
         void add_edge(Slot from, Slot to);
         /// Kahn's algorithm over the components of the live `slots`.
-        bool acyclic(const std::vector<Node>& slots);
+        bool acyclic(const util::SlotMap<Node>& slots);
         /// Whether merging the components of `nl` and `admit` closes a
         /// cycle: a forward search from the merged set's out-neighbours,
         /// through other components only, reaches the set again. Requires an
@@ -182,9 +186,7 @@ class PrecedenceGraph {
     void recompute_gating_numbers(const JobEntry& entry);
 
     bool gating_enabled_;
-    std::vector<Node> slots_;
-    std::vector<Slot> free_;
-    util::SlotIndex index_;  ///< QueryId -> slot of its node.
+    util::SlotMap<Node> slots_;  ///< QueryId -> its node.
     std::map<workload::JobId, JobEntry> jobs_;
     GatingStats stats_;
     std::size_t ready_count_ = 0;

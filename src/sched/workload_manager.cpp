@@ -15,54 +15,8 @@ WorkloadManager::WorkloadManager(const CostConstants& cost, const ResidencyProbe
     if (cost_.atoms_per_step == 0) cost_.atoms_per_step = 1;
 }
 
-std::uint32_t WorkloadManager::Slab::acquire() {
-    std::uint32_t i = free_;
-    if (i != kNil) {
-        free_ = (*this)[i].next;
-    } else {
-        i = blocks_.emplace_back();
-    }
-    (*this)[i].next = kNil;
-    ++in_use_;
-    return i;
-}
-
-void WorkloadManager::Slab::release(std::uint32_t first, std::uint32_t last,
-                                    std::size_t blocks) noexcept {
-    (*this)[last].next = free_;
-    free_ = first;
-    in_use_ -= blocks;
-}
-
-bool WorkloadManager::Slab::free_list_intact() const {
-    std::vector<bool> seen(blocks_.size(), false);
-    std::size_t free = 0;
-    for (std::uint32_t i = free_; i != kNil; i = (*this)[i].next) {
-        if (i >= blocks_.size() || seen[i]) return false;
-        seen[i] = true;
-        ++free;
-    }
-    return free + in_use_ == blocks_.size();
-}
-
 double WorkloadManager::probe_phi(const storage::AtomId& atom) const {
     return (probe_ != nullptr && probe_->resident(atom)) ? 0.0 : 1.0;
-}
-
-WorkloadManager::Slot WorkloadManager::open_queue(const storage::AtomId& atom) {
-    Slot slot;
-    if (free_queues_.empty()) {
-        slot = queues_.emplace_back();
-    } else {
-        slot = free_queues_.back();
-        free_queues_.pop_back();
-    }
-    AtomQueue& q = queues_[slot];
-    q.atom = atom.key();
-    q.phi = probe_phi(atom);
-    queue_index_.insert(atom.key().value(), slot);
-    ++pending_atoms_;
-    return slot;
 }
 
 double WorkloadManager::compute_utility(const AtomQueue& q) const {
@@ -96,7 +50,7 @@ void WorkloadManager::retire_step(StepMap::iterator it) {
 
 void WorkloadManager::index_insert(Slot slot) {
     AtomQueue& q = queues_[slot];
-    const std::uint32_t t = step_of(q);
+    const std::uint32_t t = step_of(slot);
     auto step = steps_.find(t);
     if (step == steps_.end()) {
         if (spare_steps_.empty()) {
@@ -111,13 +65,13 @@ void WorkloadManager::index_insert(Slot slot) {
     }
     StepAgg& agg = step->second;
     q.member = static_cast<std::uint32_t>(agg.members.size());
-    agg.members.push_back(Member{q.atom, slot});
+    agg.members.push_back(Member{atom_of(slot), slot});
     index_add(slot, agg);
 }
 
 void WorkloadManager::index_rerank(Slot slot) {
     AtomQueue& q = queues_[slot];
-    const auto it = steps_.find(step_of(q));
+    const auto it = steps_.find(step_of(slot));
     assert(it != steps_.end());
     StepAgg& agg = it->second;
     if (agg.members.size() == 1) {
@@ -142,13 +96,14 @@ void WorkloadManager::index_add(Slot slot, StepAgg& agg) {
     // Push the new rank; the queue's previous entry goes stale.
     const bool top_stale = !ranking_.empty() && ranking_.front().stamp == q.stamp;
     q.stamp = ++stamps_;
-    ranking_.push_back(RankEntry{-q.key, q.atom, q.stamp, slot});
+    ranking_.push_back(RankEntry{-q.key, atom_of(slot), q.stamp, slot});
     std::push_heap(ranking_.begin(), ranking_.end(), ranks_after);
     trim_ranking(top_stale);
 }
 
-void WorkloadManager::index_erase(const AtomQueue& q) {
-    const auto it = steps_.find(step_of(q));
+void WorkloadManager::index_erase(Slot slot) {
+    const AtomQueue& q = queues_[slot];
+    const auto it = steps_.find(step_of(slot));
     assert(it != steps_.end());
     StepAgg& agg = it->second;
     agg.utility_sum -= q.utility;
@@ -161,7 +116,7 @@ void WorkloadManager::index_erase(const AtomQueue& q) {
 }
 
 void WorkloadManager::trim_ranking(bool top_stale) {
-    if (ranking_.size() > 2 * pending_atoms_) {
+    if (ranking_.size() > 2 * queues_.size()) {
         std::erase_if(ranking_, [this](const RankEntry& e) { return !live(e); });
         std::make_heap(ranking_.begin(), ranking_.end(), ranks_after);
         return;
@@ -176,9 +131,12 @@ void WorkloadManager::trim_ranking(bool top_stale) {
 void WorkloadManager::enqueue(const SubQuery& sub) {
     Slot slot = slot_of(sub.atom);
     const bool fresh = slot == util::SlotIndex::kNone;
-    if (fresh) slot = open_queue(sub.atom);
+    if (fresh) slot = queues_.insert(sub.atom.key().value());
     AtomQueue& q = queues_[slot];
-    if (fresh) q.oldest = sub.enqueue_time;
+    if (fresh) {
+        q.phi = probe_phi(sub.atom);
+        q.oldest = sub.enqueue_time;
+    }
     if (sub.deadline < q.min_deadline) {
         if (q.min_deadline != util::SimTime::max())
             deadlines_.erase({q.min_deadline, sub.atom.key()});
@@ -188,6 +146,7 @@ void WorkloadManager::enqueue(const SubQuery& sub) {
     const std::size_t fill = q.count % kBlockSubqueries;
     if (fill == 0) {  // the tail block is full (or there is none yet)
         const std::uint32_t block = slab_.acquire();
+        slab_[block].next = kNil;
         if (q.tail == kNil)
             q.head = block;
         else
@@ -210,26 +169,25 @@ void WorkloadManager::drain_atom(const storage::AtomId& atom, std::vector<SubQue
     const Slot slot = slot_of(atom);
     if (slot == util::SlotIndex::kNone) return;
     AtomQueue& q = queues_[slot];
-    index_erase(q);
+    index_erase(slot);
     if (q.min_deadline != util::SimTime::max())
         deadlines_.erase({q.min_deadline, atom.key()});
     std::size_t left = q.count;
-    for (std::uint32_t block = q.head; block != kNil; block = slab_[block].next) {
+    for (std::uint32_t block = q.head; block != kNil;) {
+        const Block& b = slab_[block];
         const std::size_t n = std::min(left, kBlockSubqueries);
-        const auto& subs = slab_[block].subs;
-        out.insert(out.end(), subs.begin(), subs.begin() + static_cast<std::ptrdiff_t>(n));
+        out.insert(out.end(), b.subs.begin(), b.subs.begin() + static_cast<std::ptrdiff_t>(n));
         left -= n;
+        slab_.release(block);  // keeps `b` intact for the read of its next
+        block = b.next;
     }
-    slab_.release(q.head, q.tail, (q.count + kBlockSubqueries - 1) / kBlockSubqueries);
     total_positions_ -= q.positions;
     total_subqueries_ -= q.count;
     const bool top_stale = ranking_.front().stamp == q.stamp;
-    // Free the slot (stamp 0 retires its ranking entries) for the next
-    // queue that opens.
+    // Reset the slot (stamp 0 retires its ranking entries) for the next
+    // queue that opens in it.
     q = AtomQueue{};
-    queue_index_.erase(atom.key().value());
-    free_queues_.push_back(slot);
-    --pending_atoms_;
+    queues_.erase(atom.key().value());
     trim_ranking(top_stale);
     JAWS_AUDIT((++audit_tick_ & 63) == 0 && audit());
 }
@@ -322,22 +280,15 @@ void WorkloadManager::rebuild_index() {
     // accumulation order must not depend on the slot layout (which follows
     // the drain history) for the aggregates to be reproducible.
     std::vector<std::pair<storage::AtomKey, Slot>> open;
-    open.reserve(pending_atoms_);
-    for (Slot s = 0; s < queues_.size(); ++s)
-        if (queues_[s].count > 0) open.emplace_back(queues_[s].atom, s);
+    open.reserve(queues_.size());
+    for (Slot s = 0; s < queues_.slots(); ++s)
+        if (queues_.live(s)) open.emplace_back(atom_of(s), s);
     std::sort(open.begin(), open.end());
     for (const auto& [atom, slot] : open) index_insert(slot);
     JAWS_AUDIT(audit());
 }
 
 bool WorkloadManager::audit() const {
-    bool ok = true;
-    const auto check = [&](bool cond, const char* expr, const char* msg) {
-        if (!cond) {
-            ok = false;
-            util::contract_violation(__FILE__, __LINE__, expr, msg);
-        }
-    };
     // The incremental step aggregates accumulate floating-point sums in
     // insertion order; re-deriving them in sorted order is only equal up to
     // rounding, so aggregate comparisons use a relative tolerance.
@@ -345,21 +296,8 @@ bool WorkloadManager::audit() const {
         return std::abs(a - b) <= 1e-9 * (1.0 + std::abs(a) + std::abs(b));
     };
 
-    // Queue slots: the free list names every free slot once, the index maps
-    // each open queue's atom to its slot and nothing else.
-    std::vector<bool> free(queues_.size(), false);
-    for (const Slot b : free_queues_) {
-        check(b < queues_.size() && !free[b] && queues_[b].count == 0 &&
-                  queues_[b].stamp == 0,
-              "free slot listed once and empty",
-              "WorkloadManager: queue free list corrupt");
-        if (b < queues_.size()) free[b] = true;
-    }
-    check(queue_index_.audit() && queue_index_.size() == pending_atoms_ &&
-              pending_atoms_ + free_queues_.size() == queues_.size(),
-          "one index entry per open queue",
-          "WorkloadManager: atom index size out of sync with the queue slots");
-
+    bool ok = queues_.audit();
+    ok &= slab_.audit();
     std::uint64_t positions = 0;
     std::size_t subqueries = 0;
     std::map<std::uint32_t, std::pair<double, std::size_t>> step_sums;  // (U_t sum, atoms)
@@ -368,14 +306,16 @@ bool WorkloadManager::audit() const {
     // Brute-force best of the ranking: the smallest (-key, atom key).
     std::optional<std::pair<double, storage::AtomKey>> best;
     std::size_t blocks = 0;
-    for (Slot slot = 0; slot < queues_.size(); ++slot) {
-        if (free[slot]) continue;
+    for (Slot slot = 0; slot < queues_.slots(); ++slot) {
         const AtomQueue& q = queues_[slot];
-        const storage::AtomId atom = storage::AtomId::from_key(q.atom);
-        check(q.count > 0 && q.head != kNil, "no empty atom queue is retained",
-              "WorkloadManager: empty workload queue left open");
-        check(slot_of(atom) == slot, "index maps the queue's atom to its slot",
-              "WorkloadManager: atom index out of sync with the queue slots");
+        if (!queues_.live(slot)) {
+            ok &= JAWS_AUDIT_CHECK(q.count == 0 && q.head == kNil && q.stamp == 0,
+                                   "WorkloadManager: drained queue slot not reset");
+            continue;
+        }
+        const storage::AtomId atom = storage::AtomId::from_key(atom_of(slot));
+        ok &= JAWS_AUDIT_CHECK(q.count > 0 && q.head != kNil,
+                               "WorkloadManager: empty workload queue left open");
         std::uint64_t queue_positions = 0;
         util::SimTime oldest = q.head == kNil ? util::SimTime::zero()
                                               : slab_[q.head].subs[0].enqueue_time;
@@ -386,8 +326,9 @@ bool WorkloadManager::audit() const {
         for (std::uint32_t b = q.head; b != kNil && length < q.count; b = slab_[b].next) {
             for (std::size_t i = 0; i < kBlockSubqueries && length < q.count; ++i, ++length) {
                 const SubQuery& sub = slab_[b].subs[i];
-                check(sub.atom == atom, "queued sub-query targets its queue's atom",
-                      "WorkloadManager: sub-query threaded into another atom's queue");
+                ok &= JAWS_AUDIT_CHECK(
+                    sub.atom == atom,
+                    "WorkloadManager: sub-query threaded into another atom's queue");
                 queue_positions += sub.positions;
                 oldest = std::min(oldest, sub.enqueue_time);
                 min_deadline = std::min(min_deadline, sub.deadline);
@@ -395,34 +336,33 @@ bool WorkloadManager::audit() const {
             last = b;
             ++chain;
         }
-        check(length == q.count && last == q.tail &&
-                  chain == (q.count + kBlockSubqueries - 1) / kBlockSubqueries &&
-                  (last == kNil || slab_[last].next == kNil),
-              "queue list matches count and tail",
-              "WorkloadManager: atom queue list broken or miscounted");
+        ok &= JAWS_AUDIT_CHECK(length == q.count && last == q.tail &&
+                                   chain == (q.count + kBlockSubqueries - 1) / kBlockSubqueries &&
+                                   (last == kNil || slab_[last].next == kNil),
+                               "WorkloadManager: atom queue list broken or miscounted");
         blocks += chain;
-        check(q.positions == queue_positions, "cached positions re-derive",
-              "WorkloadManager: per-atom position count out of sync");
-        check(q.oldest == oldest, "cached oldest re-derives",
-              "WorkloadManager: per-atom oldest enqueue time out of sync");
-        check(q.min_deadline == min_deadline, "cached min deadline re-derives",
-              "WorkloadManager: per-atom deadline cache out of sync");
+        ok &= JAWS_AUDIT_CHECK(q.positions == queue_positions,
+                               "WorkloadManager: per-atom position count out of sync");
+        ok &= JAWS_AUDIT_CHECK(q.oldest == oldest,
+                               "WorkloadManager: per-atom oldest enqueue time out of sync");
+        ok &= JAWS_AUDIT_CHECK(q.min_deadline == min_deadline,
+                               "WorkloadManager: per-atom deadline cache out of sync");
         // jaws-lint: allow(float-equality) -- phi is exactly 0.0 or 1.0 on
         // both sides; a mismatch is a residency flip that never reached
         // on_residency_changed().
-        check(q.phi == probe_phi(atom), "cached phi equals the probe",
-              "WorkloadManager: residency flip not reported (stale phi)");
-        check(close(q.utility, compute_utility(q)), "cached U_t re-derives",
-              "WorkloadManager: cached utility out of sync with Eq. 1");
-        check(close(q.key, compute_key(q)), "cached key re-derives",
-              "WorkloadManager: cached ranking key out of sync with Eq. 2");
+        ok &= JAWS_AUDIT_CHECK(q.phi == probe_phi(atom),
+                               "WorkloadManager: residency flip not reported (stale phi)");
+        ok &= JAWS_AUDIT_CHECK(close(q.utility, compute_utility(q)),
+                               "WorkloadManager: cached utility out of sync with Eq. 1");
+        ok &= JAWS_AUDIT_CHECK(close(q.key, compute_key(q)),
+                               "WorkloadManager: cached ranking key out of sync with Eq. 2");
         const std::pair rank(-q.key, atom.key());
         if (!best || rank < *best) best = rank;
         const auto step = steps_.find(atom.timestep);
-        check(step != steps_.end() && q.member < step->second.members.size() &&
-                  step->second.members[q.member].slot == slot,
-              "member entry points back at the queue",
-              "WorkloadManager: atom missing from its step's member list");
+        ok &= JAWS_AUDIT_CHECK(step != steps_.end() &&
+                                   q.member < step->second.members.size() &&
+                                   step->second.members[q.member].slot == slot,
+                               "WorkloadManager: atom missing from its step's member list");
         positions += queue_positions;
         subqueries += q.count;
         auto& sums = step_sums[atom.timestep];
@@ -431,70 +371,59 @@ bool WorkloadManager::audit() const {
         step_key_sums[atom.timestep] += q.key;
         if (min_deadline != util::SimTime::max()) {
             ++deadlined;
-            check(deadlines_.count({min_deadline, atom.key()}) == 1,
-                  "deadline index entry present",
-                  "WorkloadManager: deadlined atom missing from the index");
+            ok &= JAWS_AUDIT_CHECK(deadlines_.count({min_deadline, atom.key()}) == 1,
+                                   "WorkloadManager: deadlined atom missing from the index");
         }
     }
-    check(positions == total_positions_, "total positions re-derive",
-          "WorkloadManager: global position total out of sync");
-    check(subqueries == total_subqueries_, "total sub-queries re-derive",
-          "WorkloadManager: global sub-query total out of sync");
-    // Slab: every block in use sits on exactly one queue list, and every
-    // other block on the free list.
-    check(blocks == slab_.in_use(), "blocks in use == blocks on queue lists",
-          "WorkloadManager: slab block leaked or shared between queues");
-    check(slab_.free_list_intact(), "slab free list intact",
-          "WorkloadManager: slab free list corrupt");
+    ok &= JAWS_AUDIT_CHECK(positions == total_positions_,
+                           "WorkloadManager: global position total out of sync");
+    ok &= JAWS_AUDIT_CHECK(subqueries == total_subqueries_,
+                           "WorkloadManager: global sub-query total out of sync");
+    // Slab: every block in use sits on exactly one queue list.
+    ok &= JAWS_AUDIT_CHECK(blocks == slab_.size(),
+                           "WorkloadManager: slab block leaked or shared between queues");
     // Ranking heap: a valid heap, bounded by compaction, with exactly one
     // live entry per pending atom at its current key, and a live top that
     // is the brute-force best.
-    check(std::is_heap(ranking_.begin(), ranking_.end(), ranks_after), "ranking is a heap",
-          "WorkloadManager: ranking heap order violated");
-    check(ranking_.size() <= 2 * pending_atoms_, "|ranking| <= 2 * pending atoms",
-          "WorkloadManager: stale ranking entries not compacted");
+    ok &= JAWS_AUDIT_CHECK(std::is_heap(ranking_.begin(), ranking_.end(), ranks_after),
+                           "WorkloadManager: ranking heap order violated");
+    ok &= JAWS_AUDIT_CHECK(ranking_.size() <= 2 * queues_.size(),
+                           "WorkloadManager: stale ranking entries not compacted");
     std::size_t live_entries = 0;
     for (const RankEntry& e : ranking_) {
-        if (e.slot >= queues_.size()) {
-            check(false, "ranking entry names a queue slot",
-                  "WorkloadManager: ranking entry past the queue slots");
-            continue;
-        }
-        if (!live(e)) continue;
+        const bool in_map = JAWS_AUDIT_CHECK(e.slot < queues_.slots(),
+                                             "WorkloadManager: ranking entry past the queue slots");
+        ok &= in_map;
+        if (!in_map || !live(e)) continue;
         ++live_entries;
-        const AtomQueue& q = queues_[e.slot];
-        check(q.atom == e.atom && close(e.neg_key, -q.key),
-              "live entry names its queue at the current key",
-              "WorkloadManager: live ranking entry carries a stale key");
+        ok &= JAWS_AUDIT_CHECK(atom_of(e.slot) == e.atom && close(e.neg_key, -queues_[e.slot].key),
+                               "WorkloadManager: live ranking entry carries a stale key");
     }
-    check(live_entries == pending_atoms_, "one live ranking entry per atom",
-          "WorkloadManager: live ranking entries out of sync with the queues");
-    check(ranking_.empty() == (pending_atoms_ == 0) &&
-              (ranking_.empty() || (live(ranking_.front()) &&
-                                    ranking_.front().atom == best->second)),
-          "live top is the brute-force best",
-          "WorkloadManager: ranking top is stale or not the best atom");
-    check(deadlines_.size() == deadlined, "one deadline entry per deadlined atom",
-          "WorkloadManager: deadline index size out of sync");
-    check(steps_.size() == step_sums.size(), "one aggregate per pending step",
-          "WorkloadManager: stale per-step aggregate retained");
+    ok &= JAWS_AUDIT_CHECK(live_entries == queues_.size(),
+                           "WorkloadManager: live ranking entries out of sync with the queues");
+    ok &= JAWS_AUDIT_CHECK(ranking_.empty() == queues_.empty() &&
+                               (ranking_.empty() || (live(ranking_.front()) &&
+                                                     ranking_.front().atom == best->second)),
+                           "WorkloadManager: ranking top is stale or not the best atom");
+    ok &= JAWS_AUDIT_CHECK(deadlines_.size() == deadlined,
+                           "WorkloadManager: deadline index size out of sync");
+    ok &= JAWS_AUDIT_CHECK(steps_.size() == step_sums.size(),
+                           "WorkloadManager: stale per-step aggregate retained");
     for (const auto& [t, agg] : steps_) {
         const auto sums = step_sums.find(t);
         if (sums == step_sums.end()) continue;  // size mismatch reported above
-        check(agg.members.size() == sums->second.second, "step atom count re-derives",
-              "WorkloadManager: per-step atom count out of sync");
+        ok &= JAWS_AUDIT_CHECK(agg.members.size() == sums->second.second,
+                               "WorkloadManager: per-step atom count out of sync");
         for (std::size_t i = 0; i < agg.members.size(); ++i) {
             const Member& m = agg.members[i];
-            check(m.slot < queues_.size() && !free[m.slot] &&
-                      queues_[m.slot].atom == m.atom && queues_[m.slot].member == i,
-                  "member names its own queue",
-                  "WorkloadManager: step member list out of sync with the queues");
+            ok &= JAWS_AUDIT_CHECK(m.slot < queues_.slots() && queues_.live(m.slot) &&
+                                       atom_of(m.slot) == m.atom && queues_[m.slot].member == i,
+                                   "WorkloadManager: step member list out of sync with the queues");
         }
-        check(close(agg.utility_sum, sums->second.first),
-              "step utility sum re-derives",
-              "WorkloadManager: per-step utility aggregate out of sync");
-        check(close(agg.key_sum, step_key_sums[t]), "step key sum re-derives",
-              "WorkloadManager: per-step key aggregate out of sync");
+        ok &= JAWS_AUDIT_CHECK(close(agg.utility_sum, sums->second.first),
+                               "WorkloadManager: per-step utility aggregate out of sync");
+        ok &= JAWS_AUDIT_CHECK(close(agg.key_sum, step_key_sums[t]),
+                               "WorkloadManager: per-step key aggregate out of sync");
     }
     return ok;
 }

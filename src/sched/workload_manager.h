@@ -16,16 +16,15 @@
 //     mean, returned in Morton order;
 //   * the UtilityOracle interface URC reads for cache coordination.
 //
-// Pending sub-queries live in one slab of small fixed-size blocks recycled
-// through a free list. Each atom's workload queue is a FIFO list of blocks
+// Pending sub-queries live in one slab of small fixed-size blocks, a
+// util::SlotPool. Each atom's workload queue is a FIFO list of blocks
 // threaded through the slab (head, tail, next). The queues themselves live
-// in a util::SlotTable found through a util::SlotIndex keyed by the atom's
-// clustered-index key; a drained queue's slot goes on a free list for the
-// next queue that opens, and the map nodes of emptied steps are kept for
-// reuse, so in steady state neither enqueue nor drain allocates. The slab is
-// shared by all atoms, so the memory held follows the peak of the total
-// pending work (plus at most one partly filled block per pending atom), not
-// the sum of per-atom peaks.
+// in a util::SlotMap keyed by the atom's clustered-index key; a drained
+// queue's slot is the next one a queue opens in, and the map nodes of
+// emptied steps are kept for reuse, so in steady state neither enqueue nor
+// drain allocates. The slab is shared by all atoms, so the memory held
+// follows the peak of the total pending work (plus at most one partly
+// filled block per pending atom), not the sum of per-atom peaks.
 //
 // Each queue caches phi(i), probed when the queue opens and again on every
 // on_residency_changed(), so a re-rank never probes the cache. That relies
@@ -34,12 +33,12 @@
 //
 // The global ranking is a lazily invalidated binary heap: every re-rank
 // pushes a fresh entry stamped with a unique number the queue remembers, and
-// an entry whose stamp no longer matches its queue slot's is stale (a free
-// slot's stamp is 0, which no entry carries). Stale entries are popped when
-// they surface at the top and compacted away once the heap holds more than
-// twice the pending atoms, so the top is always live. Each step keeps an
-// unordered member list (swap-remove) that the two-level pick ranks on
-// demand; only its first k atoms are ever sorted.
+// an entry whose stamp no longer matches its queue slot's is stale (a drain
+// resets its slot's stamp to 0, which no entry carries). Stale entries are
+// popped when they surface at the top and compacted away once the heap
+// holds more than twice the pending atoms, so the top is always live. Each
+// step keeps an unordered member list (swap-remove) that the two-level pick
+// ranks on demand; only its first k atoms are ever sorted.
 #pragma once
 
 #include <array>
@@ -152,11 +151,11 @@ class WorkloadManager final : public cache::UtilityOracle {
 
     // --- introspection ---
 
-    bool empty() const noexcept { return pending_atoms_ == 0; }
+    bool empty() const noexcept { return queues_.empty(); }
 
     /// Exhaustive consistency check between the atom queues and the derived
     /// indexes (automatic at transitions in audit builds; callable from
-    /// tests): the atom index against the queue slots, per-queue
+    /// tests): the queue map and the slab, per-queue
     /// position/deadline caches, the cached phi against the probe, global
     /// totals, the ranking heap (one live entry per atom, a live top equal
     /// to the brute-force best), the per-step member lists and aggregates,
@@ -165,12 +164,12 @@ class WorkloadManager final : public cache::UtilityOracle {
     bool audit() const;
     /// The cost constants in effect (schedulers derive service estimates).
     const CostConstants& cost() const noexcept { return cost_; }
-    std::size_t pending_atoms() const noexcept { return pending_atoms_; }
+    std::size_t pending_atoms() const noexcept { return queues_.size(); }
     std::uint64_t pending_positions() const noexcept { return total_positions_; }
     std::size_t pending_subqueries() const noexcept { return total_subqueries_; }
 
   private:
-    /// End of a slab list (an atom queue's or the free list).
+    /// End of an atom queue's block list.
     static constexpr std::uint32_t kNil = UINT32_MAX;
     /// Sub-queries per slab block: a queue's sub-queries sit contiguously in
     /// runs of this length, and at most one partly filled block per pending
@@ -184,32 +183,11 @@ class WorkloadManager final : public cache::UtilityOracle {
         std::uint32_t next = kNil;
     };
 
-    /// The blocks of every atom queue, in a slot table whose chunks never
-    /// move, recycled through a free list.
-    class Slab {
-      public:
-        Block& operator[](std::uint32_t i) noexcept { return blocks_[i]; }
-        const Block& operator[](std::uint32_t i) const noexcept { return blocks_[i]; }
-        /// A block at the end of no list.
-        std::uint32_t acquire();
-        /// Return the chain of blocks `first` .. `last` (linked by `next`).
-        void release(std::uint32_t first, std::uint32_t last, std::size_t blocks) noexcept;
-        /// Blocks handed out and not released.
-        std::size_t in_use() const noexcept { return in_use_; }
-        /// Free-list self-check: every free block listed exactly once.
-        bool free_list_intact() const;
-
-      private:
-        util::SlotTable<Block, 8> blocks_;  ///< Every block ever constructed.
-        std::uint32_t free_ = kNil;
-        std::size_t in_use_ = 0;
-    };
-
     using Slot = util::SlotIndex::Slot;
 
-    /// One atom's workload queue; a slot with `count == 0` is free.
+    /// One atom's workload queue, keyed by the atom's key. A drain resets
+    /// its slot to an empty queue.
     struct AtomQueue {
-        storage::AtomKey atom;
         std::uint32_t head = kNil;  ///< Block of the oldest pending sub-query.
         std::uint32_t tail = kNil;  ///< Block of the newest pending sub-query.
         std::uint32_t count = 0;    ///< Pending sub-queries.
@@ -241,17 +219,19 @@ class WorkloadManager final : public cache::UtilityOracle {
     };
     using StepMap = std::map<std::uint32_t, StepAgg>;
 
-    static std::uint32_t step_of(const AtomQueue& q) noexcept {
-        return storage::AtomId::from_key(q.atom).timestep;
+    /// The atom whose queue is in `slot`.
+    storage::AtomKey atom_of(Slot slot) const noexcept {
+        return storage::AtomKey{queues_.key(slot)};
+    }
+    std::uint32_t step_of(Slot slot) const noexcept {
+        return storage::AtomId::from_key(atom_of(slot)).timestep;
     }
     /// Slot of `atom`'s queue, or SlotIndex::kNone.
     Slot slot_of(const storage::AtomId& atom) const noexcept {
-        return queue_index_.find(atom.key().value());
+        return queues_.find(atom.key().value());
     }
     /// phi(i) as the probe reports it now.
     double probe_phi(const storage::AtomId& atom) const;
-    /// Give `atom` an empty queue in a free slot, with phi probed.
-    Slot open_queue(const storage::AtomId& atom);
     double compute_utility(const AtomQueue& q) const;
     double compute_key(const AtomQueue& q) const;
     void index_insert(Slot slot);
@@ -259,7 +239,7 @@ class WorkloadManager final : public cache::UtilityOracle {
     /// Recompute U_t and the key, add them to the step sums, and push the
     /// new rank (retiring the queue's previous heap entry).
     void index_add(Slot slot, StepAgg& agg);
-    void index_erase(const AtomQueue& q);
+    void index_erase(Slot slot);
     /// Remove an emptied step, keeping its node for the next step that opens.
     void retire_step(StepMap::iterator it);
     void rebuild_index();
@@ -272,11 +252,8 @@ class WorkloadManager final : public cache::UtilityOracle {
     const ResidencyProbe* probe_;
     double alpha_;
 
-    Slab slab_;
-    util::SlotTable<AtomQueue> queues_;  ///< The atom queues.
-    std::vector<Slot> free_queues_;  ///< Free slots of queues_.
-    util::SlotIndex queue_index_;    ///< Atom key -> slot in queues_.
-    std::size_t pending_atoms_ = 0;  ///< Open queues.
+    util::SlotPool<Block, 8> slab_;     ///< The blocks of every atom queue.
+    util::SlotMap<AtomQueue> queues_;  ///< Atom key -> its open queue.
     std::vector<RankEntry> ranking_;  ///< Lazily invalidated heap.
     std::uint64_t stamps_ = 0;        ///< Last stamp handed out.
     StepMap steps_;

@@ -66,6 +66,8 @@ inline bool contract_check(bool ok, const char* file, int line,
 #endif
 
 /// Always-on variant for audit() bodies: audit() is callable in every build
-/// (tests invoke it directly), so its checks must not compile away.
+/// (tests invoke it directly), so its checks must not compile away. Yields
+/// `cond`, so an audit collects its checks with `ok &= JAWS_AUDIT_CHECK(...)`
+/// and every violation names the line and condition that failed.
 #define JAWS_AUDIT_CHECK(cond, msg) \
-    (void)::jaws::util::detail::contract_check((cond), __FILE__, __LINE__, #cond, (msg))
+    ::jaws::util::detail::contract_check((cond), __FILE__, __LINE__, #cond, (msg))

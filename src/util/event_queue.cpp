@@ -14,14 +14,13 @@ namespace jaws::util {
 // --------------------------------------------------------------------------
 
 void EventQueue::reset_to(SimTime t) {
-    if (live_ != 0)
-        throw std::logic_error("EventQueue::reset_to: events still pending");
+    if (!empty()) throw std::logic_error("EventQueue::reset_to: events still pending");
     heap_.clear();  // drop cancelled tombstones
     now_ = t;
 }
 
 void EventQueue::set_perturbation(const TiePerturbation& p) {
-    if (live_ != 0 || next_seq_ != 0 || schedule_count_ != 0)
+    if (!empty() || next_seq_ != 0 || schedule_count_ != 0)
         throw std::logic_error(
             "EventQueue::set_perturbation: queue already issued events");
     perturb_ = p;
@@ -30,36 +29,17 @@ void EventQueue::set_perturbation(const TiePerturbation& p) {
 std::uint32_t EventQueue::live_slot(EventId id) const noexcept {
     const std::uint64_t raw = id - perturb_.id_offset;
     const auto slot = static_cast<std::uint32_t>(raw);
-    if (slot >= slots_.size()) return kNoSlot;
-    const Slot& s = slots_[slot];
-    return s.live && s.generation == static_cast<std::uint32_t>(raw >> 32) ? slot
-                                                                           : kNoSlot;
-}
-
-std::uint32_t EventQueue::acquire_slot() {
-    std::uint32_t slot = free_head_;
-    if (slot != kNoSlot) {
-        free_head_ = slots_[slot].next_free;
-    } else {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-    }
-    Slot& s = slots_[slot];
-    // Skip the one generation whose offset id would read as "no event".
-    if (id_of(slot, s.generation) == 0) ++s.generation;
-    return slot;
+    if (slot >= slots_.slots() || !slots_.live(slot)) return kNoSlot;
+    return slots_[slot].generation == static_cast<std::uint32_t>(raw >> 32) ? slot : kNoSlot;
 }
 
 void EventQueue::release_slot(std::uint32_t slot) {
     Slot& s = slots_[slot];
-    assert(s.live && !s.fn);
+    assert(!s.fn);
     assert(s.source < pending_by_source_.size() && pending_by_source_[s.source] > 0);
     --pending_by_source_[s.source];
-    --live_;
-    s.live = false;
     ++s.generation;  // every id issued for this slot so far is now dead
-    s.next_free = free_head_;
-    free_head_ = slot;
+    slots_.release(slot);
 }
 
 void EventQueue::push_entry(const Entry& e) {
@@ -70,12 +50,12 @@ void EventQueue::push_entry(const Entry& e) {
 EventQueue::EventId EventQueue::schedule(SimTime at, int priority,
                                          std::uint32_t source, Handler fn) {
     if (at < now_) at = now_;  // the past is immutable; fire as soon as possible
-    const std::uint32_t slot = acquire_slot();
+    const std::uint32_t slot = slots_.acquire();
     Slot& s = slots_[slot];
+    // Skip the one generation whose offset id would read as "no event".
+    if (id_of(slot, s.generation) == 0) ++s.generation;
     s.fn = std::move(fn);
     s.source = source;
-    s.live = true;
-    ++live_;
     if (source >= pending_by_source_.size()) pending_by_source_.resize(source + 1, 0);
     ++pending_by_source_[source];
     push_entry(Entry{at, priority, source, tie_rank(next_seq_++, priority), slot,
@@ -137,58 +117,33 @@ bool EventQueue::run_one() {
 }
 
 bool EventQueue::audit() const {
-    bool ok = true;
-    const auto check = [&](bool cond, const char* expr, const char* msg) {
-        if (!cond) {
-            ok = false;
-            contract_violation(__FILE__, __LINE__, expr, msg);
-        }
-        return cond;
-    };
-    check(std::is_heap(heap_.begin(), heap_.end(), std::greater<Entry>{}),
-          "is_heap(heap_)", "EventQueue: heap order violated");
-    std::vector<std::uint8_t> entries(slots_.size(), 0);  // live entries per slot
+    bool ok = JAWS_AUDIT_CHECK(std::is_heap(heap_.begin(), heap_.end(), std::greater<Entry>{}),
+                               "EventQueue: heap order violated");
+    std::vector<std::uint8_t> entries(slots_.slots(), 0);  // live entries per slot
     for (const Entry& e : heap_) {
         if (e.slot == kNoSlot) continue;  // tombstone
-        if (!check(e.slot < slots_.size(), "entry.slot < slots",
-                   "EventQueue: heap entry names a slot past the table"))
-            continue;
+        const bool in_pool = JAWS_AUDIT_CHECK(e.slot < slots_.slots(),
+                                              "EventQueue: heap entry names a slot past the pool");
+        ok &= in_pool;
+        if (!in_pool) continue;
         const Slot& s = slots_[e.slot];
-        if (!s.live || s.generation != e.generation) continue;  // cancelled
-        check(++entries[e.slot] == 1, "one live entry per slot",
-              "EventQueue: two live heap entries for one event");
-        check(e.at >= now_, "entry.at >= now()",
-              "EventQueue: pending event scheduled behind the clock");
-        check(s.source == e.source, "entry.source == slot.source",
-              "EventQueue: heap entry and slot disagree on source");
+        if (!slots_.live(e.slot) || s.generation != e.generation) continue;  // cancelled
+        ok &= JAWS_AUDIT_CHECK(++entries[e.slot] == 1,
+                               "EventQueue: two live heap entries for one event");
+        ok &= JAWS_AUDIT_CHECK(e.at >= now_, "EventQueue: pending event scheduled behind the clock");
+        ok &= JAWS_AUDIT_CHECK(s.source == e.source,
+                               "EventQueue: heap entry and slot disagree on source");
     }
     // Every live slot needs exactly one live heap entry, or it can never fire.
-    std::size_t live = 0;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (!slots_[i].live) continue;
-        ++live;
-        check(entries[i] == 1, "live slot has a heap entry",
-              "EventQueue: dangling handler with no heap entry");
-    }
-    check(live == live_, "live slots == pending()",
-          "EventQueue: live-event count out of sync with the slots");
-    // The free list holds every free slot exactly once (and no live one).
-    std::vector<std::uint8_t> on_free_list(slots_.size(), 0);
-    std::size_t free = 0;
-    for (std::uint32_t i = free_head_; i != kNoSlot; i = slots_[i].next_free) {
-        if (!check(i < slots_.size() && on_free_list[i] == 0 && !slots_[i].live,
-                   "free list links distinct free slots",
-                   "EventQueue: free list corrupt (cycle, live or out-of-range slot)"))
-            break;
-        on_free_list[i] = 1;
-        ++free;
-    }
-    check(free + live_ == slots_.size(), "free + live == slots",
-          "EventQueue: a free slot is missing from the free list");
+    for (std::uint32_t i = 0; i < slots_.slots(); ++i)
+        if (slots_.live(i))
+            ok &= JAWS_AUDIT_CHECK(entries[i] == 1,
+                                   "EventQueue: dangling handler with no heap entry");
+    ok &= slots_.audit();
     std::size_t by_source = 0;
     for (const std::size_t n : pending_by_source_) by_source += n;
-    check(by_source == live_, "sum(pending_by_source) == pending()",
-          "EventQueue: per-source pending counts out of sync");
+    ok &= JAWS_AUDIT_CHECK(by_source == pending(),
+                           "EventQueue: per-source pending counts out of sync");
     return ok;
 }
 
@@ -357,52 +312,43 @@ void SimResource::finish(std::size_t channel) {
 }
 
 bool SimResource::audit() const {
-    bool ok = true;
-    const auto check = [&](bool cond, const char* expr, const char* msg) {
-        if (!cond) {
-            ok = false;
-            contract_violation(__FILE__, __LINE__, expr, msg);
-        }
-    };
     const SimTime now = events_.now();
+    bool ok = true;
     std::size_t busy_count = 0;
     for (const Channel& ch : channels_) {
         if (!ch.busy) continue;
         ++busy_count;
-        check(events_.pending(ch.completion), "events_.pending(ch.completion)",
-              "SimResource: busy channel without a live completion event");
-        check(ch.started + ch.duration >= now, "ch.started + ch.duration >= now",
-              "SimResource: busy channel's service already elapsed");
-        check(ch.started <= now, "ch.started <= now",
-              "SimResource: channel service starts in the future");
+        ok &= JAWS_AUDIT_CHECK(events_.pending(ch.completion),
+                               "SimResource: busy channel without a live completion event");
+        ok &= JAWS_AUDIT_CHECK(ch.started + ch.duration >= now,
+                               "SimResource: busy channel's service already elapsed");
+        ok &= JAWS_AUDIT_CHECK(ch.started <= now,
+                               "SimResource: channel service starts in the future");
     }
-    check(busy_count == busy_, "busy channel flags == busy_",
-          "SimResource: busy count out of sync with channel flags");
-    check(peak_busy_ >= busy_ && peak_busy_ <= channels_.size(),
-          "busy_ <= peak_busy_ <= channels()",
-          "SimResource: peak busy-channel watermark out of range");
+    ok &= JAWS_AUDIT_CHECK(busy_count == busy_,
+                           "SimResource: busy count out of sync with channel flags");
+    ok &= JAWS_AUDIT_CHECK(peak_busy_ >= busy_ && peak_busy_ <= channels_.size(),
+                           "SimResource: peak busy-channel watermark out of range");
     std::size_t waiting = 0;
     for (std::size_t i = 0; i < waiting_.size(); ++i) {
         const WaitClass& cls = waiting_[i];
-        check(i == 0 || waiting_[i - 1].priority < cls.priority,
-              "waiting classes strictly ascending",
-              "SimResource: waiting classes out of priority order");
-        check(cls.head < cls.jobs.size() || (cls.head == 0 && cls.jobs.empty()),
-              "head < |jobs| or the class is reset",
-              "SimResource: drained waiting class not reset");
+        ok &= JAWS_AUDIT_CHECK(i == 0 || waiting_[i - 1].priority < cls.priority,
+                               "SimResource: waiting classes out of priority order");
+        ok &= JAWS_AUDIT_CHECK(cls.head < cls.jobs.size() || (cls.head == 0 && cls.jobs.empty()),
+                               "SimResource: drained waiting class not reset");
         waiting += cls.size();
     }
-    check(waiting == queued_, "sum of class sizes == queued()",
-          "SimResource: waiting count out of sync with the classes");
+    ok &= JAWS_AUDIT_CHECK(waiting == queued_,
+                           "SimResource: waiting count out of sync with the classes");
     // Work only queues while every channel is busy (submit() drains free
     // channels first; finish() backfills from the queue).
     if (queued() > 0)
-        check(busy_ == channels_.size(), "queued() implies all channels busy",
-              "SimResource: jobs waiting while a channel is free");
-    check(last_change_ <= now, "last_change_ <= now",
-          "SimResource: busy integral accounted ahead of the clock");
-    check(busy_integral_ >= SimTime::zero(), "busy_integral_ >= 0",
-          "SimResource: negative busy-time integral");
+        ok &= JAWS_AUDIT_CHECK(busy_ == channels_.size(),
+                               "SimResource: jobs waiting while a channel is free");
+    ok &= JAWS_AUDIT_CHECK(last_change_ <= now,
+                           "SimResource: busy integral accounted ahead of the clock");
+    ok &= JAWS_AUDIT_CHECK(busy_integral_ >= SimTime::zero(),
+                           "SimResource: negative busy-time integral");
     return ok;
 }
 

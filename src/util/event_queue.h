@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "util/sim_time.h"
+#include "util/slot_index.h"
 
 namespace jaws::util {
 
@@ -62,9 +63,8 @@ struct TiePerturbation {
 
 /// Deterministic time-ordered event queue with stable FIFO tie-breaking.
 ///
-/// Pending handlers live in a slot table recycled through a free list, so
-/// once the table has grown to a run's peak pending count, scheduling an
-/// event allocates nothing (the handler is a std::function; the kernel's own
+/// Pending handlers live in a util::SlotPool, so once the pool has grown to
+/// a run's peak pending count, scheduling an event allocates nothing (the handler is a std::function; the kernel's own
 /// lambdas fit its small buffer). An EventId encodes the event's (slot,
 /// generation) pair, shifted by TiePerturbation::id_offset. Releasing a slot
 /// (the event fired or was cancelled) bumps its generation, so the old id
@@ -111,10 +111,10 @@ class EventQueue {
     bool pending(EventId id) const noexcept { return live_slot(id) != kNoSlot; }
 
     /// Whether any non-cancelled event is pending.
-    bool empty() const noexcept { return live_ == 0; }
+    bool empty() const noexcept { return slots_.size() == 0; }
 
     /// Number of pending (non-cancelled) events.
-    std::size_t pending() const noexcept { return live_; }
+    std::size_t pending() const noexcept { return slots_.size(); }
 
     /// Number of pending events scheduled with `source`. The cluster kernel
     /// uses this to decide when a node is genuinely idle (nothing of its own
@@ -137,14 +137,13 @@ class EventQueue {
     /// Exhaustive self-check (audit builds call this automatically at
     /// transitions; tests call it directly): heap order, monotone timestamps
     /// (no live entry behind the clock), exactly one live heap entry per
-    /// live slot and none for a free one, and a free list that holds every
-    /// free slot exactly once. Reports through util::contract_violation;
-    /// returns true when clean.
+    /// live slot and none for a free one, and a slot pool that audits clean.
+    /// Reports through util::contract_violation; returns true when clean.
     bool audit() const;
 
   private:
-    /// Free-list terminator, and the slot of a tombstone entry.
-    static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+    /// "No slot": the slot of a tombstone entry, and live_slot() of a dead id.
+    static constexpr std::uint32_t kNoSlot = SlotIndex::kNone;
 
     struct Entry {
         SimTime at;
@@ -167,12 +166,12 @@ class EventQueue {
         }
     };
 
+    /// A pending event's handler. A free slot keeps its generation, so the
+    /// ids issued for it stay dead.
     struct Slot {
         Handler fn;
         std::uint32_t generation = 1;
         std::uint32_t source = 0;
-        std::uint32_t next_free = kNoSlot;  ///< Free-list link while free.
-        bool live = false;
     };
 
     /// Slot of the pending event `id` names, or kNoSlot.
@@ -180,10 +179,7 @@ class EventQueue {
     bool stale(const Entry& e) const noexcept {
         return e.slot == kNoSlot || slots_[e.slot].generation != e.generation;
     }
-    /// Take a slot off the free list (growing the table when it is empty),
-    /// with a generation whose id is nonzero.
-    std::uint32_t acquire_slot();
-    /// Return a slot to the free list: its handler must already be gone.
+    /// Return a slot to the pool: its handler must already be gone.
     void release_slot(std::uint32_t slot);
     EventId id_of(std::uint32_t slot, std::uint32_t generation) const noexcept {
         return ((std::uint64_t{generation} << 32) | slot) + perturb_.id_offset;
@@ -195,9 +191,7 @@ class EventQueue {
     // A min-heap kept by std::push_heap/pop_heap over a plain vector (rather
     // than std::priority_queue) so audit() can scan the pending entries.
     std::vector<Entry> heap_;
-    std::vector<Slot> slots_;
-    std::uint32_t free_head_ = kNoSlot;
-    std::size_t live_ = 0;
+    SlotPool<Slot> slots_;  ///< Live slots are the pending events.
     // Live event count per source, indexed by source id (sources are small
     // dense node ids); grown on demand.
     std::vector<std::size_t> pending_by_source_;

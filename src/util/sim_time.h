@@ -1,10 +1,11 @@
 // Virtual (simulated) time.
 //
 // All experiment clocks in this repository are *virtual*: reading an atom from
-// the simulated disk or evaluating positions advances a VirtualClock by the
-// modelled cost instead of sleeping. This is what lets the benches reproduce
-// the paper's multi-hour workloads in seconds, deterministically. Time is kept
-// as integer microseconds to avoid floating-point drift in long runs.
+// the simulated disk or evaluating positions schedules its completion on the
+// event kernel's virtual timeline (util::EventQueue) instead of sleeping.
+// This is what lets the benches reproduce the paper's multi-hour workloads in
+// seconds, deterministically. Time is kept as integer microseconds to avoid
+// floating-point drift in long runs.
 //
 // Arithmetic on SimTime is *overflow-safe*: `+`, `-`, `+=`, `-=` and
 // `scaled_by` saturate at the int64 microsecond range instead of wrapping
@@ -127,31 +128,5 @@ inline std::string to_string(SimTime t) {
     if (s < 1.0) return std::to_string(t.micros / 1000) + "ms";
     return std::to_string(s) + "s";
 }
-
-/// Monotonically advancing virtual clock shared by the engine, the disk model
-/// and the schedulers. Only the engine's event loop advances it.
-class VirtualClock {
-  public:
-    /// Current virtual time.
-    SimTime now() const noexcept { return now_; }
-
-    /// Advance by a non-negative span (charging a modelled cost). Saturates
-    /// at SimTime::max() like all SimTime arithmetic.
-    void advance(SimTime dt) noexcept {
-        if (dt > SimTime::zero()) now_ += dt;
-    }
-
-    /// Jump forward to an absolute time (e.g. the next query arrival). Never
-    /// moves backwards.
-    void advance_to(SimTime t) noexcept {
-        if (t > now_) now_ = t;
-    }
-
-    /// Reset to zero (between experiment repetitions).
-    void reset() noexcept { now_ = SimTime::zero(); }
-
-  private:
-    SimTime now_ = SimTime::zero();
-};
 
 }  // namespace jaws::util

@@ -46,19 +46,12 @@ void SlotIndex::grow() {
 }
 
 bool SlotIndex::audit() const {
-    bool ok = true;
-    const auto check = [&](bool cond, const char* expr, const char* msg) {
-        if (!cond) {
-            ok = false;
-            contract_violation(__FILE__, __LINE__, expr, msg);
-        }
-    };
-    check(cells_.empty() ||
-              (std::has_single_bit(cells_.size()) && mask_ == cells_.size() - 1 &&
-               shift_ == 64U - static_cast<unsigned>(std::countr_zero(cells_.size()))),
-          "power-of-two table", "SlotIndex: table size or hash shift inconsistent");
-    check(4 * size_ <= 3 * cells_.size(), "load <= 3/4",
-          "SlotIndex: load factor above 3/4");
+    bool ok = JAWS_AUDIT_CHECK(
+        cells_.empty() ||
+            (std::has_single_bit(cells_.size()) && mask_ == cells_.size() - 1 &&
+             shift_ == 64U - static_cast<unsigned>(std::countr_zero(cells_.size()))),
+        "SlotIndex: table size or hash shift inconsistent");
+    ok &= JAWS_AUDIT_CHECK(4 * size_ <= 3 * cells_.size(), "SlotIndex: load factor above 3/4");
     std::size_t occupied = 0;
     for (std::size_t i = 0; i < cells_.size(); ++i) {
         if (cells_[i].slot == kNone) continue;
@@ -68,11 +61,10 @@ bool SlotIndex::audit() const {
         bool reachable = true;
         for (std::size_t j = home(cells_[i].key); j != i; j = (j + 1) & mask_)
             reachable = reachable && cells_[j].slot != kNone && cells_[j].key != cells_[i].key;
-        check(reachable, "key reachable from its home cell",
-              "SlotIndex: probe run broken or key stored twice");
+        ok &= JAWS_AUDIT_CHECK(reachable, "SlotIndex: probe run broken or key stored twice");
     }
-    check(occupied == size_, "occupied cells == size()",
-          "SlotIndex: entry count out of sync with the table");
+    ok &= JAWS_AUDIT_CHECK(occupied == size_,
+                           "SlotIndex: entry count out of sync with the table");
     return ok;
 }
 

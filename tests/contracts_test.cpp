@@ -26,10 +26,16 @@ namespace {
 // The handler is a plain function pointer, so captures go through globals.
 std::uint64_t g_captured = 0;
 std::string g_last_msg;
+std::string g_last_file;
+int g_last_line = 0;
+std::string g_last_expr;
 
-void capture_handler(const char*, int, const char*, const char* msg) {
+void capture_handler(const char* file, int line, const char* expr, const char* msg) {
     ++g_captured;
     g_last_msg = msg != nullptr ? msg : "";
+    g_last_file = file != nullptr ? file : "";
+    g_last_line = line;
+    g_last_expr = expr != nullptr ? expr : "";
 }
 
 /// Installs a counting handler for the test's scope so reported violations
@@ -39,6 +45,9 @@ class HandlerGuard {
     HandlerGuard() : previous_(util::set_contract_handler(&capture_handler)) {
         g_captured = 0;
         g_last_msg.clear();
+        g_last_file.clear();
+        g_last_line = 0;
+        g_last_expr.clear();
     }
     ~HandlerGuard() { util::set_contract_handler(previous_); }
 
@@ -75,6 +84,21 @@ TEST(Contracts, AuditCheckMacroIsCompiledInEveryBuild) {
     EXPECT_EQ(g_captured, 0u);
     JAWS_AUDIT_CHECK(1 + 1 == 3, "arithmetic broke");
     EXPECT_EQ(g_captured, 1u);
+}
+
+TEST(Contracts, AuditCheckMacroYieldsItsConditionAndReportsTheCallersLine) {
+    HandlerGuard guard;
+    const int two = 2;
+    EXPECT_TRUE(JAWS_AUDIT_CHECK(two + 1 == 3, "arithmetic holds"));
+    EXPECT_EQ(g_captured, 0u);
+    const int line = __LINE__ + 1;
+    const bool held = JAWS_AUDIT_CHECK(two + 2 == 5, "arithmetic broke");
+    EXPECT_FALSE(held);
+    EXPECT_EQ(g_captured, 1u);
+    EXPECT_EQ(g_last_line, line);
+    EXPECT_EQ(g_last_expr, "two + 2 == 5");
+    EXPECT_EQ(g_last_msg, "arithmetic broke");
+    EXPECT_NE(g_last_file.find("contracts_test.cpp"), std::string::npos) << g_last_file;
 }
 
 // --------------------------------------------------------------------------
@@ -180,6 +204,33 @@ TEST(Contracts, BufferCacheAuditsCleanAcrossEveryPolicy) {
         EXPECT_EQ(cache.size(), 0u);
     }
     EXPECT_EQ(g_captured, 0u);
+}
+
+/// A policy that tracks nothing and whose audit fails without reporting, so
+/// a violation can only come from the cache's own check of it.
+class FailingAuditPolicy final : public cache::ReplacementPolicy {
+  public:
+    void on_insert(const storage::AtomId& atom) override { resident_.push_back(atom); }
+    void on_access(const storage::AtomId&) override {}
+    storage::AtomId pick_victim() override { return resident_.front(); }
+    void on_evict(const storage::AtomId& atom) override { std::erase(resident_, atom); }
+    bool audit(const std::vector<storage::AtomId>&) const override { return false; }
+    std::string name() const override { return "failing-audit"; }
+
+  private:
+    std::vector<storage::AtomId> resident_;
+};
+
+TEST(Contracts, BufferCacheReportsAFailingPolicyAuditOnceFromItsOwnCheck) {
+    HandlerGuard guard;
+    cache::BufferCache cache(2, std::make_unique<FailingAuditPolicy>());
+    for (std::uint64_t i = 0; i < 5; ++i) cache.insert(storage::AtomId{0, i});
+    g_captured = 0;
+    EXPECT_FALSE(cache.audit());
+    EXPECT_EQ(g_captured, 1u);
+    EXPECT_NE(g_last_file.find("buffer_cache.cpp"), std::string::npos) << g_last_file;
+    EXPECT_EQ(g_last_expr, "policy_->audit(sorted_residents())");
+    EXPECT_EQ(g_last_msg, "BufferCache: replacement-policy state diverged from residency");
 }
 
 // --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// Tests for virtual time and the virtual clock (util/sim_time.h).
+// Tests for virtual time (util/sim_time.h).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -56,39 +56,6 @@ TEST(SimTime, ToStringPicksUnits) {
     EXPECT_EQ(to_string(SimTime::from_micros(12)), "12us");
     EXPECT_EQ(to_string(SimTime::from_millis(12)), "12ms");
     EXPECT_NE(to_string(SimTime::from_seconds(2)).find("s"), std::string::npos);
-}
-
-TEST(VirtualClock, StartsAtZero) {
-    VirtualClock clock;
-    EXPECT_EQ(clock.now(), SimTime::zero());
-}
-
-TEST(VirtualClock, AdvanceAccumulates) {
-    VirtualClock clock;
-    clock.advance(SimTime::from_millis(10));
-    clock.advance(SimTime::from_millis(5));
-    EXPECT_EQ(clock.now().micros, 15'000);
-}
-
-TEST(VirtualClock, NegativeAdvanceIgnored) {
-    VirtualClock clock;
-    clock.advance(SimTime::from_millis(10));
-    clock.advance(SimTime::from_micros(-500));
-    EXPECT_EQ(clock.now().micros, 10'000);
-}
-
-TEST(VirtualClock, AdvanceToNeverMovesBack) {
-    VirtualClock clock;
-    clock.advance_to(SimTime::from_millis(20));
-    clock.advance_to(SimTime::from_millis(5));
-    EXPECT_EQ(clock.now().micros, 20'000);
-}
-
-TEST(VirtualClock, ResetReturnsToZero) {
-    VirtualClock clock;
-    clock.advance(SimTime::from_seconds(1));
-    clock.reset();
-    EXPECT_EQ(clock.now(), SimTime::zero());
 }
 
 TEST(SimTime, RealConversionsSaturateInsteadOfOverflowing) {
@@ -207,15 +174,6 @@ TEST_F(SimTimeSaturation, RetryBackoffNearSaturationBoundStaysPinned) {
     EXPECT_EQ(backoff, SimTime::max());
     backoff += SimTime::from_seconds(30.0);
     EXPECT_EQ(backoff, SimTime::max());
-}
-
-TEST_F(SimTimeSaturation, VirtualClockAdvanceSaturatesAtMax) {
-    VirtualClock clock;
-    clock.advance_to(SimTime::max());
-    clock.advance(SimTime::from_seconds(1.0));
-    EXPECT_EQ(clock.now(), SimTime::max());
-    clock.advance_to(SimTime::max());
-    EXPECT_EQ(clock.now(), SimTime::max());
 }
 
 #if defined(JAWS_AUDIT_BUILD) && JAWS_AUDIT_BUILD

@@ -1,15 +1,23 @@
-// util::SlotIndex: unit tests plus a property test against a
-// std::unordered_map oracle (tests/proptest.h).
+// util::SlotIndex, util::SlotPool and util::SlotMap: unit tests plus two
+// property tests (tests/proptest.h).
 //
-// The property drives one index from empty (so every growth step runs)
-// through random inserts, erases, finds and clears, and after every step
-// calls audit() and checks every key the oracle holds. Besides fully random
-// keys it draws keys built to share one home cell at every table size (long
-// probe runs, where erase must shift cells back) and keys whose home is the
-// last cell at every table size (runs that wrap past the end of the table).
+// The first property drives one index from empty (so every growth step runs)
+// through random inserts, erases, finds and clears against a
+// std::unordered_map oracle, and after every step calls audit() and checks
+// every key the oracle holds. Besides fully random keys it draws keys built
+// to share one home cell at every table size (long probe runs, where erase
+// must shift cells back) and keys whose home is the last cell at every table
+// size (runs that wrap past the end of the table).
+//
+// The second drives one SlotMap from empty through the same operations
+// against a std::map from key to slot plus a stack of free slots, and checks
+// the recycling contract owners rely on: the slot an erase frees is the one
+// the next insert takes, a reused slot keeps its element, and audit()
+// passes after every step.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -22,6 +30,8 @@ namespace jaws {
 namespace {
 
 using util::SlotIndex;
+using util::SlotMap;
+using util::SlotPool;
 
 /// Reports contract violations by count instead of aborting, so a broken
 /// audit fails the property (and shrinks) rather than killing the binary.
@@ -190,6 +200,144 @@ std::string matches_oracle(proptest::Gen& g) {
 
 TEST(SlotIndex, MatchesUnorderedMapOracle) {
     const proptest::Outcome o = proptest::check(proptest::Config{}, matches_oracle);
+    EXPECT_TRUE(o.ok) << o.message;
+}
+
+TEST(SlotPool, ReusesTheLastReleasedSlotWithItsElement) {
+    SlotPool<int, 2> pool;  // 4-element chunks, so growth crosses chunks
+    for (std::uint32_t i = 0; i < 10; ++i) {
+        EXPECT_EQ(pool.acquire(), i);
+        EXPECT_EQ(pool[i], 0);  // fresh slots are value-initialised
+        pool[i] = static_cast<int>(100 + i);
+    }
+    int* seven = &pool[7];
+    pool.release(3);
+    pool.release(7);
+    EXPECT_EQ(pool.size(), 8u);
+    EXPECT_EQ(pool.slots(), 10u);
+    EXPECT_FALSE(pool.live(7));
+    EXPECT_TRUE(pool.audit());
+    EXPECT_EQ(pool.acquire(), 7u);
+    EXPECT_EQ(pool[7], 107);
+    EXPECT_EQ(&pool[7], seven);  // chunks never move
+    EXPECT_EQ(pool.acquire(), 3u);
+    EXPECT_EQ(pool.acquire(), 10u);
+    EXPECT_TRUE(pool.audit());
+}
+
+TEST(SlotPool, ClearHandsOutSlotsFromZeroAndKeepsElements) {
+    SlotPool<int, 2> pool;
+    for (int i = 0; i < 6; ++i) pool[pool.acquire()] = i + 1;
+    pool.release(2);
+    pool.clear();
+    EXPECT_EQ(pool.size(), 0u);
+    EXPECT_EQ(pool.slots(), 0u);
+    EXPECT_TRUE(pool.audit());
+    for (std::uint32_t i = 0; i < 7; ++i) {
+        EXPECT_EQ(pool.acquire(), i);
+        EXPECT_EQ(pool[i], i < 6 ? static_cast<int>(i) + 1 : 0);
+    }
+    EXPECT_TRUE(pool.audit());
+}
+
+TEST(SlotMap, StoresEachSlotsKeyAndRecyclesErasedSlots) {
+    SlotMap<int> map;
+    EXPECT_TRUE(map.empty());
+    EXPECT_EQ(map.find(42), SlotMap<int>::kNone);
+    EXPECT_EQ(map.erase(42), SlotMap<int>::kNone);
+    const auto a = map.insert(42);
+    const auto b = map.insert(7);
+    map[a] = 1;
+    map[b] = 2;
+    EXPECT_EQ(map.key(a), 42u);
+    EXPECT_EQ(map.key(b), 7u);
+    EXPECT_EQ(map.find(7), b);
+    EXPECT_EQ(map.erase(42), a);
+    EXPECT_FALSE(map.contains(42));
+    EXPECT_EQ(map.size(), 1u);
+    EXPECT_TRUE(map.audit());
+    EXPECT_EQ(map.insert(9), a);  // the erased slot, element and all
+    EXPECT_EQ(map[a], 1);
+    EXPECT_EQ(map.key(a), 9u);
+    EXPECT_TRUE(map.audit());
+}
+
+/// Random insert/erase/find/clear programs against a key -> slot oracle
+/// plus a stack of free slots, checking last-in-first-out reuse and that a
+/// reused slot keeps its element.
+std::string recycles_like_a_stack(proptest::Gen& g) {
+    CountViolations quiet;
+    SlotMap<std::uint64_t, 2> map;  // 4-element chunks, so growth crosses chunks
+    std::map<std::uint64_t, std::uint32_t> oracle;
+    std::vector<std::uint32_t> free;      // the back is reused first
+    std::vector<std::uint64_t> elements;  // last value written, per slot
+    std::uint32_t fresh = 0;              // slots handed out since the last clear
+    const int steps = static_cast<int>(g.in_range(1, 300));
+    for (int step = 0; step < steps; ++step) {
+        const std::uint64_t op = g.below(100);
+        // A small key space, so erases and finds mostly hit.
+        const std::uint64_t key = g.below(4) == 0 ? g.u64() : g.below(40);
+        const std::string at = "step " + std::to_string(step);
+        std::string what;
+        if (op < 50) {
+            what = "insert";
+            if (!oracle.contains(key)) {
+                const std::uint32_t expect = free.empty() ? fresh : free.back();
+                const std::uint32_t slot = map.insert(key);
+                if (slot != expect)
+                    return at + ": insert took slot " + std::to_string(slot) + ", expected " +
+                           std::to_string(expect) + " (last freed first)";
+                if (free.empty())
+                    ++fresh;
+                else
+                    free.pop_back();
+                if (slot == elements.size()) elements.push_back(0);
+                if (map[slot] != elements[slot])
+                    return at + ": slot " + std::to_string(slot) + " lost its element";
+                map[slot] = elements[slot] = g.u64();
+                oracle.emplace(key, slot);
+            }
+        } else if (op < 80) {
+            what = "erase";
+            const auto it = oracle.find(key);
+            const std::uint32_t expect = it == oracle.end() ? SlotIndex::kNone : it->second;
+            if (map.erase(key) != expect) return at + ": erase returned the wrong slot";
+            if (it != oracle.end()) {
+                free.push_back(it->second);
+                oracle.erase(it);
+            }
+        } else if (op < 98) {
+            what = "find";
+            const auto it = oracle.find(key);
+            if (map.find(key) != (it == oracle.end() ? SlotIndex::kNone : it->second))
+                return at + ": find disagrees";
+        } else {
+            what = "clear";
+            map.clear();
+            oracle.clear();
+            free.clear();
+            fresh = 0;
+        }
+        const std::string where = at + " (" + what + ")";
+        if (!map.audit()) return where + ": audit failed";
+        if (map.size() != oracle.size() || map.slots() != fresh)
+            return where + ": size or slot count disagrees with the oracle";
+        std::vector<bool> held(fresh, false);
+        for (const auto& [k, slot] : oracle) {
+            if (map.find(k) != slot || map.key(slot) != k || !map.live(slot))
+                return where + ": key " + std::to_string(k) + " not at its slot";
+            if (map[slot] != elements[slot])
+                return where + ": slot " + std::to_string(slot) + " changed its element";
+            held[slot] = true;
+        }
+        for (std::uint32_t s = 0; s < fresh; ++s)
+            if (map.live(s) != held[s]) return where + ": a free slot reads as live";
+    }
+    return "";
+}
+
+TEST(SlotMap, RecyclesSlotsLastInFirstOutAgainstAStackOracle) {
+    const proptest::Outcome o = proptest::check(proptest::Config{}, recycles_like_a_stack);
     EXPECT_TRUE(o.ok) << o.message;
 }
 
