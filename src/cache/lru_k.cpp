@@ -2,10 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 #include "util/contracts.h"
 
 namespace jaws::cache {
+
+namespace {
+/// Dead entries the heap may hold beyond one per resident before it is
+/// compacted: a clear() that empties a small cache need not compact at once.
+constexpr std::size_t kHeapSlack = 16;
+}  // namespace
 
 LruKPolicy::LruKPolicy(unsigned k, std::size_t retained_history)
     : k_(k == 0 ? 1 : k), retained_cap_(retained_history) {}
@@ -20,10 +27,21 @@ void LruKPolicy::touch(History& h) {
     }
 }
 
-LruKPolicy::Rank LruKPolicy::rank_of(Slot s) const noexcept {
+LruKPolicy::Entry LruKPolicy::rank_of(Slot s) const noexcept {
     const History& h = histories_[s];
-    return Rank{h.refs.size() < k_ ? 0 : h.ref(k_ - 1), h.ref(0),
-                storage::AtomId::from_key(storage::AtomKey{histories_.key(s)})};
+    return Entry{h.refs.size() < k_ ? 0 : h.ref(k_ - 1), h.ref(0), s};
+}
+
+void LruKPolicy::push_rank(Slot s) {
+    const Entry e = rank_of(s);
+    histories_[s].heaped = e.recent;
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
+}
+
+void LruKPolicy::pop_top() {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
+    heap_.pop_back();
 }
 
 void LruKPolicy::on_insert(const storage::AtomId& atom) {
@@ -36,39 +54,49 @@ void LruKPolicy::on_insert(const storage::AtomId& atom) {
     assert(!h.resident);
     touch(h);
     h.resident = true;
-    if (spare_rank_.empty()) {
-        h.rank = index_.insert(rank_of(s)).first;
-    } else {
-        spare_rank_.value() = rank_of(s);
-        h.rank = index_.insert(std::move(spare_rank_)).position;
-    }
+    ++residents_;
+    push_rank(s);
 }
 
 void LruKPolicy::on_access(const storage::AtomId& atom) {
     const Slot s = slot_of(atom);
     assert(s != util::SlotIndex::kNone && histories_[s].resident);
-    History& h = histories_[s];
-    // Re-rank in place: the extracted node is reused, so a hit allocates
-    // nothing.
-    Index::node_type node = index_.extract(h.rank);
-    touch(h);
-    node.value() = rank_of(s);
-    h.rank = index_.insert(std::move(node)).position;
+    // The heap entry keeps its older, lower key until it surfaces at the top.
+    touch(histories_[s]);
 }
 
 storage::AtomId LruKPolicy::pick_victim() {
-    assert(!index_.empty());
+    assert(residents_ > 0);
     // The oldest K-th reference evicts first; atoms with fewer than K
-    // references (kth_ref == 0) are preferred, with the least recent first
+    // references (kth_ref == 0) are preferred, with the least recent
     // reference breaking ties.
-    return index_.begin()->atom;
+    for (;;) {
+        const Entry top = heap_.front();
+        if (!live(top)) {
+            pop_top();  // evicted, dropped or superseded
+            continue;
+        }
+        if (histories_[top.slot].ref(0) == top.recent)
+            return storage::AtomId::from_key(storage::AtomKey{histories_.key(top.slot)});
+        // Referenced since it was pushed: re-rank it at its current key,
+        // which is larger, and look at the new top.
+        pop_top();
+        push_rank(top.slot);
+    }
 }
 
 void LruKPolicy::on_evict(const storage::AtomId& atom) {
     const Slot s = slot_of(atom);
     assert(s != util::SlotIndex::kNone && histories_[s].resident);
-    spare_rank_ = index_.extract(histories_[s].rank);
+    // A victim's live entry is the top; any other evicted atom's entry dies
+    // in place and is popped or compacted later.
+    if (live(heap_.front()) && heap_.front().slot == s) pop_top();
     histories_[s].resident = false;
+    --residents_;
+    if (heap_.size() > 2 * residents_ + kHeapSlack) {
+        std::erase_if(heap_, [this](const Entry& e) { return !live(e); });
+        std::make_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
+    }
     // Retain the history per LRU-K so a quick re-admission keeps its rank,
     // but bound the table.
     retained_fifo_.push_back(atom);
@@ -86,8 +114,31 @@ bool LruKPolicy::audit(const std::vector<storage::AtomId>& resident) const {
         return std::binary_search(resident.begin(), resident.end(), atom);
     };
     bool ok = histories_.audit();
-    ok &= JAWS_AUDIT_CHECK(index_.size() == resident.size(),
-                           "LruKPolicy: index size diverged from the cache's resident set");
+    ok &= JAWS_AUDIT_CHECK(residents_ == resident.size(),
+                           "LruKPolicy: resident count diverged from the cache's resident set");
+    ok &= JAWS_AUDIT_CHECK(std::is_heap(heap_.begin(), heap_.end(), std::greater<Entry>{}),
+                           "LruKPolicy: victim heap order violated");
+    ok &= JAWS_AUDIT_CHECK(heap_.size() <= 2 * resident.size() + kHeapSlack,
+                           "LruKPolicy: dead heap entries not compacted");
+    // Each slot's live heap entry; a second one is reported.
+    std::vector<const Entry*> live_entry(histories_.slots(), nullptr);
+    for (const Entry& e : heap_) {
+        const bool in_map = JAWS_AUDIT_CHECK(e.slot < histories_.slots(),
+                                             "LruKPolicy: heap entry past the history slots");
+        ok &= in_map;
+        if (!in_map || !histories_.live(e.slot) || !live(e)) continue;
+        ok &= JAWS_AUDIT_CHECK(live_entry[e.slot] == nullptr,
+                               "LruKPolicy: two live heap entries for one atom");
+        live_entry[e.slot] = &e;
+        ok &= JAWS_AUDIT_CHECK(
+            is_resident(storage::AtomId::from_key(storage::AtomKey{histories_.key(e.slot)})),
+            "LruKPolicy: live heap entry for a non-resident atom");
+    }
+    std::size_t flagged = 0;
+    for (Slot s = 0; s < histories_.slots(); ++s)
+        if (histories_.live(s) && histories_[s].resident) ++flagged;
+    ok &= JAWS_AUDIT_CHECK(flagged == resident.size(),
+                           "LruKPolicy: history marked resident for an atom the cache lacks");
     for (const storage::AtomId& atom : resident) {
         const Slot s = slot_of(atom);
         const bool tracked = JAWS_AUDIT_CHECK(
@@ -105,11 +156,15 @@ bool LruKPolicy::audit(const std::vector<storage::AtomId>& resident) const {
             decreasing = decreasing && hist.ref(i - 1) > hist.ref(i);
         ok &= JAWS_AUDIT_CHECK(decreasing && hist.ref(0) <= tick_,
                                "LruKPolicy: reference history out of order");
-        ok &= JAWS_AUDIT_CHECK(hist.resident && *hist.rank == rank_of(s),
-                               "LruKPolicy: resident atom missing from the index or ranked stale");
+        const Entry* e = live_entry[s];
+        ok &= JAWS_AUDIT_CHECK(hist.resident && e != nullptr,
+                               "LruKPolicy: resident atom without a live heap entry");
+        // A reference only raises the rank, so the entry may lag behind it
+        // but never run ahead.
+        if (e != nullptr)
+            ok &= JAWS_AUDIT_CHECK(!(*e > rank_of(s)),
+                                   "LruKPolicy: heap entry ranks above the atom's current rank");
     }
-    for (const Rank& r : index_)
-        ok &= JAWS_AUDIT_CHECK(is_resident(r.atom), "LruKPolicy: index holds a non-resident atom");
     // Every retained (non-resident) history is reachable from the FIFO.
     for (const storage::AtomId& atom : retained_fifo_) {
         if (is_resident(atom)) continue;

@@ -7,23 +7,28 @@
 // retained-history table for recently evicted atoms, as the original paper
 // prescribes, so re-admitted atoms do not lose their reference history.
 //
-// Residents are kept in an ordered index on (kth_ref, recent, atom), updated
-// on every insert, access and evict, so the victim is the index's first
-// entry. Recency ticks are unique, so that key is a strict total order and
-// the victim is exactly the argmin a full scan over the residents would find.
+// Residents are ranked by (kth_ref, recent) in a lazy binary min-heap: a hit
+// only records the reference, and the order is paid for when a victim is
+// picked. A reference only ever raises an atom's rank, so the key of each
+// resident's one live heap entry is a lower bound of its current rank.
+// pick_victim() pops dead entries (evicted or superseded atoms) off the top,
+// re-pushes a top whose atom was referenced since it was pushed at the
+// atom's current rank, and returns the first top that is up to date: that
+// entry is the argmin over the residents. Recency ticks are unique, so the
+// rank is a strict total order and the victim is exactly the argmin a full
+// scan over the residents would find.
 //
 // Histories live in a util::SlotMap keyed by the atom's clustered-index
 // key; a history dropped by the retained-history bound frees its slot for
-// the next atom that needs one.
-// In steady state the policy allocates nothing: an evicted atom's index node
-// is reused by the next insert (BufferCache evicts just before it inserts),
-// and each history's references live in a k-entry ring that stays with its
-// slot.
+// the next atom that needs one. In steady state the policy allocates
+// nothing: the heap keeps its storage (dead entries left by evictions off
+// the top, as BufferCache::clear makes, are compacted away once the heap
+// holds more than twice the residents), and each history's references live
+// in a k-entry ring that stays with its slot.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <set>
 #include <vector>
 
 #include "cache/replacement_policy.h"
@@ -46,19 +51,22 @@ class LruKPolicy final : public ReplacementPolicy {
     bool audit(const std::vector<storage::AtomId>& resident) const override;
 
   private:
-    /// Eviction rank of a resident: smallest evicts first.
-    struct Rank {
+    using Slot = util::SlotIndex::Slot;
+
+    /// A heap entry: the rank of the history in `slot` when it was pushed;
+    /// smallest evicts first.
+    struct Entry {
         /// Backward K-distance: the time of the K-th most recent reference,
         /// or 0 ("infinitely old") if the atom has fewer than K references.
         std::uint64_t kth_ref = 0;
         std::uint64_t recent = 0;  ///< Time of the most recent reference.
-        storage::AtomId atom;
+        Slot slot = 0;
 
-        friend auto operator<=>(const Rank&, const Rank&) = default;
+        /// Heap order: `a` sits below `b` when it evicts after it.
+        friend bool operator>(const Entry& a, const Entry& b) noexcept {
+            return a.kth_ref != b.kth_ref ? a.kth_ref > b.kth_ref : a.recent > b.recent;
+        }
     };
-    using Index = std::set<Rank>;
-
-    using Slot = util::SlotIndex::Slot;
 
     /// One atom's reference history, keyed by the atom's key.
     struct History {
@@ -68,7 +76,9 @@ class LruKPolicy final : public ReplacementPolicy {
         std::vector<std::uint64_t> refs;
         std::size_t newest = 0;
         bool resident = false;
-        Index::iterator rank;  ///< This atom's index entry while resident.
+        /// `recent` of this atom's live heap entry while resident (unique:
+        /// every tick is).
+        std::uint64_t heaped = 0;
 
         /// The i-th most recent reference (0 = the latest); i < refs.size().
         std::uint64_t ref(std::size_t i) const noexcept {
@@ -81,17 +91,26 @@ class LruKPolicy final : public ReplacementPolicy {
         return histories_.find(atom.key().value());
     }
     void touch(History& h);
-    /// Current rank of the history in `s`.
-    Rank rank_of(Slot s) const noexcept;
+    /// Current rank of the history in `s`, as a heap entry.
+    Entry rank_of(Slot s) const noexcept;
+    /// Whether `e` is its resident atom's live entry (not evicted, dropped
+    /// or superseded).
+    bool live(const Entry& e) const noexcept {
+        const History& h = histories_[e.slot];
+        return h.resident && h.heaped == e.recent;
+    }
+    /// Push the current rank of the history in `s` as its live entry.
+    void push_rank(Slot s);
+    void pop_top();
 
     unsigned k_;
     std::size_t retained_cap_;
     std::uint64_t tick_ = 0;
     util::SlotMap<History> histories_;  ///< Atom key -> its reference history.
-    Index index_;  ///< One entry per resident, at its current rank.
+    std::vector<Entry> heap_;  ///< Lazy min-heap: one live entry per resident.
+    std::size_t residents_ = 0;
     // FIFO of evicted atoms whose history is retained, for bounded cleanup.
     std::deque<storage::AtomId> retained_fifo_;
-    Index::node_type spare_rank_;  ///< Last evicted atom's index node.
 };
 
 }  // namespace jaws::cache

@@ -552,17 +552,19 @@ void Engine::proceed_supports(std::size_t idx) {
     // is *not* cached, so single-atom contention chasing pays it again on
     // later passes ("may access the same atom multiple times on different
     // passes"). The cold reads of one item are charged as a single disk job.
+    // Every sub-query of the item shares its atom, so their supports are
+    // among the same three lower neighbours: look each marked one up once,
+    // in ascending Morton order.
     ItemRun& it = batch_.items[idx];
-    support_scratch_.clear();
-    for (const sched::SubQuery& sub : subqueries_of(it))
-        for (const std::uint64_t code : sub.supports)
-            if (code != it.item.atom.morton) support_scratch_.push_back(code);
-    std::sort(support_scratch_.begin(), support_scratch_.end());
-    support_scratch_.erase(
-        std::unique(support_scratch_.begin(), support_scratch_.end()),
-        support_scratch_.end());
+    sched::Supports marked;
+    for (const sched::SubQuery& sub : subqueries_of(it)) {
+        assert(sub.atom.morton == it.item.atom.morton);
+        marked |= sub.supports;
+    }
+    sched::SupportCodes codes = sched::support_codes(it.item.atom, marked);
+    std::sort(codes.begin(), codes.end());
     std::int64_t cold = 0;
-    for (const std::uint64_t code : support_scratch_) {
+    for (const std::uint64_t code : codes) {
         const storage::AtomId support{it.item.atom.timestep, code};
         if (prefetcher_ != nullptr) prefetcher_->on_demand_access(support);
         if (cache_->lookup(support)) continue;  // ghost served from memory

@@ -451,7 +451,6 @@ class Engine {
     std::uint64_t retries_suppressed_ = 0;
     util::Ewma read_ewma_;               ///< Successful demand-read service ms.
     std::uint64_t support_reads_ = 0;
-    std::vector<std::uint64_t> support_scratch_;
     std::uint64_t subqueries_done_ = 0;
     std::uint64_t positions_done_ = 0;
     std::uint64_t eval_tasks_ = 0;        ///< Sub-queries dispatched to the pool.

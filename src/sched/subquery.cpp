@@ -53,7 +53,7 @@ void preprocess(const workload::Query& query, util::SimTime now, std::vector<Sub
                 util::morton_lower_neighbor(sub.atom.morton, axis);
             if (!below) continue;
             const std::size_t at = lower_bound_morton(first, i, *below);
-            if (at < i && first[at].atom.morton == *below) sub.supports.push_back(*below);
+            if (at < i && first[at].atom.morton == *below) sub.supports.add(axis);
         }
     }
 }

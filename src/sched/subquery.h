@@ -8,42 +8,88 @@
 // sub-query record and the pre-processing step.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "storage/atom.h"
+#include "util/morton.h"
 #include "util/sim_time.h"
 #include "workload/query.h"
 
 namespace jaws::sched {
 
-/// Morton codes of a sub-query's kernel-support atoms, stored inline. Each
-/// shared face is charged to the higher-coordinate atom (see preprocess), so
-/// the supports are the x-1, y-1 and z-1 face neighbours: at most three.
+/// Which face neighbours of a sub-query's atom are kernel-support atoms, as
+/// a 3-bit mask. Each shared face is charged to the higher-coordinate atom
+/// (see preprocess), so the supports are among the x-1, y-1 and z-1 face
+/// neighbours, and every sub-query of one atom draws from the same three.
+/// support_codes() derives their Morton codes.
 class Supports {
   public:
     static constexpr std::size_t kMax = 3;
 
+    /// Mark the lower neighbour along `axis` (0 = x, 1 = y, 2 = z).
+    void add(unsigned axis) noexcept {
+        assert(axis < kMax);
+        mask_ = static_cast<std::uint8_t>(mask_ | (1u << axis));
+    }
+    bool has(unsigned axis) const noexcept { return ((mask_ >> axis) & 1u) != 0; }
+    bool empty() const noexcept { return mask_ == 0; }
+    std::size_t size() const noexcept { return static_cast<std::size_t>(std::popcount(mask_)); }
+    /// The union of two sub-queries' supports (of the same atom).
+    Supports& operator|=(Supports o) noexcept {
+        mask_ = static_cast<std::uint8_t>(mask_ | o.mask_);
+        return *this;
+    }
+
+  private:
+    std::uint8_t mask_ = 0;
+};
+
+/// Morton codes of kernel-support atoms, held inline.
+class SupportCodes {
+  public:
     void push_back(std::uint64_t code) noexcept {
-        assert(size_ < kMax);
+        assert(size_ < Supports::kMax);
         codes_[size_++] = code;
     }
     std::size_t size() const noexcept { return size_; }
-    bool empty() const noexcept { return size_ == 0; }
     std::uint64_t operator[](std::size_t i) const noexcept {
         assert(i < size_);
         return codes_[i];
+    }
+    std::uint64_t* begin() noexcept { return codes_.data(); }
+    /// Bounded by kMax so the compiler sees a range of at most three codes:
+    /// on an unbounded one GCC 12 warns (-Warray-bounds) inside std::sort.
+    std::uint64_t* end() noexcept {
+        return codes_.data() + std::min<std::size_t>(size_, Supports::kMax);
     }
     const std::uint64_t* begin() const noexcept { return codes_.data(); }
     const std::uint64_t* end() const noexcept { return codes_.data() + size_; }
 
   private:
-    std::array<std::uint64_t, kMax> codes_{};
+    std::array<std::uint64_t, Supports::kMax> codes_{};
     std::uint8_t size_ = 0;
 };
+
+/// Morton codes of the support atoms `supports` marks around `atom`, in axis
+/// order (x-1, y-1, z-1).
+inline SupportCodes support_codes(const storage::AtomId& atom, Supports supports) noexcept {
+    SupportCodes out;
+    for (unsigned axis = 0; axis < Supports::kMax; ++axis) {
+        if (!supports.has(axis)) continue;
+        const std::optional<std::uint64_t> below = util::morton_lower_neighbor(atom.morton, axis);
+        assert(below);  // preprocess marks only neighbours that exist
+        out.push_back(*below);
+    }
+    return out;
+}
 
 /// One query's positions inside one atom, together with the *support atoms*
 /// its kernel of computation needs: positions near an atom boundary draw
@@ -55,6 +101,10 @@ class Supports {
 /// Schedulers that batch spatially adjacent atoms of one time step (the
 /// two-level framework) therefore avoid redundant peripheral reads that
 /// single-atom contention chasing pays repeatedly.
+///
+/// Every split, enqueue, queue block, drain and batch copies sub-queries, so
+/// the record is kept small: the supports are a one-byte mask, not a list of
+/// codes.
 struct SubQuery {
     workload::QueryId query = 0;
     storage::AtomId atom;
@@ -63,8 +113,10 @@ struct SubQuery {
     /// Completion-time guarantee of the owning query (QoS mode, paper
     /// Sec. VII); INT64_MAX when no guarantee was requested.
     util::SimTime deadline{INT64_MAX};
-    Supports supports;  ///< Morton codes of kernel-support atoms.
+    Supports supports;  ///< Kernel-support face neighbours.
 };
+static_assert(sizeof(SubQuery) <= 56, "SubQuery is copied on every hot-path hop: keep it small");
+static_assert(std::is_trivially_copyable_v<SubQuery>);
 
 /// Split `query` into per-atom sub-queries stamped with `now`, appended to
 /// `out` (a buffer the caller reuses, so splitting allocates nothing once it

@@ -93,6 +93,7 @@ void WorkloadManager::index_add(Slot slot, StepAgg& agg) {
     q.key = compute_key(q);
     agg.utility_sum += q.utility;
     agg.key_sum += q.key;
+    if (!ranked_) return;
     // Push the new rank; the queue's previous entry goes stale.
     const bool top_stale = !ranking_.empty() && ranking_.front().stamp == q.stamp;
     q.stamp = ++stamps_;
@@ -183,12 +184,12 @@ void WorkloadManager::drain_atom(const storage::AtomId& atom, std::vector<SubQue
     }
     total_positions_ -= q.positions;
     total_subqueries_ -= q.count;
-    const bool top_stale = ranking_.front().stamp == q.stamp;
+    const bool top_stale = ranked_ && ranking_.front().stamp == q.stamp;
     // Reset the slot (stamp 0 retires its ranking entries) for the next
     // queue that opens in it.
     q = AtomQueue{};
     queues_.erase(atom.key().value());
-    trim_ranking(top_stale);
+    if (ranked_) trim_ranking(top_stale);
     JAWS_AUDIT((++audit_tick_ & 63) == 0 && audit());
 }
 
@@ -199,9 +200,25 @@ void WorkloadManager::on_residency_changed(const storage::AtomId& atom) {
     index_rerank(slot);
 }
 
-std::optional<storage::AtomId> WorkloadManager::pick_best_atom() const {
+std::optional<storage::AtomId> WorkloadManager::pick_best_atom() {
+    if (!ranked_) build_ranking();
     if (ranking_.empty()) return std::nullopt;
     return storage::AtomId::from_key(ranking_.front().atom);
+}
+
+void WorkloadManager::build_ranking() {
+    // The heap's top is the unique smallest (-key, atom key) over the open
+    // queues however the heap was built, so building it here picks exactly
+    // what maintaining it since the first enqueue would have.
+    ranked_ = true;
+    ranking_.reserve(queues_.size());
+    for (Slot s = 0; s < queues_.slots(); ++s) {
+        if (!queues_.live(s)) continue;
+        AtomQueue& q = queues_[s];
+        q.stamp = ++stamps_;
+        ranking_.push_back(RankEntry{-q.key, atom_of(s), q.stamp, s});
+    }
+    std::make_heap(ranking_.begin(), ranking_.end(), ranks_after);
 }
 
 void WorkloadManager::pick_two_level_batch(std::size_t k, util::SimTime now,
@@ -382,29 +399,37 @@ bool WorkloadManager::audit() const {
     // Slab: every block in use sits on exactly one queue list.
     ok &= JAWS_AUDIT_CHECK(blocks == slab_.size(),
                            "WorkloadManager: slab block leaked or shared between queues");
-    // Ranking heap: a valid heap, bounded by compaction, with exactly one
-    // live entry per pending atom at its current key, and a live top that
-    // is the brute-force best.
-    ok &= JAWS_AUDIT_CHECK(std::is_heap(ranking_.begin(), ranking_.end(), ranks_after),
-                           "WorkloadManager: ranking heap order violated");
-    ok &= JAWS_AUDIT_CHECK(ranking_.size() <= 2 * queues_.size(),
-                           "WorkloadManager: stale ranking entries not compacted");
-    std::size_t live_entries = 0;
-    for (const RankEntry& e : ranking_) {
-        const bool in_map = JAWS_AUDIT_CHECK(e.slot < queues_.slots(),
-                                             "WorkloadManager: ranking entry past the queue slots");
-        ok &= in_map;
-        if (!in_map || !live(e)) continue;
-        ++live_entries;
-        ok &= JAWS_AUDIT_CHECK(atom_of(e.slot) == e.atom && close(e.neg_key, -queues_[e.slot].key),
-                               "WorkloadManager: live ranking entry carries a stale key");
+    if (!ranked_) {
+        // No single-atom pick yet: nothing ranks the queues.
+        ok &= JAWS_AUDIT_CHECK(ranking_.empty(),
+                               "WorkloadManager: ranking kept before the first single-atom pick");
+    } else {
+        // Ranking heap: a valid heap, bounded by compaction, with exactly one
+        // live entry per pending atom at its current key, and a live top that
+        // is the brute-force best.
+        ok &= JAWS_AUDIT_CHECK(std::is_heap(ranking_.begin(), ranking_.end(), ranks_after),
+                               "WorkloadManager: ranking heap order violated");
+        ok &= JAWS_AUDIT_CHECK(ranking_.size() <= 2 * queues_.size(),
+                               "WorkloadManager: stale ranking entries not compacted");
+        std::size_t live_entries = 0;
+        for (const RankEntry& e : ranking_) {
+            const bool in_map =
+                JAWS_AUDIT_CHECK(e.slot < queues_.slots(),
+                                 "WorkloadManager: ranking entry past the queue slots");
+            ok &= in_map;
+            if (!in_map || !live(e)) continue;
+            ++live_entries;
+            ok &= JAWS_AUDIT_CHECK(
+                atom_of(e.slot) == e.atom && close(e.neg_key, -queues_[e.slot].key),
+                "WorkloadManager: live ranking entry carries a stale key");
+        }
+        ok &= JAWS_AUDIT_CHECK(live_entries == queues_.size(),
+                               "WorkloadManager: live ranking entries out of sync with the queues");
+        ok &= JAWS_AUDIT_CHECK(ranking_.empty() == queues_.empty() &&
+                                   (ranking_.empty() || (live(ranking_.front()) &&
+                                                         ranking_.front().atom == best->second)),
+                               "WorkloadManager: ranking top is stale or not the best atom");
     }
-    ok &= JAWS_AUDIT_CHECK(live_entries == queues_.size(),
-                           "WorkloadManager: live ranking entries out of sync with the queues");
-    ok &= JAWS_AUDIT_CHECK(ranking_.empty() == queues_.empty() &&
-                               (ranking_.empty() || (live(ranking_.front()) &&
-                                                     ranking_.front().atom == best->second)),
-                           "WorkloadManager: ranking top is stale or not the best atom");
     ok &= JAWS_AUDIT_CHECK(deadlines_.size() == deadlined,
                            "WorkloadManager: deadline index size out of sync");
     ok &= JAWS_AUDIT_CHECK(steps_.size() == step_sums.size(),

@@ -31,14 +31,19 @@
 // on the caller's contract: every residency flip of an atom reaches
 // on_residency_changed() before the manager is next used.
 //
-// The global ranking is a lazily invalidated binary heap: every re-rank
-// pushes a fresh entry stamped with a unique number the queue remembers, and
-// an entry whose stamp no longer matches its queue slot's is stale (a drain
-// resets its slot's stamp to 0, which no entry carries). Stale entries are
-// popped when they surface at the top and compacted away once the heap
-// holds more than twice the pending atoms, so the top is always live. Each
-// step keeps an unordered member list (swap-remove) that the two-level pick
-// ranks on demand; only its first k atoms are ever sorted.
+// The global ranking serves only the single-atom pick (LifeRaft's), so it
+// is built the first time pick_best_atom() asks for it: one make_heap over
+// the open queues. Under the two-level pick alone (JAWS) it never exists,
+// and enqueues and drains do no ranking work. Once built it is a lazily
+// invalidated binary heap: every re-rank pushes a fresh entry stamped with
+// a unique number the queue remembers, and an entry whose stamp no longer
+// matches its queue slot's is stale (a drain resets its slot's stamp to 0,
+// which no entry carries). Stale entries are popped when they surface at the
+// top and compacted away once the heap holds more than twice the pending
+// atoms, so the top is always live. The top is the unique smallest (-key,
+// atom key), however the heap was built. Each step keeps an unordered
+// member list (swap-remove) that the two-level pick ranks on demand; only
+// its first k atoms are ever sorted.
 #pragma once
 
 #include <array>
@@ -111,9 +116,11 @@ class WorkloadManager final : public cache::UtilityOracle {
 
     // --- selection ---
 
-    /// Atom with the highest aged workload throughput U_e at virtual time
-    /// `now` (LifeRaft's single-atom pick). nullopt when no work is pending.
-    std::optional<storage::AtomId> pick_best_atom() const;
+    /// Atom with the highest aged workload throughput U_e (LifeRaft's
+    /// single-atom pick; the ranking is the same at every `now`). nullopt
+    /// when no work is pending. The first call builds the ranking, which the
+    /// manager keeps from then on.
+    std::optional<storage::AtomId> pick_best_atom();
 
     /// Two-level pick (paper Sec. V, Fig. 6): the time step with the highest
     /// mean *aged* workload throughput over all of the step's atoms
@@ -157,8 +164,9 @@ class WorkloadManager final : public cache::UtilityOracle {
     /// indexes (automatic at transitions in audit builds; callable from
     /// tests): the queue map and the slab, per-queue
     /// position/deadline caches, the cached phi against the probe, global
-    /// totals, the ranking heap (one live entry per atom, a live top equal
-    /// to the brute-force best), the per-step member lists and aggregates,
+    /// totals, the ranking heap (empty before the first pick_best_atom();
+    /// after it one live entry per atom and a live top equal to the
+    /// brute-force best), the per-step member lists and aggregates,
     /// and the deadline index must all re-derive from the queues. Reports
     /// through util::contract_violation; returns true when clean.
     bool audit() const;
@@ -236,13 +244,16 @@ class WorkloadManager final : public cache::UtilityOracle {
     double compute_key(const AtomQueue& q) const;
     void index_insert(Slot slot);
     void index_rerank(Slot slot);
-    /// Recompute U_t and the key, add them to the step sums, and push the
-    /// new rank (retiring the queue's previous heap entry).
+    /// Recompute U_t and the key, add them to the step sums, and, once the
+    /// ranking is built, push the new rank (retiring the queue's previous
+    /// heap entry).
     void index_add(Slot slot, StepAgg& agg);
     void index_erase(Slot slot);
     /// Remove an emptied step, keeping its node for the next step that opens.
     void retire_step(StepMap::iterator it);
     void rebuild_index();
+    /// Rank every open queue: the first single-atom pick's heap.
+    void build_ranking();
     bool live(const RankEntry& e) const noexcept { return queues_[e.slot].stamp == e.stamp; }
     /// Restore the live-top invariant after `top_stale` retired the top, and
     /// compact once stale entries outnumber the live ones.
@@ -255,6 +266,7 @@ class WorkloadManager final : public cache::UtilityOracle {
     util::SlotPool<Block, 8> slab_;     ///< The blocks of every atom queue.
     util::SlotMap<AtomQueue> queues_;  ///< Atom key -> its open queue.
     std::vector<RankEntry> ranking_;  ///< Lazily invalidated heap.
+    bool ranked_ = false;             ///< Whether pick_best_atom() has run.
     std::uint64_t stamps_ = 0;        ///< Last stamp handed out.
     StepMap steps_;
     /// Emptied steps' map nodes, member lists cleared but not shrunk.

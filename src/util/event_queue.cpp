@@ -16,6 +16,7 @@ namespace jaws::util {
 void EventQueue::reset_to(SimTime t) {
     if (!empty()) throw std::logic_error("EventQueue::reset_to: events still pending");
     heap_.clear();  // drop cancelled tombstones
+    lane_full_ = false;
     now_ = t;
 }
 
@@ -43,8 +44,25 @@ void EventQueue::release_slot(std::uint32_t slot) {
 }
 
 void EventQueue::push_entry(const Entry& e) {
+    if (lane_full_ ? lane_ > e : heap_.empty() || heap_.front() > e) {
+        // `e` sorts before everything pending: it takes the lane, and the
+        // entry it displaces (which sorts before the whole heap) moves in.
+        if (lane_full_) push_heap_entry(lane_);
+        lane_ = e;
+        lane_full_ = true;
+        return;
+    }
+    push_heap_entry(e);
+}
+
+void EventQueue::push_heap_entry(const Entry& e) {
     heap_.push_back(e);
     std::push_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
+}
+
+void EventQueue::pop_heap_entry() {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
+    heap_.pop_back();
 }
 
 EventQueue::EventId EventQueue::schedule(SimTime at, int priority,
@@ -87,24 +105,28 @@ bool EventQueue::cancel(EventId id) {
 }
 
 void EventQueue::drop_cancelled() {
-    while (!heap_.empty() && stale(heap_.front())) {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
-        heap_.pop_back();
+    if (lane_full_) {
+        if (!stale(lane_)) return;
+        lane_full_ = false;  // the heap's top is next
     }
+    while (!heap_.empty() && stale(heap_.front())) pop_heap_entry();
 }
 
 SimTime EventQueue::next_time() const {
     const_cast<EventQueue*>(this)->drop_cancelled();
+    if (lane_full_) return lane_.at;
     assert(!heap_.empty());
     return heap_.front().at;
 }
 
 bool EventQueue::run_one() {
     drop_cancelled();
-    if (heap_.empty()) return false;
-    const Entry top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
-    heap_.pop_back();
+    if (!lane_full_ && heap_.empty()) return false;
+    const Entry top = lane_full_ ? lane_ : heap_.front();
+    if (lane_full_)
+        lane_full_ = false;
+    else
+        pop_heap_entry();
     // Move the handler out before releasing: it may schedule into this slot.
     Handler fn = std::move(slots_[top.slot].fn);
     slots_[top.slot].fn = nullptr;
@@ -119,26 +141,30 @@ bool EventQueue::run_one() {
 bool EventQueue::audit() const {
     bool ok = JAWS_AUDIT_CHECK(std::is_heap(heap_.begin(), heap_.end(), std::greater<Entry>{}),
                                "EventQueue: heap order violated");
+    ok &= JAWS_AUDIT_CHECK(!lane_full_ || heap_.empty() || heap_.front() > lane_,
+                           "EventQueue: lane entry does not sort before the heap");
     std::vector<std::uint8_t> entries(slots_.slots(), 0);  // live entries per slot
-    for (const Entry& e : heap_) {
-        if (e.slot == kNoSlot) continue;  // tombstone
+    const auto count = [&](const Entry& e) {
+        if (e.slot == kNoSlot) return;  // tombstone
         const bool in_pool = JAWS_AUDIT_CHECK(e.slot < slots_.slots(),
-                                              "EventQueue: heap entry names a slot past the pool");
+                                              "EventQueue: entry names a slot past the pool");
         ok &= in_pool;
-        if (!in_pool) continue;
+        if (!in_pool) return;
         const Slot& s = slots_[e.slot];
-        if (!slots_.live(e.slot) || s.generation != e.generation) continue;  // cancelled
+        if (!slots_.live(e.slot) || s.generation != e.generation) return;  // cancelled
         ok &= JAWS_AUDIT_CHECK(++entries[e.slot] == 1,
-                               "EventQueue: two live heap entries for one event");
+                               "EventQueue: two live entries for one event");
         ok &= JAWS_AUDIT_CHECK(e.at >= now_, "EventQueue: pending event scheduled behind the clock");
         ok &= JAWS_AUDIT_CHECK(s.source == e.source,
-                               "EventQueue: heap entry and slot disagree on source");
-    }
-    // Every live slot needs exactly one live heap entry, or it can never fire.
+                               "EventQueue: entry and slot disagree on source");
+    };
+    if (lane_full_) count(lane_);
+    for (const Entry& e : heap_) count(e);
+    // Every live slot needs exactly one live entry, or it can never fire.
     for (std::uint32_t i = 0; i < slots_.slots(); ++i)
         if (slots_.live(i))
             ok &= JAWS_AUDIT_CHECK(entries[i] == 1,
-                                   "EventQueue: dangling handler with no heap entry");
+                                   "EventQueue: dangling handler with no entry");
     ok &= slots_.audit();
     std::size_t by_source = 0;
     for (const std::size_t n : pending_by_source_) by_source += n;

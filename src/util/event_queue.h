@@ -71,6 +71,16 @@ struct TiePerturbation {
 /// stays dead however often the slot is reused, and cancel()/pending() index
 /// the table without hashing. No issued id is ever 0, which clients use to
 /// mean "no event".
+///
+/// Pending entries sit in a binary min-heap behind a one-entry lane. The
+/// lane holds an entry that sorts before every heap entry: a new entry that
+/// sorts before everything pending takes it, and the entry it displaces
+/// moves into the heap. An event that the handler before it schedules to
+/// fire next (an item's next CPU completion, the next read) is pushed into
+/// the lane and fired from it without a heap push or pop: in perfbench that
+/// is 99 % of the events of `fig10_trace` and 38 % of those of the
+/// four-node `cluster_saturated`. The firing order is the same (time,
+/// priority, source, tie) order.
 class EventQueue {
   public:
     using EventId = std::uint64_t;
@@ -135,9 +145,10 @@ class EventQueue {
     bool run_one();
 
     /// Exhaustive self-check (audit builds call this automatically at
-    /// transitions; tests call it directly): heap order, monotone timestamps
-    /// (no live entry behind the clock), exactly one live heap entry per
-    /// live slot and none for a free one, and a slot pool that audits clean.
+    /// transitions; tests call it directly): heap order, a lane entry that
+    /// sorts before the heap's top, monotone timestamps (no live entry
+    /// behind the clock), exactly one live entry (lane or heap) per live slot
+    /// and none for a free one, and a slot pool that audits clean.
     /// Reports through util::contract_violation; returns true when clean.
     bool audit() const;
 
@@ -184,13 +195,19 @@ class EventQueue {
     EventId id_of(std::uint32_t slot, std::uint32_t generation) const noexcept {
         return ((std::uint64_t{generation} << 32) | slot) + perturb_.id_offset;
     }
+    /// Drop cancelled and tombstone entries from the front (the lane, then
+    /// the heap's top) until the next entry is live or nothing is pending.
     void drop_cancelled();
     void push_entry(const Entry& e);
+    void push_heap_entry(const Entry& e);
+    void pop_heap_entry();
     std::uint64_t tie_rank(std::uint64_t seq, int priority) const noexcept;
 
     // A min-heap kept by std::push_heap/pop_heap over a plain vector (rather
     // than std::priority_queue) so audit() can scan the pending entries.
     std::vector<Entry> heap_;
+    Entry lane_{};            ///< Sorts before every heap entry while full.
+    bool lane_full_ = false;
     SlotPool<Slot> slots_;  ///< Live slots are the pending events.
     // Live event count per source, indexed by source id (sources are small
     // dense node ids); grown on demand.

@@ -136,6 +136,21 @@ class ScanLruK final : public cache::ReplacementPolicy {
     std::deque<storage::AtomId> retained_fifo_;
 };
 
+/// Look `atom` up in both caches and insert it on a miss; "" while the two
+/// agree on the hit and on the victim.
+std::string access_both(cache::BufferCache& indexed, cache::BufferCache& scan,
+                        const storage::AtomId& atom) {
+    const bool hit = indexed.lookup(atom);
+    if (hit != scan.lookup(atom)) return "hit/miss diverged on " + atom_str(atom);
+    if (hit) return "";
+    const auto a = indexed.insert(atom);
+    const auto b = scan.insert(atom);
+    if (a != b)
+        return "miss on " + atom_str(atom) + " evicted " + atom_str(a) + ", scan evicts " +
+               atom_str(b);
+    return "";
+}
+
 std::string lru_k_stream(Gen& g, std::size_t capacity, unsigned k, std::size_t retained) {
     const CountViolations quiet;
     cache::BufferCache indexed(capacity, std::make_unique<cache::LruKPolicy>(k, retained));
@@ -161,16 +176,46 @@ std::string lru_k_stream(Gen& g, std::size_t capacity, unsigned k, std::size_t r
             if (a != b)
                 return at + "direct insert of " + atom_str(atom) + " evicted " + atom_str(a) +
                        ", scan evicts " + atom_str(b);
-        } else {
-            const bool hit = indexed.lookup(atom);
-            if (hit != scan.lookup(atom)) return at + "hit/miss diverged on " + atom_str(atom);
-            if (!hit) {
-                const auto a = indexed.insert(atom);
-                const auto b = scan.insert(atom);
-                if (a != b)
-                    return at + "miss on " + atom_str(atom) + " evicted " + atom_str(a) +
-                           ", scan evicts " + atom_str(b);
-            }
+        } else if (const std::string diff = access_both(indexed, scan, atom); !diff.empty()) {
+            return at + diff;
+        }
+        if (!indexed.audit()) return at + "indexed LRU-K failed its audit";
+    }
+    return "";
+}
+
+/// A few hot atoms, each hit at least 50 times between two evictions, so
+/// the victim heap holds entries far below their atoms' ranks; cold misses
+/// force the evictions, and clear() runs while the heap still holds entries
+/// of atoms evicted by an earlier clear() and since re-admitted.
+std::string hot_lru_k_stream(Gen& g, std::size_t capacity, unsigned k, std::size_t retained) {
+    const CountViolations quiet;
+    cache::BufferCache indexed(capacity, std::make_unique<cache::LruKPolicy>(k, retained));
+    cache::BufferCache scan(capacity, std::make_unique<ScanLruK>(k, retained));
+    const std::uint64_t hot = g.below(std::min<std::uint64_t>(3, capacity - 1)) + 1;
+    std::uint64_t next_cold = hot;
+    const int rounds = static_cast<int>(g.below(40)) + 1;
+    for (int r = 0; r < rounds; ++r) {
+        const std::string at = "round " + std::to_string(r) + ": ";
+        // Each hot atom's 50-79 hits, shuffled together.
+        std::vector<std::uint64_t> hits;
+        for (std::uint64_t a = 0; a < hot; ++a) hits.insert(hits.end(), 50 + g.below(30), a);
+        for (std::size_t i = hits.size(); i > 1; --i) std::swap(hits[i - 1], hits[g.below(i)]);
+        for (const std::uint64_t atom : hits)
+            if (const std::string diff = access_both(indexed, scan, {0, atom}); !diff.empty())
+                return at + diff;
+        // Cold misses: each evicts once the cache is full. A cold atom is
+        // sometimes re-admitted with the history of an earlier admission.
+        for (std::uint64_t c = g.below(3) + 1; c > 0; --c) {
+            const std::uint64_t cold = g.below(4) == 0 && next_cold > hot
+                                           ? hot + g.below(next_cold - hot)
+                                           : next_cold++;
+            if (const std::string diff = access_both(indexed, scan, {0, cold}); !diff.empty())
+                return at + diff;
+        }
+        if (g.below(4) == 0) {
+            indexed.clear();
+            scan.clear();
         }
         if (!indexed.audit()) return at + "indexed LRU-K failed its audit";
     }
@@ -187,6 +232,23 @@ TEST(Differential, LruKVictimMatchesScan) {
                 config.cases = capacity >= 256 ? 6 : 12;
                 const Outcome o = proptest::check(config, [&](Gen& g) {
                     return lru_k_stream(g, capacity, k, retained);
+                });
+                EXPECT_TRUE(o.ok) << o.message;
+            }
+        }
+    }
+    // Hit-heavy: the heap's keys lag far behind, so nearly every victim
+    // pick re-ranks. Small caches keep dead entries below the compaction
+    // bound across clear().
+    for (const std::size_t capacity : {2u, 4u, 8u}) {
+        for (const unsigned k : {1u, 2u, 3u}) {
+            for (const std::size_t retained : {0u, 4096u}) {
+                SCOPED_TRACE("hot: capacity " + std::to_string(capacity) + " k " +
+                             std::to_string(k) + " retained " + std::to_string(retained));
+                Config config;
+                config.cases = 12;
+                const Outcome o = proptest::check(config, [&](Gen& g) {
+                    return hot_lru_k_stream(g, capacity, k, retained);
                 });
                 EXPECT_TRUE(o.ok) << o.message;
             }
@@ -331,10 +393,12 @@ std::string show(const std::vector<storage::AtomId>& atoms) {
     return out + "]";
 }
 
-/// Every observable of the two managers, compared exactly.
-std::string compare(const sched::WorkloadManager& m, const SetIndexManager& o,
-                    std::uint32_t steps, util::SimTime now) {
-    if (m.pick_best_atom() != o.pick_best_atom())
+/// Every observable of the two managers, compared exactly. The single-atom
+/// pick is compared only once `single_atom` picks have begun: the first one
+/// builds the manager's ranking.
+std::string compare(sched::WorkloadManager& m, const SetIndexManager& o, std::uint32_t steps,
+                    util::SimTime now, bool single_atom) {
+    if (single_atom && m.pick_best_atom() != o.pick_best_atom())
         return "pick_best_atom " + atom_str(m.pick_best_atom()) + " vs sets " +
                atom_str(o.pick_best_atom());
     for (const std::size_t k : {1u, 15u, 64u}) {
@@ -353,7 +417,14 @@ std::string compare(const sched::WorkloadManager& m, const SetIndexManager& o,
     return "";
 }
 
-std::string manager_stream(Gen& g) {
+/// When a manager stream makes its first single-atom pick.
+enum class FirstPick {
+    kFirstOp,  ///< From the first op on (the ranking is built at once).
+    kLateOp,   ///< From one random op in the stream's second half on.
+    kNever,    ///< Never: the two-level pick alone, as under JAWS.
+};
+
+std::string manager_stream(Gen& g, FirstPick first) {
     const CountViolations quiet;
     sched::CostConstants cost;
     cost.atoms_per_step = std::uint64_t{1} << g.below(7);  // 1 .. 64
@@ -373,8 +444,17 @@ std::string manager_stream(Gen& g) {
     util::SimTime now;
     workload::QueryId next_query = 1;
     const int ops = static_cast<int>(g.below(300)) + 1;
+    // Before op `picks_from` the queues see enqueues, drains, residency
+    // flips and alpha changes with no single-atom pick, so a late first pick
+    // must rank queues opened, re-ranked and re-keyed before it.
+    int picks_from = 0;
+    if (first == FirstPick::kLateOp)
+        picks_from = ops / 2 + static_cast<int>(g.below(static_cast<std::uint64_t>(ops - ops / 2)));
+    else if (first == FirstPick::kNever)
+        picks_from = ops;
     for (int i = 0; i < ops; ++i) {
         const std::string at = "op " + std::to_string(i) + ": ";
+        const bool single_atom = i >= picks_from;
         switch (g.below(10)) {
             case 0:
             case 1:
@@ -413,6 +493,13 @@ std::string manager_stream(Gen& g) {
                 break;
             }
             default: {
+                if (!single_atom) {
+                    // JAWS's loop: drain a two-level batch.
+                    for (const storage::AtomId& atom : m.pick_two_level_batch(15, now))
+                        if (m.drain_atom(atom).size() != o.drain_atom(atom).size())
+                            return at + "drain of a two-level batch diverged";
+                    break;
+                }
                 // LifeRaft's loop: drain the best atom.
                 const auto best = m.pick_best_atom();
                 if (!best) break;
@@ -420,7 +507,8 @@ std::string manager_stream(Gen& g) {
                     return at + "drain of the best atom diverged";
             }
         }
-        if (const std::string diff = compare(m, o, steps, now); !diff.empty()) return at + diff;
+        if (const std::string diff = compare(m, o, steps, now, single_atom); !diff.empty())
+            return at + diff;
         if (!m.audit()) return at + "workload manager failed its audit";
     }
     return "";
@@ -429,7 +517,27 @@ std::string manager_stream(Gen& g) {
 TEST(Differential, WorkloadManagerMatchesSetIndex) {
     Config config;
     config.cases = 300;
-    const Outcome o = proptest::check(config, manager_stream);
+    const Outcome o =
+        proptest::check(config, [](Gen& g) { return manager_stream(g, FirstPick::kFirstOp); });
+    EXPECT_TRUE(o.ok) << o.message;
+}
+
+TEST(Differential, WorkloadManagerRanksAtALateFirstPick) {
+    Config config;
+    config.cases = 300;
+    const Outcome o =
+        proptest::check(config, [](Gen& g) { return manager_stream(g, FirstPick::kLateOp); });
+    EXPECT_TRUE(o.ok) << o.message;
+}
+
+TEST(Differential, WorkloadManagerTwoLevelOnlyNeverRanks) {
+    // The audit after every op requires an empty ranking: no enqueue, drain,
+    // residency flip or alpha change may rank a queue before a single-atom
+    // pick asks for it.
+    Config config;
+    config.cases = 200;
+    const Outcome o =
+        proptest::check(config, [](Gen& g) { return manager_stream(g, FirstPick::kNever); });
     EXPECT_TRUE(o.ok) << o.message;
 }
 
@@ -472,7 +580,8 @@ std::string preprocess_supports(Gen& g) {
     const std::vector<sched::SubQuery> subs = sched::preprocess(query, util::SimTime::zero());
     if (subs.size() != codes.size()) return "one sub-query per footprint atom";
     for (const sched::SubQuery& sub : subs) {
-        const std::vector<std::uint64_t> got(sub.supports.begin(), sub.supports.end());
+        const sched::SupportCodes codes = sched::support_codes(sub.atom, sub.supports);
+        const std::vector<std::uint64_t> got(codes.begin(), codes.end());
         if (got != decode_encode_supports(query, sub.atom.morton))
             return "supports of atom " + std::to_string(sub.atom.morton) + " diverged";
     }

@@ -352,6 +352,100 @@ TEST(EventQueue, DeadIdsStayDeadAfterTheirSlotIsReused) {
     }
 }
 
+// --- the next-event lane: one entry kept in front of the heap -------------
+
+TEST(EventQueue, CancelledLaneEntryFallsThroughToTheHeap) {
+    EventQueue q;
+    std::vector<int> order;
+    q.schedule(us(30), 0, [&] { order.push_back(30); });  // an empty queue's lane
+    q.schedule(us(20), 0, [&] { order.push_back(20); });  // displaces 30 into the heap
+    const auto lane = q.schedule(us(10), 0, [&] { order.push_back(10); });
+    EXPECT_TRUE(q.audit());
+    ASSERT_TRUE(q.cancel(lane));
+    EXPECT_TRUE(q.audit());
+    EXPECT_EQ(q.next_time().micros, 20);
+    EXPECT_TRUE(q.audit());
+    ASSERT_TRUE(q.run_one());
+    EXPECT_TRUE(q.audit());
+    // The lane is empty now: an entry before the heap's top takes it again.
+    const auto again = q.schedule(us(25), 0, [&] { order.push_back(25); });
+    EXPECT_TRUE(q.audit());
+    ASSERT_TRUE(q.cancel(again));
+    EXPECT_TRUE(q.audit());
+    ASSERT_TRUE(q.run_one());
+    EXPECT_TRUE(q.audit());
+    EXPECT_FALSE(q.run_one());
+    EXPECT_EQ(order, (std::vector<int>{20, 30}));
+    EXPECT_EQ(q.now().micros, 30);
+    EXPECT_TRUE(q.empty());
+    EXPECT_TRUE(q.audit());
+}
+
+TEST(EventQueue, SameInstantLowerPriorityOrSourceDisplacesTheLane) {
+    EventQueue q;
+    std::vector<std::string> order;
+    const auto post = [&](int priority, std::uint32_t source, std::string tag) {
+        q.schedule(us(5), priority, source, [&order, tag] { order.push_back(tag); });
+        EXPECT_TRUE(q.audit()) << tag;
+    };
+    post(2, 3, "p2s3");         // the lane
+    post(1, 3, "p1s3");         // a lower priority class displaces it
+    post(1, 1, "p1s1");         // a lower source displaces it
+    post(1, 1, "p1s1-later");   // the same key inserted later does not
+    post(1, 2, "p1s2");         // nor does a higher source
+    post(0, 9, "p0s9");         // the lowest class displaces it whatever its source
+    while (q.run_one()) EXPECT_TRUE(q.audit());
+    EXPECT_EQ(order, (std::vector<std::string>{"p0s9", "p1s1", "p1s1-later", "p1s2", "p1s3",
+                                               "p2s3"}));
+}
+
+/// A program that keeps scheduling ahead of everything pending (so the lane
+/// changes hands at nearly every step), cancels lane entries, and fires now
+/// and then, auditing after every step. Returns the tags in firing order.
+std::vector<int> lane_program(const TiePerturbation& p) {
+    EventQueue q;
+    q.set_perturbation(p);
+    std::vector<int> fired;
+    for (int i = 0; i < 60; ++i) {
+        // Descending times: once the clock passes one, it clamps to now and
+        // ties break by priority, source and insertion.
+        const EventQueue::EventId id =
+            q.schedule(us(1000 - 15 * i), i % 3, static_cast<std::uint32_t>(i % 2),
+                       [&fired, i] { fired.push_back(i); });
+        EXPECT_TRUE(q.audit()) << "schedule " << i;
+        if (i % 5 == 4) {
+            EXPECT_TRUE(q.cancel(id));
+            EXPECT_TRUE(q.audit()) << "cancel " << i;
+        }
+        if (i % 7 == 6) {
+            EXPECT_TRUE(q.run_one());
+            EXPECT_TRUE(q.audit()) << "run after " << i;
+        }
+    }
+    while (q.run_one()) EXPECT_TRUE(q.audit());
+    EXPECT_TRUE(q.empty());
+    return fired;
+}
+
+TEST(EventQueue, LaneKeepsTheOrderUnderTombstonesAndIdOffsets) {
+    const std::vector<int> plain = lane_program(TiePerturbation{});
+    // Every event but the cancelled ones (i % 5 == 4) fires exactly once.
+    std::vector<int> sorted = plain;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<int> expected;
+    for (int i = 0; i < 60; ++i)
+        if (i % 5 != 4) expected.push_back(i);
+    EXPECT_EQ(sorted, expected);
+    for (const TiePerturbation& p :
+         {TiePerturbation{.tombstone_stride = 1}, TiePerturbation{.tombstone_stride = 3},
+          TiePerturbation{.id_offset = 0 - (std::uint64_t{1} << 32)},
+          TiePerturbation{.id_offset = 77, .tombstone_stride = 2}}) {
+        SCOPED_TRACE("stride " + std::to_string(p.tombstone_stride) + " offset " +
+                     std::to_string(p.id_offset));
+        EXPECT_EQ(lane_program(p), plain);
+    }
+}
+
 // --------------------------------------------------------------------------
 // SimResource
 // --------------------------------------------------------------------------

@@ -63,8 +63,9 @@ TEST(Preprocess, AdjacentAtomsGainDownwardSupports) {
         subs[0].atom.morton == util::morton_encode(2, 2, 2) ? subs[0] : subs[1];
     const SubQuery& upper =
         subs[0].atom.morton == util::morton_encode(3, 2, 2) ? subs[0] : subs[1];
-    ASSERT_EQ(upper.supports.size(), 1u);
-    EXPECT_EQ(upper.supports[0], util::morton_encode(2, 2, 2));
+    const SupportCodes codes = support_codes(upper.atom, upper.supports);
+    ASSERT_EQ(codes.size(), 1u);
+    EXPECT_EQ(codes[0], util::morton_encode(2, 2, 2));
     EXPECT_TRUE(lower.supports.empty());
 }
 
@@ -78,7 +79,7 @@ TEST(Preprocess, SupportsOnlyWithinFootprint) {
     // A 2x1x1 bar: supports never point to atoms outside the footprint.
     const auto q = query_with_atoms({{1, 1, 1}, {2, 1, 1}});
     for (const auto& s : preprocess(q, util::SimTime::zero())) {
-        for (const std::uint64_t code : s.supports) {
+        for (const std::uint64_t code : support_codes(s.atom, s.supports)) {
             const bool in_footprint = std::any_of(
                 q.footprint.begin(), q.footprint.end(),
                 [code](const workload::AtomRequest& r) { return r.atom.morton == code; });
