@@ -11,7 +11,8 @@ rules on that walk.
 
 Determinism. wall-clock and ambient-random run only in the six decision
 modules src/{core,sched,storage,cache,field,workload}; util/ is exempt
-because util/wallclock.cpp is the sanctioned clock reader.
+because util/wallclock.cpp is the sanctioned clock reader. The
+unordered-container ban runs in all seven modules.
 
   wall-clock           std::chrono::{system,steady,high_resolution,...}_clock,
                        time()/clock()/gettimeofday()/clock_gettime() -- time
@@ -21,13 +22,14 @@ because util/wallclock.cpp is the sanctioned clock reader.
                        default-constructed (unseeded) standard engines --
                        randomness must flow from an explicit seed
                        (util/rng.h).
-  unordered-iteration  range-for over std::unordered_{map,set,...}, whether
-                       the container is declared directly, hides behind a
-                       `using` alias or a typedef, or is bound through
-                       `auto`, in the file or in its paired header
-                       (foo.cpp <- foo.h). Lookups are fine; only iteration
-                       is flagged, because hash order is a function of the
-                       standard library's bucket layout.
+  unordered-container  any unordered_{map,set,multimap,multiset} token,
+                       an #include of one too: hash order is a function of
+                       the standard library's bucket layout, so src/ keys
+                       its id tables with util::SlotMap (walked in slot
+                       order) and its tallies with ordered containers. A ban
+                       on the type needs no inference, so no alias, typedef,
+                       `auto` binding, comma declaration or other header can
+                       hide an iteration from it.
 
 Semantics:
 
@@ -171,15 +173,8 @@ AMBIENT_RANDOM_RE = re.compile(
     r"|ranlux24|ranlux48|ranlux24_base|ranlux48_base|knuth_b)\s+\w+\s*(?:;|\{\s*\})"
 )
 
-# unordered-iteration
-UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\s*<")
-RANGE_FOR_RE = re.compile(r"\bfor\s*\(")
-ALIAS_RE = re.compile(
-    r"\busing\s+([A-Za-z_]\w*)\s*=[^;=]*\bunordered_(?:map|set|multimap|multiset)\s*<")
-TYPEDEF_RE = re.compile(
-    r"\btypedef\b[^;]*\bunordered_(?:map|set|multimap|multiset)\s*<[^;]*?"
-    r"\b([A-Za-z_]\w*)\s*;")
-AUTO_BIND_RE = re.compile(r"\bauto\s*&?\s*([A-Za-z_]\w*)\s*=\s*([A-Za-z_]\w*)\s*;")
+# unordered-container
+UNORDERED_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\b")
 
 # kernel-blocking
 BLOCKING_RE = re.compile(
@@ -372,83 +367,6 @@ def operand_windows(code: str, start: int, end: int,
     m = boundary_re.search(right_src)
     right = right_src[:m.start()] if m else right_src
     return left, right
-
-
-# ---------------------------------------------------------------------------
-# unordered-iteration
-# ---------------------------------------------------------------------------
-
-def unordered_container_names(code: str) -> set[str]:
-    """Names of variables/members declared with an unordered container type
-    in this text. Handles multi-line declarations by tracking template
-    angle-bracket depth from the `unordered_xxx<` occurrence."""
-    names: set[str] = set()
-    for m in UNORDERED_DECL_RE.finditer(code):
-        i = m.end()  # just past '<'
-        depth = 1
-        n = len(code)
-        while i < n and depth > 0:
-            if code[i] == "<":
-                depth += 1
-            elif code[i] == ">":
-                depth -= 1
-            i += 1
-        # Next identifier after the closing '>' is the declared name, unless
-        # this is a nested type (e.g. a template argument) or a return type;
-        # those are filtered by requiring a declarator-ish terminator.
-        tail = code[i:i + 400]
-        dm = re.match(r"\s*&?\s*([A-Za-z_][A-Za-z0-9_]*)\s*(;|=|\{|\[)", tail)
-        if dm:
-            names.add(dm.group(1))
-    return names
-
-
-def unordered_names_through_aliases(code: str) -> set[str]:
-    """Variables whose type is an unordered container, including through
-    `using`/`typedef` aliases and single-step `auto` bindings."""
-    alias_types = {m.group(1) for m in ALIAS_RE.finditer(code)}
-    alias_types |= {m.group(1) for m in TYPEDEF_RE.finditer(code)}
-    names = unordered_container_names(code)
-    for alias in alias_types:
-        decl = re.compile(r"\b" + re.escape(alias) + r"\s*&?\s+([A-Za-z_]\w*)\s*(?:;|=|\{|\[)")
-        names |= {m.group(1) for m in decl.finditer(code)}
-    for m in AUTO_BIND_RE.finditer(code):
-        if m.group(2) in names:
-            names.add(m.group(1))
-    return names
-
-
-def find_range_for_container(code: str, start: int) -> str | None:
-    """Given the offset of `for`, if it is a range-for, return the container
-    expression text."""
-    i = code.find("(", start)
-    if i < 0:
-        return None
-    depth = 1
-    j = i + 1
-    colon = -1
-    n = len(code)
-    while j < n and depth > 0:
-        c = code[j]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == ";" and depth == 1:
-            return None  # classic three-clause for
-        elif c == ":" and depth == 1 and colon < 0:
-            # Skip '::' scope operators.
-            if j + 1 < n and code[j + 1] == ":":
-                j += 2
-                continue
-            if j > 0 and code[j - 1] == ":":
-                j += 1
-                continue
-            colon = j
-        j += 1
-    if colon < 0 or depth != 0:
-        return None
-    return code[colon + 1:j - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -676,19 +594,10 @@ def analyze_file(code: str, display_path: str, header: str) -> list[Violation]:
                      "compare with a tolerance or prove the operands are "
                      "computed identically in an allow justification")
 
-    names = (unordered_names_through_aliases(code)
-             | unordered_names_through_aliases(header))
-    if names:
-        for m in RANGE_FOR_RE.finditer(code):
-            expr = find_range_for_container(code, m.start())
-            if expr is None:
-                continue
-            idents = IDENT_RE.findall(expr)
-            if idents and idents[-1] in names:
-                flag(m.start(), "unordered-iteration",
-                     f"iteration over unordered container `{idents[-1]}` "
-                     "(resolved through its declaration/alias); hash order is "
-                     "not deterministic -- sort first or justify with an allow")
+    for m in UNORDERED_RE.finditer(code):
+        flag(m.start(), "unordered-container",
+             f"`{m.group(0)}` in src/: hash order is not deterministic -- key "
+             "the table with util::SlotMap or use an ordered container")
 
     ranges = reachable_ranges(code)
     if ranges:
@@ -907,11 +816,6 @@ struct mutex { void lock(); void unlock(); };
 struct condition_variable { template <class L> void wait(L&); };
 namespace chrono { struct steady_clock { static long now(); }; }
 namespace this_thread { template <class D> void sleep_for(D); }
-template <class K, class V> struct unordered_map {
-    struct value_type { K first; V second; };
-    value_type* begin(); value_type* end();
-    const value_type* begin() const; const value_type* end() const;
-};
 template <class T> struct vector {
     T* begin(); T* end(); const T* begin() const; const T* end() const;
 };
@@ -928,7 +832,7 @@ struct EventQueue {
 # (path under the fixture root, source, expected rules in file order). All
 # share one tree: no fixture trips a rule meant for another.
 FIXTURES = [
-    # -- wall-clock, ambient-random, unordered-iteration, waiver syntax --
+    # -- wall-clock, ambient-random, unordered-container, waiver syntax --
     ("src/core/bad_clock.cpp",
      """#include <chrono>
 void f() {
@@ -979,96 +883,68 @@ long f() {
 }
 """,
      []),
-    ("src/core/bad_unordered.cpp",
+    # One finding per token, the include's too, however the declaration is
+    # written: here one declaration names two containers.
+    ("src/core/bad_unordered_comma.cpp",
      """#include <unordered_map>
 int f() {
-    std::unordered_map<int, int> counts;
+    std::unordered_map<int, int> a, b;
     int total = 0;
-    for (const auto& [k, v] : counts) total += v;
-    return total;
+    for (const auto& [k, v] : b) total += v;
+    return total + static_cast<int>(a.size());
 }
 """,
-     ["unordered-iteration"]),
-    ("src/core/ok_unordered_lookup.cpp",
-     """#include <unordered_map>
-#include <vector>
-int f(int key) {
-    std::unordered_map<int, int> counts;
-    std::vector<int> order;
-    for (int v : order) key += v;          // vector iteration: fine
-    auto it = counts.find(key);            // lookup: fine
-    return it == counts.end() ? 0 : it->second;
-}
+     ["unordered-container", "unordered-container"]),
+    # Only code counts: the same names in comments and literals are text.
+    ("src/core/ok_unordered_in_text.cpp",
+     """// A std::unordered_map<int, int> in a comment declares nothing,
+/* nor does #include <unordered_set> in a block comment. */
+const char* f() { return "std::unordered_multimap<int, int> counts;"; }
 """,
      []),
     ("src/core/ok_allowlisted.cpp",
      """#include <chrono>
-#include <unordered_map>
-int f() {
+#include <ctime>
+long f() {
     // jaws-lint: allow(wall-clock) -- measurement sink, never fed back.
     auto t = std::chrono::steady_clock::now();
     (void)t;
-    std::unordered_map<int, int> counts;
-    int total = 0;
-    // jaws-lint: allow(unordered-iteration) -- order-insensitive sum... almost.
-    for (const auto& [k, v] : counts) total += v;
-    return total;
+    return time(nullptr);  // jaws-lint: allow(wall-clock) -- same-line waiver.
 }
 """,
      []),
-    ("src/core/bad_multiline_decl.cpp",
-     """#include <unordered_map>
-#include <cstdint>
-struct Hash { unsigned long operator()(int) const { return 0; } };
-struct S {
-    std::unordered_map<int,
-                       long,
-                       Hash>
-        resident_;
-    long sum() const {
-        long s = 0;
-        for (const auto& [k, v] : resident_) s += v;
-        return s;
-    }
-};
-""",
-     ["unordered-iteration"]),
     ("src/core/ok_strings_comments.cpp",
      """// std::chrono::steady_clock in a comment is fine.
 const char* f() { return "std::random_device rand( time( "; }
 """,
      []),
     ("src/core/ok_multiline_justification.cpp",
-     """#include <unordered_map>
-int f() {
-    std::unordered_map<int, int> counts;
-    int total = 0;
-    // jaws-lint: allow(unordered-iteration) -- a justification that
+     """#include <chrono>
+long f() {
+    // jaws-lint: allow(wall-clock) -- a justification that
     // spans several comment lines must keep the directive attached
     // to the statement below it.
-    for (const auto& [k, v] : counts) total += v;
-    return total;
+    return std::chrono::steady_clock::now().time_since_epoch().count();
 }
 """,
      []),
+    # A .cpp reads its paired header's declarations: the member compared
+    # here is declared `double` only in paired.h.
     ("src/core/paired.h",
      """#pragma once
-#include <unordered_map>
 struct Paired {
-    long sum() const;
-    std::unordered_map<int, long> residents_;
+    bool at_limit(long x) const;
+    double limit_;
 };
 """,
      []),
     ("src/core/paired.cpp",
      """#include "paired.h"
-long Paired::sum() const {
-    long s = 0;
-    for (const auto& [k, v] : residents_) s += v;  // member from the header
-    return s;
+bool Paired::at_limit(long x) const {
+    return x == limit_;  // member from the header
 }
 """,
-     ["unordered-iteration"]),
+     ["float-equality"]),
     # Pin the walk itself: a regression that drops a module from it makes
     # these fixtures silently pass and fails the self-test.
     ("src/workload/bad_workload_wall_clock.cpp",
@@ -1076,19 +952,10 @@ long Paired::sum() const {
 long stamp() { return static_cast<long>(time(nullptr)); }
 """,
      ["wall-clock"]),
-    ("src/workload/bad_workload_unordered.cpp",
-     """#include <unordered_set>
-int f() {
-    std::unordered_set<int> users;
-    int total = 0;
-    for (int u : users) total += u;
-    return total;
-}
-""",
-     ["unordered-iteration"]),
     # Pin the scope of wall-clock and ambient-random: they follow the six
     # decision modules, not the walk, so util/ may read a clock (wallclock.cpp
-    # is the sanctioned reader) and construct a random_device.
+    # is the sanctioned reader) and construct a random_device. The
+    # unordered-container ban follows the walk, util/ included.
     ("src/util/ok_util_clock.cpp",
      """#include <chrono>
 #include <random>
@@ -1099,9 +966,18 @@ long stamp() {
 }
 """,
      []),
+    ("src/util/bad_util_unordered.h",
+     """#pragma once
+#include <unordered_set>
+struct Registry {
+    std::unordered_set<unsigned long> ids;
+    std::unordered_multimap<unsigned, unsigned long> by_owner;
+};
+""",
+     ["unordered-container", "unordered-container", "unordered-container"]),
 
-    # -- kernel-blocking, aliased unordered-iteration, float-equality,
-    #    narrowing-cast, raw-micros, raw-id-api, id-mixing --
+    # -- kernel-blocking, float-equality, narrowing-cast, raw-micros,
+    #    raw-id-api, id-mixing --
     ("src/core/bad_blocking_direct.cpp", FIXTURE_PRELUDE + """
 void f(EventQueue& q, SimTime t) {
     q.schedule(t, 0, [] { std::this_thread::sleep_for(5); });
@@ -1128,33 +1004,6 @@ void f(EventQueue& q, SimTime t) {
         // jaws-lint: allow(kernel-blocking) -- fixture: proven-safe site.
         std::this_thread::sleep_for(5);
     });
-}
-""", []),
-    ("src/core/bad_unordered_alias.cpp", FIXTURE_PRELUDE + """
-using AtomMap = std::unordered_map<int, int>;
-int f(const AtomMap& unused) {
-    AtomMap counts_;
-    int total = 0;
-    for (const auto& kv : counts_) total += kv.second;
-    return total + (unused.begin() == unused.end() ? 0 : 1);
-}
-""", ["unordered-iteration"]),
-    ("src/core/bad_unordered_auto.cpp", FIXTURE_PRELUDE + """
-int f() {
-    std::unordered_map<int, int> counts;
-    auto& view = counts;
-    int total = 0;
-    for (const auto& kv : view) total += kv.second;
-    return total;
-}
-""", ["unordered-iteration"]),
-    ("src/core/ok_unordered_vector_alias.cpp", FIXTURE_PRELUDE + """
-using Order = std::vector<int>;
-int f() {
-    Order order;
-    int total = 0;
-    for (int v : order) total += v;
-    return total;
 }
 """, []),
     ("src/core/bad_float_eq.cpp", FIXTURE_PRELUDE + """

@@ -1,33 +1,22 @@
-// Plain least-recently-used replacement.
+// Plain least-recently-used replacement: LRU-K with K = 1.
+//
+// With K = 1 the K-th most recent reference is the most recent one, so LRU-K
+// evicts the atom whose last reference is oldest, which is LRU's victim
+// (recency ticks are unique). A re-admitted atom's single reference is
+// overwritten at once, so no history is retained past eviction.
 //
 // Not evaluated in the paper's Table I by itself, but the natural baseline
-// below LRU-K and the building block SLRU's segments are made of; also used
-// by tests to pin down BufferCache semantics.
+// below LRU-K; also used by tests to pin down BufferCache semantics.
 #pragma once
 
-#include <list>
-#include <unordered_map>
-
-#include "cache/replacement_policy.h"
+#include "cache/lru_k.h"
 
 namespace jaws::cache {
 
 /// Classic LRU: evict the least recently inserted-or-accessed atom.
-class LruPolicy final : public ReplacementPolicy {
+class LruPolicy final : public LruKPolicy {
   public:
-    void on_insert(const storage::AtomId& atom) override;
-    void on_access(const storage::AtomId& atom) override;
-    storage::AtomId pick_victim() override;
-    void on_evict(const storage::AtomId& atom) override;
-    std::string name() const override { return "LRU"; }
-    bool audit(const std::vector<storage::AtomId>& resident) const override;
-
-  private:
-    // Front = most recently used; back = victim.
-    std::list<storage::AtomId> order_;
-    std::unordered_map<storage::AtomId, std::list<storage::AtomId>::iterator,
-                       storage::AtomIdHash>
-        where_;
+    LruPolicy() : LruKPolicy(1, 0) {}
 };
 
 }  // namespace jaws::cache

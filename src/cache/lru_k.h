@@ -25,6 +25,8 @@
 // the top, as BufferCache::clear makes, are compacted away once the heap
 // holds more than twice the residents), and each history's references live
 // in a k-entry ring that stays with its slot.
+//
+// With K = 1 this is plain LRU (cache/lru.h), and name() says so.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +39,7 @@
 namespace jaws::cache {
 
 /// LRU-K with retained history. K defaults to 2 (the classical choice).
-class LruKPolicy final : public ReplacementPolicy {
+class LruKPolicy : public ReplacementPolicy {
   public:
     /// `k` >= 1; `retained_history` bounds the number of evicted atoms whose
     /// reference history we remember.
@@ -47,7 +49,9 @@ class LruKPolicy final : public ReplacementPolicy {
     void on_access(const storage::AtomId& atom) override;
     storage::AtomId pick_victim() override;
     void on_evict(const storage::AtomId& atom) override;
-    std::string name() const override { return "LRU-" + std::to_string(k_); }
+    std::string name() const override {
+        return k_ == 1 ? "LRU" : "LRU-" + std::to_string(k_);
+    }
     bool audit(const std::vector<storage::AtomId>& resident) const override;
 
   private:

@@ -14,18 +14,15 @@ SlruPolicy::SlruPolicy(std::size_t capacity_atoms, double protected_fraction)
                                       protected_fraction))) {}
 
 void SlruPolicy::on_insert(const storage::AtomId& atom) {
-    assert(!slots_.contains(atom));
     probationary_.push_front(atom);
-    slots_[atom] = Slot{probationary_.begin(), false, 1};
+    slots_[slots_.insert(atom.key().value())] = Entry{probationary_.begin(), false, 1};
 }
 
 void SlruPolicy::on_access(const storage::AtomId& atom) {
-    const auto it = slots_.find(atom);
-    assert(it != slots_.end());
-    Slot& slot = it->second;
-    ++slot.run_accesses;
-    auto& segment = slot.is_protected ? protected_ : probationary_;
-    segment.splice(segment.begin(), segment, slot.where);
+    Entry& e = entry(atom);
+    ++e.run_accesses;
+    auto& segment = e.is_protected ? protected_ : probationary_;
+    segment.splice(segment.begin(), segment, e.where);
 }
 
 storage::AtomId SlruPolicy::pick_victim() {
@@ -37,20 +34,18 @@ storage::AtomId SlruPolicy::pick_victim() {
 }
 
 void SlruPolicy::on_evict(const storage::AtomId& atom) {
-    const auto it = slots_.find(atom);
-    assert(it != slots_.end());
-    auto& segment = it->second.is_protected ? protected_ : probationary_;
-    segment.erase(it->second.where);
-    slots_.erase(it);
+    const Entry& e = entry(atom);
+    (e.is_protected ? protected_ : probationary_).erase(e.where);
+    slots_.erase(atom.key().value());
 }
 
 void SlruPolicy::demote_to_probationary_mru(const storage::AtomId& atom) {
-    Slot& slot = slots_.at(atom);
-    assert(slot.is_protected);
-    protected_.erase(slot.where);
+    Entry& e = entry(atom);
+    assert(e.is_protected);
+    protected_.erase(e.where);
     probationary_.push_front(atom);
-    slot.where = probationary_.begin();
-    slot.is_protected = false;
+    e.where = probationary_.begin();
+    e.is_protected = false;
 }
 
 void SlruPolicy::on_run_boundary() {
@@ -59,11 +54,9 @@ void SlruPolicy::on_run_boundary() {
     // promotes the most frequently accessed atoms").
     std::vector<std::pair<std::uint64_t, storage::AtomId>> ranked;
     ranked.reserve(slots_.size());
-    // jaws-lint: allow(unordered-iteration) -- the sort below imposes a total
-    // order (count desc, atom id asc), so hash layout cannot leak into the
-    // promotion cutoff.
-    for (const auto& [atom, slot] : slots_)
-        if (slot.run_accesses > 0) ranked.emplace_back(slot.run_accesses, atom);
+    for (util::SlotIndex::Slot s = 0; s < slots_.slots(); ++s)
+        if (slots_.live(s) && slots_[s].run_accesses > 0)
+            ranked.emplace_back(slots_[s].run_accesses, *slots_[s].where);
     std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
         if (a.first != b.first) return a.first > b.first;
         return a.second < b.second;  // break count ties deterministically
@@ -84,22 +77,22 @@ void SlruPolicy::on_run_boundary() {
     // Promote the winners (most frequent ends up at the protected MRU end).
     for (std::size_t i = take; i-- > 0;) {
         const storage::AtomId atom = ranked[i].second;
-        Slot& slot = slots_.at(atom);
-        if (slot.is_protected) {
-            protected_.splice(protected_.begin(), protected_, slot.where);
+        Entry& e = entry(atom);
+        if (e.is_protected) {
+            protected_.splice(protected_.begin(), protected_, e.where);
         } else {
-            probationary_.erase(slot.where);
+            probationary_.erase(e.where);
             protected_.push_front(atom);
-            slot.where = protected_.begin();
-            slot.is_protected = true;
+            e.where = protected_.begin();
+            e.is_protected = true;
         }
     }
-    // jaws-lint: allow(unordered-iteration) -- order-insensitive reset.
-    for (auto& [atom, slot] : slots_) slot.run_accesses = 0;
+    for (util::SlotIndex::Slot s = 0; s < slots_.slots(); ++s) slots_[s].run_accesses = 0;
 }
 
 bool SlruPolicy::audit(const std::vector<storage::AtomId>& resident) const {
-    bool ok = JAWS_AUDIT_CHECK(
+    bool ok = slots_.audit();
+    ok &= JAWS_AUDIT_CHECK(
         slots_.size() == resident.size() &&
             probationary_.size() + protected_.size() == resident.size(),
         "SlruPolicy: segment sizes diverged from the cache's resident set");
@@ -107,10 +100,9 @@ bool SlruPolicy::audit(const std::vector<storage::AtomId>& resident) const {
                            "SlruPolicy: protected segment over capacity");
     const auto walk = [&](const std::list<storage::AtomId>& segment, bool is_protected) {
         for (auto it = segment.begin(); it != segment.end(); ++it) {
-            const auto slot = slots_.find(*it);
-            const bool linked = slot != slots_.end() &&
-                                slot->second.is_protected == is_protected &&
-                                slot->second.where == it;
+            const auto s = slots_.find(it->key().value());
+            const bool linked = s != util::SlotIndex::kNone &&
+                                slots_[s].is_protected == is_protected && slots_[s].where == it;
             ok &= JAWS_AUDIT_CHECK(linked, "SlruPolicy: segment node unlinked from the slot index");
             ok &= JAWS_AUDIT_CHECK(std::binary_search(resident.begin(), resident.end(), *it),
                                    "SlruPolicy: tracking an atom the cache does not hold");

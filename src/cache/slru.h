@@ -11,11 +11,12 @@
 // once per run.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <list>
-#include <unordered_map>
 
 #include "cache/replacement_policy.h"
+#include "util/slot_index.h"
 
 namespace jaws::cache {
 
@@ -39,19 +40,24 @@ class SlruPolicy final : public ReplacementPolicy {
     std::size_t protected_size() const noexcept { return protected_.size(); }
 
   private:
-    struct Slot {
+    struct Entry {
         std::list<storage::AtomId>::iterator where;
         bool is_protected = false;
         std::uint64_t run_accesses = 0;
     };
 
+    Entry& entry(const storage::AtomId& atom) {
+        const auto s = slots_.find(atom.key().value());
+        assert(s != util::SlotIndex::kNone);
+        return slots_[s];
+    }
     void demote_to_probationary_mru(const storage::AtomId& atom);
 
     std::size_t protected_cap_;
     // Front = MRU.
     std::list<storage::AtomId> probationary_;
     std::list<storage::AtomId> protected_;
-    std::unordered_map<storage::AtomId, Slot, storage::AtomIdHash> slots_;
+    util::SlotMap<Entry> slots_;  ///< Atom key -> its segment node.
 };
 
 }  // namespace jaws::cache

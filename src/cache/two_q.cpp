@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "util/contracts.h"
 
@@ -13,34 +14,27 @@ TwoQPolicy::TwoQPolicy(std::size_t capacity_atoms, double in_fraction)
       ghost_cap_(std::max<std::size_t>(1, capacity_atoms)) {}
 
 void TwoQPolicy::remember_ghost(const storage::AtomId& atom) {
-    if (a1out_.insert(atom).second) {
-        a1out_fifo_.push_back(atom);
-        while (a1out_fifo_.size() > ghost_cap_) {
-            a1out_.erase(a1out_fifo_.front());
-            a1out_fifo_.pop_front();
-        }
+    if (a1out_.contains(atom.key().value())) return;
+    a1out_fifo_.push_back(atom);
+    a1out_[a1out_.insert(atom.key().value())] = std::prev(a1out_fifo_.end());
+    while (a1out_fifo_.size() > ghost_cap_) {
+        a1out_.erase(a1out_fifo_.front().key().value());
+        a1out_fifo_.pop_front();
     }
 }
 
 void TwoQPolicy::on_insert(const storage::AtomId& atom) {
-    assert(!slots_.contains(atom));
-    const bool ghosted = a1out_.contains(atom);
-    if (ghosted) {
-        // Seen before and evicted from A1in: this is real re-use — admit to Am.
-        am_.push_front(atom);
-        slots_[atom] = Slot{am_.begin(), true};
-    } else {
-        a1in_.push_front(atom);
-        slots_[atom] = Slot{a1in_.begin(), false};
-    }
+    const bool ghosted = a1out_.contains(atom.key().value());
+    // Seen before and evicted from A1in: this is real re-use — admit to Am.
+    auto& queue = ghosted ? am_ : a1in_;
+    queue.push_front(atom);
+    slots_[slots_.insert(atom.key().value())] = Entry{queue.begin(), ghosted};
 }
 
 void TwoQPolicy::on_access(const storage::AtomId& atom) {
-    const auto it = slots_.find(atom);
-    assert(it != slots_.end());
-    if (it->second.in_am) {
-        am_.splice(am_.begin(), am_, it->second.where);  // LRU refresh
-    }
+    const auto s = slots_.find(atom.key().value());
+    assert(s != util::SlotIndex::kNone);
+    if (slots_[s].in_am) am_.splice(am_.begin(), am_, slots_[s].where);  // LRU refresh
     // A1in accesses are treated as correlated references: no promotion, no
     // reordering (FIFO), exactly as 2Q prescribes.
 }
@@ -55,26 +49,28 @@ storage::AtomId TwoQPolicy::pick_victim() {
 }
 
 void TwoQPolicy::on_evict(const storage::AtomId& atom) {
-    const auto it = slots_.find(atom);
-    assert(it != slots_.end());
-    if (it->second.in_am) {
-        am_.erase(it->second.where);
+    const auto s = slots_.find(atom.key().value());
+    assert(s != util::SlotIndex::kNone);
+    if (slots_[s].in_am) {
+        am_.erase(slots_[s].where);
     } else {
-        a1in_.erase(it->second.where);
+        a1in_.erase(slots_[s].where);
         remember_ghost(atom);
     }
-    slots_.erase(it);
+    slots_.erase(atom.key().value());
 }
 
 bool TwoQPolicy::audit(const std::vector<storage::AtomId>& resident) const {
-    bool ok = JAWS_AUDIT_CHECK(
+    bool ok = slots_.audit();
+    ok &= a1out_.audit();
+    ok &= JAWS_AUDIT_CHECK(
         slots_.size() == resident.size() && a1in_.size() + am_.size() == resident.size(),
         "TwoQPolicy: queue sizes diverged from the cache's resident set");
     const auto walk = [&](const std::list<storage::AtomId>& queue, bool in_am) {
         for (auto it = queue.begin(); it != queue.end(); ++it) {
-            const auto slot = slots_.find(*it);
-            const bool linked = slot != slots_.end() && slot->second.in_am == in_am &&
-                                slot->second.where == it;
+            const auto s = slots_.find(it->key().value());
+            const bool linked = s != util::SlotIndex::kNone && slots_[s].in_am == in_am &&
+                                slots_[s].where == it;
             ok &= JAWS_AUDIT_CHECK(linked, "TwoQPolicy: queue node unlinked from the slot index");
             ok &= JAWS_AUDIT_CHECK(std::binary_search(resident.begin(), resident.end(), *it),
                                    "TwoQPolicy: tracking an atom the cache does not hold");
@@ -84,9 +80,11 @@ bool TwoQPolicy::audit(const std::vector<storage::AtomId>& resident) const {
     walk(am_, true);
     ok &= JAWS_AUDIT_CHECK(a1out_.size() == a1out_fifo_.size() && a1out_.size() <= ghost_cap_,
                            "TwoQPolicy: ghost bookkeeping inconsistent");
-    for (const storage::AtomId& ghost : a1out_fifo_)
-        ok &= JAWS_AUDIT_CHECK(a1out_.contains(ghost),
-                               "TwoQPolicy: ghost FIFO entry missing from the ghost set");
+    for (auto it = a1out_fifo_.begin(); it != a1out_fifo_.end(); ++it) {
+        const auto s = a1out_.find(it->key().value());
+        ok &= JAWS_AUDIT_CHECK(s != util::SlotIndex::kNone && a1out_[s] == it,
+                               "TwoQPolicy: ghost FIFO entry unlinked from the ghost index");
+    }
     return ok;
 }
 

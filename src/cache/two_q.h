@@ -12,10 +12,9 @@
 
 #include <cstddef>
 #include <list>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "cache/replacement_policy.h"
+#include "util/slot_index.h"
 
 namespace jaws::cache {
 
@@ -39,8 +38,9 @@ class TwoQPolicy final : public ReplacementPolicy {
     std::size_t ghost_size() const noexcept { return a1out_.size(); }
 
   private:
-    struct Slot {
-        std::list<storage::AtomId>::iterator where;
+    using Node = std::list<storage::AtomId>::iterator;
+    struct Entry {
+        Node where;
         bool in_am = false;
     };
 
@@ -51,9 +51,9 @@ class TwoQPolicy final : public ReplacementPolicy {
     // Front = newest (A1in FIFO) / most recently used (Am LRU).
     std::list<storage::AtomId> a1in_;
     std::list<storage::AtomId> am_;
-    std::unordered_map<storage::AtomId, Slot, storage::AtomIdHash> slots_;
-    // Ghosts: membership set + FIFO for bounded forgetting.
-    std::unordered_set<storage::AtomId, storage::AtomIdHash> a1out_;
+    util::SlotMap<Entry> slots_;  ///< Atom key -> its queue node.
+    // Ghosts: atom key -> its node in a FIFO for bounded forgetting.
+    util::SlotMap<Node> a1out_;
     std::list<storage::AtomId> a1out_fifo_;
 };
 

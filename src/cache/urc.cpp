@@ -1,83 +1,71 @@
 #include "cache/urc.h"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
+#include <map>
 
 #include "util/contracts.h"
 
 namespace jaws::cache {
 
 void UrcPolicy::on_insert(const storage::AtomId& atom) {
-    assert(!resident_.contains(atom));
-    resident_.insert(atom);
-    last_touch_[atom] = ++tick_;
+    last_touch_[last_touch_.insert(atom.key().value())] = ++tick_;
 }
 
 void UrcPolicy::on_access(const storage::AtomId& atom) {
-    assert(resident_.contains(atom));
-    last_touch_[atom] = ++tick_;
+    const auto s = last_touch_.find(atom.key().value());
+    assert(s != util::SlotIndex::kNone);
+    last_touch_[s] = ++tick_;
 }
 
 storage::AtomId UrcPolicy::pick_victim() {
-    assert(!resident_.empty());
-    // Rank by (mean U_t of the atom's time step, atom's own U_t, recency):
-    // evict the atom minimising that tuple. A linear scan over residents
-    // (a few hundred atoms) keeps the structure simple; its real cost is
-    // measured by the cache's overhead timer.
-    const storage::AtomId* victim = nullptr;
+    assert(!last_touch_.empty());
+    // Rank by (mean U_t of the atom's time step, atom's own U_t, last touch):
+    // evict the atom minimising that tuple. Touch ticks are unique, so the
+    // tuple orders the residents strictly and the slot order of the scan
+    // cannot reach the result. A linear scan over residents (a few hundred
+    // atoms) keeps the structure simple; its real cost is measured by the
+    // cache's overhead timer.
+    auto victim = util::SlotIndex::kNone;
     double best_step = std::numeric_limits<double>::max();
     double best_atom = std::numeric_limits<double>::max();
     std::uint64_t best_touch = std::numeric_limits<std::uint64_t>::max();
-    std::unordered_map<std::uint32_t, double> step_mean;
-    // jaws-lint: allow(unordered-iteration) -- the minimised key
-    // (step mean, atom utility, last touch, atom id) is a strict total
-    // order over residents (touch ticks are unique), so the winner does
-    // not depend on hash iteration order.
-    for (const auto& atom : resident_) {
-        const auto found = step_mean.find(atom.timestep);
-        const double mean = found != step_mean.end()
-                                ? found->second
-                                : (step_mean[atom.timestep] =
-                                       oracle_.timestep_mean_utility(atom.timestep));
+    std::map<std::uint32_t, double> step_mean;
+    for (util::SlotIndex::Slot s = 0; s < last_touch_.slots(); ++s) {
+        if (!last_touch_.live(s)) continue;
+        const auto atom = storage::AtomId::from_key(storage::AtomKey{last_touch_.key(s)});
+        const auto [at, fresh] = step_mean.try_emplace(atom.timestep);
+        if (fresh) at->second = oracle_.timestep_mean_utility(atom.timestep);
+        const double mean = at->second;
         const double own = oracle_.atom_utility(atom);
-        const std::uint64_t touch = last_touch_.at(atom);
+        const std::uint64_t touch = last_touch_[s];
         // jaws-lint: allow(float-equality) -- exact tie-breaks: mean and own
         // are computed identically for every resident of a step, so equal
         // doubles really are the same value; a tolerance would make the
         // victim depend on scan order.
         const bool step_tie = mean == best_step, atom_tie = own == best_atom;
-        const bool better =
-            victim == nullptr || mean < best_step ||
-            (step_tie &&
-             (own < best_atom ||
-              (atom_tie &&
-               (touch < best_touch || (touch == best_touch && atom < *victim)))));
+        const bool better = victim == util::SlotIndex::kNone || mean < best_step ||
+                            (step_tie && (own < best_atom || (atom_tie && touch < best_touch)));
         if (better) {
             best_step = mean;
             best_atom = own;
             best_touch = touch;
-            victim = &atom;
+            victim = s;
         }
     }
-    return *victim;
+    return storage::AtomId::from_key(storage::AtomKey{last_touch_.key(victim)});
 }
 
-void UrcPolicy::on_evict(const storage::AtomId& atom) {
-    resident_.erase(atom);
-    last_touch_.erase(atom);
-}
+void UrcPolicy::on_evict(const storage::AtomId& atom) { last_touch_.erase(atom.key().value()); }
 
 bool UrcPolicy::audit(const std::vector<storage::AtomId>& resident) const {
-    bool ok = JAWS_AUDIT_CHECK(
-        resident_.size() == resident.size() && last_touch_.size() == resident.size(),
-        "UrcPolicy: tracked size diverged from the cache's resident set");
+    bool ok = last_touch_.audit();
+    ok &= JAWS_AUDIT_CHECK(last_touch_.size() == resident.size(),
+                           "UrcPolicy: tracked size diverged from the cache's resident set");
     for (const storage::AtomId& atom : resident) {
-        ok &= JAWS_AUDIT_CHECK(resident_.contains(atom),
-                               "UrcPolicy: resident atom missing from the tracked set");
-        const auto touch = last_touch_.find(atom);
-        ok &= JAWS_AUDIT_CHECK(touch != last_touch_.end() && touch->second <= tick_,
-                               "UrcPolicy: recency tick missing or ahead of the counter");
+        const auto s = last_touch_.find(atom.key().value());
+        ok &= JAWS_AUDIT_CHECK(s != util::SlotIndex::kNone && last_touch_[s] <= tick_,
+                               "UrcPolicy: resident atom untracked or touched after the counter");
     }
     return ok;
 }

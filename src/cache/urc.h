@@ -6,15 +6,17 @@
 // atoms from one time step together, atoms that will be used together must be
 // cached together — so URC evicts (1) from the resident time step with the
 // lowest *mean* workload throughput, and (2) within that time step, the atom
-// with the lowest individual workload throughput U_t. The ranking is read
-// through the UtilityOracle at eviction time; the measured cost of that read
-// is exactly the "Overhead/Qry" Table I reports for URC.
+// with the lowest individual workload throughput U_t; the least recently
+// touched atom breaks the remaining ties. The ranking is read through the
+// UtilityOracle at eviction time, over one slot map of residents' last-touch
+// ticks; the measured cost of that read is exactly the "Overhead/Qry" Table I
+// reports for URC.
 #pragma once
 
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdint>
 
 #include "cache/replacement_policy.h"
+#include "util/slot_index.h"
 
 namespace jaws::cache {
 
@@ -32,9 +34,8 @@ class UrcPolicy final : public ReplacementPolicy {
 
   private:
     const UtilityOracle& oracle_;
-    std::unordered_set<storage::AtomId, storage::AtomIdHash> resident_;
-    // Recency tick breaks ties among zero-utility atoms (evict oldest first).
-    std::unordered_map<storage::AtomId, std::uint64_t, storage::AtomIdHash> last_touch_;
+    /// Resident atom key -> its last-touch tick (unique: every tick is).
+    util::SlotMap<std::uint64_t> last_touch_;
     std::uint64_t tick_ = 0;
 };
 

@@ -5,9 +5,9 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "core/engine.h"
@@ -119,8 +119,7 @@ namespace {
 /// unfinished share), with jobs re-sequenced for re-injection.
 workload::Workload unfinished_part(const std::deque<workload::Job>& jobs,
                                    const std::vector<QueryOutcome>& outcomes) {
-    std::unordered_set<workload::QueryId> done;
-    done.reserve(outcomes.size());
+    std::set<workload::QueryId> done;
     for (const QueryOutcome& o : outcomes) done.insert(o.query);
     workload::Workload left;
     for (const workload::Job& job : jobs) {

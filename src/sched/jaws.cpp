@@ -34,7 +34,7 @@ void JawsScheduler::enqueue_query(workload::QueryId id, util::SimTime now) {
             manager_.cost().t_b_ms * static_cast<double>(q.footprint.size()) +
             manager_.cost().t_m_ms * static_cast<double>(q.total_positions());
         deadline = now + util::SimTime::from_millis(config_.qos.slack_factor * est_ms);
-        deadlines_[id] = deadline;
+        deadlines_.get_or_insert(id) = deadline;
         ++qos_stats_.guaranteed;
     }
     split_.clear();
@@ -56,13 +56,13 @@ void JawsScheduler::on_query_completed(workload::QueryId query, util::SimTime re
                                        util::SimTime now) {
     for (const workload::QueryId id : graph_.on_query_done(query)) enqueue_query(id, now);
     if (config_.qos.enabled) {
-        const auto it = deadlines_.find(query);
-        if (it != deadlines_.end()) {
-            if (now > it->second) {
+        const auto s = deadlines_.find(query);
+        if (s != util::SlotIndex::kNone) {
+            if (now > deadlines_[s]) {
                 ++qos_stats_.misses;
-                qos_stats_.tardiness_ms_sum += (now - it->second).millis();
+                qos_stats_.tardiness_ms_sum += (now - deadlines_[s]).millis();
             }
-            deadlines_.erase(it);
+            deadlines_.erase(query);
         }
     }
     if (config_.adaptive_alpha && controller_.on_query_completed(response, now))

@@ -13,12 +13,11 @@
 // Single-atom scheduling is LifeRaftScheduler (sched/liferaft.h).
 #pragma once
 
-#include <unordered_map>
-
 #include "sched/adaptive_alpha.h"
 #include "sched/precedence_graph.h"
 #include "sched/qos.h"
 #include "sched/scheduler.h"
+#include "util/slot_index.h"
 
 namespace jaws::sched {
 
@@ -71,7 +70,7 @@ class JawsScheduler final : public Scheduler {
     WorkloadManager manager_;
     PrecedenceGraph graph_;
     AdaptiveAlphaController controller_;
-    std::unordered_map<workload::QueryId, util::SimTime> deadlines_;
+    util::SlotMap<util::SimTime> deadlines_;  ///< Query id -> its QoS deadline.
     QosStats qos_stats_;
     std::vector<SubQuery> split_;          ///< preprocess buffer, reused per query.
     std::vector<storage::AtomId> picks_;   ///< Two-level pick buffer, reused per batch.

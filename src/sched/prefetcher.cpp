@@ -23,7 +23,7 @@ void TrajectoryPrefetcher::observe(workload::JobId job, std::uint32_t seq,
                                    std::uint32_t timestep,
                                    const std::vector<workload::AtomRequest>& footprint) {
     if (footprint.empty()) return;
-    Trajectory& t = trajectories_[job];
+    Trajectory& t = trajectories_.get_or_insert(job);
 
     // Footprint centroid in atom coordinates.
     double cx = 0.0, cy = 0.0, cz = 0.0;
@@ -64,9 +64,9 @@ void TrajectoryPrefetcher::observe(workload::JobId job, std::uint32_t seq,
 void TrajectoryPrefetcher::forget(workload::JobId job) { trajectories_.erase(job); }
 
 std::vector<storage::AtomId> TrajectoryPrefetcher::predict(workload::JobId job) {
-    const auto it = trajectories_.find(job);
-    if (it == trajectories_.end()) return {};
-    const Trajectory& t = it->second;
+    const auto s = trajectories_.find(job);
+    if (s == util::SlotIndex::kNone) return {};
+    const Trajectory& t = trajectories_[s];
     if (!t.have_velocity || t.last_seq + 1 < config_.min_history) return {};
 
     // Erratic jobs (footprint jumps bigger than the cap) are not predictable.
@@ -109,7 +109,7 @@ std::vector<storage::AtomId> TrajectoryPrefetcher::predict(workload::JobId job) 
 
 void TrajectoryPrefetcher::on_prefetched(const storage::AtomId& atom) {
     ++stats_.prefetches;
-    outstanding_[atom] = false;  // not yet touched by demand
+    outstanding_.get_or_insert(atom.key().value()) = false;  // not yet touched by demand
 }
 
 void TrajectoryPrefetcher::on_aborted(const storage::AtomId& atom) {
@@ -118,17 +118,17 @@ void TrajectoryPrefetcher::on_aborted(const storage::AtomId& atom) {
 }
 
 void TrajectoryPrefetcher::on_demand_access(const storage::AtomId& atom) {
-    const auto it = outstanding_.find(atom);
-    if (it == outstanding_.end() || it->second) return;
-    it->second = true;
+    const auto s = outstanding_.find(atom.key().value());
+    if (s == util::SlotIndex::kNone || outstanding_[s]) return;
+    outstanding_[s] = true;
     ++stats_.hits;
 }
 
 void TrajectoryPrefetcher::on_evicted(const storage::AtomId& atom) {
-    const auto it = outstanding_.find(atom);
-    if (it == outstanding_.end()) return;
-    if (!it->second) ++stats_.wasted;
-    outstanding_.erase(it);
+    const auto s = outstanding_.find(atom.key().value());
+    if (s == util::SlotIndex::kNone) return;
+    if (!outstanding_[s]) ++stats_.wasted;
+    outstanding_.erase(atom.key().value());
 }
 
 }  // namespace jaws::sched

@@ -16,10 +16,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/atom.h"
+#include "util/slot_index.h"
 #include "workload/job.h"
 
 namespace jaws::sched {
@@ -94,8 +94,9 @@ class TrajectoryPrefetcher {
 
     PrefetchConfig config_;
     std::uint32_t atoms_per_side_;
-    std::unordered_map<workload::JobId, Trajectory> trajectories_;
-    std::unordered_map<storage::AtomId, bool, storage::AtomIdHash> outstanding_;
+    util::SlotMap<Trajectory> trajectories_;  ///< Job id -> its motion model.
+    /// Prefetched resident atom key -> whether a demand request touched it.
+    util::SlotMap<bool> outstanding_;
     PrefetchStats stats_;
 };
 

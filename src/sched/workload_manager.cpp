@@ -145,6 +145,11 @@ void WorkloadManager::enqueue(const SubQuery& sub) {
         deadlines_.emplace(q.min_deadline, sub.atom.key());
     }
     const std::size_t fill = q.count % kBlockSubqueries;
+    // preprocess stamps each sub-query with the event time, so times never
+    // fall within a queue and `oldest` is the head sub-query's time.
+    JAWS_INVARIANT(fresh || slab_[q.tail].subs[(q.count - 1) % kBlockSubqueries].enqueue_time <=
+                                sub.enqueue_time,
+                   "WorkloadManager: enqueue time falls within an atom queue");
     if (fill == 0) {  // the tail block is full (or there is none yet)
         const std::uint32_t block = slab_.acquire();
         slab_[block].next = kNil;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "util/typed_id.h"
 
@@ -37,17 +36,6 @@ struct AtomId {
     static AtomId from_key(AtomKey k) noexcept {
         return AtomId{static_cast<std::uint32_t>(k.value() >> 40),
                       k.value() & 0xFFFFFFFFFFULL};
-    }
-};
-
-/// Hash functor so AtomId can key unordered containers.
-struct AtomIdHash {
-    std::size_t operator()(const AtomId& id) const noexcept {
-        std::uint64_t x = id.key().value();
-        x ^= x >> 33;
-        x *= 0xff51afd7ed558ccdULL;
-        x ^= x >> 33;
-        return static_cast<std::size_t>(x);
     }
 };
 

@@ -31,7 +31,7 @@ FaultOutcome FaultInjector::on_read(const AtomId& id) {
         out.permanent = true;
         return out;
     }
-    const std::uint64_t attempt = attempts_[id]++;
+    const std::uint64_t attempt = attempts_.get_or_insert(id.key().value())++;
     // Stuck command first: the stall is paid whether the command eventually
     // returns data or errors out — a hung RAID command under error recovery
     // holds the caller either way (the hang hedged reads exist to cut off).

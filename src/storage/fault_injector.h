@@ -23,11 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/atom.h"
 #include "util/sim_time.h"
+#include "util/slot_index.h"
 #include "util/typed_id.h"
 
 namespace jaws::storage {
@@ -129,7 +129,7 @@ class FaultInjector {
 
     FaultSpec spec_;
     FaultStats stats_;
-    std::unordered_map<AtomId, std::uint64_t, AtomIdHash> attempts_;
+    util::SlotMap<std::uint64_t> attempts_;  ///< Atom key -> read attempts so far.
 };
 
 }  // namespace jaws::storage

@@ -1,11 +1,12 @@
 // Id-keyed slot tables: an open-addressed map from a 64-bit id to a 32-bit
 // slot, the chunked slot pool it points into, and the map that joins them.
 //
-// The descriptor hot path keeps its per-id state — cache residents, LRU-K
-// histories, workload queues and their sub-query blocks, query runtimes,
-// precedence-graph nodes, pending events — in dense slots, and this header is
-// the one place that decides how an id finds its slot, takes one and gives it
-// back:
+// The per-id tables in src/ — cache residents and every replacement
+// policy's bookkeeping, workload queues and their sub-query blocks, query
+// runtimes and deadlines, precedence-graph nodes, pending events, prefetch
+// trajectories, per-atom fault attempts — keep their state in dense slots, and
+// this header is the one place that decides how an id finds its slot, takes
+// one and gives it back:
 //
 //   * SlotIndex is a linear-probing table of 16-byte cells (key, slot) with a
 //     power-of-two size, a Fibonacci hash (the key times 2^64/phi, top bits)
@@ -23,8 +24,10 @@
 //
 // None of them has an iteration API in hash order: a cell's position is a
 // function of the hash and the table's history, so walking the cells would
-// let hash order reach a decision. Owners walk slots 0 .. slots() instead
-// (see the unordered-iteration rule in scripts/jaws_analyzer.py).
+// let hash order reach a decision. Owners walk slots 0 .. slots() instead,
+// an order that follows only the sequence of inserts and erases. The
+// standard hash containers have no such order, and the analyzer's
+// unordered-container rule (scripts/jaws_analyzer.py) keeps them out of src/.
 #pragma once
 
 #include <algorithm>
@@ -224,6 +227,17 @@ class SlotMap {
         pool_[s].key = key;
         index_.insert(key, s);
         return s;
+    }
+
+    /// The element of `key`, as std::map::operator[] gives it: an absent
+    /// key is inserted first, with a value-initialised element.
+    T& get_or_insert(std::uint64_t key) {
+        Slot s = find(key);
+        if (s == kNone) {
+            s = insert(key);
+            pool_[s].value = T{};
+        }
+        return pool_[s].value;
     }
 
     /// Remove `key`; returns the slot it held (its element is kept for the

@@ -20,7 +20,6 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <ostream>
 
 namespace jaws::util {
@@ -35,18 +34,11 @@ class TypedId {
     constexpr TypedId() noexcept = default;
     explicit constexpr TypedId(Rep value) noexcept : value_(value) {}
 
-    /// The raw representation, for indexing, serialization and hashing.
+    /// The raw representation, for indexing, serialization and slot-map keys.
     constexpr Rep value() const noexcept { return value_; }
 
     friend constexpr bool operator==(TypedId, TypedId) noexcept = default;
     friend constexpr auto operator<=>(TypedId, TypedId) noexcept = default;
-
-    /// Hash functor so a TypedId can key unordered containers.
-    struct Hash {
-        std::size_t operator()(TypedId id) const noexcept {
-            return std::hash<Rep>{}(id.value_);
-        }
-    };
 
     /// Stream output (gtest failure messages, bench logs).
     friend std::ostream& operator<<(std::ostream& os, TypedId id) {

@@ -172,8 +172,21 @@ struct JobBuilder {
 
 }  // namespace
 
+void WorkloadSpec::validate() const {
+    const auto fail = [](const std::string& msg) {
+        throw std::invalid_argument("WorkloadSpec: " + msg);
+    };
+    if (min_positions > max_positions)
+        fail("min_positions " + std::to_string(min_positions) + " exceeds max_positions " +
+             std::to_string(max_positions));
+    if (users == 0) fail("users must be positive");
+    if (hotspots == 0 && hotspot_prob > 0.0)
+        fail("hotspot_prob " + std::to_string(hotspot_prob) + " needs hotspots > 0");
+}
+
 Workload generate_workload(const WorkloadSpec& spec, const field::GridSpec& grid,
                            const field::SyntheticField& field) {
+    spec.validate();
     util::Rng rng(spec.seed);
     const std::uint32_t timesteps = grid.timesteps;
     const std::vector<double> step_weights = timestep_weights(spec, timesteps);

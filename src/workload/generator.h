@@ -68,6 +68,11 @@ struct WorkloadSpec {
     std::size_t hot_steps_per_end = 6;    ///< Hot steps at each end of the range.
     double spike_weight = 4.0;            ///< Mid-range spike relative weight.
     double trend_slope = 0.5;             ///< Downward trend of the baseline weight.
+
+    /// Reject specs no run can honour (min_positions above max_positions,
+    /// no users, hotspot draws with no hotspot) with a std::invalid_argument
+    /// naming the fields. Called by generate_workload.
+    void validate() const;
 };
 
 /// Generate a workload against `grid`, drawing region drift from `field`.

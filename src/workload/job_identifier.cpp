@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <unordered_map>
 
 namespace jaws::workload {
 
@@ -32,7 +31,7 @@ std::vector<JobId> identify_jobs(const std::vector<TraceRecord>& records,
     });
 
     std::vector<JobId> assignment(records.size(), kNoJob);
-    std::unordered_map<UserId, std::vector<Session>> open;
+    std::map<UserId, std::vector<Session>> open;
     JobId next_label = 1;
     const auto max_gap = util::SimTime::from_seconds(config.max_gap_s);
 
@@ -101,7 +100,7 @@ IdentificationQuality evaluate_identification(const std::vector<TraceRecord>& re
     // Contingency counts: pairs sharing a true job, an inferred job, or both.
     // n_{tc} = records with true job t and inferred cluster c.
     std::map<std::pair<JobId, JobId>, std::uint64_t> cell;
-    std::unordered_map<JobId, std::uint64_t> true_size, cluster_size;
+    std::map<JobId, std::uint64_t> true_size, cluster_size;
     for (std::size_t i = 0; i < records.size(); ++i) {
         ++cell[{records[i].true_job, assignment[i]}];
         ++true_size[records[i].true_job];

@@ -1,8 +1,7 @@
 #include "workload/particle_tracker.h"
 
-#include <algorithm>
 #include <cassert>
-#include <unordered_map>
+#include <map>
 
 #include "util/rng.h"
 
@@ -37,17 +36,12 @@ std::vector<field::Vec3> advect_cloud(const field::SyntheticField& field,
 std::vector<AtomRequest> footprint_of_positions(const field::GridSpec& grid,
                                                 std::uint32_t timestep,
                                                 const std::vector<field::Vec3>& positions) {
-    std::unordered_map<std::uint64_t, std::uint64_t> counts;
+    std::map<std::uint64_t, std::uint64_t> counts;  // keyed, so in Morton order
     for (const auto& p : positions) ++counts[grid.atom_morton_of(p)];
     std::vector<AtomRequest> out;
     out.reserve(counts.size());
-    // jaws-lint: allow(unordered-iteration) -- order normalised by the
-    // Morton sort directly below; the emitted footprint never sees it.
     for (const auto& [code, n] : counts)
         out.push_back(AtomRequest{storage::AtomId{timestep, code}, n});
-    std::sort(out.begin(), out.end(), [](const AtomRequest& a, const AtomRequest& b) {
-        return a.atom.morton < b.atom.morton;
-    });
     return out;
 }
 

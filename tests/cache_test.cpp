@@ -1,6 +1,7 @@
 // Tests for the buffer cache and all replacement policies (cache/*).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "cache/buffer_cache.h"
@@ -222,8 +223,8 @@ class FakeOracle final : public UtilityOracle {
         return it == step_means.end() ? 0.0 : it->second;
     }
 
-    std::unordered_map<storage::AtomId, double, storage::AtomIdHash> atom_utilities;
-    std::unordered_map<std::uint32_t, double> step_means;
+    std::map<storage::AtomId, double> atom_utilities;
+    std::map<std::uint32_t, double> step_means;
 };
 
 TEST(Urc, EvictsLowestMeanTimestepFirst) {

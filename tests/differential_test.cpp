@@ -384,7 +384,7 @@ class SetIndexManager {
 class FlipProbe final : public sched::ResidencyProbe {
   public:
     bool resident(const storage::AtomId& a) const override { return cached.contains(a); }
-    std::unordered_set<storage::AtomId, storage::AtomIdHash> cached;
+    std::set<storage::AtomId> cached;
 };
 
 std::string show(const std::vector<storage::AtomId>& atoms) {

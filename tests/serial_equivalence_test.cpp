@@ -91,6 +91,43 @@ TEST(SerialEquivalence, DefaultDepthReproducesTheSerialEngineExactly) {
     }
 }
 
+struct PolicyGolden {
+    CachePolicy policy;
+    std::int64_t makespan_us;
+    std::uint64_t cache_hits;
+    std::uint64_t cache_misses;
+    std::uint64_t evictions;
+    std::uint64_t atom_reads;
+    double mean_response_ms;
+};
+
+// The Table I policies other than LRU-K (the kJaws row above) under JAWS on
+// the same fixture, pinned so that a policy's data structures can change
+// without its eviction order doing so.
+constexpr PolicyGolden kPolicyGoldens[] = {
+    {CachePolicy::kLru, 544414518, 17982, 10914, 5661, 5693, 1351.106955882353},
+    {CachePolicy::kSlru, 544234333, 17778, 11097, 5733, 5765, 1368.440857142857},
+    {CachePolicy::kTwoQ, 544399967, 16795, 12067, 5952, 5984, 1362.794251400563},
+    {CachePolicy::kUrc, 544324761, 17883, 11046, 5651, 5683, 1361.123698179272},
+};
+
+TEST(SerialEquivalence, EachCachePolicyReproducesItsPinnedRun) {
+    for (const PolicyGolden& g : kPolicyGoldens) {
+        EngineConfig c = fixture_config(SchedulerKind::kJaws);
+        c.cache.policy = g.policy;
+        const workload::Workload w = fixture_workload(c);
+        Engine engine(c);
+        const RunReport r = engine.run(w);
+        SCOPED_TRACE(r.cache_policy);
+        EXPECT_EQ(r.makespan.micros, g.makespan_us);
+        EXPECT_EQ(r.cache.hits, g.cache_hits);
+        EXPECT_EQ(r.cache.misses, g.cache_misses);
+        EXPECT_EQ(r.cache.evictions, g.evictions);
+        EXPECT_EQ(r.atom_reads, g.atom_reads);
+        EXPECT_NEAR(r.mean_response_ms, g.mean_response_ms, 1e-6);
+    }
+}
+
 TEST(SerialEquivalence, FaultyRunReproducesRetryAndBackoffAccountingExactly) {
     EngineConfig c = fixture_config(SchedulerKind::kJaws);
     c.faults.seed = 1234;

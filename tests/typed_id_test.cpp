@@ -6,8 +6,6 @@
 #include <limits>
 #include <sstream>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "util/typed_id.h"
 
@@ -52,22 +50,6 @@ TEST(TypedId, ComparesWithinOneSpace) {
     EXPECT_NE(NodeIndex{2}, NodeIndex{3});
     EXPECT_LT(AtomKey{1}, AtomKey{2});
     EXPECT_GE(ChannelIndex{5}, ChannelIndex{5});
-}
-
-TEST(TypedId, HashKeysUnorderedContainers) {
-    std::unordered_map<AtomKey, int, AtomKey::Hash> hits;
-    hits[AtomKey{42}] = 7;
-    hits[AtomKey{42}] += 1;
-    hits[AtomKey{43}] = 1;
-    EXPECT_EQ(hits.size(), 2u);
-    EXPECT_EQ(hits[AtomKey{42}], 8);
-
-    std::unordered_set<NodeIndex, NodeIndex::Hash> dead;
-    dead.insert(NodeIndex{1});
-    dead.insert(NodeIndex{1});
-    EXPECT_EQ(dead.size(), 1u);
-    EXPECT_TRUE(dead.count(NodeIndex{1}));
-    EXPECT_FALSE(dead.count(NodeIndex{2}));
 }
 
 TEST(TypedId, StreamsItsRawValue) {

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/morton.h"
@@ -120,6 +123,39 @@ TEST(Generator, PositionCountsWithinBounds) {
             ASSERT_GE(q.total_positions(), spec.min_positions);
             ASSERT_LE(q.total_positions(), spec.max_positions);
         }
+}
+
+TEST(Generator, RejectsSpecsItCannotHonour) {
+    const auto expect_rejected = [](const WorkloadSpec& spec,
+                                    std::initializer_list<const char*> fields) {
+        try {
+            generate_workload(spec, fixture().grid, fixture().field);
+            ADD_FAILURE() << "accepted a spec with a bad " << *fields.begin();
+        } catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            for (const char* field : fields)
+                EXPECT_NE(what.find(field), std::string::npos) << what;
+        }
+    };
+    WorkloadSpec spec;
+    spec.jobs = 5;
+    WorkloadSpec inverted = spec;
+    inverted.min_positions = 500;
+    inverted.max_positions = 100;
+    expect_rejected(inverted, {"min_positions", "max_positions"});
+    WorkloadSpec no_users = spec;
+    no_users.users = 0;
+    expect_rejected(no_users, {"users"});
+    WorkloadSpec no_hotspots = spec;
+    no_hotspots.hotspots = 0;
+    expect_rejected(no_hotspots, {"hotspot_prob", "hotspots"});
+
+    no_hotspots.hotspot_prob = 0.0;  // no hotspot is ever drawn
+    EXPECT_EQ(generate_workload(no_hotspots, fixture().grid, fixture().field).jobs.size(), 5u);
+    WorkloadSpec pinned = spec;
+    pinned.min_positions = pinned.max_positions = 500;  // equal bounds pin every count
+    for (const auto& job : generate_workload(pinned, fixture().grid, fixture().field).jobs)
+        for (const auto& q : job.queries) ASSERT_EQ(q.total_positions(), 500u);
 }
 
 TEST(Generator, OrderedJobsAdjacentStepsDifferByAtMostOne) {

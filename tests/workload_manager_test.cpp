@@ -2,7 +2,7 @@
 // selection and the URC oracle view (sched/workload_manager.h).
 #include <gtest/gtest.h>
 
-#include <unordered_set>
+#include <set>
 
 #include "sched/workload_manager.h"
 #include "util/morton.h"
@@ -26,7 +26,7 @@ SubQuery sub(workload::QueryId q, storage::AtomId a, std::uint64_t positions,
 class FakeProbe final : public ResidencyProbe {
   public:
     bool resident(const storage::AtomId& a) const override { return cached.contains(a); }
-    std::unordered_set<storage::AtomId, storage::AtomIdHash> cached;
+    std::set<storage::AtomId> cached;
 };
 
 CostConstants cost() {
@@ -192,15 +192,20 @@ TEST(WorkloadManager, AgedStepSelectionPrefersOldWorkAtHighAlpha) {
 
 TEST(WorkloadManager, OldestTimeTracksFirstEnqueue) {
     WorkloadManager m(cost(), nullptr, 1.0);
+    // Enqueue times never fall within one atom's queue (preprocess stamps
+    // the event time); across queues they may.
     m.enqueue(sub(1, atom(0, 1), 10, 100.0));
-    m.enqueue(sub(2, atom(0, 1), 10, 50.0));  // later enqueue, but queue's
-                                              // oldest stays at 100 (arrival
-                                              // order within an atom is FIFO)
+    m.enqueue(sub(2, atom(0, 1), 10, 150.0));  // later enqueue: the queue's
+                                               // oldest stays at 100
     m.enqueue(sub(3, atom(0, 2), 10, 80.0));
-    // At alpha 1, atom 2 (age key -80) beats atom 1 (age key -100)? No:
-    // older = smaller oldest => larger key. Atom 2 enqueued at 80 is older
-    // than atom 1's first enqueue at 100.
+    m.enqueue(sub(4, atom(0, 3), 10, 120.0));
+    EXPECT_TRUE(m.audit());
+    // At alpha 1 the oldest queue wins. Atom 2, enqueued at 80, is older
+    // than atom 1's first enqueue at 100; atom 1 then beats atom 3 (120),
+    // which it would not if its second enqueue had moved it to 150.
     EXPECT_EQ(m.pick_best_atom()->morton, 2u);
+    m.drain_atom(atom(0, 2));
+    EXPECT_EQ(m.pick_best_atom()->morton, 1u);
 }
 
 }  // namespace
