@@ -6,8 +6,10 @@ bit-reproducible: the golden digests, the Eq. 1 cost-model shapes and the
 seeded fault schedules all assume that no decision reads a wall clock,
 unseeded randomness or hash order, and that the modules stay layered so
 those contracts compose bottom-up. This script walks the seven modules
-src/{util,field,storage,cache,workload,sched,core} once and checks twelve
-rules on that walk.
+src/{util,field,storage,cache,workload,sched,core} once and checks eleven
+rules on that walk. A twelfth determinism rule, no `==`/`!=` with a floating
+operand, is the compiler's: src/CMakeLists.txt builds every src/ target with
+-Werror=float-equal, which knows each operand's type.
 
 Determinism. wall-clock and ambient-random run only in the six decision
 modules src/{core,sched,storage,cache,field,workload}; util/ is exempt
@@ -43,21 +45,10 @@ Semantics:
                        the simulation or leaks wall time into it. Calls are
                        followed through helper functions defined in the same
                        file.
-  float-equality       `==`/`!=` with a floating operand in the six decision
-                       modules: scheduling decisions must not hinge on exact
-                       double identity unless the site proves both sides are
-                       computed identically. An operand is floating when it
-                       holds a floating literal or a name whose nearest
-                       declaration before the comparison is `double`/`float`
-                       (the paired header's declarations count as earlier
-                       than the file's; a name first declared after the
-                       comparison, such as a class member, takes that
-                       declaration), so a `double b` in one scope does not
-                       make an integer `b` in a later scope floating.
   narrowing-cast       static_cast to an integer narrower than 64 bits whose
-                       operand involves SimTime/.micros tick arithmetic --
-                       microsecond counters overflow int32 after ~36 minutes
-                       of virtual time.
+                       operand involves SimTime/.micros/raw_micros() tick
+                       arithmetic -- microsecond counters overflow int32
+                       after ~36 minutes of virtual time.
   raw-micros           access to SimTime's raw `.micros` tick field outside
                        its owning file (src/util/sim_time.h): saturation
                        safety lives in SimTime's operators, so call sites
@@ -118,7 +109,6 @@ Exit codes: 0 clean, 1 violations found, 2 no src/ under the root.
 from __future__ import annotations
 
 import argparse
-import bisect
 import os
 import re
 import sys
@@ -136,7 +126,7 @@ ALLOWED_DEPS: dict[str, set[str]] = {
     "sched": {"workload", "cache", "storage", "field", "util"},
     "core": {"sched", "workload", "cache", "storage", "field", "util"},
 }
-# wall-clock, ambient-random and float-equality run only here.
+# wall-clock and ambient-random run only here.
 DECISION_MODULES = ("core", "sched", "storage", "cache", "field", "workload")
 # raw-id-api runs only on these modules' headers.
 ID_API_MODULES = ("core", "sched", "storage", "workload")
@@ -145,7 +135,6 @@ SIM_TIME_OWNER = "src/util/sim_time.h"
 SOURCE_EXTENSIONS = (".h", ".hpp", ".cpp", ".cc")
 
 ALLOW_RE = re.compile(r"//\s*jaws-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 KEYWORDS = {
     "if", "for", "while", "switch", "catch", "return", "sizeof", "new",
@@ -193,30 +182,11 @@ FUNC_HEAD_RE = re.compile(
     r"(?:const\s*)?(?:noexcept(?:\s*\([^)]*\))?\s*)?(?:override\s*)?(?:final\s*)?"
     r"(?:->\s*[\w:<>&*,\s]+?)?(?:\s*:\s*[^{};]*)?\s*\{")
 
-# float-equality
-FLOAT_DECL_RE = re.compile(r"\b(?:double|float)\s+([A-Za-z_]\w*)")
-# A declaration of any type: a type name with optional template arguments,
-# then `&`/`*` attached to it or whitespace, then the declared name.
-DECL_RE = re.compile(
-    r"\b([A-Za-z_]\w*)(?:\s*<[^;{}()]*?>)?(?:[&*]+\s*|\s+)([A-Za-z_]\w*)"
-    r"\s*(?=[=;,)\[{(:])")
-# Words DECL_RE may take for a type or a name that declare nothing
-# (`return x;`, `else if (`); double/float declarations come from
-# FLOAT_DECL_RE.
-NOT_A_DECL = KEYWORDS | {
-    "const", "constexpr", "static", "struct", "class", "enum", "typename",
-    "using", "namespace", "goto", "operator", "template", "double", "float",
-}
-FLOAT_LITERAL_RE = re.compile(
-    r"\b(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)\b|(?<![\w.])\.\d+\b")
-EQ_RE = re.compile(r"(?<![=!<>+\-*/%&|^])(==|!=)(?!=)")
-OPERAND_BOUNDARY_RE = re.compile(r"[(){};,?]|&&|\|\||\breturn\b|(?<![=!<>])=(?![=])")
-
 # narrowing-cast
 NARROW_CAST_RE = re.compile(
     r"static_cast\s*<\s*((?:std::)?(?:u?int(?:8|16|32)_t|int|unsigned(?:\s+int)?"
     r"|short|unsigned\s+short|signed\s+char|unsigned\s+char|char))\s*>\s*\(")
-TIME_OPERAND_RE = re.compile(r"\bmicros\b|\bSimTime\b")
+TIME_OPERAND_RE = re.compile(r"\b(?:raw_)?micros\b|\bSimTime\b")
 
 # raw-micros
 RAW_MICROS_RE = re.compile(r"(?:\.|->)\s*micros\b")
@@ -241,8 +211,8 @@ ID_DECL_RE = re.compile(
 ID_VALUE_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)(?:\.|->)value\s*\(\s*\)")
 ARITH_OP_RE = re.compile(r"(?<![+\-*/%<>=!&|^])([+\-*/%])(?![+\-*/%=>])")
 # Operand windows for id-mixing stop at statement-level boundaries only:
-# `x.value()` ends in `)`, so the expression-level boundaries used by
-# float-equality would hide every escape from its own operand window.
+# `x.value()` ends in `)`, so a boundary at parentheses would hide every
+# escape from its own operand window.
 ID_MIX_BOUNDARY_RE = re.compile(
     r"[;{},?]|&&|\|\||\breturn\b|(?<![=!<>+\-*/%&|^])=(?![=])")
 
@@ -356,15 +326,15 @@ def module_of(display_path: str) -> str:
     return parts[1] if len(parts) > 2 and parts[0] == "src" else ""
 
 
-def operand_windows(code: str, start: int, end: int,
-                    boundary_re: re.Pattern) -> tuple[str, str]:
+def operand_windows(code: str, start: int, end: int) -> tuple[str, str]:
     """Text of the (approximate) left and right operands of the binary
-    operator spanning [start, end), each cut at the nearest boundary."""
+    operator spanning [start, end), each cut at the nearest statement-level
+    boundary."""
     left_src = code[max(0, start - 200):start]
-    boundaries = [m.end() for m in boundary_re.finditer(left_src)]
+    boundaries = [m.end() for m in ID_MIX_BOUNDARY_RE.finditer(left_src)]
     left = left_src[boundaries[-1]:] if boundaries else left_src
     right_src = code[end:end + 200]
-    m = boundary_re.search(right_src)
+    m = ID_MIX_BOUNDARY_RE.search(right_src)
     right = right_src[:m.start()] if m else right_src
     return left, right
 
@@ -474,47 +444,8 @@ def reachable_ranges(code: str) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# float-equality / raw-id-api / id-mixing
+# raw-id-api / id-mixing
 # ---------------------------------------------------------------------------
-
-class FloatDecls:
-    """Which names are floating where: every declaration of a name in a file
-    (and in its paired header), floating or not, so a comparison reads the
-    declaration nearest before it."""
-
-    def __init__(self, code: str, header: str) -> None:
-        def declarations(text: str) -> list[tuple[int, str, bool]]:
-            found = [(m.start(1), m.group(1), True)
-                     for m in FLOAT_DECL_RE.finditer(text)]
-            found += [(m.start(2), m.group(2), False)
-                      for m in DECL_RE.finditer(text)
-                      if m.group(1) not in NOT_A_DECL
-                      and m.group(2) not in NOT_A_DECL]
-            return sorted(found)
-
-        self.code: dict[str, tuple[list[int], list[bool]]] = {}
-        for pos, name, floating in declarations(code):
-            at, floats = self.code.setdefault(name, ([], []))
-            at.append(pos)
-            floats.append(floating)
-        # The header's last declaration of each name.
-        self.header = {name: floating for _pos, name, floating in declarations(header)}
-
-    def floating(self, name: str, pos: int) -> bool:
-        at, floats = self.code.get(name, ((), ()))
-        before = bisect.bisect_left(at, pos)
-        if before > 0:
-            return floats[before - 1]
-        if name in self.header:
-            return self.header[name]
-        return bool(floats) and floats[0]
-
-
-def is_float_operand(text: str, pos: int, decls: FloatDecls) -> bool:
-    if FLOAT_LITERAL_RE.search(text):
-        return True
-    return any(decls.floating(ident, pos) for ident in IDENT_RE.findall(text))
-
 
 def in_parameter_list(code: str, pos: int) -> bool:
     """True when `pos` sits inside a function's parameter parentheses: an
@@ -582,18 +513,6 @@ def analyze_file(code: str, display_path: str, header: str) -> list[Violation]:
                  f"ambient randomness `{m.group(0).strip()}` in deterministic "
                  "core (seed explicitly via util/rng.h)")
 
-        decls = FloatDecls(code, header)
-        for m in EQ_RE.finditer(code):
-            left, right = operand_windows(code, m.start(), m.end(),
-                                          OPERAND_BOUNDARY_RE)
-            if (is_float_operand(left, m.start(), decls)
-                    or is_float_operand(right, m.start(), decls)):
-                flag(m.start(), "float-equality",
-                     f"floating-point `{m.group(1)}` in a scheduling/decision "
-                     "module; exact double identity is rarely meaningful -- "
-                     "compare with a tolerance or prove the operands are "
-                     "computed identically in an allow justification")
-
     for m in UNORDERED_RE.finditer(code):
         flag(m.start(), "unordered-container",
              f"`{m.group(0)}` in src/: hash order is not deterministic -- key "
@@ -644,8 +563,7 @@ def analyze_file(code: str, display_path: str, header: str) -> list[Violation]:
     id_decls = id_decl_types(code) | id_decl_types(header)
     if id_decls:
         for m in ARITH_OP_RE.finditer(code):
-            left, right = operand_windows(code, m.start(), m.end(),
-                                          ID_MIX_BOUNDARY_RE)
+            left, right = operand_windows(code, m.start(), m.end())
             lt = id_types_in(left, id_decls)
             rt = id_types_in(right, id_decls)
             if lt and rt and lt.isdisjoint(rt):
@@ -820,7 +738,7 @@ template <class T> struct vector {
     T* begin(); T* end(); const T* begin() const; const T* end() const;
 };
 }  // namespace std
-struct SimTime { long long micros; };
+struct SimTime { long long micros; long long raw_micros() const; };
 struct AtomKey { unsigned long long v; unsigned long long value() const; };
 struct NodeIndex { unsigned v; unsigned value() const; };
 struct ChannelIndex { unsigned long v; unsigned long value() const; };
@@ -928,23 +846,23 @@ long f() {
 }
 """,
      []),
-    # A .cpp reads its paired header's declarations: the member compared
-    # here is declared `double` only in paired.h.
-    ("src/core/paired.h",
-     """#pragma once
+    # A .cpp reads its paired header's declarations: the two members mixed
+    # here are declared with their id types only in paired.h.
+    ("src/core/paired.h", FIXTURE_PRELUDE + """
 struct Paired {
-    bool at_limit(long x) const;
-    double limit_;
+    unsigned long long fold() const;
+    AtomKey atom_;
+    NodeIndex node_;
 };
 """,
      []),
     ("src/core/paired.cpp",
      """#include "paired.h"
-bool Paired::at_limit(long x) const {
-    return x == limit_;  // member from the header
+unsigned long long Paired::fold() const {
+    return atom_.value() + node_.value();  // members from the header
 }
 """,
-     ["float-equality"]),
+     ["id-mixing"]),
     # Pin the walk itself: a regression that drops a module from it makes
     # these fixtures silently pass and fails the self-test.
     ("src/workload/bad_workload_wall_clock.cpp",
@@ -976,8 +894,7 @@ struct Registry {
 """,
      ["unordered-container", "unordered-container", "unordered-container"]),
 
-    # -- kernel-blocking, float-equality, narrowing-cast, raw-micros,
-    #    raw-id-api, id-mixing --
+    # -- kernel-blocking, narrowing-cast, raw-micros, raw-id-api, id-mixing --
     ("src/core/bad_blocking_direct.cpp", FIXTURE_PRELUDE + """
 void f(EventQueue& q, SimTime t) {
     q.schedule(t, 0, [] { std::this_thread::sleep_for(5); });
@@ -1006,57 +923,13 @@ void f(EventQueue& q, SimTime t) {
     });
 }
 """, []),
-    ("src/core/bad_float_eq.cpp", FIXTURE_PRELUDE + """
-bool f(double utility, double best) { return utility == best; }
-""", ["float-equality"]),
-    ("src/core/bad_float_literal.cpp", FIXTURE_PRELUDE + """
-int f(double alpha) {
-    if (alpha != 1.0) return 2;
-    return 3;
-}
-""", ["float-equality"]),
-    ("src/core/ok_int_eq.cpp", FIXTURE_PRELUDE + """
-bool f(int a, long long b, const std::vector<int>& v) {
-    bool edge = v.begin() == v.end();
-    return a == 3 && b != 7 && edge;
-}
-""", []),
-    ("src/core/ok_float_eq_waived.cpp", FIXTURE_PRELUDE + """
-bool f(double cached, double derived) {
-    // jaws-lint: allow(float-equality) -- fixture: operands computed
-    // identically, exact identity is the contract under test.
-    return cached == derived;
-}
-""", []),
-    # float-equality reads the nearest declaration before the comparison:
-    # the shape of an audit whose tolerance lambda takes `double b` and whose
-    # later block walk compares an integer `b` with a sentinel...
-    ("src/sched/ok_float_eq_later_integer.cpp", FIXTURE_PRELUDE + """
-constexpr unsigned kNil = ~0U;
-struct Block { unsigned next; };
-bool audit(const Block* slab, unsigned head, double sum, double derived) {
-    const auto close = [](double a, double b) { return a - b < 1e-9 && b - a < 1e-9; };
-    bool ok = close(sum, derived);
-    for (unsigned b = head; b != kNil; b = slab[b].next) ok = ok && b < 64;
-    return ok;
-}
-""", []),
-    # ...while a `double` that shadows an integer of the same name is
-    # floating from its declaration on, and only from there.
-    ("src/sched/bad_float_eq_shadowing_double.cpp", FIXTURE_PRELUDE + """
-int f(int count, int limit) {
-    if (count == 3) return 1;
-    for (double count = 0; count < limit; count += 1)
-        if (count != limit) return 2;
-    return 0;
-}
-""", ["float-equality"]),
     ("src/core/bad_narrow_cast.cpp", FIXTURE_PRELUDE + """
 // jaws-lint: allow(raw-micros) -- fixture: exercising the cast rule alone.
 int f(SimTime t) { return static_cast<int>(t.micros); }
 // jaws-lint: allow(raw-micros) -- fixture: exercising the cast rule alone.
 unsigned g(SimTime t) { return static_cast<unsigned int>(t.micros / 1000); }
-""", ["narrowing-cast", "narrowing-cast"]),
+int h(SimTime t) { return static_cast<int>(t.raw_micros()); }
+""", ["narrowing-cast", "narrowing-cast", "narrowing-cast"]),
     ("src/core/ok_wide_cast.cpp", FIXTURE_PRELUDE + """
 // jaws-lint: allow(raw-micros) -- fixture: exercising the cast rule alone.
 long long f(SimTime t) { return static_cast<long long>(t.micros); }
@@ -1102,16 +975,6 @@ unsigned ring_distance(NodeIndex a, NodeIndex b, AtomKey atom) {
     ("src/util/sim_time.h", FIXTURE_PRELUDE + """
 inline long long ticks_of(SimTime t) { return t.micros; }
 """, []),
-    # float-equality covers every decision module, field/ and workload/ too.
-    ("src/field/bad_float_eq_field.cpp", FIXTURE_PRELUDE + """
-bool f(double amplitude, double phase) { return amplitude == phase; }
-""", ["float-equality"]),
-    ("src/workload/bad_float_eq_workload.cpp", FIXTURE_PRELUDE + """
-int f(double think_s) {
-    if (think_s != 0.0) return 1;
-    return 0;
-}
-""", ["float-equality"]),
 
     # -- upward-include, unknown-module --
     ("src/util/ok_leaf.h", '#include "util/other.h"\n#include <vector>\n', []),

@@ -39,11 +39,13 @@ storage::AtomId UrcPolicy::pick_victim() {
         const double mean = at->second;
         const double own = oracle_.atom_utility(atom);
         const std::uint64_t touch = last_touch_[s];
-        // jaws-lint: allow(float-equality) -- exact tie-breaks: mean and own
-        // are computed identically for every resident of a step, so equal
-        // doubles really are the same value; a tolerance would make the
-        // victim depend on scan order.
+        // Exact tie-breaks: mean and own are computed identically for every
+        // resident of a step, so equal doubles really are the same value; a
+        // tolerance would make the victim depend on scan order.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wfloat-equal"
         const bool step_tie = mean == best_step, atom_tie = own == best_atom;
+#pragma GCC diagnostic pop
         const bool better = victim == util::SlotIndex::kNone || mean < best_step ||
                             (step_tie && (own < best_atom || (atom_tie && touch < best_touch)));
         if (better) {

@@ -280,9 +280,10 @@ void Engine::issue_more() {
 
 void Engine::issue_item(std::size_t idx) {
     ItemRun& it = batch_.items[idx];
-    ++atoms_processed_;
+    ++report_.atoms_processed;
     if (prefetcher_ != nullptr) prefetcher_->on_demand_access(it.item.atom);
     if (cache_->lookup(it.item.atom)) {
+        it.payload = cache_->payload(it.item.atom);
         proceed_supports(idx);
         return;
     }
@@ -301,7 +302,7 @@ void Engine::submit_demand_read(std::size_t idx) {
     it.read_route = router_ != nullptr
                         ? router_->route_read(node_id_, it.item.atom)
                         : self_route();
-    if (it.read_route.node != node_id_) ++replica_reads_;
+    if (it.read_route.node != node_id_) ++report_.replica_reads;
     util::SimResource::Job job;
     job.priority = 0;
     job.preemptible = false;
@@ -316,7 +317,7 @@ void Engine::submit_demand_read(std::size_t idx) {
         // count the rendered part as the price of hedging.
         ItemRun& run = batch_.items[idx];
         refund_read_tail(run.read_route, run.read, remaining);
-        wasted_service_ += run.read.io_cost - remaining;
+        report_.wasted_service += run.read.io_cost - remaining;
     };
     it.read_job = it.read_route.disk->submit(std::move(job));
 }
@@ -327,8 +328,9 @@ void Engine::demand_read_done(std::size_t idx) {
     if (!it.read.failed) {
         if (config_.hedge.enabled) read_ewma_.update(it.read.io_cost.millis());
         cancel_hedge_machinery(idx);
-        ++atom_reads_;
-        insert_into_cache(it.item.atom, std::move(it.read.data));
+        ++report_.atom_reads;
+        it.payload = std::move(it.read.data);
+        insert_into_cache(it.item.atom, it.payload);
         proceed_supports(idx);
         return;
     }
@@ -343,41 +345,35 @@ void Engine::demand_read_done(std::size_t idx) {
             item_finished(idx);
             return;
         }
-        // Circuit breaker: past the engine-wide retry budget, transient
-        // failures fail fast instead of piling onto the backoff queue.
-        if (config_.retry.total_retry_budget > 0 &&
-            read_retries_ >= config_.retry.total_retry_budget) {
-            ++retries_suppressed_;
-            ++read_failures_;
-            cancel_hedge_machinery(idx);
-            fail_subqueries(subqueries_of(it));
-            if (it.read_route.store->faults().permanently_bad(it.item.atom))
-                purge_dead_atom(it.item.atom);
-            item_finished(idx);
+        if (config_.retry.total_retry_budget == 0 ||
+            report_.read_retries < config_.retry.total_retry_budget) {
+            // Transient fault: back off exponentially (bounded) before
+            // retrying. The channel is released during the backoff — other
+            // in-flight items keep the disk busy — and the delay shows up in
+            // response times, so QoS deadline checks see the true degraded
+            // timeline.
+            const auto backoff = util::SimTime::from_millis(
+                std::min(it.backoff_ms, config_.retry.backoff_cap_ms));
+            it.backoff_ms *= kBackoffMultiplier;
+            report_.retry_backoff_time += backoff;
+            ++report_.read_retries;
+            ++it.attempt;
+            it.retry_event = events_.schedule(
+                events_.now() + backoff, kPriService, node_id_.value(), [this, idx] {
+                    batch_.items[idx].retry_event = 0;
+                    submit_demand_read(idx);
+                });
             return;
         }
-        // Transient fault: back off exponentially (bounded) before retrying.
-        // The channel is released during the backoff — other in-flight items
-        // keep the disk busy — and the delay shows up in response times, so
-        // QoS deadline checks see the true degraded timeline.
-        const auto backoff = util::SimTime::from_millis(
-            std::min(it.backoff_ms, config_.retry.backoff_cap_ms));
-        it.backoff_ms *= kBackoffMultiplier;
-        retry_backoff_time_ += backoff;
-        ++read_retries_;
-        ++it.attempt;
-        it.retry_event = events_.schedule(
-            events_.now() + backoff, kPriService, node_id_.value(), [this, idx] {
-                batch_.items[idx].retry_event = 0;
-                submit_demand_read(idx);
-            });
-        return;
+        // Circuit breaker: past the engine-wide retry budget, transient
+        // failures fail fast instead of piling onto the backoff queue.
+        ++report_.retries_suppressed;
     }
     // The atom's data is unreachable: abandon this batch item's sub-queries
     // (their queries complete degraded). A permanently bad atom also purges
     // whatever later-visible queries queued against it, so the scheduler
     // never chases a dead atom forever.
-    ++read_failures_;
+    ++report_.read_failures;
     cancel_hedge_machinery(idx);
     fail_subqueries(subqueries_of(it));
     if (it.read_route.store->faults().permanently_bad(it.item.atom))
@@ -425,9 +421,10 @@ void Engine::maybe_issue_hedge(std::size_t idx) {
     }
     if (payers_.empty()) return;
     for (QueryRuntime* rt : payers_) ++rt->hedges;
-    ++hedges_issued_;
+    ++report_.hedges_issued;
     ++outstanding_hedges_;
-    peak_hedges_ = std::max(peak_hedges_, outstanding_hedges_);
+    report_.peak_hedges_outstanding =
+        std::max(report_.peak_hedges_outstanding, outstanding_hedges_);
     // The hedge prefers a surviving replica *other* than the primary's node,
     // so the duplicate rides independent hardware; a standalone engine (or a
     // chain with no alternative) lands it on another channel of the same
@@ -436,7 +433,7 @@ void Engine::maybe_issue_hedge(std::size_t idx) {
         router_ != nullptr
             ? router_->route_hedge(node_id_, it.item.atom, it.read_route.node)
             : self_route();
-    if (it.hedge_route.node != node_id_) ++replica_reads_;
+    if (it.hedge_route.node != node_id_) ++report_.replica_reads;
     util::SimResource::Job job;
     job.priority = 0;
     job.preemptible = false;
@@ -451,7 +448,7 @@ void Engine::maybe_issue_hedge(std::size_t idx) {
         // count the rendered part as the price of hedging.
         ItemRun& run = batch_.items[idx];
         refund_read_tail(run.hedge_route, run.hedge_read, remaining);
-        wasted_service_ += run.hedge_read.io_cost - remaining;
+        report_.wasted_service += run.hedge_read.io_cost - remaining;
     };
     it.hedge_job = it.hedge_route.disk->submit(std::move(job));
 }
@@ -463,10 +460,10 @@ void Engine::hedge_done(std::size_t idx) {
     if (it.hedge_read.failed) {
         // The duplicate drew a fault of its own: drop it; the primary path
         // (in-service read or pending backoff) keeps running.
-        ++hedges_lost_;
+        ++report_.hedges_lost;
         return;
     }
-    ++hedges_won_;
+    ++report_.hedges_won;
     read_ewma_.update(it.hedge_read.io_cost.millis());
     // First completion wins: cancel the losing primary. Both submissions are
     // non-preemptible FIFO peers, so the hedge can only have started after
@@ -474,15 +471,16 @@ void Engine::hedge_done(std::size_t idx) {
     // unrendered tail) or waiting out a backoff. cancel() returning false
     // means the primary resolved at this exact instant and already settled.
     if (it.read_job != 0) {
-        if (it.read_route.disk->cancel(it.read_job)) ++cancellations_;
+        if (it.read_route.disk->cancel(it.read_job)) ++report_.cancellations;
         it.read_job = 0;
     }
     if (it.retry_event != 0) {
-        if (events_.cancel(it.retry_event)) ++cancellations_;
+        if (events_.cancel(it.retry_event)) ++report_.cancellations;
         it.retry_event = 0;
     }
-    ++atom_reads_;
-    insert_into_cache(it.item.atom, std::move(it.hedge_read.data));
+    ++report_.atom_reads;
+    it.payload = std::move(it.hedge_read.data);
+    insert_into_cache(it.item.atom, it.payload);
     proceed_supports(idx);
 }
 
@@ -497,8 +495,8 @@ void Engine::cancel_hedge_machinery(std::size_t idx) {
         // an in-service one runs its on_abort refund. Either way it lost.
         if (it.hedge_route.disk->cancel(it.hedge_job)) {
             --outstanding_hedges_;
-            ++hedges_lost_;
-            ++cancellations_;
+            ++report_.hedges_lost;
+            ++report_.cancellations;
         }
         it.hedge_job = 0;
     }
@@ -531,7 +529,7 @@ bool Engine::drop_expired_subqueries(ItemRun& it) {
         if ((now - rt.visible_at).millis() > config_.deadline_budget_ms) {
             if (!rt.deadline_missed) {
                 rt.deadline_missed = true;
-                ++deadline_misses_;
+                ++report_.deadline_misses;
             }
             failing_.push_back(sub);
         } else {
@@ -562,13 +560,13 @@ void Engine::proceed_supports(std::size_t idx) {
         marked |= sub.supports;
     }
     sched::SupportCodes codes = sched::support_codes(it.item.atom, marked);
-    std::sort(codes.begin(), codes.end());
+    codes.sort();
     std::int64_t cold = 0;
     for (const std::uint64_t code : codes) {
         const storage::AtomId support{it.item.atom.timestep, code};
         if (prefetcher_ != nullptr) prefetcher_->on_demand_access(support);
         if (cache_->lookup(support)) continue;  // ghost served from memory
-        ++support_reads_;
+        ++report_.support_reads;
         ++cold;
     }
     if (cold == 0) {
@@ -590,7 +588,6 @@ void Engine::proceed_supports(std::size_t idx) {
 
 void Engine::begin_compute(std::size_t idx) {
     ItemRun& it = batch_.items[idx];
-    it.payload = cache_->payload(it.item.atom);
     it.next_sub = 0;
     if (it.item.count == 0) {
         item_finished(idx);
@@ -628,7 +625,7 @@ void Engine::submit_compute(std::size_t idx) {
             // Dispatch the real work; compute_done() joins the future at the
             // modeled completion event. Each in-service CPU channel owns at
             // most one task, bounding in-flight work to compute_workers.
-            ++eval_tasks_;
+            ++report_.eval_tasks;
             it.eval_on_pool = true;
             it.pending_eval = eval_pool_->submit(
                 [this, exec = std::move(exec), payload = it.payload]() {
@@ -655,8 +652,8 @@ void Engine::submit_compute(std::size_t idx) {
 void Engine::compute_done(std::size_t idx) {
     ItemRun& it = batch_.items[idx];
     const sched::SubQuery& sub = subqueries_of(it)[it.next_sub];
-    ++subqueries_done_;
-    positions_done_ += sub.positions;
+    ++report_.subqueries;
+    report_.positions += sub.positions;
     QueryRuntime& rt = runtime_[it.runtime_slot];
     // Deterministic reduction: the real result (pooled or inline) is folded
     // here, at the modeled completion event — so sample order and digests
@@ -672,8 +669,8 @@ void Engine::compute_done(std::size_t idx) {
     if (!out.samples.empty()) {
         rt.samples_evaluated += out.samples.size();
         rt.sample_digest = fold_samples(rt.sample_digest, out.samples);
-        samples_evaluated_ += out.samples.size();
-        sample_digest_ = fold_samples(sample_digest_, out.samples);
+        report_.samples_evaluated += out.samples.size();
+        report_.sample_digest = fold_samples(report_.sample_digest, out.samples);
     }
     assert(rt.outstanding > 0);
     if (--rt.outstanding == 0) complete_query(rt);
@@ -731,7 +728,7 @@ void Engine::fail_subqueries(std::span<const sched::SubQuery> subs) {
     for (const sched::SubQuery& sub : subs) {
         QueryRuntime& rt = runtime_of(sub.query);
         ++rt.failed;
-        ++failed_subqueries_;
+        ++report_.failed_subqueries;
         assert(rt.outstanding > 0);
         if (--rt.outstanding == 0) complete_query(rt);
     }
@@ -751,12 +748,12 @@ void Engine::complete_query(QueryRuntime& rt) {
     outcome.sample_digest = rt.sample_digest;
     outcome.hedged_reads = rt.hedges;
     outcome.deadline_missed = rt.deadline_missed;
-    if (rt.failed > 0) ++degraded_queries_;
+    if (rt.failed > 0) ++report_.degraded_queries;
     outcomes_.push_back(outcome);
-    ++completed_;
+    ++report_.queries;
 
     scheduler_->on_query_completed(rt.query->id, outcome.response(), now);
-    if (config_.run_length > 0 && completed_ % config_.run_length == 0)
+    if (config_.run_length > 0 && report_.queries % config_.run_length == 0)
         cache_->run_boundary();
 
     // Ordered successor becomes visible after the user's think time.
@@ -792,10 +789,7 @@ void Engine::complete_query(QueryRuntime& rt) {
     const util::SlotIndex::Slot remaining = job_remaining_.find(job.id);
     assert(remaining != util::SlotIndex::kNone);
     if (--job_remaining_[remaining] == 0) {
-        const double span_ms = (now - job.arrival).millis();
-        job_span_ms_sum_ += span_ms;
-        job_spans_.push_back(span_ms);
-        ++jobs_done_;
+        report_.job_span_ms.push_back((now - job.arrival).millis());
         job_remaining_.erase(job.id);
     }
 }
@@ -827,7 +821,7 @@ void Engine::try_issue_prefetch() {
             // Best-effort: a faulted attempt is simply dropped (no retries —
             // demand reads will recover if it matters).
             if (rr.failed) return;
-            ++atom_reads_;
+            ++report_.atom_reads;
             insert_into_cache(atom, std::move(rr.data));
             prefetcher_->on_prefetched(atom);
         };
@@ -836,7 +830,7 @@ void Engine::try_issue_prefetch() {
             // back the tail the channel never actually rendered (split across
             // the service and fault-delay ledgers so they stay disjoint).
             refund_read_tail(self_route(), prefetch_read_[channel], remaining);
-            ++prefetch_aborted_;
+            ++report_.prefetch_aborted;
             prefetcher_->on_aborted(atom);
         };
         disk_res_.submit(std::move(job));
@@ -855,13 +849,13 @@ void Engine::account_to(util::SimTime now) {
     last_account_ = now;
     const bool disk_busy = disk_res_.busy_channels() > 0;
     const bool cpu_busy = cpu_res_.busy_channels() > 0;
-    if (disk_busy) disk_busy_time_ += dt;
-    if (cpu_busy) cpu_busy_time_ += dt;
-    if (disk_busy && cpu_busy) overlap_time_ += dt;
+    if (disk_busy) report_.disk_busy_time += dt;
+    if (cpu_busy) report_.cpu_busy_time += dt;
+    if (disk_busy && cpu_busy) report_.overlap_time += dt;
     // "Idle" reproduces the pre-kernel engine's jumped-gap accounting: time
     // with no batch active and both resources quiet (dispatch overhead and
     // retry backoff inside a batch are busy time, not idle).
-    if (!disk_busy && !cpu_busy && !batch_.active) idle_time_ += dt;
+    if (!disk_busy && !cpu_busy && !batch_.active) report_.idle_time += dt;
 }
 
 void Engine::flush_timeline_window(util::SimTime window_end, double window_seconds) {
@@ -887,12 +881,12 @@ void Engine::flush_timeline_window(util::SimTime window_end, double window_secon
             (cpu_ct - tl_cpu_channel_time_).seconds() /
             (window_seconds * static_cast<double>(config_.compute_workers));
         point.overlap_fraction =
-            (overlap_time_ - tl_overlap_time_).seconds() / window_seconds;
+            (report_.overlap_time - tl_overlap_time_).seconds() / window_seconds;
     }
     tl_disk_channel_time_ = disk_ct;
     tl_cpu_channel_time_ = cpu_ct;
-    tl_overlap_time_ = overlap_time_;
-    timeline_.push_back(point);
+    tl_overlap_time_ = report_.overlap_time;
+    report_.timeline.push_back(point);
     window_completions_ = 0;
     window_response_ms_sum_ = 0.0;
 }
@@ -930,7 +924,7 @@ void Engine::maybe_halt_drained() {
     halt_drain_fired_ = true;
     // A node that finished everything before dying keeps its completion-time
     // makespan; only an interrupted node ends at the drain instant.
-    if (clock_started_ && completed_ < expected_) end_time_ = events_.now();
+    if (clock_started_ && report_.queries < expected_) end_time_ = events_.now();
     if (halt_drained_) halt_drained_();
 }
 
@@ -961,7 +955,7 @@ void Engine::begin(util::SimTime origin, util::SimTime halt_at) {
 void Engine::inject_job(const workload::Job& job) {
     require_kernel_fit(job);
     if (!clock_started_) start_clock(events_.now());
-    ++jobs_seen_;
+    ++report_.jobs;
     expected_ += job.queries.size();
     due_jobs_.push_back(&job);
     if (!halted_ && !batch_.active) ensure_dispatch();
@@ -981,12 +975,12 @@ RunReport Engine::run(const workload::Workload& workload) {
         events_.schedule(job.arrival, kPriArrival, node_id_.value(),
                          [this, &job] { inject_job(job); });
 
-    while (completed_ < total) {
+    while (report_.queries < total) {
         if (events_.run_one()) continue;
         // Queue drained with queries incomplete: only gated queries remain.
         if (try_unstick()) continue;
         throw std::runtime_error("Engine::run: scheduler stalled with " +
-                                 std::to_string(completed_) + "/" +
+                                 std::to_string(report_.queries) + "/" +
                                  std::to_string(total) + " queries complete");
     }
     return finish();
@@ -996,82 +990,57 @@ RunReport Engine::finish() {
     if (!clock_started_) return RunReport{};
     account_to(end_time_);  // settle integrals up to this node's final instant
 
-    RunReport report;
-    report.scheduler_name = scheduler_->name();
-    report.cache_policy = cache_->policy_name();
-    report.queries = completed_;
-    report.jobs = jobs_seen_;
-    report.makespan = end_time_ - start_;
-    const double seconds = std::max(1e-9, report.makespan.seconds());
+    const std::size_t completed = report_.queries;
+    report_.scheduler_name = scheduler_->name();
+    report_.cache_policy = cache_->policy_name();
+    report_.makespan = end_time_ - start_;
+    const double seconds = std::max(1e-9, report_.makespan.seconds());
     // On a shared kernel this node's disk may keep serving other nodes'
     // replica reads after its own last completion; utilisation and idle are
     // measured over the span accounting actually covered (identical to the
     // makespan on a private queue).
     const double span_seconds =
         std::max(seconds, (last_account_ - start_).seconds());
-    report.throughput_qps = static_cast<double>(completed_) / seconds;
-    report.seconds_per_query =
-        completed_ ? seconds / static_cast<double>(completed_) : 0.0;
-    report.idle_time = idle_time_;
-    const double busy_seconds = std::max(1e-9, span_seconds - idle_time_.seconds());
-    report.busy_throughput_qps = static_cast<double>(completed_) / busy_seconds;
-    fill_response_stats(outcomes_, report);
-    report.mean_job_span_ms = jobs_done_ ? job_span_ms_sum_ / static_cast<double>(jobs_done_)
-                                         : 0.0;
-    report.cache = cache_->stats();
-    report.cache_overhead_per_query_ms =
-        static_cast<double>(report.cache.policy_overhead_ns) * 1e-6 /
-        std::max<std::size_t>(1, completed_);
-    report.disk = store_.disk_stats();
-    report.disk_busy_time = disk_busy_time_;
-    report.cpu_busy_time = cpu_busy_time_;
-    report.overlap_time = overlap_time_;
-    report.io_depth = config_.io_depth;
-    report.compute_workers = config_.compute_workers;
-    report.peak_cpu_busy = cpu_res_.peak_busy_channels();
-    report.peak_disk_busy = disk_res_.peak_busy_channels();
-    report.eval_threads = eval_pool_ != nullptr ? eval_pool_->size() : 0;
-    report.eval_tasks = eval_tasks_;
-    report.samples_evaluated = samples_evaluated_;
-    report.sample_digest = sample_digest_;
-    report.eval_wall_ns = eval_wall_ns_.load(std::memory_order_relaxed);
-    report.disk_utilization =
+    report_.throughput_qps = static_cast<double>(completed) / seconds;
+    report_.seconds_per_query =
+        completed ? seconds / static_cast<double>(completed) : 0.0;
+    const double busy_seconds = std::max(1e-9, span_seconds - report_.idle_time.seconds());
+    report_.busy_throughput_qps = static_cast<double>(completed) / busy_seconds;
+    fill_response_stats(outcomes_, report_);
+    // Summed in completion order, as the spans were recorded.
+    double span_sum_ms = 0.0;
+    for (const double span_ms : report_.job_span_ms) span_sum_ms += span_ms;
+    report_.mean_job_span_ms =
+        report_.job_span_ms.empty()
+            ? 0.0
+            : span_sum_ms / static_cast<double>(report_.job_span_ms.size());
+    report_.cache = cache_->stats();
+    report_.cache_overhead_per_query_ms =
+        static_cast<double>(report_.cache.policy_overhead_ns) * 1e-6 /
+        std::max<std::size_t>(1, completed);
+    report_.disk = store_.disk_stats();
+    report_.io_depth = config_.io_depth;
+    report_.compute_workers = config_.compute_workers;
+    report_.peak_cpu_busy = cpu_res_.peak_busy_channels();
+    report_.peak_disk_busy = disk_res_.peak_busy_channels();
+    report_.eval_threads = eval_pool_ != nullptr ? eval_pool_->size() : 0;
+    report_.eval_wall_ns = eval_wall_ns_.load(std::memory_order_relaxed);
+    report_.disk_utilization =
         disk_res_.busy_channel_time().seconds() /
         (span_seconds * static_cast<double>(config_.io_depth));
-    report.cpu_utilization =
+    report_.cpu_utilization =
         cpu_res_.busy_channel_time().seconds() /
         (span_seconds * static_cast<double>(config_.compute_workers));
-    report.overlap_fraction = overlap_time_.seconds() / span_seconds;
-    report.atoms_processed = atoms_processed_;
-    report.atom_reads = atom_reads_;
-    report.replica_reads = replica_reads_;
-    report.support_reads = support_reads_;
-    report.subqueries = subqueries_done_;
-    report.positions = positions_done_;
-    report.read_retries = read_retries_;
-    report.read_failures = read_failures_;
-    report.failed_subqueries = failed_subqueries_;
-    report.degraded_queries = degraded_queries_;
-    report.retry_backoff_time = retry_backoff_time_;
-    report.faults = store_.fault_stats();
-    report.hedges_issued = hedges_issued_;
-    report.hedges_won = hedges_won_;
-    report.hedges_lost = hedges_lost_;
-    report.cancellations = cancellations_;
-    report.wasted_service = wasted_service_;
-    report.peak_hedges_outstanding = peak_hedges_;
-    report.deadline_misses = deadline_misses_;
-    report.retries_suppressed = retries_suppressed_;
+    report_.overlap_fraction = report_.overlap_time.seconds() / span_seconds;
+    report_.faults = store_.fault_stats();
     // Halted means the run stopped short; a final batch that happened to
     // cross the death instant while finishing the workload is a completed
     // run.
-    report.halted = halted_ && completed_ < expected_;
-    report.final_alpha = scheduler_->current_alpha();
-    if (const sched::GatingStats* gs = scheduler_->gating_stats()) report.gating = *gs;
-    if (const sched::QosStats* qs = scheduler_->qos_stats()) report.qos = *qs;
-    if (prefetcher_ != nullptr) report.prefetch = prefetcher_->stats();
-    report.prefetch_aborted = prefetch_aborted_;
-    report.job_span_ms = job_spans_;
+    report_.halted = halted_ && completed < expected_;
+    report_.final_alpha = scheduler_->current_alpha();
+    if (const sched::GatingStats* gs = scheduler_->gating_stats()) report_.gating = *gs;
+    if (const sched::QosStats* qs = scheduler_->qos_stats()) report_.qos = *qs;
+    if (prefetcher_ != nullptr) report_.prefetch = prefetcher_->stats();
     if (config_.timeline_window_s > 0.0) {
         // Flush the final partial window.
         const util::SimTime window =
@@ -1079,9 +1048,8 @@ RunReport Engine::finish() {
         const util::SimTime last_boundary = timeline_next_ - window;
         if (window_completions_ > 0)
             flush_timeline_window(end_time_, (end_time_ - last_boundary).seconds());
-        report.timeline = std::move(timeline_);
     }
-    return report;
+    return std::move(report_);
 }
 
 }  // namespace jaws::core

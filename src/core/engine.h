@@ -120,7 +120,7 @@ class Engine {
     RunReport finish();
 
     /// Whether every query injected so far has completed.
-    bool done() const noexcept { return completed_ >= expected_; }
+    bool done() const noexcept { return report_.queries >= expected_; }
     /// Whether the clock started (a first job was injected / run() began).
     bool started() const noexcept { return clock_started_; }
     /// Whether the node-death halt fired.
@@ -129,7 +129,7 @@ class Engine {
     /// the only state where a drained event queue implies a scheduler gate
     /// (vs. waiting on another node's resource completions).
     bool idle_stuck() const noexcept {
-        return clock_started_ && !halted_ && completed_ < expected_ && !batch_.active;
+        return clock_started_ && !halted_ && report_.queries < expected_ && !batch_.active;
     }
     /// Ask the scheduler to force-release gated queries and redispatch.
     /// Returns whether anything was released.
@@ -141,7 +141,7 @@ class Engine {
     /// Cross-node read routing; null (the default) serves every read locally.
     void set_replica_router(storage::ReplicaRouter* router) { router_ = router; }
 
-    std::size_t completed() const noexcept { return completed_; }
+    std::size_t completed() const noexcept { return report_.queries; }
     std::size_t expected() const noexcept { return expected_; }
     util::NodeIndex node_id() const noexcept { return node_id_; }
     /// Modeled disk-queue depth (in-service + waiting), the router's
@@ -213,6 +213,9 @@ class Engine {
         storage::ReadResult read;      ///< Stashed by the disk job's on_start.
         storage::ReadRoute read_route;   ///< Where the primary read is served.
         storage::ReadRoute hedge_route;  ///< Where the hedge read is served.
+        /// The atom's data (null on descriptor-only runs), held from the
+        /// cache hit or successful read until the item is evaluated: another
+        /// in-flight read may evict the atom from the cache meanwhile.
         std::shared_ptr<const field::VoxelBlock> payload;
         std::size_t next_sub = 0;      ///< Next sub-query to evaluate.
         /// Runtime slot of the next_sub's query, found when its CPU service
@@ -419,7 +422,6 @@ class Engine {
     /// roll windows").
     void timeline_tick(util::SimTime now, double response_ms);
     void flush_timeline_window(util::SimTime window_end, double window_seconds);
-    std::vector<TimelinePoint> timeline_;
     util::SimTime timeline_next_;
     std::uint64_t window_completions_ = 0;
     double window_response_ms_sum_ = 0.0;
@@ -427,48 +429,18 @@ class Engine {
     util::SimTime tl_cpu_channel_time_;
     util::SimTime tl_overlap_time_;
 
-    std::size_t completed_ = 0;
+    /// The report under construction: the run counts straight into its
+    /// fields (queries completed, jobs injected, reads, hedges, the busy and
+    /// idle integrals, job spans, the timeline), and finish() adds the
+    /// derived ones.
+    RunReport report_;
     std::size_t expected_ = 0;  ///< Queries injected so far.
-    std::uint64_t atoms_processed_ = 0;
-    std::uint64_t replica_reads_ = 0;  ///< Reads routed to another node.
-    std::uint64_t atom_reads_ = 0;
-    std::uint64_t read_retries_ = 0;
-    std::uint64_t read_failures_ = 0;
-    std::uint64_t failed_subqueries_ = 0;
-    std::uint64_t degraded_queries_ = 0;
-    std::uint64_t prefetch_aborted_ = 0;
-    util::SimTime retry_backoff_time_;
     bool halted_ = false;
-    // Hedging, deadline-budget and circuit-breaker accounting.
-    std::uint64_t hedges_issued_ = 0;
-    std::uint64_t hedges_won_ = 0;
-    std::uint64_t hedges_lost_ = 0;
-    std::uint64_t cancellations_ = 0;
-    util::SimTime wasted_service_;       ///< Rendered disk time of cancelled losers.
     std::size_t outstanding_hedges_ = 0;
-    std::size_t peak_hedges_ = 0;
-    std::uint64_t deadline_misses_ = 0;
-    std::uint64_t retries_suppressed_ = 0;
     util::Ewma read_ewma_;               ///< Successful demand-read service ms.
-    std::uint64_t support_reads_ = 0;
-    std::uint64_t subqueries_done_ = 0;
-    std::uint64_t positions_done_ = 0;
-    std::uint64_t eval_tasks_ = 0;        ///< Sub-queries dispatched to the pool.
-    std::uint64_t samples_evaluated_ = 0; ///< Interpolated samples produced.
-    std::uint64_t sample_digest_ = kFnvOffset;  ///< Folded in event order.
     /// Real nanoseconds spent inside evaluation (workers add concurrently).
     std::atomic<std::uint64_t> eval_wall_ns_{0};
-    double job_span_ms_sum_ = 0.0;
-    std::vector<double> job_spans_;
-    std::size_t jobs_done_ = 0;
-    std::size_t jobs_seen_ = 0;  ///< Jobs injected so far.
-
-    // Continuous resource accounting (integrated by account_tick).
-    util::SimTime last_account_;
-    util::SimTime disk_busy_time_;     ///< >= 1 disk channel busy.
-    util::SimTime cpu_busy_time_;      ///< >= 1 worker busy.
-    util::SimTime overlap_time_;       ///< Both simultaneously busy.
-    util::SimTime idle_time_;          ///< Both idle and no batch active.
+    util::SimTime last_account_;  ///< Where account_tick's integrals stand.
     bool ran_ = false;
 
     // Lifecycle state.

@@ -50,9 +50,9 @@ void AdaptiveAlphaController::close_run(util::SimTime now) {
             // (paper: "vary the age bias ... if there is no change during
             // two consecutive runs").
             alpha_ = std::clamp(alpha_ + explore_direction_ * config_.explore_step, 0.0, 1.0);
-            // jaws-lint: allow(float-equality) -- std::clamp returns its
-            // bound *exactly* at saturation, so equality is precise here.
-            if (alpha_ == 0.0 || alpha_ == 1.0) explore_direction_ = -explore_direction_;
+            // std::clamp returns its bound *exactly* at saturation, so these
+            // inequalities hold for just the values `== 0.0 || == 1.0` would.
+            if (alpha_ <= 0.0 || alpha_ >= 1.0) explore_direction_ = -explore_direction_;
             ++explorations_;
             stall_runs_ = 0;
         }

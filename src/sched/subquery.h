@@ -14,6 +14,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <type_traits>
 #include <vector>
@@ -59,22 +60,20 @@ class SupportCodes {
         assert(size_ < Supports::kMax);
         codes_[size_++] = code;
     }
+    /// Put the codes in ascending order. The unused slots hold the largest
+    /// code, so sorting all kMax slots leaves them last.
+    void sort() noexcept { std::sort(codes_.begin(), codes_.end()); }
     std::size_t size() const noexcept { return size_; }
     std::uint64_t operator[](std::size_t i) const noexcept {
         assert(i < size_);
         return codes_[i];
     }
-    std::uint64_t* begin() noexcept { return codes_.data(); }
-    /// Bounded by kMax so the compiler sees a range of at most three codes:
-    /// on an unbounded one GCC 12 warns (-Warray-bounds) inside std::sort.
-    std::uint64_t* end() noexcept {
-        return codes_.data() + std::min<std::size_t>(size_, Supports::kMax);
-    }
     const std::uint64_t* begin() const noexcept { return codes_.data(); }
     const std::uint64_t* end() const noexcept { return codes_.data() + size_; }
 
   private:
-    std::array<std::uint64_t, Supports::kMax> codes_{};
+    static constexpr std::uint64_t kUnused = std::numeric_limits<std::uint64_t>::max();
+    std::array<std::uint64_t, Supports::kMax> codes_{kUnused, kUnused, kUnused};
     std::uint8_t size_ = 0;
 };
 

@@ -288,9 +288,12 @@ double WorkloadManager::timestep_mean_utility(std::uint32_t t) const {
 
 void WorkloadManager::set_alpha(double alpha) {
     assert(alpha >= 0.0 && alpha <= 1.0);
-    // jaws-lint: allow(float-equality) -- exact-identity fast path only: a
-    // missed match merely rebuilds the index (correct either way).
+    // Exact-identity fast path only: a missed match merely rebuilds the
+    // index (correct either way).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wfloat-equal"
     if (alpha == alpha_) return;
+#pragma GCC diagnostic pop
     alpha_ = alpha;
     rebuild_index();
 }
@@ -369,11 +372,13 @@ bool WorkloadManager::audit() const {
                                "WorkloadManager: per-atom oldest enqueue time out of sync");
         ok &= JAWS_AUDIT_CHECK(q.min_deadline == min_deadline,
                                "WorkloadManager: per-atom deadline cache out of sync");
-        // jaws-lint: allow(float-equality) -- phi is exactly 0.0 or 1.0 on
-        // both sides; a mismatch is a residency flip that never reached
-        // on_residency_changed().
+        // phi is exactly 0.0 or 1.0 on both sides; a mismatch is a
+        // residency flip that never reached on_residency_changed().
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wfloat-equal"
         ok &= JAWS_AUDIT_CHECK(q.phi == probe_phi(atom),
                                "WorkloadManager: residency flip not reported (stale phi)");
+#pragma GCC diagnostic pop
         ok &= JAWS_AUDIT_CHECK(close(q.utility, compute_utility(q)),
                                "WorkloadManager: cached utility out of sync with Eq. 1");
         ok &= JAWS_AUDIT_CHECK(close(q.key, compute_key(q)),

@@ -15,7 +15,6 @@ util::SimTime DatabaseNode::modeled_cost(const SubQueryExec& work) const noexcep
 ExecOutcome DatabaseNode::execute(const SubQueryExec& work,
                                   const field::VoxelBlock* data) const {
     ExecOutcome out;
-    out.compute_cost = modeled_cost(work);
     if (data == nullptr || work.positions.empty()) return out;
 
     const util::Coord3 atom_coord = util::morton_decode(work.atom.morton);

@@ -48,7 +48,6 @@ struct SubQueryExec {
 
 /// Result of executing one sub-query.
 struct ExecOutcome {
-    util::SimTime compute_cost;                ///< Virtual compute time charged.
     std::vector<field::FlowSample> samples;    ///< Per-position results (if data given).
 };
 
@@ -63,15 +62,16 @@ class DatabaseNode {
         : grid_(grid), cost_(cost) {}
 
     /// Execute `work` against `data` (the atom's voxel payload, or null for
-    /// descriptor-only execution). Cost is charged either way; samples are
-    /// produced only when both data and explicit positions are present.
+    /// descriptor-only execution). Samples are produced only when both data
+    /// and explicit positions are present; the virtual time it costs is
+    /// modeled_cost(work) either way.
     ExecOutcome execute(const SubQueryExec& work, const field::VoxelBlock* data) const;
 
-    /// Virtual compute time `work` will be charged (T_m per position, Eq. 1),
+    /// Virtual compute time `work` is charged (T_m per position, Eq. 1),
     /// without evaluating anything. The engine charges this on SimResource as
-    /// the authoritative service duration while the real interpolation runs
-    /// on the evaluation pool; execute() charges exactly the same amount, so
-    /// the virtual trace is identical whether evaluation is inline or pooled.
+    /// the authoritative service duration whether the real interpolation runs
+    /// inline or on the evaluation pool, so the virtual trace is identical
+    /// either way.
     util::SimTime modeled_cost(const SubQueryExec& work) const noexcept;
 
   private:

@@ -23,9 +23,8 @@ TEST(DatabaseNode, ChargesPerPosition) {
     DatabaseNode node(small_grid(), CostModel{.t_m_us = 40.0});
     SubQueryExec work;
     work.position_count = 100;
-    const ExecOutcome out = node.execute(work, nullptr);
-    EXPECT_EQ(out.compute_cost.micros, 4000);
-    EXPECT_TRUE(out.samples.empty());
+    EXPECT_EQ(node.modeled_cost(work).micros, 4000);
+    EXPECT_TRUE(node.execute(work, nullptr).samples.empty());
 }
 
 TEST(DatabaseNode, ExplicitPositionsOverrideCount) {
@@ -33,14 +32,12 @@ TEST(DatabaseNode, ExplicitPositionsOverrideCount) {
     SubQueryExec work;
     work.position_count = 999;  // ignored when explicit positions exist
     work.positions = {{0.1, 0.1, 0.1}, {0.2, 0.2, 0.2}};
-    const ExecOutcome out = node.execute(work, nullptr);
-    EXPECT_EQ(out.compute_cost.micros, 20);
+    EXPECT_EQ(node.modeled_cost(work).micros, 20);
 }
 
 TEST(DatabaseNode, ZeroPositionsZeroCost) {
     DatabaseNode node(small_grid(), CostModel{});
-    const ExecOutcome out = node.execute(SubQueryExec{}, nullptr);
-    EXPECT_EQ(out.compute_cost.micros, 0);
+    EXPECT_EQ(node.modeled_cost(SubQueryExec{}).micros, 0);
 }
 
 class DatabaseNodeWithData : public ::testing::Test {
@@ -106,7 +103,7 @@ TEST_F(DatabaseNodeWithData, NoSamplesWithoutExplicitPositions) {
     work.position_count = 50;
     const ExecOutcome out = node_.execute(work, data.get());
     EXPECT_TRUE(out.samples.empty());
-    EXPECT_GT(out.compute_cost.micros, 0);
+    EXPECT_GT(node_.modeled_cost(work).micros, 0);
 }
 
 }  // namespace

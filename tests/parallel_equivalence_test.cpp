@@ -148,8 +148,10 @@ TEST(ParallelEquivalence, ExternalSharedPoolMatchesEngineOwnedPool) {
 // the parallel-evaluation path (pooled and inline agreed bit-for-bit at
 // capture time, and the suite above keeps proving they agree). If a row
 // breaks, the virtual schedule or the deterministic reduction order changed.
-// The rows predate the batched interpolation kernel, so they also pin its
-// engine-level output to the scalar kernel's.
+// The makespans predate the batched interpolation kernel. The sample counts
+// and digests were re-pinned when batch items began holding their payload
+// from read to evaluation: that restored the samples an eviction in between
+// used to drop, so every count now equals the fixture's positions.
 // ---------------------------------------------------------------------------
 
 struct Golden {
@@ -160,10 +162,10 @@ struct Golden {
 };
 
 constexpr Golden kGoldens[] = {
-    {1, 447461354, 321333, 0x328d815406c1a72ull},
-    {2, 447194614, 321332, 0x75d8134506426ad0ull},
-    {4, 447194614, 321332, 0x75d8134506426ad0ull},
-    {8, 447194614, 321332, 0x75d8134506426ad0ull},
+    {1, 447461354, 321352, 0x1e6eb931c81c4efbull},
+    {2, 447194614, 321352, 0x8e2c76eecb68d6f3ull},
+    {4, 447194614, 321352, 0x8e2c76eecb68d6f3ull},
+    {8, 447194614, 321352, 0x8e2c76eecb68d6f3ull},
 };
 
 TEST(ParallelEquivalence, GoldenPinnedTracePerWorkerCount) {
@@ -175,6 +177,24 @@ TEST(ParallelEquivalence, GoldenPinnedTracePerWorkerCount) {
         EXPECT_EQ(r.makespan.micros, g.makespan_us);
         EXPECT_EQ(r.samples_evaluated, g.samples);
         EXPECT_EQ(r.sample_digest, g.digest);
+    }
+}
+
+// A batch item holds the payload it read (or hit) until its sub-queries are
+// evaluated, so another in-flight read evicting the atom meanwhile costs no
+// samples: a fault-free materialized run evaluates every position.
+TEST(ParallelEquivalence, FaultFreeRunEvaluatesEveryPosition) {
+    for (const std::size_t w : kWorkerCounts) {
+        SCOPED_TRACE("compute_workers=" + std::to_string(w));
+        const EngineConfig cfg = fixture_config(w, /*parallel=*/true);
+        const workload::Workload work = fixture_workload(cfg);
+        std::uint64_t positions = 0;
+        for (const workload::Job& job : work.jobs)
+            for (const workload::Query& q : job.queries) positions += q.positions.size();
+        Engine engine(cfg);
+        const RunReport r = engine.run(work);
+        EXPECT_EQ(r.positions, positions);
+        EXPECT_EQ(r.samples_evaluated, r.positions);
     }
 }
 
@@ -213,10 +233,10 @@ struct FaultGolden {
 };
 
 constexpr FaultGolden kFaultGoldens[] = {
-    {1, 447533482, 26, 0xe8fbc78f3d3a1050ull},
-    {2, 447194614, 26, 0x415b0b2f5b5f07a8ull},
-    {4, 447194614, 26, 0x415b0b2f5b5f07a8ull},
-    {8, 447194614, 26, 0x415b0b2f5b5f07a8ull},
+    {1, 447533482, 26, 0xf76d04e51da1daa3ull},
+    {2, 447194614, 26, 0x8459d46fc6571747ull},
+    {4, 447194614, 26, 0x8459d46fc6571747ull},
+    {8, 447194614, 26, 0x8459d46fc6571747ull},
 };
 
 TEST(ParallelEquivalence, GoldenPinnedFaultedTracePerWorkerCount) {
