@@ -5,19 +5,14 @@
 // fixed alpha at both ends of the saturation range without manual tuning.
 // We run JAWS_2 with fixed alpha in {0, 0.25, 0.5, 0.75, 1} and with the
 // adaptive controller, at low and high saturation, and report both metrics.
-#include "bench_common.h"
-#include "workload/generator.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
     using namespace jaws;
     const std::size_t jobs = bench::jobs_from_args(argc, argv, 200);
 
     core::EngineConfig base = bench::base_config();
-    const field::SyntheticField field(base.field);
-    workload::WorkloadSpec wspec = bench::base_workload_spec();
-    wspec.jobs = jobs;
-    const workload::Workload original =
-        workload::generate_workload(wspec, base.grid, field);
+    const workload::Workload original = bench::base_workload(jobs, base);
     std::printf("# Ablation B: adaptive alpha vs fixed grid; %zu queries\n",
                 original.total_queries());
 

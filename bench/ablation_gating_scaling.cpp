@@ -9,7 +9,7 @@
 // workload, as the number of jobs grows.
 #include <chrono>
 
-#include "bench_common.h"
+#include "experiments.h"
 #include "sched/precedence_graph.h"
 
 namespace {

@@ -13,13 +13,17 @@
 // The second section measures the *real* parallel-evaluation path: a
 // compute-bound materialized fixture where sub-query interpolation runs on
 // util::ThreadPool, timed with util::wall_clock_ns (bench-only; tests stay on
-// virtual time). Results land in BENCH_parallel_eval.json next to stdout.
+// virtual time). One timing cannot tell a pool gain from host noise, so each
+// configuration runs five times, inline and pooled runs alternating, and the
+// rows report median wall times. Results land in BENCH_parallel_eval.json
+// next to stdout.
 //
 // Also emits a machine-readable CSV block (prefixed `csv,`) for plotting.
-#include <fstream>
+#include <algorithm>
+#include <cinttypes>
 #include <thread>
 
-#include "bench_common.h"
+#include "experiments.h"
 #include "util/wallclock.h"
 
 namespace {
@@ -53,18 +57,23 @@ jaws::core::EngineConfig parallel_eval_config(std::size_t workers, bool pooled) 
     return config;
 }
 
+/// One parallel-evaluation configuration; the modeled fields come from its
+/// first run, and every repeat must reproduce them.
 struct EvalRow {
-    std::size_t workers;
-    bool pooled;
-    double wall_ms;
-    double wall_speedup;
-    double eval_ms;
-    double modeled_s;
-    double modeled_speedup;
-    std::uint64_t eval_tasks;
-    std::uint64_t samples;
-    std::uint64_t digest;
+    std::size_t workers = 1;
+    bool pooled = false;
+    double modeled_s = 0.0;
+    std::uint64_t eval_tasks = 0;
+    std::uint64_t samples = 0;
+    std::uint64_t digest = 0;
+    std::vector<double> wall_ms{};  ///< One per repeat.
+    std::vector<double> eval_ms{};  ///< One per repeat.
 };
+
+double median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+}
 
 }  // namespace
 
@@ -122,7 +131,7 @@ int main(int argc, char** argv) {
     // ------------------------------------------------------------------
     // Parallel real evaluation: wall-clock sweep over compute_workers.
     // ------------------------------------------------------------------
-    const std::size_t eval_jobs = jobs >= 200 ? 8 : (jobs > 0 ? jobs : 8);
+    const std::size_t eval_jobs = jobs >= 200 ? 8 : jobs;
     core::EngineConfig eval_base = parallel_eval_config(1, /*pooled=*/false);
     workload::WorkloadSpec espec;
     espec.jobs = eval_jobs;
@@ -144,87 +153,76 @@ int main(int argc, char** argv) {
                 "wall(ms)", "speedup", "eval(ms)", "modeled(s)", "m.speedup",
                 "samples");
 
+    // Every repetition sweeps all rows, so host drift spreads over them.
+    constexpr std::size_t kRepeats = 5;
     std::vector<EvalRow> rows;
-    const auto timed_run = [&](std::size_t workers, bool pooled) {
-        const core::EngineConfig cfg = parallel_eval_config(workers, pooled);
-        core::Engine engine(cfg);
-        const std::uint64_t t0 = util::wall_clock_ns();
-        const core::RunReport r = engine.run(ework);
-        const std::uint64_t t1 = util::wall_clock_ns();
-        EvalRow row;
-        row.workers = workers;
-        row.pooled = pooled;
-        row.wall_ms = static_cast<double>(t1 - t0) / 1e6;
-        row.eval_ms = static_cast<double>(r.eval_wall_ns) / 1e6;
-        row.modeled_s = r.makespan.seconds();
-        row.eval_tasks = r.eval_tasks;
-        row.samples = r.samples_evaluated;
-        row.digest = r.sample_digest;
-        return row;
-    };
-
-    // The trace legitimately differs across worker counts (more modeled CPU
-    // channels change the schedule); the invariant is pooled == inline at
-    // the SAME count, so the sweep runs both at every count.
-    double base_wall = 0.0, base_modeled = 0.0;
-    bool digests_agree = true;
     for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{4}, std::size_t{8}}) {
-        EvalRow inline_row = timed_run(workers, /*pooled=*/false);
-        EvalRow pooled_row = timed_run(workers, /*pooled=*/true);
-        if (workers == 1) {
-            base_wall = inline_row.wall_ms;
-            base_modeled = inline_row.modeled_s;
+                                      std::size_t{4}, std::size_t{8}})
+        for (const bool pooled : {false, true})
+            rows.push_back(EvalRow{.workers = workers, .pooled = pooled});
+    bool digests_agree = true;
+    for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            EvalRow& row = rows[i];
+            core::Engine engine(parallel_eval_config(row.workers, row.pooled));
+            const std::uint64_t t0 = util::wall_clock_ns();
+            const core::RunReport r = engine.run(ework);
+            const std::uint64_t t1 = util::wall_clock_ns();
+            row.wall_ms.push_back(static_cast<double>(t1 - t0) / 1e6);
+            row.eval_ms.push_back(static_cast<double>(r.eval_wall_ns) / 1e6);
+            if (rep == 0) {
+                row.modeled_s = r.makespan.seconds();
+                row.eval_tasks = r.eval_tasks;
+                row.samples = r.samples_evaluated;
+                row.digest = r.sample_digest;
+            }
+            // The trace legitimately differs across worker counts (more
+            // modeled CPU channels change the schedule); the invariant is
+            // pooled == inline at the SAME count, and every repeat == the first.
+            const EvalRow& twin = rows[i - i % 2];
+            if (r.sample_digest != row.digest || r.samples_evaluated != row.samples ||
+                r.sample_digest != twin.digest || r.samples_evaluated != twin.samples)
+                digests_agree = false;
         }
-        if (pooled_row.digest != inline_row.digest ||
-            pooled_row.samples != inline_row.samples)
-            digests_agree = false;
-        rows.push_back(inline_row);
-        rows.push_back(pooled_row);
     }
-    for (EvalRow& row : rows) {
-        row.wall_speedup = base_wall / row.wall_ms;
-        row.modeled_speedup = base_modeled / row.modeled_s;
-        std::printf("%-8zu %-8s %12.1f %9.2fx %12.1f %12.3f %9.2fx %12llu\n",
-                    row.workers, row.pooled ? "yes" : "no", row.wall_ms,
-                    row.wall_speedup, row.eval_ms, row.modeled_s,
-                    row.modeled_speedup, static_cast<unsigned long long>(row.samples));
+    std::vector<std::vector<bench::JsonField>> json;
+    for (const EvalRow& row : rows) {
+        const double wall_ms = median(row.wall_ms);
+        const double eval_ms = median(row.eval_ms);
+        const double wall_speedup = median(rows[0].wall_ms) / wall_ms;
+        const double modeled_speedup = rows[0].modeled_s / row.modeled_s;
+        std::printf("%-8zu %-8s %12.1f %9.2fx %12.1f %12.3f %9.2fx %12llu\n", row.workers,
+                    row.pooled ? "yes" : "no", wall_ms, wall_speedup, eval_ms, row.modeled_s,
+                    modeled_speedup, static_cast<unsigned long long>(row.samples));
+        json.push_back({
+            bench::json_field("compute_workers", "%zu", row.workers),
+            bench::json_field("pooled", "%s", row.pooled ? "true" : "false"),
+            bench::json_field("wall_ms", "%.3f", wall_ms),
+            bench::json_field("wall_speedup", "%.3f", wall_speedup),
+            bench::json_field("eval_wall_ms", "%.3f", eval_ms),
+            bench::json_field("modeled_makespan_s", "%.6f", row.modeled_s),
+            bench::json_field("modeled_speedup", "%.3f", modeled_speedup),
+            bench::json_field("eval_tasks", "%" PRIu64, row.eval_tasks),
+            bench::json_field("samples", "%" PRIu64, row.samples),
+            bench::json_field("digest", "\"0x%" PRIx64 "\"", row.digest),
+        });
     }
     std::printf("\n(each pooled row must reproduce its inline twin's samples and digest;\n"
                 " wall speedup is bounded by the machine's hardware threads)\n");
     if (!digests_agree)
-        std::printf("WARNING: a pooled digest diverged from its inline twin!\n");
+        std::printf("WARNING: a digest diverged from its inline twin or its first run!\n");
 
-    std::ofstream json("BENCH_parallel_eval.json");
-    json << "{\n"
-         << "  \"bench\": \"parallel_eval\",\n"
-         << "  \"jobs\": " << eval_jobs << ",\n"
-         << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n"
-         << "  \"digests_agree\": " << (digests_agree ? "true" : "false") << ",\n"
-         << "  \"note\": \"digests_agree compares each pooled run to the inline run "
-            "at the same worker count; wall speedup is capped by hardware_threads — "
-            "on machines with fewer cores than workers the modeled speedup shows "
-            "the schedule-level scaling\",\n"
-         << "  \"rows\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const EvalRow& row = rows[i];
-        char buf[512];
-        std::snprintf(buf, sizeof buf,
-                      "    {\"compute_workers\": %zu, \"pooled\": %s, "
-                      "\"wall_ms\": %.3f, \"wall_speedup\": %.3f, "
-                      "\"eval_wall_ms\": %.3f, "
-                      "\"modeled_makespan_s\": %.6f, \"modeled_speedup\": %.3f, "
-                      "\"eval_tasks\": %llu, \"samples\": %llu, "
-                      "\"digest\": \"0x%llx\"}%s\n",
-                      row.workers, row.pooled ? "true" : "false", row.wall_ms,
-                      row.wall_speedup, row.eval_ms, row.modeled_s, row.modeled_speedup,
-                      static_cast<unsigned long long>(row.eval_tasks),
-                      static_cast<unsigned long long>(row.samples),
-                      static_cast<unsigned long long>(row.digest),
-                      i + 1 < rows.size() ? "," : "");
-        json << buf;
-    }
-    json << "  ]\n}\n";
-    std::printf("\nwrote BENCH_parallel_eval.json\n");
-    return 0;
+    const std::vector<bench::JsonField> header = {
+        bench::json_field("jobs", "%zu", eval_jobs),
+        bench::json_field("hardware_threads", "%u", std::thread::hardware_concurrency()),
+        bench::json_field("digests_agree", "%s", digests_agree ? "true" : "false"),
+        bench::json_field("note", "\"%s\"",
+                          "wall_ms and eval_wall_ms are medians of five runs per row, inline and "
+                          "pooled runs alternating; digests_agree compares each pooled run to the "
+                          "inline run at the same worker count, and every repeat to the first; "
+                          "wall speedup is capped by hardware_threads — on machines with fewer "
+                          "cores than workers the modeled speedup shows the schedule-level "
+                          "scaling"),
+    };
+    return bench::write_json("BENCH_parallel_eval.json", "parallel_eval", header, json) ? 0 : 1;
 }

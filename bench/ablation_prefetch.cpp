@@ -6,7 +6,7 @@
 // budgets, and reports prediction accuracy, speculative reads, response time
 // and throughput — the payoff comes from converting the cold first read of
 // each step's region into a cache hit issued ahead of the query.
-#include "bench_common.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
     using namespace jaws;

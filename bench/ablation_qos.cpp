@@ -8,17 +8,14 @@
 // ordered unless a deadline is at risk. We sweep the slack factor and report
 // the miss rate, tardiness, rescue dispatches and the throughput retained
 // relative to unconstrained JAWS.
-#include "bench_common.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
     using namespace jaws;
     const std::size_t jobs = bench::jobs_from_args(argc, argv, 200);
 
     core::EngineConfig base = bench::base_config();
-    const field::SyntheticField field(base.field);
-    workload::WorkloadSpec wspec = bench::base_workload_spec();
-    wspec.jobs = jobs;
-    const workload::Workload workload = workload::generate_workload(wspec, base.grid, field);
+    const workload::Workload workload = bench::base_workload(jobs, base);
     std::printf("# Ablation D: completion-time guarantees; %zu queries\n\n",
                 workload.total_queries());
 

@@ -10,7 +10,7 @@
 //   3. failover demo: a node death mid-run with and without replication,
 //      reporting lost work vs the degraded makespan of a replica re-run.
 // Deterministic: a fixed fault seed makes every row exactly reproducible.
-#include "bench_common.h"
+#include "experiments.h"
 
 #include "core/cluster.h"
 
@@ -44,10 +44,7 @@ int main(int argc, char** argv) {
     core::EngineConfig base = bench::base_config();
     base.scheduler = bench::jaws2_spec();
     base.faults.seed = 0xFA17;
-    const field::SyntheticField field(base.field);
-    workload::WorkloadSpec wspec = bench::base_workload_spec();
-    wspec.jobs = jobs;
-    const workload::Workload workload = workload::generate_workload(wspec, base.grid, field);
+    const workload::Workload workload = bench::base_workload(jobs, base);
     std::printf("# Fault sweep: JAWS_2, %zu queries, fault seed 0x%llx\n\n",
                 workload.total_queries(),
                 static_cast<unsigned long long>(base.faults.seed));

@@ -6,7 +6,7 @@
 // on the live cluster — so we reproduce it the same way: run the generated
 // trace through the engine (JAWS configuration) and histogram the measured
 // wall span of every job (completion of its last query minus its arrival).
-#include "bench_common.h"
+#include "experiments.h"
 #include "util/stats.h"
 
 int main(int argc, char** argv) {
@@ -14,10 +14,7 @@ int main(int argc, char** argv) {
     const std::size_t jobs = bench::jobs_from_args(argc, argv, 400);
 
     core::EngineConfig base = bench::base_config();
-    const field::SyntheticField field(base.field);
-    workload::WorkloadSpec wspec = bench::base_workload_spec();
-    wspec.jobs = jobs;
-    const workload::Workload workload = workload::generate_workload(wspec, base.grid, field);
+    const workload::Workload workload = bench::base_workload(jobs, base);
 
     core::EngineConfig config = base;
     config.scheduler = bench::jaws2_spec();

@@ -8,17 +8,14 @@
 // trace and checks each qualitative feature.
 #include <algorithm>
 
-#include "bench_common.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
     using namespace jaws;
     const std::size_t jobs = bench::jobs_from_args(argc, argv, 1000);
 
     core::EngineConfig base = bench::base_config();
-    const field::SyntheticField field(base.field);
-    workload::WorkloadSpec wspec = bench::base_workload_spec();
-    wspec.jobs = jobs;
-    const workload::Workload workload = workload::generate_workload(wspec, base.grid, field);
+    const workload::Workload workload = bench::base_workload(jobs, base);
 
     const auto counts = workload::queries_per_timestep(workload, base.grid.timesteps);
     std::uint64_t total = 0;

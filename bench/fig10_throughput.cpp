@@ -5,47 +5,28 @@
 // (JAWS_1 over LifeRaft_2); contention ordering contributes ~22% (LifeRaft_2
 // over LifeRaft_1). This bench runs the five systems on the same calibrated
 // trace and prints the throughput column plus the paper's derived ratios.
-#include "bench_common.h"
+#include <cstdio>
+
+#include "experiments.h"
 
 int main(int argc, char** argv) {
     using namespace jaws;
-    const std::size_t jobs = bench::jobs_from_args(argc, argv, 400);
+    const bench::Experiment fig = bench::fig10(bench::jobs_from_args(argc, argv, 400),
+                                               std::thread::hardware_concurrency());
+    std::printf("# Fig. 10 reproduction: %zu jobs, %zu queries\n", fig.jobs, fig.queries);
+    std::printf("%-22s %10s %12s %12s %8s %10s %8s\n", "scheduler", "tp(q/s)", "rt_mean(ms)",
+                "rt_p95(ms)", "hit%", "reads", "alpha");
+    for (const core::RunReport& r : fig.runs)
+        std::printf("%-22s %10.3f %12.1f %12.1f %7.1f%% %10llu %8.2f\n", r.scheduler_name.c_str(),
+                    r.busy_throughput_qps, r.mean_response_ms, r.p95_response_ms,
+                    100.0 * r.cache.hit_rate(), static_cast<unsigned long long>(r.atom_reads),
+                    r.final_alpha);
 
-    core::EngineConfig base = bench::base_config();
-    const field::SyntheticField field(base.field);
-    workload::WorkloadSpec wspec = bench::base_workload_spec();
-    wspec.jobs = jobs;
-    const workload::Workload workload = workload::generate_workload(wspec, base.grid, field);
-    std::printf("# Fig. 10 reproduction: %zu jobs, %zu queries\n", workload.jobs.size(),
-                workload.total_queries());
-
-    struct Row {
-        const char* label;
-        core::SchedulerSpec spec;
-        core::RunReport report;
-    };
-    Row rows[] = {
-        {"NoShare", bench::noshare_spec(), {}},
-        {"LifeRaft_1 (a=1)", bench::liferaft_spec(1.0), {}},
-        {"LifeRaft_2 (a=0)", bench::liferaft_spec(0.0), {}},
-        {"JAWS_1 (no job-aware)", bench::jaws1_spec(), {}},
-        {"JAWS_2 (full)", bench::jaws2_spec(), {}},
-    };
-
-    bench::print_report_header();
-    for (Row& row : rows) {
-        core::EngineConfig config = base;
-        config.scheduler = row.spec;
-        row.report = bench::run_one(config, workload);
-        row.report.scheduler_name = row.label;
-        bench::print_report_row(row.report);
-    }
-
-    const double noshare = rows[0].report.busy_throughput_qps;
-    const double lr1 = rows[1].report.busy_throughput_qps;
-    const double lr2 = rows[2].report.busy_throughput_qps;
-    const double jaws1 = rows[3].report.busy_throughput_qps;
-    const double jaws2 = rows[4].report.busy_throughput_qps;
+    const double noshare = fig.runs[0].busy_throughput_qps;
+    const double lr1 = fig.runs[1].busy_throughput_qps;
+    const double lr2 = fig.runs[2].busy_throughput_qps;
+    const double jaws1 = fig.runs[3].busy_throughput_qps;
+    const double jaws2 = fig.runs[4].busy_throughput_qps;
     std::printf("\n# ratios (paper targets in parentheses)\n");
     std::printf("JAWS_2 / NoShare     = %.2fx  (~2.6x)\n", jaws2 / noshare);
     std::printf("JAWS_2 / JAWS_1      = %.2fx  (~1.43x: job-awareness ~30%% drop)\n",

@@ -7,70 +7,38 @@
 // queries even at low saturation, and JAWS adapts: it approaches LifeRaft_2's
 // throughput when saturated and beats LifeRaft_1's response time at the
 // lowest saturation.
-#include "bench_common.h"
-#include "workload/generator.h"
+#include <cstdio>
+
+#include "experiments.h"
 
 int main(int argc, char** argv) {
     using namespace jaws;
-    const std::size_t jobs = bench::jobs_from_args(argc, argv, 250);
-
-    core::EngineConfig base = bench::base_config();
-    const field::SyntheticField field(base.field);
-    workload::WorkloadSpec wspec = bench::base_workload_spec();
-    wspec.jobs = jobs;
-    // The base trace is the saturated operating point; sweep both downward
-    // (idle system) and upward (overload).
-    const workload::Workload original =
-        workload::generate_workload(wspec, base.grid, field);
-    std::printf("# Fig. 11 reproduction: %zu jobs, %zu queries per cell\n",
-                original.jobs.size(), original.total_queries());
-
-    struct System {
-        const char* label;
-        core::SchedulerSpec spec;
-    };
-    const System systems[] = {
-        {"NoShare", bench::noshare_spec()},
-        {"LifeRaft_1", bench::liferaft_spec(1.0)},
-        {"LifeRaft_2", bench::liferaft_spec(0.0)},
-        {"JAWS_2", bench::jaws2_spec()},
-    };
-    const double speedups[] = {0.25, 0.5, 1.0, 2.0, 4.0, 8.0};
-
-    std::printf("\n(a) query throughput (queries per busy second)\n");
-    std::printf("%-12s", "speedup");
-    for (const auto& s : systems) std::printf(" %12s", s.label);
-    std::printf("\n");
-
-    // Cache the reports for the response-time table.
-    std::vector<std::vector<core::RunReport>> grid(std::size(speedups));
-    for (std::size_t i = 0; i < std::size(speedups); ++i) {
-        workload::Workload w = original;
-        workload::apply_speedup(w, speedups[i]);
-        std::printf("%-12.2f", speedups[i]);
-        for (const auto& s : systems) {
-            core::EngineConfig config = base;
-            config.scheduler = s.spec;
-            grid[i].push_back(bench::run_one(config, w));
-            std::printf(" %12.3f", grid[i].back().busy_throughput_qps);
-            std::fflush(stdout);
+    const bench::Experiment fig = bench::fig11(bench::jobs_from_args(argc, argv, 250),
+                                               std::thread::hardware_concurrency());
+    constexpr std::size_t systems = std::size(bench::kFig11Systems);
+    const auto print_table = [&](const char* title, auto value) {
+        std::printf("\n%s\n", title);
+        std::printf("%-12s", "speedup");
+        for (const char* label : bench::kFig11Systems) std::printf(" %12s", label);
+        std::printf("\n");
+        for (std::size_t i = 0; i < std::size(bench::kFig11Speedups); ++i) {
+            std::printf("%-12.2f", bench::kFig11Speedups[i]);
+            for (std::size_t s = 0; s < systems; ++s) value(fig.runs[i * systems + s]);
+            std::printf("\n");
         }
-        std::printf("\n");
-    }
-
-    std::printf("\n(b) mean query response time (seconds)\n");
-    std::printf("%-12s", "speedup");
-    for (const auto& s : systems) std::printf(" %12s", s.label);
-    std::printf("\n");
-    for (std::size_t i = 0; i < std::size(speedups); ++i) {
-        std::printf("%-12.2f", speedups[i]);
-        for (const auto& r : grid[i]) std::printf(" %12.1f", r.mean_response_ms / 1000.0);
-        std::printf("\n");
-    }
+    };
+    std::printf("# Fig. 11 reproduction: %zu jobs, %zu queries per cell\n", fig.jobs,
+                fig.queries);
+    print_table("(a) query throughput (queries per busy second)",
+                [](const core::RunReport& r) { std::printf(" %12.3f", r.busy_throughput_qps); });
+    print_table("(b) mean query response time (seconds)", [](const core::RunReport& r) {
+        std::printf(" %12.1f", r.mean_response_ms / 1000.0);
+    });
 
     std::printf("\n(adaptive alpha at end of run, JAWS_2 column)\n");
     std::printf("%-12s %8s\n", "speedup", "alpha");
-    for (std::size_t i = 0; i < std::size(speedups); ++i)
-        std::printf("%-12.2f %8.2f\n", speedups[i], grid[i].back().final_alpha);
+    for (std::size_t i = 0; i < std::size(bench::kFig11Speedups); ++i)
+        std::printf("%-12.2f %8.2f\n", bench::kFig11Speedups[i],
+                    fig.runs[i * systems + systems - 1].final_alpha);
     return 0;
 }

@@ -5,43 +5,24 @@
 // (cache flushing, scheduling conforms less to contention); and past ~50 the
 // impact is marginal because only atoms with workload throughput above the
 // step mean are eligible.
-#include "bench_common.h"
+#include <cstdio>
+
+#include "experiments.h"
 
 int main(int argc, char** argv) {
     using namespace jaws;
-    const std::size_t jobs = bench::jobs_from_args(argc, argv, 200);
-
-    core::EngineConfig base = bench::base_config();
-    const field::SyntheticField field(base.field);
-    workload::WorkloadSpec wspec = bench::base_workload_spec();
-    wspec.jobs = jobs;
-    const workload::Workload workload = workload::generate_workload(wspec, base.grid, field);
-    std::printf("# Fig. 12 reproduction: %zu jobs, %zu queries\n", workload.jobs.size(),
-                workload.total_queries());
-
-    // LifeRaft_2 reference line.
-    core::EngineConfig lr = base;
-    lr.scheduler = bench::liferaft_spec(0.0);
-    const core::RunReport ref = bench::run_one(lr, workload);
-    std::printf("LifeRaft_2 reference: tp=%.3f q/s\n\n", ref.busy_throughput_qps);
+    const bench::Experiment fig = bench::fig12(bench::jobs_from_args(argc, argv, 200),
+                                               std::thread::hardware_concurrency());
+    std::printf("# Fig. 12 reproduction: %zu jobs, %zu queries\n", fig.jobs, fig.queries);
+    std::printf("LifeRaft_2 reference: tp=%.3f q/s\n\n", fig.runs[0].busy_throughput_qps);
 
     std::printf("%6s %12s %12s %8s %10s\n", "k", "tp(q/s)", "rt_mean(ms)", "hit%", "reads");
-    const std::size_t ks[] = {1, 2, 5, 10, 15, 20, 30, 50, 80};
-    double best_tp = 0.0;
-    std::size_t best_k = 0;
-    for (const std::size_t k : ks) {
-        core::EngineConfig config = base;
-        config.scheduler = bench::jaws2_spec(k);
-        const core::RunReport r = bench::run_one(config, workload);
-        std::printf("%6zu %12.3f %12.1f %7.1f%% %10llu\n", k, r.busy_throughput_qps,
-                    r.mean_response_ms, 100.0 * r.cache.hit_rate(),
+    for (std::size_t i = 0; i < std::size(bench::kFig12Ks); ++i) {
+        const core::RunReport& r = fig.runs[1 + i];
+        std::printf("%6zu %12.3f %12.1f %7.1f%% %10llu\n", bench::kFig12Ks[i],
+                    r.busy_throughput_qps, r.mean_response_ms, 100.0 * r.cache.hit_rate(),
                     static_cast<unsigned long long>(r.atom_reads));
-        std::fflush(stdout);
-        if (r.busy_throughput_qps > best_tp) {
-            best_tp = r.busy_throughput_qps;
-            best_k = k;
-        }
     }
-    std::printf("\nbest k = %zu (paper: optimum between 10 and 15)\n", best_k);
+    std::printf("\nbest k = %zu (paper: optimum between 10 and 15)\n", bench::fig12_best_k(fig));
     return 0;
 }

@@ -11,12 +11,12 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <fstream>
 
 #include "cache/buffer_cache.h"
 #include "cache/lru_k.h"
 #include "cache/slru.h"
 #include "core/metrics.h"
+#include "experiments.h"
 #include "field/batch_interpolator.h"
 #include "field/interpolation.h"
 #include "sched/alignment.h"
@@ -226,12 +226,7 @@ int run_interp_kernel_sweep() {
     std::printf("%-8s %14s %14s %9s %12s\n", "order", "scalar(s/s)", "batched(s/s)",
                 "speedup", "bit-ident");
 
-    struct Row {
-        int order;
-        double scalar_sps, batched_sps;
-        bool identical;
-    };
-    std::vector<Row> rows;
+    std::vector<std::vector<bench::JsonField>> rows;
     bool digests_agree = true;
     field::BatchInterpolator batch;
     for (const field::InterpOrder order : kInterpOrders) {
@@ -245,36 +240,31 @@ int run_interp_kernel_sweep() {
             5, n, [&] { batch.evaluate(f.grid, f.block, f.atom, f.positions, order, batched_out); });
         const bool identical = sample_digest(scalar_out) == sample_digest(batched_out);
         digests_agree = digests_agree && identical;
-        rows.push_back({static_cast<int>(order), scalar_sps, batched_sps, identical});
+        rows.push_back({
+            bench::json_field("order", "%d", static_cast<int>(order)),
+            bench::json_field("scalar_sps", "%.0f", scalar_sps),
+            bench::json_field("batched_sps", "%.0f", batched_sps),
+            bench::json_field("speedup", "%.3f", batched_sps / scalar_sps),
+            bench::json_field("bit_identical", "%s", identical ? "true" : "false"),
+        });
         std::printf("%-8d %14.0f %14.0f %8.2fx %12s\n", static_cast<int>(order),
                     scalar_sps, batched_sps, batched_sps / scalar_sps,
                     identical ? "yes" : "NO");
     }
 
-    std::ofstream json("BENCH_interp_kernel.json");
-    json << "{\n"
-         << "  \"bench\": \"interp_kernel\",\n"
-         << "  \"positions\": " << n << ",\n"
-         << "  \"atom_side\": " << f.grid.atom_side << ",\n"
-         << "  \"ghost\": " << f.grid.ghost << ",\n"
-         << "  \"digests_agree\": " << (digests_agree ? "true" : "false") << ",\n"
-         << "  \"note\": \"samples/sec is the best of 5 single-thread passes over "
-            "one materialized production-geometry block; digests_agree requires the "
-            "batched kernel to be bit-identical to the scalar kernel at every "
-            "order\",\n"
-         << "  \"rows\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        char buf[256];
-        std::snprintf(buf, sizeof buf,
-                      "    {\"order\": %d, \"scalar_sps\": %.0f, \"batched_sps\": %.0f, "
-                      "\"speedup\": %.3f, \"bit_identical\": %s}%s\n",
-                      rows[i].order, rows[i].scalar_sps, rows[i].batched_sps,
-                      rows[i].batched_sps / rows[i].scalar_sps,
-                      rows[i].identical ? "true" : "false", i + 1 < rows.size() ? "," : "");
-        json << buf;
-    }
-    json << "  ]\n}\n";
-    std::printf("\nwrote BENCH_interp_kernel.json\n\n");
+    const std::vector<bench::JsonField> header = {
+        bench::json_field("positions", "%zu", n),
+        bench::json_field("atom_side", "%u", f.grid.atom_side),
+        bench::json_field("ghost", "%u", f.grid.ghost),
+        bench::json_field("digests_agree", "%s", digests_agree ? "true" : "false"),
+        bench::json_field("note", "\"%s\"",
+                          "samples/sec is the best of 5 single-thread passes over one "
+                          "materialized production-geometry block; digests_agree requires the "
+                          "batched kernel to be bit-identical to the scalar kernel at every "
+                          "order"),
+    };
+    if (!bench::write_json("BENCH_interp_kernel.json", "interp_kernel", header, rows)) return 1;
+    std::printf("\n");
     return digests_agree ? 0 : 1;
 }
 

@@ -9,58 +9,36 @@
 // query performance, SLRU ~2 points and ~4%, at single-digit-millisecond
 // overhead. We run JAWS_2 over the same trace with each policy (plus plain
 // LRU as an extra baseline) and report the same three columns; overhead is
-// real measured wall time spent inside the policy, per completed query.
-#include "bench_common.h"
+// real measured wall time spent inside the policy, per completed query, so
+// the cells run one after another on one thread.
+#include <cstdio>
+
+#include "experiments.h"
 
 int main(int argc, char** argv) {
     using namespace jaws;
-    const std::size_t jobs = bench::jobs_from_args(argc, argv, 300);
-
-    core::EngineConfig base = bench::base_config();
-    const field::SyntheticField field(base.field);
-    workload::WorkloadSpec wspec = bench::base_workload_spec();
-    wspec.jobs = jobs;
-    const workload::Workload workload = workload::generate_workload(wspec, base.grid, field);
-    std::printf("# Table I reproduction: %zu jobs, %zu queries, cache %zu atoms\n",
-                workload.jobs.size(), workload.total_queries(),
-                base.cache.capacity_atoms);
-
-    struct Row {
-        const char* label;
-        core::CachePolicy policy;
-        core::RunReport report;
-    };
-    Row rows[] = {
-        {"LRU", core::CachePolicy::kLru, {}},
-        {"LRU-K", core::CachePolicy::kLruK, {}},
-        {"SLRU", core::CachePolicy::kSlru, {}},
-        {"2Q", core::CachePolicy::kTwoQ, {}},
-        {"URC", core::CachePolicy::kUrc, {}},
-    };
+    const bench::Experiment table = bench::table1(bench::jobs_from_args(argc, argv, 300), 1);
+    std::printf("# Table I reproduction: %zu jobs, %zu queries, cache %zu atoms\n", table.jobs,
+                table.queries, bench::base_config().cache.capacity_atoms);
 
     std::printf("\n%-8s %10s %14s %14s\n", "policy", "cache-hit", "seconds/qry",
                 "overhead/qry");
-    for (Row& row : rows) {
-        core::EngineConfig config = base;
-        config.scheduler = bench::jaws2_spec();
-        config.cache.policy = row.policy;
-        row.report = bench::run_one(config, workload);
-        const double busy_seconds_per_query = 1.0 / row.report.busy_throughput_qps;
-        std::printf("%-8s %9.1f%% %14.3f %11.3f ms\n", row.label,
-                    100.0 * row.report.cache.hit_rate(), busy_seconds_per_query,
-                    row.report.cache_overhead_per_query_ms);
-        std::fflush(stdout);
+    for (std::size_t i = 0; i < std::size(bench::kTable1Policies); ++i) {
+        const core::RunReport& r = table.runs[i];
+        std::printf("%-8s %9.1f%% %14.3f %11.3f ms\n", bench::kTable1Policies[i],
+                    100.0 * r.cache.hit_rate(), 1.0 / r.busy_throughput_qps,
+                    r.cache_overhead_per_query_ms);
     }
 
-    const double lruk = rows[1].report.busy_throughput_qps;
-    const double slru = rows[2].report.busy_throughput_qps;
-    const double urc = rows[4].report.busy_throughput_qps;
+    const core::RunReport& lruk = table.runs[1];
+    const core::RunReport& slru = table.runs[2];
+    const core::RunReport& urc = table.runs[4];
     std::printf("\nSLRU over LRU-K: %+5.1f%% query performance (paper: ~+4%%)\n",
-                100.0 * (slru / lruk - 1.0));
+                100.0 * (slru.busy_throughput_qps / lruk.busy_throughput_qps - 1.0));
     std::printf("URC  over LRU-K: %+5.1f%% query performance (paper: ~+16%%)\n",
-                100.0 * (urc / lruk - 1.0));
+                100.0 * (urc.busy_throughput_qps / lruk.busy_throughput_qps - 1.0));
     std::printf("hit-rate deltas: SLRU %+.1f pts, URC %+.1f pts (paper: +2, +7)\n",
-                100.0 * (rows[2].report.cache.hit_rate() - rows[1].report.cache.hit_rate()),
-                100.0 * (rows[4].report.cache.hit_rate() - rows[1].report.cache.hit_rate()));
+                100.0 * (slru.cache.hit_rate() - lruk.cache.hit_rate()),
+                100.0 * (urc.cache.hit_rate() - lruk.cache.hit_rate()));
     return 0;
 }

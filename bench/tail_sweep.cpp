@@ -12,158 +12,78 @@
 // Everything here runs on the virtual clock (wall_clock_overhead stays off),
 // so repeated runs are bit-identical — including BENCH_tail_latency.json,
 // which carries no wall-clock or timestamp fields by design.
-#include <fstream>
-#include <string>
-#include <vector>
+#include <cinttypes>
+#include <cstdio>
 
-#include "bench_common.h"
-
-namespace {
-
-struct TailLevel {
-    const char* name;
-    double rate;   ///< Probability a read draws a slow multiplier.
-    double mu;     ///< lognormal_mu of the multiplier distribution.
-    double sigma;  ///< lognormal_sigma.
-};
-
-struct Row {
-    std::string tail;
-    bool hedged;
-    double stuck_rate;
-    jaws::core::RunReport r;
-};
-
-jaws::core::EngineConfig sweep_config(const TailLevel& tail, bool hedged,
-                                      double stuck_rate) {
-    jaws::core::EngineConfig config = jaws::bench::base_config();
-    // Bit-identical repeats: keep every measurement on the virtual clock.
-    config.cache.wall_clock_overhead = false;
-    config.scheduler = jaws::bench::jaws2_spec();
-    config.io_depth = 4;  // hedges need a replica channel to land on
-    config.compute_workers = 2;
-    config.disk.heavy_tail.rate = tail.rate;
-    config.disk.heavy_tail.lognormal_mu = tail.mu;
-    config.disk.heavy_tail.lognormal_sigma = tail.sigma;
-    config.disk.heavy_tail.seed = 0x7A11;
-    config.faults.seed = 0xFA17;
-    config.faults.stuck_read_rate = stuck_rate;
-    config.faults.stuck_read_ms = 400.0;
-    config.hedge.enabled = hedged;
-    config.hedge.trigger_ewma_multiplier = 3.0;  // adaptive trigger (EWMA)
-    config.hedge.max_outstanding = 4;
-    config.hedge.budget_per_query = 2;
-    return config;
-}
-
-double wasted_fraction(const jaws::core::RunReport& r) {
-    const double busy = r.disk.total_busy().millis();
-    return busy > 0.0 ? r.wasted_service.millis() / busy : 0.0;
-}
-
-}  // namespace
+#include "experiments.h"
 
 int main(int argc, char** argv) {
     using namespace jaws;
     const std::size_t jobs = bench::jobs_from_args(argc, argv, 200);
-
-    const core::EngineConfig probe = sweep_config({"none", 0.0, 0.0, 0.0},
-                                                  /*hedged=*/false, 0.0);
-    const field::SyntheticField field(probe.field);
-    workload::WorkloadSpec wspec = bench::base_workload_spec();
-    wspec.jobs = jobs;
-    const workload::Workload workload =
-        workload::generate_workload(wspec, probe.grid, field);
+    const bench::TailSweep sweep = bench::tail_sweep(jobs, std::thread::hardware_concurrency());
     std::printf("# Tail sweep: JAWS_2, %zu queries, heavy-tail x hedge x stuck faults\n\n",
-                workload.total_queries());
-
-    const TailLevel tails[] = {
-        {"none", 0.0, 0.0, 0.0},
-        {"moderate", 0.05, 2.0, 0.75},
-        {"severe", 0.15, 3.0, 0.5},
-    };
-    const double stuck_rates[] = {0.0, 0.02};
+                sweep.queries);
 
     std::printf("%-10s %-6s %-6s %9s %9s %9s %9s %8s %6s %6s %10s %8s\n", "tail",
                 "hedge", "stuck", "p50(ms)", "p95(ms)", "p99(ms)", "p999(ms)",
                 "hedges", "won", "cancel", "waste(ms)", "waste%");
-    std::vector<Row> rows;
-    for (const TailLevel& tail : tails) {
-        for (const double stuck : stuck_rates) {
-            for (const bool hedged : {false, true}) {
-                Row row;
-                row.tail = tail.name;
-                row.hedged = hedged;
-                row.stuck_rate = stuck;
-                row.r = bench::run_one(sweep_config(tail, hedged, stuck), workload);
-                std::printf("%-10s %-6s %-6.2f %9.1f %9.1f %9.1f %9.1f %8llu %6llu "
-                            "%6llu %10.1f %7.2f%%\n",
-                            row.tail.c_str(), hedged ? "on" : "off", stuck,
-                            row.r.median_response_ms, row.r.p95_response_ms,
-                            row.r.p99_response_ms, row.r.p999_response_ms,
-                            static_cast<unsigned long long>(row.r.hedges_issued),
-                            static_cast<unsigned long long>(row.r.hedges_won),
-                            static_cast<unsigned long long>(row.r.cancellations),
-                            row.r.wasted_service.millis(),
-                            100.0 * wasted_fraction(row.r));
-                std::fflush(stdout);
-                rows.push_back(std::move(row));
-            }
-        }
+    for (const bench::TailRow& row : sweep.rows) {
+        const core::RunReport& r = row.report;
+        std::printf("%-10s %-6s %-6.2f %9.1f %9.1f %9.1f %9.1f %8llu %6llu "
+                    "%6llu %10.1f %7.2f%%\n",
+                    row.tail, row.hedged ? "on" : "off", row.stuck_rate,
+                    r.median_response_ms, r.p95_response_ms, r.p99_response_ms,
+                    r.p999_response_ms, static_cast<unsigned long long>(r.hedges_issued),
+                    static_cast<unsigned long long>(r.hedges_won),
+                    static_cast<unsigned long long>(r.cancellations),
+                    r.wasted_service.millis(), 100.0 * bench::wasted_fraction(r));
     }
 
     // Paired p99 deltas: each hedged run against its unhedged twin (same
     // tail, same stuck rate, same seeds) — the headline tail-robustness win.
     std::printf("\n%-10s %-6s %12s %12s %10s\n", "tail", "stuck", "p99 off(ms)",
                 "p99 on(ms)", "delta");
-    for (std::size_t i = 0; i + 1 < rows.size(); i += 2) {
-        const core::RunReport& off = rows[i].r;
-        const core::RunReport& on = rows[i + 1].r;
-        std::printf("%-10s %-6.2f %12.1f %12.1f %9.1f%%\n", rows[i].tail.c_str(),
-                    rows[i].stuck_rate, off.p99_response_ms, on.p99_response_ms,
+    for (std::size_t i = 0; i + 1 < sweep.rows.size(); i += 2) {
+        const core::RunReport& off = sweep.rows[i].report;
+        const core::RunReport& on = sweep.rows[i + 1].report;
+        std::printf("%-10s %-6.2f %12.1f %12.1f %9.1f%%\n", sweep.rows[i].tail,
+                    sweep.rows[i].stuck_rate, off.p99_response_ms, on.p99_response_ms,
                     100.0 * (on.p99_response_ms - off.p99_response_ms) /
                         off.p99_response_ms);
     }
     std::printf("\n(hedging pays wasted duplicate service to cut the tail; the\n"
                 " tail=none rows bound its overhead when nothing straggles)\n");
 
-    std::ofstream json("BENCH_tail_latency.json");
-    json << "{\n"
-         << "  \"bench\": \"tail_sweep\",\n"
-         << "  \"jobs\": " << jobs << ",\n"
-         << "  \"queries\": " << workload.total_queries() << ",\n"
-         << "  \"note\": \"virtual-clock only: repeated runs at the same job count "
-            "produce a byte-identical file; wasted_fraction is cancelled-loser "
-            "service over total disk busy time\",\n"
-         << "  \"rows\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row& row = rows[i];
-        const core::RunReport& r = row.r;
-        char buf[640];
-        std::snprintf(buf, sizeof buf,
-                      "    {\"tail\": \"%s\", \"hedged\": %s, \"stuck_rate\": %.2f, "
-                      "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, "
-                      "\"p999_ms\": %.3f, \"mean_ms\": %.3f, "
-                      "\"hedges_issued\": %llu, \"hedges_won\": %llu, "
-                      "\"hedges_lost\": %llu, \"cancellations\": %llu, "
-                      "\"wasted_service_ms\": %.3f, \"wasted_fraction\": %.6f, "
-                      "\"slow_draws\": %llu, \"stuck_reads\": %llu, "
-                      "\"deadline_misses\": %llu}%s\n",
-                      row.tail.c_str(), row.hedged ? "true" : "false",
-                      row.stuck_rate, r.median_response_ms, r.p95_response_ms,
-                      r.p99_response_ms, r.p999_response_ms, r.mean_response_ms,
-                      static_cast<unsigned long long>(r.hedges_issued),
-                      static_cast<unsigned long long>(r.hedges_won),
-                      static_cast<unsigned long long>(r.hedges_lost),
-                      static_cast<unsigned long long>(r.cancellations),
-                      r.wasted_service.millis(), wasted_fraction(r),
-                      static_cast<unsigned long long>(r.disk.slow_draws),
-                      static_cast<unsigned long long>(r.faults.stuck_reads),
-                      static_cast<unsigned long long>(r.deadline_misses),
-                      i + 1 < rows.size() ? "," : "");
-        json << buf;
+    std::vector<std::vector<bench::JsonField>> rows;
+    for (const bench::TailRow& row : sweep.rows) {
+        const core::RunReport& r = row.report;
+        rows.push_back({
+            bench::json_field("tail", "\"%s\"", row.tail),
+            bench::json_field("hedged", "%s", row.hedged ? "true" : "false"),
+            bench::json_field("stuck_rate", "%.2f", row.stuck_rate),
+            bench::json_field("p50_ms", "%.3f", r.median_response_ms),
+            bench::json_field("p95_ms", "%.3f", r.p95_response_ms),
+            bench::json_field("p99_ms", "%.3f", r.p99_response_ms),
+            bench::json_field("p999_ms", "%.3f", r.p999_response_ms),
+            bench::json_field("mean_ms", "%.3f", r.mean_response_ms),
+            bench::json_field("hedges_issued", "%" PRIu64, r.hedges_issued),
+            bench::json_field("hedges_won", "%" PRIu64, r.hedges_won),
+            bench::json_field("hedges_lost", "%" PRIu64, r.hedges_lost),
+            bench::json_field("cancellations", "%" PRIu64, r.cancellations),
+            bench::json_field("wasted_service_ms", "%.3f", r.wasted_service.millis()),
+            bench::json_field("wasted_fraction", "%.6f", bench::wasted_fraction(r)),
+            bench::json_field("slow_draws", "%" PRIu64, r.disk.slow_draws),
+            bench::json_field("stuck_reads", "%" PRIu64, r.faults.stuck_reads),
+            bench::json_field("deadline_misses", "%" PRIu64, r.deadline_misses),
+        });
     }
-    json << "  ]\n}\n";
-    std::printf("\nwrote BENCH_tail_latency.json\n");
-    return 0;
+    const std::vector<bench::JsonField> header = {
+        bench::json_field("jobs", "%zu", jobs),
+        bench::json_field("queries", "%zu", sweep.queries),
+        bench::json_field("note", "\"%s\"",
+                          "virtual-clock only: repeated runs at the same job count produce a "
+                          "byte-identical file; wasted_fraction is cancelled-loser service "
+                          "over total disk busy time"),
+    };
+    return bench::write_json("BENCH_tail_latency.json", "tail_sweep", header, rows) ? 0 : 1;
 }

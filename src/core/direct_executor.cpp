@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <map>
+#include <memory>
 
 #include "cache/lru.h"
 #include "util/wallclock.h"
@@ -16,12 +17,6 @@ DirectExecutor::DirectExecutor(const EngineConfig& config)
       cache_(config.cache.capacity_atoms, std::make_unique<cache::LruPolicy>()),
       db_(config.grid, config.compute) {
     if (config.cache.wall_clock_overhead) cache_.set_tick_source(util::wall_clock_ns);
-    if (config.eval.pool != nullptr) {
-        eval_pool_ = config.eval.pool;
-    } else if (config.eval.parallel && config.compute_workers > 1) {
-        owned_pool_ = std::make_unique<util::ThreadPool>(config.compute_workers);
-        eval_pool_ = owned_pool_.get();
-    }
 }
 
 DirectResult DirectExecutor::evaluate(std::uint32_t timestep,
@@ -37,16 +32,8 @@ DirectResult DirectExecutor::evaluate(std::uint32_t timestep,
     for (std::size_t i = 0; i < positions.size(); ++i)
         by_atom[store_.grid().atom_morton_of(positions[i])].push_back(i);
 
-    // Phase 1 — serial I/O: read and cache each atom (Morton-ordered map
-    // walk) and build its sub-query. All cost accounting happens here, in
-    // deterministic order, before any parallel work starts.
-    struct AtomTask {
-        storage::SubQueryExec exec;
-        std::shared_ptr<const field::VoxelBlock> payload;
-        const std::vector<std::size_t>* indices = nullptr;
-    };
-    std::vector<AtomTask> tasks;
-    tasks.reserve(by_atom.size());
+    // Read and cache each atom (Morton-ordered map walk), then evaluate its
+    // positions; all cost accounting happens in this deterministic order.
     for (const auto& [morton, indices] : by_atom) {
         const storage::AtomId atom{timestep, morton};
         if (cache_.lookup(atom)) {
@@ -57,41 +44,16 @@ DirectResult DirectExecutor::evaluate(std::uint32_t timestep,
             result.virtual_cost += rr.io_cost;
             cache_.insert(atom, std::move(rr.data));
         }
-        AtomTask task;
-        task.exec.atom = atom;
-        task.exec.order = order;
-        task.exec.kind = storage::ComputeKind::kVelocity;
-        task.exec.positions.reserve(indices.size());
-        for (const std::size_t i : indices) task.exec.positions.push_back(positions[i]);
-        result.virtual_cost += db_.modeled_cost(task.exec);
-        task.payload = cache_.payload(atom);
-        task.indices = &indices;
-        tasks.push_back(std::move(task));
-    }
-
-    // Phase 2 — evaluation, pooled when configured. Each atom's samples land
-    // in disjoint output slots and futures are joined in Morton order, so the
-    // result is bit-identical to the inline loop for any worker count.
-    if (eval_pool_ != nullptr) {
-        std::vector<std::future<storage::ExecOutcome>> pending;
-        pending.reserve(tasks.size());
-        for (const AtomTask& task : tasks)
-            pending.push_back(eval_pool_->submit([this, &task] {
-                return db_.execute(task.exec, task.payload.get());
-            }));
-        for (std::size_t k = 0; k < tasks.size(); ++k) {
-            const storage::ExecOutcome out = pending[k].get();
-            const std::vector<std::size_t>& indices = *tasks[k].indices;
-            for (std::size_t j = 0; j < indices.size(); ++j)
-                result.samples[indices[j]] = out.samples[j];
-        }
-    } else {
-        for (const AtomTask& task : tasks) {
-            const storage::ExecOutcome out = db_.execute(task.exec, task.payload.get());
-            const std::vector<std::size_t>& indices = *task.indices;
-            for (std::size_t j = 0; j < indices.size(); ++j)
-                result.samples[indices[j]] = out.samples[j];
-        }
+        storage::SubQueryExec exec;
+        exec.atom = atom;
+        exec.order = order;
+        exec.kind = storage::ComputeKind::kVelocity;
+        exec.positions.reserve(indices.size());
+        for (const std::size_t i : indices) exec.positions.push_back(positions[i]);
+        result.virtual_cost += db_.modeled_cost(exec);
+        const storage::ExecOutcome out = db_.execute(exec, cache_.payload(atom).get());
+        for (std::size_t j = 0; j < indices.size(); ++j)
+            result.samples[indices[j]] = out.samples[j];
     }
     return result;
 }

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cache/buffer_cache.h"
@@ -18,7 +17,6 @@
 #include "field/interpolation.h"
 #include "storage/atom_store.h"
 #include "storage/database_node.h"
-#include "util/thread_pool.h"
 
 namespace jaws::core {
 
@@ -46,18 +44,14 @@ struct VolumeStats {
 
 /// Synchronous executor over materialised atoms.
 ///
-/// Evaluation is two-phase: a serial I/O phase reads and caches every touched
-/// atom in Morton order (cost accounting stays deterministic), then the
-/// per-atom interpolation runs — on a thread pool when `config.eval` enables
-/// one, inline otherwise. Per-atom results land in disjoint slots of the
-/// output vector and merge in Morton order, so samples are bit-identical for
-/// any worker count.
+/// Touched atoms are read, cached and evaluated one at a time in Morton
+/// order, so cost accounting is deterministic; each atom's samples land in
+/// its positions' slots of the output vector. Evaluation runs inline:
+/// parallel evaluation lives in the engine (EvalSpec), not here.
 class DirectExecutor {
   public:
     /// Builds its own store with materialisation forced on; `config.cache`
-    /// sizes the private cache and `config.eval` selects the evaluation pool
-    /// (an external pool wins; otherwise one of `config.compute_workers`
-    /// threads is owned when that count exceeds 1).
+    /// sizes the private cache.
     explicit DirectExecutor(const EngineConfig& config);
 
     /// Evaluate velocity+pressure at `positions` within time step `timestep`
@@ -84,8 +78,6 @@ class DirectExecutor {
     storage::AtomStore store_;
     cache::BufferCache cache_;
     storage::DatabaseNode db_;
-    util::ThreadPool* eval_pool_ = nullptr;  ///< Null = inline evaluation.
-    std::unique_ptr<util::ThreadPool> owned_pool_;  ///< Last: drains first.
 };
 
 }  // namespace jaws::core

@@ -1002,8 +1002,6 @@ RunReport Engine::finish() {
     const double span_seconds =
         std::max(seconds, (last_account_ - start_).seconds());
     report_.throughput_qps = static_cast<double>(completed) / seconds;
-    report_.seconds_per_query =
-        completed ? seconds / static_cast<double>(completed) : 0.0;
     const double busy_seconds = std::max(1e-9, span_seconds - report_.idle_time.seconds());
     report_.busy_throughput_qps = static_cast<double>(completed) / busy_seconds;
     fill_response_stats(outcomes_, report_);

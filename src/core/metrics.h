@@ -98,7 +98,6 @@ struct RunReport {
     /// and it is insensitive to the closed-loop cool-down tail.
     double busy_throughput_qps = 0.0;
     util::SimTime idle_time;          ///< Total virtual time with nothing schedulable.
-    double seconds_per_query = 0.0;   ///< Inverse throughput (Table I's Seconds/Qry).
 
     double mean_response_ms = 0.0;
     double median_response_ms = 0.0;
