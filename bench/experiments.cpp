@@ -142,7 +142,9 @@ std::optional<std::size_t> parse_jobs(const char* text) {
     const char* end = text + std::strlen(text);
     std::size_t jobs = 0;
     const auto [stop, error] = std::from_chars(text, end, jobs);
-    if (error != std::errc() || stop != end || jobs == 0) return std::nullopt;
+    if (error != std::errc() || stop != end || jobs == 0 ||
+        jobs > workload::WorkloadSpec::kMaxJobs)
+        return std::nullopt;
     return jobs;
 }
 
@@ -152,9 +154,9 @@ std::size_t jobs_from_args(int argc, char** argv, std::size_t fallback) {
     if (const std::optional<std::size_t> jobs = parse_jobs(text)) return *jobs;
     std::fprintf(stderr,
                  "usage: %s [jobs]\n"
-                 "  jobs: a positive integer (default %zu); JAWS_BENCH_JOBS sets it\n"
-                 "  when no argument is given. Got \"%s\".\n",
-                 argv[0], fallback, text);
+                 "  jobs: a positive integer up to %zu (default %zu); JAWS_BENCH_JOBS\n"
+                 "  sets it when no argument is given. Got \"%s\".\n",
+                 argv[0], workload::WorkloadSpec::kMaxJobs, fallback, text);
     std::exit(2);
 }
 

@@ -43,24 +43,17 @@ void decode_engine(FuzzInput& in, EngineConfig& cfg) {
     }
     cfg.grid.ghost = static_cast<std::uint32_t>(in.below(256));
     cfg.grid.timesteps = static_cast<std::uint32_t>(in.below(64));
-    cfg.grid.dt = fuzz_double(in, 0.0, 1.0);
 
     cfg.field.seed = in.u64();
     cfg.field.modes = in.below(64);
     cfg.field.max_wavenumber = fuzz_double(in, 0.0, 32.0);
-    cfg.field.rms_velocity = fuzz_double(in, 0.0, 10.0);
-    cfg.field.time_scale = fuzz_double(in, 0.0, 10.0);
 
     cfg.disk.settle_ms = fuzz_double(in, 0.0, 10.0);
     cfg.disk.seek_full_stroke_ms = fuzz_double(in, 0.0, 50.0);
     cfg.disk.transfer_mb_per_s = fuzz_double(in, 0.0, 1000.0);
-    cfg.disk.capacity_bytes = in.u64();
     cfg.disk.heavy_tail.rate = fuzz_double(in, 0.0, 1.0);
-    cfg.disk.heavy_tail.pareto = in.boolean();
     cfg.disk.heavy_tail.lognormal_mu = fuzz_double(in, -4.0, 4.0);
     cfg.disk.heavy_tail.lognormal_sigma = fuzz_double(in, 0.0, 4.0);
-    cfg.disk.heavy_tail.pareto_alpha = fuzz_double(in, 0.0, 8.0);
-    cfg.disk.heavy_tail.pareto_min = fuzz_double(in, 0.0, 16.0);
 
     cfg.io_depth = in.below(64);
     cfg.compute_workers = in.below(64);
@@ -81,7 +74,6 @@ void decode_engine(FuzzInput& in, EngineConfig& cfg) {
     cfg.scheduler.jaws.job_aware = in.boolean();
     cfg.scheduler.jaws.adaptive_alpha = in.boolean();
     cfg.scheduler.jaws.alpha.initial_alpha = fuzz_double(in, 0.0, 1.0);
-    cfg.scheduler.jaws.alpha.run_length = in.below(1 << 12);
     cfg.scheduler.jaws.alpha.smoothing = fuzz_double(in, 0.0, 1.0);
     cfg.scheduler.jaws.alpha.stall_epsilon = fuzz_double(in, 0.0, 1.0);
     cfg.scheduler.jaws.alpha.explore_step = fuzz_double(in, 0.0, 1.0);
@@ -93,8 +85,6 @@ void decode_engine(FuzzInput& in, EngineConfig& cfg) {
     cfg.materialize_data = in.boolean();
     cfg.prefetch.enabled = in.boolean();
     cfg.prefetch.max_atoms_per_batch = in.below(64);
-    cfg.prefetch.min_history = in.below(16);
-    cfg.prefetch.max_centroid_jump = fuzz_double(in, 0.0, 2.0);
     cfg.timeline_window_s = fuzz_double(in, 0.0, 100.0);
 
     cfg.faults.seed = in.u64();
@@ -112,12 +102,9 @@ void decode_engine(FuzzInput& in, EngineConfig& cfg) {
     }
 
     cfg.retry.max_attempts = in.below(32);
-    cfg.retry.backoff_base_ms = fuzz_double(in, 0.0, 1000.0);
-    cfg.retry.backoff_cap_ms = fuzz_double(in, 0.0, 10000.0);
     cfg.retry.total_retry_budget = in.below(1 << 16);
 
     cfg.hedge.enabled = in.boolean();
-    cfg.hedge.trigger_ms = fuzz_double(in, 0.0, 1000.0);
     cfg.hedge.trigger_ewma_multiplier = fuzz_double(in, 0.0, 16.0);
     cfg.hedge.max_outstanding = in.below(64);
     cfg.hedge.budget_per_query = in.below(64);

@@ -1,9 +1,9 @@
 // Fuzz harness for storage::DiskModel.
 //
 // Decodes the input into a DiskSpec (including adversarial heavy-tail
-// parameters) plus a program of read / charge_delay / cancel_tail /
-// refund_delay / out-of-range operations, and mirrors the documented ledger
-// in the harness:
+// parameters) and a capacity, plus a program of read / charge_delay /
+// cancel_tail / refund_delay / out-of-range operations, and mirrors the
+// documented ledger in the harness:
 //
 //   * service_time and fault_delay never go negative and always equal the
 //     mirrored ledger exactly (charges minus clamped refunds) — the "no
@@ -31,18 +31,15 @@ using jaws::util::SimTime;
 
 constexpr int kMaxOps = 256;
 
-DiskSpec decode_spec(FuzzInput& in) {
+DiskSpec decode_spec(FuzzInput& in, std::uint64_t& capacity_bytes) {
     DiskSpec spec;
     spec.settle_ms = in.unit_range(0.0, 10.0);
     spec.seek_full_stroke_ms = in.unit_range(0.0, 50.0);
     spec.transfer_mb_per_s = in.unit_range(0.1, 1000.0);
-    spec.capacity_bytes = 1ULL << (20 + in.below(21));  // 1 MB .. 1 TB
+    capacity_bytes = 1ULL << (20 + in.below(21));  // 1 MB .. 1 TB
     spec.heavy_tail.rate = in.boolean() ? in.unit_range(0.0, 1.0) : 0.0;
-    spec.heavy_tail.pareto = in.boolean();
     spec.heavy_tail.lognormal_mu = in.unit_range(-2.0, 4.0);
     spec.heavy_tail.lognormal_sigma = in.unit_range(0.0, 3.0);
-    spec.heavy_tail.pareto_alpha = in.unit_range(0.05, 5.0);
-    spec.heavy_tail.pareto_min = in.unit_range(1.0, 10.0);
     spec.heavy_tail.seed = in.u64();
     return spec;
 }
@@ -51,9 +48,10 @@ DiskSpec decode_spec(FuzzInput& in) {
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
     FuzzInput in(data, size);
-    const DiskSpec spec = decode_spec(in);
+    std::uint64_t capacity_bytes = 0;
+    const DiskSpec spec = decode_spec(in, capacity_bytes);
     const std::size_t channels = in.below(8) + 1;
-    DiskModel disk(spec, channels);
+    DiskModel disk(spec, capacity_bytes, channels);
     JAWS_FUZZ_REQUIRE(disk.channels() == channels, "channel count mismatch");
 
     // Mirrored ledger (the documented clamp semantics, applied externally).

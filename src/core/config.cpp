@@ -88,31 +88,13 @@ void EngineConfig::validate() const {
             fail("faults.bad_ranges entry has morton_end < morton_begin");
     if (retry.max_attempts == 0)
         fail("retry.max_attempts must be at least 1 (the initial attempt)");
-    require_non_negative(retry.backoff_base_ms, "retry.backoff_base_ms");
-    require_non_negative(retry.backoff_cap_ms, "retry.backoff_cap_ms");
-    if (retry.backoff_cap_ms < retry.backoff_base_ms)
-        fail("retry.backoff_cap_ms " + std::to_string(retry.backoff_cap_ms) +
-             " is below retry.backoff_base_ms " +
-             std::to_string(retry.backoff_base_ms) +
-             " (the cap would silently invert the backoff schedule)");
 
     require_probability(disk.heavy_tail.rate, "disk.heavy_tail.rate");
     require_non_negative(disk.heavy_tail.lognormal_sigma,
                          "disk.heavy_tail.lognormal_sigma");
-    if (disk.heavy_tail.rate > 0.0) {
+    if (disk.heavy_tail.rate > 0.0)
         require_finite(disk.heavy_tail.lognormal_mu, "disk.heavy_tail.lognormal_mu");
-        if (!(disk.heavy_tail.pareto_alpha > 0.0) ||
-            !std::isfinite(disk.heavy_tail.pareto_alpha))
-            fail("disk.heavy_tail.pareto_alpha must be finite and positive, got " +
-                 std::to_string(disk.heavy_tail.pareto_alpha));
-        if (!(disk.heavy_tail.pareto_min >= 1.0) ||
-            !std::isfinite(disk.heavy_tail.pareto_min))
-            fail("disk.heavy_tail.pareto_min must be finite and >= 1 (a slowdown), "
-                 "got " +
-                 std::to_string(disk.heavy_tail.pareto_min));
-    }
 
-    require_non_negative(hedge.trigger_ms, "hedge.trigger_ms");
     if (hedge.enabled) {
         if (!(hedge.trigger_ewma_multiplier > 0.0) ||
             !std::isfinite(hedge.trigger_ewma_multiplier))

@@ -80,16 +80,14 @@ struct EvalSpec {
 };
 
 /// Recovery policy for injected transient read errors: failed demand reads
-/// retry with bounded exponential backoff, every delay charged to the
-/// virtual clock (so QoS deadline math sees the real degraded timeline).
-/// An atom whose demand read exhausts all attempts marks the affected
-/// sub-queries failed; their queries complete *degraded* instead of
-/// crashing the run.
+/// retry with bounded exponential backoff (5 ms before the first retry,
+/// doubling per further retry, capped at 1 s; constants in core/engine.cpp),
+/// every delay charged to the virtual clock (so QoS deadline math sees the
+/// real degraded timeline). An atom whose demand read exhausts all attempts
+/// marks the affected sub-queries failed; their queries complete *degraded*
+/// instead of crashing the run.
 struct RetrySpec {
     std::size_t max_attempts = 4;     ///< Total read attempts per demand miss.
-    double backoff_base_ms = 5.0;     ///< Virtual delay before the first retry
-                                      ///< (doubling per further retry).
-    double backoff_cap_ms = 1000.0;   ///< Upper bound on any single delay.
 
     /// Circuit breaker: total retries the whole run may spend (0 = unlimited).
     /// Once cumulative retries reach the budget the circuit opens and further
@@ -104,17 +102,14 @@ struct RetrySpec {
 /// primary demand read sits past a trigger delay, the engine issues a
 /// duplicate read for the same atom on another disk channel (a replica
 /// spindle of the RAID set) and the first completion wins — the loser is
-/// cancelled mid-service and its unrendered tail refunded. Disabled by
-/// default; a disabled spec schedules *no* events and is bit-identical to a
-/// build without the feature (the golden-equivalence harness pins this).
+/// cancelled mid-service and its unrendered tail refunded. The trigger is
+/// adaptive: `trigger_ewma_multiplier` times the EWMA of recent successful
+/// demand-read service times (the T_b estimate until the EWMA is primed).
+/// Disabled by default; a disabled spec schedules *no* events and is
+/// bit-identical to a build without the feature (the golden-equivalence
+/// harness pins this).
 struct HedgeSpec {
     bool enabled = false;
-
-    /// Fixed trigger delay in virtual ms before the duplicate is issued.
-    /// 0 = adaptive: trigger at `trigger_ewma_multiplier` times the EWMA of
-    /// recent successful demand-read service times (falling back to the
-    /// T_b estimate until the EWMA is primed).
-    double trigger_ms = 0.0;
     double trigger_ewma_multiplier = 3.0;  ///< Trigger = mult * EWMA(read ms).
 
     /// Engine-wide cap on simultaneously outstanding hedge reads (a hedge
@@ -149,7 +144,10 @@ struct EngineConfig {
     sched::CostConstants estimates;    ///< T_b/T_m estimates used by Eq. 1.
     CacheSpec cache;
     SchedulerSpec scheduler;
-    std::size_t run_length = 200;      ///< Queries per run (alpha controller + SLRU).
+    /// Queries per run: the engine closes a run after every `run_length`
+    /// completions (the alpha controller's Sec. V-A runs and SLRU's
+    /// counter resets); 0 disables runs.
+    std::size_t run_length = 200;
     bool materialize_data = false;     ///< Synthesize voxel payloads (examples only).
     sched::PrefetchConfig prefetch;    ///< Trajectory prefetching (Sec. VII).
 

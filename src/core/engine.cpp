@@ -30,8 +30,11 @@ constexpr double kSupportReadFraction = 0.10;
 /// framework amortises it over k atoms, NoShare over a whole query.
 constexpr double kDispatchOverheadMs = 5.0;
 
-/// Growth factor of the retry backoff per further attempt.
+/// Retry backoff (RetrySpec): the virtual delay before the first retry, its
+/// growth factor per further attempt, and the upper bound on any one delay.
+constexpr double kBackoffBaseMs = 5.0;
 constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffCapMs = 1000.0;
 
 /// Weight on the newest demand-read service time in the EWMA behind the
 /// adaptive hedge trigger.
@@ -136,10 +139,8 @@ std::unique_ptr<sched::Scheduler> Engine::make_scheduler() {
             return s;
         }
         case SchedulerKind::kJaws: {
-            sched::JawsConfig jc = config_.scheduler.jaws;
-            jc.alpha.run_length = config_.run_length;
             auto s = std::make_unique<sched::JawsScheduler>(config_.estimates, cache_.get(),
-                                                            jc);
+                                                            config_.scheduler.jaws);
             oracle_.set(&s->manager());
             return s;
         }
@@ -288,7 +289,7 @@ void Engine::issue_item(std::size_t idx) {
         return;
     }
     it.attempt = 1;
-    it.backoff_ms = config_.retry.backoff_base_ms;
+    it.backoff_ms = kBackoffBaseMs;
     submit_demand_read(idx);
     arm_hedge_trigger(idx);
 }
@@ -352,8 +353,8 @@ void Engine::demand_read_done(std::size_t idx) {
             // in-flight items keep the disk busy — and the delay shows up in
             // response times, so QoS deadline checks see the true degraded
             // timeline.
-            const auto backoff = util::SimTime::from_millis(
-                std::min(it.backoff_ms, config_.retry.backoff_cap_ms));
+            const auto backoff =
+                util::SimTime::from_millis(std::min(it.backoff_ms, kBackoffCapMs));
             it.backoff_ms *= kBackoffMultiplier;
             report_.retry_backoff_time += backoff;
             ++report_.read_retries;
@@ -386,8 +387,6 @@ void Engine::demand_read_done(std::size_t idx) {
 // --------------------------------------------------------------------------
 
 util::SimTime Engine::hedge_trigger_delay() const {
-    if (config_.hedge.trigger_ms > 0.0)
-        return util::SimTime::from_millis(config_.hedge.trigger_ms);
     const double base =
         read_ewma_.primed() ? read_ewma_.value() : config_.estimates.t_b_ms;
     return util::SimTime::from_millis(config_.hedge.trigger_ewma_multiplier * base);
@@ -753,8 +752,10 @@ void Engine::complete_query(QueryRuntime& rt) {
     ++report_.queries;
 
     scheduler_->on_query_completed(rt.query->id, outcome.response(), now);
-    if (config_.run_length > 0 && report_.queries % config_.run_length == 0)
+    if (config_.run_length > 0 && report_.queries % config_.run_length == 0) {
+        scheduler_->on_run_boundary(now);
         cache_->run_boundary();
+    }
 
     // Ordered successor becomes visible after the user's think time.
     const workload::Job& job = *rt.job;

@@ -291,9 +291,9 @@ class Engine {
     void demand_read_done(std::size_t idx);
 
     // --- hedged reads & deadline budgets ---------------------------------
-    /// Current hedge trigger delay: fixed, or a multiple of the EWMA of
-    /// recent successful demand-read service times (T_b estimate until the
-    /// EWMA is primed). Depends only on virtual-time observations, so hedge
+    /// Current hedge trigger delay: a multiple of the EWMA of recent
+    /// successful demand-read service times (T_b estimate until the EWMA is
+    /// primed). Depends only on virtual-time observations, so hedge
     /// decisions are bit-deterministic.
     util::SimTime hedge_trigger_delay() const;
     /// Arm the hedge trigger for item `idx` when hedging is enabled: a

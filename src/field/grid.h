@@ -23,7 +23,7 @@ struct GridSpec {
     std::uint32_t atom_side = 64;          ///< Voxels per axis per atom.
     std::uint32_t ghost = 4;               ///< Ghost (replicated) voxels per face.
     std::uint32_t timesteps = 31;          ///< Stored time steps.
-    double dt = 0.002;                     ///< Simulation seconds between steps.
+    static constexpr double dt = 0.002;    ///< Simulation seconds between steps.
 
     /// Atoms per axis (N / atom_side; N must be a multiple of atom_side).
     std::uint32_t atoms_per_side() const noexcept { return voxels_per_side / atom_side; }

@@ -8,6 +8,12 @@ namespace jaws::field {
 namespace {
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
+/// Target root-mean-square speed: the field is normalised to it.
+constexpr double kRmsVelocity = 1.0;
+
+/// Eddy turnover time controlling the mode frequencies.
+constexpr double kTimeScale = 1.0;
+
 Vec3 cross(const Vec3& a, const Vec3& b) noexcept {
     return {a.y * b.z - a.z * b.y, a.z * b.x - a.x * b.z, a.x * b.y - a.y * b.x};
 }
@@ -34,12 +40,12 @@ SyntheticField::SyntheticField(const FieldSpec& spec) : spec_(spec) {
         Mode m;
         m.wavevector = kTwoPi * k;
         m.amplitude = falloff * a;
-        m.frequency = kTwoPi / spec.time_scale * std::sqrt(k.norm2()) * 0.35;
+        m.frequency = kTwoPi / kTimeScale * std::sqrt(k.norm2()) * 0.35;
         m.phase = rng.uniform(0.0, kTwoPi);
         m.pressure_amp = falloff * rng.normal();
         modes_.push_back(m);
     }
-    // Normalise to the requested RMS speed by sampling the field.
+    // Normalise to the target RMS speed by sampling the field.
     util::Rng probe(spec.seed ^ 0x5bd1e995);
     double sum2 = 0.0;
     constexpr int kProbes = 256;
@@ -49,7 +55,7 @@ SyntheticField::SyntheticField(const FieldSpec& spec) : spec_(spec) {
     }
     const double rms = std::sqrt(sum2 / kProbes);
     if (rms > 0.0) {
-        const double scale = spec.rms_velocity / rms;
+        const double scale = kRmsVelocity / rms;
         for (auto& m : modes_) m.amplitude = scale * m.amplitude;
     }
 }

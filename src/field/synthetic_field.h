@@ -46,13 +46,12 @@ struct FlowSample {
     double pressure = 0.0;
 };
 
-/// Parameters of the synthetic field.
+/// Parameters of the synthetic field. Its root-mean-square speed (1.0) and
+/// eddy turnover time (1.0) are calibration constants of synthetic_field.cpp.
 struct FieldSpec {
     std::uint64_t seed = 42;     ///< Determines all mode amplitudes/phases.
     std::size_t modes = 24;      ///< Number of Fourier modes in the potential.
     double max_wavenumber = 6.0; ///< Spectral support (integer wavevectors up to this).
-    double rms_velocity = 1.0;   ///< Target root-mean-square speed.
-    double time_scale = 1.0;     ///< Eddy turnover time controlling mode frequencies.
 };
 
 /// Periodic, incompressible synthetic flow on the unit torus [0, 1)^3.

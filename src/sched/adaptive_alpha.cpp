@@ -11,16 +11,13 @@ AdaptiveAlphaController::AdaptiveAlphaController(const AdaptiveAlphaConfig& conf
       rt_ewma_(config.smoothing),
       tp_ewma_(config.smoothing) {}
 
-bool AdaptiveAlphaController::on_query_completed(util::SimTime response_time,
+void AdaptiveAlphaController::on_query_completed(util::SimTime response_time,
                                                  util::SimTime now) {
     if (!run_started_) {
         run_start_ = now;
         run_started_ = true;
     }
     run_rt_.add(response_time.millis());
-    if (run_rt_.count() < config_.run_length) return false;
-    close_run(now);
-    return true;
 }
 
 void AdaptiveAlphaController::close_run(util::SimTime now) {

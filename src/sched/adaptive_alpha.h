@@ -1,10 +1,11 @@
 // Adaptive starvation resistance (paper Sec. V-A).
 //
 // JAWS tunes the age bias alpha of the aged workload-throughput metric
-// automatically: the workload is divided into runs of r consecutive queries,
-// per-run average response time rt(i) and throughput tp(i) are measured
-// (smoothed as rt' = 0.2 rt + 0.8 rt', tp' likewise), and alpha moves by the
-// paper's two rules:
+// automatically: the workload is divided into runs of r consecutive queries
+// (core::Engine counts them and calls close_run), per-run average response
+// time rt(i) and throughput tp(i) are measured (smoothed as
+// rt' = 0.2 rt + 0.8 rt', tp' likewise), and alpha moves by the paper's two
+// rules:
 //   (1) saturation rising (rt ratio >= 1) and throughput not keeping up
 //       (tp ratio < rt ratio): alpha -= min(rt_ratio - tp_ratio, alpha)
 //       -> bias towards contention, maximise sharing;
@@ -22,12 +23,10 @@
 
 namespace jaws::sched {
 
-/// Controller configuration.
+/// Controller configuration. The run length r is not here: core::Engine
+/// closes each run after EngineConfig::run_length completions.
 struct AdaptiveAlphaConfig {
     double initial_alpha = 0.5;
-    /// Queries per run (r). core::Engine overwrites it with
-    /// EngineConfig::run_length.
-    std::size_t run_length = 200;
     double smoothing = 0.2;           ///< EWMA weight on the newest run.
     double stall_epsilon = 0.02;      ///< Ratios within 1 +/- eps count as "no change".
     double explore_step = 0.08;       ///< Exploration perturbation of alpha.
@@ -38,9 +37,13 @@ class AdaptiveAlphaController {
   public:
     explicit AdaptiveAlphaController(const AdaptiveAlphaConfig& config = {});
 
-    /// Record one completed query. Returns true when this completion closed a
-    /// run (alpha may have changed; callers re-read alpha() and propagate).
-    bool on_query_completed(util::SimTime response_time, util::SimTime now);
+    /// Record one completed query in the current run.
+    void on_query_completed(util::SimTime response_time, util::SimTime now);
+
+    /// Close the current run, which has at least one completion, at `now`
+    /// and apply the rules; alpha may change (callers re-read alpha() and
+    /// propagate).
+    void close_run(util::SimTime now);
 
     /// Current age bias.
     double alpha() const noexcept { return alpha_; }
@@ -50,8 +53,6 @@ class AdaptiveAlphaController {
     std::size_t explorations() const noexcept { return explorations_; }
 
   private:
-    void close_run(util::SimTime now);
-
     AdaptiveAlphaConfig config_;
     double alpha_;
     util::Ewma rt_ewma_;

@@ -65,8 +65,13 @@ void JawsScheduler::on_query_completed(workload::QueryId query, util::SimTime re
             deadlines_.erase(query);
         }
     }
-    if (config_.adaptive_alpha && controller_.on_query_completed(response, now))
-        manager_.set_alpha(controller_.alpha());
+    if (config_.adaptive_alpha) controller_.on_query_completed(response, now);
+}
+
+void JawsScheduler::on_run_boundary(util::SimTime now) {
+    if (!config_.adaptive_alpha) return;
+    controller_.close_run(now);
+    manager_.set_alpha(controller_.alpha());
 }
 
 void JawsScheduler::on_residency_changed(const storage::AtomId& atom) {

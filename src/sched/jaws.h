@@ -41,6 +41,7 @@ class JawsScheduler final : public Scheduler {
     void on_query_visible(const workload::Query& query, util::SimTime now) override;
     void on_query_completed(workload::QueryId query, util::SimTime response,
                             util::SimTime now) override;
+    void on_run_boundary(util::SimTime now) override;
     void on_residency_changed(const storage::AtomId& atom) override;
     void purge_atom(const storage::AtomId& atom, std::vector<SubQuery>& out) override {
         manager_.drain_atom(atom, out);

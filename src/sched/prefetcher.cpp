@@ -9,6 +9,10 @@ namespace jaws::sched {
 
 namespace {
 
+/// Centroid displacement per step (torus units) above which a job counts as
+/// erratic and is not predicted.
+constexpr double kMaxCentroidJump = 0.25;
+
 /// Shortest signed displacement from a to b on a periodic axis of length n.
 double torus_delta(double a, double b, double n) {
     double d = b - a;
@@ -67,12 +71,14 @@ std::vector<storage::AtomId> TrajectoryPrefetcher::predict(workload::JobId job) 
     const auto s = trajectories_.find(job);
     if (s == util::SlotIndex::kNone) return {};
     const Trajectory& t = trajectories_[s];
-    if (!t.have_velocity || t.last_seq + 1 < config_.min_history) return {};
+    // A velocity needs two consecutive completed queries: that is all the
+    // history a prediction needs.
+    if (!t.have_velocity) return {};
 
     // Erratic jobs (footprint jumps bigger than the cap) are not predictable.
     const double jump = std::sqrt(t.vx * t.vx + t.vy * t.vy + t.vz * t.vz) /
                         static_cast<double>(atoms_per_side_);
-    if (jump > config_.max_centroid_jump) return {};
+    if (jump > kMaxCentroidJump) return {};
 
     const std::int64_t next_step =
         static_cast<std::int64_t>(t.last_step) + t.step_delta;

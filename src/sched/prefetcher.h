@@ -24,12 +24,12 @@
 
 namespace jaws::sched {
 
-/// Prefetcher tunables.
+/// Prefetcher tunables. A job is predicted once two consecutive queries
+/// have completed (one centroid step), and not while its centroid jumps more
+/// than a quarter of the torus per step (prefetcher.cpp).
 struct PrefetchConfig {
     bool enabled = false;
     std::size_t max_atoms_per_batch = 8;   ///< Speculative reads per dispatch.
-    std::size_t min_history = 2;           ///< Completed queries before predicting.
-    double max_centroid_jump = 0.25;       ///< Ignore erratic jobs (torus units/step).
 };
 
 /// Accuracy accounting.

@@ -85,6 +85,11 @@ class Scheduler {
         (void)now;
     }
 
+    /// The engine closed a run of EngineConfig::run_length completions at
+    /// `now` (right after the run's last on_query_completed). Default:
+    /// nothing measured per run.
+    virtual void on_run_boundary(util::SimTime now) { (void)now; }
+
     /// An atom entered or left the buffer cache (phi(i) flipped).
     virtual void on_residency_changed(const storage::AtomId& atom) { (void)atom; }
 

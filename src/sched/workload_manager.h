@@ -47,6 +47,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -223,7 +224,21 @@ class WorkloadManager final : public cache::UtilityOracle {
     struct StepAgg {
         double utility_sum = 0.0;  ///< Sum of U_t (mean gates in-step selection).
         double key_sum = 0.0;      ///< Sum of static aged keys (mean picks the step).
+        /// Audit only: |utility_sum| and |key_sum| summed after every update
+        /// since the last restart. Each += or -= rounds by at most half an
+        /// ulp of its result, so epsilon times these bounds the rounding
+        /// residue the sums carry, removed values' included.
+        double utility_residue = 0.0;
+        double key_residue = 0.0;
         std::vector<Member> members;  ///< Pending atoms of the step, unordered.
+
+        /// Restart the sums, and their residue bounds, from exactly 0.0.
+        void restart() noexcept { utility_sum = key_sum = utility_residue = key_residue = 0.0; }
+        /// Call after each update of the sums.
+        void note_update() noexcept {
+            utility_residue += std::abs(utility_sum);
+            key_residue += std::abs(key_sum);
+        }
     };
     using StepMap = std::map<std::uint32_t, StepAgg>;
 

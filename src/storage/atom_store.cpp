@@ -21,16 +21,11 @@ AtomStore::AtomStore(const AtomStoreSpec& spec)
     : spec_(spec),
       field_(spec.field),
       cover_(step_cover(spec.grid)),
-      disk_(
-          [&spec] {
-              // Scale seek strokes to the actual layout size so cross-time-step
-              // distances cost what they should.
-              DiskSpec d = spec.disk;
-              d.capacity_bytes = std::max<std::uint64_t>(
-                  1, spec.grid.total_atoms() * spec.grid.atom_bytes());
-              return d;
-          }(),
-          spec.io_channels),
+      // Scale seek strokes to the actual layout size so cross-time-step
+      // distances cost what they should.
+      disk_(spec.disk,
+            std::max<std::uint64_t>(1, spec.grid.total_atoms() * spec.grid.atom_bytes()),
+            spec.io_channels),
       faults_(spec.faults) {}
 
 std::optional<std::uint64_t> AtomStore::offset_of(const AtomId& id) const noexcept {

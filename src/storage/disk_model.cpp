@@ -24,24 +24,17 @@ double hash_uniform(std::uint64_t seed, std::uint64_t n,
 double DiskModel::slow_multiplier(std::uint64_t n) const noexcept {
     const HeavyTailSpec& ht = spec_.heavy_tail;
     if (hash_uniform(ht.seed, n, 1) >= ht.rate) return 1.0;
+    // Lognormal via Box-Muller on two further hash streams.
     const double u = hash_uniform(ht.seed, n, 2);
-    double mult;
-    if (ht.pareto) {
-        // Inverse-CDF Pareto: min * (1 - u)^(-1/alpha).
-        mult = ht.pareto_min * std::pow(1.0 - u, -1.0 / ht.pareto_alpha);
-    } else {
-        // Lognormal via Box-Muller on two further hash streams.
-        const double v = hash_uniform(ht.seed, n, 3);
-        const double z = std::sqrt(-2.0 * std::log1p(-u)) *
-                         std::cos(2.0 * std::numbers::pi * v);
-        mult = std::exp(ht.lognormal_mu + ht.lognormal_sigma * z);
-    }
-    // Cap the slowdown: a legal spec (pareto_alpha near zero, or a huge
-    // lognormal sigma) can otherwise draw an unbounded — even infinite —
-    // multiplier whose priced service time overflows the integer virtual
-    // clock when accumulated (found by fuzz/fuzz_disk_model.cpp). A
-    // million-fold straggler is already far past anything hedging or
-    // cancellation must distinguish.
+    const double v = hash_uniform(ht.seed, n, 3);
+    const double z =
+        std::sqrt(-2.0 * std::log1p(-u)) * std::cos(2.0 * std::numbers::pi * v);
+    const double mult = std::exp(ht.lognormal_mu + ht.lognormal_sigma * z);
+    // Cap the slowdown: a legal spec (a large mu or sigma) can otherwise draw
+    // an unbounded — even infinite — multiplier whose priced service time
+    // overflows the integer virtual clock when accumulated (found by
+    // fuzz/fuzz_disk_model.cpp). A million-fold straggler is already far past
+    // anything hedging or cancellation must distinguish.
     constexpr double kMaxSlowMultiplier = 1e6;
     return std::clamp(mult, 1.0, kMaxSlowMultiplier);
 }
@@ -56,7 +49,7 @@ util::SimTime DiskModel::peek_cost(std::uint64_t offset, std::uint64_t bytes,
         const double distance =
             static_cast<double>(offset > head ? offset - head : head - offset);
         const double stroke_frac =
-            std::min(1.0, distance / static_cast<double>(spec_.capacity_bytes));
+            std::min(1.0, distance / static_cast<double>(capacity_bytes_));
         // Seek time grows sub-linearly with distance (classic sqrt model).
         ms += spec_.settle_ms + spec_.seek_full_stroke_ms * std::sqrt(stroke_frac);
     }

@@ -26,28 +26,27 @@
 namespace jaws::storage {
 
 /// Heavy-tailed service-time mode: with probability `rate` a read draws a
-/// slowdown multiplier (>= 1) and its service cost is scaled by it. This
-/// models the stragglers of a real RAID array — degraded parity reads,
-/// firmware GC stalls, vibrating spindles — whose *tail*, not mean, decides
-/// interactive latency. Draws are pure hashes of (seed, per-model request
+/// lognormal slowdown multiplier, clamped to [1, 1e6], and its service cost
+/// is scaled by it. This models the stragglers of a real RAID array —
+/// degraded parity reads, firmware GC stalls, vibrating spindles — whose
+/// *tail*, not mean, decides interactive latency. Draws are pure hashes of (seed, per-model request
 /// index): the same request sequence always straggles identically, so runs
 /// stay bit-reproducible. `rate == 0` (the default) is indistinguishable
 /// from a model without the feature.
 struct HeavyTailSpec {
     double rate = 0.0;              ///< Probability a read draws a slow multiplier.
-    bool pareto = false;            ///< Pareto draws instead of lognormal.
-    double lognormal_mu = 1.0;      ///< Mean of log(multiplier) (lognormal mode).
+    double lognormal_mu = 1.0;      ///< Mean of log(multiplier).
     double lognormal_sigma = 0.75;  ///< Stddev of log(multiplier).
-    double pareto_alpha = 1.5;      ///< Pareto shape (smaller = heavier tail).
-    double pareto_min = 2.0;        ///< Pareto minimum multiplier (>= 1).
     std::uint64_t seed = 0x7E11;    ///< Draw stream seed.
 
     bool enabled() const noexcept { return rate > 0.0; }
 };
 
 /// Tunable parameters of the simulated disk. The seek cost is
-/// settle + full_stroke * sqrt(distance / capacity): reads that are close on
-/// disk (Morton-adjacent atoms of one time step) pay almost nothing beyond
+/// settle + full_stroke * sqrt(distance / capacity), where the capacity is
+/// the size of the layout the disk holds (DiskModel's constructor argument;
+/// AtomStore passes its dataset size): reads that are close on disk
+/// (Morton-adjacent atoms of one time step) pay almost nothing beyond
 /// settle, while jumps across time steps (tens of GB apart under the
 /// clustered layout) pay several milliseconds — the physical reason the
 /// Morton space-filling layout and Morton-ordered batches matter (paper
@@ -56,8 +55,6 @@ struct DiskSpec {
     double settle_ms = 1.0;            ///< Fixed head-settle cost of any seek.
     double seek_full_stroke_ms = 14.0; ///< Additional cost of a full-stroke seek.
     double transfer_mb_per_s = 250.0;  ///< Sustained (RAID-aggregate) transfer rate.
-    std::uint64_t capacity_bytes = 1ULL << 40;  ///< Addressable range (stroke scaling);
-                                                ///< AtomStore sets it to the layout size.
     HeavyTailSpec heavy_tail;          ///< Straggler service draws (default: off).
 };
 
@@ -85,8 +82,10 @@ struct DiskStats {
 /// per-node layout).
 class DiskModel {
   public:
-    explicit DiskModel(const DiskSpec& spec = {}, std::size_t channels = 1)
-        : spec_(spec), heads_(channels ? channels : 1, 0) {}
+    /// A disk of `capacity_bytes` (the addressable range a full-stroke seek
+    /// crosses) with `channels` service channels.
+    DiskModel(const DiskSpec& spec, std::uint64_t capacity_bytes, std::size_t channels = 1)
+        : spec_(spec), capacity_bytes_(capacity_bytes), heads_(channels ? channels : 1, 0) {}
 
     /// Cost of reading `bytes` at `offset` on `channel`, advancing that
     /// channel's head. Sequential reads (offset == channel head) pay no seek.
@@ -147,6 +146,7 @@ class DiskModel {
     double slow_multiplier(std::uint64_t n) const noexcept;
 
     DiskSpec spec_;
+    std::uint64_t capacity_bytes_;
     DiskStats stats_;
     std::vector<std::uint64_t> heads_;
     std::uint64_t draws_ = 0;  ///< Heavy-tail draw index (one per read).

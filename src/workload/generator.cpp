@@ -16,17 +16,35 @@ namespace {
 
 using field::Vec3;
 
+// Calibration constants of the paper's trace shape (Sec. VI-A, Figs. 8-9)
+// that no caller varies; WorkloadSpec holds the knobs that callers set.
+
+// --- job shape ---
+constexpr double kFullSpanSurvival = 0.97;  ///< Per-step survival of full-span jobs.
+constexpr double kMeanPasses = 1.6;         ///< Forward/backward passes of span jobs.
+constexpr double kBatchedQueriesMu = 3.9;   ///< ln-median of batched job query count (~50).
+constexpr double kBatchedQueriesSigma = 0.9;
+
+// --- per-query shape ---
+constexpr double kPositionsSigma = 0.9;     ///< ln-spread of positions per query.
+constexpr double kRegionRadiusSigma = 0.4;  ///< ln-spread of the region radius.
+
+// --- temporal skew (Fig. 9) ---
+constexpr double kHotStepWeight = 3.2;      ///< Relative weight of the hot end-steps.
+constexpr std::size_t kHotStepsPerEnd = 6;  ///< Hot steps at each end of the range.
+constexpr double kSpikeWeight = 4.0;        ///< Mid-range spike relative weight.
+constexpr double kTrendSlope = 0.5;         ///< Downward trend of the baseline weight.
+
 /// Weight of each time step for job placement, shaped per Fig. 9: hot
 /// clusters at both ends, a mid-range spike (~0.25-0.4 of the range), and a
 /// declining baseline.
-std::vector<double> timestep_weights(const WorkloadSpec& spec, std::uint32_t timesteps) {
+std::vector<double> timestep_weights(std::uint32_t timesteps) {
     std::vector<double> w(timesteps, 1.0);
     for (std::uint32_t t = 0; t < timesteps; ++t) {
         const double frac = timesteps > 1 ? static_cast<double>(t) / (timesteps - 1) : 0.0;
-        w[t] = 1.0 - spec.trend_slope * frac;  // downward trend
-        if (t < spec.hot_steps_per_end || t + spec.hot_steps_per_end >= timesteps)
-            w[t] += spec.hot_step_weight;
-        if (frac >= 0.28 && frac <= 0.42) w[t] += spec.spike_weight;  // mid spike
+        w[t] = 1.0 - kTrendSlope * frac;  // downward trend
+        if (t < kHotStepsPerEnd || t + kHotStepsPerEnd >= timesteps) w[t] += kHotStepWeight;
+        if (frac >= 0.28 && frac <= 0.42) w[t] += kSpikeWeight;  // mid spike
     }
     return w;
 }
@@ -136,7 +154,7 @@ struct JobBuilder {
     QueryId& next_query_id;
 
     std::uint64_t positions_per_query() const {
-        const double draw = rng.lognormal(spec.positions_mu, spec.positions_sigma);
+        const double draw = rng.lognormal(spec.positions_mu, kPositionsSigma);
         const auto n = static_cast<std::uint64_t>(draw);
         return std::clamp(n, spec.min_positions, spec.max_positions);
     }
@@ -176,6 +194,8 @@ void WorkloadSpec::validate() const {
     const auto fail = [](const std::string& msg) {
         throw std::invalid_argument("WorkloadSpec: " + msg);
     };
+    if (jobs > kMaxJobs)
+        fail("jobs " + std::to_string(jobs) + " exceeds kMaxJobs " + std::to_string(kMaxJobs));
     if (min_positions > max_positions)
         fail("min_positions " + std::to_string(min_positions) + " exceeds max_positions " +
              std::to_string(max_positions));
@@ -189,7 +209,7 @@ Workload generate_workload(const WorkloadSpec& spec, const field::GridSpec& grid
     spec.validate();
     util::Rng rng(spec.seed);
     const std::uint32_t timesteps = grid.timesteps;
-    const std::vector<double> step_weights = timestep_weights(spec, timesteps);
+    const std::vector<double> step_weights = timestep_weights(timesteps);
 
     // Shared regions of interest (turbulent structures users keep revisiting).
     std::vector<Vec3> hotspots;
@@ -237,8 +257,7 @@ Workload generate_workload(const WorkloadSpec& spec, const field::GridSpec& grid
 
             // Jitter the burst anchor a little per job so concurrent jobs
             // overlap heavily but not identically.
-            const double radius =
-                rng.lognormal(spec.region_radius_mu, spec.region_radius_sigma);
+            const double radius = rng.lognormal(spec.region_radius_mu, kRegionRadiusSigma);
             Vec3 center{field::wrap01(burst_center.x + rng.normal(0.0, radius * 0.4)),
                         field::wrap01(burst_center.y + rng.normal(0.0, radius * 0.4)),
                         field::wrap01(burst_center.z + rng.normal(0.0, radius * 0.4))};
@@ -251,7 +270,7 @@ Workload generate_workload(const WorkloadSpec& spec, const field::GridSpec& grid
                 // termination (the paper's downward access trend).
                 job.type = JobType::kOrdered;
                 const auto passes = std::max<std::uint64_t>(
-                    1, rng.poisson(std::max(0.0, spec.mean_passes - 1)) + 1);
+                    1, rng.poisson(std::max(0.0, kMeanPasses - 1)) + 1);
                 std::uint32_t step = 0;
                 int direction = 1;
                 bool alive = true;
@@ -261,7 +280,7 @@ Workload generate_workload(const WorkloadSpec& spec, const field::GridSpec& grid
                             job, step, center, radius, storage::ComputeKind::kVelocity,
                             job.queries.empty() ? util::SimTime::zero() : builder.think()));
                         center = builder.drift(center, step);
-                        if (!rng.bernoulli(spec.full_span_survival)) alive = false;
+                        if (!rng.bernoulli(kFullSpanSurvival)) alive = false;
                         if (i + 1 < timesteps)
                             step = static_cast<std::uint32_t>(
                                 static_cast<std::int64_t>(step) + direction);
@@ -297,7 +316,7 @@ Workload generate_workload(const WorkloadSpec& spec, const field::GridSpec& grid
                 job.type = JobType::kBatched;
                 const auto n = std::max<std::uint64_t>(
                     1, static_cast<std::uint64_t>(
-                           rng.lognormal(spec.batched_queries_mu, spec.batched_queries_sigma)));
+                           rng.lognormal(kBatchedQueriesMu, kBatchedQueriesSigma)));
                 for (std::uint64_t i = 0; i < n; ++i) {
                     const Vec3 jitter{field::wrap01(center.x + rng.normal(0.0, radius * 0.3)),
                                       field::wrap01(center.y + rng.normal(0.0, radius * 0.3)),

@@ -30,9 +30,14 @@ namespace jaws::workload {
 
 /// Generator calibration knobs (defaults reproduce the paper's trace shape).
 struct WorkloadSpec {
+    /// Largest job count a trace may have. The generator holds the whole
+    /// trace, ~82 MB per 1 000 jobs (~1.7 KB per query), so 100 000 jobs,
+    /// 33x the 3 000-job soak, is already ~8 GB.
+    static constexpr std::size_t kMaxJobs = 100'000;
+
     std::uint64_t seed = 7;
 
-    std::size_t jobs = 1000;              ///< Number of jobs to generate.
+    std::size_t jobs = 1000;              ///< Number of jobs to generate (<= kMaxJobs).
     std::size_t users = 30;               ///< Distinct user IDs (Zipf-shared).
 
     // --- arrival process (bursty) ---
@@ -43,35 +48,26 @@ struct WorkloadSpec {
     // --- job shape ---
     double frac_single_step = 0.88;       ///< Jobs touching one time step.
     double frac_full_span = 0.03;         ///< Jobs iterating over all steps.
-    double full_span_survival = 0.97;     ///< Per-step survival of full-span jobs.
     double frac_ordered_single_step = 0.35;  ///< Single-step jobs that are ordered chains.
-    double mean_passes = 1.6;             ///< Forward/backward passes of span jobs.
-    double batched_queries_mu = 3.9;      ///< ln-median of batched job query count (~50).
-    double batched_queries_sigma = 0.9;
     double ordered_chain_mu = 3.0;        ///< ln-median of single-step ordered chain length.
     double ordered_chain_sigma = 0.8;
 
     // --- per-query shape ---
     double positions_mu = 6.2;            ///< ln-median of positions per query (~490).
-    double positions_sigma = 0.9;
     std::uint64_t min_positions = 16;
     std::uint64_t max_positions = 20000;
     double region_radius_mu = -2.4;       ///< ln-median region radius (~0.09 of domain).
-    double region_radius_sigma = 0.4;
     double drift_scale = 48.0;            ///< Region drift per step, in units of flow displacement.
     double mean_think_time_s = 0.5;       ///< Gap after a predecessor's result (scripted clients).
 
     // --- spatial / temporal skew ---
     std::size_t hotspots = 4;             ///< Regions of interest shared by users.
     double hotspot_prob = 0.9;            ///< Job anchors on a hotspot vs uniform.
-    double hot_step_weight = 3.2;        ///< Relative weight of the hot end-steps.
-    std::size_t hot_steps_per_end = 6;    ///< Hot steps at each end of the range.
-    double spike_weight = 4.0;            ///< Mid-range spike relative weight.
-    double trend_slope = 0.5;             ///< Downward trend of the baseline weight.
 
-    /// Reject specs no run can honour (min_positions above max_positions,
-    /// no users, hotspot draws with no hotspot) with a std::invalid_argument
-    /// naming the fields. Called by generate_workload.
+    /// Reject specs no run can honour (more than kMaxJobs jobs,
+    /// min_positions above max_positions, no users, hotspot draws with no
+    /// hotspot) with a std::invalid_argument naming the fields. Called by
+    /// generate_workload before it allocates anything.
     void validate() const;
 };
 

@@ -6,10 +6,9 @@
 namespace jaws::sched {
 namespace {
 
-AdaptiveAlphaConfig config(std::size_t run_length = 4, double smoothing = 1.0) {
+AdaptiveAlphaConfig config(double smoothing = 1.0) {
     AdaptiveAlphaConfig c;
     c.initial_alpha = 0.5;
-    c.run_length = run_length;
     c.smoothing = smoothing;  // 1.0 disables EWMA memory for exact rule tests
     c.stall_epsilon = 0.001;
     c.explore_step = 0.08;
@@ -17,7 +16,9 @@ AdaptiveAlphaConfig config(std::size_t run_length = 4, double smoothing = 1.0) {
 }
 
 /// Feed one run of `n` completions with the given constant response time,
-/// ending at absolute time `end_s` (throughput = n / (end_s - start_s)).
+/// ending at absolute time `end_s` (throughput = n / (end_s - start_s)), and
+/// close it at that instant, as the engine does after its run_length-th
+/// completion.
 void feed_run(AdaptiveAlphaController& c, std::size_t n, double rt_ms, double start_s,
               double end_s) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -26,23 +27,13 @@ void feed_run(AdaptiveAlphaController& c, std::size_t n, double rt_ms, double st
         c.on_query_completed(util::SimTime::from_millis(rt_ms),
                              util::SimTime::from_seconds(t));
     }
+    c.close_run(util::SimTime::from_seconds(end_s));
 }
 
 TEST(AdaptiveAlpha, StartsAtInitial) {
     AdaptiveAlphaController c(config());
     EXPECT_DOUBLE_EQ(c.alpha(), 0.5);
     EXPECT_EQ(c.runs(), 0u);
-}
-
-TEST(AdaptiveAlpha, RunBoundaryEveryRunLengthCompletions) {
-    AdaptiveAlphaController c(config(3));
-    EXPECT_FALSE(c.on_query_completed(util::SimTime::from_millis(1),
-                                      util::SimTime::from_seconds(1)));
-    EXPECT_FALSE(c.on_query_completed(util::SimTime::from_millis(1),
-                                      util::SimTime::from_seconds(2)));
-    EXPECT_TRUE(c.on_query_completed(util::SimTime::from_millis(1),
-                                     util::SimTime::from_seconds(3)));
-    EXPECT_EQ(c.runs(), 1u);
 }
 
 TEST(AdaptiveAlpha, FirstRunOnlyPrimes) {
@@ -123,7 +114,7 @@ TEST(AdaptiveAlpha, ExplorationReversesAtBounds) {
 
 TEST(AdaptiveAlpha, EwmaSmoothsRatioSwings) {
     // With smoothing 0.2, one noisy run barely moves the smoothed ratios.
-    AdaptiveAlphaConfig cfg = config(4, 0.2);
+    AdaptiveAlphaConfig cfg = config(0.2);
     AdaptiveAlphaController c(cfg);
     feed_run(c, 4, 100.0, 0.0, 10.0);
     feed_run(c, 4, 200.0, 10.0, 20.0);  // raw rt ratio 2, smoothed much less

@@ -63,9 +63,7 @@ TEST(AtomStore, LayoutMatchesSortedKeyOracle) {
         const std::map<AtomKey, std::uint64_t> oracle = layout_oracle(spec.grid);
         const std::uint64_t bytes = spec.grid.atom_bytes();
         AtomStore store(spec);
-        DiskSpec disk = spec.disk;
-        disk.capacity_bytes = oracle.size() * bytes;
-        DiskModel reference(disk);
+        DiskModel reference(spec.disk, oracle.size() * bytes);
 
         // Every atom in key order, then the same atoms shuffled, priced by
         // the store and by a disk fed the oracle's offsets. In key order each

@@ -15,9 +15,11 @@ DiskSpec spec() {
     s.settle_ms = 1.0;
     s.seek_full_stroke_ms = 14.0;
     s.transfer_mb_per_s = 100.0;  // 1 MB = 10 ms
-    s.capacity_bytes = 100ULL << 20;
     return s;
 }
+
+/// Capacity of every test disk: a full-stroke seek crosses 100 MiB.
+constexpr std::uint64_t kCapacity = 100ULL << 20;
 
 // Pure transfer time of `bytes` under spec(): bytes / (100 MB/s), in ms.
 double transfer_ms(std::uint64_t bytes) {
@@ -25,20 +27,20 @@ double transfer_ms(std::uint64_t bytes) {
 }
 
 TEST(DiskModel, SequentialReadPaysNoSeek) {
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     disk.read(0, 1 << 20);  // head now at 1 MiB
     const util::SimTime cost = disk.read(1 << 20, 1 << 20);
     EXPECT_NEAR(cost.millis(), transfer_ms(1 << 20), 2e-3);  // SimTime quantises to us
 }
 
 TEST(DiskModel, FirstReadAtNonZeroOffsetSeeks) {
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     const util::SimTime cost = disk.read(10 << 20, 1 << 20);
     EXPECT_GT(cost.millis(), transfer_ms(1 << 20) + 0.9);
 }
 
 TEST(DiskModel, SeekGrowsWithDistance) {
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     disk.read(0, 1);  // park the head near 0
     const double near = disk.peek_cost(1 << 20, 1 << 20).millis();
     const double far = disk.peek_cost(90ULL << 20, 1 << 20).millis();
@@ -46,7 +48,7 @@ TEST(DiskModel, SeekGrowsWithDistance) {
 }
 
 TEST(DiskModel, FullStrokeBounded) {
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     disk.read(0, 1);
     const double cost = disk.peek_cost(100ULL << 20, 1 << 20).millis();
     // settle + full stroke + transfer.
@@ -54,15 +56,15 @@ TEST(DiskModel, FullStrokeBounded) {
 }
 
 TEST(DiskModel, TransferProportionalToBytes) {
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     const double one = disk.read(0, 1 << 20).millis();
-    DiskModel disk2(spec());
+    DiskModel disk2(spec(), kCapacity);
     const double four = disk2.read(0, 4 << 20).millis();
     EXPECT_NEAR(four, 4.0 * one, 5e-3);
 }
 
 TEST(DiskModel, PeekDoesNotMoveHead) {
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     disk.read(0, 1 << 20);
     const double peeked = disk.peek_cost(50ULL << 20, 1 << 20).millis();
     EXPECT_DOUBLE_EQ(disk.peek_cost(50ULL << 20, 1 << 20).millis(), peeked);
@@ -70,14 +72,14 @@ TEST(DiskModel, PeekDoesNotMoveHead) {
 }
 
 TEST(DiskModel, PeekMatchesRead) {
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     disk.read(0, 1 << 20);
     const double peeked = disk.peek_cost(7 << 20, 2 << 20).millis();
     EXPECT_DOUBLE_EQ(disk.read(7 << 20, 2 << 20).millis(), peeked);
 }
 
 TEST(DiskModel, StatsAccounting) {
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     disk.read(0, 1 << 20);
     disk.read(1 << 20, 1 << 20);  // sequential
     disk.read(50 << 20, 1 << 20);
@@ -92,7 +94,7 @@ TEST(DiskModel, StatsAccounting) {
 }
 
 TEST(DiskModel, ChargeDelayIsDisjointFromServiceTime) {
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     disk.read(0, 1 << 20);
     const util::SimTime service = disk.stats().service_time;
     disk.charge_delay(util::SimTime::from_millis(80.0));
@@ -103,7 +105,7 @@ TEST(DiskModel, ChargeDelayIsDisjointFromServiceTime) {
 }
 
 TEST(DiskModel, ChannelsKeepIndependentHeads) {
-    DiskModel disk(spec(), /*channels=*/2);
+    DiskModel disk(spec(), kCapacity, /*channels=*/2);
     disk.read(0, 1 << 20, util::ChannelIndex{0});  // channel 0 head at 1 MiB
     // Channel 1's head is still parked at 0: the same sequential-continuation
     // read is cheap on channel 0 but pays a seek on channel 1.
@@ -114,13 +116,13 @@ TEST(DiskModel, ChannelsKeepIndependentHeads) {
 }
 
 TEST(DiskModel, ChannelOutOfRangeThrows) {
-    DiskModel disk(spec(), /*channels=*/2);
+    DiskModel disk(spec(), kCapacity, /*channels=*/2);
     EXPECT_THROW(disk.read(0, 1 << 20, util::ChannelIndex{2}), std::out_of_range);
     EXPECT_THROW(disk.peek_cost(0, 1 << 20, util::ChannelIndex{7}), std::out_of_range);
 }
 
 TEST(DiskModel, CancelTailRefundsUnrenderedServiceTime) {
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     const util::SimTime cost = disk.read(0, 4 << 20);
     const util::SimTime tail{cost.micros / 2};
     disk.cancel_tail(tail);
@@ -134,7 +136,7 @@ TEST(DiskModel, CancelTailClampsOverCancelToZero) {
     // A tail larger than the service time charged so far (e.g. a refund of
     // injected delay mistakenly routed here) must clamp at zero, never drive
     // the aggregate negative.
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     const util::SimTime cost = disk.read(0, 1 << 20);
     disk.cancel_tail(cost + util::SimTime::from_millis(999.0));
     EXPECT_EQ(disk.stats().service_time.micros, 0);
@@ -142,7 +144,7 @@ TEST(DiskModel, CancelTailClampsOverCancelToZero) {
 }
 
 TEST(DiskModel, CancelTailWithZeroServiceIsANoOpOnTheLedger) {
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     disk.cancel_tail(util::SimTime::zero());
     EXPECT_EQ(disk.stats().service_time.micros, 0);
     EXPECT_EQ(disk.stats().aborted_requests, 1u);  // the abort itself counts
@@ -152,7 +154,7 @@ TEST(DiskModel, MixedCancelsKeepServiceAndFaultLedgersDisjoint) {
     // A read carrying injected delay is cancelled mid-stall: the fault part
     // goes back through refund_delay, the service tail through cancel_tail,
     // and neither ledger bleeds into the other.
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     const util::SimTime service = disk.read(0, 1 << 20);
     const auto injected = util::SimTime::from_millis(500.0);
     disk.charge_delay(injected);
@@ -176,10 +178,10 @@ TEST(DiskModel, MixedCancelsKeepServiceAndFaultLedgersDisjoint) {
 // --------------------------------------------------------------------------
 
 TEST(DiskModel, HeavyTailOffIsIndistinguishableFromBaseline) {
-    DiskModel plain(spec());
+    DiskModel plain(spec(), kCapacity);
     DiskSpec with_field = spec();
     with_field.heavy_tail = HeavyTailSpec{};  // rate 0 = disabled
-    DiskModel gated(with_field);
+    DiskModel gated(with_field, kCapacity);
     for (int i = 0; i < 32; ++i) {
         const auto off = static_cast<std::uint64_t>(i) * (1 << 20);
         EXPECT_EQ(plain.read(off, 1 << 20).micros, gated.read(off, 1 << 20).micros);
@@ -194,7 +196,7 @@ TEST(DiskModel, HeavyTailDrawsInflateSomeReadsDeterministically) {
     s.heavy_tail.lognormal_mu = 2.0;
     s.heavy_tail.seed = 42;
     const auto run = [&s] {
-        DiskModel disk(s);
+        DiskModel disk(s, kCapacity);
         std::vector<std::int64_t> costs;
         for (int i = 0; i < 64; ++i)
             costs.push_back(disk.read(static_cast<std::uint64_t>(i) * (1 << 20),
@@ -212,20 +214,21 @@ TEST(DiskModel, HeavyTailDrawsInflateSomeReadsDeterministically) {
 TEST(DiskModel, HeavyTailSlowReadsExceedPeekCost) {
     DiskSpec s = spec();
     s.heavy_tail.rate = 1.0;  // every read straggles
-    s.heavy_tail.pareto = true;
-    s.heavy_tail.pareto_min = 2.0;
-    DiskModel disk(s);
+    s.heavy_tail.lognormal_mu = 3.0;
+    s.heavy_tail.lognormal_sigma = 0.25;
+    DiskModel disk(s, kCapacity);
     const util::SimTime peek = disk.peek_cost(0, 1 << 20);
     const util::SimTime paid = disk.read(0, 1 << 20);
-    // Pareto multipliers are >= pareto_min, so the straggler at least
-    // doubles the straggler-free price peek_cost() quotes.
+    // Box-Muller over 53-bit uniforms keeps |z| <= sqrt(2 * 53 * ln 2) ~ 8.58,
+    // so every multiplier is at least exp(3 - 0.25 * 8.58) ~ 2.35: the
+    // straggler at least doubles the straggler-free price peek_cost() quotes.
     EXPECT_GE(paid.micros, 2 * peek.micros);
     EXPECT_EQ(disk.stats().slow_draws, 1u);
     EXPECT_EQ(disk.stats().slow_service_extra.micros, (paid - peek).micros);
 }
 
 TEST(DiskModel, ResetStatsKeepsHead) {
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     disk.read(0, 1 << 20);
     disk.reset_stats();
     EXPECT_EQ(disk.stats().requests, 0u);
@@ -240,7 +243,7 @@ TEST(DiskModel, ResetStatsKeepsHead) {
 // --------------------------------------------------------------------------
 
 TEST(DiskModel, NegativeCancelTailCannotInflateServiceTime) {
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     const std::int64_t charged = disk.read(0, 1 << 20).micros;
     disk.cancel_tail(util::SimTime::from_micros(-100'000));
     EXPECT_EQ(disk.stats().service_time.micros, charged);
@@ -250,7 +253,7 @@ TEST(DiskModel, OverRefundAfterNegativeCancelClampsAtZero) {
     // The regression-negative-refund corpus input: a negative cancel must
     // not bank credit that a later over-sized cancel could turn into a
     // negative ledger.
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     disk.cancel_tail(util::SimTime::from_micros(-100'000));  // ignored
     disk.refund_delay(util::SimTime::zero());                // no-op
     disk.cancel_tail(util::SimTime::from_micros(200'000));   // > ever charged
@@ -258,7 +261,7 @@ TEST(DiskModel, OverRefundAfterNegativeCancelClampsAtZero) {
 }
 
 TEST(DiskModel, NegativeAndOverSizedDelayRefundsClampOnTheFaultLedger) {
-    DiskModel disk(spec());
+    DiskModel disk(spec(), kCapacity);
     disk.charge_delay(util::SimTime::from_micros(-50));  // ignored
     EXPECT_EQ(disk.stats().fault_delay.micros, 0);
     disk.charge_delay(util::SimTime::from_micros(70));
@@ -269,23 +272,25 @@ TEST(DiskModel, NegativeAndOverSizedDelayRefundsClampOnTheFaultLedger) {
 }
 
 TEST(DiskModel, ExtremeParetoTailSaturatesInsteadOfOverflowing) {
-    // pareto_alpha at its legal floor draws astronomically large (even
-    // infinite) multipliers; the model caps the straggler factor at 1e6 so
-    // every read cost stays a finite, non-negative count of microseconds
-    // and the service ledger cannot overflow within a run.
+    // A legal but extreme lognormal (mu = 1000, so exp() overflows to
+    // infinity for every z) draws unbounded multipliers; the model caps the
+    // straggler factor at 1e6 so every read cost stays a finite,
+    // non-negative count of microseconds and the service ledger cannot
+    // overflow within a run. (The name predates the lognormal-only tail.)
     DiskSpec s = spec();
     s.heavy_tail.rate = 1.0;
-    s.heavy_tail.pareto = true;
-    s.heavy_tail.pareto_alpha = 0.05;
-    s.heavy_tail.pareto_min = 1.0;
-    DiskModel disk(s);
+    s.heavy_tail.lognormal_mu = 1000.0;
+    s.heavy_tail.lognormal_sigma = 3.0;
+    DiskModel disk(s, kCapacity);
     for (int i = 0; i < 256; ++i) {
         // peek_cost tracks the head, so the bound is per-read.
         const std::int64_t base = disk.peek_cost(0, 1 << 20).micros;
         const std::int64_t cost = disk.read(0, 1 << 20).micros;
         EXPECT_GE(cost, 0);
         EXPECT_LE(cost, base * 1'000'000 + 1);  // the 1e6 multiplier cap
+        EXPECT_GE(cost, base * 999'999);        // ... and every draw reaches it
     }
+    EXPECT_EQ(disk.stats().slow_draws, 256u);
     EXPECT_GE(disk.stats().service_time.micros, 0);
 }
 

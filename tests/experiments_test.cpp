@@ -49,9 +49,12 @@ TEST(Experiments, Fig10ReportsIdenticalAtOneAndFourThreads) {
 TEST(Experiments, ParseJobsAcceptsOnlyAFullyConsumedPositiveInteger) {
     EXPECT_EQ(parse_jobs("1"), 1u);
     EXPECT_EQ(parse_jobs("400"), 400u);
-    EXPECT_EQ(parse_jobs("18446744073709551615"), std::size_t{18446744073709551615ULL});
+    static_assert(workload::WorkloadSpec::kMaxJobs == 100'000);
+    EXPECT_EQ(parse_jobs("100000"), workload::WorkloadSpec::kMaxJobs);
+    // Above the bound a trace would not fit in memory: the largest
+    // std::size_t used to pass here and abort in vector::reserve.
     for (const char* bad : {"", "0", "abc", "-5", "+5", " 5", "5 ", "12x", "1e3", "0x10",
-                            "18446744073709551616"})
+                            "100001", "18446744073709551615", "18446744073709551616"})
         EXPECT_FALSE(parse_jobs(bad).has_value()) << '"' << bad << '"';
 }
 
@@ -63,10 +66,12 @@ TEST(Experiments, JobsFromArgsFallsBackReadsEnvAndRejectsGarbage) {
     char twelve[] = "12";
     char garbage[] = "abc";
     char negative[] = "-5";
+    char huge[] = "18446744073709551615";
     char* none[] = {program, nullptr};
     char* good[] = {program, twelve, nullptr};
     char* bad[] = {program, garbage, nullptr};
     char* wrapped[] = {program, negative, nullptr};
+    char* oversized[] = {program, huge, nullptr};
 
     unsetenv("JAWS_BENCH_JOBS");
     EXPECT_EQ(jobs_from_args(1, none, 200), 200u);
@@ -78,6 +83,7 @@ TEST(Experiments, JobsFromArgsFallsBackReadsEnvAndRejectsGarbage) {
 
     EXPECT_EXIT(jobs_from_args(2, bad, 200), testing::ExitedWithCode(2), "usage");
     EXPECT_EXIT(jobs_from_args(2, wrapped, 200), testing::ExitedWithCode(2), "usage");
+    EXPECT_EXIT(jobs_from_args(2, oversized, 200), testing::ExitedWithCode(2), "usage");
     EXPECT_EXIT(
         {
             setenv("JAWS_BENCH_JOBS", "12x", 1);

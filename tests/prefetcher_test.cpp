@@ -22,7 +22,6 @@ std::vector<workload::AtomRequest> footprint_at(std::uint32_t step,
 PrefetchConfig config() {
     PrefetchConfig c;
     c.enabled = true;
-    c.min_history = 2;
     return c;
 }
 
@@ -75,11 +74,11 @@ TEST(Prefetcher, WrapsOnTorus) {
 }
 
 TEST(Prefetcher, ErraticJobsNotPredicted) {
-    PrefetchConfig c = config();
-    c.max_centroid_jump = 0.1;  // 1.6 atoms at 16 per side
-    TrajectoryPrefetcher p(c, 16);
+    TrajectoryPrefetcher p(config(), 16);
     p.observe(1, 0, 0, footprint_at(0, {{0, 0, 0}}));
-    p.observe(1, 1, 0, footprint_at(0, {{7, 7, 7}}));  // jumped across the box
+    // Jumped across the box: 7 * sqrt(3) / 16 ~ 0.76 of the torus in one
+    // step, above the 0.25 cap.
+    p.observe(1, 1, 0, footprint_at(0, {{7, 7, 7}}));
     EXPECT_TRUE(p.predict(1).empty());
 }
 

@@ -152,11 +152,11 @@ std::string disk_ledger_conservation(Gen& g) {
     spec.seek_full_stroke_ms = g.in_real(0.0, 20.0);
     spec.transfer_mb_per_s = g.in_real(0.5, 500.0);
     spec.heavy_tail.rate = g.boolean() ? g.unit() : 0.0;
-    spec.heavy_tail.pareto = g.boolean();
-    spec.heavy_tail.pareto_alpha = g.in_real(0.05, 4.0);
-    spec.heavy_tail.pareto_min = g.in_real(1.0, 8.0);
+    // exp(mu) passes the 1e6 multiplier cap (~e^13.8) well inside this range.
+    spec.heavy_tail.lognormal_mu = g.in_real(-2.0, 20.0);
+    spec.heavy_tail.lognormal_sigma = g.in_real(0.0, 4.0);
     spec.heavy_tail.seed = g.u64();
-    storage::DiskModel disk(spec);
+    storage::DiskModel disk(spec, 1ULL << 40);
 
     std::int64_t rendered = 0;   // sum of read() costs
     std::int64_t refunded = 0;   // cancel_tail refunds actually applied

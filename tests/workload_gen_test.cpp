@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -156,6 +157,24 @@ TEST(Generator, RejectsSpecsItCannotHonour) {
     pinned.min_positions = pinned.max_positions = 500;  // equal bounds pin every count
     for (const auto& job : generate_workload(pinned, fixture().grid, fixture().field).jobs)
         for (const auto& q : job.queries) ASSERT_EQ(q.total_positions(), 500u);
+}
+
+TEST(Generator, RejectsJobCountsAboveTheBound) {
+    // validate() runs before generate_workload allocates, so the oversized
+    // counts below are rejected without building anything.
+    WorkloadSpec spec;
+    spec.jobs = WorkloadSpec::kMaxJobs;
+    EXPECT_NO_THROW(spec.validate());
+    for (const std::size_t jobs :
+         {WorkloadSpec::kMaxJobs + 1, std::numeric_limits<std::size_t>::max()}) {
+        spec.jobs = jobs;
+        try {
+            generate_workload(spec, fixture().grid, fixture().field);
+            ADD_FAILURE() << "accepted " << jobs << " jobs";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("jobs"), std::string::npos) << e.what();
+        }
+    }
 }
 
 TEST(Generator, OrderedJobsAdjacentStepsDifferByAtMostOne) {

@@ -190,6 +190,26 @@ TEST(WorkloadManager, AgedStepSelectionPrefersOldWorkAtHighAlpha) {
     EXPECT_EQ(batch.front().timestep, 0u);
 }
 
+TEST(WorkloadManager, AuditToleratesTheResidueOfRemovedUtilities) {
+    // A step's running utility sum keeps the rounding residue of values it
+    // has since dropped. With T_m = 1e-8 ms a resident atom's utility is
+    // ~1e8 (ulp 1.5e-8), so one flip and drain leaves a 0.04 sum 6.6e-9 off
+    // its re-derived value, six times a 1e-9 relative tolerance: the state
+    // LifeRaft_2 reached on the 400-job Fig. 10 trace after 211 615 updates
+    // at default costs.
+    CostConstants c = cost();
+    c.t_m_ms = 1e-8;
+    FakeProbe probe;
+    WorkloadManager m(c, &probe, 0.0);
+    m.enqueue(sub(1, atom(0, 0), 1));
+    m.enqueue(sub(2, atom(0, 1), 1));
+    probe.cached.insert(atom(0, 1));
+    m.on_residency_changed(atom(0, 1));
+    EXPECT_GT(m.atom_utility(atom(0, 1)), 9e7);
+    m.drain_atom(atom(0, 1));
+    EXPECT_TRUE(m.audit());
+}
+
 TEST(WorkloadManager, OldestTimeTracksFirstEnqueue) {
     WorkloadManager m(cost(), nullptr, 1.0);
     // Enqueue times never fall within one atom's queue (preprocess stamps
