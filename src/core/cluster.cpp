@@ -69,34 +69,64 @@ util::NodeIndex TurbulenceCluster::node_of(std::uint64_t morton,
     return util::NodeIndex{static_cast<std::uint32_t>(idx)};
 }
 
+namespace {
+/// `q` without its footprint and positions: the start of a cluster part,
+/// which fills in its own share of both.
+workload::Query empty_part(const workload::Query& q) {
+    workload::Query part;
+    part.id = q.id;
+    part.job = q.job;
+    part.seq_in_job = q.seq_in_job;
+    part.user = q.user;
+    part.timestep = q.timestep;
+    part.kind = q.kind;
+    part.order = q.order;
+    part.think_time = q.think_time;
+    return part;
+}
+}  // namespace
+
 std::vector<workload::Job> TurbulenceCluster::project(const workload::Job& job) const {
     const std::uint64_t aps = config_.node.grid.atoms_per_step();
-    std::vector<workload::Job> projected(config_.nodes);
-    for (std::size_t n = 0; n < config_.nodes; ++n) {
-        projected[n].id = job.id;
-        projected[n].user = job.user;
-        projected[n].type = job.type;
-        projected[n].arrival = job.arrival;
+    const std::size_t nodes = config_.nodes;
+    const auto owner = [&](std::uint64_t morton) { return node_of(morton, aps, nodes).value(); };
+    std::vector<workload::Job> projected(nodes);
+    for (workload::Job& part : projected) {
+        part.id = job.id;
+        part.user = job.user;
+        part.type = job.type;
+        part.arrival = job.arrival;
     }
-    for (const auto& q : job.queries) {
-        // Split the footprint by owning node.
-        std::vector<std::vector<workload::AtomRequest>> split(config_.nodes);
-        for (const auto& req : q.footprint)
-            split[node_of(req.atom.morton, aps, config_.nodes).value()].push_back(req);
-        for (std::size_t n = 0; n < config_.nodes; ++n) {
-            if (split[n].empty()) continue;
-            workload::Query part = q;
-            part.footprint = std::move(split[n]);
-            // Positions follow their owning node (materialised runs
-            // evaluate them there); descriptor-only queries carry none.
-            part.positions.clear();
-            for (const auto& p : q.positions)
-                if (node_of(config_.node.grid.atom_morton_of(p), aps,
-                            config_.nodes).value() == n)
-                    part.positions.push_back(p);
-            part.seq_in_job = static_cast<std::uint32_t>(projected[n].queries.size());
-            projected[n].queries.push_back(std::move(part));
+    // Each node's share of the current query: footprint entries, positions,
+    // and the owner of each position.
+    std::vector<std::size_t> entries(nodes);
+    std::vector<std::size_t> points(nodes);
+    std::vector<std::uint32_t> point_owner;
+    for (const workload::Query& q : job.queries) {
+        // Count each share first, so each part's vectors are allocated once,
+        // at their exact size.
+        std::fill(entries.begin(), entries.end(), 0);
+        std::fill(points.begin(), points.end(), 0);
+        for (const workload::AtomRequest& req : q.footprint) ++entries[owner(req.atom.morton)];
+        // Positions follow their owning node (materialised runs evaluate
+        // them there); descriptor-only queries carry none.
+        point_owner.clear();
+        for (const field::Vec3& p : q.positions) {
+            point_owner.push_back(owner(config_.node.grid.atom_morton_of(p)));
+            ++points[point_owner.back()];
         }
+        for (std::size_t n = 0; n < nodes; ++n) {
+            if (entries[n] == 0) continue;
+            workload::Query& part = projected[n].queries.emplace_back(empty_part(q));
+            part.seq_in_job = static_cast<std::uint32_t>(projected[n].queries.size() - 1);
+            part.footprint.reserve(entries[n]);
+            part.positions.reserve(points[n]);
+        }
+        for (const workload::AtomRequest& req : q.footprint)
+            projected[owner(req.atom.morton)].queries.back().footprint.push_back(req);
+        for (std::size_t i = 0; i < q.positions.size(); ++i)
+            if (entries[point_owner[i]] != 0)  // a node with no atom of q gets no part
+                projected[point_owner[i]].queries.back().positions.push_back(q.positions[i]);
     }
     return projected;
 }
@@ -538,6 +568,7 @@ class UnifiedKernel final : public storage::ReplicaRouter {
 }  // namespace
 
 ClusterReport TurbulenceCluster::run(const workload::Workload& workload) const {
+    require_arrival_order(workload, "TurbulenceCluster::run");
     return UnifiedKernel(*this, config_).run(workload);
 }
 

@@ -135,7 +135,8 @@ class TurbulenceCluster {
     /// node are dropped and the job re-sequenced). Exposed for tests.
     std::vector<workload::Workload> partition(const workload::Workload& workload) const;
 
-    /// Execute `workload` on the shared event kernel and aggregate.
+    /// Execute `workload` (jobs sorted by arrival, see require_arrival_order)
+    /// on the shared event kernel and aggregate.
     ClusterReport run(const workload::Workload& workload) const;
 
   private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -175,6 +176,21 @@ void Engine::require_kernel_fit(const workload::Job& job) const {
                 " <= grid.ghost (" + std::to_string(config_.grid.ghost) +
                 ") when materialize_data is set");
 }
+
+namespace {
+/// Every footprint entry must count at most workload::kMaxAtomPositions
+/// positions, the most a sub-query holds. Throws std::invalid_argument
+/// naming the query otherwise.
+void require_counts_fit(const workload::Job& job) {
+    for (const workload::Query& q : job.queries)
+        for (const workload::AtomRequest& req : q.footprint)
+            if (req.positions > workload::kMaxAtomPositions)
+                throw std::invalid_argument(
+                    "Engine: query " + std::to_string(q.id) + " puts " +
+                    std::to_string(req.positions) + " positions in one atom; a sub-query "
+                    "counts at most " + std::to_string(workload::kMaxAtomPositions));
+}
+}  // namespace
 
 void Engine::submit_job(const workload::Job& job) {
     scheduler_->on_job_submitted(job);
@@ -955,6 +971,7 @@ void Engine::begin(util::SimTime origin, util::SimTime halt_at) {
 
 void Engine::inject_job(const workload::Job& job) {
     require_kernel_fit(job);
+    require_counts_fit(job);
     if (!clock_started_) start_clock(events_.now());
     ++report_.jobs;
     expected_ += job.queries.size();
@@ -962,7 +979,22 @@ void Engine::inject_job(const workload::Job& job) {
     if (!halted_ && !batch_.active) ensure_dispatch();
 }
 
+void require_arrival_order(const workload::Workload& workload, const char* who) {
+    const auto later = std::ranges::adjacent_find(
+        workload.jobs, [](const workload::Job& a, const workload::Job& b) {
+            return b.arrival < a.arrival;
+        });
+    if (later == workload.jobs.end()) return;
+    const workload::Job& next = *std::next(later);
+    throw std::invalid_argument(
+        std::string(who) + ": job " + std::to_string(next.id) + " arrives at " +
+        util::to_string(next.arrival) + ", before job " + std::to_string(later->id) +
+        " listed ahead of it at " + util::to_string(later->arrival) +
+        "; jobs must be sorted by arrival");
+}
+
 RunReport Engine::run(const workload::Workload& workload) {
+    require_arrival_order(workload, "Engine::run");
     const util::SimTime start =
         workload.jobs.empty() ? util::SimTime::zero() : workload.jobs.front().arrival;
     begin(start, util::SimTime::max());

@@ -72,6 +72,12 @@
 
 namespace jaws::core {
 
+/// Runs schedule each job's arrival when they start, and a past instant would
+/// fire at once, so a job listed after a later one would arrive late. Throws
+/// std::invalid_argument, prefixed with `who`, naming the first job that
+/// arrives before its predecessor; equal arrivals are in order.
+void require_arrival_order(const workload::Workload& workload, const char* who);
+
 /// Single-node engine.
 class Engine {
   public:
@@ -100,7 +106,8 @@ class Engine {
     /// report: begin() at the first arrival with no halt, one arrival event
     /// per job calling inject_job(), then finish() once every query has
     /// completed. The workload must have jobs sorted by arrival time (the
-    /// generator guarantees it). May be called once per engine.
+    /// generator guarantees it); see require_arrival_order. May be called
+    /// once per engine.
     RunReport run(const workload::Workload& workload);
 
     // --- lifecycle (run() and the unified cluster kernel) -----------------

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <optional>
 
+#include "util/contracts.h"
 #include "util/morton.h"
 
 namespace jaws::sched {
@@ -27,10 +28,12 @@ std::size_t lower_bound_morton(const workload::AtomRequest* first, std::size_t n
 void preprocess(const workload::Query& query, util::SimTime now, std::vector<SubQuery>& out) {
     const std::size_t base = out.size();
     for (const auto& req : query.footprint) {
+        JAWS_INVARIANT(req.positions <= workload::kMaxAtomPositions,
+                       "preprocess: footprint entry holds more positions than a sub-query counts");
         SubQuery& sub = out.emplace_back();
         sub.query = query.id;
         sub.atom = req.atom;
-        sub.positions = req.positions;
+        sub.positions = static_cast<std::uint32_t>(req.positions);
         sub.enqueue_time = now;
     }
 

@@ -101,21 +101,24 @@ inline SupportCodes support_codes(const storage::AtomId& atom, Supports supports
 /// two-level framework) therefore avoid redundant peripheral reads that
 /// single-atom contention chasing pays repeatedly.
 ///
-/// Every split, enqueue, queue block, drain and batch copies sub-queries, so
-/// the record is kept small: the supports are a one-byte mask, not a list of
-/// codes.
+/// Every split, enqueue, drain and batch copies sub-queries, so the record
+/// is kept small: the supports are a one-byte mask, not a list of codes, and
+/// the position count is 32 bits (admission rejects larger footprint
+/// entries).
 struct SubQuery {
     workload::QueryId query = 0;
     storage::AtomId atom;
-    std::uint64_t positions = 0;
+    std::uint32_t positions = 0;
+    Supports supports;  ///< Kernel-support face neighbours.
     util::SimTime enqueue_time;  ///< When it entered the workload queue (for E(i)).
     /// Completion-time guarantee of the owning query (QoS mode, paper
     /// Sec. VII); INT64_MAX when no guarantee was requested.
     util::SimTime deadline{INT64_MAX};
-    Supports supports;  ///< Kernel-support face neighbours.
 };
-static_assert(sizeof(SubQuery) <= 56, "SubQuery is copied on every hot-path hop: keep it small");
+static_assert(sizeof(SubQuery) == 48, "SubQuery is copied on every hot-path hop: keep it small");
 static_assert(std::is_trivially_copyable_v<SubQuery>);
+static_assert(workload::kMaxAtomPositions ==
+              std::numeric_limits<decltype(SubQuery::positions)>::max());
 
 /// Split `query` into per-atom sub-queries stamped with `now`, appended to
 /// `out` (a buffer the caller reuses, so splitting allocates nothing once it
@@ -124,7 +127,8 @@ static_assert(std::is_trivially_copyable_v<SubQuery>);
 /// evaluation property. Each sub-query's supports are the face-neighbour
 /// atoms of its atom that also carry positions of this query: the kernel
 /// window of a contiguous position cloud spills exactly into the adjacent
-/// occupied atoms.
+/// occupied atoms. Every footprint entry must hold at most
+/// workload::kMaxAtomPositions positions.
 void preprocess(const workload::Query& query, util::SimTime now, std::vector<SubQuery>& out);
 
 /// Value-returning form of preprocess (tests and benchmarks).

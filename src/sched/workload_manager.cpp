@@ -161,7 +161,8 @@ void WorkloadManager::enqueue(const SubQuery& sub) {
             slab_[q.tail].next = block;
         q.tail = block;
     }
-    slab_[q.tail].subs[fill] = sub;
+    slab_[q.tail].subs[fill] =
+        Pending{sub.query, sub.positions, sub.supports, sub.enqueue_time, sub.deadline};
     ++q.count;
     q.positions += sub.positions;
     total_positions_ += sub.positions;
@@ -180,11 +181,17 @@ void WorkloadManager::drain_atom(const storage::AtomId& atom, std::vector<SubQue
     index_erase(slot);
     if (q.min_deadline != util::SimTime::max())
         deadlines_.erase({q.min_deadline, atom.key()});
+    const std::size_t first = out.size();
+    out.resize(first + q.count);
+    SubQuery* to = out.data() + first;
     std::size_t left = q.count;
     for (std::uint32_t block = q.head; block != kNil;) {
         const Block& b = slab_[block];
         const std::size_t n = std::min(left, kBlockSubqueries);
-        out.insert(out.end(), b.subs.begin(), b.subs.begin() + static_cast<std::ptrdiff_t>(n));
+        for (std::size_t i = 0; i < n; ++i, ++to) {
+            const Pending& p = b.subs[i];
+            *to = SubQuery{p.query, atom, p.positions, p.supports, p.enqueue_time, p.deadline};
+        }
         left -= n;
         slab_.release(block);  // keeps `b` intact for the read of its next
         block = b.next;
@@ -339,7 +346,10 @@ bool WorkloadManager::audit() const {
     std::size_t deadlined = 0;
     // Brute-force best of the ranking: the smallest (-key, atom key).
     std::optional<std::pair<double, storage::AtomKey>> best;
-    std::size_t blocks = 0;
+    // Records do not name their atom, so a block on two queue lists would
+    // lend its records to both: each block may be reached only once.
+    std::vector<bool> reached(slab_.slots(), false);
+    std::size_t blocks = 0;  // distinct blocks reached
     for (Slot slot = 0; slot < queues_.slots(); ++slot) {
         const AtomQueue& q = queues_[slot];
         if (!queues_.live(slot)) {
@@ -358,11 +368,18 @@ bool WorkloadManager::audit() const {
         std::size_t chain = 0;
         std::uint32_t last = kNil;
         for (std::uint32_t b = q.head; b != kNil && length < q.count; b = slab_[b].next) {
+            const bool in_use = JAWS_AUDIT_CHECK(
+                b < slab_.slots() && slab_.live(b),
+                "WorkloadManager: atom queue list runs into a free or unissued slab block");
+            ok &= in_use;
+            if (!in_use) break;
+            ok &= JAWS_AUDIT_CHECK(!reached[b],
+                                   "WorkloadManager: slab block reached twice (on two queue "
+                                   "lists, or a list loops)");
+            if (!reached[b]) ++blocks;
+            reached[b] = true;
             for (std::size_t i = 0; i < kBlockSubqueries && length < q.count; ++i, ++length) {
-                const SubQuery& sub = slab_[b].subs[i];
-                ok &= JAWS_AUDIT_CHECK(
-                    sub.atom == atom,
-                    "WorkloadManager: sub-query threaded into another atom's queue");
+                const Pending& sub = slab_[b].subs[i];
                 queue_positions += sub.positions;
                 oldest = std::min(oldest, sub.enqueue_time);
                 min_deadline = std::min(min_deadline, sub.deadline);
@@ -374,7 +391,6 @@ bool WorkloadManager::audit() const {
                                    chain == (q.count + kBlockSubqueries - 1) / kBlockSubqueries &&
                                    (last == kNil || slab_[last].next == kNil),
                                "WorkloadManager: atom queue list broken or miscounted");
-        blocks += chain;
         ok &= JAWS_AUDIT_CHECK(q.positions == queue_positions,
                                "WorkloadManager: per-atom position count out of sync");
         ok &= JAWS_AUDIT_CHECK(q.oldest == oldest,
@@ -416,9 +432,8 @@ bool WorkloadManager::audit() const {
                            "WorkloadManager: global position total out of sync");
     ok &= JAWS_AUDIT_CHECK(subqueries == total_subqueries_,
                            "WorkloadManager: global sub-query total out of sync");
-    // Slab: every block in use sits on exactly one queue list.
-    ok &= JAWS_AUDIT_CHECK(blocks == slab_.size(),
-                           "WorkloadManager: slab block leaked or shared between queues");
+    // Slab: every block in use sits on a queue list.
+    ok &= JAWS_AUDIT_CHECK(blocks == slab_.size(), "WorkloadManager: slab block leaked");
     if (!ranked_) {
         // No single-atom pick yet: nothing ranks the queues.
         ok &= JAWS_AUDIT_CHECK(ranking_.empty(),

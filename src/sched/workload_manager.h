@@ -18,11 +18,12 @@
 //
 // Pending sub-queries live in one slab of small fixed-size blocks, a
 // util::SlotPool. Each atom's workload queue is a FIFO list of blocks
-// threaded through the slab (head, tail, next). The queues themselves live
-// in a util::SlotMap keyed by the atom's clustered-index key; a drained
-// queue's slot is the next one a queue opens in, and the map nodes of
-// emptied steps are kept for reuse, so in steady state neither enqueue nor
-// drain allocates. The slab is shared by all atoms, so the memory held
+// threaded through the slab (head, tail, next). A block's records leave out
+// the atom, which the queue names, and a drain puts it back. The queues
+// themselves live in a util::SlotMap keyed by the atom's clustered-index
+// key; a drained queue's slot is the next one a queue opens in, and the map
+// nodes of emptied steps are kept for reuse, so in steady state neither
+// enqueue nor drain allocates. The slab is shared by all atoms, so the memory held
 // follows the peak of the total pending work (plus at most one partly
 // filled block per pending atom), not the sum of per-atom peaks.
 //
@@ -163,8 +164,9 @@ class WorkloadManager final : public cache::UtilityOracle {
 
     /// Exhaustive consistency check between the atom queues and the derived
     /// indexes (automatic at transitions in audit builds; callable from
-    /// tests): the queue map and the slab, per-queue
-    /// position/deadline caches, the cached phi against the probe, global
+    /// tests): the queue map and the slab (every block in use on exactly
+    /// one queue list, reached once), per-queue position, oldest-time and
+    /// deadline caches, the cached phi against the probe, global
     /// totals, the ranking heap (empty before the first pick_best_atom();
     /// after it one live entry per atom and a live top equal to the
     /// brute-force best), the per-step member lists and aggregates,
@@ -185,10 +187,20 @@ class WorkloadManager final : public cache::UtilityOracle {
     /// atom is slack.
     static constexpr std::size_t kBlockSubqueries = 4;
 
+    /// A pending sub-query as its queue holds it: every field of the
+    /// SubQuery but the atom, which is the queue's.
+    struct Pending {
+        workload::QueryId query = 0;
+        std::uint32_t positions = 0;
+        Supports supports;
+        util::SimTime enqueue_time;
+        util::SimTime deadline;
+    };
+    static_assert(sizeof(Pending) == 32, "the slab holds every pending sub-query: keep it small");
     /// A run of one atom queue's pending sub-queries and the queue's next
     /// block.
     struct Block {
-        std::array<SubQuery, kBlockSubqueries> subs;
+        std::array<Pending, kBlockSubqueries> subs;
         std::uint32_t next = kNil;
     };
 

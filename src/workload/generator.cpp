@@ -199,6 +199,9 @@ void WorkloadSpec::validate() const {
     if (min_positions > max_positions)
         fail("min_positions " + std::to_string(min_positions) + " exceeds max_positions " +
              std::to_string(max_positions));
+    if (max_positions > kMaxAtomPositions)
+        fail("max_positions " + std::to_string(max_positions) + " exceeds kMaxAtomPositions " +
+             std::to_string(kMaxAtomPositions));
     if (users == 0) fail("users must be positive");
     if (hotspots == 0 && hotspot_prob > 0.0)
         fail("hotspot_prob " + std::to_string(hotspot_prob) + " needs hotspots > 0");

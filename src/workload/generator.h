@@ -65,9 +65,10 @@ struct WorkloadSpec {
     double hotspot_prob = 0.9;            ///< Job anchors on a hotspot vs uniform.
 
     /// Reject specs no run can honour (more than kMaxJobs jobs,
-    /// min_positions above max_positions, no users, hotspot draws with no
-    /// hotspot) with a std::invalid_argument naming the fields. Called by
-    /// generate_workload before it allocates anything.
+    /// min_positions above max_positions, max_positions above
+    /// kMaxAtomPositions, no users, hotspot draws with no hotspot) with a
+    /// std::invalid_argument naming the fields. Called by generate_workload
+    /// before it allocates anything.
     void validate() const;
 };
 

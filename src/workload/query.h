@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "field/interpolation.h"
@@ -26,6 +27,11 @@ using UserId = std::uint32_t;
 
 /// Sentinel for "not part of any job".
 inline constexpr JobId kNoJob = ~JobId{0};
+
+/// The most positions one footprint entry may hold: the scheduler keeps a
+/// pending sub-query's count in 32 bits. Engine admission and
+/// WorkloadSpec::validate reject larger counts.
+inline constexpr std::uint64_t kMaxAtomPositions = std::numeric_limits<std::uint32_t>::max();
 
 /// One atom touched by a query, with the number of query positions inside it.
 struct AtomRequest {

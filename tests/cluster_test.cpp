@@ -1,6 +1,7 @@
 // Tests for the multi-node cluster facade (core/cluster.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -236,6 +237,120 @@ TEST(ClusterRun, MoreNodesFinishSooner) {
     // Four nodes each serve a quarter of the atoms: the slowest node's
     // makespan must not exceed the single node's.
     EXPECT_LE(r4.makespan.micros, r1.makespan.micros);
+}
+
+TEST(ClusterPartition, PartsAreExactSizeAndKeepTheQuery) {
+    // A hand-built two-query job: the first query touches all four nodes'
+    // ranges (128 atoms each), the second only nodes 0 and 3.
+    const ClusterConfig config = small_cluster(4);
+    const TurbulenceCluster cluster(config);
+    workload::Workload w;
+    workload::Job& job = w.jobs.emplace_back();
+    job.id = 9;
+    job.user = 4;
+    job.type = workload::JobType::kBatched;
+    job.arrival = util::SimTime::from_seconds(2.5);
+    const auto add_query = [&](workload::QueryId id, std::vector<std::uint64_t> codes) {
+        workload::Query& q = job.queries.emplace_back();
+        q.id = id;
+        q.job = job.id;
+        q.seq_in_job = static_cast<std::uint32_t>(job.queries.size() - 1);
+        q.user = job.user;
+        q.timestep = 3;
+        q.kind = storage::ComputeKind::kPressure;
+        q.order = field::InterpOrder::kLag8;
+        q.think_time = util::SimTime::from_millis(12.5);
+        for (const std::uint64_t code : codes)
+            q.footprint.push_back({storage::AtomId{q.timestep, code}, 2 + code % 5});
+    };
+    add_query(31, {5, 6, 127, 128, 200, 260, 300, 384, 511});
+    add_query(32, {0, 17, 400, 450});
+    workload::materialize_positions(w, config.node.grid, 5);
+    const std::uint64_t aps = config.node.grid.atoms_per_step();
+
+    const auto check = [&](const std::vector<const workload::Job*>& parts) {
+        ASSERT_EQ(parts.size(), 4u);
+        for (std::size_t qi = 0; qi < job.queries.size(); ++qi) {
+            const workload::Query& q = job.queries[qi];
+            std::vector<workload::AtomRequest> joined;
+            for (std::size_t n = 0; n < parts.size(); ++n) {
+                const auto part = std::find_if(
+                    parts[n]->queries.begin(), parts[n]->queries.end(),
+                    [&](const workload::Query& p) { return p.id == q.id; });
+                if (part == parts[n]->queries.end()) continue;
+                EXPECT_EQ(part->seq_in_job, part - parts[n]->queries.begin());
+                EXPECT_EQ(part->footprint.capacity(), part->footprint.size());
+                EXPECT_EQ(part->positions.capacity(), part->positions.size());
+                joined.insert(joined.end(), part->footprint.begin(), part->footprint.end());
+                // Positions follow their owner, in the query's order.
+                std::vector<field::Vec3> owned;
+                for (const field::Vec3& p : q.positions)
+                    if (TurbulenceCluster::node_of(config.node.grid.atom_morton_of(p), aps, 4)
+                            .value() == n)
+                        owned.push_back(p);
+                ASSERT_EQ(part->positions.size(), owned.size());
+                for (std::size_t i = 0; i < owned.size(); ++i) {
+                    EXPECT_EQ(part->positions[i].x, owned[i].x);
+                    EXPECT_EQ(part->positions[i].y, owned[i].y);
+                    EXPECT_EQ(part->positions[i].z, owned[i].z);
+                }
+                // Every other field is the query's.
+                EXPECT_EQ(part->job, q.job);
+                EXPECT_EQ(part->user, q.user);
+                EXPECT_EQ(part->timestep, q.timestep);
+                EXPECT_EQ(part->kind, q.kind);
+                EXPECT_EQ(part->order, q.order);
+                EXPECT_EQ(part->think_time, q.think_time);
+            }
+            ASSERT_EQ(joined.size(), q.footprint.size());
+            for (std::size_t i = 0; i < joined.size(); ++i) {
+                EXPECT_EQ(joined[i].atom, q.footprint[i].atom);
+                EXPECT_EQ(joined[i].positions, q.footprint[i].positions);
+            }
+        }
+        for (const workload::Job* part : parts) {
+            EXPECT_EQ(part->id, job.id);
+            EXPECT_EQ(part->user, job.user);
+            EXPECT_EQ(part->type, job.type);
+            EXPECT_EQ(part->arrival, job.arrival);
+        }
+        EXPECT_EQ(parts[0]->queries.size(), 2u);
+        EXPECT_EQ(parts[1]->queries.size(), 1u);
+        EXPECT_EQ(parts[2]->queries.size(), 1u);
+        EXPECT_EQ(parts[3]->queries.size(), 2u);
+    };
+    const std::vector<workload::Job> projected = cluster.project(job);
+    check({&projected[0], &projected[1], &projected[2], &projected[3]});
+    const std::vector<workload::Workload> partitioned = cluster.partition(w);
+    ASSERT_EQ(partitioned.size(), 4u);
+    std::vector<const workload::Job*> jobs;
+    for (const workload::Workload& part : partitioned) {
+        ASSERT_EQ(part.jobs.size(), 1u);
+        jobs.push_back(&part.jobs.front());
+    }
+    check(jobs);
+}
+
+TEST(ClusterRun, RejectsJobsOutOfArrivalOrder) {
+    const ClusterConfig config = small_cluster(4);
+    workload::Workload w = small_workload(config, 6);
+    std::reverse(w.jobs.begin(), w.jobs.end());
+    try {
+        TurbulenceCluster(config).run(w);
+        ADD_FAILURE() << "ran a workload whose jobs are out of arrival order";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("TurbulenceCluster::run: job " + std::to_string(w.jobs[1].id) +
+                            " arrives"),
+                  std::string::npos)
+            << what;
+    }
+    // Equal arrivals are in order.
+    std::reverse(w.jobs.begin(), w.jobs.end());
+    w.jobs[1].arrival = w.jobs[0].arrival;
+    std::size_t parts = 0;
+    for (const RunReport& r : TurbulenceCluster(config).run(w).per_node) parts += r.queries;
+    EXPECT_GT(parts, 0u);
 }
 
 }  // namespace

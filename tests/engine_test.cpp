@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "core/engine.h"
@@ -229,6 +231,58 @@ TEST(Engine, TimelineDisabledByDefault) {
     const workload::Workload w = small_workload(config, 10);
     Engine engine(config);
     EXPECT_TRUE(engine.run(w).timeline.empty());
+}
+
+/// The message of the std::invalid_argument `run` throws ("" if none).
+template <typename Run>
+std::string rejection(Run run) {
+    try {
+        run();
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Engine, RejectsJobsOutOfArrivalOrder) {
+    const EngineConfig config = small_config(SchedulerKind::kNoShare);
+    workload::Workload w = small_workload(config, 6, 7);
+    std::reverse(w.jobs.begin(), w.jobs.end());
+    const std::string what = rejection([&] { Engine(config).run(w); });
+    // The first job listed after a later one is the second of the reversed
+    // list.
+    EXPECT_NE(what.find("Engine::run: job " + std::to_string(w.jobs[1].id) + " arrives"),
+              std::string::npos)
+        << what;
+
+    // Equal arrivals are in order.
+    std::reverse(w.jobs.begin(), w.jobs.end());
+    w.jobs[1].arrival = w.jobs[0].arrival;
+    EXPECT_EQ(Engine(config).run(w).queries, w.total_queries());
+}
+
+TEST(Engine, RejectsFootprintEntriesBeyond32BitCounts) {
+    // One hand-built query whose single footprint entry claims the count;
+    // no position is materialised, so nothing large is allocated.
+    const EngineConfig config = small_config(SchedulerKind::kJaws);
+    const auto one_entry = [](std::uint64_t positions) {
+        workload::Workload w;
+        workload::Job& job = w.jobs.emplace_back();
+        job.id = 1;
+        workload::Query& q = job.queries.emplace_back();
+        q.id = 77;
+        q.job = job.id;
+        q.footprint.push_back({storage::AtomId{0, 3}, positions});
+        return w;
+    };
+    const std::string what =
+        rejection([&] { Engine(config).run(one_entry(workload::kMaxAtomPositions + 1)); });
+    EXPECT_NE(what.find("query 77"), std::string::npos) << what;
+
+    // The largest count a sub-query holds runs, and every position counts.
+    const RunReport report = Engine(config).run(one_entry(workload::kMaxAtomPositions));
+    EXPECT_EQ(report.queries, 1u);
+    EXPECT_EQ(report.positions, workload::kMaxAtomPositions);
 }
 
 }  // namespace

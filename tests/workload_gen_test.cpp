@@ -144,6 +144,9 @@ TEST(Generator, RejectsSpecsItCannotHonour) {
     inverted.min_positions = 500;
     inverted.max_positions = 100;
     expect_rejected(inverted, {"min_positions", "max_positions"});
+    WorkloadSpec huge = spec;
+    huge.max_positions = kMaxAtomPositions + 1;  // 2^32: a sub-query counts in 32 bits
+    expect_rejected(huge, {"max_positions"});
     WorkloadSpec no_users = spec;
     no_users.users = 0;
     expect_rejected(no_users, {"users"});
@@ -151,6 +154,8 @@ TEST(Generator, RejectsSpecsItCannotHonour) {
     no_hotspots.hotspots = 0;
     expect_rejected(no_hotspots, {"hotspot_prob", "hotspots"});
 
+    huge.max_positions = kMaxAtomPositions;
+    EXPECT_NO_THROW(huge.validate());
     no_hotspots.hotspot_prob = 0.0;  // no hotspot is ever drawn
     EXPECT_EQ(generate_workload(no_hotspots, fixture().grid, fixture().field).jobs.size(), 5u);
     WorkloadSpec pinned = spec;

@@ -2,7 +2,11 @@
 // selection and the URC oracle view (sched/workload_manager.h).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
+#include <map>
 #include <set>
+#include <vector>
 
 #include "sched/workload_manager.h"
 #include "util/morton.h"
@@ -226,6 +230,57 @@ TEST(WorkloadManager, OldestTimeTracksFirstEnqueue) {
     EXPECT_EQ(m.pick_best_atom()->morton, 2u);
     m.drain_atom(atom(0, 2));
     EXPECT_EQ(m.pick_best_atom()->morton, 1u);
+}
+
+TEST(WorkloadManager, DrainReturnsEveryEnqueuedFieldInEnqueueOrder) {
+    // Queue records leave out the atom their queue names; a drain must hand
+    // back every field as enqueued, the atom included. Five atoms over three
+    // steps, several blocks per queue, counts up to the 32-bit limit, every
+    // support mask, and deadlines on most sub-queries.
+    WorkloadManager m(cost(), nullptr, 0.5);
+    const std::array<storage::AtomId, 5> atoms = {atom(0, 1), atom(0, 9), atom(2, 1),
+                                                  atom(5, 63), atom(2, 40)};
+    std::map<storage::AtomId, std::vector<SubQuery>> expected;
+    const auto drain_and_check = [&](const storage::AtomId& a) {
+        const std::vector<SubQuery> got = m.drain_atom(a);
+        const std::vector<SubQuery>& want = expected[a];
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].query, want[i].query) << i;
+            EXPECT_EQ(got[i].atom, want[i].atom) << i;
+            EXPECT_EQ(got[i].positions, want[i].positions) << i;
+            for (unsigned axis = 0; axis < Supports::kMax; ++axis)
+                EXPECT_EQ(got[i].supports.has(axis), want[i].supports.has(axis)) << i;
+            EXPECT_EQ(got[i].enqueue_time, want[i].enqueue_time) << i;
+            EXPECT_EQ(got[i].deadline, want[i].deadline) << i;
+        }
+        expected.erase(a);
+        EXPECT_TRUE(m.audit());
+    };
+    workload::QueryId next = 1;
+    for (std::size_t step = 0; step < 3; ++step) {
+        for (std::size_t i = 0; i < 23; ++i) {
+            SubQuery s;
+            s.query = 7919 * next++;
+            s.atom = atoms[(3 * i + step) % atoms.size()];
+            s.positions = i % 4 == 0 ? std::numeric_limits<std::uint32_t>::max()
+                                     : static_cast<std::uint32_t>(1 + 1013 * i);
+            for (unsigned axis = 0; axis < Supports::kMax; ++axis)
+                if (((i + step) >> axis) & 1u) s.supports.add(axis);
+            s.enqueue_time = util::SimTime::from_millis(100.0 * static_cast<double>(step) +
+                                                        static_cast<double>(i));
+            if (i % 3 != 0)
+                s.deadline = util::SimTime::from_millis(5000.0 - 17.0 * static_cast<double>(i));
+            m.enqueue(s);
+            expected[s.atom].push_back(s);
+        }
+        EXPECT_TRUE(m.audit());
+        // Drain one atom per step and keep the others growing across steps.
+        drain_and_check(atoms[step]);
+    }
+    while (!expected.empty()) drain_and_check(expected.begin()->first);
+    EXPECT_TRUE(m.empty());
+    EXPECT_EQ(m.pending_positions(), 0u);
 }
 
 }  // namespace
