@@ -7,15 +7,33 @@
 // visited once each, and re-scanning an overlapping box hits the cache.
 //
 //   $ ./volume_statistics [samples_per_axis]
+#include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "core/direct_executor.h"
 
+namespace {
+/// A positive decimal integer that fits std::uint32_t and uses the whole
+/// argument; 0 for anything else.
+std::uint32_t parse_samples(const char* arg) {
+    if (!std::isdigit(static_cast<unsigned char>(arg[0]))) return 0;
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(arg, &end, 10);
+    if (*end != '\0' || v > std::numeric_limits<std::uint32_t>::max()) return 0;
+    return static_cast<std::uint32_t>(v);
+}
+}  // namespace
+
 int main(int argc, char** argv) {
     using namespace jaws;
-    const std::uint32_t samples =
-        argc > 1 ? static_cast<std::uint32_t>(std::strtoul(argv[1], nullptr, 10)) : 12;
+    const std::uint32_t samples = argc > 1 ? parse_samples(argv[1]) : 12;
+    if (samples == 0) {
+        std::fprintf(stderr, "usage: %s [samples_per_axis]  (a positive integer)\n", argv[0]);
+        return 2;
+    }
 
     core::EngineConfig config;
     config.grid.voxels_per_side = 256;

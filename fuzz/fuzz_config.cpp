@@ -125,7 +125,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     for (std::size_t i = 0; i < downs; ++i) {
         jaws::storage::NodeDownEvent ev;
         ev.node = jaws::util::NodeIndex{static_cast<std::uint32_t>(in.below(20))};
-        ev.at = jaws::util::SimTime{in.range(-10, 1 << 20)};
+        ev.at = jaws::util::SimTime::from_micros(in.range(-10, 1 << 20));
         cluster.node.faults.node_down.push_back(ev);
     }
 

@@ -68,13 +68,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
                 const ChannelIndex channel{in.below(channels)};
                 const SimTime peek = disk.peek_cost(offset, bytes, channel);
                 const SimTime cost = disk.read(offset, bytes, channel);
-                JAWS_FUZZ_REQUIRE(cost.micros >= 0, "negative read cost");
+                JAWS_FUZZ_REQUIRE(cost.raw_micros() >= 0, "negative read cost");
                 JAWS_FUZZ_REQUIRE(cost >= peek,
                                   "read cost below the straggler-free peek");
                 if (!spec.heavy_tail.enabled())
                     JAWS_FUZZ_REQUIRE(cost == peek,
                                       "read and peek disagree without a heavy tail");
-                service_us += cost.micros;
+                service_us += cost.raw_micros();
                 ++requests;
                 bytes_total += bytes;
                 last_cost = cost;
@@ -83,13 +83,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
             case 2: {  // charge_delay, including negative spans (must be ignored)
                 const SimTime extra = SimTime::from_micros(in.range(-100000, 1000000));
                 disk.charge_delay(extra);
-                if (extra.micros > 0) fault_us += extra.micros;
+                if (extra.raw_micros() > 0) fault_us += extra.raw_micros();
                 break;
             }
             case 3: {  // cancel_tail, including over- and negative refunds
                 const std::int64_t tail =
                     in.boolean() ? in.range(-100000, 100000)
-                                 : last_cost.micros + in.range(0, 1000);
+                                 : last_cost.raw_micros() + in.range(0, 1000);
                 disk.cancel_tail(SimTime::from_micros(tail));
                 service_us -= tail > 0 ? tail : 0;
                 if (service_us < 0) service_us = 0;
@@ -115,12 +115,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
             }
         }
         const jaws::storage::DiskStats& s = disk.stats();
-        JAWS_FUZZ_REQUIRE(s.service_time.micros == service_us,
+        JAWS_FUZZ_REQUIRE(s.service_time.raw_micros() == service_us,
                           "service_time diverged from the mirrored ledger");
-        JAWS_FUZZ_REQUIRE(s.fault_delay.micros == fault_us,
+        JAWS_FUZZ_REQUIRE(s.fault_delay.raw_micros() == fault_us,
                           "fault_delay diverged from the mirrored ledger");
-        JAWS_FUZZ_REQUIRE(s.service_time.micros >= 0, "negative service_time");
-        JAWS_FUZZ_REQUIRE(s.fault_delay.micros >= 0, "negative fault_delay");
+        JAWS_FUZZ_REQUIRE(s.service_time.raw_micros() >= 0, "negative service_time");
+        JAWS_FUZZ_REQUIRE(s.fault_delay.raw_micros() >= 0, "negative fault_delay");
         JAWS_FUZZ_REQUIRE(s.requests == requests, "request count mismatch");
         JAWS_FUZZ_REQUIRE(s.aborted_requests == aborted, "aborted count mismatch");
         JAWS_FUZZ_REQUIRE(s.bytes_read == bytes_total, "bytes_read mismatch");

@@ -169,7 +169,7 @@ struct Harness {
             JAWS_FUZZ_REQUIRE(job_state.started, "on_abort before on_start");
             JAWS_FUZZ_REQUIRE(!job_state.completed && !job_state.aborted,
                               "job resolved twice");
-            JAWS_FUZZ_REQUIRE(remaining.micros >= 0, "negative unrendered remainder");
+            JAWS_FUZZ_REQUIRE(remaining.raw_micros() >= 0, "negative unrendered remainder");
             JAWS_FUZZ_REQUIRE(remaining <= job_state.duration,
                               "unrendered remainder exceeds the service time");
             job_state.aborted = true;
@@ -272,8 +272,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
 
     const SimTime elapsed = h.queue.now() - start;
     JAWS_FUZZ_REQUIRE(
-        h.resource.busy_channel_time().micros <=
-            static_cast<std::int64_t>(h.resource.channels()) * elapsed.micros,
+        h.resource.busy_channel_time().raw_micros() <=
+            static_cast<std::int64_t>(h.resource.channels()) * elapsed.raw_micros(),
         "busy-channel time exceeds channels * elapsed");
     JAWS_FUZZ_REQUIRE(h.resource.peak_busy_channels() <= h.resource.channels(),
                       "peak busy channels exceeds the channel count");

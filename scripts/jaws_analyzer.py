@@ -6,10 +6,13 @@ bit-reproducible: the golden digests, the Eq. 1 cost-model shapes and the
 seeded fault schedules all assume that no decision reads a wall clock,
 unseeded randomness or hash order, and that the modules stay layered so
 those contracts compose bottom-up. This script walks the seven modules
-src/{util,field,storage,cache,workload,sched,core} once and checks eleven
-rules on that walk. A twelfth determinism rule, no `==`/`!=` with a floating
-operand, is the compiler's: src/CMakeLists.txt builds every src/ target with
--Werror=float-equal, which knows each operand's type.
+src/{util,field,storage,cache,workload,sched,core} once and checks ten
+rules on that walk. Two more rules are the compiler's. No `==`/`!=` with a
+floating operand: src/CMakeLists.txt builds every src/ target with
+-Werror=float-equal, which knows each operand's type. No raw tick access:
+SimTime's microsecond count is private, so no code outside
+src/util/sim_time.h, in src/ or any other directory, can reach around its
+saturating operators.
 
 Determinism. wall-clock and ambient-random run only in the six decision
 modules src/{core,sched,storage,cache,field,workload}; util/ is exempt
@@ -46,16 +49,9 @@ Semantics:
                        followed through helper functions defined in the same
                        file.
   narrowing-cast       static_cast to an integer narrower than 64 bits whose
-                       operand involves SimTime/.micros/raw_micros() tick
+                       operand involves SimTime/raw_micros() tick
                        arithmetic -- microsecond counters overflow int32
                        after ~36 minutes of virtual time.
-  raw-micros           access to SimTime's raw `.micros` tick field outside
-                       its owning file (src/util/sim_time.h): saturation
-                       safety lives in SimTime's operators, so call sites
-                       that reach around them re-open signed-overflow UB.
-                       Use the typed helpers (scaled_by, minus_clamped,
-                       checked_sum) or raw_micros() at a serialization/scoring
-                       boundary with a written waiver.
   raw-id-api           raw integer parameters named like identities (atom,
                        node, channel, self, primary, owner, replica, and
                        their _id/_idx/_index forms) in the public headers of
@@ -130,8 +126,6 @@ ALLOWED_DEPS: dict[str, set[str]] = {
 DECISION_MODULES = ("core", "sched", "storage", "cache", "field", "workload")
 # raw-id-api runs only on these modules' headers.
 ID_API_MODULES = ("core", "sched", "storage", "workload")
-# The one file that may touch SimTime::micros.
-SIM_TIME_OWNER = "src/util/sim_time.h"
 SOURCE_EXTENSIONS = (".h", ".hpp", ".cpp", ".cc")
 
 ALLOW_RE = re.compile(r"//\s*jaws-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
@@ -187,9 +181,6 @@ NARROW_CAST_RE = re.compile(
     r"static_cast\s*<\s*((?:std::)?(?:u?int(?:8|16|32)_t|int|unsigned(?:\s+int)?"
     r"|short|unsigned\s+short|signed\s+char|unsigned\s+char|char))\s*>\s*\(")
 TIME_OPERAND_RE = re.compile(r"\b(?:raw_)?micros\b|\bSimTime\b")
-
-# raw-micros
-RAW_MICROS_RE = re.compile(r"(?:\.|->)\s*micros\b")
 
 # raw-id-api
 ID_PARAM_NAME_RE = re.compile(
@@ -542,14 +533,6 @@ def analyze_file(code: str, display_path: str, header: str) -> list[Violation]:
                  "(microsecond counts overflow 32 bits in ~36 virtual minutes; "
                  "keep tick math in std::int64_t)")
 
-    if display_path != SIM_TIME_OWNER:
-        for m in RAW_MICROS_RE.finditer(code):
-            flag(m.start(), "raw-micros",
-                 "raw `.micros` access outside src/util/sim_time.h bypasses "
-                 "SimTime's saturating operators; use the typed helpers "
-                 "(scaled_by, minus_clamped, checked_sum) or raw_micros() at "
-                 "a serialization boundary with an allow justification")
-
     if display_path.endswith((".h", ".hpp")) and module in ID_API_MODULES:
         for m in RAW_INT_PARAM_RE.finditer(code):
             name = m.group(1)
@@ -793,10 +776,10 @@ unsigned f(unsigned seed) {
      []),
     ("src/core/ok_multi_rule_allow.cpp",
      """// One directive may list several hyphenated rules (the analyzer's
-// raw-micros / raw-id-api / id-mixing waivers share this parser).
+// raw-id-api / id-mixing waivers share this parser).
 #include <chrono>
 long f() {
-    // jaws-lint: allow(wall-clock, raw-micros) -- fixture: list syntax.
+    // jaws-lint: allow(wall-clock, ambient-random) -- fixture: list syntax.
     return std::chrono::steady_clock::now().time_since_epoch().count();
 }
 """,
@@ -894,7 +877,7 @@ struct Registry {
 """,
      ["unordered-container", "unordered-container", "unordered-container"]),
 
-    # -- kernel-blocking, narrowing-cast, raw-micros, raw-id-api, id-mixing --
+    # -- kernel-blocking, narrowing-cast, raw-id-api, id-mixing --
     ("src/core/bad_blocking_direct.cpp", FIXTURE_PRELUDE + """
 void f(EventQueue& q, SimTime t) {
     q.schedule(t, 0, [] { std::this_thread::sleep_for(5); });
@@ -924,27 +907,14 @@ void f(EventQueue& q, SimTime t) {
 }
 """, []),
     ("src/core/bad_narrow_cast.cpp", FIXTURE_PRELUDE + """
-// jaws-lint: allow(raw-micros) -- fixture: exercising the cast rule alone.
 int f(SimTime t) { return static_cast<int>(t.micros); }
-// jaws-lint: allow(raw-micros) -- fixture: exercising the cast rule alone.
 unsigned g(SimTime t) { return static_cast<unsigned int>(t.micros / 1000); }
 int h(SimTime t) { return static_cast<int>(t.raw_micros()); }
 """, ["narrowing-cast", "narrowing-cast", "narrowing-cast"]),
     ("src/core/ok_wide_cast.cpp", FIXTURE_PRELUDE + """
-// jaws-lint: allow(raw-micros) -- fixture: exercising the cast rule alone.
 long long f(SimTime t) { return static_cast<long long>(t.micros); }
-// jaws-lint: allow(raw-micros) -- fixture: exercising the cast rule alone.
 double g(SimTime t) { return static_cast<double>(t.micros); }
 int h(int count) { return static_cast<int>(count + 1); }
-""", []),
-    ("src/core/bad_raw_micros.cpp", FIXTURE_PRELUDE + """
-long long half_ticks(SimTime t) { return t.micros / 2; }
-""", ["raw-micros"]),
-    ("src/core/ok_raw_micros_waived.cpp", FIXTURE_PRELUDE + """
-long long serialize(SimTime t) {
-    // jaws-lint: allow(raw-micros) -- fixture: serialization boundary.
-    return t.micros;
-}
 """, []),
     ("src/core/bad_raw_id_api.h", FIXTURE_PRELUDE + """
 struct Router {
@@ -969,11 +939,6 @@ unsigned ring_distance(NodeIndex a, NodeIndex b, AtomKey atom) {
     unsigned long long morton = atom.value() * 2;
     return a.value() - b.value() + static_cast<unsigned>(morton);
 }
-""", []),
-    # Touching the raw `.micros` tick field inside the owning file is the
-    # sanctioned site.
-    ("src/util/sim_time.h", FIXTURE_PRELUDE + """
-inline long long ticks_of(SimTime t) { return t.micros; }
 """, []),
 
     # -- upward-include, unknown-module --

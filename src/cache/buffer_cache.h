@@ -41,6 +41,8 @@ struct CacheStats {
         const std::uint64_t total = hits + misses;
         return total ? static_cast<double>(hits) / static_cast<double>(total) : 0.0;
     }
+
+    bool operator==(const CacheStats&) const = default;
 };
 
 /// Monotonic tick counter for overhead timing (see util::wall_clock_ns for

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -450,7 +449,6 @@ class UnifiedKernel final : public storage::ReplicaRouter {
                                                        report_.per_node[n].makespan -
                                                        origin_);
         aggregate();
-        merge_timeline();
         return std::move(report_);
     }
 
@@ -499,45 +497,6 @@ class UnifiedKernel final : public storage::ReplicaRouter {
         // percentile() moves the vector; NaN ("n/a") when nothing completed.
         report_.p999_response_ms = util::percentile(pooled_response_ms, 99.9);
         report_.p99_response_ms = util::percentile(std::move(pooled_response_ms), 99.0);
-    }
-
-    /// Merge the per-node timelines (their windows are aligned: begin()
-    /// pinned every node's window origin to the cluster origin): completions
-    /// and backlog sum, response is completion-weighted, the remaining
-    /// signals average over the nodes that reported the window.
-    void merge_timeline() {
-        if (config_.node.timeline_window_s <= 0.0) return;
-        std::map<std::int64_t, TimelinePoint> merged;
-        std::map<std::int64_t, std::size_t> contributors;
-        for (const RunReport& r : report_.per_node)
-            for (const TimelinePoint& tp : r.timeline) {
-                TimelinePoint& m = merged[tp.window_end.raw_micros()];
-                m.window_end = tp.window_end;
-                m.completions += tp.completions;
-                m.mean_response_ms +=
-                    tp.mean_response_ms * static_cast<double>(tp.completions);
-                m.backlog_subqueries += tp.backlog_subqueries;
-                m.alpha += tp.alpha;
-                m.cache_hit_rate += tp.cache_hit_rate;
-                m.disk_utilization += tp.disk_utilization;
-                m.cpu_utilization += tp.cpu_utilization;
-                m.overlap_fraction += tp.overlap_fraction;
-                ++contributors[tp.window_end.raw_micros()];
-            }
-        report_.timeline.reserve(merged.size());
-        for (auto& [micros, m] : merged) {
-            const double reporting = static_cast<double>(contributors[micros]);
-            m.mean_response_ms = m.completions > 0
-                                     ? m.mean_response_ms /
-                                           static_cast<double>(m.completions)
-                                     : 0.0;
-            m.alpha /= reporting;
-            m.cache_hit_rate /= reporting;
-            m.disk_utilization /= reporting;
-            m.cpu_utilization /= reporting;
-            m.overlap_fraction /= reporting;
-            report_.timeline.push_back(m);
-        }
     }
 
     const TurbulenceCluster& cluster_;

@@ -58,8 +58,10 @@ struct ClusterConfig {
 
 /// Aggregated cluster results.
 struct ClusterReport {
-    std::vector<RunReport> per_node;      ///< One report per node (failover work
-                                          ///< lands in the survivors' reports).
+    /// One report per node (failover work lands in the survivors' reports).
+    /// Timelines stay per node, their windows pinned to the cluster origin;
+    /// the cluster keeps no merged timeline.
+    std::vector<RunReport> per_node;
     util::SimTime makespan;               ///< Slowest node's virtual makespan
                                           ///< (including failover work).
     double total_throughput_qps = 0.0;    ///< Total query parts / makespan.
@@ -83,11 +85,6 @@ struct ClusterReport {
                                           ///< surviving replica instead.
     std::uint64_t replica_reads = 0;      ///< Atom reads served by a replica
                                           ///< other than the reader's node.
-    /// Merged cluster timeline (with timeline_window_s > 0):
-    /// per-window completions summed over nodes, response completion-
-    /// weighted, utilisations averaged over the nodes reporting the window.
-    std::vector<TimelinePoint> timeline;
-
     // --- fault & recovery accounting ---
     std::size_t dead_nodes = 0;       ///< Nodes killed by node-down events.
     std::size_t failovers = 0;        ///< Deaths whose work a replica picked up.
@@ -106,6 +103,10 @@ struct ClusterReport {
     util::SimTime wasted_service;        ///< Rendered disk time of cancelled losers.
     std::uint64_t deadline_misses = 0;
     std::uint64_t retries_suppressed = 0;
+
+    /// Member-wise equality over every field, each node's report included
+    /// (see RunReport::operator==).
+    bool operator==(const ClusterReport&) const = default;
 };
 
 /// Spatially partitioned multi-node deployment.

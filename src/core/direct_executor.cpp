@@ -1,9 +1,10 @@
 #include "core/direct_executor.h"
 
-#include <cassert>
 #include <cmath>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "cache/lru.h"
 #include "util/wallclock.h"
@@ -58,12 +59,31 @@ DirectResult DirectExecutor::evaluate(std::uint32_t timestep,
     return result;
 }
 
+namespace {
+/// Reject a box corner with a coordinate outside [0, 1), NaN included.
+void require_unit_coordinates(const field::Vec3& corner, const char* name) {
+    for (const double c : {corner.x, corner.y, corner.z})
+        if (!(c >= 0.0 && c < 1.0))
+            throw std::invalid_argument("DirectExecutor::evaluate_box: " + std::string(name) +
+                                        " has coordinate " + std::to_string(c) +
+                                        " outside [0, 1)");
+}
+}  // namespace
+
 VolumeStats DirectExecutor::evaluate_box(std::uint32_t timestep, const field::Vec3& lo,
                                          const field::Vec3& hi,
                                          std::uint32_t samples_per_axis,
                                          field::InterpOrder order) {
-    assert(samples_per_axis >= 1);
-    assert(lo.x <= hi.x && lo.y <= hi.y && lo.z <= hi.z);
+    // Checked in every build, not asserted: an empty lattice averages zero
+    // samples into NaN statistics, and a NaN corner yields NaN positions.
+    if (samples_per_axis == 0)
+        throw std::invalid_argument(
+            "DirectExecutor::evaluate_box: samples_per_axis must be positive");
+    require_unit_coordinates(lo, "lo");
+    require_unit_coordinates(hi, "hi");
+    if (lo.x > hi.x || lo.y > hi.y || lo.z > hi.z)
+        throw std::invalid_argument(
+            "DirectExecutor::evaluate_box: lo exceeds hi on some axis");
     // Regular sampling lattice over the box (cell-centred so a 1-sample axis
     // lands in the middle of the box rather than on its face).
     std::vector<field::Vec3> lattice;

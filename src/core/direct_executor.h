@@ -63,6 +63,9 @@ class DirectExecutor {
     /// `timestep`, sampled on a regular lattice of `samples_per_axis`^3
     /// points (torus coordinates; lo <= hi component-wise, both in [0, 1)).
     /// Atoms of the box cover are visited in Morton order, each read once.
+    /// Throws std::invalid_argument naming the argument when
+    /// `samples_per_axis` is 0, a coordinate of `lo` or `hi` lies outside
+    /// [0, 1) (NaN included), or `lo` exceeds `hi` on some axis.
     VolumeStats evaluate_box(std::uint32_t timestep, const field::Vec3& lo,
                              const field::Vec3& hi, std::uint32_t samples_per_axis = 16,
                              field::InterpOrder order = field::InterpOrder::kLag4);

@@ -956,8 +956,8 @@ void Engine::begin(util::SimTime origin, util::SimTime halt_at) {
     ran_ = true;
     last_account_ = origin;
     // Timeline windows are pinned to the origin (on a shared kernel: the
-    // cluster's, not this node's first arrival) so every node's windows
-    // align for cluster-level merging.
+    // cluster's, not this node's first arrival), so a survivor's windows
+    // can be read against the instant another node died.
     if (config_.timeline_window_s > 0.0)
         timeline_next_ = origin + util::SimTime::from_seconds(config_.timeline_window_s);
     // Node death (cluster failover): an active batch is allowed to complete,

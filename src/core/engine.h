@@ -112,8 +112,9 @@ class Engine {
 
     // --- lifecycle (run() and the unified cluster kernel) -----------------
     /// Arm this node: pins accounting and the timeline-window origin to
-    /// `origin` (on a shared kernel every node gets the cluster's, so their
-    /// windows align for merging) and schedules the node-death halt at
+    /// `origin` (on a shared kernel every node gets the cluster's, so each
+    /// node's windows are read against cluster instants such as a node's
+    /// death) and schedules the node-death halt at
     /// `halt_at` (SimTime::max() = the node never dies). The node's own
     /// clock (makespan origin) starts at its first injected job.
     void begin(util::SimTime origin, util::SimTime halt_at);

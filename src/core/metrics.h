@@ -61,6 +61,8 @@ struct QueryOutcome {
 
     util::SimTime response() const noexcept { return completed - visible; }
     bool degraded() const noexcept { return failed_subqueries > 0; }
+
+    bool operator==(const QueryOutcome&) const = default;
 };
 
 /// One sample of the run's time series (fixed virtual-time windows).
@@ -74,6 +76,8 @@ struct TimelinePoint {
     double disk_utilization = 0.0;   ///< Mean busy disk channels / io_depth.
     double cpu_utilization = 0.0;    ///< Mean busy workers / compute_workers.
     double overlap_fraction = 0.0;   ///< Share of the window both disk and CPU busy.
+
+    bool operator==(const TimelinePoint&) const = default;
 };
 
 /// Aggregated results of one engine run.
@@ -195,6 +199,13 @@ struct RunReport {
 
     /// One-line summary for bench tables.
     std::string summary() const;
+
+    /// Member-wise equality, nested stats and vectors included: two runs are
+    /// the same run iff their reports compare equal. Tests use it to prove
+    /// runs bit-identical; src/ never calls it (doubles compare exactly
+    /// here, and a run that completes no query reports NaN percentiles,
+    /// which equal nothing).
+    bool operator==(const RunReport&) const = default;
 };
 
 /// Compute response-time aggregates from outcomes into `report`.

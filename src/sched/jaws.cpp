@@ -25,7 +25,7 @@ void JawsScheduler::on_job_submitted(const workload::Job& job) {
 
 void JawsScheduler::enqueue_query(workload::QueryId id, util::SimTime now) {
     const workload::Query& q = graph_.query(id);
-    util::SimTime deadline{INT64_MAX};
+    util::SimTime deadline = util::SimTime::max();
     if (config_.qos.enabled) {
         // Size-proportional completion guarantee (paper Sec. VII): a query's
         // deadline scales with its own estimated service time, so short

@@ -49,6 +49,8 @@ struct GatingStats {
     std::size_t edges_rejected_crossing = 0;
     std::size_t edges_rejected_deadlock = 0;
     std::size_t forced_promotions = 0;     ///< Anti-stall interventions (should be 0).
+
+    bool operator==(const GatingStats&) const = default;
 };
 
 /// The job-aware precedence/gating graph.

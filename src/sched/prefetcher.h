@@ -45,6 +45,8 @@ struct PrefetchStats {
         const std::uint64_t settled = hits + wasted;
         return settled ? static_cast<double>(hits) / static_cast<double>(settled) : 0.0;
     }
+
+    bool operator==(const PrefetchStats&) const = default;
 };
 
 /// Predicts the next query's atoms for ordered jobs from their observed

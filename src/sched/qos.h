@@ -38,6 +38,8 @@ struct QosStats {
     double mean_tardiness_ms() const noexcept {
         return misses ? tardiness_ms_sum / static_cast<double>(misses) : 0.0;
     }
+
+    bool operator==(const QosStats&) const = default;
 };
 
 }  // namespace jaws::sched

@@ -112,8 +112,8 @@ struct SubQuery {
     Supports supports;  ///< Kernel-support face neighbours.
     util::SimTime enqueue_time;  ///< When it entered the workload queue (for E(i)).
     /// Completion-time guarantee of the owning query (QoS mode, paper
-    /// Sec. VII); INT64_MAX when no guarantee was requested.
-    util::SimTime deadline{INT64_MAX};
+    /// Sec. VII); SimTime::max() when no guarantee was requested.
+    util::SimTime deadline = util::SimTime::max();
 };
 static_assert(sizeof(SubQuery) == 48, "SubQuery is copied on every hot-path hop: keep it small");
 static_assert(std::is_trivially_copyable_v<SubQuery>);

@@ -75,6 +75,8 @@ struct DiskStats {
 
     /// Total virtual time the disk spent on requests.
     util::SimTime total_busy() const noexcept { return service_time + fault_delay; }
+
+    bool operator==(const DiskStats&) const = default;
 };
 
 /// Multi-channel disk with per-channel positional state. Not thread-safe;

@@ -99,6 +99,8 @@ struct FaultStats {
     std::uint64_t stuck_reads = 0;       ///< Read attempts that stalled stuck.
     util::SimTime spike_delay;           ///< Total spike straggler time injected.
     util::SimTime stuck_delay;           ///< Total stuck-read stall time (disjoint).
+
+    bool operator==(const FaultStats&) const = default;
 };
 
 /// Deterministic per-read fault source. Decisions depend only on

@@ -11,10 +11,11 @@
 // `scaled_by` saturate at the int64 microsecond range instead of wrapping
 // (signed overflow would be UB). Under the audit preset (JAWS_AUDIT_BUILD)
 // any saturation additionally reports a contract violation, so simulations
-// that silently hit the rail are caught in CI. Call sites outside this header
-// must not touch the raw `.micros` field — the `raw-micros` analyzer pass
-// (scripts/jaws_analyzer.py) enforces that; use the typed helpers below
-// (`scaled_by`, `minus_clamped`, `checked_sum`, `raw_micros()`) instead.
+// that silently hit the rail are caught in CI. The tick count is private, so
+// no call site can reach around these operators: code outside this header
+// builds a SimTime from the factories (`from_micros`, `from_seconds`, ...)
+// and computes with the typed helpers (`scaled_by`, `minus_clamped`,
+// `checked_sum`), reading `raw_micros()` only to serialize or score.
 #pragma once
 
 #include <cmath>
@@ -28,8 +29,9 @@
 namespace jaws::util {
 
 /// A point or span of virtual time, in integer microseconds.
-struct SimTime {
-    std::int64_t micros = 0;
+class SimTime {
+  public:
+    constexpr SimTime() noexcept = default;
 
     static constexpr SimTime zero() noexcept { return SimTime{0}; }
     /// Saturation rails. `max()` doubles as the "never"/"no deadline"
@@ -119,13 +121,18 @@ struct SimTime {
     }
 
     friend constexpr auto operator<=>(SimTime, SimTime) = default;
+
+  private:
+    constexpr explicit SimTime(std::int64_t us) noexcept : micros(us) {}
+
+    std::int64_t micros = 0;
 };
 
 /// Render as a human-readable duration (used by bench output).
 inline std::string to_string(SimTime t) {
     const double s = t.seconds();
-    if (s < 1e-3) return std::to_string(t.micros) + "us";
-    if (s < 1.0) return std::to_string(t.micros / 1000) + "ms";
+    if (s < 1e-3) return std::to_string(t.raw_micros()) + "us";
+    if (s < 1.0) return std::to_string(t.raw_micros() / 1000) + "ms";
     return std::to_string(s) + "s";
 }
 

@@ -77,7 +77,7 @@ TEST(AtomStore, LayoutMatchesSortedKeyOracle) {
             std::swap(shuffled[i - 1], shuffled[rng.uniform_u64(i)]);
         reads.insert(reads.end(), shuffled.begin(), shuffled.end());
         for (const auto& [id, offset] : reads) {
-            ASSERT_EQ(store.read(id).io_cost.micros, reference.read(offset, bytes).micros)
+            ASSERT_EQ(store.read(id).io_cost.raw_micros(), reference.read(offset, bytes).raw_micros())
                 << "t=" << id.timestep << " morton=" << id.morton;
         }
 
@@ -114,7 +114,7 @@ TEST(AtomStore, ContainsInBounds) {
 TEST(AtomStore, ReadChargesIo) {
     AtomStore store(small_spec());
     const ReadResult r = store.read({1, util::morton_encode(2, 1, 0)});
-    EXPECT_GT(r.io_cost.micros, 0);
+    EXPECT_GT(r.io_cost.raw_micros(), 0);
     EXPECT_EQ(r.data, nullptr);  // not materialising
     EXPECT_EQ(store.disk_stats().requests, 1u);
 }
@@ -131,7 +131,7 @@ TEST(AtomStore, MortonNeighborsAreCheapAfterRead) {
     std::uint64_t codes[2] = {util::morton_encode(0, 0, 0), util::morton_encode(1, 0, 0)};
     const util::SimTime first = store.read({0, codes[0]}).io_cost;
     const util::SimTime second = store.read({0, codes[1]}).io_cost;
-    EXPECT_LT(second.micros, first.micros + 1);  // no seek on the second
+    EXPECT_LT(second.raw_micros(), first.raw_micros() + 1);  // no seek on the second
 }
 
 TEST(AtomStore, CrossTimestepReadSeeks) {
@@ -140,7 +140,7 @@ TEST(AtomStore, CrossTimestepReadSeeks) {
     const util::SimTime near = store.read({0, 1}).io_cost;  // sequential
     store.read({0, 2});
     const util::SimTime far = store.read({2, 0}).io_cost;  // jumps two steps
-    EXPECT_GT(far.micros, near.micros);
+    EXPECT_GT(far.raw_micros(), near.raw_micros());
 }
 
 TEST(AtomStore, MaterializesVoxelData) {

@@ -23,7 +23,7 @@ TEST(DatabaseNode, ChargesPerPosition) {
     DatabaseNode node(small_grid(), CostModel{.t_m_us = 40.0});
     SubQueryExec work;
     work.position_count = 100;
-    EXPECT_EQ(node.modeled_cost(work).micros, 4000);
+    EXPECT_EQ(node.modeled_cost(work).raw_micros(), 4000);
     EXPECT_TRUE(node.execute(work, nullptr).samples.empty());
 }
 
@@ -32,12 +32,12 @@ TEST(DatabaseNode, ExplicitPositionsOverrideCount) {
     SubQueryExec work;
     work.position_count = 999;  // ignored when explicit positions exist
     work.positions = {{0.1, 0.1, 0.1}, {0.2, 0.2, 0.2}};
-    EXPECT_EQ(node.modeled_cost(work).micros, 20);
+    EXPECT_EQ(node.modeled_cost(work).raw_micros(), 20);
 }
 
 TEST(DatabaseNode, ZeroPositionsZeroCost) {
     DatabaseNode node(small_grid(), CostModel{});
-    EXPECT_EQ(node.modeled_cost(SubQueryExec{}).micros, 0);
+    EXPECT_EQ(node.modeled_cost(SubQueryExec{}).raw_micros(), 0);
 }
 
 class DatabaseNodeWithData : public ::testing::Test {
@@ -103,7 +103,7 @@ TEST_F(DatabaseNodeWithData, NoSamplesWithoutExplicitPositions) {
     work.position_count = 50;
     const ExecOutcome out = node_.execute(work, data.get());
     EXPECT_TRUE(out.samples.empty());
-    EXPECT_GT(node_.modeled_cost(work).micros, 0);
+    EXPECT_GT(node_.modeled_cost(work).raw_micros(), 0);
 }
 
 }  // namespace

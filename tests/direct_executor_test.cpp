@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/direct_executor.h"
 #include "util/rng.h"
@@ -59,13 +62,13 @@ TEST(DirectExecutor, SecondEvaluationHitsCache) {
     const DirectResult second = exec.evaluate(1, positions);
     EXPECT_EQ(second.cache_misses, 0u);
     EXPECT_GT(second.cache_hits, 0u);
-    EXPECT_LT(second.virtual_cost.micros, first.virtual_cost.micros);
+    EXPECT_LT(second.virtual_cost.raw_micros(), first.virtual_cost.raw_micros());
 }
 
 TEST(DirectExecutor, VirtualCostCharged) {
     DirectExecutor exec(small_config());
     const DirectResult r = exec.evaluate(0, {{0.5, 0.5, 0.5}});
-    EXPECT_GT(r.virtual_cost.micros, 0);
+    EXPECT_GT(r.virtual_cost.raw_micros(), 0);
 }
 
 TEST(DirectExecutor, EmptyPositions) {
@@ -114,6 +117,40 @@ TEST(DirectExecutor, VolumeStatsSingleSampleAxis) {
     EXPECT_EQ(stats.samples, 1u);
     const field::FlowSample truth = exec.field().sample({0.5, 0.5, 0.5}, 0.0);
     EXPECT_NEAR(stats.mean_pressure, truth.pressure, 1e-2);
+}
+
+/// What evaluate_box throws for a box and lattice ("" when it accepts them).
+std::string box_error(const field::Vec3& lo, const field::Vec3& hi,
+                      std::uint32_t samples_per_axis) {
+    DirectExecutor exec(small_config());
+    try {
+        exec.evaluate_box(0, lo, hi, samples_per_axis);
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
+
+// An empty lattice averages zero samples: every statistic would be NaN.
+TEST(DirectExecutor, VolumeStatsRejectAnEmptyLattice) {
+    EXPECT_NE(box_error({0.2, 0.2, 0.2}, {0.6, 0.6, 0.6}, 0).find("samples_per_axis"),
+              std::string::npos);
+}
+
+TEST(DirectExecutor, VolumeStatsRejectCornersOutsideTheUnitCube) {
+    for (const double bad : {-0.1, 1.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+        SCOPED_TRACE(bad);
+        EXPECT_NE(box_error({bad, 0.2, 0.2}, {0.6, 0.6, 0.6}, 4).find(": lo has coordinate"),
+                  std::string::npos);
+        EXPECT_NE(box_error({0.2, 0.2, 0.2}, {0.6, 0.6, bad}, 4).find(": hi has coordinate"),
+                  std::string::npos);
+    }
+}
+
+TEST(DirectExecutor, VolumeStatsRejectAnInvertedBox) {
+    EXPECT_NE(box_error({0.2, 0.6, 0.2}, {0.6, 0.2, 0.6}, 4).find("lo exceeds hi"),
+              std::string::npos);
+    EXPECT_EQ(box_error({0.2, 0.2, 0.2}, {0.2, 0.2, 0.2}, 1), "");  // a point is a box
 }
 
 }  // namespace

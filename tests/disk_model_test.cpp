@@ -89,8 +89,8 @@ TEST(DiskModel, StatsAccounting) {
     EXPECT_EQ(s.bytes_read, 3u << 20);
     EXPECT_GT(s.service_time.millis(), 0.0);
     // No fault injector attached: all busy time is rendered service.
-    EXPECT_EQ(s.fault_delay.micros, 0);
-    EXPECT_EQ(s.total_busy().micros, s.service_time.micros);
+    EXPECT_EQ(s.fault_delay.raw_micros(), 0);
+    EXPECT_EQ(s.total_busy().raw_micros(), s.service_time.raw_micros());
 }
 
 TEST(DiskModel, ChargeDelayIsDisjointFromServiceTime) {
@@ -99,9 +99,9 @@ TEST(DiskModel, ChargeDelayIsDisjointFromServiceTime) {
     const util::SimTime service = disk.stats().service_time;
     disk.charge_delay(util::SimTime::from_millis(80.0));
     const DiskStats& s = disk.stats();
-    EXPECT_EQ(s.service_time.micros, service.micros);  // unchanged
-    EXPECT_EQ(s.fault_delay.micros, util::SimTime::from_millis(80.0).micros);
-    EXPECT_EQ(s.total_busy().micros, (service + s.fault_delay).micros);
+    EXPECT_EQ(s.service_time.raw_micros(), service.raw_micros());  // unchanged
+    EXPECT_EQ(s.fault_delay.raw_micros(), util::SimTime::from_millis(80.0).raw_micros());
+    EXPECT_EQ(s.total_busy().raw_micros(), (service + s.fault_delay).raw_micros());
 }
 
 TEST(DiskModel, ChannelsKeepIndependentHeads) {
@@ -124,12 +124,12 @@ TEST(DiskModel, ChannelOutOfRangeThrows) {
 TEST(DiskModel, CancelTailRefundsUnrenderedServiceTime) {
     DiskModel disk(spec(), kCapacity);
     const util::SimTime cost = disk.read(0, 4 << 20);
-    const util::SimTime tail{cost.micros / 2};
+    const util::SimTime tail = util::SimTime::from_micros(cost.raw_micros() / 2);
     disk.cancel_tail(tail);
     const DiskStats& s = disk.stats();
     EXPECT_EQ(s.aborted_requests, 1u);
     EXPECT_EQ(s.requests, 1u);  // the request still happened
-    EXPECT_EQ(s.service_time.micros, (cost - tail).micros);
+    EXPECT_EQ(s.service_time.raw_micros(), (cost - tail).raw_micros());
 }
 
 TEST(DiskModel, CancelTailClampsOverCancelToZero) {
@@ -139,14 +139,14 @@ TEST(DiskModel, CancelTailClampsOverCancelToZero) {
     DiskModel disk(spec(), kCapacity);
     const util::SimTime cost = disk.read(0, 1 << 20);
     disk.cancel_tail(cost + util::SimTime::from_millis(999.0));
-    EXPECT_EQ(disk.stats().service_time.micros, 0);
+    EXPECT_EQ(disk.stats().service_time.raw_micros(), 0);
     EXPECT_EQ(disk.stats().aborted_requests, 1u);
 }
 
 TEST(DiskModel, CancelTailWithZeroServiceIsANoOpOnTheLedger) {
     DiskModel disk(spec(), kCapacity);
     disk.cancel_tail(util::SimTime::zero());
-    EXPECT_EQ(disk.stats().service_time.micros, 0);
+    EXPECT_EQ(disk.stats().service_time.raw_micros(), 0);
     EXPECT_EQ(disk.stats().aborted_requests, 1u);  // the abort itself counts
 }
 
@@ -158,19 +158,19 @@ TEST(DiskModel, MixedCancelsKeepServiceAndFaultLedgersDisjoint) {
     const util::SimTime service = disk.read(0, 1 << 20);
     const auto injected = util::SimTime::from_millis(500.0);
     disk.charge_delay(injected);
-    ASSERT_EQ(disk.stats().service_time.micros, service.micros);
-    ASSERT_EQ(disk.stats().fault_delay.micros, injected.micros);
+    ASSERT_EQ(disk.stats().service_time.raw_micros(), service.raw_micros());
+    ASSERT_EQ(disk.stats().fault_delay.raw_micros(), injected.raw_micros());
     // Cancel with 400 ms of the stall plus half the service unrendered.
     const util::SimTime fault_part = util::SimTime::from_millis(400.0);
-    const util::SimTime service_part{service.micros / 2};
+    const util::SimTime service_part = util::SimTime::from_micros(service.raw_micros() / 2);
     disk.refund_delay(fault_part);
     disk.cancel_tail(service_part);
-    EXPECT_EQ(disk.stats().fault_delay.micros, (injected - fault_part).micros);
-    EXPECT_EQ(disk.stats().service_time.micros, (service - service_part).micros);
+    EXPECT_EQ(disk.stats().fault_delay.raw_micros(), (injected - fault_part).raw_micros());
+    EXPECT_EQ(disk.stats().service_time.raw_micros(), (service - service_part).raw_micros());
     // Over-refunding the remaining delay clamps at zero as well.
     disk.refund_delay(util::SimTime::from_millis(1e6));
-    EXPECT_EQ(disk.stats().fault_delay.micros, 0);
-    EXPECT_EQ(disk.stats().service_time.micros, (service - service_part).micros);
+    EXPECT_EQ(disk.stats().fault_delay.raw_micros(), 0);
+    EXPECT_EQ(disk.stats().service_time.raw_micros(), (service - service_part).raw_micros());
 }
 
 // --------------------------------------------------------------------------
@@ -184,10 +184,10 @@ TEST(DiskModel, HeavyTailOffIsIndistinguishableFromBaseline) {
     DiskModel gated(with_field, kCapacity);
     for (int i = 0; i < 32; ++i) {
         const auto off = static_cast<std::uint64_t>(i) * (1 << 20);
-        EXPECT_EQ(plain.read(off, 1 << 20).micros, gated.read(off, 1 << 20).micros);
+        EXPECT_EQ(plain.read(off, 1 << 20).raw_micros(), gated.read(off, 1 << 20).raw_micros());
     }
     EXPECT_EQ(gated.stats().slow_draws, 0u);
-    EXPECT_EQ(gated.stats().slow_service_extra.micros, 0);
+    EXPECT_EQ(gated.stats().slow_service_extra.raw_micros(), 0);
 }
 
 TEST(DiskModel, HeavyTailDrawsInflateSomeReadsDeterministically) {
@@ -200,7 +200,7 @@ TEST(DiskModel, HeavyTailDrawsInflateSomeReadsDeterministically) {
         std::vector<std::int64_t> costs;
         for (int i = 0; i < 64; ++i)
             costs.push_back(disk.read(static_cast<std::uint64_t>(i) * (1 << 20),
-                                      1 << 20).micros);
+                                      1 << 20).raw_micros());
         return std::make_pair(costs, disk.stats().slow_draws);
     };
     const auto [a, drew_a] = run();
@@ -222,9 +222,9 @@ TEST(DiskModel, HeavyTailSlowReadsExceedPeekCost) {
     // Box-Muller over 53-bit uniforms keeps |z| <= sqrt(2 * 53 * ln 2) ~ 8.58,
     // so every multiplier is at least exp(3 - 0.25 * 8.58) ~ 2.35: the
     // straggler at least doubles the straggler-free price peek_cost() quotes.
-    EXPECT_GE(paid.micros, 2 * peek.micros);
+    EXPECT_GE(paid.raw_micros(), 2 * peek.raw_micros());
     EXPECT_EQ(disk.stats().slow_draws, 1u);
-    EXPECT_EQ(disk.stats().slow_service_extra.micros, (paid - peek).micros);
+    EXPECT_EQ(disk.stats().slow_service_extra.raw_micros(), (paid - peek).raw_micros());
 }
 
 TEST(DiskModel, ResetStatsKeepsHead) {
@@ -244,9 +244,9 @@ TEST(DiskModel, ResetStatsKeepsHead) {
 
 TEST(DiskModel, NegativeCancelTailCannotInflateServiceTime) {
     DiskModel disk(spec(), kCapacity);
-    const std::int64_t charged = disk.read(0, 1 << 20).micros;
+    const std::int64_t charged = disk.read(0, 1 << 20).raw_micros();
     disk.cancel_tail(util::SimTime::from_micros(-100'000));
-    EXPECT_EQ(disk.stats().service_time.micros, charged);
+    EXPECT_EQ(disk.stats().service_time.raw_micros(), charged);
 }
 
 TEST(DiskModel, OverRefundAfterNegativeCancelClampsAtZero) {
@@ -257,18 +257,18 @@ TEST(DiskModel, OverRefundAfterNegativeCancelClampsAtZero) {
     disk.cancel_tail(util::SimTime::from_micros(-100'000));  // ignored
     disk.refund_delay(util::SimTime::zero());                // no-op
     disk.cancel_tail(util::SimTime::from_micros(200'000));   // > ever charged
-    EXPECT_EQ(disk.stats().service_time.micros, 0);
+    EXPECT_EQ(disk.stats().service_time.raw_micros(), 0);
 }
 
 TEST(DiskModel, NegativeAndOverSizedDelayRefundsClampOnTheFaultLedger) {
     DiskModel disk(spec(), kCapacity);
     disk.charge_delay(util::SimTime::from_micros(-50));  // ignored
-    EXPECT_EQ(disk.stats().fault_delay.micros, 0);
+    EXPECT_EQ(disk.stats().fault_delay.raw_micros(), 0);
     disk.charge_delay(util::SimTime::from_micros(70));
     disk.refund_delay(util::SimTime::from_micros(-30));  // ignored
-    EXPECT_EQ(disk.stats().fault_delay.micros, 70);
+    EXPECT_EQ(disk.stats().fault_delay.raw_micros(), 70);
     disk.refund_delay(util::SimTime::from_micros(200));  // clamps to zero
-    EXPECT_EQ(disk.stats().fault_delay.micros, 0);
+    EXPECT_EQ(disk.stats().fault_delay.raw_micros(), 0);
 }
 
 TEST(DiskModel, ExtremeParetoTailSaturatesInsteadOfOverflowing) {
@@ -284,14 +284,14 @@ TEST(DiskModel, ExtremeParetoTailSaturatesInsteadOfOverflowing) {
     DiskModel disk(s, kCapacity);
     for (int i = 0; i < 256; ++i) {
         // peek_cost tracks the head, so the bound is per-read.
-        const std::int64_t base = disk.peek_cost(0, 1 << 20).micros;
-        const std::int64_t cost = disk.read(0, 1 << 20).micros;
+        const std::int64_t base = disk.peek_cost(0, 1 << 20).raw_micros();
+        const std::int64_t cost = disk.read(0, 1 << 20).raw_micros();
         EXPECT_GE(cost, 0);
         EXPECT_LE(cost, base * 1'000'000 + 1);  // the 1e6 multiplier cap
         EXPECT_GE(cost, base * 999'999);        // ... and every draw reaches it
     }
     EXPECT_EQ(disk.stats().slow_draws, 256u);
-    EXPECT_GE(disk.stats().service_time.micros, 0);
+    EXPECT_GE(disk.stats().service_time.raw_micros(), 0);
 }
 
 }  // namespace

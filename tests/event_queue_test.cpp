@@ -24,7 +24,7 @@ TEST(EventQueue, RunsEventsInTimeOrder) {
     while (q.run_one()) {
     }
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(q.now().micros, 30);
+    EXPECT_EQ(q.now().raw_micros(), 30);
 }
 
 TEST(EventQueue, EqualTimestampsFireInPriorityThenInsertionOrder) {
@@ -160,7 +160,7 @@ TEST(EventQueue, SchedulingIntoThePastClampsToNow) {
     });
     while (q.run_one()) {
     }
-    EXPECT_EQ(fired.micros, 100);
+    EXPECT_EQ(fired.raw_micros(), 100);
 }
 
 TEST(EventQueue, CancelledEventsDoNotFire) {
@@ -211,7 +211,7 @@ TEST(EventQueue, CancelFromInsideAHandlerSuppressesALaterEvent) {
     while (q.run_one()) {
     }
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(q.now().micros, 20);  // the cancelled tail never advances the clock
+    EXPECT_EQ(q.now().raw_micros(), 20);  // the cancelled tail never advances the clock
 }
 
 TEST(EventQueue, InterleavedScheduleAndCancelPreservesDeterministicOrder) {
@@ -256,7 +256,7 @@ TEST(EventQueue, NextTimeSkipsCancelledEntries) {
     const auto id = q.schedule(us(10), 0, [] {});
     q.schedule(us(50), 0, [] {});
     q.cancel(id);
-    EXPECT_EQ(q.next_time().micros, 50);
+    EXPECT_EQ(q.next_time().raw_micros(), 50);
 }
 
 TEST(EventQueue, RunOneOnEmptyQueueReturnsFalse) {
@@ -268,7 +268,7 @@ TEST(EventQueue, RunOneOnEmptyQueueReturnsFalse) {
 TEST(EventQueue, ResetToSetsClockAndRejectsPendingEvents) {
     EventQueue q;
     q.reset_to(us(500));
-    EXPECT_EQ(q.now().micros, 500);
+    EXPECT_EQ(q.now().raw_micros(), 500);
     q.schedule(us(600), 0, [] {});
     EXPECT_THROW(q.reset_to(us(0)), std::logic_error);
 }
@@ -277,8 +277,8 @@ TEST(EventQueue, HandlersMayScheduleFurtherEvents) {
     EventQueue q;
     std::vector<std::int64_t> times;
     q.schedule(us(10), 0, [&] {
-        times.push_back(q.now().micros);
-        q.schedule(q.now() + us(15), 0, [&] { times.push_back(q.now().micros); });
+        times.push_back(q.now().raw_micros());
+        q.schedule(q.now() + us(15), 0, [&] { times.push_back(q.now().raw_micros()); });
     });
     while (q.run_one()) {
     }
@@ -363,7 +363,7 @@ TEST(EventQueue, CancelledLaneEntryFallsThroughToTheHeap) {
     EXPECT_TRUE(q.audit());
     ASSERT_TRUE(q.cancel(lane));
     EXPECT_TRUE(q.audit());
-    EXPECT_EQ(q.next_time().micros, 20);
+    EXPECT_EQ(q.next_time().raw_micros(), 20);
     EXPECT_TRUE(q.audit());
     ASSERT_TRUE(q.run_one());
     EXPECT_TRUE(q.audit());
@@ -376,7 +376,7 @@ TEST(EventQueue, CancelledLaneEntryFallsThroughToTheHeap) {
     EXPECT_TRUE(q.audit());
     EXPECT_FALSE(q.run_one());
     EXPECT_EQ(order, (std::vector<int>{20, 30}));
-    EXPECT_EQ(q.now().micros, 30);
+    EXPECT_EQ(q.now().raw_micros(), 30);
     EXPECT_TRUE(q.empty());
     EXPECT_TRUE(q.audit());
 }
@@ -455,7 +455,7 @@ SimResource::Job fixed_job(SimTime duration, std::vector<std::int64_t>& completi
     SimResource::Job job;
     job.on_start = [duration](std::size_t) { return duration; };
     job.on_complete = [&completions, &q, tag](std::size_t) {
-        completions.push_back(tag ? tag : q.now().micros);
+        completions.push_back(tag ? tag : q.now().raw_micros());
     };
     return job;
 }
@@ -514,7 +514,7 @@ TEST(SimResource, ServiceDurationDecidedAtStartNotSubmission) {
     disk.submit(fixed_job(us(10), done, q));
     SimResource::Job job;
     job.on_start = [&second_duration](std::size_t) { return second_duration; };
-    job.on_complete = [&done, &q](std::size_t) { done.push_back(q.now().micros); };
+    job.on_complete = [&done, &q](std::size_t) { done.push_back(q.now().raw_micros()); };
     disk.submit(std::move(job));
     second_duration = us(7);  // changed while the job waits in queue
     while (q.run_one()) {
@@ -535,14 +535,14 @@ TEST(SimResource, NonPreemptibleJobPreemptsPreemptibleMidService) {
     spec.on_complete = [&done, &q](std::size_t) { done.push_back(-1); };
     spec.on_abort = [&](std::size_t, SimTime remaining) {
         abort_remaining = remaining;
-        abort_at = q.now().micros;
+        abort_at = q.now().raw_micros();
     };
     disk.submit(std::move(spec));
     q.schedule(us(40), 0, [&] { disk.submit(fixed_job(us(10), done, q)); });
     while (q.run_one()) {
     }
     EXPECT_EQ(abort_at, 40);                    // preempted on demand arrival
-    EXPECT_EQ(abort_remaining.micros, 60);      // 100 - 40 not rendered
+    EXPECT_EQ(abort_remaining.raw_micros(), 60);      // 100 - 40 not rendered
     EXPECT_EQ(done, (std::vector<std::int64_t>{50}));  // demand runs 40..50
 }
 
@@ -566,7 +566,7 @@ TEST(SimResource, BusyChannelTimeIntegratesAcrossChannels) {
     while (q.run_one()) {
     }
     // Channel 0 busy for 10us, channel 1 for 30us.
-    EXPECT_EQ(disk.busy_channel_time().micros, 40);
+    EXPECT_EQ(disk.busy_channel_time().raw_micros(), 40);
 }
 
 TEST(SimResource, IdleHookFiresWhenAChannelFreesWithEmptyQueue) {
@@ -574,7 +574,7 @@ TEST(SimResource, IdleHookFiresWhenAChannelFreesWithEmptyQueue) {
     SimResource disk(q, 1, 0);
     std::vector<std::int64_t> done;
     std::vector<std::int64_t> idle_at;
-    disk.set_idle_hook([&] { idle_at.push_back(q.now().micros); });
+    disk.set_idle_hook([&] { idle_at.push_back(q.now().raw_micros()); });
     disk.submit(fixed_job(us(10), done, q));
     disk.submit(fixed_job(us(5), done, q));
     while (q.run_one()) {
@@ -612,7 +612,7 @@ TEST(SimResource, CancelInServiceJobRunsOnAbortWithRemainder) {
     std::int64_t aborted_remaining = -1;
     SimResource::Job job = fixed_job(us(100), done, q);
     job.on_abort = [&](std::size_t, SimTime remaining) {
-        aborted_remaining = remaining.micros;
+        aborted_remaining = remaining.raw_micros();
     };
     const SimResource::JobId id = disk.submit(std::move(job));
     q.schedule(us(30), 0, [&] { EXPECT_TRUE(disk.cancel(id)); });
@@ -655,7 +655,7 @@ TEST(SimResource, CancelBackfillsTheFreedChannelFromTheQueue) {
     }
     // The waiting job started at the cancel instant and ran to completion.
     EXPECT_EQ(done, (std::vector<std::int64_t>{2}));
-    EXPECT_EQ(q.now().micros, 15);
+    EXPECT_EQ(q.now().raw_micros(), 15);
     EXPECT_TRUE(disk.audit());
 }
 
@@ -680,7 +680,7 @@ TEST(SimResource, HedgePairRaceAtExactCompletionTickHasOneWinner) {
     };
     a.on_abort = [&](std::size_t, SimTime r) {
         ++aborts;
-        abort_remaining = r.micros;
+        abort_remaining = r.raw_micros();
     };
     SimResource::Job b;
     b.on_start = [](std::size_t) { return us(50); };
@@ -690,7 +690,7 @@ TEST(SimResource, HedgePairRaceAtExactCompletionTickHasOneWinner) {
     };
     b.on_abort = [&](std::size_t, SimTime r) {
         ++aborts;
-        abort_remaining = r.micros;
+        abort_remaining = r.raw_micros();
     };
     primary = disk.submit(std::move(a));
     hedge = disk.submit(std::move(b));
@@ -736,7 +736,7 @@ TEST(EventQueue, SameTickCancelAndRepostJoinsTheTickTail) {
     while (q.run_one()) {
     }
     EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "d"}));
-    EXPECT_EQ(q.now().micros, 10);  // all of it happened at one instant
+    EXPECT_EQ(q.now().raw_micros(), 10);  // all of it happened at one instant
     EXPECT_TRUE(q.audit());
 }
 
@@ -806,7 +806,7 @@ TEST(SimResource, SameTickCancelAndResubmitBackfillsAtOneInstant) {
     std::int64_t abort_remaining = -1;
     SimResource::Job head = fixed_job(us(100), done, q, 1);
     head.on_abort = [&](std::size_t, SimTime remaining) {
-        abort_remaining = remaining.micros;
+        abort_remaining = remaining.raw_micros();
     };
     const SimResource::JobId id = disk.submit(std::move(head));
     q.schedule(us(40), 0, [&] {
@@ -817,7 +817,7 @@ TEST(SimResource, SameTickCancelAndResubmitBackfillsAtOneInstant) {
     }
     EXPECT_EQ(abort_remaining, 60);  // 100 - 40 unrendered
     EXPECT_EQ(done, (std::vector<std::int64_t>{2}));
-    EXPECT_EQ(q.now().micros, 50);  // replacement started at 40, ran 10
+    EXPECT_EQ(q.now().raw_micros(), 50);  // replacement started at 40, ran 10
     EXPECT_TRUE(disk.idle());
     EXPECT_TRUE(disk.audit());
     EXPECT_TRUE(q.audit());
@@ -844,7 +844,7 @@ TEST(SimResource, CancelResubmitChurnAtOneTickKeepsConservation) {
     // Channel freed by `a` takes job 4 at t=25 (done 30), then job 5 at 30
     // (done 45); job 2 runs to its natural completion at t=100.
     EXPECT_EQ(done, (std::vector<std::int64_t>{4, 5, 2}));
-    EXPECT_EQ(q.now().micros, 100);
+    EXPECT_EQ(q.now().raw_micros(), 100);
     EXPECT_TRUE(disk.idle());
     EXPECT_TRUE(disk.audit());
     EXPECT_TRUE(q.audit());

@@ -29,7 +29,7 @@ TEST(FaultInjector, ZeroRatesNeverFail) {
     for (std::uint32_t m = 0; m < 64; ++m) {
         const FaultOutcome out = injector.on_read(AtomId{0, m});
         EXPECT_FALSE(out.failed);
-        EXPECT_EQ(out.extra_latency.micros, 0);
+        EXPECT_EQ(out.extra_latency.raw_micros(), 0);
     }
     EXPECT_EQ(injector.stats().transient_faults, 0u);
     EXPECT_EQ(injector.stats().latency_spikes, 0u);
@@ -86,11 +86,11 @@ TEST(FaultInjector, SpikesCarryExponentialLatency) {
     for (int i = 0; i < n; ++i) {
         const FaultOutcome out = injector.on_read(AtomId{0, static_cast<std::uint64_t>(i)});
         EXPECT_FALSE(out.failed);
-        EXPECT_GE(out.extra_latency.micros, 0);
+        EXPECT_GE(out.extra_latency.raw_micros(), 0);
         total += out.extra_latency;
     }
     EXPECT_EQ(injector.stats().latency_spikes, static_cast<std::uint64_t>(n));
-    EXPECT_EQ(injector.stats().spike_delay.micros, total.micros);
+    EXPECT_EQ(injector.stats().spike_delay.raw_micros(), total.raw_micros());
     // Mean of n exponential draws should land near the configured mean.
     EXPECT_NEAR(total.millis() / n, 40.0, 12.0);
 }
@@ -106,7 +106,7 @@ TEST(FaultInjector, SameSeedSameSchedule) {
             const FaultOutcome oa = a.on_read(AtomId{t, m});
             const FaultOutcome ob = b.on_read(AtomId{t, m});
             EXPECT_EQ(oa.failed, ob.failed);
-            EXPECT_EQ(oa.extra_latency.micros, ob.extra_latency.micros);
+            EXPECT_EQ(oa.extra_latency.raw_micros(), ob.extra_latency.raw_micros());
         }
 }
 
@@ -162,7 +162,7 @@ TEST(AtomStoreFaults, FailedReadChargesDiskButReturnsNoData) {
     EXPECT_TRUE(rr.failed);
     EXPECT_FALSE(rr.permanent);
     EXPECT_EQ(rr.data, nullptr);
-    EXPECT_GT(rr.io_cost.micros, 0);  // the head still moved
+    EXPECT_GT(rr.io_cost.raw_micros(), 0);  // the head still moved
     EXPECT_EQ(store.disk_stats().requests, 1u);
     EXPECT_EQ(store.fault_stats().transient_faults, 1u);
 }
@@ -182,10 +182,10 @@ TEST(AtomStoreFaults, SpikeInflatesIoCostAndDiskBusyTime) {
     const ReadResult slow = faulty.read(AtomId{0, 3});
     const ReadResult fast = baseline.read(AtomId{0, 3});
     EXPECT_FALSE(slow.failed);
-    EXPECT_GE(slow.io_cost.micros, fast.io_cost.micros);
-    EXPECT_EQ(faulty.disk_stats().fault_delay.micros,
-              slow.io_cost.micros - fast.io_cost.micros);
-    EXPECT_EQ(baseline.disk_stats().fault_delay.micros, 0);
+    EXPECT_GE(slow.io_cost.raw_micros(), fast.io_cost.raw_micros());
+    EXPECT_EQ(faulty.disk_stats().fault_delay.raw_micros(),
+              slow.io_cost.raw_micros() - fast.io_cost.raw_micros());
+    EXPECT_EQ(baseline.disk_stats().fault_delay.raw_micros(), 0);
 }
 
 }  // namespace

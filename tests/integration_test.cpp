@@ -90,8 +90,8 @@ TEST(Integration, ParticleTrackingThroughBatchEngineWithRealData) {
     EXPECT_EQ(report.queries, 5u);
     // Sequential completion of the chain.
     for (std::size_t i = 1; i < engine.outcomes().size(); ++i)
-        EXPECT_GE(engine.outcomes()[i].completed.micros,
-                  engine.outcomes()[i - 1].completed.micros);
+        EXPECT_GE(engine.outcomes()[i].completed.raw_micros(),
+                  engine.outcomes()[i - 1].completed.raw_micros());
 }
 
 TEST(Integration, InterpolatedAdvectionTracksAnalyticTrajectory) {
@@ -175,13 +175,13 @@ TEST(Integration, SaturationSweepIsMonotoneInArrivalCompression) {
     const field::SyntheticField field(config.field);
     const workload::Workload base = workload::generate_workload(spec, config.grid, field);
 
-    util::SimTime previous_makespan{INT64_MAX};
+    util::SimTime previous_makespan = util::SimTime::max();
     for (const double speedup : {0.5, 2.0, 8.0}) {
         workload::Workload w = base;
         workload::apply_speedup(w, speedup);
         core::Engine engine(config);
         const core::RunReport report = engine.run(w);
-        EXPECT_LE(report.makespan.micros, previous_makespan.micros);
+        EXPECT_LE(report.makespan.raw_micros(), previous_makespan.raw_micros());
         previous_makespan = report.makespan;
     }
 }

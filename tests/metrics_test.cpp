@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/metrics.h"
 
@@ -78,6 +80,33 @@ TEST(Metrics, SteadyThroughputDegenerateWindowFallsBack) {
     report.throughput_qps = 7.0;
     fill_response_stats(outcomes, report);
     EXPECT_DOUBLE_EQ(report.steady_throughput_qps, 7.0);
+}
+
+TEST(Metrics, ShiftedOutcomesReportTheSameSteadyThroughput) {
+    // Fourteen completions about 1.23 s apart, off any round microsecond
+    // count. 11.4 days out, an instant in seconds keeps ~1e-10 s of
+    // resolution, so percentiles interpolated over absolute instants round
+    // differently than near the origin; offsets from the first completion
+    // are the same numbers wherever the trace sits.
+    const util::SimTime delta = util::SimTime::from_seconds(11.4 * 86400.0);
+    std::vector<QueryOutcome> near_origin;
+    std::vector<QueryOutcome> days_later;
+    for (std::int64_t i = 0; i < 14; ++i) {
+        QueryOutcome o;
+        o.visible = util::SimTime::from_micros(i * 1'000'000);
+        o.completed =
+            util::SimTime::from_micros(1'000'000 + i * 1'234'567 + (i * i * 7919) % 1000);
+        near_origin.push_back(o);
+        o.visible += delta;
+        o.completed += delta;
+        days_later.push_back(o);
+    }
+    RunReport a, b;
+    fill_response_stats(near_origin, a);
+    fill_response_stats(days_later, b);
+    EXPECT_GT(a.steady_throughput_qps, 0.0);
+    EXPECT_EQ(b.steady_throughput_qps, a.steady_throughput_qps);
+    EXPECT_TRUE(b == a);
 }
 
 TEST(Metrics, SummaryMentionsSchedulerAndNumbers) {

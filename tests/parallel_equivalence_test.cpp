@@ -5,8 +5,9 @@
 // virtual time, and reduces worker results strictly in virtual
 // completion-event order. The contract under test: for every worker count,
 // a pooled run is bit-identical to the inline (serial-evaluation) engine —
-// same virtual trace, same samples, same digests — and repeat runs are
-// bit-identical to each other, including under seeded fault injection. The
+// every report field and per-query outcome equal, save the two fields that
+// count pool use — and repeat runs are equal in every field, including
+// under seeded fault injection. The
 // golden rows below pin the per-worker-count traces so a silent divergence
 // in either the virtual schedule or the reduction order fails loudly.
 //
@@ -51,37 +52,13 @@ workload::Workload fixture_workload(const EngineConfig& c) {
     return w;
 }
 
-void expect_reports_identical(const RunReport& pooled, const RunReport& inline_r) {
-    EXPECT_EQ(pooled.makespan.micros, inline_r.makespan.micros);
-    EXPECT_EQ(pooled.idle_time.micros, inline_r.idle_time.micros);
-    EXPECT_EQ(pooled.sample_digest, inline_r.sample_digest);
-    EXPECT_EQ(pooled.samples_evaluated, inline_r.samples_evaluated);
-    EXPECT_EQ(pooled.cache.hits, inline_r.cache.hits);
-    EXPECT_EQ(pooled.cache.misses, inline_r.cache.misses);
-    EXPECT_EQ(pooled.atom_reads, inline_r.atom_reads);
-    EXPECT_EQ(pooled.support_reads, inline_r.support_reads);
-    EXPECT_EQ(pooled.subqueries, inline_r.subqueries);
-    EXPECT_EQ(pooled.positions, inline_r.positions);
-    EXPECT_EQ(pooled.queries, inline_r.queries);
-    EXPECT_EQ(pooled.read_retries, inline_r.read_retries);
-    EXPECT_EQ(pooled.read_failures, inline_r.read_failures);
-    EXPECT_EQ(pooled.failed_subqueries, inline_r.failed_subqueries);
-    EXPECT_EQ(pooled.degraded_queries, inline_r.degraded_queries);
-    EXPECT_EQ(pooled.retry_backoff_time.micros, inline_r.retry_backoff_time.micros);
-    EXPECT_EQ(pooled.peak_cpu_busy, inline_r.peak_cpu_busy);
-    EXPECT_EQ(pooled.peak_disk_busy, inline_r.peak_disk_busy);
-}
-
-void expect_outcomes_identical(const std::vector<QueryOutcome>& a,
-                               const std::vector<QueryOutcome>& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].query, b[i].query);
-        EXPECT_EQ(a[i].completed.micros, b[i].completed.micros);
-        EXPECT_EQ(a[i].samples_evaluated, b[i].samples_evaluated);
-        EXPECT_EQ(a[i].sample_digest, b[i].sample_digest);
-        EXPECT_EQ(a[i].failed_subqueries, b[i].failed_subqueries);
-    }
+/// `r` with the two fields that say where evaluation ran zeroed: a pooled
+/// run counts its workers and the sub-queries it handed them, an inline run
+/// counts none, and by design the runs differ in nothing else.
+RunReport without_pool_use(RunReport r) {
+    r.eval_threads = 0;
+    r.eval_tasks = 0;
+    return r;
 }
 
 constexpr std::size_t kWorkerCounts[] = {1, 2, 4, 8};
@@ -104,8 +81,8 @@ TEST(ParallelEquivalence, PooledEvalIsBitIdenticalToInlineAtEveryWorkerCount) {
         EXPECT_EQ(ri.eval_tasks, 0u);
         EXPECT_GT(rp.samples_evaluated, 0u);
 
-        expect_reports_identical(rp, ri);
-        expect_outcomes_identical(pooled.outcomes(), inline_e.outcomes());
+        EXPECT_TRUE(without_pool_use(rp) == ri);
+        EXPECT_TRUE(pooled.outcomes() == inline_e.outcomes());
     }
 }
 
@@ -118,8 +95,8 @@ TEST(ParallelEquivalence, RepeatedPooledRunsAreBitIdentical) {
         const RunReport r1 = first.run(work);
         Engine second(cfg);
         const RunReport r2 = second.run(work);
-        expect_reports_identical(r1, r2);
-        expect_outcomes_identical(first.outcomes(), second.outcomes());
+        EXPECT_TRUE(r1 == r2);
+        EXPECT_TRUE(first.outcomes() == second.outcomes());
     }
 }
 
@@ -137,9 +114,12 @@ TEST(ParallelEquivalence, ExternalSharedPoolMatchesEngineOwnedPool) {
         const RunReport re = ext.run(work);
         EXPECT_EQ(re.eval_threads, shared.size());
         Engine owned(fixture_config(w, /*parallel=*/true));
-        const RunReport ro = owned.run(work);
-        expect_reports_identical(re, ro);
-        expect_outcomes_identical(ext.outcomes(), owned.outcomes());
+        RunReport ro = owned.run(work);
+        EXPECT_EQ(ro.eval_threads, w);
+        // The pools' worker counts differ by construction; nothing else may.
+        ro.eval_threads = re.eval_threads;
+        EXPECT_TRUE(re == ro);
+        EXPECT_TRUE(ext.outcomes() == owned.outcomes());
     }
 }
 
@@ -174,7 +154,7 @@ TEST(ParallelEquivalence, GoldenPinnedTracePerWorkerCount) {
         const EngineConfig cfg = fixture_config(g.workers, /*parallel=*/true);
         Engine engine(cfg);
         const RunReport r = engine.run(fixture_workload(cfg));
-        EXPECT_EQ(r.makespan.micros, g.makespan_us);
+        EXPECT_EQ(r.makespan.raw_micros(), g.makespan_us);
         EXPECT_EQ(r.samples_evaluated, g.samples);
         EXPECT_EQ(r.sample_digest, g.digest);
     }
@@ -220,8 +200,9 @@ TEST(ParallelEquivalence, FaultedPooledRunMatchesInlineRecoveryExactly) {
         Engine inline_e(faulted_config(w, /*parallel=*/false));
         const RunReport ri = inline_e.run(work);
         EXPECT_GT(rp.read_retries, 0u);  // the faults actually fired
-        expect_reports_identical(rp, ri);
-        expect_outcomes_identical(pooled.outcomes(), inline_e.outcomes());
+        EXPECT_EQ(ri.eval_tasks, 0u);
+        EXPECT_TRUE(without_pool_use(rp) == ri);
+        EXPECT_TRUE(pooled.outcomes() == inline_e.outcomes());
     }
 }
 
@@ -245,7 +226,7 @@ TEST(ParallelEquivalence, GoldenPinnedFaultedTracePerWorkerCount) {
         const EngineConfig cfg = faulted_config(g.workers, /*parallel=*/true);
         Engine engine(cfg);
         const RunReport r = engine.run(fixture_workload(cfg));
-        EXPECT_EQ(r.makespan.micros, g.makespan_us);
+        EXPECT_EQ(r.makespan.raw_micros(), g.makespan_us);
         EXPECT_EQ(r.read_retries, g.retries);
         EXPECT_EQ(r.sample_digest, g.digest);
     }

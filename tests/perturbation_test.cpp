@@ -6,8 +6,10 @@
 // observable result may depend on it. This suite runs the same fixtures
 // under util::TiePerturbation (salted permutation of same-tick ties in the
 // commutative classes, offset event ids, tombstone entries disturbing the
-// heap layout) and asserts every report digest is bit-identical to the
-// unperturbed run. Service completions (Engine::kPriService) are
+// heap layout) and asserts that every report and per-query outcome equals
+// the unperturbed run's, field for field (the reports' defaulted ==, nested
+// stats, timelines and response vectors included). Service completions
+// (Engine::kPriService) are
 // deliberately *not* permuted: RunReport::sample_digest folds sample bytes
 // in completion-event order, so their same-tick order is semantically
 // visible — that boundary is part of the documented contract, and the
@@ -81,75 +83,21 @@ workload::Workload fixture_workload(const EngineConfig& config, std::uint64_t se
     return workload::generate_workload(spec, config.grid, field);
 }
 
-/// The observable fingerprint of a run: every integer field that pins the
-/// schedule, folded with FNV so a mismatch names no particular field but
-/// misses nothing.
-std::uint64_t fingerprint(const RunReport& r) {
-    std::uint64_t h = kFnvOffset;
-    const auto fold = [&h](std::uint64_t v) { h = fnv1a64(h, &v, sizeof v); };
-    fold(static_cast<std::uint64_t>(r.makespan.micros));
-    fold(r.sample_digest);
-    fold(r.samples_evaluated);
-    fold(r.atoms_processed);
-    fold(r.atom_reads);
-    fold(r.support_reads);
-    fold(r.subqueries);
-    fold(r.positions);
-    fold(r.peak_cpu_busy);
-    fold(r.peak_disk_busy);
-    fold(r.read_retries);
-    fold(r.read_failures);
-    fold(r.hedges_issued);
-    for (const TimelinePoint& p : r.timeline) {
-        fold(static_cast<std::uint64_t>(p.window_end.micros));
-        fold(p.completions);
-    }
-    return h;
-}
-
-/// Per-query outcomes live on the engine, not the report; fold them too so
-/// the checker sees every completion instant and per-query sample digest.
-std::uint64_t fingerprint(const Engine& engine, const RunReport& r) {
-    std::uint64_t h = fingerprint(r);
-    const auto fold = [&h](std::uint64_t v) { h = fnv1a64(h, &v, sizeof v); };
-    for (const QueryOutcome& q : engine.outcomes()) {
-        fold(q.query);
-        fold(static_cast<std::uint64_t>(q.visible.micros));
-        fold(static_cast<std::uint64_t>(q.completed.micros));
-        fold(q.sample_digest);
-        fold(q.samples_evaluated);
-    }
-    return h;
-}
-
-std::uint64_t fingerprint(const ClusterReport& r) {
-    std::uint64_t h = kFnvOffset;
-    const auto fold = [&h](std::uint64_t v) { h = fnv1a64(h, &v, sizeof v); };
-    fold(static_cast<std::uint64_t>(r.makespan.micros));
-    fold(r.routed_queries);
-    fold(r.rerouted_arrivals);
-    fold(r.replica_reads);
-    fold(r.degraded_queries);
-    fold(static_cast<std::uint64_t>(r.failovers));
-    for (const RunReport& node : r.per_node) fold(fingerprint(node));
-    return h;
-}
-
 TEST(Perturbation, SingleNodeReportsAreTieBreakInvariant) {
     const EngineConfig base = fixture_config();
     const workload::Workload w = fixture_workload(base, 3);
 
     Engine reference(base);
     const RunReport ref = reference.run(w);
-    const std::uint64_t expected = fingerprint(reference, ref);
 
     for (const auto& [name, perturbation] : perturbations()) {
+        SCOPED_TRACE("perturbation `" + name + "`");
         EngineConfig cfg = base;
         cfg.tie_perturbation = perturbation;
         Engine engine(cfg);
         const RunReport r = engine.run(w);
-        EXPECT_EQ(fingerprint(engine, r), expected)
-            << "report drifted under perturbation `" << name << "`";
+        EXPECT_TRUE(r == ref) << "report drifted";
+        EXPECT_TRUE(engine.outcomes() == reference.outcomes()) << "outcomes drifted";
     }
 }
 
@@ -175,14 +123,14 @@ TEST(Perturbation, MaterializedSampleDigestIsTieBreakInvariant) {
     ASSERT_NE(ref.sample_digest, kFnvOffset) << "fixture produced no samples";
 
     for (const auto& [name, perturbation] : perturbations()) {
+        SCOPED_TRACE("perturbation `" + name + "`");
         EngineConfig cfg = base;
         cfg.tie_perturbation = perturbation;
         Engine engine(cfg);
         const RunReport r = engine.run(w);
-        EXPECT_EQ(r.sample_digest, ref.sample_digest)
-            << "sample bytes drifted under perturbation `" << name << "`";
-        EXPECT_EQ(fingerprint(engine, r), fingerprint(reference, ref))
-            << "report drifted under perturbation `" << name << "`";
+        EXPECT_EQ(r.sample_digest, ref.sample_digest) << "sample bytes drifted";
+        EXPECT_TRUE(r == ref) << "report drifted";
+        EXPECT_TRUE(engine.outcomes() == reference.outcomes()) << "outcomes drifted";
     }
 }
 
@@ -193,13 +141,12 @@ TEST(Perturbation, UnifiedClusterReportsAreTieBreakInvariant) {
     base.replication = 2;
     const workload::Workload w = fixture_workload(base.node, 7);
 
-    const std::uint64_t expected =
-        fingerprint(TurbulenceCluster(base).run(w));
+    const ClusterReport expected = TurbulenceCluster(base).run(w);
 
     for (const auto& [name, perturbation] : perturbations()) {
         ClusterConfig cfg = base;
         cfg.node.tie_perturbation = perturbation;
-        EXPECT_EQ(fingerprint(TurbulenceCluster(cfg).run(w)), expected)
+        EXPECT_TRUE(TurbulenceCluster(cfg).run(w) == expected)
             << "cluster report drifted under perturbation `" << name << "`";
     }
 }

@@ -134,8 +134,8 @@ std::string resource_conservation(Gen& g) {
     if (started > submitted) return "more jobs started than submitted";
     if (!res.idle()) return "resource busy after drain";
     const SimTime elapsed = q.now() - start;
-    if (res.busy_channel_time().micros >
-        static_cast<std::int64_t>(channels) * elapsed.micros)
+    if (res.busy_channel_time().raw_micros() >
+        static_cast<std::int64_t>(channels) * elapsed.raw_micros())
         return "busy-channel time exceeds channels * elapsed (the per-channel "
                "busy share would exceed the makespan)";
     if (res.peak_busy_channels() > channels)
@@ -166,9 +166,9 @@ std::string disk_ledger_conservation(Gen& g) {
         if (g.below(3) != 0) {
             const SimTime cost =
                 disk.read(g.below(1ULL << 40), g.below(1ULL << 24));
-            if (cost.micros < 0) return "negative read cost";
-            rendered += cost.micros;
-            service += cost.micros;
+            if (cost.raw_micros() < 0) return "negative read cost";
+            rendered += cost.raw_micros();
+            service += cost.raw_micros();
         } else {
             const std::int64_t tail = g.in_range(-50000, 200000);
             disk.cancel_tail(SimTime::from_micros(tail));
@@ -177,9 +177,9 @@ std::string disk_ledger_conservation(Gen& g) {
             refunded += applied;
             service -= applied;
         }
-        if (disk.stats().service_time.micros < 0)
+        if (disk.stats().service_time.raw_micros() < 0)
             return "service_time went negative";
-        if (disk.stats().service_time.micros != service)
+        if (disk.stats().service_time.raw_micros() != service)
             return "service_time diverged from the mirrored ledger";
     }
     // Conservation: what the disk rendered splits exactly into what it still

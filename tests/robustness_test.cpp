@@ -70,7 +70,7 @@ TEST(Robustness, SingleJobSingleQuery) {
     core::Engine engine(config);
     const core::RunReport report = engine.run(w);
     EXPECT_EQ(report.queries, 1u);
-    EXPECT_GT(report.makespan.micros, 0);
+    EXPECT_GT(report.makespan.raw_micros(), 0);
 }
 
 TEST(Robustness, JobWithEmptyQueryListIsSkipped) {
@@ -351,7 +351,7 @@ TEST(FaultRecovery, CertainTransientErrorsStillTerminate) {
         EXPECT_EQ(report.degraded_queries, 12u);
         EXPECT_GT(report.read_failures, 0u);
         EXPECT_GT(report.read_retries, 0u);
-        EXPECT_GT(report.retry_backoff_time.micros, 0);
+        EXPECT_GT(report.retry_backoff_time.raw_micros(), 0);
         EXPECT_EQ(report.atom_reads, 0u);  // nothing ever made it to the cache
     }
 }
@@ -406,7 +406,7 @@ TEST(FaultRecovery, StragglerDiskWithPrefetchDoesNotDeadlock) {
     const core::RunReport report = engine.run(w);
     EXPECT_EQ(report.queries, w.total_queries());
     EXPECT_GT(report.faults.latency_spikes, 0u);
-    EXPECT_GT(report.disk.fault_delay.micros, 0);
+    EXPECT_GT(report.disk.fault_delay.raw_micros(), 0);
 }
 
 TEST(FaultRecovery, IdenticalSeedsGiveBitIdenticalRuns) {
@@ -426,14 +426,8 @@ TEST(FaultRecovery, IdenticalSeedsGiveBitIdenticalRuns) {
     };
     const core::RunReport a = run_once();
     const core::RunReport b = run_once();
-    EXPECT_EQ(a.makespan.micros, b.makespan.micros);
-    EXPECT_EQ(a.read_retries, b.read_retries);
-    EXPECT_EQ(a.read_failures, b.read_failures);
-    EXPECT_EQ(a.degraded_queries, b.degraded_queries);
-    EXPECT_EQ(a.retry_backoff_time.micros, b.retry_backoff_time.micros);
-    EXPECT_EQ(a.faults.transient_faults, b.faults.transient_faults);
-    EXPECT_EQ(a.faults.latency_spikes, b.faults.latency_spikes);
-    EXPECT_EQ(a.faults.spike_delay.micros, b.faults.spike_delay.micros);
+    ASSERT_GT(a.read_retries, 0u);  // the faults actually fired
+    EXPECT_TRUE(a == b);
 }
 
 TEST(FaultRecovery, RetryDuringInFlightPooledEvalMatchesSerialCounters) {
@@ -465,21 +459,17 @@ TEST(FaultRecovery, RetryDuringInFlightPooledEvalMatchesSerialCounters) {
         core::Engine engine(config);
         return engine.run(w);
     };
-    const core::RunReport pooled = run_once(true);
+    core::RunReport pooled = run_once(true);
     const core::RunReport serial = run_once(false);
     ASSERT_GT(pooled.read_retries, 0u);  // the scenario actually occurred
     ASSERT_GT(pooled.eval_tasks, 0u);    // ... with work on the pool
+    EXPECT_EQ(serial.eval_threads, 0u);
     EXPECT_EQ(serial.eval_tasks, 0u);
-    EXPECT_EQ(pooled.read_retries, serial.read_retries);
-    EXPECT_EQ(pooled.read_failures, serial.read_failures);
-    EXPECT_EQ(pooled.failed_subqueries, serial.failed_subqueries);
-    EXPECT_EQ(pooled.degraded_queries, serial.degraded_queries);
-    EXPECT_EQ(pooled.retry_backoff_time.micros, serial.retry_backoff_time.micros);
-    EXPECT_EQ(pooled.faults.transient_faults, serial.faults.transient_faults);
-    EXPECT_EQ(pooled.faults.latency_spikes, serial.faults.latency_spikes);
-    EXPECT_EQ(pooled.makespan.micros, serial.makespan.micros);
-    EXPECT_EQ(pooled.samples_evaluated, serial.samples_evaluated);
-    EXPECT_EQ(pooled.sample_digest, serial.sample_digest);
+    // Only where evaluation ran may differ: the pool's workers and the
+    // sub-queries handed to them, which an inline run counts as zero.
+    pooled.eval_threads = 0;
+    pooled.eval_tasks = 0;
+    EXPECT_TRUE(pooled == serial);
 }
 
 TEST(FaultRecovery, ZeroedFaultSpecReportsNoFaultActivity) {
@@ -492,10 +482,10 @@ TEST(FaultRecovery, ZeroedFaultSpecReportsNoFaultActivity) {
     EXPECT_EQ(report.read_retries, 0u);
     EXPECT_EQ(report.read_failures, 0u);
     EXPECT_EQ(report.degraded_queries, 0u);
-    EXPECT_EQ(report.retry_backoff_time.micros, 0);
+    EXPECT_EQ(report.retry_backoff_time.raw_micros(), 0);
     EXPECT_EQ(report.faults.transient_faults, 0u);
     EXPECT_EQ(report.faults.latency_spikes, 0u);
-    EXPECT_EQ(report.disk.fault_delay.micros, 0);
+    EXPECT_EQ(report.disk.fault_delay.raw_micros(), 0);
     EXPECT_FALSE(report.halted);
 }
 
@@ -557,7 +547,7 @@ TEST(Failover, NodeDeathWithReplicationCompletesEverything) {
     EXPECT_EQ(report.lost_queries, 0u);
     EXPECT_GT(report.requeued_queries, 0u);
     EXPECT_EQ(completed_parts(report), static_cast<std::size_t>(24));
-    EXPECT_GT(report.makespan.micros, 0);
+    EXPECT_GT(report.makespan.raw_micros(), 0);
 }
 
 TEST(Failover, DeathAfterCompletionRequiresNoRecovery) {

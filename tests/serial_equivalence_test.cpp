@@ -79,8 +79,8 @@ TEST(SerialEquivalence, DefaultDepthReproducesTheSerialEngineExactly) {
         Engine engine(c);
         const RunReport r = engine.run(w);
         SCOPED_TRACE(r.scheduler_name);
-        EXPECT_EQ(r.makespan.micros, g.makespan_us);
-        EXPECT_EQ(r.idle_time.micros, g.idle_us);
+        EXPECT_EQ(r.makespan.raw_micros(), g.makespan_us);
+        EXPECT_EQ(r.idle_time.raw_micros(), g.idle_us);
         EXPECT_EQ(r.cache.hits, g.cache_hits);
         EXPECT_EQ(r.cache.misses, g.cache_misses);
         EXPECT_EQ(r.atom_reads, g.atom_reads);
@@ -119,7 +119,7 @@ TEST(SerialEquivalence, EachCachePolicyReproducesItsPinnedRun) {
         Engine engine(c);
         const RunReport r = engine.run(w);
         SCOPED_TRACE(r.cache_policy);
-        EXPECT_EQ(r.makespan.micros, g.makespan_us);
+        EXPECT_EQ(r.makespan.raw_micros(), g.makespan_us);
         EXPECT_EQ(r.cache.hits, g.cache_hits);
         EXPECT_EQ(r.cache.misses, g.cache_misses);
         EXPECT_EQ(r.cache.evictions, g.evictions);
@@ -139,11 +139,11 @@ TEST(SerialEquivalence, FaultyRunReproducesRetryAndBackoffAccountingExactly) {
     const RunReport r = engine.run(w);
     // Pre-refactor serial engine on the same faulty fixture (re-pinned with
     // the SimTime rounding fix, same as kGoldens above).
-    EXPECT_EQ(r.makespan.micros, 582002734);
+    EXPECT_EQ(r.makespan.raw_micros(), 582002734);
     EXPECT_EQ(r.read_retries, 2064u);
     EXPECT_EQ(r.read_failures, 36u);
     EXPECT_EQ(r.degraded_queries, 54u);
-    EXPECT_EQ(r.retry_backoff_time.micros, 13855000);
+    EXPECT_EQ(r.retry_backoff_time.raw_micros(), 13855000);
     EXPECT_EQ(r.atom_reads, 6184u);
 }
 
@@ -154,17 +154,17 @@ TEST(SerialEquivalence, SerialPipelineNeverOverlapsIoAndCompute) {
     const workload::Workload w = fixture_workload(c);
     Engine engine(c);
     const RunReport r = engine.run(w);
-    EXPECT_EQ(r.overlap_time.micros, 0);
+    EXPECT_EQ(r.overlap_time.raw_micros(), 0);
     EXPECT_EQ(r.overlap_fraction, 0.0);
     EXPECT_EQ(r.io_depth, 1u);
     EXPECT_EQ(r.compute_workers, 1u);
-    EXPECT_GT(r.disk_busy_time.micros, 0);
-    EXPECT_GT(r.cpu_busy_time.micros, 0);
+    EXPECT_GT(r.disk_busy_time.raw_micros(), 0);
+    EXPECT_GT(r.cpu_busy_time.raw_micros(), 0);
     // With zero overlap, busy intervals are disjoint and fit in the non-idle
     // span (the remainder is dispatch overhead and retry backoff, which
     // occupy neither resource).
-    EXPECT_LE(r.disk_busy_time.micros + r.cpu_busy_time.micros,
-              r.makespan.micros - r.idle_time.micros);
+    EXPECT_LE(r.disk_busy_time.raw_micros() + r.cpu_busy_time.raw_micros(),
+              r.makespan.raw_micros() - r.idle_time.raw_micros());
 }
 
 // A dense, cold-cache workload where nearly every batch item needs a disk
@@ -199,10 +199,10 @@ TEST(OverlappedIo, DeeperPipelineStrictlyShortensAnIoBoundRun) {
     Engine e4(saturated_config(4, 2));
     const RunReport r4 = e4.run(w);
 
-    EXPECT_LT(r4.makespan.micros, r1.makespan.micros);
+    EXPECT_LT(r4.makespan.raw_micros(), r1.makespan.raw_micros());
     EXPECT_GT(r4.overlap_fraction, 0.0);
-    EXPECT_GT(r4.overlap_time.micros, 0);
-    EXPECT_EQ(r1.overlap_time.micros, 0);
+    EXPECT_GT(r4.overlap_time.raw_micros(), 0);
+    EXPECT_EQ(r1.overlap_time.raw_micros(), 0);
     // The pipeline reorders work in time, never in substance.
     EXPECT_EQ(r4.positions, r1.positions);
     EXPECT_EQ(r4.subqueries, r1.subqueries);
@@ -214,8 +214,8 @@ TEST(OverlappedIo, ReportEchoesConfiguredDepths) {
     const RunReport r = engine.run(saturated_workload(saturated_config(4, 2)));
     EXPECT_EQ(r.io_depth, 4u);
     EXPECT_EQ(r.compute_workers, 2u);
-    EXPECT_GE(r.disk_busy_time.micros, r.overlap_time.micros);
-    EXPECT_GE(r.cpu_busy_time.micros, r.overlap_time.micros);
+    EXPECT_GE(r.disk_busy_time.raw_micros(), r.overlap_time.raw_micros());
+    EXPECT_GE(r.cpu_busy_time.raw_micros(), r.overlap_time.raw_micros());
     EXPECT_GT(r.disk_utilization, 0.0);
     EXPECT_GT(r.cpu_utilization, 0.0);
     EXPECT_LE(r.disk_utilization, 1.0);
@@ -228,8 +228,8 @@ TEST(OverlappedIo, DepthSweepIsMonotoneOnTheSaturatedFixture) {
     for (const std::size_t depth : {1u, 2u, 4u}) {
         Engine engine(saturated_config(depth, 2));
         const RunReport r = engine.run(w);
-        EXPECT_LE(r.makespan.micros, prev) << "io_depth=" << depth;
-        prev = r.makespan.micros;
+        EXPECT_LE(r.makespan.raw_micros(), prev) << "io_depth=" << depth;
+        prev = r.makespan.raw_micros();
     }
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 #include "util/contracts.h"
 #include "util/sim_time.h"
@@ -10,9 +11,19 @@
 namespace jaws::util {
 namespace {
 
+// The tick count is private: no code outside the class reads or writes it,
+// or builds a SimTime from a bare integer, so every caller goes through the
+// saturating operators and the named factories. The layout stays one int64.
+template <class T>
+concept ExposesTicks = requires(T t) { t.micros; };
+static_assert(!ExposesTicks<SimTime>);
+static_assert(!std::is_constructible_v<SimTime, std::int64_t>);
+static_assert(sizeof(SimTime) == sizeof(std::int64_t));
+static_assert(std::is_trivially_copyable_v<SimTime>);
+
 TEST(SimTime, Conversions) {
-    EXPECT_EQ(SimTime::from_seconds(1.5).micros, 1'500'000);
-    EXPECT_EQ(SimTime::from_millis(2.5).micros, 2'500);
+    EXPECT_EQ(SimTime::from_seconds(1.5).raw_micros(), 1'500'000);
+    EXPECT_EQ(SimTime::from_millis(2.5).raw_micros(), 2'500);
     EXPECT_DOUBLE_EQ(SimTime::from_micros(3'000'000).seconds(), 3.0);
     EXPECT_DOUBLE_EQ(SimTime::from_micros(1'500).millis(), 1.5);
 }
@@ -21,29 +32,29 @@ TEST(SimTime, ConversionsRoundToNearestMicrosecond) {
     // Truncation used to drop up to 1 us per conversion: 0.0024 ms is 2.4 us
     // and must round to 2, not chop through intermediate float error; 2.6 us
     // rounds up to 3. Same for seconds.
-    EXPECT_EQ(SimTime::from_millis(0.0024).micros, 2);
-    EXPECT_EQ(SimTime::from_millis(0.0026).micros, 3);
-    EXPECT_EQ(SimTime::from_millis(0.9999).micros, 1'000);
-    EXPECT_EQ(SimTime::from_seconds(0.9999996).micros, 1'000'000);
-    EXPECT_EQ(SimTime::from_seconds(1e-7).micros, 0);
+    EXPECT_EQ(SimTime::from_millis(0.0024).raw_micros(), 2);
+    EXPECT_EQ(SimTime::from_millis(0.0026).raw_micros(), 3);
+    EXPECT_EQ(SimTime::from_millis(0.9999).raw_micros(), 1'000);
+    EXPECT_EQ(SimTime::from_seconds(0.9999996).raw_micros(), 1'000'000);
+    EXPECT_EQ(SimTime::from_seconds(1e-7).raw_micros(), 0);
     // Half-way cases round away from zero (llround semantics), including for
     // negative spans.
-    EXPECT_EQ(SimTime::from_millis(0.0005).micros, 1);
-    EXPECT_EQ(SimTime::from_millis(-0.0005).micros, -1);
-    EXPECT_EQ(SimTime::from_millis(-0.0024).micros, -2);
+    EXPECT_EQ(SimTime::from_millis(0.0005).raw_micros(), 1);
+    EXPECT_EQ(SimTime::from_millis(-0.0005).raw_micros(), -1);
+    EXPECT_EQ(SimTime::from_millis(-0.0024).raw_micros(), -2);
     // 86.9 ms of exponential think time (a value the generator actually
     // produces) keeps its nearest microsecond.
-    EXPECT_EQ(SimTime::from_seconds(0.0869995).micros, 87'000);
+    EXPECT_EQ(SimTime::from_seconds(0.0869995).raw_micros(), 87'000);
 }
 
 TEST(SimTime, Arithmetic) {
     const SimTime a = SimTime::from_millis(5);
     const SimTime b = SimTime::from_millis(3);
-    EXPECT_EQ((a + b).micros, 8'000);
-    EXPECT_EQ((a - b).micros, 2'000);
+    EXPECT_EQ((a + b).raw_micros(), 8'000);
+    EXPECT_EQ((a - b).raw_micros(), 2'000);
     SimTime c = a;
     c += b;
-    EXPECT_EQ(c.micros, 8'000);
+    EXPECT_EQ(c.raw_micros(), 8'000);
 }
 
 TEST(SimTime, Comparisons) {
@@ -66,16 +77,16 @@ TEST(SimTime, RealConversionsSaturateInsteadOfOverflowing) {
     constexpr double inf = std::numeric_limits<double>::infinity();
     constexpr std::int64_t lo = std::numeric_limits<std::int64_t>::min();
     constexpr std::int64_t hi = std::numeric_limits<std::int64_t>::max();
-    EXPECT_EQ(SimTime::from_seconds(inf).micros, hi);
-    EXPECT_EQ(SimTime::from_millis(inf).micros, hi);
-    EXPECT_EQ(SimTime::from_seconds(-inf).micros, lo);
-    EXPECT_EQ(SimTime::from_millis(-1e300).micros, lo);
-    EXPECT_EQ(SimTime::from_seconds(1e300).micros, hi);
+    EXPECT_EQ(SimTime::from_seconds(inf).raw_micros(), hi);
+    EXPECT_EQ(SimTime::from_millis(inf).raw_micros(), hi);
+    EXPECT_EQ(SimTime::from_seconds(-inf).raw_micros(), lo);
+    EXPECT_EQ(SimTime::from_millis(-1e300).raw_micros(), lo);
+    EXPECT_EQ(SimTime::from_seconds(1e300).raw_micros(), hi);
     EXPECT_EQ(
-        SimTime::from_millis(std::numeric_limits<double>::quiet_NaN()).micros,
+        SimTime::from_millis(std::numeric_limits<double>::quiet_NaN()).raw_micros(),
         0);
     // Values inside the representable band still round to nearest.
-    EXPECT_EQ(SimTime::from_millis(2.0004).micros, 2'000);
+    EXPECT_EQ(SimTime::from_millis(2.0004).raw_micros(), 2'000);
 }
 
 // Deliberate saturations below trip JAWS_INVARIANT in audit builds, whose

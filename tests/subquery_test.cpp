@@ -31,7 +31,7 @@ TEST(Preprocess, OneSubQueryPerFootprintAtom) {
     for (const auto& s : subs) {
         EXPECT_EQ(s.query, q.id);
         EXPECT_EQ(s.positions, 10u);
-        EXPECT_EQ(s.enqueue_time.micros, 7000);
+        EXPECT_EQ(s.enqueue_time.raw_micros(), 7000);
         EXPECT_EQ(s.atom.timestep, 2u);
     }
 }

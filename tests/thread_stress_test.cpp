@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -146,28 +147,14 @@ TEST(ThreadStress, ParallelClusterRunsAreRaceFreeAndIdentical) {
     ta.join();
     tb.join();
 
-    ASSERT_GT(c.makespan.micros, 0);
+    ASSERT_GT(c.makespan, util::SimTime::zero());
     ASSERT_GT(c.failovers, 0u);
     std::uint64_t eval_tasks = 0;
     for (const core::RunReport& n : c.per_node) eval_tasks += n.eval_tasks;
     ASSERT_GT(eval_tasks, 0u) << "the shared evaluation pool never ran";
-    EXPECT_EQ(a.makespan.micros, c.makespan.micros);
-    EXPECT_EQ(b.makespan.micros, c.makespan.micros);
-    EXPECT_EQ(a.dead_nodes, c.dead_nodes);
-    EXPECT_EQ(b.failovers, c.failovers);
-    EXPECT_EQ(a.requeued_queries, c.requeued_queries);
-    EXPECT_DOUBLE_EQ(a.total_throughput_qps, c.total_throughput_qps);
-    EXPECT_DOUBLE_EQ(b.mean_response_ms, c.mean_response_ms);
-    ASSERT_EQ(a.per_node.size(), c.per_node.size());
-    for (std::size_t n = 0; n < c.per_node.size(); ++n) {
-        EXPECT_EQ(a.per_node[n].makespan.micros, c.per_node[n].makespan.micros);
-        EXPECT_EQ(b.per_node[n].cache.hits, c.per_node[n].cache.hits);
-        EXPECT_EQ(a.per_node[n].sample_digest, c.per_node[n].sample_digest);
-        EXPECT_EQ(b.per_node[n].sample_digest, c.per_node[n].sample_digest);
-        EXPECT_EQ(a.per_node[n].cache.policy_overhead_ns,
-                  c.per_node[n].cache.policy_overhead_ns)
-            << "virtual-tick overhead accounting must be reproducible";
-    }
+    // Every field, the virtual-tick policy overhead included.
+    EXPECT_TRUE(a == c);
+    EXPECT_TRUE(b == c);
 }
 
 core::EngineConfig eval_stress_config() {
@@ -225,14 +212,14 @@ TEST(ThreadStress, ConcurrentEnginesSharingOneEvalPoolStayBitIdentical) {
     for (auto& t : runners) t.join();
 
     for (int e = 0; e < kEngines; ++e) {
-        const core::RunReport& r = reports[static_cast<std::size_t>(e)];
-        EXPECT_GT(r.eval_tasks, 0u) << "engine " << e << " never used the pool";
-        EXPECT_EQ(r.makespan.micros, ref.makespan.micros);
-        EXPECT_EQ(r.samples_evaluated, ref.samples_evaluated);
-        EXPECT_EQ(r.sample_digest, ref.sample_digest);
-        EXPECT_EQ(r.cache.hits, ref.cache.hits);
-        EXPECT_EQ(r.atom_reads, ref.atom_reads);
-        EXPECT_EQ(r.subqueries, ref.subqueries);
+        SCOPED_TRACE("engine " + std::to_string(e));
+        core::RunReport r = reports[static_cast<std::size_t>(e)];
+        EXPECT_GT(r.eval_tasks, 0u) << "never used the pool";
+        // Only where evaluation ran may differ from the inline reference:
+        // the pool's workers and the sub-queries handed to them.
+        r.eval_threads = 0;
+        r.eval_tasks = 0;
+        EXPECT_TRUE(r == ref);
     }
 }
 
@@ -248,11 +235,7 @@ TEST(ThreadStress, RepeatedPooledEngineRunsAreBitIdentical) {
     const core::RunReport r2 = second.run(work);
     ASSERT_GT(r1.eval_tasks, 0u);
     ASSERT_GT(r1.samples_evaluated, 0u);
-    EXPECT_EQ(r1.makespan.micros, r2.makespan.micros);
-    EXPECT_EQ(r1.samples_evaluated, r2.samples_evaluated);
-    EXPECT_EQ(r1.sample_digest, r2.sample_digest);
-    EXPECT_EQ(r1.eval_tasks, r2.eval_tasks);
-    EXPECT_EQ(r1.idle_time.micros, r2.idle_time.micros);
+    EXPECT_TRUE(r1 == r2);
 }
 
 TEST(ThreadStress, CondVarPingPong) {

@@ -43,7 +43,7 @@ TEST(Trace, OrderedJobsSubmitSequentially) {
         if (r.job_type != JobType::kOrdered) continue;
         const auto it = last.find(r.true_job);
         if (it != last.end()) {
-            ASSERT_GE(r.submit.micros, it->second.micros);
+            ASSERT_GE(r.submit.raw_micros(), it->second.raw_micros());
             ASSERT_EQ(r.seq_in_job, last_seq[r.true_job] + 1);
         }
         last[r.true_job] = r.submit;
@@ -120,7 +120,7 @@ TEST(Trace, ParseCsvAcceptsAValidRow) {
     EXPECT_EQ(records[0].query, 7u);
     EXPECT_EQ(records[0].job_type, JobType::kBatched);
     EXPECT_EQ(records[0].kind, storage::ComputeKind::kFlowStats);
-    EXPECT_EQ(records[0].submit.micros, 500'000);
+    EXPECT_EQ(records[0].submit.raw_micros(), 500'000);
 }
 
 TEST(Trace, ParseCsvRejectsOverflowingField) {

@@ -242,7 +242,7 @@ TEST(Generator, ThinkTimesNonNegativeAndFirstZeroForOrdered) {
     for (const auto& job : fixture().workload.jobs) {
         if (job.type != JobType::kOrdered) continue;
         ASSERT_EQ(job.queries.front().think_time, util::SimTime::zero());
-        for (const auto& q : job.queries) ASSERT_GE(q.think_time.micros, 0);
+        for (const auto& q : job.queries) ASSERT_GE(q.think_time.raw_micros(), 0);
     }
 }
 
@@ -255,9 +255,9 @@ TEST(ApplySpeedup, CompressesGapsExactly) {
         w.jobs.push_back(job);
     }
     apply_speedup(w, 2.0);
-    EXPECT_EQ(w.jobs[0].arrival.micros, 0);
-    EXPECT_EQ(w.jobs[1].arrival.micros, 60'000'000);
-    EXPECT_EQ(w.jobs[2].arrival.micros, 120'000'000);
+    EXPECT_EQ(w.jobs[0].arrival.raw_micros(), 0);
+    EXPECT_EQ(w.jobs[1].arrival.raw_micros(), 60'000'000);
+    EXPECT_EQ(w.jobs[2].arrival.raw_micros(), 120'000'000);
 }
 
 TEST(ApplySpeedup, SlowdownStretchesGaps) {
@@ -267,7 +267,7 @@ TEST(ApplySpeedup, SlowdownStretchesGaps) {
     b.arrival = util::SimTime::from_seconds(20);
     w.jobs = {a, b};
     apply_speedup(w, 0.5);
-    EXPECT_EQ((w.jobs[1].arrival - w.jobs[0].arrival).micros, 20'000'000);
+    EXPECT_EQ((w.jobs[1].arrival - w.jobs[0].arrival).raw_micros(), 20'000'000);
 }
 
 TEST(ApplySpeedup, IdentityAtOne) {
