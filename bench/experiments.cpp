@@ -1,13 +1,13 @@
 #include "experiments.h"
 
-#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <utility>
+
+#include "util/parse.h"
 
 namespace jaws::bench {
 
@@ -139,13 +139,7 @@ workload::Workload base_workload(std::size_t jobs, const core::EngineConfig& con
 }
 
 std::optional<std::size_t> parse_jobs(const char* text) {
-    const char* end = text + std::strlen(text);
-    std::size_t jobs = 0;
-    const auto [stop, error] = std::from_chars(text, end, jobs);
-    if (error != std::errc() || stop != end || jobs == 0 ||
-        jobs > workload::WorkloadSpec::kMaxJobs)
-        return std::nullopt;
-    return jobs;
+    return util::parse_count(text, 1, workload::WorkloadSpec::kMaxJobs);
 }
 
 std::size_t jobs_from_args(int argc, char** argv, std::size_t fallback) {

@@ -31,9 +31,8 @@ workload::WorkloadSpec base_workload_spec();
 /// The baseline trace at `jobs` jobs on `config`'s grid and field.
 workload::Workload base_workload(std::size_t jobs, const core::EngineConfig& config);
 
-/// A job count: decimal digits only, fully consumed, from 1 to
-/// workload::WorkloadSpec::kMaxJobs. Anything else (empty, signed, trailing
-/// text, too many jobs) is nullopt.
+/// A job count: util::parse_count from 1 to workload::WorkloadSpec::kMaxJobs.
+/// Anything else (empty, signed, trailing text, too many jobs) is nullopt.
 std::optional<std::size_t> parse_jobs(const char* text);
 
 /// Job count from argv[1] or JAWS_BENCH_JOBS, defaulting to `fallback`. A

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
 
     // --- 1. transient read errors -----------------------------------------
     std::printf("[transient read errors, %zu-attempt retry with backoff]\n",
-                base.retry.max_attempts);
+                core::kMaxReadAttempts);
     print_fault_header();
     for (const double rate : {0.0, 0.01, 0.05, 0.1, 0.2, 0.4}) {
         core::EngineConfig config = base;

@@ -7,20 +7,28 @@
 // saturated and response times near alpha=1 when idle, without manual tuning.
 //
 //   $ ./adaptive_tradeoff [jobs]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "core/engine.h"
+#include "util/parse.h"
 #include "workload/generator.h"
 
 int main(int argc, char** argv) {
     using namespace jaws;
-    const std::size_t jobs = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 150;
+    const std::optional<std::uint64_t> jobs =
+        argc > 1 ? util::parse_count(argv[1], 1, workload::WorkloadSpec::kMaxJobs) : 150;
+    if (!jobs) {
+        std::fprintf(stderr, "usage: %s [jobs]\n  jobs: 1 to %zu (default 150)\n", argv[0],
+                     workload::WorkloadSpec::kMaxJobs);
+        return 2;
+    }
 
     core::EngineConfig base;
     const field::SyntheticField field(base.field);
     workload::WorkloadSpec wspec;
-    wspec.jobs = jobs;
+    wspec.jobs = *jobs;
     wspec.seed = 31;
     const workload::Workload original =
         workload::generate_workload(wspec, base.grid, field);

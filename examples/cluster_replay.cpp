@@ -8,18 +8,34 @@
 // aggregate cluster report.
 //
 //   $ ./cluster_replay [nodes] [jobs]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 
 #include "core/cluster.h"
+#include "util/parse.h"
 #include "workload/generator.h"
 #include "workload/job_identifier.h"
 #include "workload/trace.h"
 
 int main(int argc, char** argv) {
     using namespace jaws;
-    const std::size_t nodes = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 4;
-    const std::size_t jobs = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 150;
+    constexpr std::uint64_t kMaxNodes = std::numeric_limits<util::NodeIndex::rep>::max();
+    const std::optional<std::uint64_t> nodes_arg =
+        argc > 1 ? util::parse_count(argv[1], 1, kMaxNodes) : 4;
+    const std::optional<std::uint64_t> jobs =
+        argc > 2 ? util::parse_count(argv[2], 1, workload::WorkloadSpec::kMaxJobs) : 150;
+    if (!nodes_arg || !jobs) {
+        std::fprintf(stderr,
+                     "usage: %s [nodes] [jobs]\n"
+                     "  nodes: 1 to %llu (default 4)\n"
+                     "  jobs: 1 to %zu (default 150)\n",
+                     argv[0], static_cast<unsigned long long>(kMaxNodes),
+                     workload::WorkloadSpec::kMaxJobs);
+        return 2;
+    }
+    const std::size_t nodes = *nodes_arg;
 
     core::ClusterConfig config;
     config.nodes = nodes;
@@ -27,7 +43,7 @@ int main(int argc, char** argv) {
     const field::SyntheticField field(config.node.field);
 
     workload::WorkloadSpec wspec;
-    wspec.jobs = jobs;
+    wspec.jobs = *jobs;
     wspec.seed = 2024;
     const workload::Workload workload =
         workload::generate_workload(wspec, config.node.grid, field);

@@ -11,14 +11,19 @@
 //
 //   $ ./particle_tracking [particles] [steps]
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "core/direct_executor.h"
+#include "util/parse.h"
 #include "util/stats.h"
 #include "workload/particle_tracker.h"
 
 namespace {
+
+/// Bounds the particle clouds the example holds in memory.
+constexpr std::uint64_t kMaxParticles = 1'000'000;
 
 jaws::core::EngineConfig tracking_config() {
     jaws::core::EngineConfig config;
@@ -45,16 +50,28 @@ double torus_distance(const jaws::field::Vec3& a, const jaws::field::Vec3& b) {
 
 int main(int argc, char** argv) {
     using namespace jaws;
-    const std::size_t particles = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 512;
-    const std::uint32_t steps = argc > 2 ? static_cast<std::uint32_t>(
-                                               std::strtoul(argv[2], nullptr, 10))
-                                         : 12;
-
     const core::EngineConfig config = tracking_config();
+    // A run of `steps` steps queries time steps 0 to steps - 2 of the grid.
+    const std::uint64_t max_steps = std::uint64_t{config.grid.timesteps} + 1;
+    const std::optional<std::uint64_t> particles =
+        argc > 1 ? util::parse_count(argv[1], 1, kMaxParticles) : 512;
+    const std::optional<std::uint64_t> steps_arg =
+        argc > 2 ? util::parse_count(argv[2], 2, max_steps) : 12;
+    if (!particles || !steps_arg) {
+        std::fprintf(stderr,
+                     "usage: %s [particles] [steps]\n"
+                     "  particles: 1 to %llu (default 512)\n"
+                     "  steps: 2 to %llu (default 12)\n",
+                     argv[0], static_cast<unsigned long long>(kMaxParticles),
+                     static_cast<unsigned long long>(max_steps));
+        return 2;
+    }
+    const auto steps = static_cast<std::uint32_t>(*steps_arg);
+
     core::DirectExecutor db(config);
 
     workload::ParticleTrackingSpec spec;
-    spec.particles = particles;
+    spec.particles = *particles;
     spec.seed_center = {0.5, 0.5, 0.5};
     spec.seed_radius = 0.05;
     std::vector<field::Vec3> cloud = workload::seed_particles(spec);

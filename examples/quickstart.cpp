@@ -6,10 +6,13 @@
 //
 // The dataset and costs are scaled-down defaults so the whole demo finishes
 // in a couple of seconds; see bench/ for the paper-scale reproductions.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 
 #include "core/engine.h"
+#include "util/parse.h"
 #include "workload/generator.h"
 
 namespace {
@@ -23,10 +26,20 @@ jaws::core::EngineConfig small_config() {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const std::size_t jobs = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 120;
-    const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 7;
-
     using namespace jaws;
+    const std::optional<std::uint64_t> jobs =
+        argc > 1 ? util::parse_count(argv[1], 1, workload::WorkloadSpec::kMaxJobs) : 120;
+    const std::optional<std::uint64_t> seed =
+        argc > 2 ? util::parse_count(argv[2], 0, std::numeric_limits<std::uint64_t>::max())
+                 : 7;
+    if (!jobs || !seed) {
+        std::fprintf(stderr,
+                     "usage: %s [jobs] [seed]\n"
+                     "  jobs: 1 to %zu (default 120)\n"
+                     "  seed: any unsigned 64-bit integer (default 7)\n",
+                     argv[0], workload::WorkloadSpec::kMaxJobs);
+        return 2;
+    }
 
     // 1. A synthetic turbulence dataset (lazy — nothing is materialised yet).
     core::EngineConfig base = small_config();
@@ -35,8 +48,8 @@ int main(int argc, char** argv) {
     // 2. A calibrated workload: bursty arrivals, ordered particle-tracking
     //    jobs with real flow-driven drift, batched statistics jobs.
     workload::WorkloadSpec wspec;
-    wspec.jobs = jobs;
-    wspec.seed = seed;
+    wspec.jobs = *jobs;
+    wspec.seed = *seed;
     const workload::Workload workload = workload::generate_workload(wspec, base.grid, field);
     std::printf("workload: %zu jobs, %zu queries\n", workload.jobs.size(),
                 workload.total_queries());

@@ -8,16 +8,35 @@
 // (alignments, admitted/rejected edges).
 //
 //   $ ./shared_campaign [users] [chain_length]
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "core/engine.h"
+#include "util/parse.h"
 #include "workload/generator.h"
 
 int main(int argc, char** argv) {
     using namespace jaws;
-    const std::size_t users = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 12;
-    const double chain = argc > 2 ? std::strtod(argv[2], nullptr) : 24.0;
+    // Each user launches four jobs, within the generator's job limit; a chain
+    // longer than kMaxChain only slows the demonstration down.
+    constexpr std::uint64_t kMaxUsers = workload::WorkloadSpec::kMaxJobs / 4;
+    constexpr std::uint64_t kMaxChain = 10'000;
+    const std::optional<std::uint64_t> users =
+        argc > 1 ? util::parse_count(argv[1], 1, kMaxUsers) : 12;
+    const std::optional<std::uint64_t> chain_arg =
+        argc > 2 ? util::parse_count(argv[2], 1, kMaxChain) : 24;
+    if (!users || !chain_arg) {
+        std::fprintf(stderr,
+                     "usage: %s [users] [chain_length]\n"
+                     "  users: 1 to %llu (default 12)\n"
+                     "  chain_length: 1 to %llu (default 24)\n",
+                     argv[0], static_cast<unsigned long long>(kMaxUsers),
+                     static_cast<unsigned long long>(kMaxChain));
+        return 2;
+    }
+    const auto chain = static_cast<double>(*chain_arg);
 
     core::EngineConfig base;  // paper-scale dataset
     base.cache.capacity_atoms = 64;  // tight cache: regions don't fit, so
@@ -27,7 +46,7 @@ int main(int argc, char** argv) {
     // A campaign: every job is an ordered chain over the same hotspot,
     // arriving staggered so that un-aligned execution re-reads the region.
     workload::WorkloadSpec wspec;
-    wspec.jobs = users * 4;
+    wspec.jobs = *users * 4;
     wspec.seed = 99;
     wspec.frac_single_step = 1.0;
     wspec.frac_full_span = 0.0;

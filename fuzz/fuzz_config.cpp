@@ -93,15 +93,7 @@ void decode_engine(FuzzInput& in, EngineConfig& cfg) {
     cfg.faults.latency_spike_mean_ms = fuzz_double(in, 0.0, 10000.0);
     cfg.faults.stuck_read_rate = fuzz_double(in, 0.0, 1.0);
     cfg.faults.stuck_read_ms = fuzz_double(in, 0.0, 10000.0);
-    const std::size_t bad_ranges = in.below(4);
-    for (std::size_t i = 0; i < bad_ranges; ++i) {
-        jaws::storage::BadRange range;
-        range.morton_begin = in.u64();
-        range.morton_end = in.u64();
-        cfg.faults.bad_ranges.push_back(range);
-    }
 
-    cfg.retry.max_attempts = in.below(32);
     cfg.retry.total_retry_budget = in.below(1 << 16);
 
     cfg.hedge.enabled = in.boolean();

@@ -528,6 +528,10 @@ class UnifiedKernel final : public storage::ReplicaRouter {
 
 ClusterReport TurbulenceCluster::run(const workload::Workload& workload) const {
     require_arrival_order(workload, "TurbulenceCluster::run");
+    // Before any job is projected: a query that touches no atom gets no
+    // part, so it would vanish from the run instead of stalling it.
+    for (const workload::Job& job : workload.jobs)
+        require_footprints_fit(job, "TurbulenceCluster::run");
     return UnifiedKernel(*this, config_).run(workload);
 }
 

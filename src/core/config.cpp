@@ -83,11 +83,6 @@ void EngineConfig::validate() const {
     require_non_negative(faults.latency_spike_mean_ms, "faults.latency_spike_mean_ms");
     require_probability(faults.stuck_read_rate, "faults.stuck_read_rate");
     require_non_negative(faults.stuck_read_ms, "faults.stuck_read_ms");
-    for (const storage::BadRange& r : faults.bad_ranges)
-        if (r.morton_end < r.morton_begin)
-            fail("faults.bad_ranges entry has morton_end < morton_begin");
-    if (retry.max_attempts == 0)
-        fail("retry.max_attempts must be at least 1 (the initial attempt)");
 
     require_probability(disk.heavy_tail.rate, "disk.heavy_tail.rate");
     require_non_negative(disk.heavy_tail.lognormal_sigma,

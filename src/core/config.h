@@ -79,16 +79,17 @@ struct EvalSpec {
     bool wall_clock_timing = false;
 };
 
-/// Recovery policy for injected transient read errors: failed demand reads
-/// retry with bounded exponential backoff (5 ms before the first retry,
-/// doubling per further retry, capped at 1 s; constants in core/engine.cpp),
-/// every delay charged to the virtual clock (so QoS deadline math sees the
-/// real degraded timeline). An atom whose demand read exhausts all attempts
-/// marks the affected sub-queries failed; their queries complete *degraded*
-/// instead of crashing the run.
-struct RetrySpec {
-    std::size_t max_attempts = 4;     ///< Total read attempts per demand miss.
+/// Total read attempts per demand miss. Failed demand reads (injected
+/// transient errors) retry with bounded exponential backoff (5 ms before the
+/// first retry, doubling per further retry, capped at 1 s; constants in
+/// core/engine.cpp), every delay charged to the virtual clock (so QoS
+/// deadline math sees the real degraded timeline). An atom whose demand read
+/// exhausts all attempts marks the affected sub-queries failed; their
+/// queries complete *degraded* instead of crashing the run.
+inline constexpr std::size_t kMaxReadAttempts = 4;
 
+/// Retry policy beyond the fixed attempt bound (kMaxReadAttempts).
+struct RetrySpec {
     /// Circuit breaker: total retries the whole run may spend (0 = unlimited).
     /// Once cumulative retries reach the budget the circuit opens and further
     /// transient failures fail fast (their sub-queries abandoned, queries
@@ -159,7 +160,8 @@ struct EngineConfig {
     /// disabled). Node-down events inside are consumed by TurbulenceCluster.
     storage::FaultSpec faults;
 
-    /// Retry/backoff policy for transiently failed demand reads.
+    /// Run-wide retry budget for transiently failed demand reads (each read
+    /// is bounded by kMaxReadAttempts).
     RetrySpec retry;
 
     /// Hedged duplicate demand reads against stragglers (default: off).

@@ -51,7 +51,7 @@ DirectResult DirectExecutor::evaluate(std::uint32_t timestep,
         exec.kind = storage::ComputeKind::kVelocity;
         exec.positions.reserve(indices.size());
         for (const std::size_t i : indices) exec.positions.push_back(positions[i]);
-        result.virtual_cost += db_.modeled_cost(exec);
+        result.virtual_cost += db_.modeled_cost(exec.positions.size());
         const storage::ExecOutcome out = db_.execute(exec, cache_.payload(atom).get());
         for (std::size_t j = 0; j < indices.size(); ++j)
             result.samples[indices[j]] = out.samples[j];

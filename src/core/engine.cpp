@@ -177,34 +177,43 @@ void Engine::require_kernel_fit(const workload::Job& job) const {
                 ") when materialize_data is set");
 }
 
-namespace {
-/// Every footprint entry must count at most workload::kMaxAtomPositions
-/// positions, the most a sub-query holds. Throws std::invalid_argument
-/// naming the query otherwise.
-void require_counts_fit(const workload::Job& job) {
-    for (const workload::Query& q : job.queries)
+void require_footprints_fit(const workload::Job& job, const char* who) {
+    for (const workload::Query& q : job.queries) {
+        const std::string query =
+            "query " + std::to_string(q.id) + " of job " + std::to_string(job.id);
+        if (q.footprint.empty())
+            throw std::invalid_argument(std::string(who) + ": " + query +
+                                        " touches no atom, so no sub-query would "
+                                        "complete it");
         for (const workload::AtomRequest& req : q.footprint)
             if (req.positions > workload::kMaxAtomPositions)
                 throw std::invalid_argument(
-                    "Engine: query " + std::to_string(q.id) + " puts " +
+                    std::string(who) + ": " + query + " puts " +
                     std::to_string(req.positions) + " positions in one atom; a sub-query "
                     "counts at most " + std::to_string(workload::kMaxAtomPositions));
+    }
 }
-}  // namespace
 
 void Engine::submit_job(const workload::Job& job) {
-    scheduler_->on_job_submitted(job);
-    if (job.queries.empty()) return;
-    util::SlotIndex::Slot remaining = job_remaining_.find(job.id);
-    if (remaining == util::SlotIndex::kNone) remaining = job_remaining_.insert(job.id);
-    job_remaining_[remaining] = job.queries.size();
+    // Runtimes first, so that one lookup catches an id repeated across jobs
+    // or within this one before the scheduler (JAWS's gating graph) sees it:
+    // inject_job counted every query, and a second one under an admitted id
+    // could never complete.
     for (const auto& q : job.queries) {
-        if (runtime_.contains(q.id)) continue;  // an id is admitted once
+        if (runtime_.contains(q.id))
+            throw std::invalid_argument("Engine: job " + std::to_string(job.id) +
+                                        " repeats query id " + std::to_string(q.id) +
+                                        "; a query id is admitted once");
         QueryRuntime& rt = runtime_[runtime_.insert(q.id)];
         rt.query = &q;
         rt.job = &job;
         rt.outstanding = q.footprint.size();
     }
+    scheduler_->on_job_submitted(job);
+    if (job.queries.empty()) return;
+    util::SlotIndex::Slot remaining = job_remaining_.find(job.id);
+    if (remaining == util::SlotIndex::kNone) remaining = job_remaining_.insert(job.id);
+    job_remaining_[remaining] = job.queries.size();
     if (job.type == workload::JobType::kOrdered) {
         // Only the head is visible; successors appear as predecessors finish.
         push_visibility(job.arrival, job.queries.front().id);
@@ -311,47 +320,60 @@ void Engine::issue_item(std::size_t idx) {
 }
 
 void Engine::submit_demand_read(std::size_t idx) {
-    ItemRun& it = batch_.items[idx];
     // Replica-aware routing (unified cluster): any surviving member of the
     // atom's replica chain may serve the read; the router picks the one with
     // the shallowest modeled disk queue. Standalone engines serve locally —
     // the exact pre-router event sequence.
-    it.read_route = router_ != nullptr
-                        ? router_->route_read(node_id_, it.item.atom)
-                        : self_route();
-    if (it.read_route.node != node_id_) ++report_.replica_reads;
+    const storage::AtomId& atom = batch_.items[idx].item.atom;
+    submit_read<&ItemRun::primary, &Engine::demand_read_done>(
+        idx, router_ != nullptr ? router_->route_read(node_id_, atom) : self_route());
+}
+
+template <Engine::ReadRun Engine::ItemRun::*Read, void (Engine::*Done)(std::size_t)>
+void Engine::submit_read(std::size_t idx, const storage::ReadRoute& route) {
+    ReadRun& read = batch_.items[idx].*Read;
+    read.route = route;
+    if (route.node != node_id_) ++report_.replica_reads;
+    // Every hook captures only [this, idx] (the record and the completion
+    // are template arguments), so std::function stores it inline.
     util::SimResource::Job job;
     job.priority = 0;
     job.preemptible = false;
     job.on_start = [this, idx](std::size_t channel) {
-        ItemRun& run = batch_.items[idx];
-        run.read = run.read_route.store->read(run.item.atom, util::ChannelIndex{channel});
-        return run.read.io_cost;
+        ItemRun& it = batch_.items[idx];
+        ReadRun& r = it.*Read;
+        r.result = r.route.store->read(it.item.atom, util::ChannelIndex{channel});
+        return r.result.io_cost;
     };
-    job.on_complete = [this, idx](std::size_t) { demand_read_done(idx); };
+    job.on_complete = [this, idx](std::size_t) { (this->*Done)(idx); };
     job.on_abort = [this, idx](std::size_t, util::SimTime remaining) {
-        // Cancelled because the hedge won: refund the unrendered tail and
-        // count the rendered part as the price of hedging.
-        ItemRun& run = batch_.items[idx];
-        refund_read_tail(run.read_route, run.read, remaining);
-        report_.wasted_service += run.read.io_cost - remaining;
+        // Cancelled because the other read won: refund the unrendered tail
+        // and count the rendered part as the price of hedging.
+        const ReadRun& r = batch_.items[idx].*Read;
+        refund_read_tail(r.route, r.result, remaining);
+        report_.wasted_service += r.result.io_cost - remaining;
     };
-    it.read_job = it.read_route.disk->submit(std::move(job));
+    read.job = route.disk->submit(std::move(job));
+}
+
+void Engine::accept_read(std::size_t idx, ReadRun& read) {
+    ItemRun& it = batch_.items[idx];
+    ++report_.atom_reads;
+    it.payload = std::move(read.result.data);
+    insert_into_cache(it.item.atom, it.payload);
+    proceed_supports(idx);
 }
 
 void Engine::demand_read_done(std::size_t idx) {
     ItemRun& it = batch_.items[idx];
-    it.read_job = 0;
-    if (!it.read.failed) {
-        if (config_.hedge.enabled) read_ewma_.update(it.read.io_cost.millis());
+    it.primary.job = 0;
+    if (!it.primary.result.failed) {
+        if (config_.hedge.enabled) read_ewma_.update(it.primary.result.io_cost.millis());
         cancel_hedge_machinery(idx);
-        ++report_.atom_reads;
-        it.payload = std::move(it.read.data);
-        insert_into_cache(it.item.atom, it.payload);
-        proceed_supports(idx);
+        accept_read(idx, it.primary);
         return;
     }
-    if (!it.read.permanent && it.attempt < config_.retry.max_attempts) {
+    if (it.attempt < kMaxReadAttempts) {
         // Deadline budgets are enforced at retry boundaries: owning queries
         // already over budget abandon their sub-queries here (completing
         // degraded) instead of riding the backoff queue further.
@@ -387,14 +409,10 @@ void Engine::demand_read_done(std::size_t idx) {
         ++report_.retries_suppressed;
     }
     // The atom's data is unreachable: abandon this batch item's sub-queries
-    // (their queries complete degraded). A permanently bad atom also purges
-    // whatever later-visible queries queued against it, so the scheduler
-    // never chases a dead atom forever.
+    // (their queries complete degraded).
     ++report_.read_failures;
     cancel_hedge_machinery(idx);
     fail_subqueries(subqueries_of(it));
-    if (it.read_route.store->faults().permanently_bad(it.item.atom))
-        purge_dead_atom(it.item.atom);
     item_finished(idx);
 }
 
@@ -423,7 +441,7 @@ void Engine::maybe_issue_hedge(std::size_t idx) {
     ItemRun& it = batch_.items[idx];
     // Only while the demand phase is still unresolved (primary read in
     // flight or a backoff retry pending).
-    if (it.read_job == 0 && it.retry_event == 0) return;
+    if (it.primary.job == 0 && it.retry_event == 0) return;
     if (outstanding_hedges_ >= config_.hedge.max_outstanding) return;
     // The hedge is charged to every distinct owning query that still has
     // budget; at least one must be able to pay.
@@ -444,59 +462,38 @@ void Engine::maybe_issue_hedge(std::size_t idx) {
     // so the duplicate rides independent hardware; a standalone engine (or a
     // chain with no alternative) lands it on another channel of the same
     // disk, as in single-node hedging.
-    it.hedge_route =
-        router_ != nullptr
-            ? router_->route_hedge(node_id_, it.item.atom, it.read_route.node)
-            : self_route();
-    if (it.hedge_route.node != node_id_) ++report_.replica_reads;
-    util::SimResource::Job job;
-    job.priority = 0;
-    job.preemptible = false;
-    job.on_start = [this, idx](std::size_t channel) {
-        ItemRun& run = batch_.items[idx];
-        run.hedge_read = run.hedge_route.store->read(run.item.atom, util::ChannelIndex{channel});
-        return run.hedge_read.io_cost;
-    };
-    job.on_complete = [this, idx](std::size_t) { hedge_done(idx); };
-    job.on_abort = [this, idx](std::size_t, util::SimTime remaining) {
-        // Cancelled because the primary won: refund the unrendered tail and
-        // count the rendered part as the price of hedging.
-        ItemRun& run = batch_.items[idx];
-        refund_read_tail(run.hedge_route, run.hedge_read, remaining);
-        report_.wasted_service += run.hedge_read.io_cost - remaining;
-    };
-    it.hedge_job = it.hedge_route.disk->submit(std::move(job));
+    submit_read<&ItemRun::hedge, &Engine::hedge_done>(
+        idx, router_ != nullptr
+                 ? router_->route_hedge(node_id_, it.item.atom, it.primary.route.node)
+                 : self_route());
 }
 
 void Engine::hedge_done(std::size_t idx) {
     ItemRun& it = batch_.items[idx];
-    it.hedge_job = 0;
+    it.hedge.job = 0;
     --outstanding_hedges_;
-    if (it.hedge_read.failed) {
+    if (it.hedge.result.failed) {
         // The duplicate drew a fault of its own: drop it; the primary path
         // (in-service read or pending backoff) keeps running.
         ++report_.hedges_lost;
         return;
     }
     ++report_.hedges_won;
-    read_ewma_.update(it.hedge_read.io_cost.millis());
+    read_ewma_.update(it.hedge.result.io_cost.millis());
     // First completion wins: cancel the losing primary. Both submissions are
     // non-preemptible FIFO peers, so the hedge can only have started after
     // the primary did — the primary is in service (its on_abort refunds the
     // unrendered tail) or waiting out a backoff. cancel() returning false
     // means the primary resolved at this exact instant and already settled.
-    if (it.read_job != 0) {
-        if (it.read_route.disk->cancel(it.read_job)) ++report_.cancellations;
-        it.read_job = 0;
+    if (it.primary.job != 0) {
+        if (it.primary.route.disk->cancel(it.primary.job)) ++report_.cancellations;
+        it.primary.job = 0;
     }
     if (it.retry_event != 0) {
         if (events_.cancel(it.retry_event)) ++report_.cancellations;
         it.retry_event = 0;
     }
-    ++report_.atom_reads;
-    it.payload = std::move(it.hedge_read.data);
-    insert_into_cache(it.item.atom, it.payload);
-    proceed_supports(idx);
+    accept_read(idx, it.hedge);
 }
 
 void Engine::cancel_hedge_machinery(std::size_t idx) {
@@ -505,15 +502,15 @@ void Engine::cancel_hedge_machinery(std::size_t idx) {
         events_.cancel(it.hedge_trigger);
         it.hedge_trigger = 0;
     }
-    if (it.hedge_job != 0) {
+    if (it.hedge.job != 0) {
         // A still-waiting hedge is silently removed (its read never started);
         // an in-service one runs its on_abort refund. Either way it lost.
-        if (it.hedge_route.disk->cancel(it.hedge_job)) {
+        if (it.hedge.route.disk->cancel(it.hedge.job)) {
             --outstanding_hedges_;
             ++report_.hedges_lost;
             ++report_.cancellations;
         }
-        it.hedge_job = 0;
+        it.hedge.job = 0;
     }
 }
 
@@ -619,44 +616,38 @@ void Engine::submit_compute(std::size_t idx) {
         ItemRun& it = batch_.items[idx];
         const sched::SubQuery& sub = subqueries_of(it)[it.next_sub];
         it.runtime_slot = runtime_slot_of(sub.query);
-        const QueryRuntime& rt = runtime_[it.runtime_slot];
+        const workload::Query& query = *runtime_[it.runtime_slot].query;
+        // The modeled T_m service, from the descriptor alone, is
+        // authoritative for virtual time whether the real interpolation runs
+        // inline, on the pool, or not at all.
+        const util::SimTime cost = db_.modeled_cost(sub.positions);
+        if (it.payload == nullptr || query.positions.empty()) return cost;
+        // Real data: evaluate the positions of this query that fall inside
+        // this atom.
         storage::SubQueryExec exec;
         exec.atom = it.item.atom;
-        exec.position_count = sub.positions;
-        exec.order = rt.query->order;
-        exec.kind = rt.query->kind;
-        if (it.payload != nullptr && !rt.query->positions.empty()) {
-            // Examples run with real data: evaluate the positions of this
-            // query that fall inside this atom.
-            for (const auto& p : rt.query->positions)
-                if (config_.grid.atom_morton_of(p) == it.item.atom.morton)
-                    exec.positions.push_back(p);
-        }
-        // The modeled T_m service is authoritative for virtual time whether
-        // the real interpolation runs inline or on the pool.
-        const util::SimTime cost = db_.modeled_cost(exec);
-        if (eval_pool_ != nullptr && it.payload != nullptr &&
-            !exec.positions.empty()) {
-            // Dispatch the real work; compute_done() joins the future at the
-            // modeled completion event. Each in-service CPU channel owns at
-            // most one task, bounding in-flight work to compute_workers.
-            ++report_.eval_tasks;
-            it.eval_on_pool = true;
-            it.pending_eval = eval_pool_->submit(
-                [this, exec = std::move(exec), payload = it.payload]() {
-                    const std::uint64_t t0 = eval_tick_ ? eval_tick_() : 0;
-                    storage::ExecOutcome out = db_.execute(exec, payload.get());
-                    if (eval_tick_)
-                        eval_wall_ns_.fetch_add(eval_tick_() - t0,
-                                                std::memory_order_relaxed);
-                    return out;
-                });
-        } else {
+        exec.order = query.order;
+        exec.kind = query.kind;
+        for (const field::Vec3& p : query.positions)
+            if (config_.grid.atom_morton_of(p) == it.item.atom.morton)
+                exec.positions.push_back(p);
+        if (exec.positions.empty()) return cost;
+        auto task = [this, exec = std::move(exec), payload = it.payload]() {
             const std::uint64_t t0 = eval_tick_ ? eval_tick_() : 0;
-            it.staged_eval = db_.execute(exec, it.payload.get());
+            storage::ExecOutcome out = db_.execute(exec, payload.get());
             if (eval_tick_)
-                eval_wall_ns_.fetch_add(eval_tick_() - t0,
-                                        std::memory_order_relaxed);
+                eval_wall_ns_.fetch_add(eval_tick_() - t0, std::memory_order_relaxed);
+            return out;
+        };
+        // compute_done() takes the result at the modeled completion event.
+        // Each in-service CPU channel owns at most one pool task, bounding
+        // in-flight work to compute_workers; without a pool the task is
+        // deferred and runs on the event thread at that get().
+        if (eval_pool_ != nullptr) {
+            ++report_.eval_tasks;
+            it.pending_eval = eval_pool_->submit(std::move(task));
+        } else {
+            it.pending_eval = std::async(std::launch::deferred, std::move(task));
         }
         return cost;
     };
@@ -673,15 +664,8 @@ void Engine::compute_done(std::size_t idx) {
     // Deterministic reduction: the real result (pooled or inline) is folded
     // here, at the modeled completion event — so sample order and digests
     // depend only on the virtual trace, never on real-thread interleaving.
-    storage::ExecOutcome out;
-    if (it.eval_on_pool) {
-        it.eval_on_pool = false;
-        out = it.pending_eval.get();
-    } else {
-        out = std::move(it.staged_eval);
-        it.staged_eval = storage::ExecOutcome{};
-    }
-    if (!out.samples.empty()) {
+    if (it.pending_eval.valid()) {
+        const storage::ExecOutcome out = it.pending_eval.get();
         rt.samples_evaluated += out.samples.size();
         rt.sample_digest = fold_samples(rt.sample_digest, out.samples);
         report_.samples_evaluated += out.samples.size();
@@ -731,12 +715,6 @@ void Engine::insert_into_cache(const storage::AtomId& atom,
         scheduler_->on_residency_changed(*evicted);
         if (prefetcher_ != nullptr) prefetcher_->on_evicted(*evicted);
     }
-}
-
-void Engine::purge_dead_atom(const storage::AtomId& atom) {
-    failing_.clear();
-    scheduler_->purge_atom(atom, failing_);
-    fail_subqueries(failing_);
 }
 
 void Engine::fail_subqueries(std::span<const sched::SubQuery> subs) {
@@ -971,7 +949,7 @@ void Engine::begin(util::SimTime origin, util::SimTime halt_at) {
 
 void Engine::inject_job(const workload::Job& job) {
     require_kernel_fit(job);
-    require_counts_fit(job);
+    require_footprints_fit(job, "Engine");
     if (!clock_started_) start_clock(events_.now());
     ++report_.jobs;
     expected_ += job.queries.size();

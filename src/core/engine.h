@@ -78,6 +78,14 @@ namespace jaws::core {
 /// arrives before its predecessor; equal arrivals are in order.
 void require_arrival_order(const workload::Workload& workload, const char* who);
 
+/// Every query of `job` must touch at least one atom (a query with an empty
+/// footprint has no sub-query to complete it, so its run would wait for it
+/// forever), and every footprint entry must count at most
+/// workload::kMaxAtomPositions positions, the most a sub-query holds. Throws
+/// std::invalid_argument, prefixed with `who`, naming the job and the first
+/// query that breaks either rule.
+void require_footprints_fit(const workload::Job& job, const char* who);
+
 /// Single-node engine.
 class Engine {
   public:
@@ -211,6 +219,14 @@ class Engine {
         }
     };
 
+    /// One disk read of a batch item's atom: the primary demand read or its
+    /// hedge.
+    struct ReadRun {
+        storage::ReadRoute route;    ///< Where the read is served.
+        storage::ReadResult result;  ///< Stashed by the disk job's on_start.
+        util::SimResource::JobId job = 0;  ///< The disk job while outstanding.
+    };
+
     /// Execution state of one batch item as it flows through the pipeline:
     /// demand read (with retries) -> kernel-support read -> per-sub-query
     /// evaluation on the CPU pool.
@@ -218,9 +234,6 @@ class Engine {
         sched::BatchItem item;  ///< Its sub-queries live in ActiveBatch::work.
         std::size_t attempt = 1;       ///< Demand-read attempts so far.
         double backoff_ms = 0.0;       ///< Next retry delay (pre-cap).
-        storage::ReadResult read;      ///< Stashed by the disk job's on_start.
-        storage::ReadRoute read_route;   ///< Where the primary read is served.
-        storage::ReadRoute hedge_route;  ///< Where the hedge read is served.
         /// The atom's data (null on descriptor-only runs), held from the
         /// cache hit or successful read until the item is evaluated: another
         /// in-flight read may evict the atom from the cache meanwhile.
@@ -229,21 +242,19 @@ class Engine {
         /// Runtime slot of the next_sub's query, found when its CPU service
         /// starts and read back by compute_done().
         util::SlotIndex::Slot runtime_slot = util::SlotIndex::kNone;
-        // Hedging state (all zero/idle unless HedgeSpec::enabled). The demand
-        // phase is active while read_job or retry_event is live; the trigger
-        // and hedge are settled — cancelled or resolved — on every exit from
-        // that phase, so none of these can dangle into evaluation.
-        util::SimResource::JobId read_job = 0;       ///< Outstanding primary read.
+        // The demand phase is active while primary.job or retry_event is
+        // live. The hedge trigger and hedge read (idle unless
+        // HedgeSpec::enabled) are settled — cancelled or resolved — on every
+        // exit from that phase, so none of these can dangle into evaluation.
+        ReadRun primary;
+        ReadRun hedge;
         util::EventQueue::EventId retry_event = 0;   ///< Pending backoff wake-up.
         util::EventQueue::EventId hedge_trigger = 0; ///< Pending hedge trigger.
-        util::SimResource::JobId hedge_job = 0;      ///< Outstanding hedge read.
-        storage::ReadResult hedge_read;  ///< Stashed by the hedge's on_start.
-        // Per-event staging for the current sub-query's real evaluation:
-        // exactly one of these carries the result between the modeled
-        // service's on_start and compute_done()'s reduction step.
-        bool eval_on_pool = false;     ///< Result pending on the eval pool.
-        std::future<storage::ExecOutcome> pending_eval;  ///< Pool-side result.
-        storage::ExecOutcome staged_eval;  ///< Inline-evaluated result.
+        /// The next_sub's real evaluation, created when its modeled service
+        /// starts and folded by compute_done(): a pool task, or a deferred
+        /// one that runs on the event thread at get(). Invalid when the
+        /// sub-query has no positions to interpolate.
+        std::future<storage::ExecOutcome> pending_eval;
     };
 
     /// The scheduler batch in flight (when `active`). Items are issued into
@@ -296,7 +307,16 @@ class Engine {
     void issue_more();
     void issue_item(std::size_t idx);
     void submit_demand_read(std::size_t idx);
+    /// Submit item `idx`'s read `Read` (primary or hedge), served by `route`,
+    /// as a priority-0 non-preemptible disk job that calls `Done` when it
+    /// completes. A cancelled read refunds its unrendered tail and counts
+    /// the rendered part as wasted service.
+    template <ReadRun ItemRun::*Read, void (Engine::*Done)(std::size_t)>
+    void submit_read(std::size_t idx, const storage::ReadRoute& route);
     void demand_read_done(std::size_t idx);
+    /// `read` of item `idx` succeeded: count it, hold and cache its payload,
+    /// and go on to the kernel supports.
+    void accept_read(std::size_t idx, ReadRun& read);
 
     // --- hedged reads & deadline budgets ---------------------------------
     /// Current hedge trigger delay: a multiple of the EWMA of recent
@@ -349,9 +369,6 @@ class Engine {
     /// lose those positions and complete *degraded* when nothing else is
     /// outstanding.
     void fail_subqueries(std::span<const sched::SubQuery> subs);
-    /// Fail whatever the scheduler still queues against the permanently bad
-    /// `atom`.
-    void purge_dead_atom(const storage::AtomId& atom);
     void complete_query(QueryRuntime& runtime);
 
     /// Issue speculative trajectory reads onto idle disk channels (true
@@ -423,7 +440,7 @@ class Engine {
     bool dispatch_pending_ = false;
     // Scratch buffers reused across batches.
     std::vector<QueryRuntime*> payers_;        ///< maybe_issue_hedge's payers.
-    std::vector<sched::SubQuery> failing_;     ///< Expired or purged sub-queries.
+    std::vector<sched::SubQuery> failing_;     ///< Expired sub-queries.
 
     /// Roll the timeline forward to cover `now`, then account one completion
     /// with the given response time (response < 0 means "no completion, just

@@ -43,9 +43,6 @@ class JawsScheduler final : public Scheduler {
                             util::SimTime now) override;
     void on_run_boundary(util::SimTime now) override;
     void on_residency_changed(const storage::AtomId& atom) override;
-    void purge_atom(const storage::AtomId& atom, std::vector<SubQuery>& out) override {
-        manager_.drain_atom(atom, out);
-    }
     void next_batch(util::SimTime now, Batch& out) override;
     bool has_pending() const override { return !manager_.empty(); }
     std::size_t pending_count() const override { return manager_.pending_subqueries(); }

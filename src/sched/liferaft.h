@@ -23,9 +23,6 @@ class LifeRaftScheduler final : public Scheduler {
     std::string name() const override;
     void on_query_visible(const workload::Query& query, util::SimTime now) override;
     void on_residency_changed(const storage::AtomId& atom) override;
-    void purge_atom(const storage::AtomId& atom, std::vector<SubQuery>& out) override {
-        manager_.drain_atom(atom, out);
-    }
     void next_batch(util::SimTime now, Batch& out) override;
     bool has_pending() const override { return !manager_.empty(); }
     std::size_t pending_count() const override { return manager_.pending_subqueries(); }

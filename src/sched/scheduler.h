@@ -7,7 +7,9 @@
 // engine evaluates in a single pass over the atom's data. The batch is
 // written into a buffer the engine owns and reuses from batch to batch. The
 // four paper systems (NoShare, LifeRaft, JAWS_1, JAWS_2) implement this
-// interface.
+// interface. No scheduler knows about storage faults: a drained item whose
+// read exhausts its attempts has its sub-queries failed by the engine, and
+// a later query on the same atom is queued and read afresh.
 #pragma once
 
 #include <span>
@@ -92,15 +94,6 @@ class Scheduler {
 
     /// An atom entered or left the buffer cache (phi(i) flipped).
     virtual void on_residency_changed(const storage::AtomId& atom) { (void)atom; }
-
-    /// `atom` became permanently unreadable (bad range / retries exhausted):
-    /// remove any sub-queries still queued against it and append them to
-    /// `out` so the engine can fail them instead of re-dispatching a dead
-    /// atom forever. Default: nothing queued per atom, nothing to purge.
-    virtual void purge_atom(const storage::AtomId& atom, std::vector<SubQuery>& out) {
-        (void)atom;
-        (void)out;
-    }
 
     /// Replace `out`'s contents with the next batch of atoms to evaluate, in
     /// execution order; left empty when no work is currently schedulable.

@@ -56,7 +56,6 @@ ReadResult AtomStore::read(const AtomId& id, util::ChannelIndex channel) {
             // The disk still moved its head and spent the service time; the
             // request just returned no usable data.
             result.failed = true;
-            result.permanent = fault.permanent;
             return result;
         }
     }

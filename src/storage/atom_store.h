@@ -31,8 +31,7 @@ struct ReadResult {
     /// disjoint when a hedged read is cancelled mid-stall.
     util::SimTime fault_delay;
     std::shared_ptr<const field::VoxelBlock> data;  ///< Payload; null when not materialising.
-    bool failed = false;     ///< Injected fault: no data was returned.
-    bool permanent = false;  ///< Retrying can never succeed (bad Morton range).
+    bool failed = false;  ///< Injected fault: no data was returned.
 };
 
 /// Configuration of an AtomStore.
@@ -72,8 +71,6 @@ class AtomStore {
     DiskModel& disk() noexcept { return disk_; }
     /// Injected-fault accounting (all zero when no faults are configured).
     const FaultStats& fault_stats() const noexcept { return faults_.stats(); }
-    /// The fault source (tests and the engine's permanent-failure handling).
-    const FaultInjector& faults() const noexcept { return faults_; }
 
   private:
     /// Byte offset of `id` in the clustered layout — time steps back to back,

@@ -7,9 +7,9 @@
 
 namespace jaws::storage {
 
-util::SimTime DatabaseNode::modeled_cost(const SubQueryExec& work) const noexcept {
+util::SimTime DatabaseNode::modeled_cost(std::uint64_t positions) const noexcept {
     return util::SimTime::from_micros(
-        static_cast<std::int64_t>(cost_.t_m_us * static_cast<double>(work.count())));
+        static_cast<std::int64_t>(cost_.t_m_us * static_cast<double>(positions)));
 }
 
 ExecOutcome DatabaseNode::execute(const SubQueryExec& work,

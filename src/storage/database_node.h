@@ -30,20 +30,13 @@ struct CostModel {
     double t_m_us = 40.0;  ///< Virtual microseconds of compute per position.
 };
 
-/// One unit of executable work: positions of a single query falling inside a
-/// single atom. `positions` may be empty for descriptor-only workloads, in
-/// which case `position_count` carries the cardinality.
+/// One unit of executable work: the explicit positions of a single query
+/// falling inside a single atom.
 struct SubQueryExec {
     AtomId atom;
-    std::uint64_t position_count = 0;
-    std::vector<field::Vec3> positions;  ///< Optional explicit positions.
+    std::vector<field::Vec3> positions;
     field::InterpOrder order = field::InterpOrder::kLag4;
     ComputeKind kind = ComputeKind::kVelocity;
-
-    /// Effective number of positions (explicit list wins when present).
-    std::uint64_t count() const noexcept {
-        return positions.empty() ? position_count : positions.size();
-    }
 };
 
 /// Result of executing one sub-query.
@@ -61,18 +54,17 @@ class DatabaseNode {
     DatabaseNode(const field::GridSpec& grid, const CostModel& cost)
         : grid_(grid), cost_(cost) {}
 
-    /// Execute `work` against `data` (the atom's voxel payload, or null for
-    /// descriptor-only execution). Samples are produced only when both data
-    /// and explicit positions are present; the virtual time it costs is
-    /// modeled_cost(work) either way.
+    /// Execute `work` against `data` (the atom's voxel payload). Samples are
+    /// produced only when both data and positions are present; the virtual
+    /// time it costs is modeled_cost(work.positions.size()).
     ExecOutcome execute(const SubQueryExec& work, const field::VoxelBlock* data) const;
 
-    /// Virtual compute time `work` is charged (T_m per position, Eq. 1),
-    /// without evaluating anything. The engine charges this on SimResource as
-    /// the authoritative service duration whether the real interpolation runs
-    /// inline or on the evaluation pool, so the virtual trace is identical
-    /// either way.
-    util::SimTime modeled_cost(const SubQueryExec& work) const noexcept;
+    /// Virtual compute time of evaluating `positions` positions (T_m per
+    /// position, Eq. 1), without evaluating anything. The engine charges
+    /// this on SimResource as the authoritative service duration of a
+    /// sub-query, from its descriptor alone, whether the real interpolation
+    /// runs inline, on the evaluation pool, or not at all.
+    util::SimTime modeled_cost(std::uint64_t positions) const noexcept;
 
   private:
     field::GridSpec grid_;

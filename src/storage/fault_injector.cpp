@@ -6,12 +6,6 @@
 
 namespace jaws::storage {
 
-bool FaultInjector::permanently_bad(const AtomId& id) const noexcept {
-    for (const BadRange& r : spec_.bad_ranges)
-        if (id.morton >= r.morton_begin && id.morton <= r.morton_end) return true;
-    return false;
-}
-
 double FaultInjector::hash_uniform(const AtomId& id, std::uint64_t attempt,
                                    std::uint64_t stream) const noexcept {
     // splitmix64 over the concatenated identity: order-independent across
@@ -25,12 +19,6 @@ double FaultInjector::hash_uniform(const AtomId& id, std::uint64_t attempt,
 
 FaultOutcome FaultInjector::on_read(const AtomId& id) {
     FaultOutcome out;
-    if (permanently_bad(id)) {
-        ++stats_.permanent_faults;
-        out.failed = true;
-        out.permanent = true;
-        return out;
-    }
     const std::uint64_t attempt = attempts_.get_or_insert(id.key().value())++;
     // Stuck command first: the stall is paid whether the command eventually
     // returns data or errors out — a hung RAID command under error recovery

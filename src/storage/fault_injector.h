@@ -15,8 +15,6 @@
 //     retry may succeed (media hiccups, RAID timeouts);
 //   * latency spikes — a read succeeds but a straggling spindle charges
 //     extra virtual time (degraded RAID reads, contention from scrubbing);
-//   * permanent bad ranges — contiguous Morton ranges whose atoms never
-//     read successfully (lost stripes beyond parity reconstruction);
 //   * node-down events — a database node dies at a virtual time (consumed
 //     by TurbulenceCluster, which re-runs the node's unfinished work on
 //     surviving replicas).
@@ -31,13 +29,6 @@
 #include "util/typed_id.h"
 
 namespace jaws::storage {
-
-/// Contiguous range of Morton codes whose atoms are permanently unreadable
-/// (every time step). Inclusive on both ends.
-struct BadRange {
-    std::uint64_t morton_begin = 0;
-    std::uint64_t morton_end = 0;
-};
 
 /// One node of the cluster dies at virtual time `at`; its unfinished work
 /// fails over to surviving replicas (see TurbulenceCluster).
@@ -68,9 +59,6 @@ struct FaultSpec {
     double stuck_read_rate = 0.0;
     double stuck_read_ms = 2000.0;
 
-    /// Permanently unreadable Morton ranges ("bad sectors").
-    std::vector<BadRange> bad_ranges;
-
     /// Cluster-level node deaths (ignored by single-node engines).
     std::vector<NodeDownEvent> node_down;
 
@@ -78,14 +66,13 @@ struct FaultSpec {
     /// and does not by itself enable the storage path).
     bool storage_faults_enabled() const noexcept {
         return transient_error_rate > 0.0 || latency_spike_rate > 0.0 ||
-               stuck_read_rate > 0.0 || !bad_ranges.empty();
+               stuck_read_rate > 0.0;
     }
 };
 
 /// What the injector decided for one read attempt.
 struct FaultOutcome {
     bool failed = false;     ///< The attempt returns no data.
-    bool permanent = false;  ///< Retrying can never succeed (bad range).
     bool stuck = false;      ///< The attempt stalled for a stuck-read delay.
     util::SimTime extra_latency;  ///< Straggler delay charged on success
                                   ///< (spike + stuck stall combined).
@@ -94,7 +81,6 @@ struct FaultOutcome {
 /// Injection accounting (folded into RunReport::faults).
 struct FaultStats {
     std::uint64_t transient_faults = 0;  ///< Read attempts failed transiently.
-    std::uint64_t permanent_faults = 0;  ///< Read attempts hitting a bad range.
     std::uint64_t latency_spikes = 0;    ///< Successful-but-straggling reads.
     std::uint64_t stuck_reads = 0;       ///< Read attempts that stalled stuck.
     util::SimTime spike_delay;           ///< Total spike straggler time injected.
@@ -117,9 +103,6 @@ class FaultInjector {
 
     /// Whether any storage fault can fire (callers skip the layer otherwise).
     bool enabled() const noexcept { return spec_.storage_faults_enabled(); }
-
-    /// Whether `id` falls in a permanently bad Morton range.
-    bool permanently_bad(const AtomId& id) const noexcept;
 
     const FaultSpec& spec() const noexcept { return spec_; }
     const FaultStats& stats() const noexcept { return stats_; }

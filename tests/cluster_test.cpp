@@ -352,5 +352,25 @@ TEST(ClusterRun, RejectsJobsOutOfArrivalOrder) {
     EXPECT_GT(parts, 0u);
 }
 
+TEST(ClusterRun, RejectsQueriesThatTouchNoAtom) {
+    // Projection gives a query that touches no atom no part on any node, so
+    // it would vanish from the run: submitted, never routed nor completed.
+    const ClusterConfig config = small_cluster(2);
+    workload::Workload w = small_workload(config, 6);
+    workload::Job& job = w.jobs[2];
+    job.queries.back().footprint.clear();
+    const workload::QueryId id = job.queries.back().id;
+    try {
+        TurbulenceCluster(config).run(w);
+        ADD_FAILURE() << "ran a workload with a query that touches no atom";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("TurbulenceCluster::run: query " + std::to_string(id) +
+                            " of job " + std::to_string(job.id) + " touches no atom"),
+                  std::string::npos)
+            << what;
+    }
+}
+
 }  // namespace
 }  // namespace jaws::core

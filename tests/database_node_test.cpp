@@ -21,23 +21,15 @@ field::GridSpec small_grid() {
 
 TEST(DatabaseNode, ChargesPerPosition) {
     DatabaseNode node(small_grid(), CostModel{.t_m_us = 40.0});
+    EXPECT_EQ(node.modeled_cost(100).raw_micros(), 4000);
     SubQueryExec work;
-    work.position_count = 100;
-    EXPECT_EQ(node.modeled_cost(work).raw_micros(), 4000);
-    EXPECT_TRUE(node.execute(work, nullptr).samples.empty());
-}
-
-TEST(DatabaseNode, ExplicitPositionsOverrideCount) {
-    DatabaseNode node(small_grid(), CostModel{.t_m_us = 10.0});
-    SubQueryExec work;
-    work.position_count = 999;  // ignored when explicit positions exist
     work.positions = {{0.1, 0.1, 0.1}, {0.2, 0.2, 0.2}};
-    EXPECT_EQ(node.modeled_cost(work).raw_micros(), 20);
+    EXPECT_TRUE(node.execute(work, nullptr).samples.empty());
 }
 
 TEST(DatabaseNode, ZeroPositionsZeroCost) {
     DatabaseNode node(small_grid(), CostModel{});
-    EXPECT_EQ(node.modeled_cost(SubQueryExec{}).raw_micros(), 0);
+    EXPECT_EQ(node.modeled_cost(0).raw_micros(), 0);
 }
 
 class DatabaseNodeWithData : public ::testing::Test {
@@ -100,10 +92,9 @@ TEST_F(DatabaseNodeWithData, NoSamplesWithoutExplicitPositions) {
     const auto data = store_.read(atom).data;
     SubQueryExec work;
     work.atom = atom;
-    work.position_count = 50;
     const ExecOutcome out = node_.execute(work, data.get());
     EXPECT_TRUE(out.samples.empty());
-    EXPECT_GT(node_.modeled_cost(work).raw_micros(), 0);
+    EXPECT_GT(node_.modeled_cost(50).raw_micros(), 0);
 }
 
 }  // namespace

@@ -283,5 +283,87 @@ TEST(Engine, RejectsFootprintEntriesBeyond32BitCounts) {
     EXPECT_EQ(report.positions, workload::kMaxAtomPositions);
 }
 
+/// A one-job workload whose batched job holds one query per entry of
+/// `footprints`, with query ids from `first_id` up.
+workload::Workload one_batched_job(workload::JobId job_id, workload::QueryId first_id,
+                                   const std::vector<std::size_t>& footprints) {
+    workload::Workload w;
+    workload::Job& job = w.jobs.emplace_back();
+    job.id = job_id;
+    job.type = workload::JobType::kBatched;
+    for (std::size_t i = 0; i < footprints.size(); ++i) {
+        workload::Query& q = job.queries.emplace_back();
+        q.id = first_id + i;
+        q.job = job.id;
+        q.seq_in_job = static_cast<std::uint32_t>(i);
+        for (std::size_t a = 0; a < footprints[i]; ++a)
+            q.footprint.push_back({storage::AtomId{0, 3 + a}, 10});
+    }
+    return w;
+}
+
+constexpr SchedulerKind kAllKinds[] = {SchedulerKind::kNoShare, SchedulerKind::kLifeRaft,
+                                       SchedulerKind::kJaws};
+
+TEST(Engine, RejectsQueriesThatTouchNoAtom) {
+    // A query with an empty footprint has no sub-query to complete it: the
+    // run would stall on it.
+    for (const SchedulerKind kind : kAllKinds) {
+        SCOPED_TRACE("scheduler " + std::to_string(static_cast<int>(kind)));
+        const EngineConfig config = small_config(kind);
+        const std::string what =
+            rejection([&] { Engine(config).run(one_batched_job(4, 40, {0})); });
+        EXPECT_NE(what.find("Engine: query 40 of job 4 touches no atom"), std::string::npos)
+            << what;
+        // The same query with one atom runs.
+        EXPECT_EQ(Engine(config).run(one_batched_job(4, 40, {1})).queries, 1u);
+    }
+}
+
+TEST(Engine, RejectsARepeatedQueryId) {
+    // The engine counts every injected query, and a second query under an
+    // admitted id could never complete: the run would stall.
+    for (const SchedulerKind kind : kAllKinds) {
+        SCOPED_TRACE("scheduler " + std::to_string(static_cast<int>(kind)));
+        const EngineConfig config = small_config(kind);
+        {
+            SCOPED_TRACE("across jobs");
+            workload::Workload w = one_batched_job(1, 10, {1});
+            w.jobs.push_back(one_batched_job(2, 10, {2}).jobs.front());
+            const std::string what = rejection([&] { Engine(config).run(w); });
+            EXPECT_NE(what.find("Engine: job 2 repeats query id 10"), std::string::npos)
+                << what;
+        }
+        {
+            SCOPED_TRACE("within one job");
+            workload::Workload w = one_batched_job(1, 10, {1, 2});
+            w.jobs.front().queries[1].id = 10;
+            const std::string what = rejection([&] { Engine(config).run(w); });
+            EXPECT_NE(what.find("Engine: job 1 repeats query id 10"), std::string::npos)
+                << what;
+        }
+        // Distinct ids run.
+        workload::Workload w = one_batched_job(1, 10, {1});
+        w.jobs.push_back(one_batched_job(2, 11, {2}).jobs.front());
+        EXPECT_EQ(Engine(config).run(w).queries, 2u);
+    }
+}
+
+TEST(Engine, DescriptorOnlyRunTimesNoEvaluation) {
+    // Atoms without voxel data have nothing to interpolate, so no sub-query
+    // builds, times or dispatches an evaluation, even with wall-clock timing
+    // on; the modeled T_m service still runs for every sub-query.
+    EngineConfig config = small_config(SchedulerKind::kJaws);
+    config.eval.wall_clock_timing = true;
+    const workload::Workload w = small_workload(config, 20, 3);
+    const RunReport report = Engine(config).run(w);
+    ASSERT_EQ(report.queries, w.total_queries());
+    ASSERT_GT(report.subqueries, 0u);
+    EXPECT_GT(report.cpu_busy_time.raw_micros(), 0);
+    EXPECT_EQ(report.eval_wall_ns, 0u);
+    EXPECT_EQ(report.eval_tasks, 0u);
+    EXPECT_EQ(report.samples_evaluated, 0u);
+}
+
 }  // namespace
 }  // namespace jaws::core

@@ -42,7 +42,6 @@ TEST(FaultInjector, CertainErrorRateAlwaysFails) {
     for (std::uint32_t m = 0; m < 32; ++m) {
         const FaultOutcome out = injector.on_read(AtomId{1, m});
         EXPECT_TRUE(out.failed);
-        EXPECT_FALSE(out.permanent);
     }
     EXPECT_EQ(injector.stats().transient_faults, 32u);
 }
@@ -57,23 +56,6 @@ TEST(FaultInjector, TransientRateIsRoughlyCalibrated) {
         failures += injector.on_read(AtomId{0, i % 500}).failed ? 1 : 0;
     const double rate = static_cast<double>(failures) / static_cast<double>(trials);
     EXPECT_NEAR(rate, 0.25, 0.05);
-}
-
-TEST(FaultInjector, BadRangeIsPermanentAcrossTimesteps) {
-    FaultSpec spec;
-    spec.bad_ranges.push_back(BadRange{10, 20});
-    FaultInjector injector{spec};
-    for (std::uint32_t t = 0; t < 3; ++t) {
-        const FaultOutcome out = injector.on_read(AtomId{t, 15});
-        EXPECT_TRUE(out.failed);
-        EXPECT_TRUE(out.permanent);
-    }
-    EXPECT_FALSE(injector.on_read(AtomId{0, 9}).permanent);
-    EXPECT_FALSE(injector.on_read(AtomId{0, 21}).permanent);
-    EXPECT_TRUE(injector.permanently_bad(AtomId{7, 10}));
-    EXPECT_TRUE(injector.permanently_bad(AtomId{7, 20}));
-    EXPECT_FALSE(injector.permanently_bad(AtomId{7, 21}));
-    EXPECT_EQ(injector.stats().permanent_faults, 3u);
 }
 
 TEST(FaultInjector, SpikesCarryExponentialLatency) {
@@ -160,7 +142,6 @@ TEST(AtomStoreFaults, FailedReadChargesDiskButReturnsNoData) {
     AtomStore store(spec);
     const ReadResult rr = store.read(AtomId{0, 0});
     EXPECT_TRUE(rr.failed);
-    EXPECT_FALSE(rr.permanent);
     EXPECT_EQ(rr.data, nullptr);
     EXPECT_GT(rr.io_cost.raw_micros(), 0);  // the head still moved
     EXPECT_EQ(store.disk_stats().requests, 1u);

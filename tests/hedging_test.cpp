@@ -226,7 +226,7 @@ TEST(CircuitBreaker, ZeroBudgetMeansUnlimitedRetries) {
     config.faults.transient_error_rate = 1.0;
     config.retry.total_retry_budget = 0;  // off
     const core::RunReport r = run_with(config, 12);
-    // Every query walks the full backoff ladder: (max_attempts - 1) retries
+    // Every query walks the full backoff ladder: (kMaxReadAttempts - 1) retries
     // per demand read.
     EXPECT_EQ(r.retries_suppressed, 0u);
     EXPECT_GT(r.read_retries, 3u);

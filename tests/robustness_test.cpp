@@ -249,11 +249,6 @@ TEST(ConfigValidation, RejectsDegenerateEngineConfigs) {
         c.faults.transient_error_rate = 1.5;
         EXPECT_THROW(core::Engine{c}, std::invalid_argument);
     }
-    {
-        core::EngineConfig c = tiny_config();
-        c.retry.max_attempts = 0;
-        EXPECT_THROW(core::Engine{c}, std::invalid_argument);
-    }
 }
 
 TEST(ConfigValidation, RejectsDegenerateHedgeAndTailSpecs) {
@@ -371,24 +366,6 @@ TEST(FaultRecovery, ModerateErrorRateRecoversThroughRetries) {
     // With 4 attempts at 30 % error, per-read failure ~ 0.8 %: most queries
     // must survive undegraded.
     EXPECT_LT(report.degraded_queries, 10u);
-}
-
-TEST(FaultRecovery, PermanentBadRangeFailsFastWithoutRetries) {
-    core::EngineConfig config = tiny_config();
-    config.scheduler.kind = core::SchedulerKind::kJaws;
-    config.faults.bad_ranges.push_back(storage::BadRange{3, 3});
-    workload::Workload w;
-    w.jobs.push_back(single_query_job(1, 3));  // on the bad atom
-    w.jobs.push_back(single_query_job(2, 5));  // healthy
-    core::Engine engine(config);
-    const core::RunReport report = engine.run(w);
-    ASSERT_EQ(report.queries, 2u);
-    EXPECT_EQ(report.degraded_queries, 1u);
-    EXPECT_EQ(report.read_failures, 1u);
-    EXPECT_EQ(report.read_retries, 0u);  // permanent faults skip backoff
-    EXPECT_EQ(report.faults.permanent_faults, 1u);
-    for (const core::QueryOutcome& o : engine.outcomes())
-        EXPECT_EQ(o.degraded(), o.query == 1u);
 }
 
 TEST(FaultRecovery, StragglerDiskWithPrefetchDoesNotDeadlock) {
