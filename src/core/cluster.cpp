@@ -96,23 +96,19 @@ std::vector<workload::Job> TurbulenceCluster::project(const workload::Job& job) 
         part.type = job.type;
         part.arrival = job.arrival;
     }
-    // Each node's share of the current query: footprint entries, positions,
-    // and the owner of each position.
+    // Each node's share of the current query: footprint entries, and the
+    // positions those entries own (descriptor-only queries carry none).
     std::vector<std::size_t> entries(nodes);
     std::vector<std::size_t> points(nodes);
-    std::vector<std::uint32_t> point_owner;
     for (const workload::Query& q : job.queries) {
         // Count each share first, so each part's vectors are allocated once,
         // at their exact size.
         std::fill(entries.begin(), entries.end(), 0);
         std::fill(points.begin(), points.end(), 0);
-        for (const workload::AtomRequest& req : q.footprint) ++entries[owner(req.atom.morton)];
-        // Positions follow their owning node (materialised runs evaluate
-        // them there); descriptor-only queries carry none.
-        point_owner.clear();
-        for (const field::Vec3& p : q.positions) {
-            point_owner.push_back(owner(config_.node.grid.atom_morton_of(p)));
-            ++points[point_owner.back()];
+        for (const workload::AtomRequest& req : q.footprint) {
+            const std::uint32_t n = owner(req.atom.morton);
+            ++entries[n];
+            points[n] += q.positions_in(req.atom).size();
         }
         for (std::size_t n = 0; n < nodes; ++n) {
             if (entries[n] == 0) continue;
@@ -121,11 +117,14 @@ std::vector<workload::Job> TurbulenceCluster::project(const workload::Job& job) 
             part.footprint.reserve(entries[n]);
             part.positions.reserve(points[n]);
         }
-        for (const workload::AtomRequest& req : q.footprint)
-            projected[owner(req.atom.morton)].queries.back().footprint.push_back(req);
-        for (std::size_t i = 0; i < q.positions.size(); ++i)
-            if (entries[point_owner[i]] != 0)  // a node with no atom of q gets no part
-                projected[point_owner[i]].queries.back().positions.push_back(q.positions[i]);
+        // Each entry's slice of positions goes with the entry (materialised
+        // runs evaluate it there), so every part keeps Query's layout.
+        for (const workload::AtomRequest& req : q.footprint) {
+            workload::Query& part = projected[owner(req.atom.morton)].queries.back();
+            part.footprint.push_back(req);
+            const auto slice = q.positions_in(req.atom);
+            part.positions.insert(part.positions.end(), slice.begin(), slice.end());
+        }
     }
     return projected;
 }
@@ -506,10 +505,6 @@ class UnifiedKernel final : public storage::ReplicaRouter {
     std::vector<util::SimTime> death_;
     const std::uint64_t aps_;
     const std::uint32_t cluster_src_;  ///< Event source id of routing events.
-    /// Owned shared evaluation pool (null when none is needed); declared
-    /// before engines_ so it outlives every engine that submits to it.
-    std::unique_ptr<util::ThreadPool> shared_eval_;
-
     util::SimTime origin_;
     util::EventQueue events_;
     /// Stable storage of every injected job (engines keep pointers into
@@ -522,16 +517,22 @@ class UnifiedKernel final : public storage::ReplicaRouter {
     workload::JobId next_job_id_ = 0;
     workload::QueryId next_query_id_ = 0;
     ClusterReport report_;
+    /// Owned shared evaluation pool (null when none is needed). Declared
+    /// last, so that a run unwound by an exception drains its tasks, which
+    /// read the engines and the routed queries' positions, before any of
+    /// them is destroyed.
+    std::unique_ptr<util::ThreadPool> shared_eval_;
 };
 
 }  // namespace
 
 ClusterReport TurbulenceCluster::run(const workload::Workload& workload) const {
     require_arrival_order(workload, "TurbulenceCluster::run");
-    // Before any job is projected: a query that touches no atom gets no
-    // part, so it would vanish from the run instead of stalling it.
+    // Before any job is projected: projection slices each entry's positions,
+    // and a query that touches no atom gets no part, so it would vanish from
+    // the run instead of stalling it.
     for (const workload::Job& job : workload.jobs)
-        require_footprints_fit(job, "TurbulenceCluster::run");
+        require_footprints_fit(job, config_.node, "TurbulenceCluster::run");
     return UnifiedKernel(*this, config_).run(workload);
 }
 

@@ -126,9 +126,12 @@ class TurbulenceCluster {
 
     /// Project one job onto every node it touches: element n of the result
     /// holds the queries whose footprint atoms node n owns (queries keep
-    /// their IDs, footprints filtered, jobs re-sequenced; element n is empty
-    /// when the job does not touch node n). The kernel splits each job this
-    /// way at route time; partition() applies it to a whole workload.
+    /// their IDs, footprints filtered, each entry's positions moved with it,
+    /// jobs re-sequenced; element n is empty when the job does not touch
+    /// node n). The job's queries must be in workload::Query's layout, which
+    /// run() checks first (require_footprints_fit); the parts keep it. The
+    /// kernel splits each job this way at route time; partition() applies
+    /// it to a whole workload.
     std::vector<workload::Job> project(const workload::Job& job) const;
 
     /// Project `workload` onto each node (queries keep their IDs; footprints

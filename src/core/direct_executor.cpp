@@ -1,13 +1,14 @@
 #include "core/direct_executor.h"
 
 #include <cmath>
-#include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 
 #include "cache/lru.h"
 #include "util/wallclock.h"
+#include "workload/query.h"
 
 namespace jaws::core {
 
@@ -17,44 +18,48 @@ DirectExecutor::DirectExecutor(const EngineConfig& config)
                                     /*materialize_data=*/true, config.faults}),
       cache_(config.cache.capacity_atoms, std::make_unique<cache::LruPolicy>()),
       db_(config.grid, config.compute) {
+    // A failed read has no retry path here: it would be cached as a resident
+    // atom without data and evaluated as one.
+    if (config.faults.storage_faults_enabled())
+        throw std::invalid_argument(
+            "DirectExecutor: config.faults enables storage faults, but direct "
+            "evaluation does not retry reads");
     if (config.cache.wall_clock_overhead) cache_.set_tick_source(util::wall_clock_ns);
 }
 
 DirectResult DirectExecutor::evaluate(std::uint32_t timestep,
                                       const std::vector<field::Vec3>& positions,
                                       field::InterpOrder order) {
+    // The kernel reads only the atom's own voxels and its ghost region.
+    if (field::kernel_half_width(order) > grid().ghost)
+        throw std::invalid_argument(
+            "DirectExecutor::evaluate: interpolation order " +
+            std::to_string(static_cast<int>(order)) + " needs kernel half-width " +
+            std::to_string(field::kernel_half_width(order)) + " <= grid.ghost (" +
+            std::to_string(grid().ghost) + ")");
+    // Group once, then read, cache and evaluate atom by atom in Morton order,
+    // as the production system does (paper Sec. III-A): each atom is read
+    // once, and all cost accounting happens in this deterministic order.
+    const workload::AtomGrouping groups = workload::group_by_atom(grid(), timestep, positions);
     DirectResult result;
     result.samples.resize(positions.size());
-
-    // Group positions by atom (Morton-sorted map) so each atom is read once
-    // and positions are evaluated in Morton order, as the production system
-    // does (paper Sec. III-A).
-    std::map<std::uint64_t, std::vector<std::size_t>> by_atom;
-    for (std::size_t i = 0; i < positions.size(); ++i)
-        by_atom[store_.grid().atom_morton_of(positions[i])].push_back(i);
-
-    // Read and cache each atom (Morton-ordered map walk), then evaluate its
-    // positions; all cost accounting happens in this deterministic order.
-    for (const auto& [morton, indices] : by_atom) {
-        const storage::AtomId atom{timestep, morton};
-        if (cache_.lookup(atom)) {
+    std::size_t next = 0;  // grouped index of the entry's first point
+    for (const workload::AtomRequest& req : groups.footprint) {
+        if (cache_.lookup(req.atom)) {
             ++result.cache_hits;
         } else {
             ++result.cache_misses;
-            storage::ReadResult rr = store_.read(atom);
+            storage::ReadResult rr = store_.read(req.atom);
             result.virtual_cost += rr.io_cost;
-            cache_.insert(atom, std::move(rr.data));
+            cache_.insert(req.atom, std::move(rr.data));
         }
-        storage::SubQueryExec exec;
-        exec.atom = atom;
-        exec.order = order;
-        exec.kind = storage::ComputeKind::kVelocity;
-        exec.positions.reserve(indices.size());
-        for (const std::size_t i : indices) exec.positions.push_back(positions[i]);
-        result.virtual_cost += db_.modeled_cost(exec.positions.size());
-        const storage::ExecOutcome out = db_.execute(exec, cache_.payload(atom).get());
-        for (std::size_t j = 0; j < indices.size(); ++j)
-            result.samples[indices[j]] = out.samples[j];
+        result.virtual_cost += db_.modeled_cost(req.positions);
+        const storage::SubQueryExec exec{req.atom,
+                                         std::span(groups.positions).subspan(next, req.positions),
+                                         order, storage::ComputeKind::kVelocity};
+        // Samples come back in the slice's order; write each to its caller's slot.
+        for (const field::FlowSample& s : db_.execute(exec, cache_.payload(req.atom).get()))
+            result.samples[groups.order[next++]] = s;
     }
     return result;
 }

@@ -44,18 +44,27 @@ struct VolumeStats {
 
 /// Synchronous executor over materialised atoms.
 ///
-/// Touched atoms are read, cached and evaluated one at a time in Morton
-/// order, so cost accounting is deterministic; each atom's samples land in
-/// its positions' slots of the output vector. Evaluation runs inline:
-/// parallel evaluation lives in the engine (EvalSpec), not here.
+/// Positions are grouped by atom as the engine's queries are
+/// (workload::group_by_atom), and touched atoms are read, cached and
+/// evaluated one at a time in Morton order, each through one
+/// DatabaseNode::execute call on its slice of positions, so cost accounting
+/// is deterministic; each atom's samples land in its positions' slots of
+/// the output vector. Evaluation runs inline: parallel evaluation lives in
+/// the engine (EvalSpec), not here.
 class DirectExecutor {
   public:
     /// Builds its own store with materialisation forced on; `config.cache`
-    /// sizes the private cache.
+    /// sizes the private cache. Reads are never retried here, so a
+    /// `config.faults` that enables storage faults (transient errors,
+    /// latency spikes or stuck reads) throws std::invalid_argument. Heavy-tail
+    /// disk draws (`config.disk.heavy_tail`) only change the cost, and are
+    /// allowed.
     explicit DirectExecutor(const EngineConfig& config);
 
     /// Evaluate velocity+pressure at `positions` within time step `timestep`
-    /// using Lagrange interpolation of `order`.
+    /// using Lagrange interpolation of `order`. Throws std::invalid_argument
+    /// when the kernel of `order` does not fit grid.ghost, or a position has a
+    /// coordinate that is not finite.
     DirectResult evaluate(std::uint32_t timestep, const std::vector<field::Vec3>& positions,
                           field::InterpOrder order = field::InterpOrder::kLag4);
 

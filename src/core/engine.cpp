@@ -164,41 +164,66 @@ void Engine::push_visibility(util::SimTime at, workload::QueryId id) {
         });
 }
 
-void Engine::require_kernel_fit(const workload::Job& job) const {
-    if (!config_.materialize_data) return;
-    for (const workload::Query& q : job.queries)
-        if (field::kernel_half_width(q.order) > config_.grid.ghost)
-            throw std::invalid_argument(
-                "Engine: interpolation order " +
-                std::to_string(static_cast<int>(q.order)) + " (query " +
-                std::to_string(q.id) + ") needs kernel half-width " +
-                std::to_string(field::kernel_half_width(q.order)) +
-                " <= grid.ghost (" + std::to_string(config_.grid.ghost) +
-                ") when materialize_data is set");
-}
-
-void require_footprints_fit(const workload::Job& job, const char* who) {
+void require_footprints_fit(const workload::Job& job, const EngineConfig& config,
+                            const char* who) {
     for (const workload::Query& q : job.queries) {
-        const std::string query =
-            "query " + std::to_string(q.id) + " of job " + std::to_string(job.id);
+        const auto reject = [&](const std::string& rule) {
+            throw std::invalid_argument(std::string(who) + ": query " + std::to_string(q.id) +
+                                        " of job " + std::to_string(job.id) + " " + rule);
+        };
         if (q.footprint.empty())
-            throw std::invalid_argument(std::string(who) + ": " + query +
-                                        " touches no atom, so no sub-query would "
-                                        "complete it");
-        for (const workload::AtomRequest& req : q.footprint)
+            reject("touches no atom, so no sub-query would complete it");
+        if (config.materialize_data && field::kernel_half_width(q.order) > config.grid.ghost)
+            reject("uses interpolation order " + std::to_string(static_cast<int>(q.order)) +
+                   ", whose kernel half-width " +
+                   std::to_string(field::kernel_half_width(q.order)) + " exceeds grid.ghost (" +
+                   std::to_string(config.grid.ghost) + ") when materialize_data is set");
+        std::uint64_t total = 0;
+        for (std::size_t i = 0; i < q.footprint.size(); ++i) {
+            const workload::AtomRequest& req = q.footprint[i];
             if (req.positions > workload::kMaxAtomPositions)
-                throw std::invalid_argument(
-                    std::string(who) + ": " + query + " puts " +
-                    std::to_string(req.positions) + " positions in one atom; a sub-query "
-                    "counts at most " + std::to_string(workload::kMaxAtomPositions));
+                reject("puts " + std::to_string(req.positions) +
+                       " positions in one atom; a sub-query counts at most " +
+                       std::to_string(workload::kMaxAtomPositions));
+            if (req.atom.timestep != q.timestep)
+                reject("lists an atom of time step " + std::to_string(req.atom.timestep) +
+                       ", not its own step " + std::to_string(q.timestep));
+            if (i > 0 && req.atom.morton <= q.footprint[i - 1].atom.morton)
+                reject("lists atom " + std::to_string(req.atom.morton) + " after atom " +
+                       std::to_string(q.footprint[i - 1].atom.morton) +
+                       "; footprint entries must be strictly ascending by Morton code");
+            total += req.positions;
+        }
+        if (q.positions.empty()) continue;
+        if (q.positions.size() != total)
+            reject("has " + std::to_string(q.positions.size()) +
+                   " explicit positions, but its footprint counts " + std::to_string(total));
+        std::size_t k = 0;
+        for (const workload::AtomRequest& req : q.footprint)
+            for (std::uint64_t n = 0; n < req.positions; ++n, ++k) {
+                // Finite first: an atom lookup converts NaN to an integer.
+                if (!q.positions[k].finite())
+                    reject("has position " + std::to_string(k) +
+                           " with a coordinate that is not finite");
+                if (config.grid.atom_morton_of(q.positions[k]) != req.atom.morton)
+                    reject("has position " + std::to_string(k) + " outside atom " +
+                           std::to_string(req.atom.morton) +
+                           ", the footprint entry that owns it");
+            }
     }
 }
 
 void Engine::submit_job(const workload::Job& job) {
-    // Runtimes first, so that one lookup catches an id repeated across jobs
-    // or within this one before the scheduler (JAWS's gating graph) sees it:
-    // inject_job counted every query, and a second one under an admitted id
-    // could never complete.
+    // Ids first, before the scheduler (JAWS's gating graph) sees the job.
+    // A job id names one live job: the engine and the schedulers key a job's
+    // state on it until its last query completes, and then forget it.
+    if (job_remaining_.contains(job.id))
+        throw std::invalid_argument("Engine: job " + std::to_string(job.id) +
+                                    " arrives while an earlier job with its id is live; "
+                                    "a job id is reused only after its job completes");
+    // One lookup per query catches an id repeated across jobs or within this
+    // one: inject_job counted every query, and a second one under an
+    // admitted id could never complete.
     for (const auto& q : job.queries) {
         if (runtime_.contains(q.id))
             throw std::invalid_argument("Engine: job " + std::to_string(job.id) +
@@ -211,9 +236,7 @@ void Engine::submit_job(const workload::Job& job) {
     }
     scheduler_->on_job_submitted(job);
     if (job.queries.empty()) return;
-    util::SlotIndex::Slot remaining = job_remaining_.find(job.id);
-    if (remaining == util::SlotIndex::kNone) remaining = job_remaining_.insert(job.id);
-    job_remaining_[remaining] = job.queries.size();
+    job_remaining_[job_remaining_.insert(job.id)] = job.queries.size();
     if (job.type == workload::JobType::kOrdered) {
         // Only the head is visible; successors appear as predecessors finish.
         push_visibility(job.arrival, job.queries.front().id);
@@ -622,22 +645,18 @@ void Engine::submit_compute(std::size_t idx) {
         // inline, on the pool, or not at all.
         const util::SimTime cost = db_.modeled_cost(sub.positions);
         if (it.payload == nullptr || query.positions.empty()) return cost;
-        // Real data: evaluate the positions of this query that fall inside
-        // this atom.
-        storage::SubQueryExec exec;
-        exec.atom = it.item.atom;
-        exec.order = query.order;
-        exec.kind = query.kind;
-        for (const field::Vec3& p : query.positions)
-            if (config_.grid.atom_morton_of(p) == it.item.atom.morton)
-                exec.positions.push_back(p);
+        // Real data: evaluate this query's slice of positions in this atom.
+        // The span stays valid until the task runs: the query outlives the
+        // run (the caller's workload, or the cluster's routed parts).
+        const storage::SubQueryExec exec{it.item.atom, query.positions_in(it.item.atom),
+                                         query.order, query.kind};
         if (exec.positions.empty()) return cost;
-        auto task = [this, exec = std::move(exec), payload = it.payload]() {
+        auto task = [this, exec, payload = it.payload]() {
             const std::uint64_t t0 = eval_tick_ ? eval_tick_() : 0;
-            storage::ExecOutcome out = db_.execute(exec, payload.get());
+            std::vector<field::FlowSample> samples = db_.execute(exec, payload.get());
             if (eval_tick_)
                 eval_wall_ns_.fetch_add(eval_tick_() - t0, std::memory_order_relaxed);
-            return out;
+            return samples;
         };
         // compute_done() takes the result at the modeled completion event.
         // Each in-service CPU channel owns at most one pool task, bounding
@@ -665,11 +684,11 @@ void Engine::compute_done(std::size_t idx) {
     // here, at the modeled completion event — so sample order and digests
     // depend only on the virtual trace, never on real-thread interleaving.
     if (it.pending_eval.valid()) {
-        const storage::ExecOutcome out = it.pending_eval.get();
-        rt.samples_evaluated += out.samples.size();
-        rt.sample_digest = fold_samples(rt.sample_digest, out.samples);
-        report_.samples_evaluated += out.samples.size();
-        report_.sample_digest = fold_samples(report_.sample_digest, out.samples);
+        const std::vector<field::FlowSample> samples = it.pending_eval.get();
+        rt.samples_evaluated += samples.size();
+        rt.sample_digest = fold_samples(rt.sample_digest, samples);
+        report_.samples_evaluated += samples.size();
+        report_.sample_digest = fold_samples(report_.sample_digest, samples);
     }
     assert(rt.outstanding > 0);
     if (--rt.outstanding == 0) complete_query(rt);
@@ -948,8 +967,7 @@ void Engine::begin(util::SimTime origin, util::SimTime halt_at) {
 }
 
 void Engine::inject_job(const workload::Job& job) {
-    require_kernel_fit(job);
-    require_footprints_fit(job, "Engine");
+    require_footprints_fit(job, config_, "Engine");
     if (!clock_started_) start_clock(events_.now());
     ++report_.jobs;
     expected_ += job.queries.size();

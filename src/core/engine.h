@@ -78,13 +78,24 @@ namespace jaws::core {
 /// arrives before its predecessor; equal arrivals are in order.
 void require_arrival_order(const workload::Workload& workload, const char* who);
 
-/// Every query of `job` must touch at least one atom (a query with an empty
-/// footprint has no sub-query to complete it, so its run would wait for it
-/// forever), and every footprint entry must count at most
-/// workload::kMaxAtomPositions positions, the most a sub-query holds. Throws
-/// std::invalid_argument, prefixed with `who`, naming the job and the first
-/// query that breaks either rule.
-void require_footprints_fit(const workload::Job& job, const char* who);
+/// Every query of `job` must be in workload::Query's layout on `config.grid`,
+/// which the pre-processor's support search, the gating merge scan and every
+/// consumer of explicit positions rely on:
+/// - it touches at least one atom (a query with an empty footprint has no
+///   sub-query to complete it, so its run would wait for it forever);
+/// - every footprint entry counts at most workload::kMaxAtomPositions
+///   positions, the most a sub-query holds;
+/// - entries are strictly ascending by Morton code and lie on its time step;
+/// - explicit positions, when it has any, number total_positions(), have
+///   finite coordinates, and lie inside the atom of the entry that owns them
+///   (the interpolator reads only that atom's voxels).
+/// With config.materialize_data its interpolation kernel must also fit the
+/// atom's ghost region (the descriptor-only path models spill as support
+/// reads; the real data path cannot). Throws std::invalid_argument, prefixed
+/// with `who`, naming the job, the first query that breaks a rule, and the
+/// rule.
+void require_footprints_fit(const workload::Job& job, const EngineConfig& config,
+                            const char* who);
 
 /// Single-node engine.
 class Engine {
@@ -254,7 +265,7 @@ class Engine {
         /// starts and folded by compute_done(): a pool task, or a deferred
         /// one that runs on the event thread at get(). Invalid when the
         /// sub-query has no positions to interpolate.
-        std::future<storage::ExecOutcome> pending_eval;
+        std::future<std::vector<field::FlowSample>> pending_eval;
     };
 
     /// The scheduler batch in flight (when `active`). Items are issued into
@@ -276,12 +287,6 @@ class Engine {
     std::unique_ptr<sched::Scheduler> make_scheduler();
 
     // --- admission (arrivals and visibility) ----------------------------
-    /// With materialised data the interpolation kernel must fit inside an
-    /// atom's ghost region (the descriptor-only path models spill as support
-    /// reads; the real data path cannot). Throws std::invalid_argument
-    /// naming grid.ghost and the offending order instead of reading out of
-    /// bounds. No-op when materialize_data is off.
-    void require_kernel_fit(const workload::Job& job) const;
     void submit_job(const workload::Job& job);
     void make_visible(workload::QueryId id);
     /// Record a future visibility event and schedule a kernel wake-up for it

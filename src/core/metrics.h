@@ -44,9 +44,10 @@ struct QueryOutcome {
     workload::JobId job = workload::kNoJob;
     util::SimTime visible;    ///< When its inputs were ready.
     util::SimTime completed;  ///< When the last sub-query finished.
-    /// Sub-queries whose atom never became readable (retries exhausted or a
-    /// permanently bad range); > 0 means the query completed *degraded*:
-    /// it returned partial results instead of crashing the run.
+    /// Sub-queries whose atom never became readable: its read failed past
+    /// the retry limits, or the query ran over its deadline budget while the
+    /// read was failing. > 0 means the query completed *degraded*: it
+    /// returned partial results instead of crashing the run.
     std::uint64_t failed_subqueries = 0;
     /// Interpolated samples this query produced (0 on descriptor-only runs).
     std::uint64_t samples_evaluated = 0;

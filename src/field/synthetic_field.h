@@ -17,6 +17,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +39,10 @@ struct Vec3 {
     }
     friend Vec3 operator*(double s, Vec3 v) noexcept { return {s * v.x, s * v.y, s * v.z}; }
     double norm2() const noexcept { return x * x + y * y + z * z; }
+    /// No coordinate is NaN or infinite.
+    bool finite() const noexcept {
+        return std::isfinite(x) && std::isfinite(y) && std::isfinite(z);
+    }
 };
 
 /// One velocity + pressure sample.

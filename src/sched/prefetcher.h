@@ -9,10 +9,11 @@
 // The predictor watches each ordered job's completed queries, fits the
 // motion of its footprint centroid and its time-step delta, and predicts the
 // atom set of the *next* query: the current footprint translated by the
-// observed displacement at the predicted step. The engine turns predictions
-// into speculative reads appended to dispatched batches (bounded per batch),
-// so a prediction that comes true converts a future cold read into a cache
-// hit.
+// observed displacement at the predicted step. The engine queues the
+// predictions (at most max_atoms_per_batch of the freshest) and issues them
+// as background reads on disk channels that would otherwise sit idle, which
+// a demand read preempts; so a prediction that comes true converts a future
+// cold read into a cache hit without delaying demand work.
 #pragma once
 
 #include <cstdint>

@@ -12,28 +12,27 @@ util::SimTime DatabaseNode::modeled_cost(std::uint64_t positions) const noexcept
         static_cast<std::int64_t>(cost_.t_m_us * static_cast<double>(positions)));
 }
 
-ExecOutcome DatabaseNode::execute(const SubQueryExec& work,
-                                  const field::VoxelBlock* data) const {
-    ExecOutcome out;
-    if (data == nullptr || work.positions.empty()) return out;
+std::vector<field::FlowSample> DatabaseNode::execute(const SubQueryExec& work,
+                                                     const field::VoxelBlock* data) const {
+    if (data == nullptr || work.positions.empty()) return {};
 
     const util::Coord3 atom_coord = util::morton_decode(work.atom.morton);
-    out.samples.resize(work.positions.size());
+    std::vector<field::FlowSample> samples(work.positions.size());
     // One scratch arena per thread: execute() runs concurrently on the
     // evaluation pool, and the interpolator's weight planes amortise across
     // every sub-query a worker evaluates.
     thread_local field::BatchInterpolator interp;
     interp.evaluate(grid_, *data, atom_coord, work.positions.data(), work.positions.size(),
-                    work.order, out.samples.data());
+                    work.order, samples.data());
     if (work.kind == ComputeKind::kFlowStats) {
         // Collapse to magnitude in the velocity.x slot; aggregation over
         // positions happens in the caller, which sees all samples.
-        for (field::FlowSample& s : out.samples) {
+        for (field::FlowSample& s : samples) {
             const double mag = std::sqrt(s.velocity.norm2());
             s.velocity = field::Vec3{mag, 0.0, 0.0};
         }
     }
-    return out;
+    return samples;
 }
 
 }  // namespace jaws::storage

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "field/grid.h"
@@ -34,14 +35,11 @@ struct CostModel {
 /// falling inside a single atom.
 struct SubQueryExec {
     AtomId atom;
-    std::vector<field::Vec3> positions;
+    /// A slice of the query's positions, every one inside `atom`; the caller
+    /// keeps them alive until execute() returns.
+    std::span<const field::Vec3> positions;
     field::InterpOrder order = field::InterpOrder::kLag4;
     ComputeKind kind = ComputeKind::kVelocity;
-};
-
-/// Result of executing one sub-query.
-struct ExecOutcome {
-    std::vector<field::FlowSample> samples;    ///< Per-position results (if data given).
 };
 
 /// Stateless executor bound to a grid geometry and cost model.
@@ -54,10 +52,12 @@ class DatabaseNode {
     DatabaseNode(const field::GridSpec& grid, const CostModel& cost)
         : grid_(grid), cost_(cost) {}
 
-    /// Execute `work` against `data` (the atom's voxel payload). Samples are
-    /// produced only when both data and positions are present; the virtual
-    /// time it costs is modeled_cost(work.positions.size()).
-    ExecOutcome execute(const SubQueryExec& work, const field::VoxelBlock* data) const;
+    /// Execute `work` against `data` (the atom's voxel payload): one sample
+    /// per position, in the positions' order. Samples are produced only
+    /// when both data and positions are present; the virtual time it costs
+    /// is modeled_cost(work.positions.size()).
+    std::vector<field::FlowSample> execute(const SubQueryExec& work,
+                                           const field::VoxelBlock* data) const;
 
     /// Virtual compute time of evaluating `positions` positions (T_m per
     /// position, Eq. 1), without evaluating anything. The engine charges

@@ -348,6 +348,8 @@ void materialize_positions(Workload& workload, const field::GridSpec& grid,
             // Per-query stream: materialisation is stable under job
             // reordering, partitioning and re-runs.
             util::Rng rng(seed ^ (q.id * 0x9E3779B97F4A7C15ULL));
+            // Entry by entry, each point inside its entry's atom: Query's
+            // layout.
             q.positions.clear();
             q.positions.reserve(q.total_positions());
             for (const AtomRequest& req : q.footprint) {

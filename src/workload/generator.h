@@ -79,10 +79,11 @@ Workload generate_workload(const WorkloadSpec& spec, const field::GridSpec& grid
 
 /// Populate explicit positions for every query so materialised runs produce
 /// real interpolated samples: each footprint entry receives exactly its
-/// `positions` count of uniform draws inside that atom's box, so the engine
-/// regroups them onto the same atoms and the footprint — hence the entire
-/// virtual trace — is unchanged by materialisation. Draws are seeded per
-/// query id, independent of job order. Existing positions are replaced.
+/// `positions` count of uniform draws inside that atom's box, written entry
+/// after entry, so every query is in Query's layout and the footprint —
+/// hence the entire virtual trace — is unchanged by materialisation. Draws
+/// are seeded per query id, independent of job order. Existing positions
+/// are replaced.
 void materialize_positions(Workload& workload, const field::GridSpec& grid,
                            std::uint64_t seed = 7);
 

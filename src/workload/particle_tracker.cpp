@@ -1,7 +1,6 @@
 #include "workload/particle_tracker.h"
 
 #include <cassert>
-#include <map>
 
 #include "util/rng.h"
 
@@ -33,18 +32,6 @@ std::vector<field::Vec3> advect_cloud(const field::SyntheticField& field,
     return next;
 }
 
-std::vector<AtomRequest> footprint_of_positions(const field::GridSpec& grid,
-                                                std::uint32_t timestep,
-                                                const std::vector<field::Vec3>& positions) {
-    std::map<std::uint64_t, std::uint64_t> counts;  // keyed, so in Morton order
-    for (const auto& p : positions) ++counts[grid.atom_morton_of(p)];
-    std::vector<AtomRequest> out;
-    out.reserve(counts.size());
-    for (const auto& [code, n] : counts)
-        out.push_back(AtomRequest{storage::AtomId{timestep, code}, n});
-    return out;
-}
-
 Job make_particle_tracking_job(const ParticleTrackingSpec& spec, const field::GridSpec& grid,
                                const field::SyntheticField& field, JobId id, UserId user,
                                util::SimTime arrival) {
@@ -67,8 +54,9 @@ Job make_particle_tracking_job(const ParticleTrackingSpec& spec, const field::Gr
         q.kind = storage::ComputeKind::kVelocity;
         q.order = spec.order;
         q.think_time = i == 0 ? util::SimTime::zero() : util::SimTime::from_seconds(1.0);
-        q.positions = cloud;
-        q.footprint = footprint_of_positions(grid, step, cloud);
+        AtomGrouping grouped = group_by_atom(grid, step, cloud);
+        q.footprint = std::move(grouped.footprint);
+        q.positions = std::move(grouped.positions);
         job.queries.push_back(std::move(q));
 
         if (i + 1 == spec.steps) break;

@@ -6,8 +6,9 @@
 // queries carry *explicit* particle positions: a cloud is seeded in a ball,
 // and each subsequent query's positions are obtained by advecting the cloud
 // through the synthetic flow — a genuine, result-driven data dependency. Jobs
-// built here feed the example programs and the integration tests; the bulk
-// workload generator uses a cheaper drift approximation of the same process.
+// built here drive the integration tests (the particle_tracking example
+// advects its own cloud); the bulk workload generator uses a cheaper drift
+// approximation of the same process.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +40,11 @@ std::vector<field::Vec3> advect_cloud(const field::SyntheticField& field,
                                       const std::vector<field::Vec3>& cloud, double t,
                                       double dt);
 
-/// Group explicit positions into a Morton-sorted atom footprint for `timestep`.
-std::vector<AtomRequest> footprint_of_positions(const field::GridSpec& grid,
-                                                std::uint32_t timestep,
-                                                const std::vector<field::Vec3>& positions);
-
 /// Build a fully materialised ordered job: queries carry explicit positions,
 /// precomputed by advecting the cloud with the analytic field (the ground
-/// truth a live experiment would converge to). `arrival` stamps the job.
+/// truth a live experiment would converge to). Each query stores its step's
+/// cloud grouped by atom (group_by_atom); the cloud itself is advected in
+/// particle order. `arrival` stamps the job.
 Job make_particle_tracking_job(const ParticleTrackingSpec& spec, const field::GridSpec& grid,
                                const field::SyntheticField& field, JobId id, UserId user,
                                util::SimTime arrival);

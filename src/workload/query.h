@@ -4,15 +4,17 @@
 // operation to evaluate at each (paper Sec. III-A/B). For scheduling, all
 // that matters is the query's *atom footprint* — which atoms it touches and
 // how many positions fall in each — so queries carry that footprint directly;
-// explicit positions are optional and only populated for the example programs
-// that compute real values. The pre-processor (sched module) turns footprints
-// into sub-queries.
+// explicit positions are optional and only populated for runs that compute
+// real values. The pre-processor (sched module) turns footprints into
+// sub-queries.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
+#include "field/grid.h"
 #include "field/interpolation.h"
 #include "field/synthetic_field.h"
 #include "storage/atom.h"
@@ -40,6 +42,15 @@ struct AtomRequest {
 };
 
 /// A single query: positions in one time step evaluated with one operation.
+///
+/// Layout, checked by core::require_footprints_fit wherever a job enters an
+/// engine or a cluster, so that every consumer slices instead of searching:
+/// - footprint entries are strictly ascending by Morton code, and every
+///   entry's atom lies on `timestep`;
+/// - explicit positions, when the query has them, are stored entry by entry:
+///   footprint[i] owns the next footprint[i].positions points, each inside
+///   that entry's atom, and within an atom the points keep the caller's
+///   order (group_by_atom builds this).
 struct Query {
     QueryId id = 0;
     JobId job = kNoJob;
@@ -54,11 +65,11 @@ struct Query {
     /// the job's arrival time instead.
     util::SimTime think_time;
 
-    /// Atoms touched, with per-atom position counts. Morton-sorted per
-    /// time step by the generator.
+    /// Atoms touched, with per-atom position counts (layout above).
     std::vector<AtomRequest> footprint;
 
-    /// Optional explicit positions (example programs only).
+    /// Optional explicit positions, grouped by footprint entry (layout
+    /// above). Empty on descriptor-only queries.
     std::vector<field::Vec3> positions;
 
     /// Total positions across the footprint.
@@ -67,6 +78,35 @@ struct Query {
         for (const auto& r : footprint) n += r.positions;
         return n;
     }
+
+    /// The explicit positions that the footprint entry of `atom` owns
+    /// (requires the layout above): empty when the query has no positions or
+    /// does not touch `atom`. Scans the footprint, O(entries).
+    std::span<const field::Vec3> positions_in(const storage::AtomId& atom) const noexcept {
+        if (positions.empty()) return {};
+        std::size_t offset = 0;
+        for (const AtomRequest& r : footprint) {
+            if (r.atom == atom) return std::span(positions).subspan(offset, r.positions);
+            offset += r.positions;
+        }
+        return {};
+    }
 };
+
+/// Points grouped by atom: a footprint and positions in Query's layout, and
+/// where each grouped point came from.
+struct AtomGrouping {
+    std::vector<AtomRequest> footprint;  ///< Strictly ascending Morton codes.
+    std::vector<field::Vec3> positions;  ///< Grouped by footprint entry.
+    /// order[k] is the caller's index of positions[k]; within an atom the
+    /// indices ascend.
+    std::vector<std::size_t> order;
+};
+
+/// Group `positions` by the atom of `grid` that holds each one, at
+/// `timestep`. Throws std::invalid_argument naming the first position with a
+/// coordinate that is not finite (no atom holds it).
+AtomGrouping group_by_atom(const field::GridSpec& grid, std::uint32_t timestep,
+                           std::span<const field::Vec3> positions);
 
 }  // namespace jaws::workload

@@ -9,6 +9,7 @@
 
 #include "core/cluster.h"
 #include "core/engine.h"
+#include "layout_cases.h"
 #include "workload/generator.h"
 
 namespace jaws::core {
@@ -369,6 +370,32 @@ TEST(ClusterRun, RejectsQueriesThatTouchNoAtom) {
                             " of job " + std::to_string(job.id) + " touches no atom"),
                   std::string::npos)
             << what;
+    }
+}
+
+TEST(ClusterRun, RejectsQueriesOutOfLayout) {
+    // Checked before projection, which slices each entry's positions.
+    ClusterConfig config = small_cluster(4);
+    config.node.materialize_data = true;
+    // The well-formed query's parts run on nodes 0 and 1, and every position
+    // is interpolated once.
+    const ClusterReport report =
+        TurbulenceCluster(config).run(layout_cases::well_formed(config.node.grid));
+    std::uint64_t samples = 0;
+    for (const RunReport& r : report.per_node) samples += r.samples_evaluated;
+    EXPECT_EQ(samples, 12u);
+    EXPECT_EQ(report.per_node[0].queries + report.per_node[1].queries, 2u);
+    for (const layout_cases::Case& c : layout_cases::malformed(config.node.grid)) {
+        SCOPED_TRACE(c.rule);
+        try {
+            TurbulenceCluster(config).run(c.workload);
+            ADD_FAILURE() << "ran a query with " << c.rule;
+        } catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("TurbulenceCluster::run: query 50 of job 5 " + c.message),
+                      std::string::npos)
+                << what;
+        }
     }
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "storage/atom_store.h"
 #include "storage/database_node.h"
@@ -22,9 +23,10 @@ field::GridSpec small_grid() {
 TEST(DatabaseNode, ChargesPerPosition) {
     DatabaseNode node(small_grid(), CostModel{.t_m_us = 40.0});
     EXPECT_EQ(node.modeled_cost(100).raw_micros(), 4000);
+    const std::vector<field::Vec3> positions = {{0.1, 0.1, 0.1}, {0.2, 0.2, 0.2}};
     SubQueryExec work;
-    work.positions = {{0.1, 0.1, 0.1}, {0.2, 0.2, 0.2}};
-    EXPECT_TRUE(node.execute(work, nullptr).samples.empty());
+    work.positions = positions;
+    EXPECT_TRUE(node.execute(work, nullptr).empty());
 }
 
 TEST(DatabaseNode, ZeroPositionsZeroCost) {
@@ -57,15 +59,16 @@ TEST_F(DatabaseNodeWithData, InterpolatesVelocityAtPositions) {
     work.order = field::InterpOrder::kLag4;
     work.kind = ComputeKind::kVelocity;
     const double extent = 0.25;  // atoms per side = 4
-    work.positions = {{1.5 * extent, 1.5 * extent, 1.5 * extent},
-                      {1.2 * extent, 1.7 * extent, 1.4 * extent}};
-    const ExecOutcome out = node_.execute(work, data.get());
-    ASSERT_EQ(out.samples.size(), 2u);
+    const std::vector<field::Vec3> positions = {{1.5 * extent, 1.5 * extent, 1.5 * extent},
+                                                {1.2 * extent, 1.7 * extent, 1.4 * extent}};
+    work.positions = positions;
+    const std::vector<field::FlowSample> samples = node_.execute(work, data.get());
+    ASSERT_EQ(samples.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i) {
-        const field::FlowSample truth = store_.field().sample(work.positions[i], 0.0);
-        EXPECT_NEAR(out.samples[i].velocity.x, truth.velocity.x, 5e-3);
-        EXPECT_NEAR(out.samples[i].velocity.y, truth.velocity.y, 5e-3);
-        EXPECT_NEAR(out.samples[i].pressure, truth.pressure, 5e-3);
+        const field::FlowSample truth = store_.field().sample(positions[i], 0.0);
+        EXPECT_NEAR(samples[i].velocity.x, truth.velocity.x, 5e-3);
+        EXPECT_NEAR(samples[i].velocity.y, truth.velocity.y, 5e-3);
+        EXPECT_NEAR(samples[i].pressure, truth.pressure, 5e-3);
     }
 }
 
@@ -78,13 +81,13 @@ TEST_F(DatabaseNodeWithData, FlowStatsCollapsesToMagnitude) {
     work.atom = atom;
     work.kind = ComputeKind::kFlowStats;
     const double extent = 0.25;
-    work.positions = {{2.5 * extent, 2.5 * extent, 2.5 * extent}};
-    const ExecOutcome out = node_.execute(work, data.get());
-    ASSERT_EQ(out.samples.size(), 1u);
-    const field::Vec3 truth =
-        store_.field().velocity(work.positions[0], small_grid().sim_time(1));
-    EXPECT_NEAR(out.samples[0].velocity.x, std::sqrt(truth.norm2()), 1e-2);
-    EXPECT_DOUBLE_EQ(out.samples[0].velocity.y, 0.0);
+    const std::vector<field::Vec3> positions = {{2.5 * extent, 2.5 * extent, 2.5 * extent}};
+    work.positions = positions;
+    const std::vector<field::FlowSample> samples = node_.execute(work, data.get());
+    ASSERT_EQ(samples.size(), 1u);
+    const field::Vec3 truth = store_.field().velocity(positions[0], small_grid().sim_time(1));
+    EXPECT_NEAR(samples[0].velocity.x, std::sqrt(truth.norm2()), 1e-2);
+    EXPECT_DOUBLE_EQ(samples[0].velocity.y, 0.0);
 }
 
 TEST_F(DatabaseNodeWithData, NoSamplesWithoutExplicitPositions) {
@@ -92,8 +95,7 @@ TEST_F(DatabaseNodeWithData, NoSamplesWithoutExplicitPositions) {
     const auto data = store_.read(atom).data;
     SubQueryExec work;
     work.atom = atom;
-    const ExecOutcome out = node_.execute(work, data.get());
-    EXPECT_TRUE(out.samples.empty());
+    EXPECT_TRUE(node_.execute(work, data.get()).empty());
     EXPECT_GT(node_.modeled_cost(50).raw_micros(), 0);
 }
 

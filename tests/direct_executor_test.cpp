@@ -71,6 +71,41 @@ TEST(DirectExecutor, VirtualCostCharged) {
     EXPECT_GT(r.virtual_cost.raw_micros(), 0);
 }
 
+TEST(DirectExecutor, RejectsStorageFaults) {
+    // Direct evaluation never retries a read: a failed one would be cached as
+    // a resident atom without data, and evaluated as one.
+    EngineConfig config = small_config();
+    config.faults.transient_error_rate = 1.0;
+    try {
+        DirectExecutor exec(config);
+        exec.evaluate(0, {{0.5, 0.5, 0.5}});
+        ADD_FAILURE() << "evaluated over faulty storage";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("config.faults"), std::string::npos) << e.what();
+    }
+    // Heavy-tail disk draws change only the cost.
+    config = small_config();
+    config.disk.heavy_tail.rate = 1.0;
+    DirectExecutor exec(config);
+    EXPECT_EQ(exec.evaluate(0, {{0.5, 0.5, 0.5}}).samples.size(), 1u);
+}
+
+TEST(DirectExecutor, RejectsAKernelWiderThanTheGhostRegion) {
+    // A kernel wider than the ghost region would read outside the atom's
+    // voxel block.
+    EngineConfig config = small_config();
+    config.grid.ghost = 2;
+    DirectExecutor exec(config);
+    const std::vector<field::Vec3> edge = {{0.2501, 0.2501, 0.2501}};  // an atom corner
+    try {
+        exec.evaluate(0, edge, field::InterpOrder::kLag8);
+        ADD_FAILURE() << "evaluated a kernel wider than the ghost region";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("grid.ghost (2)"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(exec.evaluate(0, edge, field::InterpOrder::kLag4).samples.size(), 1u);
+}
+
 TEST(DirectExecutor, EmptyPositions) {
     DirectExecutor exec(small_config());
     const DirectResult r = exec.evaluate(0, {});

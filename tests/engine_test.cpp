@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "core/engine.h"
+#include "layout_cases.h"
 #include "workload/generator.h"
 
 namespace jaws::core {
@@ -346,6 +347,49 @@ TEST(Engine, RejectsARepeatedQueryId) {
         workload::Workload w = one_batched_job(1, 10, {1});
         w.jobs.push_back(one_batched_job(2, 11, {2}).jobs.front());
         EXPECT_EQ(Engine(config).run(w).queries, 2u);
+    }
+}
+
+TEST(Engine, RejectsALiveJobId) {
+    // The engine and the schedulers key a job's state on its id until its
+    // last query completes, so a second live job under that id would
+    // overwrite the first one's state.
+    for (const SchedulerKind kind : kAllKinds) {
+        for (const workload::JobType type :
+             {workload::JobType::kBatched, workload::JobType::kOrdered}) {
+            SCOPED_TRACE("scheduler " + std::to_string(static_cast<int>(kind)) +
+                         (type == workload::JobType::kOrdered ? ", ordered" : ", batched"));
+            const EngineConfig config = small_config(kind);
+            workload::Workload w = one_batched_job(1, 10, {1});
+            w.jobs.push_back(one_batched_job(1, 11, {1}).jobs.front());
+            for (workload::Job& job : w.jobs) job.type = type;
+            const std::string what = rejection([&] { Engine(config).run(w); });
+            EXPECT_NE(what.find("Engine: job 1 arrives while an earlier job with its id is live"),
+                      std::string::npos)
+                << what;
+
+            // Once the first job has completed, its id may name a new job.
+            w.jobs[1].arrival = util::SimTime::from_seconds(3600);
+            const RunReport report = Engine(config).run(w);
+            EXPECT_EQ(report.jobs, 2u);
+            EXPECT_EQ(report.queries, 2u);
+        }
+    }
+}
+
+TEST(Engine, RejectsQueriesOutOfLayout) {
+    EngineConfig config = small_config(SchedulerKind::kJaws);
+    config.materialize_data = true;
+    // The well-formed query runs, and the engine interpolates each of its
+    // positions once, from its entry's slice.
+    const RunReport report = Engine(config).run(layout_cases::well_formed(config.grid));
+    EXPECT_EQ(report.queries, 1u);
+    EXPECT_EQ(report.samples_evaluated, 12u);
+    for (const layout_cases::Case& c : layout_cases::malformed(config.grid)) {
+        SCOPED_TRACE(c.rule);
+        const std::string what = rejection([&] { Engine(config).run(c.workload); });
+        EXPECT_NE(what.find("Engine: query 50 of job 5 " + c.message), std::string::npos)
+            << what;
     }
 }
 

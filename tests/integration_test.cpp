@@ -92,6 +92,11 @@ TEST(Integration, ParticleTrackingThroughBatchEngineWithRealData) {
     for (std::size_t i = 1; i < engine.outcomes().size(); ++i)
         EXPECT_GE(engine.outcomes()[i].completed.raw_micros(),
                   engine.outcomes()[i - 1].completed.raw_micros());
+    // Golden: every particle is interpolated once per step. The digest folds
+    // each atom's samples in the order of its points, so it pins that the
+    // job's grouping keeps each atom's points in particle order.
+    EXPECT_EQ(report.samples_evaluated, 5u * 64u);
+    EXPECT_EQ(report.sample_digest, 0x90111778ba770458ULL);
 }
 
 TEST(Integration, InterpolatedAdvectionTracksAnalyticTrajectory) {

@@ -2,8 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <unordered_map>
+#include <limits>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "util/morton.h"
+#include "util/rng.h"
 #include "workload/particle_tracker.h"
 
 namespace jaws::workload {
@@ -77,24 +83,84 @@ TEST(AdvectCloud, ParticlesActuallyMove) {
     EXPECT_GT(displacement, 0.0);
 }
 
-TEST(FootprintOfPositions, GroupsByAtomAndSorts) {
+TEST(GroupByAtom, FootprintGroupsByAtomAndSorts) {
     const field::GridSpec grid = small_grid();
     // Four positions: two in atom (0,0,0), one each in two other atoms.
     const std::vector<field::Vec3> positions = {
-        {0.05, 0.05, 0.05}, {0.1, 0.1, 0.1}, {0.3, 0.05, 0.05}, {0.05, 0.3, 0.05}};
-    const auto fp = footprint_of_positions(grid, 2, positions);
-    ASSERT_EQ(fp.size(), 3u);
-    std::uint64_t total = 0;
-    for (const auto& r : fp) {
-        ASSERT_EQ(r.atom.timestep, 2u);
-        total += r.positions;
+        {0.05, 0.3, 0.05}, {0.05, 0.05, 0.05}, {0.3, 0.05, 0.05}, {0.1, 0.1, 0.1}};
+    const AtomGrouping g = group_by_atom(grid, 2, positions);
+    const std::vector<std::pair<util::Coord3, std::uint64_t>> expected = {
+        {{0, 0, 0}, 2}, {{1, 0, 0}, 1}, {{0, 1, 0}, 1}};  // Morton order
+    ASSERT_EQ(g.footprint.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const storage::AtomId atom{2, util::morton_encode(expected[i].first)};
+        EXPECT_EQ(g.footprint[i].atom, atom) << i;
+        EXPECT_EQ(g.footprint[i].positions, expected[i].second) << i;
     }
-    EXPECT_EQ(total, positions.size());
-    EXPECT_TRUE(std::is_sorted(fp.begin(), fp.end(),
-                               [](const AtomRequest& a, const AtomRequest& b) {
-                                   return a.atom.morton < b.atom.morton;
-                               }));
-    EXPECT_EQ(fp.front().positions, 2u);  // atom (0,0,0) is Morton-first here
+
+    // On a random cloud, the footprint is a per-atom count keyed (so sorted)
+    // by Morton code.
+    util::Rng rng(7);
+    std::vector<field::Vec3> cloud;
+    for (int i = 0; i < 500; ++i) cloud.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
+    std::map<std::uint64_t, std::uint64_t> counts;
+    for (const field::Vec3& p : cloud) ++counts[grid.atom_morton_of(p)];
+    const AtomGrouping random = group_by_atom(grid, 5, cloud);
+    ASSERT_EQ(random.footprint.size(), counts.size());
+    std::size_t i = 0;
+    for (const auto& [code, n] : counts) {
+        EXPECT_EQ(random.footprint[i].atom, (storage::AtomId{5, code})) << i;
+        EXPECT_EQ(random.footprint[i].positions, n) << i;
+        ++i;
+    }
+}
+
+TEST(GroupByAtom, OrderMapsGroupedPointsBackToTheInputInOrderWithinEachAtom) {
+    const field::GridSpec grid = small_grid();
+    util::Rng rng(8);
+    std::vector<field::Vec3> cloud;
+    // Clustered near an atom corner, so several atoms interleave.
+    for (int i = 0; i < 300; ++i)
+        cloud.push_back({0.2 + 0.1 * rng.uniform(), 0.2 + 0.1 * rng.uniform(),
+                         0.2 + 0.1 * rng.uniform()});
+    const AtomGrouping g = group_by_atom(grid, 0, cloud);
+    ASSERT_GT(g.footprint.size(), 1u);
+    ASSERT_EQ(g.order.size(), cloud.size());
+    ASSERT_EQ(g.positions.size(), cloud.size());
+    std::vector<bool> seen(cloud.size(), false);
+    std::size_t k = 0;
+    for (const AtomRequest& req : g.footprint)
+        for (std::uint64_t n = 0; n < req.positions; ++n, ++k) {
+            const std::size_t i = g.order[k];
+            ASSERT_LT(i, cloud.size());
+            ASSERT_FALSE(seen[i]) << "index " << i << " appears twice";
+            seen[i] = true;
+            // The k-th grouped point is the caller's point i: it lies in its
+            // entry's atom, after the entry's earlier points in the caller's
+            // order.
+            EXPECT_EQ(g.positions[k].x, cloud[i].x) << k;
+            EXPECT_EQ(g.positions[k].y, cloud[i].y) << k;
+            EXPECT_EQ(g.positions[k].z, cloud[i].z) << k;
+            EXPECT_EQ(grid.atom_morton_of(cloud[i]), req.atom.morton) << k;
+            if (n > 0) {
+                EXPECT_LT(g.order[k - 1], i) << k;
+            }
+        }
+    EXPECT_EQ(k, cloud.size());
+}
+
+TEST(GroupByAtom, RejectsCoordinatesThatAreNotFinite) {
+    const field::GridSpec grid = small_grid();
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+        const std::vector<field::Vec3> positions = {{0.1, 0.1, 0.1}, {0.2, bad, 0.2}};
+        try {
+            group_by_atom(grid, 0, positions);
+            ADD_FAILURE() << "grouped position " << bad;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("position 1 "), std::string::npos) << e.what();
+        }
+    }
 }
 
 TEST(MakeParticleTrackingJob, StructureIsOrderedChain) {
@@ -115,11 +181,15 @@ TEST(MakeParticleTrackingJob, StructureIsOrderedChain) {
         ASSERT_EQ(q.timestep, 2 + i);
         ASSERT_EQ(q.positions.size(), 100u);
         ASSERT_FALSE(q.footprint.empty());
-        // Footprint must match the explicit positions exactly.
+        // Footprint must match the explicit positions exactly: each entry
+        // owns the next of its count, all inside its atom (Query's layout).
         ASSERT_EQ(q.total_positions(), q.positions.size());
-        for (const auto& p : q.positions)
-            ASSERT_EQ(grid.atom_morton_of(p),
-                      grid.atom_morton_of(p));  // well-formed position
+        std::size_t k = 0;
+        for (const AtomRequest& req : q.footprint) {
+            ASSERT_EQ(req.atom.timestep, q.timestep);
+            for (std::uint64_t n = 0; n < req.positions; ++n, ++k)
+                ASSERT_EQ(grid.atom_morton_of(q.positions[k]), req.atom.morton) << k;
+        }
     }
 }
 
@@ -131,11 +201,20 @@ TEST(MakeParticleTrackingJob, ConsecutiveQueriesAreAdvectionsOfPredecessor) {
     spec.start_step = 0;
     spec.steps = 3;
     const Job job = make_particle_tracking_job(spec, grid, f, 1, 1, util::SimTime::zero());
-    const auto expected =
-        advect_cloud(f, job.queries[0].positions, grid.sim_time(0), grid.dt);
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_DOUBLE_EQ(job.queries[1].positions[i].x, expected[i].x);
-        ASSERT_DOUBLE_EQ(job.queries[1].positions[i].y, expected[i].y);
+    // The cloud advects in particle order; each query stores it grouped.
+    const auto cloud = advect_cloud(f, seed_particles(spec), grid.sim_time(0), grid.dt);
+    const AtomGrouping expected = group_by_atom(grid, 1, cloud);
+    const Query& q = job.queries[1];
+    ASSERT_EQ(q.footprint.size(), expected.footprint.size());
+    for (std::size_t i = 0; i < q.footprint.size(); ++i) {
+        EXPECT_EQ(q.footprint[i].atom, expected.footprint[i].atom) << i;
+        EXPECT_EQ(q.footprint[i].positions, expected.footprint[i].positions) << i;
+    }
+    ASSERT_EQ(q.positions.size(), expected.positions.size());
+    for (std::size_t k = 0; k < q.positions.size(); ++k) {
+        ASSERT_EQ(q.positions[k].x, expected.positions[k].x) << k;
+        ASSERT_EQ(q.positions[k].y, expected.positions[k].y) << k;
+        ASSERT_EQ(q.positions[k].z, expected.positions[k].z) << k;
     }
 }
 
